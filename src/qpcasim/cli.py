@@ -14,33 +14,30 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import qml_apps
-from .errors import InvalidInputError, OutOfRangeError, ParseError, QpcaError, WeakAnchorError
+from .errors import InvalidInputError, OutOfRangeError, ParseError, QpcaError
 from .pca_oracle import DataMatrix, SpectralModel, project, svd_decompose
 from .qpca_pipeline import (
     MODE_IDEAL,
-    MODE_QUANTIZED,
     MODE_SAMPLED,
-    MAX_ANCHOR_ATTEMPTS,
     PERTURB_ALTERNATING,
+    RUN_MODES,
     CompressionReport,
     ResourceLedger,
     RunResult,
     error_scaling_experiment,
-    exact_anchor_profile,
-    exact_spectrum,
     ledger_predict,
     run_compression,
+    select_anchor,
 )
 from .qram_store import build_tree
-from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, RhoSpec
+from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig
 
 TASKS = ("compress", "qsvm", "qlr", "scaling", "ledger")
-MODES = (MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED)
 
 SCALING_EPS_GRID = (0.0, 0.02, 0.04, 0.08)
 SCALING_SEED_COUNT = 8
@@ -78,8 +75,10 @@ class RunConfig:
             raise OutOfRangeError(f"gamma must be positive, got {self.gamma}")
         if self.task not in TASKS:
             raise InvalidInputError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.mode not in MODES:
-            raise InvalidInputError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.mode not in RUN_MODES:
+            raise InvalidInputError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
+        if self.subset is not None and self.task != "compress":
+            raise InvalidInputError(f"subset applies to the compress task only, not {self.task!r}")
         if self.subset is not None and len(self.subset) == 0:
             raise InvalidInputError("subset, when given, must name at least one row")
 
@@ -184,94 +183,36 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
 # -- report assembly ---------------------------------------------------------------
 
 
-def _spectrum_summary(model: SpectralModel) -> dict:
-    return {
-        "n_rows": int(model.n_rows),
-        "n_cols": int(model.n_cols),
-        "singular_values": [float(s) for s in model.singular_values],
-        "variance_proportions": [float(v) for v in model.variance_proportions],
-        "cumulative_variance": [float(c) for c in model.cumulative_variance()],
-        "rank": int(model.rank),
-        "selected_dim": int(model.selected_dim),
-        "threshold": float(model.threshold),
-        "variance_captured": float(model.variance_captured),
-        "anchor_index": int(model.anchor_index),
-    }
+# Report fields left out of a dataclass's JSON form, and derived values
+# (properties or zero-argument methods) added to it.
+_OMIT = {SpectralModel: ("right_vectors", "left_vectors"), CompressionReport: ("ledger",)}
+_DERIVED = {
+    SpectralModel: ("n_rows", "n_cols", "rank", "cumulative_variance", "variance_captured"),
+    ResourceLedger: ("amplified_cost",),
+}
 
 
-def _anchor_summary(profile) -> dict:
-    return {
-        "anchor_index": int(profile.anchor_index),
-        "beta": [float(b) for b in profile.beta],
-        "beta_hat": [float(b) for b in profile.beta_hat],
-        "rotation_constant": float(profile.rotation_constant),
-        "residual": float(profile.residual),
-        "eps_beta": float(profile.eps_beta),
-        "shots_per_coefficient": (
-            int(profile.shots_per_coefficient)
-            if profile.shots_per_coefficient is not None
-            else None
-        ),
-    }
-
-
-def _ledger_summary(ledger: ResourceLedger) -> dict:
-    return {
-        "n_rows": int(ledger.n_rows),
-        "n_cols": int(ledger.n_cols),
-        "dim": int(ledger.dim),
-        "eps_lambda": float(ledger.eps_lambda),
-        "eps_beta": float(ledger.eps_beta),
-        "success_probability": float(ledger.success_probability),
-        "spectrum_copies": float(ledger.spectrum_copies),
-        "anchor_swap_tests": float(ledger.anchor_swap_tests),
-        "label_write_cost": float(ledger.label_write_cost),
-        "index_write_gates": float(ledger.index_write_gates),
-        "label_uncompute_cost": float(ledger.label_uncompute_cost),
-        "rotation_gates": float(ledger.rotation_gates),
-        "postselect_cost": float(ledger.postselect_cost),
-        "amplification_reps": int(ledger.amplification_reps),
-        "amplified_cost": {k: float(v) for k, v in ledger.amplified_cost().items()},
-    }
-
-
-def _compression_summary(report: CompressionReport) -> dict:
-    overlap = None
-    if report.overlap is not None:
-        overlap = {
-            "max_deviation": float(report.overlap.max_deviation),
-            "mean_deviation": float(report.overlap.mean_deviation),
-            "fraction_within": float(report.overlap.fraction_within),
-            "tolerance": float(report.overlap.tolerance),
-            "n_pairs": int(report.overlap.n_pairs),
-            "flagged_rows": [int(r) for r in report.overlap.flagged_rows],
+def _plain(value):
+    """JSON form of a report value: dataclasses become dicts (see _OMIT and
+    _DERIVED), numpy arrays and scalars become Python lists and numbers, and
+    tuples become lists."""
+    if is_dataclass(value):
+        out = {
+            f.name: _plain(getattr(value, f.name))
+            for f in fields(value)
+            if f.name not in _OMIT.get(type(value), ())
         }
-    return {
-        "scope": report.scope,
-        "run_mode": report.run_mode,
-        "n_rows": int(report.n_rows),
-        "n_cols": int(report.n_cols),
-        "selected_dim": int(report.selected_dim),
-        "threshold": float(report.threshold),
-        "variance_captured": float(report.variance_captured),
-        "fidelity": float(report.fidelity),
-        "success_probability": float(report.success_probability),
-        "success_probability_identity": float(report.success_probability_identity),
-        "amplification_reps": int(report.amplification_reps),
-        "rotation_constant": float(report.rotation_constant),
-        "anchor_index": int(report.anchor_index),
-        "eps_beta": float(report.eps_beta),
-        "eps_lambda": float(report.eps_lambda),
-        "sampled_success_probability": (
-            float(report.sampled_success_probability)
-            if report.sampled_success_probability is not None
-            else None
-        ),
-        "postselect_shots": (
-            int(report.postselect_shots) if report.postselect_shots is not None else None
-        ),
-        "overlap": overlap,
-    }
+        for name in _DERIVED.get(type(value), ()):
+            derived = getattr(value, name)
+            out[name] = _plain(derived() if callable(derived) else derived)
+        return out
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def _success_sweep(run: RunResult) -> list[dict]:
@@ -316,12 +257,12 @@ def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
         subset=config.subset,
     )
     return {
-        "spectrum": _spectrum_summary(run.model),
-        "anchor": _anchor_summary(run.profile),
-        "compression": _compression_summary(run.result.report),
-        "ledger": _ledger_summary(run.result.report.ledger),
+        "spectrum": _plain(run.model),
+        "anchor": _plain(run.profile),
+        "compression": _plain(run.result.report),
+        "ledger": _plain(run.result.report.ledger),
         "success_probability_sweep": _success_sweep(run),
-        "anchor_attempts": [int(a) for a in run.anchor_attempts],
+        "anchor_attempts": _plain(run.anchor_attempts),
     }
 
 
@@ -361,7 +302,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
             inconclusive += 1
 
     return {
-        "spectrum": _spectrum_summary(model),
+        "spectrum": _plain(model),
         "qsvm": {
             "gamma": float(config.gamma),
             "full": {
@@ -412,7 +353,7 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
     )
 
     return {
-        "spectrum": _spectrum_summary(model),
+        "spectrum": _plain(model),
         "qlr": {
             "predictions_original": [float(v) for v in preds_orig],
             "predictions_compressed": [float(v) for v in preds_comp],
@@ -445,51 +386,23 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
         bits=config.bits,
     )
     return {
-        "spectrum": _spectrum_summary(model),
-        "scaling": {
-            "perturbation": result.perturbation,
-            "n_seeds": int(result.n_seeds),
-            "dims": [int(d) for d in result.dims],
-            "slope": float(result.slope),
-            "slope_scaled": float(result.slope_scaled),
-            "rows": [
-                {
-                    "eps_beta": float(r.eps_beta),
-                    "mean_infidelity": float(r.mean_infidelity),
-                    "mean_deviation": float(r.mean_deviation),
-                }
-                for r in result.rows
-            ],
-        },
+        "spectrum": _plain(model),
+        "scaling": _plain(result),
     }
 
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
-    tree = build_tree(data)
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
-    rng = np.random.default_rng(config.seed)
-    if config.anchor_index is not None:
-        candidates = [config.anchor_index]
-    else:
-        candidates = [int(rng.integers(data.n_rows)) for _ in range(MAX_ANCHOR_ATTEMPTS)]
-
-    last_error: WeakAnchorError | None = None
-    model = profile = None
-    for anchor in candidates:
-        candidate_model = svd_decompose(data, config.theta, anchor)
-        spectrum = exact_spectrum(
-            RhoSpec.from_model(candidate_model), cfg, candidate_model.selected_dim
-        )
-        try:
-            profile = exact_anchor_profile(tree, spectrum, anchor, eps_beta=config.eps_beta)
-        except WeakAnchorError as exc:
-            last_error = exc
-            continue
-        model = candidate_model
-        break
-    if model is None:
-        raise last_error
-
+    choice = select_anchor(
+        data,
+        build_tree(data),
+        cfg,
+        np.random.default_rng(config.seed),
+        threshold=config.theta,
+        eps_beta=config.eps_beta,
+        anchor_index=config.anchor_index,
+    )
+    model, profile = choice.model, choice.profile
     p = float(profile.rotation_constant**2 * model.variance_captured)
     ledger = ledger_predict(
         n_rows=data.n_rows,
@@ -499,11 +412,7 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
         eps_beta=config.eps_beta,
         success_probability=p,
     )
-    return {
-        "spectrum": _spectrum_summary(model),
-        "anchor": _anchor_summary(profile),
-        "ledger": _ledger_summary(ledger),
-    }
+    return {"spectrum": _plain(model), "anchor": _plain(profile), "ledger": _plain(ledger)}
 
 
 # -- output ----------------------------------------------------------------------
@@ -627,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr)")
     parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
     parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width")
-    parser.add_argument("--mode", choices=MODES, default=MODE_IDEAL)
+    parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL)
     parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",
                         help="target accuracy for anchor coefficient estimates")
     parser.add_argument("--shots", type=int, default=100_000)

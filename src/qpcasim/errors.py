@@ -78,9 +78,18 @@ class WeakAnchorError(QpcaError):
 
     code = "WEAK_ANCHOR"
 
-    def __init__(self, message: str, anchor_index: int | None = None):
+    def __init__(
+        self, message: str, anchor_index: int | None = None, anchors_tried: list[int] | None = None
+    ):
         super().__init__(message)
         self.anchor_index = anchor_index
+        self.anchors_tried = anchors_tried
+
+    def payload(self) -> dict:
+        out = super().payload()
+        if self.anchors_tried is not None:
+            out["anchors_tried"] = list(self.anchors_tried)
+        return out
 
 
 class UnderSampledError(QpcaError):
@@ -91,6 +100,14 @@ class UnderSampledError(QpcaError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
+
+    def payload(self) -> dict:
+        """Adds the partial label histogram and the budget that produced it."""
+        out = super().payload()
+        if self.partial is not None:
+            out["histogram"] = dict(self.partial.histogram)
+            out["budget"] = self.partial.budget
+        return out
 
 
 class SingularSystemError(QpcaError):

@@ -8,20 +8,15 @@ ideal compressed statevector the quantum pipeline is supposed to reproduce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError
-from .statevector import StateVector
+from .statevector import StateVector, ceil_log2, token_qubits
 
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_CUTOFF = 1e-12
-
-
-def _ceil_log2(n: int) -> int:
-    return max(int(math.ceil(math.log2(n))), 0) if n > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -251,8 +246,8 @@ def expected_compressed_state(compressed: CompressedMatrix, row_mask: np.ndarray
     if norm == 0.0:
         raise InvalidInputError("compressed matrix has zero Frobenius norm; nothing to encode")
     n, d = y.shape
-    row_qubits = _ceil_log2(n)
-    index_qubits = _ceil_log2(d + 1)
+    row_qubits = ceil_log2(n)
+    index_qubits = token_qubits(d)
     amps = np.zeros((1 << row_qubits, 1 << index_qubits), dtype=np.complex128)
     amps[:n, 1 : d + 1] = y / norm
     return StateVector.from_amplitudes([("row", row_qubits), ("index", index_qubits)], amps)
@@ -267,7 +262,7 @@ def expected_row_state(compressed: CompressedMatrix, row_index: int) -> StateVec
     if norm == 0.0:
         raise InvalidInputError(f"row {row_index} compresses to the zero vector")
     d = y.size
-    index_qubits = _ceil_log2(d + 1)
+    index_qubits = token_qubits(d)
     amps = np.zeros(1 << index_qubits, dtype=np.complex128)
     amps[1 : d + 1] = y / norm
     return StateVector.from_amplitudes([("index", index_qubits)], amps)

@@ -22,14 +22,10 @@ from .errors import (
     SingularSystemError,
 )
 from .pca_oracle import DataMatrix
-from .statevector import StateVector
+from .statevector import StateVector, ceil_log2
 
 PINV_CUTOFF = 1e-10
 RESIDUAL_TOL = 1e-8
-
-
-def _ceil_log2(n: int) -> int:
-    return max(int(math.ceil(math.log2(n))), 0) if n > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -186,8 +182,8 @@ def qsvm_state_demo(
     if query.size != n_features:
         raise InvalidInputError("query dimension does not match the training points")
 
-    slot_qubits = _ceil_log2(n + 1)
-    feat_dim = 1 << _ceil_log2(max(n_features, 2))
+    slot_qubits = ceil_log2(n + 1)
+    feat_dim = 1 << ceil_log2(max(n_features, 2))
     trained = np.zeros(((1 << slot_qubits), feat_dim))
     trained[0, 0] = model.bias
     for j in range(n):
@@ -332,8 +328,8 @@ def qlr_state_demo(
     inv_norm = float(np.linalg.norm(inv_s))
 
     n, n_features = points.shape
-    feat_qubits = _ceil_log2(max(n_features, 2))
-    row_qubits = _ceil_log2(max(n, 2))
+    feat_qubits = ceil_log2(max(n_features, 2))
+    row_qubits = ceil_log2(max(n, 2))
     feat_dim, row_dim = 1 << feat_qubits, 1 << row_qubits
 
     inverse_state = np.zeros((feat_dim, row_dim))

@@ -19,7 +19,7 @@ pair pins the whole run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
 from .qram_store import QramTree
-from .statevector import StateVector
+from .statevector import StateVector, token_qubits
 from .sv_engine import PhaseConfig, RhoSpec
 
 MODE_IDEAL = "ideal"
@@ -94,25 +94,10 @@ class AnchorProfile:
     residual: float           # 1 - sum beta_j^2 (anchor mass outside the kept span)
     eps_beta: float
     shots_per_coefficient: int | None = None
-    estimator_constant: float | None = None
 
 
-@dataclass(frozen=True)
-class LedgerConstants:
-    """Tunable prefactors for the symbolic cost model."""
-
-    spectrum_copies: float = 1.0
-    anchor_tests: float = 1.0
-    label_write: float = 1.0
-    index_write: float = 1.0
-    label_uncompute: float = 1.0
-    rotation: float = 1.0
-    postselect: float = 1.0
-    polylog_power: int = 1
-
-
-def _polylog(x: float, power: int) -> float:
-    return math.log2(max(x, 2.0)) ** power
+def _polylog(x: float) -> float:
+    return math.log2(max(x, 2.0))
 
 
 @dataclass(frozen=True)
@@ -138,7 +123,6 @@ class ResourceLedger:
     rotation_gates: float
     postselect_cost: float
     amplification_reps: int
-    constants: LedgerConstants = field(default_factory=LedgerConstants)
 
     def amplified_cost(self) -> dict[str, float]:
         reps = float(self.amplification_reps)
@@ -158,7 +142,6 @@ def ledger_predict(
     eps_lambda: float,
     eps_beta: float,
     success_probability: float,
-    constants: LedgerConstants | None = None,
 ) -> ResourceLedger:
     """Instantiate the asymptotic cost model at concrete parameters.
 
@@ -173,9 +156,8 @@ def ledger_predict(
         raise OutOfRangeError("dimensions must be >= 1")
     if not 0.0 < eps_lambda < 1.0 or not 0.0 < eps_beta < 1.0:
         raise OutOfRangeError("accuracy parameters must lie in (0, 1)")
-    c = constants or LedgerConstants()
-    poly_nd = _polylog(float(n_rows) * float(n_cols), c.polylog_power)
-    poly_d = _polylog(float(n_cols), c.polylog_power)
+    poly_nd = _polylog(float(n_rows) * float(n_cols))
+    poly_d = _polylog(float(n_cols))
     reg_factor = math.log2(dim + 1.0)
     return ResourceLedger(
         n_rows=n_rows,
@@ -184,15 +166,14 @@ def ledger_predict(
         eps_lambda=eps_lambda,
         eps_beta=eps_beta,
         success_probability=success_probability,
-        spectrum_copies=c.spectrum_copies * dim * poly_nd / (eps_beta**2 * eps_lambda**3),
-        anchor_swap_tests=c.anchor_tests * dim * poly_d / eps_beta**2,
-        label_write_cost=c.label_write * poly_nd / eps_lambda**3,
-        index_write_gates=c.index_write * dim * math.log2(1.0 / eps_lambda) * reg_factor,
-        label_uncompute_cost=c.label_uncompute * poly_nd / eps_lambda**3,
-        rotation_gates=c.rotation * dim * reg_factor,
-        postselect_cost=c.postselect * poly_d,
+        spectrum_copies=dim * poly_nd / (eps_beta**2 * eps_lambda**3),
+        anchor_swap_tests=dim * poly_d / eps_beta**2,
+        label_write_cost=poly_nd / eps_lambda**3,
+        index_write_gates=dim * math.log2(1.0 / eps_lambda) * reg_factor,
+        label_uncompute_cost=poly_nd / eps_lambda**3,
+        rotation_gates=dim * reg_factor,
+        postselect_cost=poly_d,
         amplification_reps=sv_engine.amplification_repetitions(success_probability),
-        constants=c,
     )
 
 
@@ -246,34 +227,31 @@ def extract_spectrum(
     state = sv_engine.phase_estimate(rho, cfg, state, distinct_top=dim)
     sample = sv_engine.measure_register(state, "eigen", sampling_budget, rng_seed)
 
-    entries = []
-    covered = 0.0
-    missing = []
-    for j in range(dim):
-        label = int(labels[j])
-        freq = sample.frequency(label)
-        if sample.counts.get(label, 0) == 0:
-            missing.append(label)
-        covered += freq
-        entries.append(
-            SpectrumEntry(
-                component=j,
-                label=label,
-                eigenvalue=float(rho.eigenvalues[j]),
-                frequency=freq,
-                vector=rho.eigenvectors[:, j].copy(),
-            )
+    entries = tuple(
+        SpectrumEntry(
+            component=j,
+            label=int(labels[j]),
+            eigenvalue=float(rho.eigenvalues[j]),
+            frequency=sample.frequency(int(labels[j])),
+            vector=rho.eigenvectors[:, j].copy(),
         )
+        for j in range(dim)
+    )
+    # Coverage comes from the integer counts: a sum of per-label float
+    # frequencies can round below 1.0 even when every draw hit a kept label.
+    kept_counts = [sample.counts.get(e.label, 0) for e in entries]
+    found = sum(1 for c in kept_counts if c > 0)
+    covered = sum(kept_counts) / sampling_budget
     result = SpectrumSample(
-        entries=tuple(entries),
+        entries=entries,
         histogram=sample.counts,
         budget=sampling_budget,
         label_mode=cfg.label_mode,
     )
-    if missing or covered < threshold:
+    if found < dim or covered < threshold:
         raise UnderSampledError(
-            f"budget {sampling_budget} found {dim - len(missing)}/{dim} leading labels "
-            f"with cumulative frequency {covered:.4f} < {threshold}",
+            f"budget {sampling_budget} found {found}/{dim} leading labels "
+            f"with cumulative frequency {covered:.4f} (threshold {threshold})",
             partial=result,
         )
     return result
@@ -309,15 +287,14 @@ def exact_anchor_profile(
     anchor_index: int,
     *,
     eps_beta: float = 0.01,
-    beta_floor: float = BETA_FLOOR,
 ) -> AnchorProfile:
     """Shot-free profile: the estimates equal the exact coefficients."""
     beta = _true_beta(tree, spectrum, anchor_index)
-    if float(beta.min(initial=1.0)) < beta_floor:
+    if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
         raise WeakAnchorError(
             f"anchor row {anchor_index} has coefficient {beta[j]:.3e} on component {j} "
-            f"below the floor {beta_floor}; redraw the anchor",
+            f"below the floor {BETA_FLOOR}; redraw the anchor",
             anchor_index=anchor_index,
         )
     return AnchorProfile(
@@ -337,8 +314,6 @@ def estimate_anchor(
     rng_seed: int | None,
     *,
     anchor_index: int,
-    estimator_constant: float = ANCHOR_SHOTS_CONSTANT,
-    beta_floor: float = BETA_FLOOR,
 ) -> AnchorProfile:
     """Estimate every anchor coefficient by a seeded swap test against the
     corresponding eigenvector state, ceil(c / eps_beta^2) shots each.
@@ -348,7 +323,7 @@ def estimate_anchor(
     """
     if not 0.0 < eps_beta < 1.0:
         raise OutOfRangeError(f"eps_beta must lie in (0, 1), got {eps_beta}")
-    shots = int(math.ceil(estimator_constant / eps_beta**2))
+    shots = int(math.ceil(ANCHOR_SHOTS_CONSTANT / eps_beta**2))
     anchor_state = qram_store.prepare_row_state(tree, anchor_index)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(0, 2**63 - 1, size=spectrum.dim)
@@ -359,11 +334,11 @@ def estimate_anchor(
         target = _vector_state(entry.vector, tree.padded_cols, tree.feature_qubits)
         result = sv_engine.swap_test(anchor_state, target, shots, int(seeds[k]))
         beta_hat[k] = math.sqrt(max(result.overlap_sq_raw, 0.0))
-    if float(beta_hat.min(initial=1.0)) < beta_floor:
+    if float(beta_hat.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta_hat))
         raise WeakAnchorError(
             f"estimated coefficient {beta_hat[j]:.3e} on component {j} for anchor row "
-            f"{anchor_index} is below the floor {beta_floor}; redraw the anchor",
+            f"{anchor_index} is below the floor {BETA_FLOOR}; redraw the anchor",
             anchor_index=anchor_index,
         )
     return AnchorProfile(
@@ -374,7 +349,69 @@ def estimate_anchor(
         residual=max(1.0 - float(np.sum(beta**2)), 0.0),
         eps_beta=eps_beta,
         shots_per_coefficient=shots,
-        estimator_constant=estimator_constant,
+    )
+
+
+@dataclass(frozen=True)
+class AnchorChoice:
+    """The accepted anchor row and what was built around it."""
+
+    model: SpectralModel
+    rho: RhoSpec
+    spectrum: SpectrumSample
+    profile: AnchorProfile
+    attempts: tuple[int, ...]
+
+
+def select_anchor(
+    data: DataMatrix,
+    tree: QramTree,
+    cfg: PhaseConfig,
+    rng: np.random.Generator,
+    *,
+    threshold: float,
+    eps_beta: float = 0.01,
+    anchor_index: int | None = None,
+    sampled_seeds: tuple[int, int] | None = None,
+) -> AnchorChoice:
+    """Choose the anchor row whose coefficients scale the rotation.
+
+    Rows are drawn uniformly from ``rng`` until one has every kept
+    coefficient at or above BETA_FLOOR, for at most MAX_ANCHOR_ATTEMPTS
+    draws. Each candidate gets its own SVD, whose signs follow the anchor.
+    A fixed ``anchor_index`` is the only candidate, and its WeakAnchorError
+    propagates unchanged. With ``sampled_seeds`` = (spectrum seed, swap-test
+    seed) the spectrum is sampled and the coefficients are estimated by swap
+    tests; without it both are exact.
+    """
+    attempts: list[int] = []
+    last_error: WeakAnchorError | None = None
+    for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
+        anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
+        attempts.append(anchor)
+        model = pca_oracle.svd_decompose(data, threshold, anchor)
+        rho = RhoSpec.from_model(model)
+        d = model.selected_dim
+        try:
+            if sampled_seeds is None:
+                spectrum = exact_spectrum(rho, cfg, d)
+                profile = exact_anchor_profile(tree, spectrum, anchor, eps_beta=eps_beta)
+            else:
+                spectrum_seed, beta_seed = sampled_seeds
+                spectrum = extract_spectrum(
+                    tree, rho, cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=threshold
+                )
+                profile = estimate_anchor(tree, spectrum, eps_beta, beta_seed, anchor_index=anchor)
+        except WeakAnchorError as exc:
+            if anchor_index is not None:
+                raise
+            last_error = exc
+            continue
+        return AnchorChoice(model, rho, spectrum, profile, tuple(attempts))
+    raise WeakAnchorError(
+        f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
+        anchor_index=attempts[-1],
+        anchors_tried=attempts,
     )
 
 
@@ -461,7 +498,6 @@ def compress(
     row_index: int | None = None,
     postselect_shots: int | None = None,
     rng_seed: int | None = None,
-    overlap_tolerance: float = 1e-6,
 ) -> CompressResult:
     """Run the compression circuit end to end on exact amplitudes.
 
@@ -496,10 +532,9 @@ def compress(
         if scope == SCOPE_SUBSET:
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
-    index_qubits = max(int(math.ceil(math.log2(d + 1))), 1)
     state = state.append_register("eigen", cfg.register_width(rho.dim))
     state = sv_engine.phase_estimate(rho, cfg, state, distinct_top=d)
-    state = state.append_register("index", index_qubits)
+    state = state.append_register("index", token_qubits(d))
     state = sv_engine.apply_cu_lambda(state, spectrum.cu_labels())
     state = sv_engine.inverse_phase_estimate(rho, cfg, state)
     state = state.remove_register("eigen")
@@ -525,7 +560,7 @@ def compress(
         reference = pca_oracle.expected_compressed_state(
             compressed, row_mask=None if scope == SCOPE_FULL else mask
         )
-        rep = pca_oracle.pairwise_overlap_report(data, compressed, overlap_tolerance)
+        rep = pca_oracle.pairwise_overlap_report(data, compressed)
         overlap = OverlapSummary.from_report(rep)
 
     fidelity = post.state.fidelity(reference)
@@ -593,80 +628,52 @@ def run_compression(
     scope: str = SCOPE_FULL,
     subset: Sequence[int] | None = None,
     row_index: int | None = None,
-    sampling_budget: int | None = None,
-    max_anchor_attempts: int = MAX_ANCHOR_ATTEMPTS,
 ) -> RunResult:
-    """Whole pipeline with seeded anchor selection and weak-anchor redraw.
-
-    A fixed ``anchor_index`` disables the redraw: a weak anchor then raises.
-    Otherwise anchors are drawn uniformly (seeded) until the coefficient
-    floor is met, up to ``max_anchor_attempts`` draws.
-    """
-    if run_mode not in RUN_MODES:
-        raise InvalidInputError(f"unknown run mode {run_mode!r}; expected one of {RUN_MODES}")
+    """Whole pipeline: seeded anchor selection (see ``select_anchor``), then
+    compression. A fixed ``anchor_index`` disables the weak-anchor redraw."""
+    cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (
         int(s) for s in rng.integers(0, 2**63 - 1, size=4)
     )
-    anchor_rng = np.random.default_rng(anchor_seed)
-
+    sampled = run_mode == MODE_SAMPLED
     tree = qram_store.build_tree(data)
-    cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
-
-    attempts: list[int] = []
-    last_error: WeakAnchorError | None = None
-    n_attempts = 1 if anchor_index is not None else max_anchor_attempts
-    for _ in range(n_attempts):
-        anchor = anchor_index if anchor_index is not None else int(anchor_rng.integers(data.n_rows))
-        attempts.append(anchor)
-        model = pca_oracle.svd_decompose(data, threshold, anchor)
-        rho = RhoSpec.from_model(model)
-        d = model.selected_dim
-        try:
-            if run_mode == MODE_SAMPLED:
-                budget = sampling_budget if sampling_budget is not None else default_sampling_budget(d)
-                spectrum = extract_spectrum(
-                    tree, rho, cfg, budget, spectrum_seed, dim=d, threshold=threshold
-                )
-                profile = estimate_anchor(tree, spectrum, eps_beta, beta_seed, anchor_index=anchor)
-            else:
-                spectrum = exact_spectrum(rho, cfg, d)
-                profile = exact_anchor_profile(tree, spectrum, anchor, eps_beta=eps_beta)
-        except WeakAnchorError as exc:
-            if anchor_index is not None:
-                raise
-            last_error = exc
-            continue
-        result = compress(
-            data,
-            model,
-            tree,
-            rho,
-            spectrum,
-            profile,
-            cfg,
-            run_mode=run_mode,
-            scope=scope,
-            subset=subset,
-            row_index=row_index,
-            postselect_shots=shots if run_mode == MODE_SAMPLED else None,
-            rng_seed=post_seed,
-        )
-        return RunResult(
-            data=data,
-            model=model,
-            tree=tree,
-            rho=rho,
-            cfg=cfg,
-            spectrum=spectrum,
-            profile=profile,
-            result=result,
-            anchor_attempts=tuple(attempts),
-            seed=seed,
-        )
-    raise WeakAnchorError(
-        f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
-        anchor_index=attempts[-1],
+    choice = select_anchor(
+        data,
+        tree,
+        cfg,
+        np.random.default_rng(anchor_seed),
+        threshold=threshold,
+        eps_beta=eps_beta,
+        anchor_index=anchor_index,
+        sampled_seeds=(spectrum_seed, beta_seed) if sampled else None,
+    )
+    result = compress(
+        data,
+        choice.model,
+        tree,
+        choice.rho,
+        choice.spectrum,
+        choice.profile,
+        cfg,
+        run_mode=run_mode,
+        scope=scope,
+        subset=subset,
+        row_index=row_index,
+        postselect_shots=shots if sampled else None,
+        rng_seed=post_seed,
+    )
+    return RunResult(
+        data=data,
+        model=choice.model,
+        tree=tree,
+        rho=choice.rho,
+        cfg=cfg,
+        spectrum=choice.spectrum,
+        profile=choice.profile,
+        result=result,
+        anchor_attempts=choice.attempts,
+        seed=seed,
     )
 
 
@@ -737,41 +744,27 @@ def error_scaling_experiment(
     if any(e < 0.0 for e in grid):
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")
 
+    cfg = PhaseConfig(bits=bits, label_mode=sv_engine.LABEL_MODE_IDEAL)
     dims = set()
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
     for seed in seeds:
         data = dataset_generator(int(seed))
         tree = qram_store.build_tree(data)
-        cfg = PhaseConfig(bits=bits, label_mode=sv_engine.LABEL_MODE_IDEAL)
-        anchor_rng = np.random.default_rng(int(seed))
-
-        model = profile0 = None
-        for _ in range(MAX_ANCHOR_ATTEMPTS):
-            anchor = int(anchor_rng.integers(data.n_rows))
-            candidate = pca_oracle.svd_decompose(data, threshold, anchor)
-            spectrum = exact_spectrum(RhoSpec.from_model(candidate), cfg, candidate.selected_dim)
-            try:
-                profile0 = exact_anchor_profile(tree, spectrum, anchor)
-            except WeakAnchorError:
-                continue
-            model = candidate
-            break
-        if model is None:
-            raise WeakAnchorError(f"no usable anchor for seed {seed}")
-        rho = RhoSpec.from_model(model)
-        spectrum = exact_spectrum(rho, cfg, model.selected_dim)
-        dims.add(model.selected_dim)
+        choice = select_anchor(data, tree, cfg, np.random.default_rng(int(seed)), threshold=threshold)
+        dims.add(choice.model.selected_dim)
 
         for k, eps in enumerate(grid):
-            beta_hat = perturb_beta(profile0.beta, eps, perturbation)
+            beta_hat = perturb_beta(choice.profile.beta, eps, perturbation)
             profile = replace(
-                profile0,
+                choice.profile,
                 beta_hat=beta_hat,
                 rotation_constant=float(beta_hat.min()),
                 eps_beta=max(eps, 1e-12),
             )
-            res = compress(data, model, tree, rho, spectrum, profile, cfg, run_mode=MODE_IDEAL)
+            res = compress(
+                data, choice.model, tree, choice.rho, choice.spectrum, profile, cfg, run_mode=MODE_IDEAL
+            )
             f = res.report.fidelity
             infid[k] += max(1.0 - f, 0.0)
             dev[k] += math.sqrt(max(1.0 - f * f, 0.0))

@@ -17,13 +17,13 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError, OutOfRangeError
 from .pca_oracle import DataMatrix
-from .statevector import StateVector
+from .statevector import StateVector, ceil_log2
 
 STRICT_TOL = 1e-9
 
 
 def _pad_dim(n: int, minimum: int | None = None) -> int:
-    dim = 1 << max(int(math.ceil(math.log2(n))), 0) if n > 1 else 1
+    dim = 1 << ceil_log2(n)
     if minimum is not None:
         if minimum < dim or minimum & (minimum - 1):
             raise InvalidInputError(f"padded dimension {minimum} must be a power of two >= {dim}")
@@ -203,9 +203,3 @@ def prepare_row_state(tree: QramTree, row_index: int) -> StateVector:
     """One row's unit vector on a lone feature register."""
     state = StateVector.zero([("feature", tree.feature_qubits)])
     return state.apply_register_unitary("feature", row_prep_unitary(tree, row_index))
-
-
-def prepare_anchor(tree: QramTree, anchor_index: int) -> StateVector:
-    """The anchor row's unit vector; the inverse of its preparation matrix
-    (``row_prep_unitary(tree, anchor_index).T``) undoes it exactly."""
-    return prepare_row_state(tree, anchor_index)

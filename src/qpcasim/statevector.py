@@ -12,6 +12,7 @@ place, so callers can keep intermediate states around for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,16 @@ from .errors import (
 )
 
 NORM_TOL = 1e-10
+
+
+def ceil_log2(n: int) -> int:
+    """Qubits a register needs to hold ``n`` basis states."""
+    return int(math.ceil(math.log2(n))) if n > 1 else 0
+
+
+def token_qubits(n_tokens: int) -> int:
+    """Width of a register holding tokens 1..n_tokens, with 0 for no token."""
+    return ceil_log2(n_tokens + 1)
 
 
 @dataclass(frozen=True)

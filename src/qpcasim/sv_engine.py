@@ -29,7 +29,7 @@ from .errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from .statevector import StateVector
+from .statevector import StateVector, token_qubits
 
 LABEL_MODE_IDEAL = "ideal"
 LABEL_MODE_QUANTIZED = "quantized"
@@ -37,6 +37,9 @@ LABEL_MODE_QUANTIZED = "quantized"
 # Written phases encode eigenvalue/2 so that an eigenvalue of 1 does not
 # wrap around the fixed-width register.
 PHASE_SCALE = 0.5
+
+# Post-selection probability below which the kept branch counts as lost.
+POSTSELECT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,6 @@ class RhoSpec:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def density_matrix(self) -> np.ndarray:
-        return self.eigenvectors @ np.diag(self.eigenvalues) @ self.eigenvectors.T
-
 
 @dataclass(frozen=True)
 class PhaseConfig:
@@ -97,7 +97,7 @@ class PhaseConfig:
 
     def register_width(self, n_components: int) -> int:
         if self.label_mode == LABEL_MODE_IDEAL:
-            return max(int(math.ceil(math.log2(n_components + 1))), 1)
+            return token_qubits(n_components)
         return self.bits
 
 
@@ -306,7 +306,6 @@ def postselect(
     *,
     feature_register: str = "feature",
     ancilla_register: str = "ancilla",
-    probability_floor: float = 1e-12,
     shots: int | None = None,
     rng_seed: int | None = None,
 ) -> PostselectResult:
@@ -319,9 +318,9 @@ def postselect(
     """
     worked = state.apply_register_unitary(feature_register, anchor_inverse)
     kept, prob = worked.project_and_remove({feature_register: 0, ancilla_register: 1})
-    if prob < probability_floor:
+    if prob < POSTSELECT_FLOOR:
         raise VanishingSuccessError(
-            f"post-selection probability {prob:.3e} below floor {probability_floor:.3e}"
+            f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}"
         )
     sampled = None
     successes = None

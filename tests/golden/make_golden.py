@@ -101,10 +101,11 @@ def run_case(name: str) -> str:
         cli.main(argv + extra)
     doc = json.loads(out.getvalue())
     config = doc.get("config")
-    if config is not None:
-        for key in ("input_path", "labels_path"):
-            if config[key] is not None:
-                config[key] = os.path.basename(config[key])
+    if config is None:
+        return out.getvalue()
+    for key in ("input_path", "labels_path"):
+        if config[key] is not None:
+            config[key] = os.path.basename(config[key])
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

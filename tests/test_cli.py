@@ -317,6 +317,34 @@ def test_main_reports_weak_anchor_on_identity(capsys, tmp_path):
     assert payload["code"] == "WEAK_ANCHOR"
 
 
+@pytest.mark.parametrize("task", ["compress", "ledger", "scaling"])
+def test_weak_anchor_payload_lists_anchors_tried(capsys, tmp_path, task):
+    path = _write(tmp_path, "identity.csv", "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+    payload = _error_payload(capsys, ["--input", path, "--task", task])
+    assert payload["code"] == "WEAK_ANCHOR"
+    tried = payload["anchors_tried"]
+    assert len(tried) == 8
+    assert payload["message"].startswith(f"no usable anchor after 8 draw(s) {tried}: ")
+
+
+def test_under_sampled_payload_carries_histogram(capsys, tmp_path):
+    path = str(tmp_path / "under.csv")
+    write_matrix_csv(path, rank_k_dataset(16, 8, 8, 1, sigma_range=(0.03, 2.0)).values)
+    payload = _error_payload(
+        capsys, ["--input", path, "--mode", "sampled", "--theta", "1.0", "--bits", "10"]
+    )
+    assert payload["code"] == "UNDER_SAMPLED"
+    assert payload["budget"] == 400
+    assert sum(payload["histogram"].values()) == 400
+
+
+@pytest.mark.parametrize("task", ["qsvm", "qlr", "scaling", "ledger"])
+def test_subset_rejected_outside_compress(capsys, rank2_csv, task):
+    payload = _error_payload(capsys, ["--input", rank2_csv, "--task", task, "--subset", "0,1"])
+    assert payload["code"] == "INVALID_INPUT"
+    assert "compress task only" in payload["message"]
+
+
 def test_main_success_exit_code(rank2_csv, tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert cli.main(["--input", rank2_csv, "--out", out]) == 0

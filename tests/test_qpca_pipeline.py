@@ -105,6 +105,15 @@ def test_extract_spectrum_undersampled_carries_partial():
     assert partial.budget == 2
 
 
+def test_extract_spectrum_full_coverage_meets_threshold_one():
+    # Every draw lands on one of the eight kept labels, so coverage is
+    # exactly 1; summed float frequencies used to round it below 1.0.
+    data = rank_k_dataset(16, 8, 8, 1)
+    run = run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=0)
+    assert run.spectrum.dim == 8
+    assert sum(run.spectrum.histogram.values()) == run.spectrum.budget
+
+
 def test_default_sampling_budget():
     assert default_sampling_budget(2) == 200
     assert default_sampling_budget(10) == 500

@@ -10,7 +10,6 @@ from qpcasim.qram_store import (
     apply_row_prep,
     build_tree,
     norm_prep_unitary,
-    prepare_anchor,
     prepare_data_state,
     prepare_row_state,
     row_prep_unitary,
@@ -198,9 +197,9 @@ def test_prep_matrices_are_orthogonal():
 
 def test_anchor_preparation_and_inverse():
     tree = build_tree(DataMatrix(np.array([[0.0, 1.0], [3.0, 4.0]])))
-    first = prepare_anchor(tree, 0)
+    first = prepare_row_state(tree, 0)
     assert first.basis_amplitude({"feature": 1}) == pytest.approx(1.0)
-    second = prepare_anchor(tree, 1)
+    second = prepare_row_state(tree, 1)
     np.testing.assert_allclose(
         [second.basis_amplitude({"feature": 0}), second.basis_amplitude({"feature": 1})],
         [0.6, 0.8],
@@ -210,7 +209,7 @@ def test_anchor_preparation_and_inverse():
     undone = second.apply_register_unitary("feature", row_prep_unitary(tree, 1).T)
     assert undone.basis_amplitude({"feature": 0}) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(OutOfRangeError):
-        prepare_anchor(tree, 2)
+        prepare_row_state(tree, 2)
 
 
 def test_strict_mode_rejects_dirty_registers():
