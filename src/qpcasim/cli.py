@@ -79,6 +79,8 @@ class RunConfig:
             raise InvalidInputError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
         if self.subset is not None and self.task != "compress":
             raise InvalidInputError(f"subset applies to the compress task only, not {self.task!r}")
+        if self.mode != MODE_IDEAL and self.task in ("scaling", "ledger"):
+            raise InvalidInputError(f"the {self.task!r} task runs in ideal mode only, not {self.mode!r}")
         if self.subset is not None and len(self.subset) == 0:
             raise InvalidInputError("subset, when given, must name at least one row")
 
@@ -536,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr)")
     parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
     parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width")
-    parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL)
+    parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,
+                        help="run mode (scaling and ledger: ideal only)")
     parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",
                         help="target accuracy for anchor coefficient estimates")
     parser.add_argument("--shots", type=int, default=100_000)

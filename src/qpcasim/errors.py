@@ -56,9 +56,21 @@ class UnknownRegisterError(QpcaError):
 
 
 class DegenerateSpectrumError(QpcaError):
-    """Two targeted eigenvalues share one quantized label."""
+    """A targeted eigenvalue's quantized label is shared with another
+    targeted eigenvalue or a tail one, or is 0. ``leaked_tail_mass``, when
+    known, is the variance of the tail components that share a kept label."""
 
     code = "DEGENERATE_SPECTRUM"
+
+    def __init__(self, message: str, leaked_tail_mass: float | None = None):
+        super().__init__(message)
+        self.leaked_tail_mass = leaked_tail_mass
+
+    def payload(self) -> dict:
+        out = super().payload()
+        if self.leaked_tail_mass is not None:
+            out["leaked_tail_mass"] = self.leaked_tail_mass
+        return out
 
 
 class InvalidRotationError(QpcaError):

@@ -82,6 +82,11 @@ class SpectrumSample:
     def dim(self) -> int:
         return len(self.entries)
 
+    def with_vectors(self, rho: RhoSpec) -> "SpectrumSample":
+        """The same sample with the eigenvector payloads read from ``rho``."""
+        entries = tuple(replace(e, vector=rho.eigenvectors[:, e.component].copy()) for e in self.entries)
+        return replace(self, entries=entries)
+
 
 @dataclass(frozen=True)
 class AnchorProfile:
@@ -210,7 +215,9 @@ def extract_spectrum(
     threshold: float,
 ) -> SpectrumSample:
     """Discover the leading labels by repeatedly preparing the labeled state
-    and measuring the eigenvalue register.
+    and measuring the eigenvalue register. The draws come from that
+    register's exact distribution (``sv_engine.eigen_marginal_state``), so
+    the labelled state itself is never built.
 
     Succeeds when every one of the leading ``dim`` labels was observed and
     their cumulative empirical frequency reaches the variance threshold;
@@ -222,10 +229,8 @@ def extract_spectrum(
         raise InvalidInputError("sampling budget must be >= 1")
     labels = sv_engine.check_label_distinctness(rho, cfg, dim)
 
-    state = qram_store.prepare_data_state(tree)
-    state = state.append_register("eigen", cfg.register_width(rho.dim))
-    state = sv_engine.phase_estimate(rho, cfg, state, distinct_top=dim)
-    sample = sv_engine.measure_register(state, "eigen", sampling_budget, rng_seed)
+    eigen = sv_engine.eigen_marginal_state(rho, cfg, qram_store.prepare_data_state(tree))
+    sample = sv_engine.measure_register(eigen, "eigen", sampling_budget, rng_seed)
 
     entries = tuple(
         SpectrumEntry(
@@ -382,10 +387,13 @@ def select_anchor(
     A fixed ``anchor_index`` is the only candidate, and its WeakAnchorError
     propagates unchanged. With ``sampled_seeds`` = (spectrum seed, swap-test
     seed) the spectrum is sampled and the coefficients are estimated by swap
-    tests; without it both are exact.
+    tests; without it both are exact. The label histogram depends on the
+    eigenvalues alone, so it is sampled once, before any anchor is judged;
+    each candidate's SVD supplies only the signs of the eigenvectors.
     """
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
+    sampled: SpectrumSample | None = None
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
@@ -398,9 +406,11 @@ def select_anchor(
                 profile = exact_anchor_profile(tree, spectrum, anchor, eps_beta=eps_beta)
             else:
                 spectrum_seed, beta_seed = sampled_seeds
-                spectrum = extract_spectrum(
-                    tree, rho, cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=threshold
-                )
+                if sampled is None:
+                    sampled = extract_spectrum(
+                        tree, rho, cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=threshold
+                    )
+                spectrum = sampled.with_vectors(rho)
                 profile = estimate_anchor(tree, spectrum, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
@@ -532,12 +542,8 @@ def compress(
         if scope == SCOPE_SUBSET:
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
-    state = state.append_register("eigen", cfg.register_width(rho.dim))
-    state = sv_engine.phase_estimate(rho, cfg, state, distinct_top=d)
     state = state.append_register("index", token_qubits(d))
-    state = sv_engine.apply_cu_lambda(state, spectrum.cu_labels())
-    state = sv_engine.inverse_phase_estimate(rho, cfg, state)
-    state = state.remove_register("eigen")
+    state = sv_engine.write_tokens(rho, cfg, state, spectrum.cu_labels(), distinct_top=d)
     state = state.append_register("ancilla", 1)
     state = sv_engine.apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
 

@@ -3,9 +3,12 @@
 One tree per row stores partial sums of squared entries with signs kept at
 the leaves; one more tree stores the row norms. Walking a tree level by
 level yields the controlled-rotation cascade that prepares the encoded
-vector from |0...0>, and the full cascade is materialized as an exact
-orthogonal matrix so inverses are just transposes. Rows and columns are
-zero-padded to powers of two; padded rows carry zero weight and are skipped.
+vector from |0...0>. The state loaders run that cascade on amplitude
+vectors, all rows at once, in O(N*D). The full cascade is also available
+as an exact orthogonal matrix, whose inverse is its transpose, with the
+register-level preparations built from it; the tests hold the loaders
+against those. Rows and columns are zero-padded to powers of two; padded
+rows carry zero weight and are skipped.
 """
 
 from __future__ import annotations
@@ -140,6 +143,35 @@ def _prep_unitary(levels: list[np.ndarray], signs: np.ndarray | None) -> np.ndar
     return unitary
 
 
+def _cascade(levels: list[np.ndarray], signs: np.ndarray | None) -> np.ndarray:
+    """Column 0 of ``_prep_unitary`` for a batch of trees: the rotation
+    cascade run level by level on the amplitude vectors themselves.
+
+    ``levels[l]`` has shape (..., 2**l) and ``signs``, when given, the
+    leaves' shape. Each node's amplitude a becomes (c a, s a) on its
+    children, with the rotation, sign and zero-subtree rules of
+    ``_prep_unitary`` and the same products, so the result is bit-identical
+    to that matrix's first column.
+    """
+    depth = len(levels) - 1
+    amps = np.ones(levels[0].shape)
+    if depth == 0:
+        return amps if signs is None else amps * signs
+    for level in range(depth):
+        parent = levels[level]
+        children = levels[level + 1].reshape(*parent.shape, 2)
+        live = parent > 0.0
+        safe = np.where(live, parent, 1.0)
+        c = np.where(live, np.sqrt(np.maximum(children[..., 0], 0.0) / safe), 1.0)
+        s = np.where(live, np.sqrt(np.maximum(children[..., 1], 0.0) / safe), 0.0)
+        if level == depth - 1 and signs is not None:
+            pair = signs.reshape(*parent.shape, 2)
+            c = np.where(live, pair[..., 0] * c, c)
+            s = np.where(live, pair[..., 1] * s, s)
+        amps = np.stack((c * amps, s * amps), axis=-1).reshape(*parent.shape[:-1], -1)
+    return amps
+
+
 def norm_prep_unitary(tree: QramTree) -> np.ndarray:
     """Prepares sum_i (|x_i| / |X|_F) |i> from |0> on the row register."""
     return _prep_unitary(tree.norm_levels, None)
@@ -193,13 +225,22 @@ def apply_row_prep(
 
 
 def prepare_data_state(tree: QramTree) -> StateVector:
-    """Full encoded state: amplitudes X_ij / |X|_F over (row, feature)."""
-    state = StateVector.zero([("row", tree.row_qubits), ("feature", tree.feature_qubits)])
-    state = apply_norm_prep(state, tree)
-    return apply_row_prep(state, tree)
+    """Full encoded state: amplitudes X_ij / |X|_F over (row, feature).
+
+    Equals ``apply_norm_prep`` then ``apply_row_prep`` on |0>|0>, with the
+    cascades run on vectors instead of matrices."""
+    norms = _cascade(tree.norm_levels, None)
+    rows = _cascade(tree.row_levels, tree.row_signs)
+    amps = np.zeros((tree.padded_rows, tree.padded_cols))
+    amps[: tree.n_rows] = rows * norms[: tree.n_rows, None]
+    return StateVector.from_amplitudes([("row", tree.row_qubits), ("feature", tree.feature_qubits)], amps)
 
 
 def prepare_row_state(tree: QramTree, row_index: int) -> StateVector:
-    """One row's unit vector on a lone feature register."""
-    state = StateVector.zero([("feature", tree.feature_qubits)])
-    return state.apply_register_unitary("feature", row_prep_unitary(tree, row_index))
+    """One row's unit vector on a lone feature register: column 0 of
+    ``row_prep_unitary``, run as a vector cascade."""
+    if not 0 <= row_index < tree.n_rows:
+        raise OutOfRangeError(f"row index {row_index} out of range for {tree.n_rows} rows")
+    levels = [lvl[row_index] for lvl in tree.row_levels]
+    amps = _cascade(levels, tree.row_signs[row_index])
+    return StateVector.from_amplitudes([("feature", tree.feature_qubits)], amps)

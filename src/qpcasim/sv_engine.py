@@ -8,6 +8,13 @@ rounding of half the eigenvalue (quantized mode; the half keeps the top of
 the spectrum from wrapping). The XOR makes the walk an involution, so the
 un-compute pass is the same unitary.
 
+The label write, token write and label un-compute together leave the
+eigenvalue register in |0> again, so compression runs them as one map
+(``write_tokens``) that never builds that register, and spectrum sampling
+reads the register's distribution without it (``eigen_marginal_state``).
+``phase_estimate``, ``apply_cu_lambda`` and ``inverse_phase_estimate`` are
+the explicit circuit that the tests hold both against.
+
 Everything downstream of state preparation is deterministic; sampling only
 happens where a real device would measure, and always through a seeded
 generator.
@@ -119,7 +126,10 @@ def decode_label(label: int, cfg: PhaseConfig) -> float:
 
 def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.ndarray:
     """Quantized labels for the leading ``top`` components must be pairwise
-    distinct, otherwise the index write becomes ambiguous."""
+    distinct, otherwise the index write becomes ambiguous. They must also be
+    nonzero, because label 0 is what an unwritten register holds, and no tail
+    component may share one, because its variance would then receive that
+    kept component's token; that error carries the leaked tail mass."""
     labels = eigen_labels(rho, cfg)
     if cfg.label_mode == LABEL_MODE_QUANTIZED:
         head = labels[:top]
@@ -134,6 +144,22 @@ def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.nda
                 f"eigenvalue labels collide at {cfg.bits} bits for component pairs {pairs}; "
                 f"raise the label width or lower the variance threshold"
             )
+        zero = [j for j in range(top) if head[j] == 0]
+        leaked = [k for k in range(top, rho.dim) if labels[k] in head]
+        if zero or leaked:
+            mass = float(rho.eigenvalues[leaked].sum())
+            faults = []
+            if zero:
+                faults.append(f"kept components {zero} have label 0, the value of an unwritten register")
+            if leaked:
+                faults.append(
+                    f"tail components {leaked} share a kept label, leaking tail mass {mass:.6g} into kept tokens"
+                )
+            raise DegenerateSpectrumError(
+                f"eigenvalue labels at {cfg.bits} bits: {'; '.join(faults)}; "
+                f"raise the label width or lower the variance threshold",
+                leaked_tail_mass=mass,
+            )
     return labels
 
 
@@ -145,6 +171,18 @@ def _padded_eigenbasis(rho: RhoSpec, padded_dim: int) -> np.ndarray:
     return basis
 
 
+def _padded_labels(rho: RhoSpec, cfg: PhaseConfig, padded_dim: int, register_dim: int) -> np.ndarray:
+    """Label of every padded eigenbasis direction (0 past the eigensystem),
+    checked to fit an eigenvalue register of ``register_dim`` values."""
+    labels = np.zeros(padded_dim, dtype=np.int64)
+    labels[: rho.dim] = eigen_labels(rho, cfg)
+    if int(labels.max(initial=0)) >= register_dim:
+        raise InvalidInputError(
+            f"label {int(labels.max())} does not fit the eigenvalue register of dim {register_dim}"
+        )
+    return labels
+
+
 def _label_walk(
     state: StateVector,
     rho: RhoSpec,
@@ -152,18 +190,19 @@ def _label_walk(
     feature_register: str,
     eigen_register: str,
 ) -> StateVector:
-    basis = _padded_eigenbasis(rho, state.register(feature_register).dim)
-    labels = eigen_labels(rho, cfg)
-    width = state.register(eigen_register).dim
-    if int(labels.max(initial=0)) >= width:
-        raise InvalidInputError(
-            f"label {int(labels.max())} does not fit the {eigen_register!r} register of dim {width}"
-        )
+    dim = state.register(feature_register).dim
+    basis = _padded_eigenbasis(rho, dim)
+    labels = _padded_labels(rho, cfg, dim, state.register(eigen_register).dim)
     out = state.apply_register_unitary(feature_register, basis.T)
     out = out.apply_controlled_xor(
-        feature_register, eigen_register, {j: int(labels[j]) for j in range(rho.dim) if labels[j]}
+        feature_register, eigen_register, {j: int(label) for j, label in enumerate(labels) if label}
     )
     return out.apply_register_unitary(feature_register, basis)
+
+
+def _require_zero(state: StateVector, name: str, message: str) -> None:
+    if 1.0 - float(state.probabilities(name)[0]) > 1e-9:
+        raise ContractViolationError(message)
 
 
 def phase_estimate(
@@ -181,11 +220,9 @@ def phase_estimate(
     The eigenvalue register must be zeroed. ``distinct_top`` enables the
     collision check over the leading components being targeted downstream.
     """
-    probs = state.probabilities(eigen_register)
-    if 1.0 - float(probs[0]) > 1e-9:
-        raise ContractViolationError(
-            f"eigenvalue register {eigen_register!r} must be |0> before label writing"
-        )
+    _require_zero(
+        state, eigen_register, f"eigenvalue register {eigen_register!r} must be |0> before label writing"
+    )
     if distinct_top is not None:
         check_label_distinctness(rho, cfg, distinct_top)
     return _label_walk(state, rho, cfg, feature_register, eigen_register)
@@ -204,6 +241,24 @@ def inverse_phase_estimate(
     return _label_walk(state, rho, cfg, feature_register, eigen_register)
 
 
+def _token_map(
+    labels: Sequence[tuple[int, int]], e_dim: int, i_dim: int, eigen_register: str, index_register: str
+) -> dict[int, int]:
+    """Checked label -> token map of a token write."""
+    seen: dict[int, int] = {}
+    for label, component in labels:
+        if not 0 <= label < e_dim:
+            raise InvalidInputError(f"label {label} out of range for register {eigen_register!r}")
+        if not 1 <= component < i_dim:
+            raise InvalidInputError(f"component token {component} out of range for register {index_register!r}")
+        if label in seen:
+            raise DegenerateSpectrumError(
+                f"label {label} is claimed by components {seen[label]} and {component}"
+            )
+        seen[label] = component
+    return seen
+
+
 def apply_cu_lambda(
     state: StateVector,
     labels: Sequence[tuple[int, int]],
@@ -219,24 +274,71 @@ def apply_cu_lambda(
     semantics match the gate-level construction (X-conjugated multi-controlled
     NOTs) on every basis input, which the tests exercise exhaustively.
     """
-    seen: dict[int, int] = {}
-    e_dim = state.register(eigen_register).dim
-    i_dim = state.register(index_register).dim
-    for label, component in labels:
-        if not 0 <= label < e_dim:
-            raise InvalidInputError(f"label {label} out of range for register {eigen_register!r}")
-        if not 1 <= component < i_dim:
-            raise InvalidInputError(f"component token {component} out of range for register {index_register!r}")
-        if label in seen:
-            raise DegenerateSpectrumError(
-                f"label {label} is claimed by components {seen[label]} and {component}"
-            )
-        seen[label] = component
+    tokens = _token_map(
+        labels,
+        state.register(eigen_register).dim,
+        state.register(index_register).dim,
+        eigen_register,
+        index_register,
+    )
     if strict:
-        probs = state.probabilities(index_register)
-        if 1.0 - float(probs[0]) > 1e-9:
-            raise ContractViolationError("index register must be |0> before component writing")
-    return state.apply_controlled_xor(eigen_register, index_register, seen)
+        _require_zero(state, index_register, "index register must be |0> before component writing")
+    return state.apply_controlled_xor(eigen_register, index_register, tokens)
+
+
+def write_tokens(
+    rho: RhoSpec,
+    cfg: PhaseConfig,
+    state: StateVector,
+    labels: Sequence[tuple[int, int]],
+    *,
+    distinct_top: int,
+) -> StateVector:
+    """Label write, token write and label un-compute as one map, on the
+    "feature" and "index" registers.
+
+    Equals ``phase_estimate`` (with ``distinct_top``), ``apply_cu_lambda``
+    with these (label, component) pairs and ``inverse_phase_estimate`` on a
+    fresh eigenvalue register of ``cfg.register_width(rho.dim)`` qubits,
+    which the un-compute returns to |0> and which is then dropped. The map
+    rotates the feature register into the padded eigenbasis, XORs into the
+    index register the token that each direction's label maps to (padded
+    directions carry label 0; a label without a token writes nothing), and
+    rotates back. The eigenvalue register is never built. The index register
+    must be zeroed, and the label checks are those of the explicit circuit.
+    """
+    check_label_distinctness(rho, cfg, distinct_top)
+    dim = state.register("feature").dim
+    e_dim = 1 << cfg.register_width(rho.dim)
+    basis = _padded_eigenbasis(rho, dim)
+    padded = _padded_labels(rho, cfg, dim, e_dim)
+    tokens = _token_map(labels, e_dim, state.register("index").dim, "eigen", "index")
+    _require_zero(state, "index", "index register must be |0> before component writing")
+    words = {k: tokens[int(label)] for k, label in enumerate(padded) if int(label) in tokens}
+    out = state.apply_register_unitary("feature", basis.T)
+    out = out.apply_controlled_xor("feature", "index", words)
+    return out.apply_register_unitary("feature", basis)
+
+
+def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> StateVector:
+    """The "eigen" register that ``phase_estimate`` would write from the
+    "feature" register onto a fresh register of ``cfg.register_width(rho.dim)``
+    qubits, as a state of its own.
+
+    Distinct labels tag orthogonal eigenspaces, so that register's reduced
+    state is diagonal: label L weighs the data state's mass on the
+    eigencomponents labelled L, which is its feature marginal in the padded
+    eigenbasis binned by label. The returned amplitudes are the square roots
+    of those weights, so measuring this state follows the same law as
+    measuring the labelled register, and no labelled tensor is built.
+    """
+    width = cfg.register_width(rho.dim)
+    dim = state.register("feature").dim
+    basis = _padded_eigenbasis(rho, dim)
+    labels = _padded_labels(rho, cfg, dim, 1 << width)
+    rotated = state.apply_register_unitary("feature", basis.T)
+    weights = np.bincount(labels, weights=rotated.probabilities("feature"), minlength=1 << width)
+    return StateVector.from_amplitudes([("eigen", width)], np.sqrt(weights))
 
 
 def apply_cr_beta(

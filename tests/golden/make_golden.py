@@ -10,6 +10,10 @@ Regenerate every input and golden file with
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
+or only the named cases' golden files (inputs are always rewritten) with
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py scaling error_parse
+
 and review the diff: a refactor that preserves behaviour leaves every
 success-path golden byte-identical. ``test_golden.py`` compares live runs
 against these files.
@@ -21,11 +25,13 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import numpy as np
 
 from qpcasim import cli
 from qpcasim.datasets import (
+    dataset_from_spectrum,
     gaussian_class_pair,
     linear_trend_dataset,
     rank_k_dataset,
@@ -63,7 +69,12 @@ CASES = {
     "error_weak_anchor_scaling": ("identity.csv", None, ["--task", "scaling"]),
     "error_weak_anchor_fixed": ("identity.csv", None, ["--anchor", "0"]),
     "error_degenerate_spectrum": ("rank3.csv", None, ["--mode", "quantized", "--bits", "2", "--theta", "0.99"]),
+    # Labels [31, 1, 0, 0]: the third kept component has label 0 and shares it
+    # with the tail component, whose variance would receive its token.
+    "error_label_collision": ("collision.csv", None, ["--mode", "quantized", "--theta", "0.995", "--bits", "6"]),
     "error_under_sampled": ("undersampled.csv", None, ["--mode", "sampled", "--theta", "1.0", "--bits", "10"]),
+    "error_mode_scaling": ("rank3.csv", None, ["--task", "scaling", "--mode", "sampled"]),
+    "error_mode_ledger": ("rank3.csv", None, ["--task", "ledger", "--mode", "quantized"]),
 }
 
 
@@ -77,8 +88,12 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_matrix_csv(path("rank3.csv"), rank_k_dataset(32, 8, 3, seed=5).values)
     write_matrix_csv(path("tri.csv"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     write_matrix_csv(path("identity.csv"), np.eye(4))
+    # The smallest kept label is 1; 400 draws miss it.
     write_matrix_csv(
-        path("undersampled.csv"), rank_k_dataset(16, 8, 8, 1, sigma_range=(0.03, 2.0)).values
+        path("undersampled.csv"), rank_k_dataset(16, 8, 8, 1, sigma_range=(0.12, 2.0)).values
+    )
+    write_matrix_csv(
+        path("collision.csv"), dataset_from_spectrum([0.97, 0.02, 0.008, 0.002], n_rows=16, seed=3).values
     )
     points, labels = gaussian_class_pair(seed=29)
     write_matrix_csv(path("blobs.csv"), points.values)
@@ -113,13 +128,16 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, name + ".json")
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases {unknown}; known: {sorted(CASES)}")
     write_inputs()
-    for name in CASES:
+    for name in names or CASES:
         with open(golden_path(name), "w", encoding="utf-8") as fh:
             fh.write(run_case(name))
         print(f"wrote {golden_path(name)}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

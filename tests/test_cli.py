@@ -328,8 +328,10 @@ def test_weak_anchor_payload_lists_anchors_tried(capsys, tmp_path, task):
 
 
 def test_under_sampled_payload_carries_histogram(capsys, tmp_path):
+    # The smallest of the eight kept labels is 1 (a smaller spread gives it
+    # label 0, which is DEGENERATE_SPECTRUM); 400 draws miss it.
     path = str(tmp_path / "under.csv")
-    write_matrix_csv(path, rank_k_dataset(16, 8, 8, 1, sigma_range=(0.03, 2.0)).values)
+    write_matrix_csv(path, rank_k_dataset(16, 8, 8, 1, sigma_range=(0.12, 2.0)).values)
     payload = _error_payload(
         capsys, ["--input", path, "--mode", "sampled", "--theta", "1.0", "--bits", "10"]
     )
@@ -343,6 +345,15 @@ def test_subset_rejected_outside_compress(capsys, rank2_csv, task):
     payload = _error_payload(capsys, ["--input", rank2_csv, "--task", task, "--subset", "0,1"])
     assert payload["code"] == "INVALID_INPUT"
     assert "compress task only" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "task,mode", [("scaling", "sampled"), ("scaling", "quantized"), ("ledger", "sampled"), ("ledger", "quantized")]
+)
+def test_mode_rejected_for_ideal_only_tasks(capsys, rank2_csv, task, mode):
+    payload = _error_payload(capsys, ["--input", rank2_csv, "--task", task, "--mode", mode])
+    assert payload["code"] == "INVALID_INPUT"
+    assert "ideal mode only" in payload["message"]
 
 
 def test_main_success_exit_code(rank2_csv, tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
-from qpcasim.errors import OutOfRangeError, UnderSampledError, WeakAnchorError
+from qpcasim import qpca_pipeline, sv_engine
+from qpcasim.errors import DegenerateSpectrumError, OutOfRangeError, UnderSampledError, WeakAnchorError
 from qpcasim.pca_oracle import DataMatrix, expected_row_state, svd_decompose
 from qpcasim.qram_store import build_tree
 from qpcasim.qpca_pipeline import (
@@ -301,6 +302,49 @@ def test_weak_anchor_redraw_succeeds():
     run = run_compression(data, seed=0)
     assert run.anchor_attempts == (2, 1)
     assert run.result.report.fidelity >= 1.0 - 1e-9
+
+
+def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
+    # Three anchors are tried; the label histogram, which does not depend
+    # on the anchor, is drawn once and each candidate gets its own signs.
+    calls = []
+    measure = sv_engine.measure_register
+    monkeypatch.setattr(sv_engine, "measure_register", lambda *a, **k: calls.append(a) or measure(*a, **k))
+    data = rank_k_dataset(16, 8, 8, 1)
+    run = run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=2)
+    assert run.anchor_attempts == (13, 8, 6)
+    assert len(calls) == 1
+    own = svd_decompose(data, 1.0, 6).right_vectors
+    for entry in run.spectrum.entries:
+        np.testing.assert_array_equal(entry.vector, own[:, entry.component])
+
+
+def test_under_sampled_is_raised_before_any_anchor_is_judged(monkeypatch):
+    judged = []
+    monkeypatch.setattr(qpca_pipeline, "estimate_anchor", lambda *a, **k: judged.append(a))
+    data = rank_k_dataset(16, 8, 8, 1, sigma_range=(0.12, 2.0))
+    with pytest.raises(UnderSampledError):
+        run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=0)
+    assert judged == []
+
+
+def test_quantized_label_collision_with_tail_is_refused():
+    # 6-bit labels [31, 1, 0, 0]: the third kept component has label 0 and
+    # shares it with the tail component, which compressed with fidelity
+    # 0.998 and no error before the check covered the tail.
+    data = dataset_from_spectrum([0.97, 0.02, 0.008, 0.002], n_rows=16, seed=3)
+    with pytest.raises(DegenerateSpectrumError) as info:
+        run_compression(data, run_mode=MODE_QUANTIZED, threshold=0.995, bits=6, seed=0)
+    assert info.value.leaked_tail_mass == pytest.approx(0.002, rel=1e-9)
+
+
+def test_kept_label_zero_is_refused():
+    # The eighth kept eigenvalue (7.8e-5) rounds to label 0 at 10 bits, the
+    # value of an unwritten label register; no tail component shares it.
+    data = rank_k_dataset(16, 8, 8, 1, sigma_range=(0.03, 2.0))
+    with pytest.raises(DegenerateSpectrumError) as info:
+        run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=0)
+    assert info.value.leaked_tail_mass == 0.0
 
 
 def test_weak_anchor_exhausts_redraws():

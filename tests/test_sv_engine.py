@@ -120,8 +120,11 @@ def test_label_collision_detected():
     cfg = PhaseConfig(bits=2, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(DegenerateSpectrumError):
         check_label_distinctness(rho, cfg, top=2)
-    # One component alone is fine.
-    check_label_distinctness(rho, cfg, top=1)
+    # One component alone still shares its label with the tail component,
+    # whose variance would receive its token.
+    with pytest.raises(DegenerateSpectrumError) as info:
+        check_label_distinctness(rho, cfg, top=1)
+    assert info.value.leaked_tail_mass == pytest.approx(0.5)
     # A near-degenerate pair collides at coarse width and separates with
     # more bits; a truly degenerate pair never separates.
     close = RhoSpec(eigenvalues=np.array([0.52, 0.48]), eigenvectors=np.eye(2))
@@ -131,6 +134,28 @@ def test_label_collision_detected():
     with pytest.raises(DegenerateSpectrumError):
         check_label_distinctness(rho, PhaseConfig(bits=12), top=2)
     assert PhaseConfig(bits=6).eigenvalue_resolution == pytest.approx(2.0 ** -5)
+
+
+def test_label_zero_and_tail_collisions_detected():
+    # The 6-bit labels of this spectrum are [31, 1, 0, 0]. Keeping three
+    # components gives the third label 0, which an unwritten register also
+    # holds, and the tail component shares it.
+    lam = np.array([0.97, 0.02, 0.008, 0.002])
+    rho = RhoSpec(eigenvalues=lam, eigenvectors=np.eye(4))
+    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    np.testing.assert_array_equal(eigen_labels(rho, cfg), [31, 1, 0, 0])
+    with pytest.raises(DegenerateSpectrumError) as info:
+        check_label_distinctness(rho, cfg, top=3)
+    assert info.value.leaked_tail_mass == pytest.approx(0.002)
+    assert info.value.payload()["leaked_tail_mass"] == pytest.approx(0.002)
+    check_label_distinctness(rho, cfg, top=2)
+    # A kept label of 0 is refused even with no tail component to share it.
+    full = RhoSpec(eigenvalues=np.array([0.97, 0.02, 0.01]), eigenvectors=np.eye(3))
+    with pytest.raises(DegenerateSpectrumError) as info:
+        check_label_distinctness(full, cfg, top=3)
+    assert info.value.leaked_tail_mass == 0.0
+    # Ideal labels are positional, never 0 and never shared.
+    check_label_distinctness(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), top=1)
 
 
 # -- label writing (phase estimation stand-in) -------------------------------
