@@ -79,6 +79,8 @@ class RunConfig:
             raise InvalidInputError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
         if self.subset is not None and self.task != "compress":
             raise InvalidInputError(f"subset applies to the compress task only, not {self.task!r}")
+        if self.anchor_index is not None and self.task == "scaling":
+            raise InvalidInputError("the 'scaling' task draws its own anchors and takes no fixed anchor")
         if self.mode != MODE_IDEAL and self.task in ("scaling", "ledger"):
             raise InvalidInputError(f"the {self.task!r} task runs in ideal mode only, not {self.mode!r}")
         if self.subset is not None and len(self.subset) == 0:
@@ -285,23 +287,17 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     full_dec, full_acc = training_stats(full, data.values)
     comp_dec, comp_acc = training_stats(comp, compressed.values)
 
-    rng = np.random.default_rng(config.seed)
-    demo_seeds = rng.integers(0, 2**63 - 1, size=data.n_rows)
-    sign_agreements = 0
-    inconclusive = 0
+    demo_seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=data.n_rows)
     sampled = config.mode == MODE_SAMPLED
-    for i, query in enumerate(data.values):
-        demo = qml_apps.qsvm_state_demo(
-            full,
-            data.values,
-            query,
-            shots=config.shots if sampled else None,
-            rng_seed=int(demo_seeds[i]) if sampled else None,
-        )
-        if demo.agrees:
-            sign_agreements += 1
-        if demo.inconclusive:
-            inconclusive += 1
+    demos = qml_apps.qsvm_state_demo(
+        full,
+        data.values,
+        data.values,
+        shots=config.shots if sampled else None,
+        rng_seeds=[int(s) for s in demo_seeds] if sampled else None,
+    )
+    sign_agreements = sum(demo.agrees for demo in demos)
+    inconclusive = sum(demo.inconclusive for demo in demos)
 
     return {
         "spectrum": _plain(model),
@@ -376,7 +372,7 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
 
 
 def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
-    model = svd_decompose(data, config.theta, config.anchor_index or 0)
+    model = svd_decompose(data, config.theta, 0)
     rng = np.random.default_rng(config.seed)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=SCALING_SEED_COUNT)]
     result = error_scaling_experiment(
@@ -541,13 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,
                         help="run mode (scaling and ledger: ideal only)")
     parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",
-                        help="target accuracy for anchor coefficient estimates")
-    parser.add_argument("--shots", type=int, default=100_000)
+                        help="target accuracy for anchor coefficient estimates "
+                        "(read by compress and ledger; ignored by the other tasks)")
+    parser.add_argument("--shots", type=int, default=100_000,
+                        help="shots per sampled readout (read by compress, qsvm and qlr "
+                        "in sampled mode; ignored otherwise)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--task", choices=TASKS, default="compress")
     parser.add_argument("--subset", help="comma-separated row indices (compress task only)")
     parser.add_argument("--anchor", type=int, dest="anchor_index",
-                        help="fixed anchor row (default: seeded draw with redraw on weak anchors)")
+                        help="fixed anchor row (default: seeded draw with redraw on weak "
+                        "anchors; scaling rejects it)")
     parser.add_argument("--gamma", type=float, default=1.0, help="LS-SVM regularization weight")
     parser.add_argument("--out", dest="output_path", help="report file (default: stdout)")
     parser.add_argument("--plot-dir", dest="plot_dir", help="directory for tabular plot data")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -165,65 +166,74 @@ def _pad(vec: np.ndarray, dim: int) -> np.ndarray:
 def qsvm_state_demo(
     model: LssvmModel,
     points: np.ndarray,
-    query: np.ndarray,
+    queries: np.ndarray,
     shots: int | None = None,
-    rng_seed: int | None = None,
-) -> OverlapDemoResult:
-    """Read the SVM decision value off two prepared states.
+    rng_seeds: Sequence[int] | None = None,
+) -> list[OverlapDemoResult]:
+    """Read the SVM decision value of each query off two prepared states.
 
     The trained state superposes the bias on slot 0 with coefficient-weighted
-    training rows on slots 1..N; the query state superposes a unit slot-0
-    branch with the query vector on every slot. Their inner product is the
-    decision value divided by both state norms, so the sign is preserved.
+    training rows on slots 1..N; it does not depend on the query, so it is
+    built once. Each query (one per row of ``queries``) gets a probe state
+    that superposes a unit slot-0 branch with the query vector on every slot.
+    Their inner product is the decision value divided by both state norms, so
+    the sign is preserved. With ``shots``, query k's readout is sampled with
+    ``rng_seeds[k]``. Returns one result per query, in order.
     """
     points = np.asarray(points, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    queries = np.asarray(queries, dtype=np.float64)
     n, n_features = points.shape
-    if query.size != n_features:
-        raise InvalidInputError("query dimension does not match the training points")
+    if queries.ndim != 2 or queries.shape[1] != n_features:
+        raise InvalidInputError(
+            f"queries of shape {queries.shape} do not match training points "
+            f"with {n_features} features; pass one query per row"
+        )
+    if shots is not None and shots < 1:
+        raise InvalidInputError("shots must be >= 1")
+    if rng_seeds is None:
+        rng_seeds = [None] * len(queries)
+    elif len(rng_seeds) != len(queries):
+        raise InvalidInputError(f"{len(rng_seeds)} seeds for {len(queries)} queries")
 
     slot_qubits = ceil_log2(n + 1)
     feat_dim = 1 << ceil_log2(max(n_features, 2))
     trained = np.zeros(((1 << slot_qubits), feat_dim))
     trained[0, 0] = model.bias
-    for j in range(n):
-        trained[j + 1, :n_features] = model.coefficients[j] * points[j]
+    trained[1 : n + 1, :n_features] = model.coefficients[:, None] * points
     trained_norm = float(np.linalg.norm(trained))
     if trained_norm == 0.0:
         raise InvalidInputError("trained state has zero norm; the model is degenerate")
-
-    probe = np.zeros_like(trained)
-    probe[0, 0] = 1.0
-    probe[1 : n + 1, :n_features] = query[None, :]
-    probe_norm = float(np.linalg.norm(probe))
-
     layout = [("slot", slot_qubits), ("feature", int(math.log2(feat_dim)))]
     a = StateVector.from_amplitudes(layout, trained / trained_norm)
-    b = StateVector.from_amplitudes(layout, probe / probe_norm)
-    value = float(a.inner(b).real)
 
-    classical = lssvm_decision_value(model, points, query)
-    result = OverlapDemoResult(
-        value=value,
-        classical_value=classical,
-        sign=1 if value >= 0.0 else -1,
-        classical_sign=1 if classical >= 0.0 else -1,
-        agrees=(value >= 0.0) == (classical >= 0.0),
-    )
-    if shots is None:
-        return result
-    estimate, stderr = _sampled_signed_overlap(value, shots, rng_seed)
-    return OverlapDemoResult(
-        value=value,
-        classical_value=classical,
-        sign=1 if estimate >= 0.0 else -1,
-        classical_sign=result.classical_sign,
-        agrees=(estimate >= 0.0) == (classical >= 0.0),
-        estimate=estimate,
-        standard_error=stderr,
-        inconclusive=abs(estimate) < 3.0 * stderr,
-        shots=shots,
-    )
+    results = []
+    for query, rng_seed in zip(queries, rng_seeds):
+        probe = np.zeros_like(trained)
+        probe[0, 0] = 1.0
+        probe[1 : n + 1, :n_features] = query[None, :]
+        probe_norm = float(np.linalg.norm(probe))
+        b = StateVector.from_amplitudes(layout, probe / probe_norm)
+        value = float(a.inner(b).real)
+
+        classical = lssvm_decision_value(model, points, query)
+        readout, estimate, stderr = value, None, None
+        if shots is not None:
+            estimate, stderr = _sampled_signed_overlap(value, shots, rng_seed)
+            readout = estimate
+        results.append(
+            OverlapDemoResult(
+                value=value,
+                classical_value=classical,
+                sign=1 if readout >= 0.0 else -1,
+                classical_sign=1 if classical >= 0.0 else -1,
+                agrees=(readout >= 0.0) == (classical >= 0.0),
+                estimate=estimate,
+                standard_error=stderr,
+                inconclusive=shots is not None and abs(estimate) < 3.0 * stderr,
+                shots=shots,
+            )
+        )
+    return results
 
 
 # -- linear regression by pseudoinverse ------------------------------------------

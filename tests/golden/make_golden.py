@@ -15,8 +15,16 @@ or only the named cases' golden files (inputs are always rewritten) with
     PYTHONPATH=src python3 tests/golden/make_golden.py scaling error_parse
 
 and review the diff: a refactor that preserves behaviour leaves every
-success-path golden byte-identical. ``test_golden.py`` compares live runs
-against these files.
+success-path golden byte-identical. To see that without touching the
+committed files, run
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py --check [case ...]
+
+It regenerates the reports into a temporary directory from the committed
+inputs and prints, for each case, whether the bytes match the golden file
+and, when they do not, the largest relative change of any float; it exits 1
+when any case differs. ``test_golden.py`` compares live runs against these
+files.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -75,6 +85,7 @@ CASES = {
     "error_under_sampled": ("undersampled.csv", None, ["--mode", "sampled", "--theta", "1.0", "--bits", "10"]),
     "error_mode_scaling": ("rank3.csv", None, ["--task", "scaling", "--mode", "sampled"]),
     "error_mode_ledger": ("rank3.csv", None, ["--task", "ledger", "--mode", "quantized"]),
+    "error_anchor_scaling": ("rank3.csv", None, ["--task", "scaling", "--anchor", "4"]),
 }
 
 
@@ -128,10 +139,59 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, name + ".json")
 
 
+def max_float_change(got, want) -> float | None:
+    """Largest relative change between matching floats of two JSON documents,
+    or None when anything other than a float differs (keys, lengths, types,
+    strings, integers)."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return None
+        pairs = [(got[key], want[key]) for key in want]
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return None
+        pairs = list(zip(got, want))
+    elif isinstance(want, float) and isinstance(got, float):
+        if got == want:
+            return 0.0
+        return abs(got - want) / abs(want) if want != 0.0 else math.inf
+    else:
+        return 0.0 if type(got) is type(want) and got == want else None
+    changes = [max_float_change(g, w) for g, w in pairs]
+    return None if None in changes else max(changes, default=0.0)
+
+
+def check(names: list[str]) -> int:
+    """Regenerate the named cases (default: all) into a temporary directory
+    and compare each with its golden file; returns the number that differ."""
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names or CASES:
+            fresh = os.path.join(tmp, name + ".json")
+            with open(fresh, "w", encoding="utf-8") as fh:
+                fh.write(run_case(name))
+            with open(fresh, "rb") as fh:
+                got = fh.read()
+            with open(golden_path(name), "rb") as fh:
+                want = fh.read()
+            if got == want:
+                print(f"{name}: identical")
+                continue
+            differ += 1
+            change = max_float_change(json.loads(got), json.loads(want))
+            if change is None:
+                print(f"{name}: DIFFERS beyond floats")
+            else:
+                print(f"{name}: DIFFERS, largest relative float change {change:.3g}")
+    return differ
+
+
 def main(names: list[str]) -> None:
-    unknown = sorted(set(names) - set(CASES))
+    unknown = sorted(set(names) - set(CASES) - {"--check"})
     if unknown:
         raise SystemExit(f"unknown cases {unknown}; known: {sorted(CASES)}")
+    if "--check" in names:
+        raise SystemExit(1 if check([n for n in names if n != "--check"]) else 0)
     write_inputs()
     for name in names or CASES:
         with open(golden_path(name), "w", encoding="utf-8") as fh:

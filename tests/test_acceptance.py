@@ -305,12 +305,12 @@ def test_criterion_09_qsvm_adaptation():
         failures.append(f"training accuracy {acc_comp} != full-space {acc_full}")
 
     checked = 0
-    for query in data.values:
+    demos = qsvm_state_demo(full, data.values, data.values)
+    for query, demo in zip(data.values, demos):
         decision = lssvm_decision_value(full, data.values, query)
         if abs(decision) <= 1e-9:
             continue  # marginal query, sign undefined at working precision
         checked += 1
-        demo = qsvm_state_demo(full, data.values, query)
         if not demo.agrees:
             failures.append(f"demo sign disagrees at decision value {decision}")
     if checked == 0:

@@ -104,9 +104,8 @@ def test_qsvm_demo_shot_free_identity():
     dataset = LabeledDataset(data, labels)
     model = lssvm_train(dataset, data.values)
     n = data.n_rows
-    for row in (0, n - 1):
-        query = data.values[row]
-        demo = qsvm_state_demo(model, data.values, query)
+    queries = data.values[[0, n - 1]]
+    for query, demo in zip(queries, qsvm_state_demo(model, data.values, queries)):
         assert demo.agrees
         assert demo.sign == demo.classical_sign
         assert demo.estimate is None
@@ -124,19 +123,19 @@ def test_qsvm_demo_shot_free_identity():
 def test_qsvm_demo_sampled_far_from_margin():
     data, labels = gaussian_class_pair(seed=29)
     model = lssvm_train(LabeledDataset(data, labels), data.values)
-    demo = qsvm_state_demo(model, data.values, data.values[0], shots=1_000_000, rng_seed=31)
+    [demo] = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
     assert demo.shots == 1_000_000
     assert abs(demo.estimate - demo.value) <= 3.0 * demo.standard_error
     assert demo.agrees and not demo.inconclusive
     # Same seed reproduces the draw.
-    again = qsvm_state_demo(model, data.values, data.values[0], shots=1_000_000, rng_seed=31)
+    [again] = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
     assert again.estimate == demo.estimate
 
 
 def test_qsvm_demo_midpoint_is_inconclusive():
     data, labels = gaussian_class_pair(seed=29)
     model = lssvm_train(LabeledDataset(data, labels), data.values)
-    demo = qsvm_state_demo(model, data.values, np.zeros(2), shots=100_000, rng_seed=5)
+    [demo] = qsvm_state_demo(model, data.values, np.zeros((1, 2)), shots=100_000, rng_seeds=[5])
     assert demo.inconclusive
 
 
