@@ -81,6 +81,10 @@ class RunConfig:
             raise InvalidInputError(f"subset applies to the compress task only, not {self.task!r}")
         if self.anchor_index is not None and self.task == "scaling":
             raise InvalidInputError("the 'scaling' task draws its own anchors and takes no fixed anchor")
+        if self.anchor_index is not None and self.task in ("qsvm", "qlr"):
+            raise InvalidInputError(
+                f"the {self.task!r} task takes no anchor: none of its reported values depends on eigenvector signs"
+            )
         if self.mode != MODE_IDEAL and self.task in ("scaling", "ledger"):
             raise InvalidInputError(f"the {self.task!r} task runs in ideal mode only, not {self.mode!r}")
         if self.subset is not None and len(self.subset) == 0:
@@ -247,7 +251,6 @@ def _success_sweep(run: RunResult) -> list[dict]:
 
 
 def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
-    scope = "subset" if config.subset is not None else "full"
     run = run_compression(
         data,
         threshold=config.theta,
@@ -257,7 +260,6 @@ def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
         shots=config.shots,
         seed=config.seed,
         anchor_index=config.anchor_index,
-        scope=scope,
         subset=config.subset,
     )
     return {
@@ -272,7 +274,7 @@ def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
 
 def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     dataset = qml_apps.LabeledDataset(data, labels, gamma=config.gamma)
-    model = svd_decompose(data, config.theta, config.anchor_index or 0)
+    model = svd_decompose(data, config.theta, 0)
     compressed = project(data, model)
 
     full = qml_apps.lssvm_train(dataset, data.values)
@@ -328,7 +330,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
 
 
 def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
-    model = svd_decompose(data, config.theta, config.anchor_index or 0)
+    model = svd_decompose(data, config.theta, 0)
     compressed = project(data, model)
 
     preds_orig = [
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--subset", help="comma-separated row indices (compress task only)")
     parser.add_argument("--anchor", type=int, dest="anchor_index",
                         help="fixed anchor row (default: seeded draw with redraw on weak "
-                        "anchors; scaling rejects it)")
+                        "anchors; read by compress and ledger; qsvm, qlr and scaling reject it)")
     parser.add_argument("--gamma", type=float, default=1.0, help="LS-SVM regularization weight")
     parser.add_argument("--out", dest="output_path", help="report file (default: stdout)")
     parser.add_argument("--plot-dir", dest="plot_dir", help="directory for tabular plot data")

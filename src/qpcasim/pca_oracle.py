@@ -114,8 +114,7 @@ class CompressedMatrix:
 class OverlapReport:
     """Pairwise-geometry check: how well unit-row overlaps survive compression."""
 
-    pair_indices: np.ndarray      # (P, 2) row index pairs, i1 < i2
-    deviations: np.ndarray        # (P,) |<y1|y2> - <x1|x2>| on unit rows
+    deviations: np.ndarray        # (P,) |<y1|y2> - <x1|x2>| on unit rows, pairs i1 < i2
     tolerance: float
     fraction_within: float
     max_deviation: float
@@ -285,12 +284,9 @@ def pairwise_overlap_report(
     i1, i2 = np.triu_indices(n, k=1)
     gx = (x @ x.T)[i1, i2]
     gy = (y @ y.T)[i1, i2]
-    keep = ok[i1] & ok[i2]
-    pairs = np.column_stack([i1, i2])[keep]
-    devs = np.abs(gy - gx)[keep]
+    devs = np.abs(gy - gx)[ok[i1] & ok[i2]]
     if devs.size == 0:
         return OverlapReport(
-            pair_indices=pairs,
             deviations=devs,
             tolerance=float(tolerance),
             fraction_within=1.0,
@@ -299,7 +295,6 @@ def pairwise_overlap_report(
             flagged_rows=flagged,
         )
     return OverlapReport(
-        pair_indices=pairs,
         deviations=devs,
         tolerance=float(tolerance),
         fraction_within=float(np.mean(devs <= tolerance)),

@@ -477,6 +477,7 @@ class CompressResult:
     state: StateVector
     report: CompressionReport
     compressed: CompressedMatrix
+    reference: StateVector      # the classical projection's state that ``state`` is compared with
 
 
 def _identity_success_probability(
@@ -503,7 +504,6 @@ def compress(
     cfg: PhaseConfig,
     *,
     run_mode: str = MODE_IDEAL,
-    scope: str = SCOPE_FULL,
     subset: Sequence[int] | None = None,
     row_index: int | None = None,
     postselect_shots: int | None = None,
@@ -511,26 +511,31 @@ def compress(
 ) -> CompressResult:
     """Run the compression circuit end to end on exact amplitudes.
 
-    Scope 'full' compresses the whole dataset state, 'subset' the renormalized
-    restriction to selected rows, 'single' one row on a lone feature register.
-    Either way the output state carries component tokens 1..dim with label 0
-    unused, and the report compares it against the classical projection.
+    The inputs decide the scope: by default the whole dataset state is
+    compressed ('full'); a ``subset`` of rows compresses its renormalized
+    restriction ('subset'); a ``row_index`` compresses that one row on a lone
+    feature register ('single'). Either way the output state carries
+    component tokens 1..dim with label 0 unused, and the report compares it
+    against the classical projection.
     """
     d = spectrum.dim
-    if scope not in (SCOPE_FULL, SCOPE_SUBSET, SCOPE_SINGLE):
-        raise InvalidInputError(f"unknown scope {scope!r}")
+    if subset is not None and row_index is not None:
+        raise InvalidInputError("give a row subset or a single row index, not both")
     if profile.beta_hat.size != d:
         raise InvalidInputError("anchor profile and spectrum disagree on the kept dimension")
 
+    scope = SCOPE_FULL
     rows = np.arange(data.n_rows)
-    if scope == SCOPE_SUBSET:
-        if subset is None or len(subset) == 0:
+    if subset is not None:
+        scope = SCOPE_SUBSET
+        if len(subset) == 0:
             raise InvalidInputError("subset scope needs a nonempty row subset")
         rows = np.unique(np.asarray(subset, dtype=int))
         if rows[0] < 0 or rows[-1] >= data.n_rows:
             raise OutOfRangeError(f"subset rows must lie in [0, {data.n_rows})")
-    if scope == SCOPE_SINGLE:
-        if row_index is None or not 0 <= row_index < data.n_rows:
+    if row_index is not None:
+        scope = SCOPE_SINGLE
+        if not 0 <= row_index < data.n_rows:
             raise OutOfRangeError("single scope needs a valid row index")
         rows = np.array([row_index])
 
@@ -547,10 +552,9 @@ def compress(
     state = state.append_register("ancilla", 1)
     state = sv_engine.apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
 
-    anchor_inverse = qram_store.row_prep_unitary(tree, profile.anchor_index).T
     post = sv_engine.postselect(
         state,
-        anchor_inverse,
+        qram_store.prepare_row_state(tree, profile.anchor_index),
         shots=postselect_shots,
         rng_seed=rng_seed,
     )
@@ -601,7 +605,7 @@ def compress(
         overlap=overlap,
         ledger=ledger,
     )
-    return CompressResult(state=post.state, report=report, compressed=compressed)
+    return CompressResult(state=post.state, report=report, compressed=compressed, reference=reference)
 
 
 # -- run orchestration ---------------------------------------------------------
@@ -631,12 +635,12 @@ def run_compression(
     shots: int = 100_000,
     seed: int | None = 0,
     anchor_index: int | None = None,
-    scope: str = SCOPE_FULL,
     subset: Sequence[int] | None = None,
     row_index: int | None = None,
 ) -> RunResult:
     """Whole pipeline: seeded anchor selection (see ``select_anchor``), then
-    compression. A fixed ``anchor_index`` disables the weak-anchor redraw."""
+    compression, whose scope ``subset`` or ``row_index`` picks (see
+    ``compress``). A fixed ``anchor_index`` disables the weak-anchor redraw."""
     cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (
@@ -663,7 +667,6 @@ def run_compression(
         choice.profile,
         cfg,
         run_mode=run_mode,
-        scope=scope,
         subset=subset,
         row_index=row_index,
         postselect_shots=shots if sampled else None,
@@ -713,9 +716,12 @@ class ScalingRow:
 class ScalingResult:
     """Final-state error versus the coefficient perturbation magnitude.
 
-    ``mean_deviation`` rows track sqrt(1 - fidelity^2), the sine of the angle
-    between the produced and ideal states; it grows linearly in small
-    perturbations where the infidelity itself is quadratic.
+    ``mean_deviation`` rows track |phi - <psi|phi> psi|, the part of the
+    produced state phi orthogonal to the ideal state psi, which is the sine
+    of the angle between them; it grows linearly in small perturbations
+    where the infidelity itself is quadratic. It is computed from that
+    residual vector, not as sqrt(1 - fidelity^2), which would turn a
+    round-off infidelity into a deviation of its square root.
     """
 
     rows: tuple[ScalingRow, ...]
@@ -771,9 +777,9 @@ def error_scaling_experiment(
             res = compress(
                 data, choice.model, tree, choice.rho, choice.spectrum, profile, cfg, run_mode=MODE_IDEAL
             )
-            f = res.report.fidelity
-            infid[k] += max(1.0 - f, 0.0)
-            dev[k] += math.sqrt(max(1.0 - f * f, 0.0))
+            infid[k] += max(1.0 - res.report.fidelity, 0.0)
+            psi, phi = res.reference.amplitudes, res.state.amplitudes
+            dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
 
     infid /= len(seeds)
     dev /= len(seeds)

@@ -25,15 +25,6 @@ from .statevector import StateVector, ceil_log2
 STRICT_TOL = 1e-9
 
 
-def _pad_dim(n: int, minimum: int | None = None) -> int:
-    dim = 1 << ceil_log2(n)
-    if minimum is not None:
-        if minimum < dim or minimum & (minimum - 1):
-            raise InvalidInputError(f"padded dimension {minimum} must be a power of two >= {dim}")
-        dim = minimum
-    return dim
-
-
 def _build_levels(leaves: np.ndarray) -> list[np.ndarray]:
     """Partial-sum levels from the root down; leaves are the last entry.
     Internal nodes are the exact float sum of their two children."""
@@ -69,15 +60,12 @@ class QramTree:
         return float(self.norm_levels[0][0])
 
 
-def build_tree(
-    data: DataMatrix, *, min_padded_rows: int | None = None, min_padded_cols: int | None = None
-) -> QramTree:
-    """Build the per-row and norm trees. Optional minimum padded dimensions
-    let callers over-pad; physical amplitudes are unaffected by padding."""
+def build_tree(data: DataMatrix) -> QramTree:
+    """Build the per-row and norm trees, padded to the next powers of two."""
     x = data.values
     n, d = x.shape
-    padded_rows = _pad_dim(n, min_padded_rows)
-    padded_cols = _pad_dim(d, min_padded_cols)
+    padded_rows = 1 << ceil_log2(n)
+    padded_cols = 1 << ceil_log2(d)
 
     leaves = np.zeros((n, padded_cols))
     leaves[:, :d] = x ** 2
@@ -195,33 +183,24 @@ def _check_register_zero(state: StateVector, name: str, strict: bool) -> None:
         )
 
 
-def apply_norm_prep(
-    state: StateVector, tree: QramTree, *, row_register: str = "row", strict: bool = True
-) -> StateVector:
-    """Load row-norm amplitudes onto the row register (any feature content)."""
-    _check_register_zero(state, row_register, strict)
-    if state.register(row_register).dim != tree.padded_rows:
+def apply_norm_prep(state: StateVector, tree: QramTree, *, strict: bool = True) -> StateVector:
+    """Load row-norm amplitudes onto the "row" register (any feature content)."""
+    _check_register_zero(state, "row", strict)
+    if state.register("row").dim != tree.padded_rows:
         raise InvalidInputError("row register size does not match the tree padding")
-    return state.apply_register_unitary(row_register, norm_prep_unitary(tree))
+    return state.apply_register_unitary("row", norm_prep_unitary(tree))
 
 
-def apply_row_prep(
-    state: StateVector,
-    tree: QramTree,
-    *,
-    row_register: str = "row",
-    feature_register: str = "feature",
-    strict: bool = True,
-) -> StateVector:
-    """Conditioned on each physical row label, load that row's unit vector
-    onto the feature register. Padded row labels are left untouched."""
-    _check_register_zero(state, feature_register, strict)
-    if state.register(feature_register).dim != tree.padded_cols:
+def apply_row_prep(state: StateVector, tree: QramTree, *, strict: bool = True) -> StateVector:
+    """Conditioned on each physical "row" label, load that row's unit vector
+    onto the "feature" register. Padded row labels are left untouched."""
+    _check_register_zero(state, "feature", strict)
+    if state.register("feature").dim != tree.padded_cols:
         raise InvalidInputError("feature register size does not match the tree padding")
-    if state.register(row_register).dim != tree.padded_rows:
+    if state.register("row").dim != tree.padded_rows:
         raise InvalidInputError("row register size does not match the tree padding")
     unitaries = {i: row_prep_unitary(tree, i) for i in range(tree.n_rows)}
-    return state.apply_controlled_unitary(row_register, feature_register, unitaries)
+    return state.apply_controlled_unitary("row", "feature", unitaries)
 
 
 def prepare_data_state(tree: QramTree) -> StateVector:

@@ -13,7 +13,8 @@ eigenvalue register in |0> again, so compression runs them as one map
 (``write_tokens``) that never builds that register, and spectrum sampling
 reads the register's distribution without it (``eigen_marginal_state``).
 ``phase_estimate``, ``apply_cu_lambda`` and ``inverse_phase_estimate`` are
-the explicit circuit that the tests hold both against.
+the explicit circuit that the tests hold both against. Every stage acts on
+the fixed registers "row", "feature", "eigen", "index" and "ancilla".
 
 Everything downstream of state preparation is deterministic; sampling only
 happens where a real device would measure, and always through a seeded
@@ -183,21 +184,13 @@ def _padded_labels(rho: RhoSpec, cfg: PhaseConfig, padded_dim: int, register_dim
     return labels
 
 
-def _label_walk(
-    state: StateVector,
-    rho: RhoSpec,
-    cfg: PhaseConfig,
-    feature_register: str,
-    eigen_register: str,
-) -> StateVector:
-    dim = state.register(feature_register).dim
+def _label_walk(state: StateVector, rho: RhoSpec, cfg: PhaseConfig) -> StateVector:
+    dim = state.register("feature").dim
     basis = _padded_eigenbasis(rho, dim)
-    labels = _padded_labels(rho, cfg, dim, state.register(eigen_register).dim)
-    out = state.apply_register_unitary(feature_register, basis.T)
-    out = out.apply_controlled_xor(
-        feature_register, eigen_register, {j: int(label) for j, label in enumerate(labels) if label}
-    )
-    return out.apply_register_unitary(feature_register, basis)
+    labels = _padded_labels(rho, cfg, dim, state.register("eigen").dim)
+    out = state.apply_register_unitary("feature", basis.T)
+    out = out.apply_controlled_xor("feature", "eigen", {j: int(label) for j, label in enumerate(labels) if label})
+    return out.apply_register_unitary("feature", basis)
 
 
 def _require_zero(state: StateVector, name: str, message: str) -> None:
@@ -210,47 +203,35 @@ def phase_estimate(
     cfg: PhaseConfig,
     state: StateVector,
     *,
-    feature_register: str = "feature",
-    eigen_register: str = "eigen",
     distinct_top: int | None = None,
 ) -> StateVector:
-    """Write eigenvalue labels: each eigenbasis component of the feature
-    register tags the eigenvalue register with its label.
+    """Write eigenvalue labels: each eigenbasis component of the "feature"
+    register tags the "eigen" register with its label.
 
     The eigenvalue register must be zeroed. ``distinct_top`` enables the
     collision check over the leading components being targeted downstream.
     """
-    _require_zero(
-        state, eigen_register, f"eigenvalue register {eigen_register!r} must be |0> before label writing"
-    )
+    _require_zero(state, "eigen", "eigenvalue register 'eigen' must be |0> before label writing")
     if distinct_top is not None:
         check_label_distinctness(rho, cfg, distinct_top)
-    return _label_walk(state, rho, cfg, feature_register, eigen_register)
+    return _label_walk(state, rho, cfg)
 
 
-def inverse_phase_estimate(
-    rho: RhoSpec,
-    cfg: PhaseConfig,
-    state: StateVector,
-    *,
-    feature_register: str = "feature",
-    eigen_register: str = "eigen",
-) -> StateVector:
+def inverse_phase_estimate(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> StateVector:
     """Un-compute the labels. The XOR walk is an involution, so this is the
     same unitary as the forward pass without the zero-register precondition."""
-    return _label_walk(state, rho, cfg, feature_register, eigen_register)
+    return _label_walk(state, rho, cfg)
 
 
-def _token_map(
-    labels: Sequence[tuple[int, int]], e_dim: int, i_dim: int, eigen_register: str, index_register: str
-) -> dict[int, int]:
-    """Checked label -> token map of a token write."""
+def _token_map(labels: Sequence[tuple[int, int]], e_dim: int, i_dim: int) -> dict[int, int]:
+    """Checked label -> token map of a token write from the "eigen" into the
+    "index" register."""
     seen: dict[int, int] = {}
     for label, component in labels:
         if not 0 <= label < e_dim:
-            raise InvalidInputError(f"label {label} out of range for register {eigen_register!r}")
+            raise InvalidInputError(f"label {label} out of range for register 'eigen'")
         if not 1 <= component < i_dim:
-            raise InvalidInputError(f"component token {component} out of range for register {index_register!r}")
+            raise InvalidInputError(f"component token {component} out of range for register 'index'")
         if label in seen:
             raise DegenerateSpectrumError(
                 f"label {label} is claimed by components {seen[label]} and {component}"
@@ -263,27 +244,19 @@ def apply_cu_lambda(
     state: StateVector,
     labels: Sequence[tuple[int, int]],
     *,
-    eigen_register: str = "eigen",
-    index_register: str = "index",
     strict: bool = True,
 ) -> StateVector:
-    """For each (label, component) pair, XOR ``component`` into the index
-    register wherever the eigenvalue register holds ``label``.
+    """For each (label, component) pair, XOR ``component`` into the "index"
+    register wherever the "eigen" register holds ``label``.
 
     With the index register zeroed this writes |component> outright; the XOR
     semantics match the gate-level construction (X-conjugated multi-controlled
     NOTs) on every basis input, which the tests exercise exhaustively.
     """
-    tokens = _token_map(
-        labels,
-        state.register(eigen_register).dim,
-        state.register(index_register).dim,
-        eigen_register,
-        index_register,
-    )
+    tokens = _token_map(labels, state.register("eigen").dim, state.register("index").dim)
     if strict:
-        _require_zero(state, index_register, "index register must be |0> before component writing")
-    return state.apply_controlled_xor(eigen_register, index_register, tokens)
+        _require_zero(state, "index", "index register must be |0> before component writing")
+    return state.apply_controlled_xor("eigen", "index", tokens)
 
 
 def write_tokens(
@@ -312,7 +285,7 @@ def write_tokens(
     e_dim = 1 << cfg.register_width(rho.dim)
     basis = _padded_eigenbasis(rho, dim)
     padded = _padded_labels(rho, cfg, dim, e_dim)
-    tokens = _token_map(labels, e_dim, state.register("index").dim, "eigen", "index")
+    tokens = _token_map(labels, e_dim, state.register("index").dim)
     _require_zero(state, "index", "index register must be |0> before component writing")
     words = {k: tokens[int(label)] for k, label in enumerate(padded) if int(label) in tokens}
     out = state.apply_register_unitary("feature", basis.T)
@@ -341,18 +314,11 @@ def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> 
     return StateVector.from_amplitudes([("eigen", width)], np.sqrt(weights))
 
 
-def apply_cr_beta(
-    state: StateVector,
-    beta_hat: np.ndarray,
-    rotation_constant: float,
-    *,
-    index_register: str = "index",
-    ancilla_register: str = "ancilla",
-    strict: bool = True,
-) -> StateVector:
-    """Controlled ancilla rotation: on index value j (1-based over the
-    estimated coefficients), rotate the ancilla so |1> carries amplitude
-    C / beta_hat[j-1]. Index 0 leaves the ancilla alone."""
+def apply_cr_beta(state: StateVector, beta_hat: np.ndarray, rotation_constant: float) -> StateVector:
+    """Controlled ancilla rotation: on "index" value j (1-based over the
+    estimated coefficients), rotate the "ancilla" qubit, which must be |0>,
+    so |1> carries amplitude C / beta_hat[j-1]. Index 0 leaves the ancilla
+    alone."""
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     c = float(rotation_constant)
     if beta_hat.ndim != 1 or beta_hat.size < 1:
@@ -365,22 +331,18 @@ def apply_cr_beta(
         raise InvalidRotationError(
             f"rotation constant {c} exceeds the smallest estimated coefficient {float(beta_hat.min())}"
         )
-    i_dim = state.register(index_register).dim
-    if beta_hat.size + 1 > i_dim:
+    if beta_hat.size + 1 > state.register("index").dim:
         raise InvalidInputError("index register too small for the coefficient list")
-    if state.register(ancilla_register).qubits != 1:
+    if state.register("ancilla").qubits != 1:
         raise InvalidInputError("ancilla register must be a single qubit")
-    if strict:
-        probs = state.probabilities(ancilla_register)
-        if 1.0 - float(probs[0]) > 1e-9:
-            raise ContractViolationError("ancilla must be |0> before the coefficient rotation")
+    _require_zero(state, "ancilla", "ancilla must be |0> before the coefficient rotation")
 
     rotations = {}
     for j, bj in enumerate(beta_hat, start=1):
         s = min(c / float(bj), 1.0)
         q = math.sqrt(max(1.0 - s * s, 0.0))
         rotations[j] = np.array([[q, -s], [s, q]])
-    return state.apply_controlled_unitary(index_register, ancilla_register, rotations)
+    return state.apply_controlled_unitary("index", "ancilla", rotations)
 
 
 @dataclass(frozen=True)
@@ -404,26 +366,37 @@ def amplification_repetitions(probability: float) -> int:
 
 def postselect(
     state: StateVector,
-    anchor_inverse: np.ndarray,
+    anchor: StateVector,
     *,
-    feature_register: str = "feature",
-    ancilla_register: str = "ancilla",
     shots: int | None = None,
     rng_seed: int | None = None,
 ) -> PostselectResult:
-    """Undo the anchor preparation on the feature register, keep the branch
-    with feature |0> and ancilla |1>, and drop both registers.
+    """Undo the preparation of ``anchor``, a state on the "feature" register
+    alone, keep the branch with feature |0> and ancilla |1>, and drop both
+    registers.
 
-    The returned probability is the exact squared norm of the kept branch.
-    When ``shots`` is given, a seeded binomial draw simulates repeating the
-    bare (unamplified) experiment that many times.
+    Row 0 of the inverse preparation is the anchor's conjugate, so the kept
+    branch is the feature axis contracted with the anchor's conjugate
+    amplitudes, at ancilla |1>; the preparation matrix is never built. The
+    returned probability is the exact squared norm of the kept branch. When
+    ``shots`` is given, a seeded binomial draw simulates repeating the bare
+    (unamplified) experiment that many times.
     """
-    worked = state.apply_register_unitary(feature_register, anchor_inverse)
-    kept, prob = worked.project_and_remove({feature_register: 0, ancilla_register: 1})
+    width = state.register("feature").qubits
+    if anchor.layout() != (("feature", width),):
+        raise InvalidInputError(
+            f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
+        )
+    moved = np.moveaxis(state.amplitudes, (state.axis("feature"), state.axis("ancilla")), (0, 1))
+    block = np.tensordot(anchor.amplitudes.conj(), moved[:, 1], axes=([0], [0]))
+    prob = float(np.sum(np.abs(block) ** 2))
     if prob < POSTSELECT_FLOOR:
         raise VanishingSuccessError(
             f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}"
         )
+    kept = StateVector(
+        tuple(r for r in state.registers if r.name not in ("feature", "ancilla")), block / np.sqrt(prob)
+    )
     sampled = None
     successes = None
     if shots is not None:

@@ -86,6 +86,8 @@ CASES = {
     "error_mode_scaling": ("rank3.csv", None, ["--task", "scaling", "--mode", "sampled"]),
     "error_mode_ledger": ("rank3.csv", None, ["--task", "ledger", "--mode", "quantized"]),
     "error_anchor_scaling": ("rank3.csv", None, ["--task", "scaling", "--anchor", "4"]),
+    "error_anchor_qsvm": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--anchor", "5"]),
+    "error_anchor_qlr": ("lin.csv", "lin.targets", ["--task", "qlr", "--anchor", "5"]),
 }
 
 

@@ -1,8 +1,9 @@
 """The production compression path against the explicit circuit.
 
-``compress`` loads the data state with vector cascades and runs the label
+``compress`` loads the data state with vector cascades, runs the label
 write, token write and label un-compute as one map, without an eigenvalue
-register. These tests rebuild the explicit circuit from the reference
+register, and postselects by contracting the feature register with the
+anchor state. These tests rebuild the explicit circuit from the reference
 primitives (preparation matrices, ``phase_estimate``, ``apply_cu_lambda``,
 ``inverse_phase_estimate``) and hold the production amplitudes to it.
 """
@@ -39,7 +40,6 @@ from qpcasim.sv_engine import (
     eigen_marginal_state,
     inverse_phase_estimate,
     phase_estimate,
-    postselect,
     write_tokens,
 )
 
@@ -55,7 +55,8 @@ def _explicit_data_state(tree):
 
 def _explicit_compress(run, scope, rows):
     """The compression circuit as the paper writes it: matrix state load,
-    label write on an eigenvalue register, token write, label un-compute."""
+    label write on an eigenvalue register, token write, label un-compute,
+    and the anchor undone with its whole preparation matrix."""
     tree, rho, cfg, spectrum, profile = run.tree, run.rho, run.cfg, run.spectrum, run.profile
     if scope == SCOPE_SINGLE:
         feature = StateVector.zero([("feature", tree.feature_qubits)])
@@ -72,7 +73,9 @@ def _explicit_compress(run, scope, rows):
     state = state.remove_register("eigen")
     state = state.append_register("ancilla", 1)
     state = apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
-    return postselect(state, row_prep_unitary(tree, profile.anchor_index).T).state
+    state = state.apply_register_unitary("feature", row_prep_unitary(tree, profile.anchor_index).T)
+    kept, _ = state.project_and_remove({"feature": 0, "ancilla": 1})
+    return kept
 
 
 def _assert_matches_explicit(data, mode, seed, scope=SCOPE_FULL, rows=None):
@@ -81,10 +84,10 @@ def _assert_matches_explicit(data, mode, seed, scope=SCOPE_FULL, rows=None):
         threshold=0.95,
         run_mode=mode,
         seed=seed,
-        scope=scope,
         subset=rows if scope == SCOPE_SUBSET else None,
         row_index=rows[0] if scope == SCOPE_SINGLE else None,
     )
+    assert run.result.report.scope == scope
     want = _explicit_compress(run, scope, rows)
     got = run.result.state
     assert got.layout() == want.layout()

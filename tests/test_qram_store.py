@@ -47,10 +47,6 @@ def test_tree_padding_and_signs():
     assert tree.padded_cols == 4
     np.testing.assert_allclose(tree.row_levels[-1][0], [1.0, 4.0, 9.0, 0.0], atol=0.0)
     np.testing.assert_allclose(tree.row_signs[0], [1.0, -1.0, 1.0, 1.0], atol=0.0)
-    with pytest.raises(InvalidInputError):
-        build_tree(DataMatrix(x), min_padded_cols=3)  # not a power of two
-    with pytest.raises(InvalidInputError):
-        build_tree(DataMatrix(x), min_padded_cols=2)  # smaller than needed
 
 
 def test_norm_prep_equal_rows():
@@ -168,21 +164,6 @@ def test_data_state_equals_schmidt_form():
         for j in range(tree.padded_cols):
             overlap += table[i, j] * state.basis_amplitude({"row": i, "feature": j})
     assert overlap == pytest.approx(1.0, abs=1e-8)
-
-
-def test_padding_invariance():
-    x = np.random.default_rng(19).standard_normal((3, 2))
-    plain = build_tree(DataMatrix(x))
-    padded = build_tree(DataMatrix(x), min_padded_rows=8, min_padded_cols=8)
-    assert (plain.padded_rows, plain.padded_cols) == (4, 2)
-    assert (padded.padded_rows, padded.padded_cols) == (8, 8)
-    a = prepare_data_state(plain)
-    b = prepare_data_state(padded)
-    for i in range(3):
-        for j in range(2):
-            assert a.basis_amplitude({"row": i, "feature": j}) == pytest.approx(
-                b.basis_amplitude({"row": i, "feature": j}), abs=1e-12
-            )
 
 
 def test_prep_matrices_are_orthogonal():

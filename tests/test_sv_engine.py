@@ -14,7 +14,7 @@ from qpcasim.errors import (
     VanishingSuccessError,
 )
 from qpcasim.pca_oracle import DataMatrix, svd_decompose
-from qpcasim.qram_store import build_tree, prepare_data_state
+from qpcasim.qram_store import build_tree, prepare_data_state, prepare_row_state
 from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
@@ -328,20 +328,18 @@ def _postselect_fixture(keep_weight):
     # Anchor row (3, 4); the ancilla-1 branch carries exactly the anchor
     # state on the feature register, so its whole weight survives.
     tree = build_tree(DataMatrix(np.array([[3.0, 4.0]])))
-    from qpcasim.qram_store import row_prep_unitary
-
     layout = [("index", 1), ("feature", 1), ("ancilla", 1)]
     amps = np.zeros((2, 2, 2))
     amps[1, 0, 1] = np.sqrt(keep_weight) * 0.6
     amps[1, 1, 1] = np.sqrt(keep_weight) * 0.8
     amps[0, 0, 0] = np.sqrt(1.0 - keep_weight)
     state = StateVector.from_amplitudes(layout, amps)
-    return state, row_prep_unitary(tree, 0).T
+    return state, prepare_row_state(tree, 0)
 
 
 def test_postselect_keeps_flagged_branch():
-    state, anchor_inverse = _postselect_fixture(0.25)
-    result = postselect(state, anchor_inverse)
+    state, anchor = _postselect_fixture(0.25)
+    result = postselect(state, anchor)
     assert result.probability == pytest.approx(0.25, abs=1e-12)
     assert result.amplification_reps == 2
     assert result.state.layout() == (("index", 1),)
@@ -350,20 +348,30 @@ def test_postselect_keeps_flagged_branch():
 
 
 def test_postselect_sampled_probability():
-    state, anchor_inverse = _postselect_fixture(0.25)
-    result = postselect(state, anchor_inverse, shots=100_000, rng_seed=17)
+    state, anchor = _postselect_fixture(0.25)
+    result = postselect(state, anchor, shots=100_000, rng_seed=17)
     sigma = math.sqrt(0.25 * 0.75 / 100_000)
     assert abs(result.sampled_probability - 0.25) <= 3.0 * sigma
     assert result.success_count == round(result.sampled_probability * result.shots)
     # Same seed, same draw.
-    again = postselect(state, anchor_inverse, shots=100_000, rng_seed=17)
+    again = postselect(state, anchor, shots=100_000, rng_seed=17)
     assert again.sampled_probability == result.sampled_probability
 
 
 def test_postselect_zero_mass_branch():
-    state, anchor_inverse = _postselect_fixture(0.0)
+    state, anchor = _postselect_fixture(0.0)
     with pytest.raises(VanishingSuccessError):
-        postselect(state, anchor_inverse)
+        postselect(state, anchor)
+
+
+def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
+    state, anchor = _postselect_fixture(0.25)
+    wide = StateVector.zero([("feature", 2)])
+    misnamed = StateVector.from_amplitudes([("row", 1)], anchor.amplitudes)
+    extra = anchor.append_register("index", 1)
+    for bad in (wide, misnamed, extra):
+        with pytest.raises(InvalidInputError):
+            postselect(state, bad)
 
 
 # -- swap test ----------------------------------------------------------------

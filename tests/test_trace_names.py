@@ -1,0 +1,41 @@
+"""The benchmark's per-layer metric names against a traced compress run.
+
+``perfbench/tracer.py`` wraps the public qpcasim functions by name, and
+``BENCHMARK.json`` lists the per-layer metrics that its traced run reports.
+A refactor that removes or renames a function the tracer reads would make
+``perfbench/run.py --trace 1`` fail; this test fails first. The tracer is
+loaded from its file without writing bytecode next to it.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from qpcasim import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_traced_compress_reports_every_benchmark_per_layer_metric():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # The overhead is measured by the benchmark runner against an untraced twin run.
+    names = [m["name"] for m in benchmark["per_layer"] if m["name"] != "trace.overhead_s"]
+    config = cli.RunConfig(input_path=str(ROOT / "tests" / "golden" / "inputs" / "rank3.csv"), seed=3)
+    with _load_tracer().Tracer(0) as tracer:
+        cli.render_report(cli.run(config))
+    metrics = tracer.metrics()
+    assert [name for name in names if name not in metrics] == []
+    assert metrics["qpca_pipeline.compress.calls"] == 1
