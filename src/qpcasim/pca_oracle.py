@@ -123,7 +123,7 @@ class OverlapReport:
 
 
 def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int = 0) -> SpectralModel:
-    """Full SVD with deterministic completion and anchor-fixed signs.
+    """Thin SVD with deterministic completion and anchor-fixed signs.
 
     Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros;
     the corresponding right-vector columns are rebuilt by Gram-Schmidt over
@@ -139,7 +139,7 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
         raise OutOfRangeError(f"anchor index {anchor_index} out of range for {n} rows")
 
     try:
-        u, s, vt = np.linalg.svd(data.values, full_matrices=True)
+        u, s, vt = np.linalg.svd(data.values, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
 
@@ -150,8 +150,10 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
     sigma[sigma <= cutoff] = 0.0
     rank = int(np.count_nonzero(sigma))
 
-    v = vt.T.copy()
-    u = u[:, :p].copy()
+    # The thin SVD gives p right vectors; with N < D the columns past them
+    # lie past the rank too, and the completion below rebuilds them.
+    v = np.zeros((d, d))
+    v[:, :p] = vt.T
 
     # Deterministic completion of the null-space columns.
     if rank < d:

@@ -1,5 +1,7 @@
 """Tests for the classical spectral oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ def test_model_invariants_random_matrices():
         anchor = data.values[model.anchor_index]
         overlaps = model.right_vectors[:, : model.rank].T @ anchor
         assert np.all(overlaps >= -1e-10)
+
+
+def test_tall_decomposition_builds_no_row_by_row_matrix():
+    # A full SVD of 4096 x 8 data allocates a 4096 x 4096 U (128 MiB); the
+    # thin SVD keeps every allocation near the size of the data.
+    data = DataMatrix(np.random.default_rng(5).standard_normal((4096, 8)))
+    tracemalloc.start()
+    try:
+        model = svd_decompose(data, 0.95, anchor_index=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.left_vectors.shape == (4096, 8)
+    assert peak < 16 * 2**20
 
 
 def test_projection_diagonal_case():
