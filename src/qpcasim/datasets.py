@@ -181,12 +181,10 @@ def linear_trend_dataset(
     return DataMatrix(data), targets, weights
 
 
-def write_matrix_csv(path: str, matrix: np.ndarray, header: str | None = None) -> None:
+def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     """Write a matrix as comma-separated rows, full float64 precision."""
     arr = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(f"# {header}\n")
         for row in arr:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 

@@ -150,8 +150,7 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
     sigma[sigma <= cutoff] = 0.0
     rank = int(np.count_nonzero(sigma))
 
-    # The thin SVD gives p right vectors; with N < D the columns past them
-    # lie past the rank too, and the completion below rebuilds them.
+    # Columns past p lie past the rank; the completion below fills them.
     v = np.zeros((d, d))
     v[:, :p] = vt.T
 

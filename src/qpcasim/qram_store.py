@@ -173,9 +173,7 @@ def row_prep_unitary(tree: QramTree, row_index: int) -> np.ndarray:
     return _prep_unitary(levels, tree.row_signs[row_index])
 
 
-def _check_register_zero(state: StateVector, name: str, strict: bool) -> None:
-    if not strict:
-        return
+def _check_register_zero(state: StateVector, name: str) -> None:
     probs = state.probabilities(name)
     if 1.0 - float(probs[0]) > STRICT_TOL:
         raise ContractViolationError(
@@ -183,18 +181,18 @@ def _check_register_zero(state: StateVector, name: str, strict: bool) -> None:
         )
 
 
-def apply_norm_prep(state: StateVector, tree: QramTree, *, strict: bool = True) -> StateVector:
+def apply_norm_prep(state: StateVector, tree: QramTree) -> StateVector:
     """Load row-norm amplitudes onto the "row" register (any feature content)."""
-    _check_register_zero(state, "row", strict)
+    _check_register_zero(state, "row")
     if state.register("row").dim != tree.padded_rows:
         raise InvalidInputError("row register size does not match the tree padding")
     return state.apply_register_unitary("row", norm_prep_unitary(tree))
 
 
-def apply_row_prep(state: StateVector, tree: QramTree, *, strict: bool = True) -> StateVector:
+def apply_row_prep(state: StateVector, tree: QramTree) -> StateVector:
     """Conditioned on each physical "row" label, load that row's unit vector
     onto the "feature" register. Padded row labels are left untouched."""
-    _check_register_zero(state, "feature", strict)
+    _check_register_zero(state, "feature")
     if state.register("feature").dim != tree.padded_cols:
         raise InvalidInputError("feature register size does not match the tree padding")
     if state.register("row").dim != tree.padded_rows:

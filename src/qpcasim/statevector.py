@@ -208,13 +208,13 @@ class StateVector:
         amps[..., 0] = self.amplitudes
         return StateVector(self.registers + (new_reg,), amps)
 
-    def remove_register(self, name: str, *, tol: float = 1e-9) -> "StateVector":
+    def remove_register(self, name: str) -> "StateVector":
         """Drop a register that is disentangled in |0>. Errors if any
         amplitude mass sits outside the |0> slice."""
         ax = self.axis(name)
         moved = np.moveaxis(self.amplitudes, ax, 0)
         residual = float(np.sum(np.abs(moved[1:]) ** 2))
-        if residual > tol:
+        if residual > 1e-9:
             raise ContractViolationError(
                 f"register {name!r} is not |0> (residual probability {residual:.3e})"
             )

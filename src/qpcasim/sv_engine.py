@@ -8,13 +8,16 @@ rounding of half the eigenvalue (quantized mode; the half keeps the top of
 the spectrum from wrapping). The XOR makes the walk an involution, so the
 un-compute pass is the same unitary.
 
-The label write, token write and label un-compute together leave the
-eigenvalue register in |0> again, so compression runs them as one map
-(``write_tokens``) that never builds that register, and spectrum sampling
-reads the register's distribution without it (``eigen_marginal_state``).
-``phase_estimate``, ``apply_cu_lambda`` and ``inverse_phase_estimate`` are
-the explicit circuit that the tests hold both against. Every stage acts on
-the fixed registers "row", "feature", "eigen", "index" and "ancilla".
+The label write, token write and label un-compute leave the eigenvalue
+register in |0> again, and the ancilla rotation commutes with them, so
+compression runs all three and the anchor half of postselection first, as
+one features x tokens matrix (``project_anchor``); the rotation and the
+ancilla half (``postselect``) then act on rows x tokens x 2 amplitudes.
+Spectrum sampling reads the register's distribution without building it
+(``eigen_marginal_state``). ``phase_estimate``, ``apply_cu_lambda`` and
+``inverse_phase_estimate`` are the explicit circuit that the tests hold
+both against. Every stage acts on the fixed registers "row", "feature",
+"eigen", "index" and "ancilla".
 
 Everything downstream of state preparation is deterministic; sampling only
 happens where a real device would measure, and always through a seeded
@@ -37,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from .statevector import StateVector, token_qubits
+from .statevector import Register, StateVector, token_qubits
 
 LABEL_MODE_IDEAL = "ideal"
 LABEL_MODE_QUANTIZED = "quantized"
@@ -259,38 +262,50 @@ def apply_cu_lambda(
     return state.apply_controlled_xor("eigen", "index", tokens)
 
 
-def write_tokens(
+def project_anchor(
     rho: RhoSpec,
     cfg: PhaseConfig,
     state: StateVector,
+    anchor: StateVector,
     labels: Sequence[tuple[int, int]],
     *,
     distinct_top: int,
-) -> StateVector:
-    """Label write, token write and label un-compute as one map, on the
-    "feature" and "index" registers.
+) -> tuple[StateVector, float]:
+    """Label write, token write, label un-compute and the anchor half of
+    postselection as one product on the "feature" register.
 
     Equals ``phase_estimate`` (with ``distinct_top``), ``apply_cu_lambda``
-    with these (label, component) pairs and ``inverse_phase_estimate`` on a
-    fresh eigenvalue register of ``cfg.register_width(rho.dim)`` qubits,
-    which the un-compute returns to |0> and which is then dropped. The map
-    rotates the feature register into the padded eigenbasis, XORs into the
-    index register the token that each direction's label maps to (padded
-    directions carry label 0; a label without a token writes nothing), and
-    rotates back. The eigenvalue register is never built. The index register
-    must be zeroed, and the label checks are those of the explicit circuit.
+    with these (label, component) pairs onto a fresh "index" register of
+    ``token_qubits(distinct_top)`` qubits and ``inverse_phase_estimate``,
+    then undoing the preparation of ``anchor`` (a state on the feature
+    register alone) and keeping feature |0>. Direction k of the padded
+    eigenbasis B gets token tok(k) (0 for padded directions and labels
+    without a token), so the product is the feature axis times the matrix
+    G[j, t] = sum_{k: tok(k) = t} B[j, k] (B^T conj(anchor))[k]. Returns the
+    renormalised state, "index" in place of "feature", and the probability
+    of the anchor outcome; the label checks are the explicit circuit's.
     """
     check_label_distinctness(rho, cfg, distinct_top)
-    dim = state.register("feature").dim
+    width = state.register("feature").qubits
+    if anchor.layout() != (("feature", width),):
+        raise InvalidInputError(
+            f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
+        )
+    dim = 1 << width
     e_dim = 1 << cfg.register_width(rho.dim)
+    index_qubits = token_qubits(distinct_top)
     basis = _padded_eigenbasis(rho, dim)
     padded = _padded_labels(rho, cfg, dim, e_dim)
-    tokens = _token_map(labels, e_dim, state.register("index").dim)
-    _require_zero(state, "index", "index register must be |0> before component writing")
-    words = {k: tokens[int(label)] for k, label in enumerate(padded) if int(label) in tokens}
-    out = state.apply_register_unitary("feature", basis.T)
-    out = out.apply_controlled_xor("feature", "index", words)
-    return out.apply_register_unitary("feature", basis)
+    tokens = _token_map(labels, e_dim, 1 << index_qubits)
+    to_token = np.zeros((dim, 1 << index_qubits))
+    to_token[np.arange(dim), [tokens.get(int(label), 0) for label in padded]] = 1.0
+    weights = basis.T @ anchor.amplitudes.conj()
+    block = np.tensordot(state.amplitudes, (basis * weights) @ to_token, axes=([state.axis("feature")], [0]))
+    prob = float(np.sum(np.abs(block) ** 2))
+    if prob < POSTSELECT_FLOOR:
+        raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
+    registers = tuple(r for r in state.registers if r.name != "feature") + (Register("index", index_qubits),)
+    return StateVector(registers, block / np.sqrt(prob)), prob
 
 
 def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> StateVector:
@@ -366,39 +381,25 @@ def amplification_repetitions(probability: float) -> int:
 
 def postselect(
     state: StateVector,
-    anchor: StateVector,
+    anchor_probability: float,
     *,
     shots: int | None = None,
     rng_seed: int | None = None,
 ) -> PostselectResult:
-    """Undo the preparation of ``anchor``, a state on the "feature" register
-    alone, keep the branch with feature |0> and ancilla |1>, and drop both
-    registers.
+    """Keep the branch with ancilla |1> of a state that ``project_anchor``
+    already projected onto the anchor outcome with ``anchor_probability``,
+    and drop the ancilla.
 
-    Row 0 of the inverse preparation is the anchor's conjugate, so the kept
-    branch is the feature axis contracted with the anchor's conjugate
-    amplitudes, at ancilla |1>; the preparation matrix is never built. The
-    returned probability is the exact squared norm of the kept branch. When
-    ``shots`` is given, a seeded binomial draw simulates repeating the bare
+    The returned probability is that of both outcomes together, the exact
+    squared norm of the kept branch of the whole circuit. When ``shots`` is
+    given, a seeded binomial draw simulates repeating the bare
     (unamplified) experiment that many times.
     """
-    width = state.register("feature").qubits
-    if anchor.layout() != (("feature", width),):
-        raise InvalidInputError(
-            f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
-        )
-    moved = np.moveaxis(state.amplitudes, (state.axis("feature"), state.axis("ancilla")), (0, 1))
-    block = np.tensordot(anchor.amplitudes.conj(), moved[:, 1], axes=([0], [0]))
-    prob = float(np.sum(np.abs(block) ** 2))
+    kept, flagged = state.project_and_remove({"ancilla": 1})
+    prob = anchor_probability * flagged
     if prob < POSTSELECT_FLOOR:
-        raise VanishingSuccessError(
-            f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}"
-        )
-    kept = StateVector(
-        tuple(r for r in state.registers if r.name not in ("feature", "ancilla")), block / np.sqrt(prob)
-    )
-    sampled = None
-    successes = None
+        raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
+    sampled = successes = None
     if shots is not None:
         if shots < 1:
             raise InvalidInputError("shots must be >= 1")

@@ -1,18 +1,21 @@
 """The production compression path against the explicit circuit.
 
-``compress`` loads the data state with vector cascades, runs the label
-write, token write and label un-compute as one map, without an eigenvalue
-register, and postselects by contracting the feature register with the
-anchor state. These tests rebuild the explicit circuit from the reference
-primitives (preparation matrices, ``phase_estimate``, ``apply_cu_lambda``,
-``inverse_phase_estimate``) and hold the production amplitudes to it.
+``compress`` loads the data state with vector cascades and then runs the
+label write, token write, label un-compute and the anchor half of
+postselection as one product (``project_anchor``): the feature register
+contracted with one features x tokens matrix, without an eigenvalue
+register. The coefficient rotation and the ancilla half of postselection
+follow on rows x tokens x 2 amplitudes. These tests rebuild the explicit
+circuit from the reference primitives (preparation matrices,
+``phase_estimate``, ``apply_cu_lambda``, ``inverse_phase_estimate``) and
+hold the production amplitudes to it.
 """
 
 import numpy as np
 import pytest
 
 from qpcasim.datasets import rank_k_dataset
-from qpcasim.errors import ContractViolationError, DegenerateSpectrumError, InvalidInputError
+from qpcasim.errors import DegenerateSpectrumError, InvalidInputError
 from qpcasim.pca_oracle import DataMatrix
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
@@ -40,7 +43,7 @@ from qpcasim.sv_engine import (
     eigen_marginal_state,
     inverse_phase_estimate,
     phase_estimate,
-    write_tokens,
+    project_anchor,
 )
 
 from test_acceptance import EXACTNESS_SHAPES
@@ -111,18 +114,14 @@ def test_compress_scopes_match_explicit_circuit(mode):
 def test_fused_map_keeps_the_explicit_circuit_checks():
     run = run_compression(rank_k_dataset(16, 8, 2, seed=4), run_mode=MODE_QUANTIZED, seed=0)
     rho, cfg, labels = run.rho, run.cfg, run.spectrum.cu_labels()
-    fresh = prepare_data_state(run.tree).append_register("index", 2)
-    moved = np.zeros_like(fresh.amplitudes)
-    moved[..., 1] = fresh.amplitudes[..., 0]
-    dirty = StateVector(fresh.registers, moved)
-    with pytest.raises(ContractViolationError):
-        write_tokens(rho, cfg, dirty, labels, distinct_top=2)
+    state = prepare_data_state(run.tree)
+    anchor = prepare_row_state(run.tree, run.profile.anchor_index)
     with pytest.raises(DegenerateSpectrumError):
-        write_tokens(rho, cfg, fresh, [(labels[0][0], 1), (labels[0][0], 2)], distinct_top=2)
+        project_anchor(rho, cfg, state, anchor, [(labels[0][0], 1), (labels[0][0], 2)], distinct_top=2)
     with pytest.raises(InvalidInputError):
-        write_tokens(rho, cfg, fresh, [(labels[0][0], 4)], distinct_top=2)
+        project_anchor(rho, cfg, state, anchor, [(labels[0][0], 4)], distinct_top=2)
     with pytest.raises(DegenerateSpectrumError):
-        write_tokens(rho, PhaseConfig(bits=1), fresh, labels, distinct_top=2)
+        project_anchor(rho, PhaseConfig(bits=1), state, anchor, labels, distinct_top=2)
 
 
 @pytest.mark.parametrize("shape", [(24, 12), (5, 3), (1, 4), (4, 1)])
@@ -166,12 +165,11 @@ def _record_peak_amplitudes(monkeypatch):
 def test_wide_ideal_run_fits_without_an_eigen_register(monkeypatch):
     # With an eigenvalue register, 512 x 128 in ideal mode builds
     # 2**9 x 2**7 x 2**8 x 2**3 amplitudes (2 GiB per copy). No state may
-    # exceed rows x features x tokens x ancilla.
+    # exceed the loaded data state, rows x features.
     peak = _record_peak_amplitudes(monkeypatch)
     run = run_compression(rank_k_dataset(512, 128, 4, seed=1), seed=0)
     assert run.result.report.fidelity >= 1.0 - 1e-9
-    bound = run.tree.padded_rows * run.tree.padded_cols * (1 << token_qubits(run.spectrum.dim)) * 2
-    assert 0 < peak[0] <= bound
+    assert 0 < peak[0] <= run.tree.padded_rows * run.tree.padded_cols
 
 
 def test_spectrum_sampling_builds_no_labelled_tensor(monkeypatch):

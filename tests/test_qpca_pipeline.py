@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
-from qpcasim import qpca_pipeline, sv_engine
+from qpcasim import pca_oracle, qpca_pipeline, sv_engine
 from qpcasim.errors import (
     DegenerateSpectrumError,
     InvalidInputError,
@@ -484,3 +484,27 @@ def test_scaling_alternating_grows_with_eps():
     assert result.n_seeds == 6
     assert result.dims == (2,)
     assert result.slope_scaled == pytest.approx(result.slope * math.sqrt(2.0))
+
+
+def test_scaling_builds_the_rotation_free_prefix_once_per_seed(monkeypatch):
+    # Only the coefficient rotation depends on eps: each seed projects onto
+    # the anchor once, and no grid point runs a whole compress or its
+    # pairwise-overlap audit.
+    calls = {"project_anchor": 0, "compress": 0, "pairwise_overlap_report": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(sv_engine, "project_anchor")
+    counting(qpca_pipeline, "compress")
+    counting(pca_oracle, "pairwise_overlap_report")
+    datasets = {s: rank_k_dataset(16, 8, 2, seed=300 + s) for s in range(2)}
+    result = error_scaling_experiment(lambda s: datasets[s], [0.0, 0.02, 0.04, 0.08], [0, 1])
+    assert len(result.rows) == 4
+    assert calls == {"project_anchor": 2, "compress": 0, "pairwise_overlap_report": 0}

@@ -201,9 +201,6 @@ def test_strict_mode_rejects_dirty_registers():
     loaded = apply_row_prep(state, tree)
     with pytest.raises(ContractViolationError):
         apply_row_prep(loaded, tree)  # feature register already loaded
-    # strict=False skips the precondition and just applies the cascade.
-    relaxed = apply_row_prep(loaded, tree, strict=False)
-    assert relaxed.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_register_size_mismatch_rejected():

@@ -32,6 +32,7 @@ from qpcasim.sv_engine import (
     measure_register,
     phase_estimate,
     postselect,
+    project_anchor,
     swap_test,
 )
 
@@ -325,21 +326,18 @@ def test_amplification_repetition_counts():
 
 
 def _postselect_fixture(keep_weight):
-    # Anchor row (3, 4); the ancilla-1 branch carries exactly the anchor
-    # state on the feature register, so its whole weight survives.
-    tree = build_tree(DataMatrix(np.array([[3.0, 4.0]])))
-    layout = [("index", 1), ("feature", 1), ("ancilla", 1)]
-    amps = np.zeros((2, 2, 2))
-    amps[1, 0, 1] = np.sqrt(keep_weight) * 0.6
-    amps[1, 1, 1] = np.sqrt(keep_weight) * 0.8
-    amps[0, 0, 0] = np.sqrt(1.0 - keep_weight)
-    state = StateVector.from_amplitudes(layout, amps)
-    return state, prepare_row_state(tree, 0)
+    # The anchor outcome kept half the mass; the ancilla-1 branch carries the
+    # rest of the joint weight on index 1.
+    layout = [("index", 1), ("ancilla", 1)]
+    amps = np.zeros((2, 2))
+    amps[1, 1] = np.sqrt(2.0 * keep_weight)
+    amps[0, 0] = np.sqrt(1.0 - 2.0 * keep_weight)
+    return StateVector.from_amplitudes(layout, amps), 0.5
 
 
 def test_postselect_keeps_flagged_branch():
-    state, anchor = _postselect_fixture(0.25)
-    result = postselect(state, anchor)
+    state, anchor_probability = _postselect_fixture(0.25)
+    result = postselect(state, anchor_probability)
     assert result.probability == pytest.approx(0.25, abs=1e-12)
     assert result.amplification_reps == 2
     assert result.state.layout() == (("index", 1),)
@@ -348,30 +346,53 @@ def test_postselect_keeps_flagged_branch():
 
 
 def test_postselect_sampled_probability():
-    state, anchor = _postselect_fixture(0.25)
-    result = postselect(state, anchor, shots=100_000, rng_seed=17)
+    state, anchor_probability = _postselect_fixture(0.25)
+    result = postselect(state, anchor_probability, shots=100_000, rng_seed=17)
     sigma = math.sqrt(0.25 * 0.75 / 100_000)
     assert abs(result.sampled_probability - 0.25) <= 3.0 * sigma
     assert result.success_count == round(result.sampled_probability * result.shots)
     # Same seed, same draw.
-    again = postselect(state, anchor, shots=100_000, rng_seed=17)
+    again = postselect(state, anchor_probability, shots=100_000, rng_seed=17)
     assert again.sampled_probability == result.sampled_probability
 
 
 def test_postselect_zero_mass_branch():
-    state, anchor = _postselect_fixture(0.0)
+    state, anchor_probability = _postselect_fixture(0.0)
     with pytest.raises(VanishingSuccessError):
-        postselect(state, anchor)
+        postselect(state, anchor_probability)
+
+
+def _anchor_fixture(rows):
+    data = DataMatrix(np.array(rows))
+    tree = build_tree(data)
+    rho = RhoSpec.from_model(svd_decompose(data, 1.0, 0))
+    return rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), tree
 
 
 def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
-    state, anchor = _postselect_fixture(0.25)
+    rho, cfg, tree = _anchor_fixture([[3.0, 4.0]])
+    state = anchor = prepare_row_state(tree, 0)
     wide = StateVector.zero([("feature", 2)])
     misnamed = StateVector.from_amplitudes([("row", 1)], anchor.amplitudes)
     extra = anchor.append_register("index", 1)
     for bad in (wide, misnamed, extra):
         with pytest.raises(InvalidInputError):
-            postselect(state, bad)
+            project_anchor(rho, cfg, state, bad, [(1, 1)], distinct_top=1)
+
+
+def test_project_anchor_keeps_the_anchor_outcome():
+    # Orthogonal rows of norms 5 and 10: row 0 is the second principal
+    # direction, so against itself it keeps all its mass, on token 2. Row 1
+    # is orthogonal to the anchor and keeps none.
+    rho, cfg, tree = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
+    anchor = prepare_row_state(tree, 0)
+    labels = [(1, 1), (2, 2)]
+    kept, prob = project_anchor(rho, cfg, anchor, anchor, labels, distinct_top=2)
+    assert prob == pytest.approx(1.0, abs=1e-12)
+    assert kept.layout() == (("index", 2),)
+    assert abs(kept.basis_amplitude({"index": 2})) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(VanishingSuccessError):
+        project_anchor(rho, cfg, prepare_row_state(tree, 1), anchor, labels, distinct_top=2)
 
 
 # -- swap test ----------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` wraps the public qpcasim functions by name, and
 ``BENCHMARK.json`` lists the per-layer metrics that its traced run reports.
 A refactor that removes or renames a function the tracer reads would make
-``perfbench/run.py --trace 1`` fail; this test fails first. The tracer is
-loaded from its file without writing bytecode next to it.
+``perfbench/run.py --trace 1`` fail; this test fails first. So would a
+production path that stops calling the stages the ledger rows time. The
+tracer is loaded from its file without writing bytecode next to it.
 """
 
 import importlib.util
@@ -35,7 +36,13 @@ def test_traced_compress_reports_every_benchmark_per_layer_metric():
     names = [m["name"] for m in benchmark["per_layer"] if m["name"] != "trace.overhead_s"]
     config = cli.RunConfig(input_path=str(ROOT / "tests" / "golden" / "inputs" / "rank3.csv"), seed=3)
     with _load_tracer().Tracer(0) as tracer:
-        cli.render_report(cli.run(config))
+        report = cli.run(config)
+        cli.render_report(report)
     metrics = tracer.metrics()
     assert [name for name in names if name not in metrics] == []
     assert metrics["qpca_pipeline.compress.calls"] == 1
+    # The ledger's rotation and postselection rows read these spans, so
+    # production must still reach both stages by these names, once each.
+    assert metrics["sv_engine.apply_cr_beta.calls"] == 1
+    assert metrics["sv_engine.postselect.calls"] == 1
+    assert metrics["sv_engine.postselect.success_prob"] == report["compression"]["success_probability"]
