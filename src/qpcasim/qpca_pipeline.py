@@ -494,13 +494,13 @@ def _identity_success_probability(
 
 
 def _rotate_and_postselect(
-    projected: StateVector, anchor_probability: float, profile: AnchorProfile, shots: int | None, rng_seed: int | None
+    projected: StateVector, p_anchor: float, profile: AnchorProfile, *, shots: int | None, rng_seed: int | None
 ) -> sv_engine.PostselectResult:
     """The part of the circuit that reads the coefficient estimates: their
     rotation on a fresh ancilla and the ancilla half of postselection."""
     state = projected.append_register("ancilla", 1)
     state = sv_engine.apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
-    return sv_engine.postselect(state, anchor_probability, shots=shots, rng_seed=rng_seed)
+    return sv_engine.postselect(state, p_anchor, shots=shots, rng_seed=rng_seed)
 
 
 def compress(
@@ -558,7 +558,7 @@ def compress(
 
     anchor = qram_store.prepare_row_state(tree, profile.anchor_index)
     projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchor, spectrum.cu_labels(), distinct_top=d)
-    post = _rotate_and_postselect(projected, p_anchor, profile, postselect_shots, rng_seed)
+    post = _rotate_and_postselect(projected, p_anchor, profile, shots=postselect_shots, rng_seed=rng_seed)
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model, d)
@@ -776,9 +776,9 @@ def error_scaling_experiment(
         for k, eps in enumerate(grid):
             beta_hat = perturb_beta(choice.profile.beta, eps, perturbation)
             profile = replace(choice.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min()))
-            state = _rotate_and_postselect(projected, p_anchor, profile, None, None).state
-            infid[k] += max(1.0 - state.fidelity(reference), 0.0)
-            psi, phi = reference.amplitudes, state.amplitudes
+            out = _rotate_and_postselect(projected, p_anchor, profile, shots=None, rng_seed=None).state
+            infid[k] += max(1.0 - out.fidelity(reference), 0.0)
+            psi, phi = reference.amplitudes, out.amplitudes
             dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
 
     infid /= len(seeds)
