@@ -8,7 +8,7 @@ ideal compressed statevector the quantum pipeline is supposed to reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,6 +94,23 @@ class SpectralModel:
     def variance_captured(self) -> float:
         return float(self.cumulative_variance()[self.selected_dim - 1])
 
+    def with_anchor(self, data: DataMatrix, anchor_index: int) -> "SpectralModel":
+        """The same decomposition with its signs fixed against row
+        ``anchor_index`` of ``data``: each principal direction (nonzero
+        singular value) whose overlap with that row is negative is flipped,
+        and its left vector flips in tandem, keeping the reconstruction
+        identity intact. A direction orthogonal to the row keeps its sign."""
+        if not 0 <= anchor_index < self.n_rows:
+            raise OutOfRangeError(f"anchor index {anchor_index} out of range for {self.n_rows} rows")
+        v = self.right_vectors.copy()
+        u = self.left_vectors.copy()
+        anchor = data.values[anchor_index]
+        for j in range(self.rank):
+            if float(v[:, j] @ anchor) < 0.0:
+                v[:, j] = -v[:, j]
+                u[:, j] = -u[:, j]
+        return replace(self, right_vectors=v, left_vectors=u, anchor_index=int(anchor_index))
+
 
 @dataclass(frozen=True)
 class CompressedMatrix:
@@ -127,16 +144,13 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
 
     Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros;
     the corresponding right-vector columns are rebuilt by Gram-Schmidt over
-    canonical axes so the basis stays orthonormal and reproducible. Principal
-    directions with nonzero singular value are flipped so their overlap with
-    the anchor row is nonnegative (the left vectors flip in tandem, keeping
-    the reconstruction identity intact).
+    canonical axes so the basis stays orthonormal and reproducible. The signs
+    of the principal directions follow row ``anchor_index`` (see
+    ``SpectralModel.with_anchor``).
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
     n, d = data.n_rows, data.n_cols
-    if not 0 <= anchor_index < n:
-        raise OutOfRangeError(f"anchor index {anchor_index} out of range for {n} rows")
 
     try:
         u, s, vt = np.linalg.svd(data.values, full_matrices=False)
@@ -159,13 +173,6 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
         basis = _gram_schmidt_completion(v[:, :rank])
         v[:, rank:] = basis
 
-    # Sign convention: principal directions point toward the anchor row.
-    anchor = data.values[anchor_index]
-    for j in range(rank):
-        if float(v[:, j] @ anchor) < 0.0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-
     total = np.cumsum(sigma ** 2)[-1]
     proportions = sigma ** 2 / total
     selected = _select_from_sigma(sigma, threshold)
@@ -176,8 +183,8 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
         left_vectors=u,
         threshold=float(threshold),
         selected_dim=selected,
-        anchor_index=int(anchor_index),
-    )
+        anchor_index=0,
+    ).with_anchor(data, anchor_index)
 
 
 def _gram_schmidt_completion(basis: np.ndarray) -> np.ndarray:

@@ -62,12 +62,12 @@ class SpectrumEntry:
     label: int              # value written on the eigenvalue register
     eigenvalue: float       # exact variance proportion
     frequency: float        # observed (or exact) sampling frequency
-    vector: np.ndarray      # exact eigenvector payload (unpadded)
 
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Leading spectrum as revealed by (or in lieu of) sampling."""
+    """Leading spectrum as revealed by (or in lieu of) sampling. None of it
+    depends on the anchor row; the eigenvector signs live in the ``RhoSpec``."""
 
     entries: tuple[SpectrumEntry, ...]
     histogram: dict[int, int] | None
@@ -81,11 +81,6 @@ class SpectrumSample:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def with_vectors(self, rho: RhoSpec) -> "SpectrumSample":
-        """The same sample with the eigenvector payloads read from ``rho``."""
-        entries = tuple(replace(e, vector=rho.eigenvectors[:, e.component].copy()) for e in self.entries)
-        return replace(self, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -197,7 +192,6 @@ def exact_spectrum(rho: RhoSpec, cfg: PhaseConfig, dim: int) -> SpectrumSample:
             label=int(labels[j]),
             eigenvalue=float(rho.eigenvalues[j]),
             frequency=float(rho.eigenvalues[j]),
-            vector=rho.eigenvectors[:, j].copy(),
         )
         for j in range(dim)
     )
@@ -222,37 +216,22 @@ def extract_spectrum(
     Succeeds when every one of the leading ``dim`` labels was observed and
     their cumulative empirical frequency reaches the variance threshold;
     otherwise raises UnderSampledError carrying the partial sample. The
-    eigenvector payloads are read from the oracle eigensystem, standing in
-    for the post-measurement states a device would keep.
+    entries are ``exact_spectrum``'s with the observed frequencies.
     """
     if sampling_budget < 1:
         raise InvalidInputError("sampling budget must be >= 1")
-    labels = sv_engine.check_label_distinctness(rho, cfg, dim)
+    exact = exact_spectrum(rho, cfg, dim)
 
     eigen = sv_engine.eigen_marginal_state(rho, cfg, qram_store.prepare_data_state(tree))
     sample = sv_engine.measure_register(eigen, "eigen", sampling_budget, rng_seed)
 
-    entries = tuple(
-        SpectrumEntry(
-            component=j,
-            label=int(labels[j]),
-            eigenvalue=float(rho.eigenvalues[j]),
-            frequency=sample.frequency(int(labels[j])),
-            vector=rho.eigenvectors[:, j].copy(),
-        )
-        for j in range(dim)
-    )
+    entries = tuple(replace(e, frequency=sample.frequency(e.label)) for e in exact.entries)
     # Coverage comes from the integer counts: a sum of per-label float
     # frequencies can round below 1.0 even when every draw hit a kept label.
     kept_counts = [sample.counts.get(e.label, 0) for e in entries]
     found = sum(1 for c in kept_counts if c > 0)
     covered = sum(kept_counts) / sampling_budget
-    result = SpectrumSample(
-        entries=entries,
-        histogram=sample.counts,
-        budget=sampling_budget,
-        label_mode=cfg.label_mode,
-    )
+    result = replace(exact, entries=entries, histogram=sample.counts, budget=sampling_budget)
     if found < dim or covered < threshold:
         raise UnderSampledError(
             f"budget {sampling_budget} found {found}/{dim} leading labels "
@@ -269,13 +248,13 @@ def default_sampling_budget(dim: int) -> int:
 # -- anchor estimation -------------------------------------------------------
 
 
-def _true_beta(tree: QramTree, spectrum: SpectrumSample, anchor_index: int) -> np.ndarray:
-    anchor = qram_store.prepare_row_state(tree, anchor_index)
+def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
+    """Overlaps of the prepared anchor state with the leading ``dim`` eigenvectors of ``rho``."""
     amps = anchor.amplitudes.real
-    beta = np.empty(spectrum.dim)
-    for k, entry in enumerate(spectrum.entries):
-        padded = np.zeros(tree.padded_cols)
-        padded[: entry.vector.size] = entry.vector
+    beta = np.empty(dim)
+    for k in range(dim):
+        padded = np.zeros(amps.size)
+        padded[: rho.dim] = rho.eigenvectors[:, k]
         beta[k] = float(padded @ amps)
     return beta
 
@@ -288,13 +267,15 @@ def _vector_state(vector: np.ndarray, padded_cols: int, feature_qubits: int) -> 
 
 def exact_anchor_profile(
     tree: QramTree,
+    rho: RhoSpec,
     spectrum: SpectrumSample,
     anchor_index: int,
     *,
     eps_beta: float = 0.01,
 ) -> AnchorProfile:
-    """Shot-free profile: the estimates equal the exact coefficients."""
-    beta = _true_beta(tree, spectrum, anchor_index)
+    """Shot-free profile: the estimates equal the exact coefficients, the
+    anchor's overlaps with the eigenvectors of ``rho``."""
+    beta = _true_beta(rho, spectrum.dim, qram_store.prepare_row_state(tree, anchor_index))
     if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
         raise WeakAnchorError(
@@ -314,6 +295,7 @@ def exact_anchor_profile(
 
 def estimate_anchor(
     tree: QramTree,
+    rho: RhoSpec,
     spectrum: SpectrumSample,
     eps_beta: float,
     rng_seed: int | None,
@@ -321,7 +303,8 @@ def estimate_anchor(
     anchor_index: int,
 ) -> AnchorProfile:
     """Estimate every anchor coefficient by a seeded swap test against the
-    corresponding eigenvector state, ceil(c / eps_beta^2) shots each.
+    corresponding eigenvector state of ``rho``, ceil(c / eps_beta^2) shots
+    each.
 
     Estimates are sqrt(max(0, 2 p0_hat - 1)). Any estimate below the floor
     raises WeakAnchorError so the caller can redraw the anchor row.
@@ -333,10 +316,10 @@ def estimate_anchor(
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(0, 2**63 - 1, size=spectrum.dim)
 
-    beta = _true_beta(tree, spectrum, anchor_index)
+    beta = _true_beta(rho, spectrum.dim, anchor_state)
     beta_hat = np.empty(spectrum.dim)
-    for k, entry in enumerate(spectrum.entries):
-        target = _vector_state(entry.vector, tree.padded_cols, tree.feature_qubits)
+    for k in range(spectrum.dim):
+        target = _vector_state(rho.eigenvectors[:, k], tree.padded_cols, tree.feature_qubits)
         result = sv_engine.swap_test(anchor_state, target, shots, int(seeds[k]))
         beta_hat[k] = math.sqrt(max(result.overlap_sq_raw, 0.0))
     if float(beta_hat.min(initial=1.0)) < BETA_FLOOR:
@@ -383,35 +366,37 @@ def select_anchor(
 
     Rows are drawn uniformly from ``rng`` until one has every kept
     coefficient at or above BETA_FLOOR, for at most MAX_ANCHOR_ATTEMPTS
-    draws. Each candidate gets its own SVD, whose signs follow the anchor.
-    A fixed ``anchor_index`` is the only candidate, and its WeakAnchorError
-    propagates unchanged. With ``sampled_seeds`` = (spectrum seed, swap-test
-    seed) the spectrum is sampled and the coefficients are estimated by swap
-    tests; without it both are exact. The label histogram depends on the
-    eigenvalues alone, so it is sampled once, before any anchor is judged;
-    each candidate's SVD supplies only the signs of the eigenvectors.
+    draws. A fixed ``anchor_index`` is the only candidate, and its
+    WeakAnchorError propagates unchanged. With ``sampled_seeds`` = (spectrum
+    seed, swap-test seed) the spectrum is sampled and the coefficients are
+    estimated by swap tests; without it both are exact. The data are
+    decomposed and the spectrum is built once, before any anchor is judged,
+    because neither depends on the anchor; each candidate only fixes the
+    eigenvector signs (``SpectralModel.with_anchor``).
     """
+    # A fixed anchor fixes the signs here too, so a row out of range is
+    # reported before the spectrum is built.
+    base = pca_oracle.svd_decompose(data, threshold, 0 if anchor_index is None else anchor_index)
+    d = base.selected_dim
+    if sampled_seeds is None:
+        spectrum = exact_spectrum(RhoSpec.from_model(base), cfg, d)
+    else:
+        spectrum_seed, beta_seed = sampled_seeds
+        spectrum = extract_spectrum(
+            tree, RhoSpec.from_model(base), cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=threshold
+        )
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
-    sampled: SpectrumSample | None = None
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
-        model = pca_oracle.svd_decompose(data, threshold, anchor)
+        model = base.with_anchor(data, anchor)
         rho = RhoSpec.from_model(model)
-        d = model.selected_dim
         try:
             if sampled_seeds is None:
-                spectrum = exact_spectrum(rho, cfg, d)
-                profile = exact_anchor_profile(tree, spectrum, anchor, eps_beta=eps_beta)
+                profile = exact_anchor_profile(tree, rho, spectrum, anchor, eps_beta=eps_beta)
             else:
-                spectrum_seed, beta_seed = sampled_seeds
-                if sampled is None:
-                    sampled = extract_spectrum(
-                        tree, rho, cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=threshold
-                    )
-                spectrum = sampled.with_vectors(rho)
-                profile = estimate_anchor(tree, spectrum, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(tree, rho, spectrum, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise

@@ -352,12 +352,20 @@ def apply_cr_beta(state: StateVector, beta_hat: np.ndarray, rotation_constant: f
         raise InvalidInputError("ancilla register must be a single qubit")
     _require_zero(state, "ancilla", "ancilla must be |0> before the coefficient rotation")
 
-    rotations = {}
-    for j, bj in enumerate(beta_hat, start=1):
-        s = min(c / float(bj), 1.0)
-        q = math.sqrt(max(1.0 - s * s, 0.0))
-        rotations[j] = np.array([[q, -s], [s, q]])
-    return state.apply_controlled_unitary("index", "ancilla", rotations)
+    # Rotation [[q, -s], [s, q]] per index value; s = 0 on index 0 and past the coefficient list.
+    s = np.zeros(state.register("index").dim)
+    s[1 : beta_hat.size + 1] = np.minimum(c / beta_hat, 1.0)
+    q = np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    axes = (state.axis("index"), state.axis("ancilla"))
+    view = np.moveaxis(state.amplitudes, axes, (-2, -1))
+    a0, a1 = view[..., 0], view[..., 1]
+    out = np.empty_like(view)
+    o0, o1 = out[..., 0], out[..., 1]
+    np.multiply(q, a0, out=o0)
+    o0 -= s * a1
+    np.multiply(s, a0, out=o1)
+    o1 += q * a1
+    return StateVector(state.registers, np.moveaxis(out, (-2, -1), axes))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
-from qpcasim.errors import InvalidInputError
+from qpcasim.errors import InvalidInputError, OutOfRangeError
 from qpcasim.pca_oracle import (
     CompressedMatrix,
     DataMatrix,
@@ -120,6 +120,28 @@ def test_model_invariants_random_matrices():
         anchor = data.values[model.anchor_index]
         overlaps = model.right_vectors[:, : model.rank].T @ anchor
         assert np.all(overlaps >= -1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape", [(256, 64), (1024, 8), (64, 16), (5, 12), (3, 9), (16, 8), (2048, 256)]
+)
+def test_with_anchor_matches_a_decomposition_anchored_there(shape):
+    # Re-signing one decomposition gives the same bits as decomposing
+    # with that anchor, for full-rank and rank-deficient data alike.
+    n, d = shape
+    rng = np.random.default_rng(n + d)
+    for data in (DataMatrix(rng.standard_normal(shape)), rank_k_dataset(n, d, min(3, n, d), seed=d)):
+        base = svd_decompose(data, 0.9, 0)
+        for k in sorted({0, 1, n // 2, n - 1}):
+            want = svd_decompose(data, 0.9, k)
+            got = base.with_anchor(data, k)
+            assert got.anchor_index == k
+            assert np.array_equal(got.right_vectors, want.right_vectors)
+            assert np.array_equal(got.left_vectors, want.left_vectors)
+            assert np.array_equal(got.singular_values, want.singular_values)
+            assert got.selected_dim == want.selected_dim
+    with pytest.raises(OutOfRangeError, match=f"anchor index {n} out of range for {n} rows"):
+        base.with_anchor(data, n)
 
 
 def test_tall_decomposition_builds_no_row_by_row_matrix():

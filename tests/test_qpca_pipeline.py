@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
-from qpcasim import pca_oracle, qpca_pipeline, sv_engine
+from qpcasim import pca_oracle, qpca_pipeline, qram_store, sv_engine
 from qpcasim.errors import (
     DegenerateSpectrumError,
     InvalidInputError,
@@ -119,6 +119,16 @@ def test_extract_spectrum_full_coverage_meets_threshold_one():
     assert sum(run.spectrum.histogram.values()) == run.spectrum.budget
 
 
+def test_extract_spectrum_rejects_a_kept_dimension_out_of_range():
+    data = rank_k_dataset(16, 8, 8, 1)
+    model = svd_decompose(data, 1.0, 0)
+    tree = build_tree(data)
+    cfg = PhaseConfig(bits=10, label_mode=LABEL_MODE_QUANTIZED)
+    for dim in (0, 9):
+        with pytest.raises(OutOfRangeError):
+            extract_spectrum(tree, RhoSpec.from_model(model), cfg, 400, 0, dim=dim, threshold=0.95)
+
+
 def test_default_sampling_budget():
     assert default_sampling_budget(2) == 200
     assert default_sampling_budget(10) == 500
@@ -132,8 +142,9 @@ def test_exact_anchor_profile_three_rows():
     model = svd_decompose(data, 0.95, 0)
     tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, 2)
-    profile = exact_anchor_profile(tree, spectrum, 0)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, cfg, 2)
+    profile = exact_anchor_profile(tree, rho, spectrum, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(profile.beta, [inv_sqrt2, inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(profile.beta_hat, profile.beta, atol=0.0)
@@ -148,9 +159,10 @@ def test_exact_anchor_profile_weak_anchor():
     model = svd_decompose(data, 0.95, 2)
     tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, 2)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, cfg, 2)
     with pytest.raises(WeakAnchorError) as info:
-        exact_anchor_profile(tree, spectrum, 2)
+        exact_anchor_profile(tree, rho, spectrum, 2)
     assert info.value.anchor_index == 2
 
 
@@ -159,17 +171,18 @@ def test_estimate_anchor_concentrates():
     model = svd_decompose(data, 0.95, 0)
     tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, 2)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, cfg, 2)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     hits = 0
     for seed in range(200):
-        profile = estimate_anchor(tree, spectrum, 0.01, seed, anchor_index=0)
+        profile = estimate_anchor(tree, rho, spectrum, 0.01, seed, anchor_index=0)
         assert profile.shots_per_coefficient == 40_000  # ceil(4 / 0.01^2)
         if np.all(np.abs(profile.beta_hat - inv_sqrt2) <= 0.05):
             hits += 1
     assert hits >= 198
     # Halving the target accuracy quadruples the per-coefficient shots.
-    finer = estimate_anchor(tree, spectrum, 0.005, 0, anchor_index=0)
+    finer = estimate_anchor(tree, rho, spectrum, 0.005, 0, anchor_index=0)
     assert finer.shots_per_coefficient == 160_000
 
 
@@ -178,9 +191,10 @@ def test_estimate_anchor_is_seeded():
     model = svd_decompose(data, 0.95, 0)
     tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, 2)
-    a = estimate_anchor(tree, spectrum, 0.02, 7, anchor_index=0)
-    b = estimate_anchor(tree, spectrum, 0.02, 7, anchor_index=0)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, cfg, 2)
+    a = estimate_anchor(tree, rho, spectrum, 0.02, 7, anchor_index=0)
+    b = estimate_anchor(tree, rho, spectrum, 0.02, 7, anchor_index=0)
     np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
 
 
@@ -324,8 +338,37 @@ def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     assert run.anchor_attempts == (13, 8, 6)
     assert len(calls) == 1
     own = svd_decompose(data, 1.0, 6).right_vectors
-    for entry in run.spectrum.entries:
-        np.testing.assert_array_equal(entry.vector, own[:, entry.component])
+    np.testing.assert_array_equal(run.rho.eigenvectors, own)
+
+
+def test_anchor_selection_decomposes_once(monkeypatch):
+    # However many anchors are drawn, the data are decomposed once; each
+    # candidate only re-signs that decomposition.
+    calls = []
+    decompose = pca_oracle.svd_decompose
+    monkeypatch.setattr(pca_oracle, "svd_decompose", lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    run = run_compression(DataMatrix(TRI_ROWS), seed=0)
+    assert run.anchor_attempts == (2, 1)
+    assert len(calls) == 1
+    calls.clear()
+    run = run_compression(rank_k_dataset(16, 8, 8, 1), run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=2)
+    assert run.anchor_attempts == (13, 8, 6)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(WeakAnchorError) as info:
+        run_compression(DataMatrix(np.eye(4)), seed=1)
+    assert len(info.value.anchors_tried) == qpca_pipeline.MAX_ANCHOR_ATTEMPTS
+    assert len(calls) == 1
+
+
+def test_sampled_fixed_anchor_loads_the_anchor_row_twice(monkeypatch):
+    # Once for the swap tests and the exact coefficients, once to undo the
+    # anchor in compress.
+    loaded = []
+    prepare = qram_store.prepare_row_state
+    monkeypatch.setattr(qram_store, "prepare_row_state", lambda tree, row: loaded.append(row) or prepare(tree, row))
+    run_compression(rank_k_dataset(16, 8, 3, seed=1), run_mode=MODE_SAMPLED, anchor_index=5, seed=0)
+    assert loaded == [5, 5]
 
 
 def test_under_sampled_is_raised_before_any_anchor_is_judged(monkeypatch):
@@ -345,6 +388,14 @@ def test_quantized_label_collision_with_tail_is_refused():
     with pytest.raises(DegenerateSpectrumError) as info:
         run_compression(data, run_mode=MODE_QUANTIZED, threshold=0.995, bits=6, seed=0)
     assert info.value.leaked_tail_mass == pytest.approx(0.002, rel=1e-9)
+
+
+def test_fixed_anchor_out_of_range_is_reported_before_the_spectrum():
+    # The spectrum of this dataset is refused at 6 bits (see above), but a
+    # row that does not exist is the first fault to report.
+    data = dataset_from_spectrum([0.97, 0.02, 0.008, 0.002], n_rows=16, seed=3)
+    with pytest.raises(OutOfRangeError, match="anchor index 16 out of range for 16 rows"):
+        run_compression(data, run_mode=MODE_QUANTIZED, threshold=0.995, bits=6, seed=0, anchor_index=16)
 
 
 def test_kept_label_zero_is_refused():

@@ -298,6 +298,37 @@ def test_rotation_skips_token_zero():
     assert out.basis_amplitude({"index": 0, "ancilla": 0}) == pytest.approx(1.0)
 
 
+def _per_token_cr_beta(state, beta_hat, rotation_constant):
+    """The rotation as one 2 x 2 matrix per token, applied slice by slice."""
+    rotations = {}
+    for j, bj in enumerate(beta_hat, start=1):
+        s = min(rotation_constant / float(bj), 1.0)
+        q = math.sqrt(max(1.0 - s * s, 0.0))
+        rotations[j] = np.array([[q, -s], [s, q]])
+    return state.apply_controlled_unitary("index", "ancilla", rotations)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [[("index", 3), ("ancilla", 1)], [("row", 2), ("index", 3), ("ancilla", 1)]],
+)
+def test_rotation_matches_the_per_token_loop(layout):
+    # Five tokens on a 3-qubit index register: values 6 and 7 are padding
+    # and carry amplitude, and must pass through like value 0.
+    shape = tuple(1 << q for _, q in layout)
+    rng = np.random.default_rng(len(layout))
+    body = rng.standard_normal(shape[:-1]) + 1j * rng.standard_normal(shape[:-1])
+    amps = np.zeros(shape, dtype=np.complex128)
+    amps[..., 0] = body / np.linalg.norm(body)
+    state = StateVector.from_amplitudes(layout, amps)
+    beta_hat = np.array([0.9, 0.4, 0.6, 0.25, 0.5])
+    for c in (0.25, 0.1):
+        got = apply_cr_beta(state, beta_hat, c)
+        want = _per_token_cr_beta(state, beta_hat, c)
+        assert got.layout() == want.layout()
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def test_rotation_constant_validation():
     layout = [("index", 1), ("ancilla", 1)]
     state = basis(layout, index=1, ancilla=0)
