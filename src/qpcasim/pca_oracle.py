@@ -102,13 +102,11 @@ class SpectralModel:
         identity intact. A direction orthogonal to the row keeps its sign."""
         if not 0 <= anchor_index < self.n_rows:
             raise OutOfRangeError(f"anchor index {anchor_index} out of range for {self.n_rows} rows")
-        v = self.right_vectors.copy()
-        u = self.left_vectors.copy()
-        anchor = data.values[anchor_index]
-        for j in range(self.rank):
-            if float(v[:, j] @ anchor) < 0.0:
-                v[:, j] = -v[:, j]
-                u[:, j] = -u[:, j]
+        signs = np.ones(self.n_cols)
+        overlaps = data.values[anchor_index] @ self.right_vectors[:, : self.rank]
+        signs[: self.rank] = np.where(overlaps < 0.0, -1.0, 1.0)
+        v = self.right_vectors * signs
+        u = self.left_vectors * signs[: self.left_vectors.shape[1]]
         return replace(self, right_vectors=v, left_vectors=u, anchor_index=int(anchor_index))
 
 
@@ -140,13 +138,15 @@ class OverlapReport:
 
 
 def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int = 0) -> SpectralModel:
-    """Thin SVD with deterministic completion and anchor-fixed signs.
+    """Thin SVD with a deterministic basis completion and anchor-fixed signs.
 
-    Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros;
-    the corresponding right-vector columns are rebuilt by Gram-Schmidt over
-    canonical axes so the basis stays orthonormal and reproducible. The signs
-    of the principal directions follow row ``anchor_index`` (see
-    ``SpectralModel.with_anchor``).
+    Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros.
+    The right-vector columns past the rank are the trailing columns of one QR
+    factorisation of [principal directions | identity], so the basis is
+    orthonormal and the same on every call. The selected dimension is the
+    smallest s whose leading variance fraction reaches ``threshold`` (an
+    exact >= on float64). The signs of the principal directions follow row
+    ``anchor_index`` (see ``SpectralModel.with_anchor``).
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
@@ -164,68 +164,21 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
     sigma[sigma <= cutoff] = 0.0
     rank = int(np.count_nonzero(sigma))
 
-    # Columns past p lie past the rank; the completion below fills them.
-    v = np.zeros((d, d))
-    v[:, :p] = vt.T
+    v = np.empty((d, d))
+    v[:, :rank] = vt[:rank].T
+    v[:, rank:] = np.linalg.qr(np.hstack([v[:, :rank], np.eye(d)]))[0][:, rank:]
 
-    # Deterministic completion of the null-space columns.
-    if rank < d:
-        basis = _gram_schmidt_completion(v[:, :rank])
-        v[:, rank:] = basis
-
-    total = np.cumsum(sigma ** 2)[-1]
-    proportions = sigma ** 2 / total
-    selected = _select_from_sigma(sigma, threshold)
+    cum = np.cumsum(sigma ** 2)
+    selected = int(np.count_nonzero(cum / cum[-1] < threshold)) + 1
     return SpectralModel(
         singular_values=sigma,
-        variance_proportions=proportions,
+        variance_proportions=sigma ** 2 / cum[-1],
         right_vectors=v,
         left_vectors=u,
         threshold=float(threshold),
         selected_dim=selected,
         anchor_index=0,
     ).with_anchor(data, anchor_index)
-
-
-def _gram_schmidt_completion(basis: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full basis using canonical axes."""
-    d, r = basis.shape
-    cols = [basis[:, j] for j in range(r)]
-    extra = []
-    for k in range(d):
-        if len(cols) + len(extra) == d:
-            break
-        cand = np.zeros(d)
-        cand[k] = 1.0
-        for col in cols + extra:
-            cand = cand - (col @ cand) * col
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            extra.append(cand / norm)
-    if len(cols) + len(extra) != d:
-        raise NumericalFailureError("could not complete an orthonormal basis")
-    return np.column_stack(extra) if extra else np.empty((d, 0))
-
-
-def _select_from_sigma(sigma: np.ndarray, threshold: float) -> int:
-    cum = np.cumsum(sigma ** 2)
-    fractions = cum / cum[-1]
-    hits = np.nonzero(fractions >= threshold)[0]
-    if hits.size == 0:
-        # Cannot occur: the final fraction is exactly 1.0 by construction.
-        return sigma.size
-    return int(hits[0]) + 1
-
-
-def select_dimension(model: SpectralModel, threshold: float | None = None) -> int:
-    """Smallest s whose leading variance fractions reach the threshold.
-
-    The comparison is an exact >= on float64; no tolerance slack is applied.
-    """
-    theta = model.threshold if threshold is None else threshold
-    if not 0.0 < theta <= 1.0:
-        raise OutOfRangeError(f"variance threshold must be in (0, 1], got {theta}")
-    return _select_from_sigma(model.singular_values, theta)
 
 
 def project(data: DataMatrix, model: SpectralModel, dim: int | None = None) -> CompressedMatrix:
@@ -283,16 +236,13 @@ def pairwise_overlap_report(
         raise InvalidInputError("compressed matrix row count does not match the data")
     x = data.values / np.linalg.norm(data.values, axis=1, keepdims=True)
     y_norms = compressed.row_norms
-    flagged = tuple(int(i) for i in np.nonzero(y_norms == 0.0)[0])
+    flagged = tuple(np.flatnonzero(y_norms == 0.0).tolist())
     ok = y_norms > 0.0
     y = np.zeros_like(compressed.values)
     y[ok] = compressed.values[ok] / y_norms[ok, None]
 
-    n = data.n_rows
-    i1, i2 = np.triu_indices(n, k=1)
-    gx = (x @ x.T)[i1, i2]
-    gy = (y @ y.T)[i1, i2]
-    devs = np.abs(gy - gx)[ok[i1] & ok[i2]]
+    # Boolean indexing reads the upper triangle row by row, i1 < i2.
+    devs = np.abs(y @ y.T - x @ x.T)[np.triu(np.outer(ok, ok), 1)]
     if devs.size == 0:
         return OverlapReport(
             deviations=devs,

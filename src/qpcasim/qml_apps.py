@@ -12,7 +12,7 @@ only yields the magnitude), shot-free they read the exact inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -367,11 +367,8 @@ def qlr_state_demo(
     if shots is None:
         return result
     estimate, stderr = _sampled_signed_overlap(overlap, shots, rng_seed)
-    return QlrDemoResult(
-        prediction=overlap * rescale,
-        classical_value=classical.value,
-        overlap=overlap,
-        rescale_factor=rescale,
+    return replace(
+        result,
         estimate=estimate * rescale,
         standard_error=stderr * rescale,
         inconclusive=abs(estimate) < 3.0 * stderr,

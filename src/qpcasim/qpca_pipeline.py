@@ -60,8 +60,7 @@ def label_mode_for(run_mode: str) -> str:
 class SpectrumEntry:
     component: int          # 0-based spectral position
     label: int              # value written on the eigenvalue register
-    eigenvalue: float       # exact variance proportion
-    frequency: float        # observed (or exact) sampling frequency
+    frequency: float        # observed sampling frequency, or the exact eigenvalue
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class SpectrumSample:
     entries: tuple[SpectrumEntry, ...]
     histogram: dict[int, int] | None
     budget: int | None
-    label_mode: str
 
     def cu_labels(self) -> list[tuple[int, int]]:
         """(label, 1-based component token) pairs for the index write."""
@@ -190,12 +188,11 @@ def exact_spectrum(rho: RhoSpec, cfg: PhaseConfig, dim: int) -> SpectrumSample:
         SpectrumEntry(
             component=j,
             label=int(labels[j]),
-            eigenvalue=float(rho.eigenvalues[j]),
             frequency=float(rho.eigenvalues[j]),
         )
         for j in range(dim)
     )
-    return SpectrumSample(entries=entries, histogram=None, budget=None, label_mode=cfg.label_mode)
+    return SpectrumSample(entries=entries, histogram=None, budget=None)
 
 
 def extract_spectrum(
@@ -483,8 +480,7 @@ def _rotate_and_postselect(
 ) -> sv_engine.PostselectResult:
     """The part of the circuit that reads the coefficient estimates: their
     rotation on a fresh ancilla and the ancilla half of postselection."""
-    state = projected.append_register("ancilla", 1)
-    state = sv_engine.apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
+    state = sv_engine.apply_cr_beta(projected, profile.beta_hat, profile.rotation_constant)
     return sv_engine.postselect(state, p_anchor, shots=shots, rng_seed=rng_seed)
 
 

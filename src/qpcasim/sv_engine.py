@@ -330,8 +330,8 @@ def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> 
 
 
 def apply_cr_beta(state: StateVector, beta_hat: np.ndarray, rotation_constant: float) -> StateVector:
-    """Controlled ancilla rotation: on "index" value j (1-based over the
-    estimated coefficients), rotate the "ancilla" qubit, which must be |0>,
+    """Controlled ancilla rotation: append a one-qubit "ancilla" in |0> and,
+    on "index" value j (1-based over the estimated coefficients), rotate it
     so |1> carries amplitude C / beta_hat[j-1]. Index 0 leaves the ancilla
     alone."""
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
@@ -348,24 +348,16 @@ def apply_cr_beta(state: StateVector, beta_hat: np.ndarray, rotation_constant: f
         )
     if beta_hat.size + 1 > state.register("index").dim:
         raise InvalidInputError("index register too small for the coefficient list")
-    if state.register("ancilla").qubits != 1:
-        raise InvalidInputError("ancilla register must be a single qubit")
-    _require_zero(state, "ancilla", "ancilla must be |0> before the coefficient rotation")
 
-    # Rotation [[q, -s], [s, q]] per index value; s = 0 on index 0 and past the coefficient list.
+    # Rotation of |0> by [[q, -s], [s, q]] per index value: q on ancilla 0, s on
+    # ancilla 1; s = 0 on index 0 and past the coefficient list.
     s = np.zeros(state.register("index").dim)
     s[1 : beta_hat.size + 1] = np.minimum(c / beta_hat, 1.0)
     q = np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    axes = (state.axis("index"), state.axis("ancilla"))
-    view = np.moveaxis(state.amplitudes, axes, (-2, -1))
-    a0, a1 = view[..., 0], view[..., 1]
-    out = np.empty_like(view)
-    o0, o1 = out[..., 0], out[..., 1]
-    np.multiply(q, a0, out=o0)
-    o0 -= s * a1
-    np.multiply(s, a0, out=o1)
-    o1 += q * a1
-    return StateVector(state.registers, np.moveaxis(out, (-2, -1), axes))
+    shape = [1] * state.amplitudes.ndim + [2]
+    shape[state.axis("index")] = -1
+    amps = state.amplitudes[..., None] * np.stack([q, s], axis=-1).reshape(shape)
+    return StateVector(state.registers + (Register("ancilla", 1),), amps)
 
 
 @dataclass(frozen=True)

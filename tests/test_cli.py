@@ -249,7 +249,8 @@ def test_plot_data_round_trip(rank2_csv, tmp_path):
     plot_dir = str(tmp_path / "plots")
     code = cli.main(["--input", rank2_csv, "--seed", "4", "--out", out, "--plot-dir", plot_dir])
     assert code == 0
-    report = json.load(open(out, encoding="utf-8"))
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
 
     scree = np.loadtxt(os.path.join(plot_dir, "scree.dat"))
     assert scree.shape == (8, 2)
@@ -271,7 +272,8 @@ def test_plot_data_scaling_table(rank2_csv, tmp_path):
          "--plot-dir", plot_dir]
     )
     assert code == 0
-    report = json.load(open(out, encoding="utf-8"))
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
     table = np.loadtxt(os.path.join(plot_dir, "infidelity_vs_eps_beta.dat"))
     assert table.shape == (4, 3)
     # %.17g output re-parses to the report's floats exactly.

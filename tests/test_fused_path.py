@@ -74,7 +74,6 @@ def _explicit_compress(run, scope, rows):
     state = apply_cu_lambda(state, spectrum.cu_labels())
     state = inverse_phase_estimate(rho, cfg, state)
     state = state.remove_register("eigen")
-    state = state.append_register("ancilla", 1)
     state = apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
     state = state.apply_register_unitary("feature", row_prep_unitary(tree, profile.anchor_index).T)
     kept, _ = state.project_and_remove({"feature": 0, "ancilla": 1})

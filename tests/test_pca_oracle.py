@@ -14,7 +14,6 @@ from qpcasim.pca_oracle import (
     expected_row_state,
     pairwise_overlap_report,
     project,
-    select_dimension,
     svd_decompose,
 )
 
@@ -69,8 +68,8 @@ def test_dimension_selection_stated_spectrum():
     data = dataset_from_spectrum([0.90, 0.08, 0.02], n_rows=12, seed=2)
     model = svd_decompose(data, 0.95, 0)
     assert model.selected_dim == 2
-    assert select_dimension(model, 0.90) == 1
-    assert select_dimension(model, 0.99) == 3
+    assert svd_decompose(data, 0.90, 0).selected_dim == 1
+    assert svd_decompose(data, 0.99, 0).selected_dim == 3
     # Rank-1 spectrum selects 1 at any threshold.
     rank1 = svd_decompose(DataMatrix(np.array([[1.0, 0.0], [2.0, 0.0]])), 0.95, 0)
     assert rank1.selected_dim == 1
@@ -99,26 +98,41 @@ def test_selection_properties_random_spectra():
         if d > 1:
             assert cum[d - 2] < theta
         # Raising the threshold never shrinks the selection.
-        assert select_dimension(model, min(1.0, theta + 0.04)) >= d
+        assert svd_decompose(data, min(1.0, theta + 0.04), 0).selected_dim >= d
 
 
-def test_model_invariants_random_matrices():
+def _random_and_rank_deficient_matrices():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         d = int(rng.integers(2, 9))
-        data = DataMatrix(rng.standard_normal((n, d)))
-        model = svd_decompose(data, 0.95, anchor_index=int(rng.integers(n)))
+        yield DataMatrix(rng.standard_normal((n, d))), int(rng.integers(n))
+    yield rank_k_dataset(256, 64, 4, seed=1), 7
+    yield rank_k_dataset(5, 12, 3, seed=2), 4
+    yield DataMatrix(np.ones((3, 5))), 1
+
+
+def test_model_invariants_random_matrices():
+    for data, anchor_index in _random_and_rank_deficient_matrices():
+        d = data.n_cols
+        model = svd_decompose(data, 0.95, anchor_index=anchor_index)
         sig = model.singular_values
         assert np.all(np.diff(sig) <= 1e-12)
         assert abs(model.variance_proportions.sum() - 1.0) <= 1e-12
         gram_v = model.right_vectors.T @ model.right_vectors
-        np.testing.assert_allclose(gram_v, np.eye(d), atol=1e-10)
+        np.testing.assert_allclose(gram_v, np.eye(d), atol=1e-13)
         gram_u = model.left_vectors.T @ model.left_vectors
         np.testing.assert_allclose(gram_u, np.eye(model.left_vectors.shape[1]), atol=1e-10)
+        # The completion leaves the principal directions as the SVD gave
+        # them, up to the anchor signs, and is the same on every call.
+        vt = np.linalg.svd(data.values, full_matrices=False)[2]
+        rank = model.rank
+        assert np.array_equal(np.abs(model.right_vectors[:, :rank]), np.abs(vt[:rank].T))
+        again = svd_decompose(data, 0.95, anchor_index=anchor_index)
+        assert np.array_equal(again.right_vectors, model.right_vectors)
         # Sign convention: nonnegative anchor overlap on every kept direction.
         anchor = data.values[model.anchor_index]
-        overlaps = model.right_vectors[:, : model.rank].T @ anchor
+        overlaps = model.right_vectors[:, :rank].T @ anchor
         assert np.all(overlaps >= -1e-10)
 
 
@@ -282,3 +296,45 @@ def test_pairwise_overlap_flags_zero_norm_rows():
     assert model.selected_dim == 2
     report = pairwise_overlap_report(data, project(data, model), tolerance=1e-6)
     assert 2 in report.flagged_rows
+
+
+def _triu_reference(data, compressed, tolerance):
+    """The overlap report's fields as a gather over ``np.triu_indices``."""
+    x = data.values / np.linalg.norm(data.values, axis=1, keepdims=True)
+    y_norms = compressed.row_norms
+    ok = y_norms > 0.0
+    y = np.zeros_like(compressed.values)
+    y[ok] = compressed.values[ok] / y_norms[ok, None]
+    i1, i2 = np.triu_indices(data.n_rows, k=1)
+    devs = np.abs((y @ y.T)[i1, i2] - (x @ x.T)[i1, i2])[ok[i1] & ok[i2]]
+    return {
+        "deviations": devs,
+        "tolerance": float(tolerance),
+        "fraction_within": float(np.mean(devs <= tolerance)) if devs.size else 1.0,
+        "max_deviation": float(devs.max()) if devs.size else 0.0,
+        "mean_deviation": float(devs.mean()) if devs.size else 0.0,
+        "flagged_rows": tuple(int(i) for i in np.nonzero(y_norms == 0.0)[0]),
+    }
+
+
+@pytest.mark.parametrize(
+    "data, threshold",
+    [
+        (DataMatrix(np.array([[1.0, -2.0, 0.5]])), 0.95),
+        (DataMatrix(np.array([[1.0, 2.0], [3.0, -1.0]])), 0.5),
+        (rank_k_dataset(12, 6, 2, seed=13), 0.95),
+        (DataMatrix(np.random.default_rng(64).standard_normal((256, 64))), 0.5),
+        (DataMatrix(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0.1], [2.0, 1.0, 0], [0, 0, 0.05]])), 0.95),
+    ],
+    ids=["1x3", "2x2", "12x6-rank2", "256x64", "zero-norm-rows"],
+)
+def test_pairwise_overlap_matches_the_triu_gather(data, threshold):
+    # Masked boolean indexing reads the pairs in the order i1 < i2 that
+    # triu_indices gives, so every field agrees bit for bit.
+    compressed = project(data, svd_decompose(data, threshold, 0))
+    report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
+    want = _triu_reference(data, compressed, 1e-6)
+    assert report.deviations.dtype == want["deviations"].dtype
+    assert np.array_equal(report.deviations, want["deviations"])
+    for name in ("tolerance", "fraction_within", "max_deviation", "mean_deviation", "flagged_rows"):
+        assert getattr(report, name) == want[name], name
