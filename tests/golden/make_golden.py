@@ -59,6 +59,8 @@ CASES = {
     "compress_sampled": ("rank3.csv", None, ["--mode", "sampled", "--shots", "20000", "--seed", "3"]),
     "compress_subset": ("rank3.csv", None, ["--subset", "0,3,5,9", "--seed", "3"]),
     "compress_fixed_anchor": ("rank3.csv", None, ["--mode", "quantized", "--anchor", "4"]),
+    # Comment and blank lines, CRLF endings, padded fields, '+.5' / '3.' / '30E-1' tokens.
+    "compress_decorated": ("decorated.csv", None, []),
     # Seed 0 draws the weak row (1, 1) first, so the report lists two anchors.
     "compress_sampled_redraw": ("tri.csv", None, ["--mode", "sampled", "--seed", "0"]),
     "qsvm_ideal": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--seed", "1"]),
@@ -91,6 +93,39 @@ CASES = {
 }
 
 
+def _decorated_token(value: float, k: int) -> str:
+    """One matrix entry in a spelling ``float()`` accepts but ``%.17g`` never
+    writes: integers as '3.', '3E0' or '30E-1', fractions with an explicit
+    sign and no leading zero ('+.75', '-2.25')."""
+    if value == int(value):
+        n = int(value)
+        return (f"{n}.", f"{n}E0", f"{10 * n}E-1")[k % 3]
+    text = repr(float(value))
+    if abs(value) < 1:
+        text = text.replace("0.", ".", 1)
+    return text if text.startswith("-") else "+" + text
+
+
+def write_decorated_csv(path: str) -> None:
+    """A 12x6 rank-3 matrix of quarter-integers, written with comment lines,
+    blank and whitespace-only lines, CRLF line endings, fields padded with
+    spaces and tabs, and the token spellings of ``_decorated_token``."""
+    rng = np.random.default_rng(0)
+    matrix = rng.integers(-4, 5, (12, 3)) @ rng.integers(-4, 5, (3, 6)) / 4.0
+    lines = ["# decorated rank-3 matrix", ""]
+    k = 0
+    for i, row in enumerate(matrix):
+        if i == 4:
+            lines += ["   ", "  # indented comment"]
+        fields = []
+        for value in row:
+            fields.append(" " * (k % 3) + _decorated_token(value, k) + ("\t" if k % 10 == 0 else ""))
+            k += 1
+        lines.append(",".join(fields))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 def write_inputs(directory: str = INPUT_DIR) -> None:
     """Write every input file the cases read."""
     os.makedirs(directory, exist_ok=True)
@@ -116,6 +151,7 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_values_file(path("lin.targets"), targets)
     with open(path("bad.csv"), "w", encoding="utf-8") as fh:
         fh.write("1,2\n3,x\n")
+    write_decorated_csv(path("decorated.csv"))
 
 
 def run_case(name: str) -> str:
