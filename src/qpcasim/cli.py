@@ -103,9 +103,14 @@ def ingest_csv(path: str) -> DataMatrix:
     """Read a comma-separated numeric matrix.
 
     Lines starting with '#' and blank lines are skipped. Every remaining
-    line must have the same number of fields, all finite numbers, and no
-    row may be entirely zero. Parse failures carry 1-based line (and
-    column) positions.
+    line must have the same number of fields, each a token that ``float()``
+    accepts once stripped of whitespace ('+.5', '1E2', '1_000') and that is
+    finite. The kept lines are parsed in one ``np.loadtxt`` pass; where it
+    refuses a token (``1_000``, non-ASCII digits, a ragged row) or reads a
+    non-finite value, ``_parse_fields`` parses them again with ``float()``
+    and either accepts them or raises the ``ParseError`` with the offending
+    1-based line and column. Both paths end in the row checks of
+    ``_check_rows``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -113,13 +118,33 @@ def ingest_csv(path: str) -> DataMatrix:
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
 
-    rows: list[list[float]] = []
+    kept: list[str] = []
     row_lines: list[int] = []
-    width: int | None = None
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+        if stripped and not stripped.startswith("#"):
+            kept.append(stripped)
+            row_lines.append(lineno)
+    if not kept:
+        raise ParseError(f"{path}: no data rows")
+
+    try:
+        arr = np.loadtxt(kept, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        arr = _parse_fields(kept, row_lines)
+    _check_rows(arr, row_lines)
+    return DataMatrix(arr)
+
+
+def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
+    """Parse the kept lines field by field with ``float()``, raising a
+    ``ParseError`` at the first ragged row, unparsable token or non-finite
+    value."""
+    rows: list[list[float]] = []
+    width: int | None = None
+    for lineno, stripped in zip(row_lines, kept):
         fields = [f.strip() for f in stripped.split(",")]
         if width is None:
             width = len(fields)
@@ -146,18 +171,30 @@ def ingest_csv(path: str) -> DataMatrix:
                 )
             values.append(value)
         rows.append(values)
-        row_lines.append(lineno)
+    return np.array(rows, dtype=np.float64)
 
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    arr = np.array(rows, dtype=np.float64)
-    zero = np.nonzero(np.linalg.norm(arr, axis=1) == 0.0)[0]
-    if zero.size:
-        raise ParseError(
-            f"line {row_lines[int(zero[0])]}: row is entirely zero",
-            line=row_lines[int(zero[0])],
-        )
-    return DataMatrix(arr)
+
+def _check_rows(arr: np.ndarray, row_lines: list[int]) -> None:
+    """Refuse a row that is exactly zero, a row whose sum of squares
+    underflows to 0 or overflows (``ParseError`` at its line), and a matrix
+    whose total sum of squares overflows (``OutOfRangeError``): the
+    pipeline divides by row norms and by the Frobenius norm."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+        total = np.linalg.norm(arr)
+    bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
+    if bad.size:
+        row = int(bad[0])
+        line = row_lines[row]
+        if not arr[row].any():
+            problem = "row is entirely zero"
+        elif norms[row] == 0.0:
+            problem = "row's sum of squares underflows to zero; rescale the data"
+        else:
+            problem = "row's sum of squares overflows; rescale the data"
+        raise ParseError(f"line {line}: {problem}", line=line)
+    if np.isinf(total):
+        raise OutOfRangeError("the matrix's total sum of squares overflows; rescale the data")
 
 
 def read_values(path: str, expected_rows: int) -> np.ndarray:

@@ -18,6 +18,10 @@ from .statevector import StateVector, ceil_log2, token_qubits
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_CUTOFF = 1e-12
 
+# Rows per block of the pairwise overlap audit: its working memory beyond the
+# deviations is a few block x N arrays.
+OVERLAP_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class DataMatrix:
@@ -231,7 +235,17 @@ def expected_row_state(compressed: CompressedMatrix, row_index: int) -> StateVec
 def pairwise_overlap_report(
     data: DataMatrix, compressed: CompressedMatrix, tolerance: float = 1e-6
 ) -> OverlapReport:
-    """Compare unit-row overlaps before and after compression, all pairs."""
+    """Compare unit-row overlaps before and after compression, all pairs.
+
+    ``deviations`` lists |<y1|y2> - <x1|x2>| for every pair of rows i1 < i2
+    whose compressed rows are nonzero, in row-major order. It is filled
+    block by block: rows i0:i1 (OVERLAP_BLOCK_ROWS of them) against rows
+    i0: give the upper-triangle entries of those rows, so the memory is the
+    deviations plus one block x N slab, not two N x N Gram matrices. Up to
+    OVERLAP_BLOCK_ROWS rows that is one symmetric product, y @ y.T; past
+    it, BLAS may sum an entry in another order than the full product would
+    (a last-bit difference).
+    """
     if compressed.values.shape[0] != data.n_rows:
         raise InvalidInputError("compressed matrix row count does not match the data")
     x = data.values / np.linalg.norm(data.values, axis=1, keepdims=True)
@@ -241,8 +255,18 @@ def pairwise_overlap_report(
     y = np.zeros_like(compressed.values)
     y[ok] = compressed.values[ok] / y_norms[ok, None]
 
-    # Boolean indexing reads the upper triangle row by row, i1 < i2.
-    devs = np.abs(y @ y.T - x @ x.T)[np.triu(np.outer(ok, ok), 1)]
+    m = int(np.count_nonzero(ok))
+    devs = np.empty(m * (m - 1) // 2)
+    filled = 0
+    for i0 in range(0, data.n_rows, OVERLAP_BLOCK_ROWS):
+        i1 = i0 + OVERLAP_BLOCK_ROWS
+        g = y[i0:i1] @ y[i0:].T
+        g -= x[i0:i1] @ x[i0:].T
+        np.abs(g, out=g)
+        # Boolean indexing reads the block's upper triangle row by row.
+        block = g[np.triu(np.outer(ok[i0:i1], ok[i0:]), 1)]
+        devs[filled : filled + block.size] = block
+        filled += block.size
     if devs.size == 0:
         return OverlapReport(
             deviations=devs,

@@ -73,6 +73,9 @@ CASES = {
     "scaling": ("rank3.csv", None, ["--task", "scaling", "--seed", "3"]),
     "ledger": ("rank3.csv", None, ["--task", "ledger", "--seed", "2"]),
     "error_parse": ("bad.csv", None, []),
+    # Nonzero rows whose sums of squares underflow to 0 and overflow.
+    "error_tiny_row": ("tiny.csv", None, []),
+    "error_huge_row": ("huge.csv", None, []),
     "error_invalid_input": ("rank3.csv", None, ["--task", "qsvm"]),
     "error_out_of_range": ("rank3.csv", None, ["--theta", "1.5"]),
     # Every identity row lies on one principal axis, so every draw is weak.
@@ -151,6 +154,10 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_values_file(path("lin.targets"), targets)
     with open(path("bad.csv"), "w", encoding="utf-8") as fh:
         fh.write("1,2\n3,x\n")
+    with open(path("tiny.csv"), "w", encoding="utf-8") as fh:
+        fh.write("1,2\n1e-170,1e-170\n3,1\n")
+    with open(path("huge.csv"), "w", encoding="utf-8") as fh:
+        fh.write("1,2\n1e200,1e200\n3,1\n")
     write_decorated_csv(path("decorated.csv"))
 
 

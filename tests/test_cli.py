@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, the report pipeline, and the CLI entry point."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -87,6 +88,108 @@ def test_ingest_zero_row(tmp_path):
     with pytest.raises(ParseError) as info:
         cli.ingest_csv(path)
     assert info.value.line == 3
+    assert str(info.value) == "line 3: row is entirely zero"
+
+
+# Rows whose sum of squares leaves float64's range. Each body is read once
+# through the one-pass parse and once with a '1_000' field that only the
+# per-field loop accepts: both paths share the row checks.
+@pytest.mark.parametrize("fallback", [False, True], ids=["one-pass", "per-field"])
+@pytest.mark.parametrize(
+    "body, error, line, message",
+    [
+        ("1,2\n1e-170,1e-170\n", ParseError, 2, "line 2: row's sum of squares underflows to zero; rescale the data"),
+        ("1,2\n\n1e200,1e200\n", ParseError, 3, "line 3: row's sum of squares overflows; rescale the data"),
+        ("1e154,1\n1,1e154\n", OutOfRangeError, None, "the matrix's total sum of squares overflows; rescale the data"),
+    ],
+    ids=["tiny-row", "huge-row", "huge-matrix"],
+)
+def test_ingest_row_norm_range(tmp_path, body, error, line, message, fallback):
+    if fallback:
+        body = body.replace("1,", "1_000,", 1)
+    path = _write(tmp_path, "range.csv", body)
+    with pytest.raises(error) as info:
+        cli.ingest_csv(path)
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
+
+
+def _per_field_ingest(path):
+    """The ingest before the one-pass parse: ``float(token.strip())`` on every
+    field of every kept line, then the zero-row check."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows, row_lines, width = [], [], None
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = [f.strip() for f in stripped.split(",")]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ParseError(f"line {lineno}: expected {width} fields, found {len(fields)}", line=lineno)
+        values = []
+        for col, token in enumerate(fields, start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}, column {col}: not a number: {token!r}", line=lineno, column=col
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"line {lineno}, column {col}: non-finite value {token!r}", line=lineno, column=col
+                )
+            values.append(value)
+        rows.append(values)
+        row_lines.append(lineno)
+    arr = np.array(rows, dtype=np.float64)
+    zero = np.nonzero(np.linalg.norm(arr, axis=1) == 0.0)[0]
+    if zero.size:
+        line = row_lines[int(zero[0])]
+        raise ParseError(f"line {line}: row is entirely zero", line=line)
+    return arr
+
+
+def _outcome(read, path):
+    try:
+        return ("ok", read(path).tobytes())
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+# Tokens where numpy's parser and float() may disagree: underscores,
+# non-ASCII digits and whitespace, signs, bare dots, extremes, specials.
+TOKEN_ZOO = [
+    "1_000", "\u0661", "\xa01", " 1", "\x0b1", "+.5", "1.", "-0",
+    "4.9406564584124654e-324", "1e-400", "0.12345678901234567890",
+    "inf", "nan", "1e400", "0x1p3", "1e", "2#x", "1E2", "\t-2.5e-3\t", "\u20001", "\ufeff1",
+]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [f"{tok},1\n2,3\n" for tok in TOKEN_ZOO]
+    + [f"1,2\n3,{tok}\n" for tok in TOKEN_ZOO]
+    + ["1,2#x\n3,4\n", "1,2,\n3,4,\n", "1,2\n3,4,5\n", "1,2\n3\n", "# c\r\n\r\n 1 , 2 \r\n3,4\r\n"],
+)
+def test_ingest_matches_the_per_field_parse(tmp_path, body):
+    path = tmp_path / "zoo.csv"
+    path.write_bytes(body.encode("utf-8"))
+    assert _outcome(lambda p: cli.ingest_csv(p).values, str(path)) == _outcome(_per_field_ingest, str(path))
+
+
+def test_clean_csv_skips_the_per_field_loop(tmp_path, monkeypatch):
+    values = rank_k_dataset(256, 64, 4, seed=3).values
+    path = tmp_path / "clean.csv"
+    write_matrix_csv(path, values)
+
+    def refuse(*args):
+        raise AssertionError("a clean CSV entered the per-field loop")
+
+    monkeypatch.setattr(cli, "_parse_fields", refuse)
+    np.testing.assert_array_equal(cli.ingest_csv(str(path)).values, values)
 
 
 def test_ingest_empty_file(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
 from qpcasim.errors import InvalidInputError, OutOfRangeError
 from qpcasim.pca_oracle import (
+    OVERLAP_BLOCK_ROWS,
     CompressedMatrix,
     DataMatrix,
     expected_compressed_state,
@@ -317,24 +318,103 @@ def _triu_reference(data, compressed, tolerance):
     }
 
 
+def _projected(data, threshold):
+    return data, project(data, svd_decompose(data, threshold, 0))
+
+
+def _signs(n_rows, zero_rows=()):
+    """Rows of +-1 in 16 columns and compressed rows of +-1 in 4 columns,
+    with the compressed rows ``zero_rows`` set to zero (flagged, and left out
+    of the pairs). The unit rows are +-1/4 and +-1/2, so every inner product
+    is a sum of multiples of 1/16 and exact in any summation order: the
+    comparison checks which pairs the blocks read and in what order, not
+    how a BLAS kernel rounds."""
+    rng = np.random.default_rng(n_rows)
+    data = DataMatrix(rng.choice([-1.0, 1.0], size=(n_rows, 16)))
+    values = rng.choice([-1.0, 1.0], size=(n_rows, 4))
+    values[list(zero_rows)] = 0.0
+    return data, CompressedMatrix(values, (n_rows, 16), 4)
+
+
+B = OVERLAP_BLOCK_ROWS
+
+
 @pytest.mark.parametrize(
-    "data, threshold",
+    "data, compressed",
     [
-        (DataMatrix(np.array([[1.0, -2.0, 0.5]])), 0.95),
-        (DataMatrix(np.array([[1.0, 2.0], [3.0, -1.0]])), 0.5),
-        (rank_k_dataset(12, 6, 2, seed=13), 0.95),
-        (DataMatrix(np.random.default_rng(64).standard_normal((256, 64))), 0.5),
-        (DataMatrix(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0.1], [2.0, 1.0, 0], [0, 0, 0.05]])), 0.95),
+        _projected(DataMatrix(np.array([[1.0, -2.0, 0.5]])), 0.95),
+        _projected(DataMatrix(np.array([[1.0, 2.0], [3.0, -1.0]])), 0.5),
+        _projected(rank_k_dataset(12, 6, 2, seed=13), 0.95),
+        _projected(DataMatrix(np.random.default_rng(64).standard_normal((256, 64))), 0.5),
+        _projected(
+            DataMatrix(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0.1], [2.0, 1.0, 0], [0, 0, 0.05]])), 0.95
+        ),
+        _signs(B - 1),
+        _signs(B),
+        _signs(B + 1),
+        _signs(2 * B + 1),
+        _signs(2 * B + 1, zero_rows=(0, 5)),
+        _signs(2 * B + 1, zero_rows=(2 * B - 1, 2 * B)),
+        _signs(2 * B + 1, zero_rows=(B - 1, B)),
+        _signs(B + 1, zero_rows=(B,)),
     ],
-    ids=["1x3", "2x2", "12x6-rank2", "256x64", "zero-norm-rows"],
+    ids=[
+        "1x3",
+        "2x2",
+        "12x6-rank2",
+        "256x64",
+        "zero-norm-rows",
+        "block-minus-1",
+        "one-block",
+        "block-plus-1",
+        "two-blocks-plus-1",
+        "zero-rows-first-block",
+        "zero-rows-last-block",
+        "zero-rows-on-block-boundary",
+        "zero-row-alone-in-last-block",
+    ],
 )
-def test_pairwise_overlap_matches_the_triu_gather(data, threshold):
-    # Masked boolean indexing reads the pairs in the order i1 < i2 that
-    # triu_indices gives, so every field agrees bit for bit.
-    compressed = project(data, svd_decompose(data, threshold, 0))
+def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
+    # The blocks read the upper triangle row by row, in the order i1 < i2
+    # that triu_indices gives, so every field agrees bit for bit. Up to
+    # OVERLAP_BLOCK_ROWS rows the audit is one block, the same products as
+    # the full Gram matrices.
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
     want = _triu_reference(data, compressed, 1e-6)
     assert report.deviations.dtype == want["deviations"].dtype
     assert np.array_equal(report.deviations, want["deviations"])
     for name in ("tolerance", "fraction_within", "max_deviation", "mean_deviation", "flagged_rows"):
         assert getattr(report, name) == want[name], name
+
+
+@pytest.mark.parametrize("n_rows", [B + 1, 2 * B + 1, 3 * B + 5])
+def test_pairwise_overlap_blocks_round_like_the_full_product(n_rows):
+    # Past one block, a block entry and the same entry of the full Gram
+    # matrix are one dot product, but BLAS may sum it in another order (its
+    # edge kernels for the trailing columns differ between the symmetric
+    # and the general product), so on general data they agree to the
+    # summation error of a unit-row dot product: d * eps per Gram entry.
+    data = DataMatrix(np.random.default_rng(n_rows).standard_normal((n_rows, 16)))
+    compressed = project(data, svd_decompose(data, 1.0, 0), 4)
+    report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
+    want = _triu_reference(data, compressed, 1e-6)
+    bound = (16 + 4) * np.finfo(float).eps
+    assert report.deviations.size == want["deviations"].size == n_rows * (n_rows - 1) // 2
+    assert np.max(np.abs(report.deviations - want["deviations"])) <= bound
+    assert abs(report.mean_deviation - want["mean_deviation"]) <= bound
+    assert abs(report.max_deviation - want["max_deviation"]) <= bound
+
+
+def test_pairwise_overlap_memory_is_the_deviations_plus_one_block():
+    # 4096 rows: the deviations take 64 MiB and one block 4 MiB per array;
+    # the two full 4096 x 4096 Gram matrices alone would take 256 MiB.
+    data = rank_k_dataset(4096, 16, 4, 1)
+    compressed = project(data, svd_decompose(data, 0.95, 0))
+    tracemalloc.start()
+    try:
+        report = pairwise_overlap_report(data, compressed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.deviations.size == 4096 * 4095 // 2
+    assert peak < 96 * 2**20

@@ -46,3 +46,6 @@ def test_traced_compress_reports_every_benchmark_per_layer_metric():
     assert metrics["sv_engine.apply_cr_beta.calls"] == 1
     assert metrics["sv_engine.postselect.calls"] == 1
     assert metrics["sv_engine.postselect.success_prob"] == report["compression"]["success_probability"]
+    # The tracer counts the audit's pairs from ``deviations.size``; the
+    # report's ``n_pairs`` must be the same count.
+    assert metrics["pca_oracle.overlap_pairs"] == report["compression"]["overlap"]["n_pairs"]
