@@ -318,9 +318,8 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     comp = qml_apps.lssvm_train(dataset, compressed.values)
 
     def training_stats(svm, points):
-        decisions = [qml_apps.lssvm_decision_value(svm, points, q) for q in points]
-        signs = [1 if d >= 0.0 else -1 for d in decisions]
-        accuracy = float(np.mean([s == l for s, l in zip(signs, labels)]))
+        decisions = qml_apps.lssvm_decision_values(svm, points, points)
+        accuracy = float(np.mean(np.where(decisions >= 0.0, 1.0, -1.0) == dataset.labels))
         return decisions, accuracy
 
     full_dec, full_acc = training_stats(full, data.values)
@@ -370,15 +369,11 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
     model = svd_decompose(data, config.theta, 0)
     compressed = project(data, model)
 
-    preds_orig = [
-        qml_apps.qlr_predict(data.values, targets, q).value for q in data.values
-    ]
-    preds_comp = [
-        qml_apps.qlr_predict(compressed.values, targets, q).value for q in compressed.values
-    ]
-    err_orig = float(np.max(np.abs(np.array(preds_orig) - targets)))
-    err_comp = float(np.max(np.abs(np.array(preds_comp) - targets)))
-    gap = float(np.max(np.abs(np.array(preds_orig) - np.array(preds_comp))))
+    preds_orig = qml_apps.qlr_predict(data.values, targets, data.values).value
+    preds_comp = qml_apps.qlr_predict(compressed.values, targets, compressed.values).value
+    err_orig = float(np.max(np.abs(preds_orig - targets)))
+    err_comp = float(np.max(np.abs(preds_comp - targets)))
+    gap = float(np.max(np.abs(preds_orig - preds_comp)))
 
     sampled = config.mode == MODE_SAMPLED
     demo = qml_apps.qlr_state_demo(

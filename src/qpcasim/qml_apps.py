@@ -3,10 +3,14 @@
 Two applications: a least-squares SVM whose decision values can also be read
 off as inner products between two prepared states, and linear regression by
 pseudoinverse whose prediction equals a rescaled overlap between an
-inverse-spectrum state and the query/target product state. The state demos
-build those states explicitly; with shots they sample the signed overlap
+inverse-spectrum state and the query/target product state. The classical
+routes take one query per row and solve once for all of them. The regression
+demo builds both of its states explicitly. The SVM demo builds the trained
+state explicitly, once, and reads every query's probe overlap with it in
+closed form, since a probe holds only a unit slot-0 branch and the query
+repeated over the slots. With shots the demos sample the signed overlap
 through the ancilla-interference form of the swap test (a plain swap test
-only yields the magnitude), shot-free they read the exact inner product.
+only yields the magnitude); shot-free they read the exact inner product.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from .errors import (
     DegenerateRegressionError,
     InvalidInputError,
+    NumericalFailureError,
     SingularSystemError,
 )
 from .pca_oracle import DataMatrix
@@ -102,14 +107,24 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
     )
 
 
-def lssvm_decision_value(model: LssvmModel, points: np.ndarray, query: np.ndarray) -> float:
+def lssvm_decision_values(model: LssvmModel, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Decision value of every query (one per row of ``queries``):
+    kernel row against the training points, weighted by the dual
+    coefficients, plus the bias."""
     points = np.asarray(points, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.size != points.shape[1]:
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise InvalidInputError(f"queries of shape {queries.shape}; pass one query per row")
+    if queries.shape[1] != points.shape[1]:
         raise InvalidInputError(
-            f"query has {query.size} features, training points have {points.shape[1]}"
+            f"queries have {queries.shape[1]} features, training points have {points.shape[1]}"
         )
-    return float(model.coefficients @ (points @ query) + model.bias)
+    return (queries @ points.T) @ model.coefficients + model.bias
+
+
+def lssvm_decision_value(model: LssvmModel, points: np.ndarray, query: np.ndarray) -> float:
+    query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    return float(lssvm_decision_values(model, points, query)[0])
 
 
 def lssvm_classify(model: LssvmModel, points: np.ndarray, query: np.ndarray) -> int:
@@ -174,20 +189,19 @@ def qsvm_state_demo(
 
     The trained state superposes the bias on slot 0 with coefficient-weighted
     training rows on slots 1..N; it does not depend on the query, so it is
-    built once. Each query (one per row of ``queries``) gets a probe state
+    built once. Each query (one per row of ``queries``) has a probe state
     that superposes a unit slot-0 branch with the query vector on every slot.
     Their inner product is the decision value divided by both state norms, so
-    the sign is preserved. With ``shots``, query k's readout is sampled with
-    ``rng_seeds[k]``. Returns one result per query, in order.
+    the sign is preserved. The probes are never built: probe k's norm is
+    sqrt(1 + N |q_k|^2), and its overlap needs only the trained state's
+    slot-0 amplitude and its feature columns summed over slots 1..N, so one
+    product gives every query's overlap. With ``shots``, query k's readout is
+    sampled with ``rng_seeds[k]``. Returns one result per query, in order.
     """
     points = np.asarray(points, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     n, n_features = points.shape
-    if queries.ndim != 2 or queries.shape[1] != n_features:
-        raise InvalidInputError(
-            f"queries of shape {queries.shape} do not match training points "
-            f"with {n_features} features; pass one query per row"
-        )
+    classical_values = lssvm_decision_values(model, points, queries)
     if shots is not None and shots < 1:
         raise InvalidInputError("shots must be >= 1")
     if rng_seeds is None:
@@ -204,18 +218,20 @@ def qsvm_state_demo(
     if trained_norm == 0.0:
         raise InvalidInputError("trained state has zero norm; the model is degenerate")
     layout = [("slot", slot_qubits), ("feature", int(math.log2(feat_dim)))]
-    a = StateVector.from_amplitudes(layout, trained / trained_norm)
+    a = StateVector.from_amplitudes(layout, trained / trained_norm).amplitudes.real
+
+    # Each probe has unit norm by construction unless its norm overflows; the
+    # built probe would then be scaled to zero, which the StateVector norm
+    # check refuses, so it is refused here the same way.
+    with np.errstate(over="ignore"):
+        probe_norms = np.sqrt(1.0 + n * np.einsum("ij,ij->i", queries, queries))
+    if not np.isfinite(probe_norms).all():
+        raise NumericalFailureError("probe state norm drifted to 0.0: its norm overflowed")
+    scaled = queries / probe_norms[:, None]
+    values = a[0, 0] / probe_norms + scaled @ a[1 : n + 1, :n_features].sum(axis=0)
 
     results = []
-    for query, rng_seed in zip(queries, rng_seeds):
-        probe = np.zeros_like(trained)
-        probe[0, 0] = 1.0
-        probe[1 : n + 1, :n_features] = query[None, :]
-        probe_norm = float(np.linalg.norm(probe))
-        b = StateVector.from_amplitudes(layout, probe / probe_norm)
-        value = float(a.inner(b).real)
-
-        classical = lssvm_decision_value(model, points, query)
+    for value, classical, rng_seed in zip(values.tolist(), classical_values.tolist(), rng_seeds):
         readout, estimate, stderr = value, None, None
         if shots is not None:
             estimate, stderr = _sampled_signed_overlap(value, shots, rng_seed)
@@ -241,27 +257,32 @@ def qsvm_state_demo(
 
 @dataclass(frozen=True)
 class QlrPrediction:
-    value: float            # query . weights, weights from the normal equations
-    value_svd: float        # spectral form of the same prediction
+    value: np.ndarray       # query . weights per query, weights from the normal equations
+    value_svd: np.ndarray   # spectral form of the same predictions
     weights: np.ndarray
 
 
-def qlr_predict(points: np.ndarray, targets: np.ndarray, query: np.ndarray) -> QlrPrediction:
-    """Least-squares prediction for the query, computed two ways.
+def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) -> QlrPrediction:
+    """Least-squares prediction for each query (one per row of ``queries``),
+    computed two ways.
 
     The normal-equation route applies the Gram pseudoinverse; the spectral
     route sums inverse singular values over the rank support at the relative
-    cutoff PINV_CUTOFF. The routes must agree to RESIDUAL_TOL; data whose
-    spectrum straddles either cutoff fails that check loudly instead of
-    returning a silently noise-dominated prediction.
+    cutoff PINV_CUTOFF. Both routes are solved once and applied to every
+    query. They must agree to RESIDUAL_TOL on each query; data whose spectrum
+    straddles either cutoff fails that check loudly instead of returning a
+    silently noise-dominated prediction.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    queries = np.asarray(queries, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] != targets.size:
         raise InvalidInputError("points and targets disagree on the number of rows")
-    if query.size != points.shape[1]:
-        raise InvalidInputError("query dimension does not match the points")
+    if queries.ndim != 2 or queries.shape[1] != points.shape[1]:
+        raise InvalidInputError(
+            f"queries of shape {queries.shape} do not match points with "
+            f"{points.shape[1]} features; pass one query per row"
+        )
 
     u, s, vt = np.linalg.svd(points, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
@@ -276,18 +297,15 @@ def qlr_predict(points: np.ndarray, targets: np.ndarray, query: np.ndarray) -> Q
     # rank support instead of inverting noise directions.
     gram = points.T @ points
     weights = np.linalg.pinv(gram, rcond=PINV_CUTOFF, hermitian=True) @ (points.T @ targets)
-    value = float(query @ weights)
+    value = queries @ weights
+    value_svd = (queries @ vt[support].T) @ ((u[:, support].T @ targets) / s[support])
 
-    value_svd = float(
-        sum(
-            (query @ vt[j]) * (u[:, j] @ targets) / s[j]
-            for j in range(s.size)
-            if support[j]
-        )
-    )
-    if abs(value - value_svd) > RESIDUAL_TOL * max(1.0, abs(value_svd)):
+    disagree = np.flatnonzero(np.abs(value - value_svd) > RESIDUAL_TOL * np.maximum(1.0, np.abs(value_svd)))
+    if disagree.size:
+        k = disagree[0]
         raise DegenerateRegressionError(
-            f"normal-equation and spectral predictions disagree: {value} vs {value_svd}"
+            f"normal-equation and spectral predictions disagree on query {k}: "
+            f"{float(value[k])} vs {float(value_svd[k])}"
         )
     return QlrPrediction(value=value, value_svd=value_svd, weights=weights)
 
@@ -323,7 +341,7 @@ def qlr_state_demo(
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     query = np.asarray(query, dtype=np.float64).reshape(-1)
-    classical = qlr_predict(points, targets, query)
+    classical = float(qlr_predict(points, targets, query[None, :]).value[0])
 
     data_norm = float(np.linalg.norm(points))
     target_norm = float(np.linalg.norm(targets))
@@ -343,10 +361,7 @@ def qlr_state_demo(
     feat_dim, row_dim = 1 << feat_qubits, 1 << row_qubits
 
     inverse_state = np.zeros((feat_dim, row_dim))
-    for j in range(s.size):
-        if support[j]:
-            inverse_state[:n_features, :n] += inv_s[j] * np.outer(vt[j], u[:, j])
-    inverse_state /= inv_norm
+    inverse_state[:n_features, :n] = (vt.T * inv_s) @ u.T / inv_norm
 
     product_state = np.outer(
         _pad(query / query_norm, feat_dim), _pad(targets / target_norm, row_dim)
@@ -360,7 +375,7 @@ def qlr_state_demo(
     rescale = inv_norm * target_norm * query_norm / data_norm
     result = QlrDemoResult(
         prediction=overlap * rescale,
-        classical_value=classical.value,
+        classical_value=classical,
         overlap=overlap,
         rescale_factor=rescale,
     )

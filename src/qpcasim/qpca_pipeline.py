@@ -196,7 +196,7 @@ def exact_spectrum(rho: RhoSpec, cfg: PhaseConfig, dim: int) -> SpectrumSample:
 
 
 def extract_spectrum(
-    tree: QramTree,
+    data_state: StateVector,
     rho: RhoSpec,
     cfg: PhaseConfig,
     sampling_budget: int,
@@ -207,8 +207,8 @@ def extract_spectrum(
 ) -> SpectrumSample:
     """Discover the leading labels by repeatedly preparing the labeled state
     and measuring the eigenvalue register. The draws come from that
-    register's exact distribution (``sv_engine.eigen_marginal_state``), so
-    the labelled state itself is never built.
+    register's exact distribution (``sv_engine.eigen_marginal_state`` of the
+    loaded ``data_state``), so the labelled state itself is never built.
 
     Succeeds when every one of the leading ``dim`` labels was observed and
     their cumulative empirical frequency reaches the variance threshold;
@@ -219,7 +219,7 @@ def extract_spectrum(
         raise InvalidInputError("sampling budget must be >= 1")
     exact = exact_spectrum(rho, cfg, dim)
 
-    eigen = sv_engine.eigen_marginal_state(rho, cfg, qram_store.prepare_data_state(tree))
+    eigen = sv_engine.eigen_marginal_state(rho, cfg, data_state)
     sample = sv_engine.measure_register(eigen, "eigen", sampling_budget, rng_seed)
 
     entries = tuple(replace(e, frequency=sample.frequency(e.label)) for e in exact.entries)
@@ -357,30 +357,37 @@ def select_anchor(
     threshold: float,
     eps_beta: float = 0.01,
     anchor_index: int | None = None,
-    sampled_seeds: tuple[int, int] | None = None,
+    sampled: tuple[StateVector, int, int] | None = None,
 ) -> AnchorChoice:
     """Choose the anchor row whose coefficients scale the rotation.
 
     Rows are drawn uniformly from ``rng`` until one has every kept
     coefficient at or above BETA_FLOOR, for at most MAX_ANCHOR_ATTEMPTS
     draws. A fixed ``anchor_index`` is the only candidate, and its
-    WeakAnchorError propagates unchanged. With ``sampled_seeds`` = (spectrum
-    seed, swap-test seed) the spectrum is sampled and the coefficients are
-    estimated by swap tests; without it both are exact. The data are
-    decomposed and the spectrum is built once, before any anchor is judged,
-    because neither depends on the anchor; each candidate only fixes the
-    eigenvector signs (``SpectralModel.with_anchor``).
+    WeakAnchorError propagates unchanged. With ``sampled`` = (data state
+    loaded from ``tree``, spectrum seed, swap-test seed) the spectrum is
+    sampled from that state and the coefficients are estimated by swap
+    tests; without it both are exact. The data are decomposed and the
+    spectrum is built once, before any anchor is judged, because neither
+    depends on the anchor; each candidate only fixes the eigenvector signs
+    (``SpectralModel.with_anchor``).
     """
     # A fixed anchor fixes the signs here too, so a row out of range is
     # reported before the spectrum is built.
     base = pca_oracle.svd_decompose(data, threshold, 0 if anchor_index is None else anchor_index)
     d = base.selected_dim
-    if sampled_seeds is None:
+    if sampled is None:
         spectrum = exact_spectrum(RhoSpec.from_model(base), cfg, d)
     else:
-        spectrum_seed, beta_seed = sampled_seeds
+        data_state, spectrum_seed, beta_seed = sampled
         spectrum = extract_spectrum(
-            tree, RhoSpec.from_model(base), cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=threshold
+            data_state,
+            RhoSpec.from_model(base),
+            cfg,
+            default_sampling_budget(d),
+            spectrum_seed,
+            dim=d,
+            threshold=threshold,
         )
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
@@ -390,7 +397,7 @@ def select_anchor(
         model = base.with_anchor(data, anchor)
         rho = RhoSpec.from_model(model)
         try:
-            if sampled_seeds is None:
+            if sampled is None:
                 profile = exact_anchor_profile(tree, rho, spectrum, anchor, eps_beta=eps_beta)
             else:
                 profile = estimate_anchor(tree, rho, spectrum, eps_beta, beta_seed, anchor_index=anchor)
@@ -498,6 +505,7 @@ def compress(
     row_index: int | None = None,
     postselect_shots: int | None = None,
     rng_seed: int | None = None,
+    data_state: StateVector | None,
 ) -> CompressResult:
     """Run the compression circuit end to end on exact amplitudes.
 
@@ -506,7 +514,9 @@ def compress(
     restriction ('subset'); a ``row_index`` compresses that one row on a lone
     feature register ('single'). Either way the output state carries
     component tokens 1..dim with label 0 unused, and the report compares it
-    against the classical projection.
+    against the classical projection. A full or subset scope starts from
+    ``data_state``, the data state loaded from ``tree``; a single scope
+    reads only its row and takes None.
     """
     d = spectrum.dim
     if subset is not None and row_index is not None:
@@ -533,7 +543,9 @@ def compress(
     if scope == SCOPE_SINGLE:
         state = qram_store.prepare_row_state(tree, int(row_index))
     else:
-        state = qram_store.prepare_data_state(tree)
+        if data_state is None:
+            raise InvalidInputError("a full or subset scope needs the loaded data state")
+        state = data_state
         if scope == SCOPE_SUBSET:
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
@@ -627,6 +639,9 @@ def run_compression(
     )
     sampled = run_mode == MODE_SAMPLED
     tree = qram_store.build_tree(data)
+    # The sampled spectrum and a full or subset compress read the same data
+    # state, so it is loaded once and handed to both.
+    data_state = qram_store.prepare_data_state(tree) if sampled or row_index is None else None
     choice = select_anchor(
         data,
         tree,
@@ -635,7 +650,7 @@ def run_compression(
         threshold=threshold,
         eps_beta=eps_beta,
         anchor_index=anchor_index,
-        sampled_seeds=(spectrum_seed, beta_seed) if sampled else None,
+        sampled=(data_state, spectrum_seed, beta_seed) if sampled else None,
     )
     result = compress(
         data,
@@ -650,6 +665,7 @@ def run_compression(
         row_index=row_index,
         postselect_shots=shots if sampled else None,
         rng_seed=post_seed,
+        data_state=data_state,
     )
     return RunResult(
         data=data,

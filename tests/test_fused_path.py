@@ -174,6 +174,7 @@ def test_wide_ideal_run_fits_without_an_eigen_register(monkeypatch):
 def test_spectrum_sampling_builds_no_labelled_tensor(monkeypatch):
     data = rank_k_dataset(64, 16, 4, seed=3)
     run = run_compression(data, run_mode=MODE_QUANTIZED, seed=0)
+    data_state = prepare_data_state(run.tree)
     peak = _record_peak_amplitudes(monkeypatch)
-    extract_spectrum(run.tree, run.rho, run.cfg, 400, 5, dim=run.spectrum.dim, threshold=0.9)
+    extract_spectrum(data_state, run.rho, run.cfg, 400, 5, dim=run.spectrum.dim, threshold=0.9)
     assert 0 < peak[0] <= run.tree.padded_rows * run.tree.padded_cols

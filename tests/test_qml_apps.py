@@ -7,6 +7,7 @@ from qpcasim.datasets import gaussian_class_pair, linear_trend_dataset, rank_k_d
 from qpcasim.errors import DegenerateRegressionError, InvalidInputError
 from qpcasim.pca_oracle import DataMatrix, project, svd_decompose
 from qpcasim.qml_apps import (
+    PINV_CUTOFF,
     LabeledDataset,
     lssvm_classify,
     lssvm_decision_value,
@@ -145,18 +146,17 @@ def test_qsvm_demo_midpoint_is_inconclusive():
 def test_qlr_one_dimensional_line():
     points = np.array([[1.0], [2.0], [3.0]])
     targets = np.array([2.0, 4.0, 6.0])
-    pred = qlr_predict(points, targets, np.array([4.0]))
-    assert pred.value == pytest.approx(8.0, abs=1e-10)
-    assert pred.value_svd == pytest.approx(8.0, abs=1e-10)
+    pred = qlr_predict(points, targets, np.array([[4.0]]))
+    assert pred.value == pytest.approx([8.0], abs=1e-10)
+    assert pred.value_svd == pytest.approx([8.0], abs=1e-10)
     np.testing.assert_allclose(pred.weights, [2.0], atol=1e-10)
 
 
 def test_qlr_exact_linear_data():
     data, targets, weights = linear_trend_dataset(12, 6, 2, seed=11)
-    for i in range(12):
-        pred = qlr_predict(data.values, targets, data.values[i])
-        assert pred.value == pytest.approx(targets[i], abs=1e-8)
-        assert abs(pred.value - pred.value_svd) <= 1e-8
+    pred = qlr_predict(data.values, targets, data.values)
+    np.testing.assert_allclose(pred.value, targets, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(pred.value, pred.value_svd, rtol=0.0, atol=1e-8)
 
 
 def test_qlr_compressed_space_agrees():
@@ -165,19 +165,50 @@ def test_qlr_compressed_space_agrees():
     assert model.selected_dim == 2
     y = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
-    for i in range(12):
-        original = qlr_predict(data.values, targets, data.values[i]).value
-        compressed = qlr_predict(y.values, targets, data.values[i] @ basis).value
-        assert compressed == pytest.approx(original, abs=1e-8)
+    original = qlr_predict(data.values, targets, data.values).value
+    compressed = qlr_predict(y.values, targets, data.values @ basis).value
+    np.testing.assert_allclose(compressed, original, rtol=0.0, atol=1e-8)
+
+
+def reference_qlr_predict(points, targets, query):
+    """The per-query form ``qlr_predict`` replaced: one SVD and one Gram
+    pseudoinverse per query, the spectral route as a sum over directions.
+    Returns (normal-equation value, spectral value)."""
+    u, s, vt = np.linalg.svd(points, full_matrices=False)
+    support = s > PINV_CUTOFF * s[0]
+    gram = points.T @ points
+    weights = np.linalg.pinv(gram, rcond=PINV_CUTOFF, hermitian=True) @ (points.T @ targets)
+    value_svd = sum(
+        (query @ vt[j]) * (u[:, j] @ targets) / s[j] for j in range(s.size) if support[j]
+    )
+    return float(query @ weights), float(value_svd)
+
+
+def test_qlr_batched_predictions_equal_per_query_reference():
+    # Rank-2 data in 6 columns, noisy targets: the spectral route drops four
+    # directions and the predictions are not the targets, so both routes do
+    # real work. The compressed space keeps the two directions.
+    data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
+    targets = targets + np.random.default_rng(5).normal(scale=0.3, size=targets.size)
+    model = svd_decompose(data, 0.95, 0)
+    queries = np.vstack([data.values, np.random.default_rng(6).normal(size=(4, 6))])
+    basis = model.right_vectors[:, : model.selected_dim]
+    for points, space_queries in ((data.values, queries), (project(data, model).values, queries @ basis)):
+        got = qlr_predict(points, targets, space_queries)
+        want = np.array([reference_qlr_predict(points, targets, q) for q in space_queries])
+        np.testing.assert_allclose(got.value, want[:, 0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.value_svd, want[:, 1], rtol=1e-12, atol=1e-15)
 
 
 def test_qlr_validation():
     with pytest.raises(InvalidInputError):
-        qlr_predict(np.ones((3, 2)), np.ones(2), np.ones(2))  # row mismatch
+        qlr_predict(np.ones((3, 2)), np.ones(2), np.ones((1, 2)))  # row mismatch
     with pytest.raises(InvalidInputError):
-        qlr_predict(np.ones((3, 2)), np.ones(3), np.ones(3))  # query mismatch
+        qlr_predict(np.ones((3, 2)), np.ones(3), np.ones((1, 3)))  # query mismatch
+    with pytest.raises(InvalidInputError, match="one query per row"):
+        qlr_predict(np.ones((3, 2)), np.ones(3), np.ones(2))
     with pytest.raises(DegenerateRegressionError):
-        qlr_predict(np.zeros((3, 2)), np.ones(3), np.ones(2))
+        qlr_predict(np.zeros((3, 2)), np.ones(3), np.ones((1, 2)))
 
 
 # -- regression state demo ----------------------------------------------------------

@@ -67,7 +67,7 @@ def test_extract_spectrum_balanced_pair():
     rho = RhoSpec.from_model(model)
     tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = extract_spectrum(tree, rho, cfg, 50, 3, dim=2, threshold=0.95)
+    spectrum = extract_spectrum(qram_store.prepare_data_state(tree), rho, cfg, 50, 3, dim=2, threshold=0.95)
     sigma = math.sqrt(0.25 / 50)
     for entry in spectrum.entries:
         assert abs(entry.frequency - 0.5) <= 3.0 * sigma
@@ -80,7 +80,9 @@ def test_extract_spectrum_rank_one_is_deterministic():
     model = svd_decompose(data, 0.95, 0)
     rho = RhoSpec.from_model(model)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    spectrum = extract_spectrum(build_tree(data), rho, cfg, 50, 11, dim=1, threshold=0.95)
+    spectrum = extract_spectrum(
+        qram_store.prepare_data_state(build_tree(data)), rho, cfg, 50, 11, dim=1, threshold=0.95
+    )
     assert spectrum.entries[0].label == 32  # half-phase encoding of eigenvalue 1
     assert spectrum.entries[0].frequency == 1.0
 
@@ -89,10 +91,11 @@ def test_extract_spectrum_budget_sweep():
     # 99 of 100 fixed seeds cover 95% of the variance within 200 draws.
     _, model, rho, tree = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    data_state = qram_store.prepare_data_state(tree)
     ok = 0
     for seed in range(100):
         try:
-            extract_spectrum(tree, rho, cfg, 200, seed, dim=2, threshold=0.95)
+            extract_spectrum(data_state, rho, cfg, 200, seed, dim=2, threshold=0.95)
             ok += 1
         except UnderSampledError:
             pass
@@ -103,11 +106,31 @@ def test_extract_spectrum_undersampled_carries_partial():
     _, model, rho, tree = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(UnderSampledError) as info:
-        extract_spectrum(tree, rho, cfg, 2, 0, dim=2, threshold=0.95)
+        extract_spectrum(qram_store.prepare_data_state(tree), rho, cfg, 2, 0, dim=2, threshold=0.95)
     partial = info.value.partial
     assert partial.dim == 2
     assert partial.histogram == {29: 2}  # second label never observed
     assert partial.budget == 2
+
+
+@pytest.mark.parametrize(
+    "run_mode, row_index, loads",
+    [(MODE_SAMPLED, None, 1), (MODE_SAMPLED, 3, 1), (MODE_IDEAL, None, 1), (MODE_IDEAL, 3, 0)],
+)
+def test_run_compression_loads_the_data_state_at_most_once(monkeypatch, run_mode, row_index, loads):
+    # The sampled spectrum and a full-scope compress share one loaded state;
+    # an ideal single-row compress reads no data state at all.
+    calls = [0]
+    original = qram_store.prepare_data_state
+
+    def counting_load(tree):
+        calls[0] += 1
+        return original(tree)
+
+    monkeypatch.setattr(qram_store, "prepare_data_state", counting_load)
+    run = run_compression(rank_k_dataset(32, 8, 3, seed=4), run_mode=run_mode, row_index=row_index, seed=2)
+    assert run.result.report.fidelity >= 0.9
+    assert calls[0] == loads
 
 
 def test_extract_spectrum_full_coverage_meets_threshold_one():
@@ -122,11 +145,11 @@ def test_extract_spectrum_full_coverage_meets_threshold_one():
 def test_extract_spectrum_rejects_a_kept_dimension_out_of_range():
     data = rank_k_dataset(16, 8, 8, 1)
     model = svd_decompose(data, 1.0, 0)
-    tree = build_tree(data)
+    data_state = qram_store.prepare_data_state(build_tree(data))
     cfg = PhaseConfig(bits=10, label_mode=LABEL_MODE_QUANTIZED)
     for dim in (0, 9):
         with pytest.raises(OutOfRangeError):
-            extract_spectrum(tree, RhoSpec.from_model(model), cfg, 400, 0, dim=dim, threshold=0.95)
+            extract_spectrum(data_state, RhoSpec.from_model(model), cfg, 400, 0, dim=dim, threshold=0.95)
 
 
 def test_default_sampling_budget():
@@ -282,13 +305,26 @@ def test_success_probability_identity_with_perturbed_estimates():
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
     res = compress(
-        data, run.model, run.tree, run.rho, run.spectrum, profile, run.cfg
+        data, run.model, run.tree, run.rho, run.spectrum, profile, run.cfg,
+        data_state=qram_store.prepare_data_state(run.tree),
     )
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
         report.success_probability_identity, abs=1e-12
     )
+
+
+def test_compress_full_scope_needs_the_data_state():
+    from qpcasim.qpca_pipeline import compress
+
+    data = rank_k_dataset(16, 8, 2, seed=18)
+    run = run_compression(data, seed=3)
+    args = (data, run.model, run.tree, run.rho, run.spectrum, run.profile, run.cfg)
+    with pytest.raises(InvalidInputError, match="loaded data state"):
+        compress(*args, data_state=None)
+    single = compress(*args, row_index=2, data_state=None)
+    assert single.report.scope == "single"
 
 
 def test_compress_noisy_data_projects_cleanly():

@@ -1,9 +1,13 @@
 """The batched SVM state demo against its per-query reference.
 
-``qsvm_state_demo`` builds the trained state once per call and one probe per
-query. ``reference_demo`` below is the per-query form it replaced, kept
-verbatim: it rebuilds the trained state for every query with a row loop. The
-arithmetic per query is the same, so results must be exactly equal.
+``qsvm_state_demo`` builds the trained state once per call and reads every
+probe's overlap with it in closed form, without building the probes.
+``reference_demo`` below is the per-query form it replaced, kept verbatim: it
+rebuilds the trained state for every query with a row loop, builds the probe
+state and takes the inner product. The closed form sums the same products in
+another order, so the overlap and the classical decision value agree to
+1e-12 relative / 1e-15 absolute; every field derived from them (signs,
+sampled estimates, inconclusive flags) must be exactly equal.
 """
 
 import math
@@ -13,7 +17,7 @@ import pytest
 
 from qpcasim import cli, qml_apps
 from qpcasim.datasets import gaussian_class_pair, write_matrix_csv, write_values_file
-from qpcasim.errors import InvalidInputError
+from qpcasim.errors import InvalidInputError, NumericalFailureError
 from qpcasim.pca_oracle import DataMatrix
 from qpcasim.qml_apps import (
     LabeledDataset,
@@ -21,6 +25,7 @@ from qpcasim.qml_apps import (
     OverlapDemoResult,
     _sampled_signed_overlap,
     lssvm_decision_value,
+    lssvm_decision_values,
     lssvm_train,
     qsvm_state_demo,
 )
@@ -114,9 +119,10 @@ def _assert_matches_reference(model, points, shots, seeds):
         want = reference_demo(
             model, points, query, shots=shots, rng_seed=None if seeds is None else seeds[k]
         )
-        for field in ("value", "sign", "agrees", "estimate", "standard_error", "inconclusive"):
+        for field in ("value", "classical_value"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=1e-15), (k, field)
+        for field in ("sign", "classical_sign", "agrees", "estimate", "standard_error", "inconclusive", "shots"):
             assert getattr(got, field) == getattr(want, field), (k, field)
-        assert got == want
 
 
 @pytest.mark.parametrize("shots, cli_seed", [(None, None), (20_000, 6), (100_000, 0)])
@@ -176,7 +182,7 @@ def test_qsvm_task_builds_the_trained_state_once(tmp_path, monkeypatch, construc
     )
     assert report["qsvm"]["demo"]["queries"] == data.n_rows
     assert calls[0] == 1
-    assert constructions[0] == data.n_rows + 1
+    assert constructions[0] == 1
 
 
 def _class_pair_model():
@@ -213,3 +219,26 @@ def test_zero_norm_trained_state_is_refused(constructions):
     with pytest.raises(InvalidInputError, match="zero norm"):
         qsvm_state_demo(model, points, points)
     assert constructions[0] == 0
+
+
+def test_probe_whose_norm_overflows_is_refused():
+    # The query's squared norm is a finite 5e307, but N = 40 slots of it
+    # overflow: the probe's norm is infinite and its normalized amplitudes
+    # are all zero.
+    model, points = _class_pair_model()
+    queries = np.vstack([points[:2], np.full((1, points.shape[1]), 5e153)])
+    assert math.isfinite(float(queries[2] @ queries[2]))
+    assert math.isinf(len(points) * float(queries[2] @ queries[2]))
+    with pytest.raises(NumericalFailureError, match="norm drifted to 0.0"):
+        qsvm_state_demo(model, points, queries)
+
+
+def test_batched_decision_values_equal_per_row_calls():
+    model, points = _class_pair_model()
+    queries = np.vstack([points, -points[::3] + 0.5])
+    want = [lssvm_decision_value(model, points, q) for q in queries]
+    np.testing.assert_allclose(lssvm_decision_values(model, points, queries), want, rtol=1e-12, atol=1e-15)
+    with pytest.raises(InvalidInputError, match="features"):
+        lssvm_decision_values(model, points, np.ones((2, points.shape[1] + 1)))
+    with pytest.raises(InvalidInputError, match="one query per row"):
+        lssvm_decision_values(model, points, points[0])

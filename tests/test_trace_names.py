@@ -1,4 +1,4 @@
-"""The benchmark's per-layer metric names against a traced compress run.
+"""The benchmark's per-layer metric names against traced compress and qsvm runs.
 
 ``perfbench/tracer.py`` wraps the public qpcasim functions by name, and
 ``BENCHMARK.json`` lists the per-layer metrics that its traced run reports.
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from qpcasim import cli
+from qpcasim.datasets import gaussian_class_pair, write_matrix_csv, write_values_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,10 +31,14 @@ def _load_tracer():
     return module
 
 
-def test_traced_compress_reports_every_benchmark_per_layer_metric():
+def _per_layer_names() -> list[str]:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     # The overhead is measured by the benchmark runner against an untraced twin run.
-    names = [m["name"] for m in benchmark["per_layer"] if m["name"] != "trace.overhead_s"]
+    return [m["name"] for m in benchmark["per_layer"] if m["name"] != "trace.overhead_s"]
+
+
+def test_traced_compress_reports_every_benchmark_per_layer_metric():
+    names = _per_layer_names()
     config = cli.RunConfig(input_path=str(ROOT / "tests" / "golden" / "inputs" / "rank3.csv"), seed=3)
     with _load_tracer().Tracer(0) as tracer:
         report = cli.run(config)
@@ -49,3 +54,23 @@ def test_traced_compress_reports_every_benchmark_per_layer_metric():
     # The tracer counts the audit's pairs from ``deviations.size``; the
     # report's ``n_pairs`` must be the same count.
     assert metrics["pca_oracle.overlap_pairs"] == report["compression"]["overlap"]["n_pairs"]
+
+
+def test_traced_qsvm_run_reports_the_qml_apps_metrics(tmp_path):
+    # Only the qsvm task reaches qml_apps; the compress run above leaves its
+    # names at zero calls.
+    data, labels = gaussian_class_pair(n_per_class=6, n_cols=3, seed=29)
+    data_path, labels_path = str(tmp_path / "pts.csv"), str(tmp_path / "pts.labels")
+    write_matrix_csv(data_path, data.values)
+    write_values_file(labels_path, labels)
+    config = cli.RunConfig(input_path=data_path, labels_path=labels_path, task="qsvm")
+    with _load_tracer().Tracer(0) as tracer:
+        cli.render_report(cli.run(config))
+    metrics = tracer.metrics()
+    names = [name for name in _per_layer_names() if name.startswith("qml_apps.")]
+    assert names and [name for name in names if name not in metrics] == []
+    assert metrics["qml_apps.lssvm_train.calls"] == 2
+    assert metrics["qml_apps.qsvm_state_demo.calls"] == 1
+    # The trained state is the one state the task builds; the probes are read
+    # off it in closed form.
+    assert metrics["statevector.constructions"] == 1
