@@ -77,6 +77,8 @@ class RunConfig:
             raise InvalidInputError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.mode not in RUN_MODES:
             raise InvalidInputError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
+        if self.labels_path is not None and self.task not in ("qsvm", "qlr"):
+            raise InvalidInputError(f"labels apply to the qsvm and qlr tasks only, not {self.task!r}")
         if self.subset is not None and self.task != "compress":
             raise InvalidInputError(f"subset applies to the compress task only, not {self.task!r}")
         if self.anchor_index is not None and self.task == "scaling":
@@ -317,14 +319,6 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     full = qml_apps.lssvm_train(dataset, data.values)
     comp = qml_apps.lssvm_train(dataset, compressed.values)
 
-    def training_stats(svm, points):
-        decisions = qml_apps.lssvm_decision_values(svm, points, points)
-        accuracy = float(np.mean(np.where(decisions >= 0.0, 1.0, -1.0) == dataset.labels))
-        return decisions, accuracy
-
-    full_dec, full_acc = training_stats(full, data.values)
-    comp_dec, comp_acc = training_stats(comp, compressed.values)
-
     demo_seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=data.n_rows)
     sampled = config.mode == MODE_SAMPLED
     demos = qml_apps.qsvm_state_demo(
@@ -334,8 +328,10 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
         shots=config.shots if sampled else None,
         rng_seeds=[int(s) for s in demo_seeds] if sampled else None,
     )
-    sign_agreements = sum(demo.agrees for demo in demos)
-    inconclusive = sum(demo.inconclusive for demo in demos)
+    # The demo's queries are the training points: its classical values are the full decision values.
+    full_dec = np.array([demo.classical_value for demo in demos])
+    comp_dec = qml_apps.lssvm_decision_values(comp, compressed.values, compressed.values)
+    full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == dataset.labels)) for v in (full_dec, comp_dec))
 
     return {
         "spectrum": _plain(model),
@@ -357,8 +353,8 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
             "accuracy_match": bool(full_acc == comp_acc),
             "demo": {
                 "queries": int(data.n_rows),
-                "sign_agreements": int(sign_agreements),
-                "inconclusive": int(inconclusive),
+                "sign_agreements": sum(int(demo.agrees) for demo in demos),
+                "inconclusive": sum(int(demo.inconclusive) for demo in demos),
                 "shots": config.shots if sampled else None,
             },
         },
@@ -427,10 +423,10 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
     choice = select_anchor(
         data,
+        svd_decompose(data, config.theta),
         build_tree(data),
         cfg,
         np.random.default_rng(config.seed),
-        threshold=config.theta,
         eps_beta=config.eps_beta,
         anchor_index=config.anchor_index,
     )
@@ -565,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classifier and regression demos on the compressed representation.",
     )
     parser.add_argument("--input", required=True, help="CSV data matrix, rows are points")
-    parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr)")
+    parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr); others reject it")
     parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
     parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width")
     parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,

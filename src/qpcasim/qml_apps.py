@@ -258,8 +258,9 @@ def qsvm_state_demo(
 @dataclass(frozen=True)
 class QlrPrediction:
     value: np.ndarray       # query . weights per query, weights from the normal equations
-    value_svd: np.ndarray   # spectral form of the same predictions
+    value_svd: np.ndarray   # spectral form of the same predictions, query . pinv . targets
     weights: np.ndarray
+    pinv: np.ndarray        # spectral pseudoinverse of the points on the rank support, (D, N)
 
 
 def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) -> QlrPrediction:
@@ -267,11 +268,11 @@ def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) ->
     computed two ways.
 
     The normal-equation route applies the Gram pseudoinverse; the spectral
-    route sums inverse singular values over the rank support at the relative
-    cutoff PINV_CUTOFF. Both routes are solved once and applied to every
-    query. They must agree to RESIDUAL_TOL on each query; data whose spectrum
-    straddles either cutoff fails that check loudly instead of returning a
-    silently noise-dominated prediction.
+    route applies the points' pseudoinverse ``pinv``, inverse singular values
+    over the rank support at the relative cutoff PINV_CUTOFF. Both routes are
+    solved once and applied to every query. They must agree to RESIDUAL_TOL
+    on each query; data whose spectrum straddles either cutoff fails that
+    check loudly instead of returning a silently noise-dominated prediction.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
@@ -298,7 +299,8 @@ def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) ->
     gram = points.T @ points
     weights = np.linalg.pinv(gram, rcond=PINV_CUTOFF, hermitian=True) @ (points.T @ targets)
     value = queries @ weights
-    value_svd = (queries @ vt[support].T) @ ((u[:, support].T @ targets) / s[support])
+    pinv = (vt[support].T / s[support]) @ u[:, support].T
+    value_svd = queries @ (pinv @ targets)
 
     disagree = np.flatnonzero(np.abs(value - value_svd) > RESIDUAL_TOL * np.maximum(1.0, np.abs(value_svd)))
     if disagree.size:
@@ -307,7 +309,7 @@ def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) ->
             f"normal-equation and spectral predictions disagree on query {k}: "
             f"{float(value[k])} vs {float(value_svd[k])}"
         )
-    return QlrPrediction(value=value, value_svd=value_svd, weights=weights)
+    return QlrPrediction(value=value, value_svd=value_svd, weights=weights, pinv=pinv)
 
 
 @dataclass(frozen=True)
@@ -331,29 +333,23 @@ def qlr_state_demo(
 ) -> QlrDemoResult:
     """Regression readout as a state overlap.
 
-    After scaling the points, targets, and query to unit norm, the
-    inverse-spectrum state (inverse singular values over matched
-    singular-direction pairs) is overlapped with the query-target product
-    state. Multiplying the overlap by the known normalization factor
-    (the inverse-spectrum norm times target and query norms over the data
-    norm) recovers the classical prediction exactly.
+    The inverse-spectrum state is the points' pseudoinverse X+ from
+    ``qlr_predict`` (inverse singular values over matched singular-direction
+    pairs) scaled to unit norm, and it is overlapped with the unit
+    query-target product state. Multiplying the overlap by the known
+    normalization factor |X+|_F |targets| |query| recovers the classical
+    prediction exactly.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     query = np.asarray(query, dtype=np.float64).reshape(-1)
-    classical = float(qlr_predict(points, targets, query[None, :]).value[0])
+    fit = qlr_predict(points, targets, query[None, :])
 
-    data_norm = float(np.linalg.norm(points))
     target_norm = float(np.linalg.norm(targets))
     query_norm = float(np.linalg.norm(query))
     if target_norm == 0.0 or query_norm == 0.0:
         raise InvalidInputError("targets and query must have nonzero norm")
-
-    scaled = points / data_norm
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    support = s > PINV_CUTOFF * s[0]
-    inv_s = np.where(support, 1.0 / np.where(support, s, 1.0), 0.0)
-    inv_norm = float(np.linalg.norm(inv_s))
+    inv_norm = float(np.linalg.norm(fit.pinv))
 
     n, n_features = points.shape
     feat_qubits = ceil_log2(max(n_features, 2))
@@ -361,7 +357,7 @@ def qlr_state_demo(
     feat_dim, row_dim = 1 << feat_qubits, 1 << row_qubits
 
     inverse_state = np.zeros((feat_dim, row_dim))
-    inverse_state[:n_features, :n] = (vt.T * inv_s) @ u.T / inv_norm
+    inverse_state[:n_features, :n] = fit.pinv / inv_norm
 
     product_state = np.outer(
         _pad(query / query_norm, feat_dim), _pad(targets / target_norm, row_dim)
@@ -372,10 +368,10 @@ def qlr_state_demo(
     b = StateVector.from_amplitudes(layout, product_state)
     overlap = float(a.inner(b).real)
 
-    rescale = inv_norm * target_norm * query_norm / data_norm
+    rescale = inv_norm * target_norm * query_norm
     result = QlrDemoResult(
         prediction=overlap * rescale,
-        classical_value=classical,
+        classical_value=float(fit.value[0]),
         overlap=overlap,
         rescale_factor=rescale,
     )

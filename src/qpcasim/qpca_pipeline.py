@@ -350,11 +350,11 @@ class AnchorChoice:
 
 def select_anchor(
     data: DataMatrix,
+    model: SpectralModel,
     tree: QramTree,
     cfg: PhaseConfig,
     rng: np.random.Generator,
     *,
-    threshold: float,
     eps_beta: float = 0.01,
     anchor_index: int | None = None,
     sampled: tuple[StateVector, int, int] | None = None,
@@ -367,35 +367,36 @@ def select_anchor(
     WeakAnchorError propagates unchanged. With ``sampled`` = (data state
     loaded from ``tree``, spectrum seed, swap-test seed) the spectrum is
     sampled from that state and the coefficients are estimated by swap
-    tests; without it both are exact. The data are decomposed and the
-    spectrum is built once, before any anchor is judged, because neither
-    depends on the anchor; each candidate only fixes the eigenvector signs
-    (``SpectralModel.with_anchor``).
+    tests; without it both are exact. The spectrum is built once from the
+    caller's decomposition ``model``, before any anchor is judged, since it
+    does not depend on the anchor; each candidate only fixes the eigenvector
+    signs (``SpectralModel.with_anchor``).
     """
     # A fixed anchor fixes the signs here too, so a row out of range is
     # reported before the spectrum is built.
-    base = pca_oracle.svd_decompose(data, threshold, 0 if anchor_index is None else anchor_index)
-    d = base.selected_dim
+    if anchor_index is not None:
+        model = model.with_anchor(data, anchor_index)
+    d = model.selected_dim
     if sampled is None:
-        spectrum = exact_spectrum(RhoSpec.from_model(base), cfg, d)
+        spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, d)
     else:
         data_state, spectrum_seed, beta_seed = sampled
         spectrum = extract_spectrum(
             data_state,
-            RhoSpec.from_model(base),
+            RhoSpec.from_model(model),
             cfg,
             default_sampling_budget(d),
             spectrum_seed,
             dim=d,
-            threshold=threshold,
+            threshold=model.threshold,
         )
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
-        model = base.with_anchor(data, anchor)
-        rho = RhoSpec.from_model(model)
+        signed = model.with_anchor(data, anchor)
+        rho = RhoSpec.from_model(signed)
         try:
             if sampled is None:
                 profile = exact_anchor_profile(tree, rho, spectrum, anchor, eps_beta=eps_beta)
@@ -406,7 +407,7 @@ def select_anchor(
                 raise
             last_error = exc
             continue
-        return AnchorChoice(model, rho, spectrum, profile, tuple(attempts))
+        return AnchorChoice(signed, rho, spectrum, profile, tuple(attempts))
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -644,10 +645,10 @@ def run_compression(
     data_state = qram_store.prepare_data_state(tree) if sampled or row_index is None else None
     choice = select_anchor(
         data,
+        pca_oracle.svd_decompose(data, threshold),
         tree,
         cfg,
         np.random.default_rng(anchor_seed),
-        threshold=threshold,
         eps_beta=eps_beta,
         anchor_index=anchor_index,
         sampled=(data_state, spectrum_seed, beta_seed) if sampled else None,
@@ -741,9 +742,10 @@ def error_scaling_experiment(
     For each seed the generator supplies a dataset; the anchor is drawn with
     the usual seeded redraw; the coefficients are perturbed by each grid
     magnitude and the resulting final-state deviation is averaged per grid
-    point. The part of the circuit before the coefficient rotation, and the
-    classical reference state, are built once per seed; each grid point
-    runs only the rotation and postselection.
+    point. The tree, decomposition and loaded data state are built once per
+    dataset, for as long as the generator returns the same ``DataMatrix``
+    object; per seed only the anchor draw, its projection and the reference
+    state are; each grid point runs only the rotation and postselection.
     """
     if not eps_grid:
         raise InvalidInputError("eps grid must be nonempty")
@@ -757,13 +759,17 @@ def error_scaling_experiment(
     dims = set()
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
+    data = None
     for seed in seeds:
-        data = dataset_generator(int(seed))
-        tree = qram_store.build_tree(data)
-        choice = select_anchor(data, tree, cfg, np.random.default_rng(int(seed)), threshold=threshold)
+        seed_data = dataset_generator(int(seed))
+        if seed_data is not data:
+            data = seed_data
+            tree = qram_store.build_tree(data)
+            model = pca_oracle.svd_decompose(data, threshold)
+            state = qram_store.prepare_data_state(tree)
+        choice = select_anchor(data, model, tree, cfg, np.random.default_rng(int(seed)))
         d = choice.spectrum.dim
         dims.add(d)
-        state = qram_store.prepare_data_state(tree)
         anchor = qram_store.prepare_row_state(tree, choice.profile.anchor_index)
         projected, p_anchor = sv_engine.project_anchor(
             choice.rho, cfg, state, anchor, choice.spectrum.cu_labels(), distinct_top=d

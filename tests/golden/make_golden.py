@@ -93,6 +93,8 @@ CASES = {
     "error_anchor_scaling": ("rank3.csv", None, ["--task", "scaling", "--anchor", "4"]),
     "error_anchor_qsvm": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--anchor", "5"]),
     "error_anchor_qlr": ("lin.csv", "lin.targets", ["--task", "qlr", "--anchor", "5"]),
+    # Only qsvm and qlr read --labels; the check runs before any file is read.
+    "error_labels_compress": ("rank3.csv", "blobs.labels", []),
 }
 
 

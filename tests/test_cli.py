@@ -452,6 +452,15 @@ def test_subset_rejected_outside_compress(capsys, rank2_csv, task):
     assert "compress task only" in payload["message"]
 
 
+@pytest.mark.parametrize("task", ["compress", "scaling", "ledger"])
+def test_labels_rejected_outside_qsvm_and_qlr(capsys, tmp_path, task):
+    # Neither file exists: the task's labels check comes before any read.
+    missing = str(tmp_path / "missing")
+    payload = _error_payload(capsys, ["--input", missing + ".csv", "--labels", missing + ".labels", "--task", task])
+    assert payload["code"] == "INVALID_INPUT"
+    assert "qsvm and qlr tasks only" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "task,mode", [("scaling", "sampled"), ("scaling", "quantized"), ("ledger", "sampled"), ("ledger", "quantized")]
 )

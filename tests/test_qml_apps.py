@@ -1,5 +1,7 @@
 """Tests for the downstream learners (LS-SVM and linear regression)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from qpcasim.pca_oracle import DataMatrix, project, svd_decompose
 from qpcasim.qml_apps import (
     PINV_CUTOFF,
     LabeledDataset,
+    QlrDemoResult,
+    _pad,
+    _sampled_signed_overlap,
     lssvm_classify,
     lssvm_decision_value,
     lssvm_train,
@@ -16,6 +21,7 @@ from qpcasim.qml_apps import (
     qlr_state_demo,
     qsvm_state_demo,
 )
+from qpcasim.statevector import StateVector, ceil_log2
 
 from oracles import gauss_solve
 
@@ -247,3 +253,108 @@ def test_qlr_demo_sampled():
     # The sampled estimate carries the rescaling, so it brackets the exact
     # prediction at the rescaled standard error.
     assert abs(demo.estimate - demo.prediction) <= 3.0 * demo.standard_error
+
+
+def reference_qlr_state_demo(points, targets, query, shots=None, rng_seed=None):
+    """The form ``qlr_state_demo`` replaced: the points scaled to unit
+    Frobenius norm and decomposed a second time, the inverse spectrum
+    rebuilt from that SVD at its own copy of the PINV_CUTOFF support rule,
+    and the rescale divided by the data norm."""
+    points = np.asarray(points, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    classical = float(qlr_predict(points, targets, query[None, :]).value[0])
+
+    data_norm = float(np.linalg.norm(points))
+    target_norm = float(np.linalg.norm(targets))
+    query_norm = float(np.linalg.norm(query))
+    if target_norm == 0.0 or query_norm == 0.0:
+        raise InvalidInputError("targets and query must have nonzero norm")
+
+    scaled = points / data_norm
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    support = s > PINV_CUTOFF * s[0]
+    inv_s = np.where(support, 1.0 / np.where(support, s, 1.0), 0.0)
+    inv_norm = float(np.linalg.norm(inv_s))
+
+    n, n_features = points.shape
+    feat_qubits = ceil_log2(max(n_features, 2))
+    row_qubits = ceil_log2(max(n, 2))
+    feat_dim, row_dim = 1 << feat_qubits, 1 << row_qubits
+
+    inverse_state = np.zeros((feat_dim, row_dim))
+    inverse_state[:n_features, :n] = (vt.T * inv_s) @ u.T / inv_norm
+
+    product_state = np.outer(
+        _pad(query / query_norm, feat_dim), _pad(targets / target_norm, row_dim)
+    )
+
+    layout = [("feature", feat_qubits), ("row", row_qubits)]
+    a = StateVector.from_amplitudes(layout, inverse_state)
+    b = StateVector.from_amplitudes(layout, product_state)
+    overlap = float(a.inner(b).real)
+
+    rescale = inv_norm * target_norm * query_norm / data_norm
+    result = QlrDemoResult(
+        prediction=overlap * rescale,
+        classical_value=classical,
+        overlap=overlap,
+        rescale_factor=rescale,
+    )
+    if shots is None:
+        return result
+    estimate, stderr = _sampled_signed_overlap(overlap, shots, rng_seed)
+    return replace(
+        result,
+        estimate=estimate * rescale,
+        standard_error=stderr * rescale,
+        inconclusive=abs(estimate) < 3.0 * stderr,
+        shots=shots,
+    )
+
+
+def _qlr_demo_cases():
+    """(points, targets, query): full-rank, rank-deficient (support < D),
+    fewer points than features, and compressed coordinates."""
+    rng = np.random.default_rng(41)
+    full = rng.normal(size=(12, 6))
+    data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
+    wide = rng.normal(size=(4, 8))
+    model = svd_decompose(data, 0.95, 0)
+    basis = model.right_vectors[:, : model.selected_dim]
+    return [
+        (full, rng.normal(size=12), full[5]),
+        (data.values, targets, data.values[3]),
+        (wide, rng.normal(size=4), rng.normal(size=8)),
+        (project(data, model).values, targets, data.values[3] @ basis),
+    ]
+
+
+@pytest.mark.parametrize("shots", [None, 2_000])
+@pytest.mark.parametrize("case", range(4))
+def test_qlr_state_demo_equals_scaled_svd_reference(case, shots):
+    points, targets, query = _qlr_demo_cases()[case]
+    if case == 1:
+        assert np.linalg.matrix_rank(points) < points.shape[1]
+    got = qlr_state_demo(points, targets, query, shots=shots, rng_seed=17)
+    want = reference_qlr_state_demo(points, targets, query, shots=shots, rng_seed=17)
+    for name in ("prediction", "overlap", "rescale_factor", "classical_value"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15, err_msg=name)
+    assert got.inconclusive == want.inconclusive
+    assert got.shots == want.shots
+
+
+def test_qlr_state_demo_reuses_the_prediction_svd(monkeypatch):
+    # The inverse-spectrum state is qlr_predict's pseudoinverse, so the demo
+    # decomposes the points once, inside qlr_predict.
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
+    qlr_state_demo(data.values, targets, data.values[0])
+    assert calls == [(12, 6)]

@@ -595,3 +595,27 @@ def test_scaling_builds_the_rotation_free_prefix_once_per_seed(monkeypatch):
     result = error_scaling_experiment(lambda s: datasets[s], [0.0, 0.02, 0.04, 0.08], [0, 1])
     assert len(result.rows) == 4
     assert calls == {"project_anchor": 2, "compress": 0, "pairwise_overlap_report": 0}
+
+
+def test_scaling_builds_the_dataset_prefix_once_per_dataset_object(monkeypatch):
+    # A generator that keeps returning one DataMatrix gets one tree, one
+    # decomposition and one data state; one that returns an equal copy per
+    # seed gets them per seed. The sweep's numbers are the same either way.
+    calls = {"build_tree": 0, "svd_decompose": 0, "prepare_data_state": 0}
+    counted = ((qram_store, "build_tree"), (pca_oracle, "svd_decompose"), (qram_store, "prepare_data_state"))
+    for module, name in counted:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    data = rank_k_dataset(16, 8, 2, seed=300)
+    grid, seeds = [0.0, 0.02, 0.04, 0.08], list(range(5))
+    same = error_scaling_experiment(lambda s: data, grid, seeds)
+    assert calls == {"build_tree": 1, "svd_decompose": 1, "prepare_data_state": 1}
+    copies = error_scaling_experiment(lambda s: DataMatrix(data.values), grid, seeds)
+    assert calls == {"build_tree": 6, "svd_decompose": 6, "prepare_data_state": 6}
+    assert copies == same

@@ -1,4 +1,5 @@
-"""The benchmark's per-layer metric names against traced compress and qsvm runs.
+"""The benchmark's per-layer metric names against traced compress, qsvm and
+scaling runs, and the call counts that keep each task to one decomposition.
 
 ``perfbench/tracer.py`` wraps the public qpcasim functions by name, and
 ``BENCHMARK.json`` lists the per-layer metrics that its traced run reports.
@@ -17,6 +18,7 @@ from qpcasim import cli
 from qpcasim.datasets import gaussian_class_pair, write_matrix_csv, write_values_file
 
 ROOT = Path(__file__).resolve().parent.parent
+RANK3 = str(ROOT / "tests" / "golden" / "inputs" / "rank3.csv")
 
 
 def _load_tracer():
@@ -39,7 +41,7 @@ def _per_layer_names() -> list[str]:
 
 def test_traced_compress_reports_every_benchmark_per_layer_metric():
     names = _per_layer_names()
-    config = cli.RunConfig(input_path=str(ROOT / "tests" / "golden" / "inputs" / "rank3.csv"), seed=3)
+    config = cli.RunConfig(input_path=RANK3, seed=3)
     with _load_tracer().Tracer(0) as tracer:
         report = cli.run(config)
         cli.render_report(report)
@@ -71,6 +73,23 @@ def test_traced_qsvm_run_reports_the_qml_apps_metrics(tmp_path):
     assert names and [name for name in names if name not in metrics] == []
     assert metrics["qml_apps.lssvm_train.calls"] == 2
     assert metrics["qml_apps.qsvm_state_demo.calls"] == 1
+    # One kernel product in the demo gives the full-space training decision
+    # values too; the compressed learner takes the other.
+    assert metrics["qml_apps.lssvm_decision_values.calls"] == 2
     # The trained state is the one state the task builds; the probes are read
     # off it in closed form.
     assert metrics["statevector.constructions"] == 1
+
+
+def test_traced_scaling_run_decomposes_and_loads_its_dataset_once():
+    # Every seed of the sweep reads the same dataset, so the tree, the data
+    # state and the sweep's decomposition are built once. The second SVD is
+    # the task's own, for the report's spectrum block.
+    config = cli.RunConfig(input_path=RANK3, task="scaling", seed=3)
+    with _load_tracer().Tracer(0) as tracer:
+        cli.render_report(cli.run(config))
+    metrics = tracer.metrics()
+    assert metrics["pca_oracle.svd_decompose.calls"] == 2
+    assert metrics["qram_store.build_tree.calls"] == 1
+    assert metrics["qram_store.prepare_data_state.calls"] == 1
+    assert metrics["sv_engine.project_anchor.calls"] == cli.SCALING_SEED_COUNT
