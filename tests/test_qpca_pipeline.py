@@ -573,24 +573,30 @@ def test_scaling_alternating_grows_with_eps():
     assert result.slope_scaled == pytest.approx(result.slope * math.sqrt(2.0))
 
 
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so that its calls are counted by name."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_scaling_builds_the_rotation_free_prefix_once_per_seed(monkeypatch):
     # Only the coefficient rotation depends on eps: each seed projects onto
     # the anchor once, and no grid point runs a whole compress or its
     # pairwise-overlap audit.
-    calls = {"project_anchor": 0, "compress": 0, "pairwise_overlap_report": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(sv_engine, "project_anchor")
-    counting(qpca_pipeline, "compress")
-    counting(pca_oracle, "pairwise_overlap_report")
+    calls = _count_calls(
+        monkeypatch,
+        (sv_engine, "project_anchor"),
+        (qpca_pipeline, "compress"),
+        (pca_oracle, "pairwise_overlap_report"),
+    )
     datasets = {s: rank_k_dataset(16, 8, 2, seed=300 + s) for s in range(2)}
     result = error_scaling_experiment(lambda s: datasets[s], [0.0, 0.02, 0.04, 0.08], [0, 1])
     assert len(result.rows) == 4
@@ -601,17 +607,12 @@ def test_scaling_builds_the_dataset_prefix_once_per_dataset_object(monkeypatch):
     # A generator that keeps returning one DataMatrix gets one tree, one
     # decomposition and one data state; one that returns an equal copy per
     # seed gets them per seed. The sweep's numbers are the same either way.
-    calls = {"build_tree": 0, "svd_decompose": 0, "prepare_data_state": 0}
-    counted = ((qram_store, "build_tree"), (pca_oracle, "svd_decompose"), (qram_store, "prepare_data_state"))
-    for module, name in counted:
-        original = getattr(module, name)
-
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
+    calls = _count_calls(
+        monkeypatch,
+        (qram_store, "build_tree"),
+        (pca_oracle, "svd_decompose"),
+        (qram_store, "prepare_data_state"),
+    )
     data = rank_k_dataset(16, 8, 2, seed=300)
     grid, seeds = [0.0, 0.02, 0.04, 0.08], list(range(5))
     same = error_scaling_experiment(lambda s: data, grid, seeds)
