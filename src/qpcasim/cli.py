@@ -330,7 +330,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     )
     # The demo's queries are the training points: its classical values are the full decision values.
     full_dec = np.array([demo.classical_value for demo in demos])
-    comp_dec = qml_apps.lssvm_decision_values(comp, compressed.values, compressed.values)
+    comp_dec = qml_apps.lssvm_decision_values(comp, compressed.values)
     full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == dataset.labels)) for v in (full_dec, comp_dec))
 
     return {

@@ -4,11 +4,14 @@ Two applications: a least-squares SVM whose decision values can also be read
 off as inner products between two prepared states, and linear regression by
 pseudoinverse whose prediction equals a rescaled overlap between an
 inverse-spectrum state and the query/target product state. The classical
-routes take one query per row and solve once for all of them. The regression
-demo builds both of its states explicitly. The SVM demo builds the trained
-state explicitly, once, and reads every query's probe overlap with it in
-closed form, since a probe holds only a unit slot-0 branch and the query
-repeated over the slots. With shots the demos sample the signed overlap
+routes take one query per row and solve once for all of them. The SVM is
+solved in the D-dimensional feature space, from one thin SVD of the centred
+points, and its decision values are queries times the feature-space weights,
+so no N x N kernel and no query x training-point kernel product is formed.
+The regression demo builds both of its states explicitly. The SVM demo
+builds the trained state explicitly, once, and reads every query's probe
+overlap with it in closed form, since a probe holds only a unit slot-0
+branch and the query repeated over the slots. With shots the demos sample the signed overlap
 through the ancilla-interference form of the swap test (a plain swap test
 only yields the magnitude); shot-free they read the exact inner product.
 """
@@ -57,20 +60,36 @@ class LabeledDataset:
 class LssvmModel:
     bias: float                 # offset term
     coefficients: np.ndarray    # one dual weight per training point
+    weights: np.ndarray         # points^T coefficients: one weight per feature
     gamma: float
-    residual: float             # relative residual of the saddle solve
+    residual: float             # relative residual of the saddle system, |A x - b| / |b|
 
 
 def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
     """Solve the least-squares SVM saddle system on the given coordinates.
 
-    ``points`` selects the space: pass the original rows or their compressed
-    projections. The linear kernel is the plain Gram matrix. Labels must be
-    +-1. The block system
+    ``points`` (P, N x D) selects the space: pass the original rows or their
+    compressed projections. Labels must be +-1. The linear-kernel system
 
-        [[0, 1^T], [1, K + gamma * I]] (bias; coeffs) = (0; labels)
+        [[0, 1^T], [1, P P^T + gamma * I]] (bias; coeffs) = (0; labels)
 
-    is solved directly and the relative residual is checked.
+    is solved in the D-dimensional feature space; no N x N array is built.
+    Centring eliminates the bias: with Pc = P - mean(P) and ybar the mean
+    label, the weights w = P^T coeffs solve the ridge system
+    (gamma * I + Pc^T Pc) w = Pc^T (labels - ybar), which one thin SVD
+    Pc = U S V^T gives as w = V diag(s / (s^2 + gamma)) U^T (labels - ybar).
+    Then bias = ybar - mean(P) . w and coeffs = (labels - P w - bias) / gamma.
+    One step of iterative refinement solves the same system for the saddle
+    residual and adds the correction: the weights come out accurate to
+    round-off, but coefficients derived from them leave a residual that
+    grows with |P|^2 / gamma, and the step brings it down to the level of
+    the exact solution's. The cost is one thin SVD, O(N D min(N, D)) for
+    tall and wide points alike, plus O(N D) products.
+
+    ``residual`` is the relative residual |A x - b| / |b| of the full saddle
+    system, formed with matrix-vector products (P (P^T coeffs) for the
+    kernel term). A result that is not finite, or whose residual is not at
+    most 1e-6, is refused with SingularSystemError.
     """
     labels = dataset.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -79,57 +98,80 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
     n = labels.size
     if points.shape[0] != n:
         raise InvalidInputError("points and labels disagree on the number of rows")
+    gamma = dataset.gamma
 
-    kernel = points @ points.T
-    system = np.zeros((n + 1, n + 1))
-    system[0, 1:] = 1.0
-    system[1:, 0] = 1.0
-    system[1:, 1:] = kernel + dataset.gamma * np.eye(n)
-    rhs = np.concatenate([[0.0], labels])
-    try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
+    # Huge points overflow in here; the checks below refuse what comes out,
+    # so the overflow is not also raised as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_point = points.mean(axis=0)
+        try:
+            u, s, vt = np.linalg.svd(points - mean_point, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"feature-space solve failed ({exc}); a larger gamma regularizes it"
+            ) from exc
+        shrink = s / (s * s + gamma)
+        # (gamma * I + Pc^T Pc)^-1 gamma mean(P): the weights' response to a
+        # unit residual in the first row, which only the refinement sees.
+        mean_response = mean_point - vt.T @ (s * shrink * (vt @ mean_point))
+
+        def solve(first, rest):
+            """(bias, coeffs, weights) for the right-hand side (first; rest)."""
+            rest_mean = rest.mean()
+            w = vt.T @ (shrink * (u.T @ (rest - rest_mean))) + first * mean_response
+            b = rest_mean - mean_point @ w - gamma * first / n
+            return b, (rest - points @ w - b) / gamma, w
+
+        def saddle_residual(b, coeffs):
+            kernel_part = points @ (points.T @ coeffs)
+            return np.concatenate([[-coeffs.sum()], labels - kernel_part - gamma * coeffs - b])
+
+        bias, coefficients, weights = solve(0.0, labels)
+        # The weights are accurate to round-off as solved; the residual comes
+        # from the coefficients derived from them, so only bias and
+        # coefficients take the correction.
+        correction = saddle_residual(bias, coefficients)
+        d_bias, d_coefficients, _ = solve(correction[0], correction[1:])
+        bias = float(bias + d_bias)
+        coefficients = coefficients + d_coefficients
+        residual = float(
+            np.linalg.norm(saddle_residual(bias, coefficients)) / max(np.linalg.norm(labels), 1e-300)
+        )
+    if not (np.isfinite(bias) and np.isfinite(weights).all() and np.isfinite(coefficients).all()):
         raise SingularSystemError(
-            f"saddle system is singular ({exc}); a larger gamma regularizes it"
-        ) from exc
-    residual = float(
-        np.linalg.norm(system @ solution - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    )
-    if residual > 1e-6:
+            f"saddle solve is not finite (bias {bias}); a larger gamma regularizes it"
+        )
+    if not residual <= 1e-6:
         raise SingularSystemError(
-            f"saddle solve residual {residual:.3e} is too large; a larger gamma regularizes it"
+            f"saddle solve residual {residual:.3e} is not at most 1e-6; a larger gamma regularizes it"
         )
     return LssvmModel(
-        bias=float(solution[0]),
-        coefficients=solution[1:],
-        gamma=dataset.gamma,
-        residual=residual,
+        bias=bias, coefficients=coefficients, weights=weights, gamma=gamma, residual=residual
     )
 
 
-def lssvm_decision_values(model: LssvmModel, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Decision value of every query (one per row of ``queries``):
-    kernel row against the training points, weighted by the dual
-    coefficients, plus the bias."""
-    points = np.asarray(points, dtype=np.float64)
+def lssvm_decision_values(model: LssvmModel, queries: np.ndarray) -> np.ndarray:
+    """Decision value of every query (one per row of ``queries``): the
+    query against the model's feature-space weights, plus the bias. The
+    queries must live in the space the model was trained in."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise InvalidInputError(f"queries of shape {queries.shape}; pass one query per row")
-    if queries.shape[1] != points.shape[1]:
+    if queries.shape[1] != model.weights.size:
         raise InvalidInputError(
-            f"queries have {queries.shape[1]} features, training points have {points.shape[1]}"
+            f"queries have {queries.shape[1]} features, the model has {model.weights.size}"
         )
-    return (queries @ points.T) @ model.coefficients + model.bias
+    return queries @ model.weights + model.bias
 
 
-def lssvm_decision_value(model: LssvmModel, points: np.ndarray, query: np.ndarray) -> float:
+def lssvm_decision_value(model: LssvmModel, query: np.ndarray) -> float:
     query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    return float(lssvm_decision_values(model, points, query)[0])
+    return float(lssvm_decision_values(model, query)[0])
 
 
-def lssvm_classify(model: LssvmModel, points: np.ndarray, query: np.ndarray) -> int:
+def lssvm_classify(model: LssvmModel, query: np.ndarray) -> int:
     """Sign of the decision value; an exact zero classifies as +1."""
-    return 1 if lssvm_decision_value(model, points, query) >= 0.0 else -1
+    return 1 if lssvm_decision_value(model, query) >= 0.0 else -1
 
 
 # -- swap-test classification demo ---------------------------------------------
@@ -201,7 +243,7 @@ def qsvm_state_demo(
     points = np.asarray(points, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     n, n_features = points.shape
-    classical_values = lssvm_decision_values(model, points, queries)
+    classical_values = lssvm_decision_values(model, queries)
     if shots is not None and shots < 1:
         raise InvalidInputError("shots must be >= 1")
     if rng_seeds is None:

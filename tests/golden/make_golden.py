@@ -93,6 +93,9 @@ CASES = {
     "error_anchor_scaling": ("rank3.csv", None, ["--task", "scaling", "--anchor", "4"]),
     "error_anchor_qsvm": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--anchor", "5"]),
     "error_anchor_qlr": ("lin.csv", "lin.targets", ["--task", "qlr", "--anchor", "5"]),
+    # Kernel entries near 1e300 swamp gamma = 1: the saddle residual cannot
+    # be brought under the tolerance.
+    "error_singular_qsvm": ("blobs_huge.csv", "blobs.labels", ["--task", "qsvm"]),
     # Only qsvm and qlr read --labels; the check runs before any file is read.
     "error_labels_compress": ("rank3.csv", "blobs.labels", []),
 }
@@ -151,6 +154,7 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     points, labels = gaussian_class_pair(seed=29)
     write_matrix_csv(path("blobs.csv"), points.values)
     write_values_file(path("blobs.labels"), labels)
+    write_matrix_csv(path("blobs_huge.csv"), points.values * 1e150)
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
     write_matrix_csv(path("lin.csv"), data.values)
     write_values_file(path("lin.targets"), targets)

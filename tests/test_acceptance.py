@@ -293,11 +293,11 @@ def test_criterion_09_qsvm_adaptation():
         failures.append(f"saddle residuals {full.residual}, {comp.residual}")
 
     acc_full = np.mean(
-        [lssvm_classify(full, data.values, q) == l for q, l in zip(data.values, labels)]
+        [lssvm_classify(full, q) == l for q, l in zip(data.values, labels)]
     )
     acc_comp = np.mean(
         [
-            lssvm_classify(comp, compressed.values, q) == l
+            lssvm_classify(comp, q) == l
             for q, l in zip(compressed.values, labels)
         ]
     )
@@ -307,7 +307,7 @@ def test_criterion_09_qsvm_adaptation():
     checked = 0
     demos = qsvm_state_demo(full, data.values, data.values)
     for query, demo in zip(data.values, demos):
-        decision = lssvm_decision_value(full, data.values, query)
+        decision = lssvm_decision_value(full, query)
         if abs(decision) <= 1e-9:
             continue  # marginal query, sign undefined at working precision
         checked += 1

@@ -1,12 +1,13 @@
 """Tests for the downstream learners (LS-SVM and linear regression)."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qpcasim.datasets import gaussian_class_pair, linear_trend_dataset, rank_k_dataset
-from qpcasim.errors import DegenerateRegressionError, InvalidInputError
+from qpcasim.errors import DegenerateRegressionError, InvalidInputError, SingularSystemError
 from qpcasim.pca_oracle import DataMatrix, project, svd_decompose
 from qpcasim.qml_apps import (
     PINV_CUTOFF,
@@ -16,6 +17,7 @@ from qpcasim.qml_apps import (
     _sampled_signed_overlap,
     lssvm_classify,
     lssvm_decision_value,
+    lssvm_decision_values,
     lssvm_train,
     qlr_predict,
     qlr_state_demo,
@@ -23,11 +25,11 @@ from qpcasim.qml_apps import (
 )
 from qpcasim.statevector import StateVector, ceil_log2
 
-from oracles import gauss_solve
+from oracles import dense_lssvm_decision_values, dense_lssvm_solve, gauss_solve
 
 
-def _accuracy(model, points, queries, labels):
-    hits = [lssvm_classify(model, points, q) == l for q, l in zip(queries, labels)]
+def _accuracy(model, queries, labels):
+    hits = [lssvm_classify(model, q) == l for q, l in zip(queries, labels)]
     return float(np.mean(hits))
 
 
@@ -51,10 +53,10 @@ def test_lssvm_two_point_line():
     np.testing.assert_allclose(model.coefficients, [1.0 / 3.0, -1.0 / 3.0], atol=1e-12)
     assert model.residual <= 1e-10
 
-    assert lssvm_decision_value(model, points, np.array([1.0])) == pytest.approx(2.0 / 3.0)
-    assert lssvm_decision_value(model, points, np.array([-1.0])) == pytest.approx(-2.0 / 3.0)
+    assert lssvm_decision_value(model, np.array([1.0])) == pytest.approx(2.0 / 3.0)
+    assert lssvm_decision_value(model, np.array([-1.0])) == pytest.approx(-2.0 / 3.0)
     # Exact zero classifies as +1.
-    assert lssvm_classify(model, points, np.array([0.0])) == 1
+    assert lssvm_classify(model, np.array([0.0])) == 1
 
 
 def test_lssvm_validation():
@@ -96,11 +98,75 @@ def test_lssvm_separable_fixture_accuracies_match():
 
     full = lssvm_train(dataset, data.values)
     compressed = lssvm_train(dataset, y.values)
-    acc_full = _accuracy(full, data.values, data.values, labels.astype(int))
-    acc_comp = _accuracy(compressed, y.values, y.values, labels.astype(int))
+    acc_full = _accuracy(full, data.values, labels.astype(int))
+    acc_comp = _accuracy(compressed, y.values, labels.astype(int))
     assert acc_full == 1.0
     assert acc_comp == acc_full
     assert full.residual <= 1e-8 and compressed.residual <= 1e-8
+
+
+def _lssvm_reference_cases():
+    """(name, points, labels, queries): the qsvm-demo shape and its
+    compressed projection, a tall 2000 x 16 pair, a wide 40 x 1024 pair, and
+    rank-deficient points (one column duplicated)."""
+    demo, demo_labels = gaussian_class_pair(n_per_class=200, n_cols=16, seed=7)
+    compressed = project(demo, svd_decompose(demo, 0.95, 0)).values
+    tall, tall_labels = gaussian_class_pair(n_per_class=1000, n_cols=16, seed=3)
+    wide, wide_labels = gaussian_class_pair(n_per_class=20, n_cols=1024, seed=5)
+    duplicated = np.hstack([demo.values, demo.values[:, :1]])
+    rng = np.random.default_rng(11)
+    cases = [
+        ("400x16", demo.values, demo_labels),
+        ("400x16-compressed", compressed, demo_labels),
+        ("2000x16", tall.values, tall_labels),
+        ("40x1024", wide.values, wide_labels),
+        ("400x17-rank-deficient", duplicated, demo_labels),
+    ]
+    return {
+        name: (points, labels, np.vstack([points, rng.normal(scale=2.0, size=(20, points.shape[1]))]))
+        for name, points, labels in cases
+    }
+
+
+@pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("case", ["400x16", "400x16-compressed", "2000x16", "40x1024", "400x17-rank-deficient"])
+def test_lssvm_matches_dense_reference(case, gamma):
+    # The feature-space solve against the dense (N+1)^2 saddle solve, on the
+    # training points and on 20 fresh queries.
+    points, labels, queries = _lssvm_reference_cases()[case]
+    model = lssvm_train(LabeledDataset(DataMatrix(points), labels, gamma=gamma), points)
+    bias, coefficients = dense_lssvm_solve(points, labels, gamma)
+    assert model.bias == pytest.approx(bias, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(model.coefficients, coefficients, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        lssvm_decision_values(model, queries),
+        dense_lssvm_decision_values(points, bias, coefficients, queries),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    assert model.residual <= 1e-10
+
+
+def test_lssvm_refuses_a_non_finite_solve():
+    # Points near 1e154 overflow the solve: the result is not finite and its
+    # residual is NaN, which no "residual > tol" test catches. It is refused,
+    # and the overflow raises no warning.
+    data, labels = gaussian_class_pair(n_per_class=5, n_cols=4, seed=1)
+    with pytest.raises(SingularSystemError):
+        lssvm_train(LabeledDataset(data, labels), data.values * 1e154)
+
+
+def test_lssvm_builds_no_kernel_sized_array():
+    # A 4000 x 4000 float64 kernel alone would be 122 MiB.
+    data, labels = gaussian_class_pair(n_per_class=2000, n_cols=16, seed=3)
+    dataset = LabeledDataset(data, labels)
+    tracemalloc.start()
+    try:
+        lssvm_train(dataset, data.values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # -- SVM state demo ----------------------------------------------------------------

@@ -72,7 +72,7 @@ def reference_demo(
     b = StateVector.from_amplitudes(layout, probe / probe_norm)
     value = float(a.inner(b).real)
 
-    classical = lssvm_decision_value(model, points, query)
+    classical = lssvm_decision_value(model, query)
     result = OverlapDemoResult(
         value=value,
         classical_value=classical,
@@ -215,7 +215,9 @@ def test_seed_count_must_match_query_count(constructions):
 
 def test_zero_norm_trained_state_is_refused(constructions):
     _, points = _class_pair_model()
-    model = LssvmModel(bias=0.0, coefficients=np.zeros(len(points)), gamma=1.0, residual=0.0)
+    model = LssvmModel(
+        bias=0.0, coefficients=np.zeros(len(points)), weights=np.zeros(points.shape[1]), gamma=1.0, residual=0.0
+    )
     with pytest.raises(InvalidInputError, match="zero norm"):
         qsvm_state_demo(model, points, points)
     assert constructions[0] == 0
@@ -236,9 +238,9 @@ def test_probe_whose_norm_overflows_is_refused():
 def test_batched_decision_values_equal_per_row_calls():
     model, points = _class_pair_model()
     queries = np.vstack([points, -points[::3] + 0.5])
-    want = [lssvm_decision_value(model, points, q) for q in queries]
-    np.testing.assert_allclose(lssvm_decision_values(model, points, queries), want, rtol=1e-12, atol=1e-15)
+    want = [lssvm_decision_value(model, q) for q in queries]
+    np.testing.assert_allclose(lssvm_decision_values(model, queries), want, rtol=1e-12, atol=1e-15)
     with pytest.raises(InvalidInputError, match="features"):
-        lssvm_decision_values(model, points, np.ones((2, points.shape[1] + 1)))
+        lssvm_decision_values(model, np.ones((2, points.shape[1] + 1)))
     with pytest.raises(InvalidInputError, match="one query per row"):
-        lssvm_decision_values(model, points, points[0])
+        lssvm_decision_values(model, points[0])
