@@ -365,7 +365,8 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
     model = svd_decompose(data, config.theta, 0)
     compressed = project(data, model)
 
-    preds_orig = qml_apps.qlr_predict(data.values, targets, data.values).value
+    fit = qml_apps.qlr_predict(data.values, targets, data.values)
+    preds_orig = fit.value
     preds_comp = qml_apps.qlr_predict(compressed.values, targets, compressed.values).value
     err_orig = float(np.max(np.abs(preds_orig - targets)))
     err_comp = float(np.max(np.abs(preds_comp - targets)))
@@ -373,9 +374,10 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
 
     sampled = config.mode == MODE_SAMPLED
     demo = qml_apps.qlr_state_demo(
-        data.values,
+        fit,
         targets,
-        data.values[0],
+        data.values,
+        0,
         shots=config.shots if sampled else None,
         rng_seed=config.seed if sampled else None,
     )

@@ -8,12 +8,13 @@ routes take one query per row and solve once for all of them. The SVM is
 solved in the D-dimensional feature space, from one thin SVD of the centred
 points, and its decision values are queries times the feature-space weights,
 so no N x N kernel and no query x training-point kernel product is formed.
-The regression demo builds both of its states explicitly. The SVM demo
-builds the trained state explicitly, once, and reads every query's probe
-overlap with it in closed form, since a probe holds only a unit slot-0
-branch and the query repeated over the slots. With shots the demos sample the signed overlap
-through the ancilla-interference form of the swap test (a plain swap test
-only yields the magnitude); shot-free they read the exact inner product.
+The regression demo builds both of its states explicitly, from the caller's
+``qlr_predict`` fit. The SVM demo builds the trained state explicitly, once,
+and reads every query's probe overlap with it in closed form, since a probe
+holds only a unit slot-0 branch and the query repeated over the slots. With
+shots the demos sample the signed overlap through the ancilla-interference
+form of the swap test (a plain swap test only yields the magnitude);
+shot-free they read the exact inner product.
 """
 
 from __future__ import annotations
@@ -367,25 +368,34 @@ class QlrDemoResult:
 
 
 def qlr_state_demo(
-    points: np.ndarray,
+    fit: QlrPrediction,
     targets: np.ndarray,
-    query: np.ndarray,
+    queries: np.ndarray,
+    row: int,
     shots: int | None = None,
     rng_seed: int | None = None,
 ) -> QlrDemoResult:
-    """Regression readout as a state overlap.
+    """Regression readout of query ``row`` as a state overlap.
 
-    The inverse-spectrum state is the points' pseudoinverse X+ from
-    ``qlr_predict`` (inverse singular values over matched singular-direction
-    pairs) scaled to unit norm, and it is overlapped with the unit
-    query-target product state. Multiplying the overlap by the known
-    normalization factor |X+|_F |targets| |query| recovers the classical
-    prediction exactly.
+    ``fit`` is ``qlr_predict(points, targets, queries)``: the demo reuses
+    its pseudoinverse and its prediction for the query, so it decomposes
+    nothing. The inverse-spectrum state is the points' pseudoinverse X+
+    (inverse singular values over matched singular-direction pairs) scaled
+    to unit norm, and it is overlapped with the unit query-target product
+    state. Multiplying the overlap by the known normalization factor
+    |X+|_F |targets| |query| recovers the classical prediction exactly.
     """
-    points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    fit = qlr_predict(points, targets, query[None, :])
+    queries = np.asarray(queries, dtype=np.float64)
+    n_features, n = fit.pinv.shape
+    if targets.size != n or queries.shape != (fit.value.size, n_features):
+        raise InvalidInputError(
+            f"targets of size {targets.size} and queries of shape {queries.shape} "
+            f"do not match a fit of {fit.value.size} queries on {n} x {n_features} points"
+        )
+    if not 0 <= row < fit.value.size:
+        raise InvalidInputError(f"query row {row} is out of range for {fit.value.size} queries")
+    query = queries[row]
 
     target_norm = float(np.linalg.norm(targets))
     query_norm = float(np.linalg.norm(query))
@@ -393,7 +403,6 @@ def qlr_state_demo(
         raise InvalidInputError("targets and query must have nonzero norm")
     inv_norm = float(np.linalg.norm(fit.pinv))
 
-    n, n_features = points.shape
     feat_qubits = ceil_log2(max(n_features, 2))
     row_qubits = ceil_log2(max(n, 2))
     feat_dim, row_dim = 1 << feat_qubits, 1 << row_qubits
@@ -413,7 +422,7 @@ def qlr_state_demo(
     rescale = inv_norm * target_norm * query_norm
     result = QlrDemoResult(
         prediction=overlap * rescale,
-        classical_value=float(fit.value[0]),
+        classical_value=float(fit.value[row]),
         overlap=overlap,
         rescale_factor=rescale,
     )

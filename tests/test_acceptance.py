@@ -335,7 +335,7 @@ def test_criterion_10_qlr_adaptation():
         if abs(comp.value[i] - targets[i]) > 1e-8:
             failures.append(f"row {i}: compressed-space prediction off by "
                             f"{abs(comp.value[i] - targets[i])}")
-    demo = qlr_state_demo(data.values, targets, data.values[0])
+    demo = qlr_state_demo(pred, targets, data.values, 0)
     if abs(demo.prediction - demo.classical_value) > 1e-8:
         failures.append(
             f"state demo {demo.prediction} vs classical {demo.classical_value}"

@@ -2,10 +2,12 @@
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qpcasim import cli
 from qpcasim.datasets import gaussian_class_pair, linear_trend_dataset, rank_k_dataset
 from qpcasim.errors import DegenerateRegressionError, InvalidInputError, SingularSystemError
 from qpcasim.pca_oracle import DataMatrix, project, svd_decompose
@@ -289,7 +291,8 @@ def test_qlr_validation():
 def test_qlr_demo_identity_case():
     # Identity points, target (1, 0), query e1: every normalization factor is
     # known in closed form and the prediction comes out exactly 1.
-    demo = qlr_state_demo(np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    targets, queries = np.array([1.0, 0.0]), np.array([[1.0, 0.0]])
+    demo = qlr_state_demo(qlr_predict(np.eye(2), targets, queries), targets, queries, 0)
     assert demo.prediction == pytest.approx(1.0, abs=1e-12)
     assert demo.classical_value == pytest.approx(1.0, abs=1e-12)
     assert demo.rescale_factor == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -298,7 +301,9 @@ def test_qlr_demo_identity_case():
 
 def test_qlr_demo_matches_prediction():
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
-    demo = qlr_state_demo(data.values, targets, data.values[3])
+    fit = qlr_predict(data.values, targets, data.values)
+    demo = qlr_state_demo(fit, targets, data.values, 3)
+    assert demo.classical_value == fit.value[3]
     assert demo.prediction == pytest.approx(demo.classical_value, abs=1e-8)
     assert demo.estimate is None
 
@@ -308,13 +313,15 @@ def test_qlr_demo_compressed_space():
     model = svd_decompose(data, 0.95, 0)
     y = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
-    demo = qlr_state_demo(y.values, targets, data.values[3] @ basis)
+    queries = data.values @ basis
+    demo = qlr_state_demo(qlr_predict(y.values, targets, queries), targets, queries, 3)
     assert demo.prediction == pytest.approx(targets[3], abs=1e-6)
 
 
 def test_qlr_demo_sampled():
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
-    demo = qlr_state_demo(data.values, targets, data.values[3], shots=1_000_000, rng_seed=13)
+    fit = qlr_predict(data.values, targets, data.values)
+    demo = qlr_state_demo(fit, targets, data.values, 3, shots=1_000_000, rng_seed=13)
     assert demo.shots == 1_000_000
     # The sampled estimate carries the rescaling, so it brackets the exact
     # prediction at the rescaled standard error.
@@ -402,7 +409,9 @@ def test_qlr_state_demo_equals_scaled_svd_reference(case, shots):
     points, targets, query = _qlr_demo_cases()[case]
     if case == 1:
         assert np.linalg.matrix_rank(points) < points.shape[1]
-    got = qlr_state_demo(points, targets, query, shots=shots, rng_seed=17)
+    queries = query[None, :]
+    fit = qlr_predict(points, targets, queries)
+    got = qlr_state_demo(fit, targets, queries, 0, shots=shots, rng_seed=17)
     want = reference_qlr_state_demo(points, targets, query, shots=shots, rng_seed=17)
     for name in ("prediction", "overlap", "rescale_factor", "classical_value"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15, err_msg=name)
@@ -410,9 +419,8 @@ def test_qlr_state_demo_equals_scaled_svd_reference(case, shots):
     assert got.shots == want.shots
 
 
-def test_qlr_state_demo_reuses_the_prediction_svd(monkeypatch):
-    # The inverse-spectrum state is qlr_predict's pseudoinverse, so the demo
-    # decomposes the points once, inside qlr_predict.
+def _count_svd_calls(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.svd`` argument from now on."""
     calls = []
     svd = np.linalg.svd
 
@@ -421,6 +429,35 @@ def test_qlr_state_demo_reuses_the_prediction_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_qlr_state_demo_reuses_the_prediction_svd(monkeypatch):
+    # The inverse-spectrum state is the fit's pseudoinverse, so the demo
+    # decomposes nothing.
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
-    qlr_state_demo(data.values, targets, data.values[0])
-    assert calls == [(12, 6)]
+    fit = qlr_predict(data.values, targets, data.values)
+    calls = _count_svd_calls(monkeypatch)
+    qlr_state_demo(fit, targets, data.values, 0)
+    assert calls == []
+
+
+def test_qlr_task_decomposes_each_matrix_once(monkeypatch):
+    # One SVD for the spectrum block, one per learner (full and compressed);
+    # the demo takes the full learner's fit.
+    calls = _count_svd_calls(monkeypatch)
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    config = cli.RunConfig(input_path=str(inputs / "lin.csv"), labels_path=str(inputs / "lin.targets"), task="qlr")
+    cli.run(config)
+    assert calls == [(12, 6), (12, 6), (12, 2)]
+
+
+def test_qlr_state_demo_validation():
+    data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
+    fit = qlr_predict(data.values, targets, data.values)
+    with pytest.raises(InvalidInputError, match="out of range"):
+        qlr_state_demo(fit, targets, data.values, 12)
+    with pytest.raises(InvalidInputError, match="do not match"):
+        qlr_state_demo(fit, targets, data.values[:3], 0)
+    with pytest.raises(InvalidInputError, match="do not match"):
+        qlr_state_demo(fit, targets[:5], data.values, 0)
