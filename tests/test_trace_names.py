@@ -73,8 +73,8 @@ def test_traced_qsvm_run_reports_the_qml_apps_metrics(tmp_path):
     assert names and [name for name in names if name not in metrics] == []
     assert metrics["qml_apps.lssvm_train.calls"] == 2
     assert metrics["qml_apps.qsvm_state_demo.calls"] == 1
-    # One kernel product in the demo gives the full-space training decision
-    # values too; the compressed learner takes the other.
+    # The demo's call gives the full-space training decision values too;
+    # the compressed learner makes the other.
     assert metrics["qml_apps.lssvm_decision_values.calls"] == 2
     # The trained state is the one state the task builds; the probes are read
     # off it in closed form.
