@@ -3,9 +3,11 @@
 One tree per row stores partial sums of squared entries with signs kept at
 the leaves; one more tree stores the row norms. Walking a tree level by
 level yields the controlled-rotation cascade that prepares the encoded
-vector from |0...0>. The state loaders run that cascade on amplitude
-vectors, all rows at once, in O(N*D). The full cascade is also available
-as an exact orthogonal matrix, whose inverse is its transpose, with the
+vector from |0...0>. ``build_tree`` runs that cascade once, on amplitude
+vectors for all rows at once in O(N*D), and keeps every row's unit vector
+on the tree; the data-state loader scales those by the norm tree's cascade,
+and a row state is a read of its row. The full cascade is also available as
+an exact orthogonal matrix, whose inverse is its transpose, with the
 register-level preparations built from it; the tests hold the loaders
 against those. Rows and columns are zero-padded to powers of two; padded
 rows carry zero weight and are skipped.
@@ -37,7 +39,8 @@ def _build_levels(leaves: np.ndarray) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class QramTree:
-    """Partial-sum trees for one data matrix."""
+    """Partial-sum trees for one data matrix, and the unit row vectors that
+    the row trees' cascade prepares."""
 
     n_rows: int
     n_cols: int
@@ -46,6 +49,7 @@ class QramTree:
     row_levels: list[np.ndarray]     # level l: (n_rows, 2**l), squared entries
     row_signs: np.ndarray            # (n_rows, padded_cols), +-1
     norm_levels: list[np.ndarray]    # level l: (2**l,), squared row norms
+    row_amplitudes: np.ndarray       # (n_rows, padded_cols), read-only: each row's unit vector
 
     @property
     def row_qubits(self) -> int:
@@ -79,6 +83,9 @@ def build_tree(data: DataMatrix) -> QramTree:
     norm_leaves[:n] = row_levels[0][:, 0]
     norm_levels = _build_levels(norm_leaves)
 
+    rows = _cascade(row_levels, signs)
+    rows.flags.writeable = False
+
     return QramTree(
         n_rows=n,
         n_cols=d,
@@ -87,6 +94,7 @@ def build_tree(data: DataMatrix) -> QramTree:
         row_levels=row_levels,
         row_signs=signs,
         norm_levels=norm_levels,
+        row_amplitudes=rows,
     )
 
 
@@ -205,19 +213,17 @@ def prepare_data_state(tree: QramTree) -> StateVector:
     """Full encoded state: amplitudes X_ij / |X|_F over (row, feature).
 
     Equals ``apply_norm_prep`` then ``apply_row_prep`` on |0>|0>, with the
-    cascades run on vectors instead of matrices."""
+    cascades run on vectors instead of matrices: the tree's row vectors
+    times the norm cascade."""
     norms = _cascade(tree.norm_levels, None)
-    rows = _cascade(tree.row_levels, tree.row_signs)
     amps = np.zeros((tree.padded_rows, tree.padded_cols))
-    amps[: tree.n_rows] = rows * norms[: tree.n_rows, None]
+    amps[: tree.n_rows] = tree.row_amplitudes * norms[: tree.n_rows, None]
     return StateVector.from_amplitudes([("row", tree.row_qubits), ("feature", tree.feature_qubits)], amps)
 
 
 def prepare_row_state(tree: QramTree, row_index: int) -> StateVector:
     """One row's unit vector on a lone feature register: column 0 of
-    ``row_prep_unitary``, run as a vector cascade."""
+    ``row_prep_unitary``, read from the cascade ``build_tree`` ran."""
     if not 0 <= row_index < tree.n_rows:
         raise OutOfRangeError(f"row index {row_index} out of range for {tree.n_rows} rows")
-    levels = [lvl[row_index] for lvl in tree.row_levels]
-    amps = _cascade(levels, tree.row_signs[row_index])
-    return StateVector.from_amplitudes([("feature", tree.feature_qubits)], amps)
+    return StateVector.from_amplitudes([("feature", tree.feature_qubits)], tree.row_amplitudes[row_index])
