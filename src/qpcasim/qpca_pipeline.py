@@ -483,15 +483,6 @@ def _identity_success_probability(
     return float(profile.rotation_constant**2 * np.sum(y**2) / denom)
 
 
-def _rotate_and_postselect(
-    projected: StateVector, p_anchor: float, profile: AnchorProfile, *, shots: int | None, rng_seed: int | None
-) -> sv_engine.PostselectResult:
-    """The part of the circuit that reads the coefficient estimates: their
-    rotation on a fresh ancilla and the ancilla half of postselection."""
-    state = sv_engine.apply_cr_beta(projected, profile.beta_hat, profile.rotation_constant)
-    return sv_engine.postselect(state, p_anchor, shots=shots, rng_seed=rng_seed)
-
-
 def compress(
     data: DataMatrix,
     model: SpectralModel,
@@ -552,7 +543,14 @@ def compress(
 
     anchor = qram_store.prepare_row_state(tree, profile.anchor_index)
     projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchor, spectrum.cu_labels(), distinct_top=d)
-    post = _rotate_and_postselect(projected, p_anchor, profile, shots=postselect_shots, rng_seed=rng_seed)
+    # The rotated state is twice the projected one; no name keeps it alive
+    # through the oracle comparison below, where a run's memory peaks.
+    post = sv_engine.postselect(
+        sv_engine.apply_cr_beta(projected, profile.beta_hat, profile.rotation_constant),
+        p_anchor,
+        shots=postselect_shots,
+        rng_seed=rng_seed,
+    )
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model, d)
@@ -745,7 +743,11 @@ def error_scaling_experiment(
     point. The tree, decomposition and loaded data state are built once per
     dataset, for as long as the generator returns the same ``DataMatrix``
     object; per seed only the anchor draw, its projection and the reference
-    state are; each grid point runs only the rotation and postselection.
+    state are. The grid's perturbed estimates are then rotated and
+    post-selected as one (grid, rows, tokens) array
+    (``sv_engine.postselect_rotations``), with the refusals and the
+    amplitudes of ``apply_cr_beta`` then ``postselect`` at each point; the
+    fidelity and the deviation are taken per point.
     """
     if not eps_grid:
         raise InvalidInputError("eps grid must be nonempty")
@@ -776,12 +778,11 @@ def error_scaling_experiment(
         )
         reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, d))
 
-        for k, eps in enumerate(grid):
-            beta_hat = perturb_beta(choice.profile.beta, eps, perturbation)
-            profile = replace(choice.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min()))
-            out = _rotate_and_postselect(projected, p_anchor, profile, shots=None, rng_seed=None).state
-            infid[k] += max(1.0 - out.fidelity(reference), 0.0)
-            psi, phi = reference.amplitudes, out.amplitudes
+        beta_hat = np.stack([perturb_beta(choice.profile.beta, eps, perturbation) for eps in grid])
+        kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=1))
+        psi = reference.amplitudes
+        for k, phi in enumerate(kept):
+            infid[k] += max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
             dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
 
     infid /= len(seeds)

@@ -38,6 +38,13 @@ def token_qubits(n_tokens: int) -> int:
     return ceil_log2(n_tokens + 1)
 
 
+def check_unit_norm(norm: float) -> None:
+    """Raise ``NumericalFailureError`` for a state norm off 1 by more than
+    ``NORM_TOL``."""
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NumericalFailureError(f"state norm drifted to {norm!r}")
+
+
 @dataclass(frozen=True)
 class Register:
     name: str
@@ -101,9 +108,7 @@ class StateVector:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
     def _assert_normalized(self) -> None:
-        n = self.norm()
-        if abs(n - 1.0) > NORM_TOL:
-            raise NumericalFailureError(f"state norm drifted to {n!r}")
+        check_unit_norm(self.norm())
 
     # -- register-level unitaries -----------------------------------------
 

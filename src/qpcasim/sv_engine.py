@@ -13,6 +13,9 @@ register in |0> again, and the ancilla rotation commutes with them, so
 compression runs all three and the anchor half of postselection first, as
 one features x tokens matrix (``project_anchor``); the rotation and the
 ancilla half (``postselect``) then act on rows x tokens x 2 amplitudes.
+A sweep over coefficient estimates forms only each rotation's kept branch,
+the whole grid as one array (``postselect_rotations``), from the sines that
+``apply_cr_beta`` uses (``rotation_sines``).
 Spectrum sampling reads the register's distribution without building it
 (``eigen_marginal_state``). ``phase_estimate``, ``apply_cu_lambda`` and
 ``inverse_phase_estimate`` are the explicit circuit that the tests hold
@@ -40,7 +43,7 @@ from .errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from .statevector import Register, StateVector, token_qubits
+from .statevector import Register, StateVector, check_unit_norm, token_qubits
 
 LABEL_MODE_IDEAL = "ideal"
 LABEL_MODE_QUANTIZED = "quantized"
@@ -165,6 +168,11 @@ def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.nda
                 leaked_tail_mass=mass,
             )
     return labels
+
+
+def _refuse_below_floor(prob: float) -> None:
+    if prob < POSTSELECT_FLOOR:
+        raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
 
 
 def _padded_eigenbasis(rho: RhoSpec, padded_dim: int) -> np.ndarray:
@@ -302,8 +310,7 @@ def project_anchor(
     weights = basis.T @ anchor.amplitudes.conj()
     block = np.tensordot(state.amplitudes, (basis * weights) @ to_token, axes=([state.axis("feature")], [0]))
     prob = float(np.sum(np.abs(block) ** 2))
-    if prob < POSTSELECT_FLOOR:
-        raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
+    _refuse_below_floor(prob)
     registers = tuple(r for r in state.registers if r.name != "feature") + (Register("index", index_qubits),)
     return StateVector(registers, block / np.sqrt(prob)), prob
 
@@ -329,30 +336,46 @@ def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> 
     return StateVector.from_amplitudes([("eigen", width)], np.sqrt(weights))
 
 
+def rotation_sines(beta_hat: np.ndarray, rotation_constant: float | np.ndarray, index_dim: int) -> np.ndarray:
+    """|1> amplitude of the controlled ancilla rotation on each "index"
+    value: C / beta_hat[j-1] on value j (1-based over the estimated
+    coefficients), 0 on index 0 and past the coefficient list.
+
+    ``beta_hat`` is one coefficient list (d,) with one constant, giving
+    (index_dim,) sines, or a stack (E, d) with one constant per list,
+    giving (E, index_dim); each list is checked as ``apply_cr_beta`` checks
+    its own.
+    """
+    beta_hat = np.asarray(beta_hat, dtype=np.float64)
+    c = np.asarray(rotation_constant, dtype=np.float64)
+    if beta_hat.ndim not in (1, 2) or beta_hat.shape[-1] < 1 or c.shape != beta_hat.shape[:-1]:
+        raise InvalidInputError("beta_hat must be a nonempty 1-D array, or a stack of them with one constant each")
+    if np.any(beta_hat <= 0.0) or np.any(beta_hat > 1.0):
+        raise InvalidInputError("estimated anchor coefficients must lie in (0, 1]")
+    if not np.all(c > 0.0):
+        raise InvalidInputError(f"rotation constant must be positive, got {float(np.min(c))}")
+    smallest = beta_hat.min(axis=-1)
+    over = c > smallest * (1.0 + 1e-12)
+    if np.any(over):
+        k = int(np.argmax(over))
+        raise InvalidRotationError(
+            f"rotation constant {float(c.flat[k])} exceeds the smallest estimated coefficient {float(smallest.flat[k])}"
+        )
+    if beta_hat.shape[-1] + 1 > index_dim:
+        raise InvalidInputError("index register too small for the coefficient list")
+    s = np.zeros(beta_hat.shape[:-1] + (index_dim,))
+    s[..., 1 : beta_hat.shape[-1] + 1] = np.minimum(c[..., None] / beta_hat, 1.0)
+    return s
+
+
 def apply_cr_beta(state: StateVector, beta_hat: np.ndarray, rotation_constant: float) -> StateVector:
     """Controlled ancilla rotation: append a one-qubit "ancilla" in |0> and,
     on "index" value j (1-based over the estimated coefficients), rotate it
     so |1> carries amplitude C / beta_hat[j-1]. Index 0 leaves the ancilla
     alone."""
-    beta_hat = np.asarray(beta_hat, dtype=np.float64)
-    c = float(rotation_constant)
-    if beta_hat.ndim != 1 or beta_hat.size < 1:
-        raise InvalidInputError("beta_hat must be a nonempty 1-D array")
-    if np.any(beta_hat <= 0.0) or np.any(beta_hat > 1.0):
-        raise InvalidInputError("estimated anchor coefficients must lie in (0, 1]")
-    if not c > 0.0:
-        raise InvalidInputError(f"rotation constant must be positive, got {c}")
-    if c > float(beta_hat.min()) * (1.0 + 1e-12):
-        raise InvalidRotationError(
-            f"rotation constant {c} exceeds the smallest estimated coefficient {float(beta_hat.min())}"
-        )
-    if beta_hat.size + 1 > state.register("index").dim:
-        raise InvalidInputError("index register too small for the coefficient list")
-
     # Rotation of |0> by [[q, -s], [s, q]] per index value: q on ancilla 0, s on
-    # ancilla 1; s = 0 on index 0 and past the coefficient list.
-    s = np.zeros(state.register("index").dim)
-    s[1 : beta_hat.size + 1] = np.minimum(c / beta_hat, 1.0)
+    # ancilla 1.
+    s = rotation_sines(beta_hat, float(rotation_constant), state.register("index").dim)
     q = np.sqrt(np.maximum(1.0 - s * s, 0.0))
     shape = [1] * state.amplitudes.ndim + [2]
     shape[state.axis("index")] = -1
@@ -397,8 +420,7 @@ def postselect(
     """
     kept, flagged = state.project_and_remove({"ancilla": 1})
     prob = anchor_probability * flagged
-    if prob < POSTSELECT_FLOOR:
-        raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
+    _refuse_below_floor(prob)
     sampled = successes = None
     if shots is not None:
         if shots < 1:
@@ -414,6 +436,38 @@ def postselect(
         success_count=successes,
         shots=shots,
     )
+
+
+def postselect_rotations(
+    state: StateVector, anchor_probability: float, beta_hat: np.ndarray, rotation_constants: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_cr_beta`` then ``postselect`` without shots, for every row of
+    a stack of coefficient estimates (E, d) with one rotation constant each,
+    as one array pass.
+
+    Only each rotation's ancilla-|1> branch is formed: the state's
+    amplitudes times that rotation's ``rotation_sines`` along "index".
+    Returns the kept branches, renormalised, stacked on a leading axis
+    ahead of the state's own, and each one's probability of both outcomes
+    together. The per-point path's refusals hold: the rotated state's norm
+    (the state's own) and every kept branch's must be 1 within ``NORM_TOL``,
+    and a probability below ``POSTSELECT_FLOOR`` is refused.
+    """
+    if np.ndim(beta_hat) != 2:
+        raise InvalidInputError("postselect_rotations takes a stack (E, d) of coefficient lists")
+    sines = rotation_sines(beta_hat, rotation_constants, state.register("index").dim)
+    check_unit_norm(state.norm())
+    shape = [len(sines)] + [1] * state.amplitudes.ndim
+    shape[1 + state.axis("index")] = -1
+    blocks = state.amplitudes * sines.reshape(shape)
+    flagged = (np.abs(blocks) ** 2).reshape(len(sines), -1).sum(axis=1)
+    probs = anchor_probability * flagged
+    for prob in probs:
+        _refuse_below_floor(float(prob))
+    kept = blocks / np.sqrt(flagged).reshape([-1] + [1] * state.amplitudes.ndim)
+    for norm in np.sqrt((np.abs(kept) ** 2).reshape(len(sines), -1).sum(axis=1)):
+        check_unit_norm(float(norm))
+    return kept, probs
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
-from qpcasim import pca_oracle, qpca_pipeline, qram_store, sv_engine
+from qpcasim import cli, pca_oracle, qpca_pipeline, qram_store, sv_engine
 from qpcasim.errors import (
     DegenerateSpectrumError,
     InvalidInputError,
+    NumericalFailureError,
     OutOfRangeError,
     UnderSampledError,
+    VanishingSuccessError,
     WeakAnchorError,
 )
 from qpcasim.pca_oracle import DataMatrix, expected_row_state, svd_decompose
@@ -33,8 +36,10 @@ from qpcasim.qpca_pipeline import (
     perturb_beta,
     run_compression,
 )
-from qpcasim.sv_engine import LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED, PhaseConfig, RhoSpec
+from qpcasim.statevector import StateVector
+from qpcasim.sv_engine import LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED, POSTSELECT_FLOOR, PhaseConfig, RhoSpec
 
+RANK3 = str(Path(__file__).resolve().parent / "golden" / "inputs" / "rank3.csv")
 TRI_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
@@ -620,3 +625,97 @@ def test_scaling_builds_the_dataset_prefix_once_per_dataset_object(monkeypatch):
     copies = error_scaling_experiment(lambda s: DataMatrix(data.values), grid, seeds)
     assert calls == {"build_tree": 6, "svd_decompose": 6, "prepare_data_state": 6}
     assert copies == same
+
+
+def _record_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call's positional arguments and result
+    are appended, as a pair, to the returned list."""
+    seen = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("perturbation", [PERTURB_ALTERNATING, PERTURB_UNIFORM_RELATIVE])
+@pytest.mark.parametrize("source", ["rank3", "rank4-64x16"])
+def test_scaling_grid_matches_the_per_point_path(monkeypatch, source, perturbation):
+    # The sweep rotates and post-selects its whole eps grid as one array.
+    # Each point's kept state, fidelity and deviation must be those of the
+    # per-point path (apply_cr_beta, postselect, StateVector.fidelity) bit
+    # for bit; with one seed the sweep's means are those values.
+    data = cli.ingest_csv(RANK3) if source == "rank3" else rank_k_dataset(64, 16, 4, seed=5)
+    grid = [0.0, 0.02, 0.04, 0.08, 0.3]
+    choices = _record_calls(monkeypatch, qpca_pipeline, "select_anchor")
+    batches = _record_calls(monkeypatch, sv_engine, "postselect_rotations")
+    references = _record_calls(monkeypatch, pca_oracle, "expected_compressed_state")
+    result = error_scaling_experiment(lambda s: data, grid, [11], perturbation=perturbation)
+    [(_, choice)] = choices
+    [((projected, p_anchor, beta_hat, _), (kept, probs))] = batches
+    [(_, reference)] = references
+    assert kept.shape == (len(grid),) + projected.amplitudes.shape
+    for k, eps in enumerate(grid):
+        want = perturb_beta(choice.profile.beta, eps, perturbation)
+        assert np.array_equal(beta_hat[k], want)
+        post = sv_engine.postselect(sv_engine.apply_cr_beta(projected, want, float(want.min())), p_anchor)
+        assert np.array_equal(kept[k], post.state.amplitudes)
+        assert probs[k] == post.probability
+        assert result.rows[k].mean_infidelity == max(1.0 - post.state.fidelity(reference), 0.0)
+        psi, phi = reference.amplitudes, post.state.amplitudes
+        assert result.rows[k].mean_deviation == float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
+
+
+def test_scaling_grid_refuses_a_point_below_the_postselect_floor():
+    # Index 1 holds mass 1e-7. The second point's sine there is 1e-3, so its
+    # kept mass of 1e-13 falls below the floor: the grid refuses it as the
+    # per-point path does, with the same message.
+    amps = np.zeros((2, 4))
+    amps[0, 0], amps[0, 1] = math.sqrt(1.0 - 1e-7), math.sqrt(1e-7)
+    state = StateVector.from_amplitudes([("row", 1), ("index", 2)], amps)
+    beta_hat = np.array([[0.5, 0.5], [1.0, 1e-3]])
+    _, probs = sv_engine.postselect_rotations(state, 1.0, beta_hat[:1], beta_hat[:1].min(axis=1))
+    assert probs[0] == pytest.approx(1e-7) and probs[0] > POSTSELECT_FLOOR
+    with pytest.raises(VanishingSuccessError) as per_point:
+        sv_engine.postselect(sv_engine.apply_cr_beta(state, beta_hat[1], 1e-3), 1.0)
+    with pytest.raises(VanishingSuccessError) as grid:
+        sv_engine.postselect_rotations(state, 1.0, beta_hat, beta_hat.min(axis=1))
+    assert str(grid.value) == str(per_point.value)
+
+
+def test_a_corrupted_projection_is_refused(monkeypatch):
+    # A stage output whose norm drifted must still raise: the sweep checks
+    # the rotated state's norm before it renormalises each kept branch,
+    # which would hide the drift.
+    project = sv_engine.project_anchor
+
+    def drifted(*args, **kwargs):
+        state, prob = project(*args, **kwargs)
+        return StateVector(state.registers, state.amplitudes * 1.01, _normalize_check=False), prob
+
+    monkeypatch.setattr(sv_engine, "project_anchor", drifted)
+    data = rank_k_dataset(16, 8, 2, seed=300)
+    with pytest.raises(NumericalFailureError, match="state norm drifted"):
+        error_scaling_experiment(lambda s: data, [0.0, 0.02], [0])
+    with pytest.raises(NumericalFailureError, match="state norm drifted"):
+        run_compression(data, seed=0)
+
+
+@pytest.mark.parametrize("task", ["compress", "scaling"])
+def test_each_tree_is_cascaded_once(monkeypatch, task):
+    # build_tree runs the cascade over every row and prepare_data_state over
+    # the norms; a row state reads its row off the tree.
+    calls = _count_calls(monkeypatch, (qram_store, "_cascade"))
+    cli.run(cli.RunConfig(input_path=RANK3, task=task, seed=3))
+    assert calls == {"_cascade": 2}
+    tree = build_tree(cli.ingest_csv(RANK3))
+    calls["_cascade"] = 0
+    for row in range(tree.n_rows):
+        qram_store.prepare_row_state(tree, row)
+    assert calls == {"_cascade": 0}
+    with pytest.raises(ValueError):
+        tree.row_amplitudes[0, 0] = 0.0
