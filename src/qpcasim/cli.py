@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qml_apps
 from .errors import InvalidInputError, OutOfRangeError, ParseError, QpcaError
-from .pca_oracle import DataMatrix, SpectralModel, project, svd_decompose
+from .pca_oracle import DataMatrix, SpectralModel, norm_range_fault, project, svd_decompose
 from .qpca_pipeline import (
     MODE_IDEAL,
     MODE_SAMPLED,
@@ -177,26 +177,17 @@ def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
 
 
 def _check_rows(arr: np.ndarray, row_lines: list[int]) -> None:
-    """Refuse a row that is exactly zero, a row whose sum of squares
-    underflows to 0 or overflows (``ParseError`` at its line), and a matrix
-    whose total sum of squares overflows (``OutOfRangeError``): the
-    pipeline divides by row norms and by the Frobenius norm."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(arr, axis=1)
-        total = np.linalg.norm(arr)
-    bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
-    if bad.size:
-        row = int(bad[0])
-        line = row_lines[row]
-        if not arr[row].any():
-            problem = "row is entirely zero"
-        elif norms[row] == 0.0:
-            problem = "row's sum of squares underflows to zero; rescale the data"
-        else:
-            problem = "row's sum of squares overflows; rescale the data"
-        raise ParseError(f"line {line}: {problem}", line=line)
-    if np.isinf(total):
-        raise OutOfRangeError("the matrix's total sum of squares overflows; rescale the data")
+    """Refuse what ``DataMatrix`` would (``norm_range_fault``), naming a bad
+    row by its line in a ``ParseError``; an overflowing total sum of squares
+    is an ``OutOfRangeError``."""
+    fault = norm_range_fault(arr)
+    if fault is None:
+        return
+    row, problem = fault
+    if row is None:
+        raise OutOfRangeError(problem)
+    line = row_lines[row]
+    raise ParseError(f"line {line}: {problem}", line=line)
 
 
 def read_values(path: str, expected_rows: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Classical SVD/PCA ground truth.
 
-Everything downstream is checked against this module: the singular value
+Everything downstream is checked against this module: the data matrix,
+whose row norms and Frobenius norm the pipeline divides by and so must be
+nonzero and finite (``norm_range_fault``), the singular value
 decomposition with a deterministic sign convention, the variance-threshold
 rule that picks the compressed dimension, the projected data matrix, and the
 ideal compressed statevector the quantum pipeline is supposed to reproduce.
@@ -23,9 +25,39 @@ RANK_CUTOFF = 1e-12
 OVERLAP_BLOCK_ROWS = 128
 
 
+def norm_range_fault(values: np.ndarray) -> tuple[int | None, str] | None:
+    """Why the pipeline could not divide by the norms of ``values``, or None.
+
+    The pipeline divides by every row norm and by the Frobenius norm, so it
+    refuses a row that is exactly zero, a row whose sum of squares underflows
+    to zero or overflows, and a matrix whose total sum of squares overflows.
+    Returns (index of the first bad row, problem) for a row, and (None,
+    problem) for the total.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(values, axis=1)
+        total = np.linalg.norm(values)
+    bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
+    if bad.size:
+        row = int(bad[0])
+        if not values[row].any():
+            return row, "row is entirely zero"
+        if norms[row] == 0.0:
+            return row, "row's sum of squares underflows to zero; rescale the data"
+        return row, "row's sum of squares overflows; rescale the data"
+    if np.isinf(total):
+        return None, "the matrix's total sum of squares overflows; rescale the data"
+    return None
+
+
 @dataclass(frozen=True)
 class DataMatrix:
-    """Validated real data matrix, rows are points, columns features."""
+    """Validated real data matrix, rows are points, columns features.
+
+    Its norms must be in range (``norm_range_fault``): a bad row raises
+    ``InvalidInputError`` naming it, an overflowing total
+    ``OutOfRangeError``.
+    """
 
     values: np.ndarray
 
@@ -38,10 +70,12 @@ class DataMatrix:
             raise InvalidInputError(f"matrix must be at least 1x1, got {n}x{d}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("matrix contains NaN or infinite entries")
-        row_norms = np.linalg.norm(arr, axis=1)
-        zero_rows = np.nonzero(row_norms == 0.0)[0]
-        if zero_rows.size:
-            raise InvalidInputError(f"row {int(zero_rows[0])} is all-zero; every point must have nonzero norm")
+        fault = norm_range_fault(arr)
+        if fault is not None:
+            row, problem = fault
+            if row is None:
+                raise OutOfRangeError(problem)
+            raise InvalidInputError(f"row {row}: {problem}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -1,6 +1,7 @@
 """Tests for the classical spectral oracle."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,29 @@ def test_data_matrix_validation():
     m = DataMatrix(np.array([[3.0, 4.0]]))
     assert m.frobenius_norm == pytest.approx(5.0, abs=1e-12)
     assert m.n_rows == 1 and m.n_cols == 2
+
+
+# The matrix's norms must stay in float64's range, as the CLI's ingest
+# requires: a row of 1e-300 entries is not all-zero, and a row of 1e200
+# entries is refused without a numpy warning escaping.
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[1.0, 2.0], [0.0, 0.0]], InvalidInputError, "row 1: row is entirely zero"),
+        ([[1e-300, 1e-300], [1.0, 2.0]], InvalidInputError,
+         "row 0: row's sum of squares underflows to zero; rescale the data"),
+        ([[1e200, 1e200], [1.0, 2.0]], InvalidInputError, "row 0: row's sum of squares overflows; rescale the data"),
+        ([[1e154, 1.0], [1.0, 1e154]], OutOfRangeError,
+         "the matrix's total sum of squares overflows; rescale the data"),
+    ],
+    ids=["zero-row", "tiny-row", "huge-row", "huge-matrix"],
+)
+def test_data_matrix_norm_range(rows, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            DataMatrix(np.array(rows))
+    assert str(info.value) == message
 
 
 def test_diagonal_matrix_decomposition():
