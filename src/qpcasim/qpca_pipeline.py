@@ -1,10 +1,12 @@
 """End-to-end compression pipeline and its bookkeeping.
 
 The stages mirror the algorithm: encode the data, reveal the leading
-spectrum by sampling the labeled state, estimate the anchor coefficients by
-swap tests, write component tokens, rotate them into an ancilla, and
-post-select on recovering the anchor. Three run modes control where
-randomness enters:
+spectrum by sampling the eigenvalue register, estimate the anchor
+coefficients by swap tests, write component tokens, rotate them into an
+ancilla, and post-select on recovering the anchor. The register's law is the
+eigenvalues binned by label, so sampling it loads no data state; ``compress``
+loads the one state it compresses. Three run modes control where randomness
+enters:
 
   ideal      exact per-component tokens, exact coefficients, exact
              post-selection probability (isolates coefficient-error studies)
@@ -57,28 +59,20 @@ def label_mode_for(run_mode: str) -> str:
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    component: int          # 0-based spectral position
-    label: int              # value written on the eigenvalue register
-    frequency: float        # observed sampling frequency, or the exact eigenvalue
-
-
-@dataclass(frozen=True)
 class SpectrumSample:
-    """Leading spectrum as revealed by (or in lieu of) sampling. None of it
-    depends on the anchor row; the eigenvector signs live in the ``RhoSpec``."""
+    """Leading spectrum as revealed by (or in lieu of) sampling, in spectral
+    order: kept component j has label ``labels[j]`` on the eigenvalue
+    register and token j+1. None of it depends on the anchor row; the
+    eigenvector signs live in the ``RhoSpec``."""
 
-    entries: tuple[SpectrumEntry, ...]
+    labels: np.ndarray        # (dim,) value written on the eigenvalue register
+    frequencies: np.ndarray   # (dim,) observed sampling frequency, or the exact eigenvalue
     histogram: dict[int, int] | None
     budget: int | None
 
-    def cu_labels(self) -> list[tuple[int, int]]:
-        """(label, 1-based component token) pairs for the index write."""
-        return [(e.label, e.component + 1) for e in self.entries]
-
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.labels.size
 
 
 @dataclass(frozen=True)
@@ -179,24 +173,15 @@ def ledger_predict(
 
 
 def exact_spectrum(rho: RhoSpec, cfg: PhaseConfig, dim: int) -> SpectrumSample:
-    """Spectrum entries taken straight from the oracle eigensystem, with the
+    """Leading spectrum taken straight from the oracle eigensystem, with the
     exact eigenvalues standing in for observed frequencies."""
     if not 1 <= dim <= rho.dim:
         raise OutOfRangeError(f"kept dimension {dim} out of range [1, {rho.dim}]")
     labels = sv_engine.check_label_distinctness(rho, cfg, dim)
-    entries = tuple(
-        SpectrumEntry(
-            component=j,
-            label=int(labels[j]),
-            frequency=float(rho.eigenvalues[j]),
-        )
-        for j in range(dim)
-    )
-    return SpectrumSample(entries=entries, histogram=None, budget=None)
+    return SpectrumSample(labels=labels[:dim], frequencies=rho.eigenvalues[:dim], histogram=None, budget=None)
 
 
 def extract_spectrum(
-    data_state: StateVector,
     rho: RhoSpec,
     cfg: PhaseConfig,
     sampling_budget: int,
@@ -207,28 +192,25 @@ def extract_spectrum(
 ) -> SpectrumSample:
     """Discover the leading labels by repeatedly preparing the labeled state
     and measuring the eigenvalue register. The draws come from that
-    register's exact distribution (``sv_engine.eigen_marginal_state`` of the
-    loaded ``data_state``), so the labelled state itself is never built.
+    register's exact distribution, the eigenvalues of ``rho`` binned by
+    label (``sv_engine.eigen_marginal_state``), so neither the data state nor
+    the labelled state is built.
 
     Succeeds when every one of the leading ``dim`` labels was observed and
     their cumulative empirical frequency reaches the variance threshold;
     otherwise raises UnderSampledError carrying the partial sample. The
-    entries are ``exact_spectrum``'s with the observed frequencies.
+    labels are ``exact_spectrum``'s, with the observed frequencies.
     """
     if sampling_budget < 1:
         raise InvalidInputError("sampling budget must be >= 1")
     exact = exact_spectrum(rho, cfg, dim)
-
-    eigen = sv_engine.eigen_marginal_state(rho, cfg, data_state)
-    sample = sv_engine.measure_register(eigen, "eigen", sampling_budget, rng_seed)
-
-    entries = tuple(replace(e, frequency=sample.frequency(e.label)) for e in exact.entries)
+    sample = sv_engine.measure_register(sv_engine.eigen_marginal_state(rho, cfg), "eigen", sampling_budget, rng_seed)
     # Coverage comes from the integer counts: a sum of per-label float
     # frequencies can round below 1.0 even when every draw hit a kept label.
-    kept_counts = [sample.counts.get(e.label, 0) for e in entries]
-    found = sum(1 for c in kept_counts if c > 0)
-    covered = sum(kept_counts) / sampling_budget
-    result = replace(exact, entries=entries, histogram=sample.counts, budget=sampling_budget)
+    kept_counts = np.array([sample.counts.get(int(label), 0) for label in exact.labels])
+    found = int(np.count_nonzero(kept_counts))
+    covered = int(kept_counts.sum()) / sampling_budget
+    result = replace(exact, frequencies=kept_counts / sampling_budget, histogram=sample.counts, budget=sampling_budget)
     if found < dim or covered < threshold:
         raise UnderSampledError(
             f"budget {sampling_budget} found {found}/{dim} leading labels "
@@ -357,20 +339,19 @@ def select_anchor(
     *,
     eps_beta: float = 0.01,
     anchor_index: int | None = None,
-    sampled: tuple[StateVector, int, int] | None = None,
+    sampled: tuple[int, int] | None = None,
 ) -> AnchorChoice:
     """Choose the anchor row whose coefficients scale the rotation.
 
     Rows are drawn uniformly from ``rng`` until one has every kept
     coefficient at or above BETA_FLOOR, for at most MAX_ANCHOR_ATTEMPTS
     draws. A fixed ``anchor_index`` is the only candidate, and its
-    WeakAnchorError propagates unchanged. With ``sampled`` = (data state
-    loaded from ``tree``, spectrum seed, swap-test seed) the spectrum is
-    sampled from that state and the coefficients are estimated by swap
-    tests; without it both are exact. The spectrum is built once from the
-    caller's decomposition ``model``, before any anchor is judged, since it
-    does not depend on the anchor; each candidate only fixes the eigenvector
-    signs (``SpectralModel.with_anchor``).
+    WeakAnchorError propagates unchanged. With ``sampled`` = (spectrum seed,
+    swap-test seed) the spectrum is sampled and the coefficients are
+    estimated by swap tests; without it both are exact. The spectrum is
+    built once from the caller's decomposition ``model``, before any anchor
+    is judged, since it does not depend on the anchor; each candidate only
+    fixes the eigenvector signs (``SpectralModel.with_anchor``).
     """
     # A fixed anchor fixes the signs here too, so a row out of range is
     # reported before the spectrum is built.
@@ -380,9 +361,8 @@ def select_anchor(
     if sampled is None:
         spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, d)
     else:
-        data_state, spectrum_seed, beta_seed = sampled
+        spectrum_seed, beta_seed = sampled
         spectrum = extract_spectrum(
-            data_state,
             RhoSpec.from_model(model),
             cfg,
             default_sampling_budget(d),
@@ -497,7 +477,6 @@ def compress(
     row_index: int | None = None,
     postselect_shots: int | None = None,
     rng_seed: int | None = None,
-    data_state: StateVector | None,
 ) -> CompressResult:
     """Run the compression circuit end to end on exact amplitudes.
 
@@ -506,9 +485,8 @@ def compress(
     restriction ('subset'); a ``row_index`` compresses that one row on a lone
     feature register ('single'). Either way the output state carries
     component tokens 1..dim with label 0 unused, and the report compares it
-    against the classical projection. A full or subset scope starts from
-    ``data_state``, the data state loaded from ``tree``; a single scope
-    reads only its row and takes None.
+    against the classical projection. A full or subset scope loads the data
+    state from ``tree``; a single scope reads only its row.
     """
     d = spectrum.dim
     if subset is not None and row_index is not None:
@@ -535,14 +513,12 @@ def compress(
     if scope == SCOPE_SINGLE:
         state = qram_store.prepare_row_state(tree, int(row_index))
     else:
-        if data_state is None:
-            raise InvalidInputError("a full or subset scope needs the loaded data state")
-        state = data_state
+        state = qram_store.prepare_data_state(tree)
         if scope == SCOPE_SUBSET:
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
     anchor = qram_store.prepare_row_state(tree, profile.anchor_index)
-    projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchor, spectrum.cu_labels(), distinct_top=d)
+    projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchor, distinct_top=d)
     # The rotated state is twice the projected one; no name keeps it alive
     # through the oracle comparison below, where a run's memory peaks.
     post = sv_engine.postselect(
@@ -638,9 +614,6 @@ def run_compression(
     )
     sampled = run_mode == MODE_SAMPLED
     tree = qram_store.build_tree(data)
-    # The sampled spectrum and a full or subset compress read the same data
-    # state, so it is loaded once and handed to both.
-    data_state = qram_store.prepare_data_state(tree) if sampled or row_index is None else None
     choice = select_anchor(
         data,
         pca_oracle.svd_decompose(data, threshold),
@@ -649,7 +622,7 @@ def run_compression(
         np.random.default_rng(anchor_seed),
         eps_beta=eps_beta,
         anchor_index=anchor_index,
-        sampled=(data_state, spectrum_seed, beta_seed) if sampled else None,
+        sampled=(spectrum_seed, beta_seed) if sampled else None,
     )
     result = compress(
         data,
@@ -664,7 +637,6 @@ def run_compression(
         row_index=row_index,
         postselect_shots=shots if sampled else None,
         rng_seed=post_seed,
-        data_state=data_state,
     )
     return RunResult(
         data=data,
@@ -687,8 +659,11 @@ PERTURB_ALTERNATING = "alternating"
 PERTURB_UNIFORM_RELATIVE = "uniform-relative"
 
 
-def perturb_beta(beta: np.ndarray, eps: float, kind: str) -> np.ndarray:
-    """Controlled coefficient perturbations of magnitude ``eps``."""
+def perturb_beta(beta: np.ndarray, eps: float | np.ndarray, kind: str) -> np.ndarray:
+    """Controlled coefficient perturbations of magnitude ``eps``: one
+    magnitude gives (d,) coefficients, a grid (E,) gives one row per
+    magnitude, (E, d)."""
+    eps = np.asarray(eps, dtype=np.float64)[..., None]
     if kind == PERTURB_ALTERNATING:
         signs = np.where(np.arange(beta.size) % 2 == 0, 1.0, -1.0)
         out = beta + signs * eps
@@ -773,12 +748,10 @@ def error_scaling_experiment(
         d = choice.spectrum.dim
         dims.add(d)
         anchor = qram_store.prepare_row_state(tree, choice.profile.anchor_index)
-        projected, p_anchor = sv_engine.project_anchor(
-            choice.rho, cfg, state, anchor, choice.spectrum.cu_labels(), distinct_top=d
-        )
+        projected, p_anchor = sv_engine.project_anchor(choice.rho, cfg, state, anchor, distinct_top=d)
         reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, d))
 
-        beta_hat = np.stack([perturb_beta(choice.profile.beta, eps, perturbation) for eps in grid])
+        beta_hat = perturb_beta(choice.profile.beta, np.array(grid), perturbation)
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=1))
         psi = reference.amplitudes
         for k, phi in enumerate(kept):

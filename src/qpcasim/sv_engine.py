@@ -16,7 +16,8 @@ ancilla half (``postselect``) then act on rows x tokens x 2 amplitudes.
 A sweep over coefficient estimates forms only each rotation's kept branch,
 the whole grid as one array (``postselect_rotations``), from the sines that
 ``apply_cr_beta`` uses (``rotation_sines``).
-Spectrum sampling reads the register's distribution without building it
+Kept component j gets token j+1 by position. Spectrum sampling reads the
+register's law off the eigenvalues binned by label, with no data state
 (``eigen_marginal_state``). ``phase_estimate``, ``apply_cu_lambda`` and
 ``inverse_phase_estimate`` are the explicit circuit that the tests hold
 both against. Every stage acts on the fixed registers "row", "feature",
@@ -234,23 +235,6 @@ def inverse_phase_estimate(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -
     return _label_walk(state, rho, cfg)
 
 
-def _token_map(labels: Sequence[tuple[int, int]], e_dim: int, i_dim: int) -> dict[int, int]:
-    """Checked label -> token map of a token write from the "eigen" into the
-    "index" register."""
-    seen: dict[int, int] = {}
-    for label, component in labels:
-        if not 0 <= label < e_dim:
-            raise InvalidInputError(f"label {label} out of range for register 'eigen'")
-        if not 1 <= component < i_dim:
-            raise InvalidInputError(f"component token {component} out of range for register 'index'")
-        if label in seen:
-            raise DegenerateSpectrumError(
-                f"label {label} is claimed by components {seen[label]} and {component}"
-            )
-        seen[label] = component
-    return seen
-
-
 def apply_cu_lambda(
     state: StateVector,
     labels: Sequence[tuple[int, int]],
@@ -264,7 +248,15 @@ def apply_cu_lambda(
     semantics match the gate-level construction (X-conjugated multi-controlled
     NOTs) on every basis input, which the tests exercise exhaustively.
     """
-    tokens = _token_map(labels, state.register("eigen").dim, state.register("index").dim)
+    tokens: dict[int, int] = {}
+    for label, component in labels:
+        if not 0 <= label < state.register("eigen").dim:
+            raise InvalidInputError(f"label {label} out of range for register 'eigen'")
+        if not 1 <= component < state.register("index").dim:
+            raise InvalidInputError(f"component token {component} out of range for register 'index'")
+        if label in tokens:
+            raise DegenerateSpectrumError(f"label {label} is claimed by components {tokens[label]} and {component}")
+        tokens[label] = component
     if strict:
         _require_zero(state, "index", "index register must be |0> before component writing")
     return state.apply_controlled_xor("eigen", "index", tokens)
@@ -275,7 +267,6 @@ def project_anchor(
     cfg: PhaseConfig,
     state: StateVector,
     anchor: StateVector,
-    labels: Sequence[tuple[int, int]],
     *,
     distinct_top: int,
 ) -> tuple[StateVector, float]:
@@ -283,15 +274,16 @@ def project_anchor(
     postselection as one product on the "feature" register.
 
     Equals ``phase_estimate`` (with ``distinct_top``), ``apply_cu_lambda``
-    with these (label, component) pairs onto a fresh "index" register of
-    ``token_qubits(distinct_top)`` qubits and ``inverse_phase_estimate``,
+    of token j+1 on kept component j's label onto a fresh "index" register
+    of ``token_qubits(distinct_top)`` qubits and ``inverse_phase_estimate``,
     then undoing the preparation of ``anchor`` (a state on the feature
     register alone) and keeping feature |0>. Direction k of the padded
-    eigenbasis B gets token tok(k) (0 for padded directions and labels
-    without a token), so the product is the feature axis times the matrix
-    G[j, t] = sum_{k: tok(k) = t} B[j, k] (B^T conj(anchor))[k]. Returns the
-    renormalised state, "index" in place of "feature", and the probability
-    of the anchor outcome; the label checks are the explicit circuit's.
+    eigenbasis B gets token tok(k) = k+1 for k < ``distinct_top``, else 0;
+    the label checks, the explicit circuit's, refuse every spectrum where
+    the label write would map otherwise. The product is the feature axis
+    times G[j, t] = sum_{k: tok(k) = t} B[j, k] (B^T conj(anchor))[k].
+    Returns the renormalised state, "index" in place of "feature", and the
+    probability of the anchor outcome.
     """
     check_label_distinctness(rho, cfg, distinct_top)
     width = state.register("feature").qubits
@@ -300,13 +292,10 @@ def project_anchor(
             f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
         )
     dim = 1 << width
-    e_dim = 1 << cfg.register_width(rho.dim)
     index_qubits = token_qubits(distinct_top)
     basis = _padded_eigenbasis(rho, dim)
-    padded = _padded_labels(rho, cfg, dim, e_dim)
-    tokens = _token_map(labels, e_dim, 1 << index_qubits)
     to_token = np.zeros((dim, 1 << index_qubits))
-    to_token[np.arange(dim), [tokens.get(int(label), 0) for label in padded]] = 1.0
+    to_token[np.arange(distinct_top), np.arange(1, distinct_top + 1)] = 1.0
     weights = basis.T @ anchor.amplitudes.conj()
     block = np.tensordot(state.amplitudes, (basis * weights) @ to_token, axes=([state.axis("feature")], [0]))
     prob = float(np.sum(np.abs(block) ** 2))
@@ -315,25 +304,21 @@ def project_anchor(
     return StateVector(registers, block / np.sqrt(prob)), prob
 
 
-def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> StateVector:
+def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig) -> StateVector:
     """The "eigen" register that ``phase_estimate`` would write from the
-    "feature" register onto a fresh register of ``cfg.register_width(rho.dim)``
-    qubits, as a state of its own.
+    "feature" register of the loaded data state onto a fresh register of
+    ``cfg.register_width(rho.dim)`` qubits, as a state of its own.
 
     Distinct labels tag orthogonal eigenspaces, so that register's reduced
-    state is diagonal: label L weighs the data state's mass on the
-    eigencomponents labelled L, which is its feature marginal in the padded
-    eigenbasis binned by label. The returned amplitudes are the square roots
-    of those weights, so measuring this state follows the same law as
-    measuring the labelled register, and no labelled tensor is built.
+    state is diagonal: label L weighs the data state's feature marginal,
+    X^T X / ||X||_F^2, on the eigencomponents labelled L, which is the sum
+    of their eigenvalues. The returned amplitudes are the square roots of
+    those weights, so measuring this state follows the same law as
+    measuring the labelled register, and no state is rotated or labelled.
     """
     width = cfg.register_width(rho.dim)
-    dim = state.register("feature").dim
-    basis = _padded_eigenbasis(rho, dim)
-    labels = _padded_labels(rho, cfg, dim, 1 << width)
-    rotated = state.apply_register_unitary("feature", basis.T)
-    weights = np.bincount(labels, weights=rotated.probabilities("feature"), minlength=1 << width)
-    return StateVector.from_amplitudes([("eigen", width)], np.sqrt(weights))
+    weights = np.bincount(eigen_labels(rho, cfg), weights=rho.eigenvalues, minlength=1 << width)
+    return StateVector.from_amplitudes([("eigen", width)], np.sqrt(np.clip(weights, 0.0, None)))
 
 
 def rotation_sines(beta_hat: np.ndarray, rotation_constant: float | np.ndarray, index_dim: int) -> np.ndarray:

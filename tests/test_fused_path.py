@@ -14,9 +14,9 @@ hold the production amplitudes to it.
 import numpy as np
 import pytest
 
-from qpcasim.datasets import rank_k_dataset
-from qpcasim.errors import DegenerateSpectrumError, InvalidInputError
-from qpcasim.pca_oracle import DataMatrix
+from qpcasim.datasets import rank_k_dataset, rank_k_plus_noise
+from qpcasim.errors import DegenerateSpectrumError
+from qpcasim.pca_oracle import DataMatrix, svd_decompose
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
     MODE_QUANTIZED,
@@ -38,6 +38,7 @@ from qpcasim.statevector import StateVector, token_qubits
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
     PhaseConfig,
+    RhoSpec,
     apply_cr_beta,
     apply_cu_lambda,
     eigen_marginal_state,
@@ -71,7 +72,7 @@ def _explicit_compress(run, scope, rows):
     state = state.append_register("eigen", cfg.register_width(rho.dim))
     state = phase_estimate(rho, cfg, state, distinct_top=spectrum.dim)
     state = state.append_register("index", token_qubits(spectrum.dim))
-    state = apply_cu_lambda(state, spectrum.cu_labels())
+    state = apply_cu_lambda(state, [(int(label), j + 1) for j, label in enumerate(spectrum.labels)])
     state = inverse_phase_estimate(rho, cfg, state)
     state = state.remove_register("eigen")
     state = apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
@@ -112,15 +113,10 @@ def test_compress_scopes_match_explicit_circuit(mode):
 
 def test_fused_map_keeps_the_explicit_circuit_checks():
     run = run_compression(rank_k_dataset(16, 8, 2, seed=4), run_mode=MODE_QUANTIZED, seed=0)
-    rho, cfg, labels = run.rho, run.cfg, run.spectrum.cu_labels()
     state = prepare_data_state(run.tree)
     anchor = prepare_row_state(run.tree, run.profile.anchor_index)
     with pytest.raises(DegenerateSpectrumError):
-        project_anchor(rho, cfg, state, anchor, [(labels[0][0], 1), (labels[0][0], 2)], distinct_top=2)
-    with pytest.raises(InvalidInputError):
-        project_anchor(rho, cfg, state, anchor, [(labels[0][0], 4)], distinct_top=2)
-    with pytest.raises(DegenerateSpectrumError):
-        project_anchor(rho, PhaseConfig(bits=1), state, anchor, labels, distinct_top=2)
+        project_anchor(run.rho, PhaseConfig(bits=1), state, anchor, distinct_top=2)
 
 
 @pytest.mark.parametrize("shape", [(24, 12), (5, 3), (1, 4), (4, 1)])
@@ -139,14 +135,24 @@ def test_vector_load_matches_matrix_load(shape):
 
 
 def test_eigen_marginal_matches_labelled_register():
-    data = rank_k_dataset(24, 12, 4, seed=8)
-    run = run_compression(data, run_mode=MODE_QUANTIZED, seed=1)
-    for cfg in (run.cfg, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)):
-        state = _explicit_data_state(run.tree).append_register("eigen", cfg.register_width(run.rho.dim))
-        labelled = phase_estimate(run.rho, cfg, state)
-        marginal = eigen_marginal_state(run.rho, cfg, prepare_data_state(run.tree))
-        assert marginal.layout() == (("eigen", cfg.register_width(run.rho.dim)),)
-        np.testing.assert_allclose(marginal.probabilities("eigen"), labelled.probabilities("eigen"), atol=TOL)
+    # The closed form (eigenvalues binned by label) against the register
+    # that phase estimation writes on the matrix-loaded data state.
+    shapes = [
+        rank_k_dataset(24, 12, 4, seed=8),
+        # Three features padded to four, rank 2: one exactly-zero eigenvalue.
+        rank_k_dataset(5, 3, 2, seed=8),
+        # Dense noise: every tail eigenvalue is nonzero, and they share label 0.
+        rank_k_plus_noise(24, 12, 3, seed=8, noise_fraction=0.3),
+    ]
+    for data in shapes:
+        tree = build_tree(data)
+        rho = RhoSpec.from_model(svd_decompose(data, 0.95))
+        for cfg in (PhaseConfig(bits=6), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)):
+            width = cfg.register_width(rho.dim)
+            labelled = phase_estimate(rho, cfg, _explicit_data_state(tree).append_register("eigen", width))
+            marginal = eigen_marginal_state(rho, cfg)
+            assert marginal.layout() == (("eigen", width),)
+            np.testing.assert_allclose(marginal.probabilities("eigen"), labelled.probabilities("eigen"), atol=TOL)
 
 
 def _record_peak_amplitudes(monkeypatch):
@@ -172,9 +178,9 @@ def test_wide_ideal_run_fits_without_an_eigen_register(monkeypatch):
 
 
 def test_spectrum_sampling_builds_no_labelled_tensor(monkeypatch):
+    # Sampling reads the eigenvalues: no state may exceed the eigen register.
     data = rank_k_dataset(64, 16, 4, seed=3)
     run = run_compression(data, run_mode=MODE_QUANTIZED, seed=0)
-    data_state = prepare_data_state(run.tree)
     peak = _record_peak_amplitudes(monkeypatch)
-    extract_spectrum(data_state, run.rho, run.cfg, 400, 5, dim=run.spectrum.dim, threshold=0.9)
-    assert 0 < peak[0] <= run.tree.padded_rows * run.tree.padded_cols
+    extract_spectrum(run.rho, run.cfg, 400, 5, dim=run.spectrum.dim, threshold=0.9)
+    assert 0 < peak[0] <= 1 << run.cfg.register_width(run.rho.dim)

@@ -57,11 +57,8 @@ def test_exact_spectrum_entries():
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     spectrum = exact_spectrum(rho, cfg, 2)
     assert spectrum.dim == 2
-    assert [e.label for e in spectrum.entries] == [29, 3]
-    assert spectrum.cu_labels() == [(29, 1), (3, 2)]
-    np.testing.assert_allclose(
-        [e.frequency for e in spectrum.entries], [0.90, 0.08], atol=1e-12
-    )
+    assert spectrum.labels.tolist() == [29, 3]
+    np.testing.assert_allclose(spectrum.frequencies, [0.90, 0.08], atol=1e-12)
     with pytest.raises(OutOfRangeError):
         exact_spectrum(rho, cfg, 0)
 
@@ -70,12 +67,11 @@ def test_extract_spectrum_balanced_pair():
     data = DataMatrix(np.eye(2))
     model = svd_decompose(data, 1.0, 0)
     rho = RhoSpec.from_model(model)
-    tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = extract_spectrum(qram_store.prepare_data_state(tree), rho, cfg, 50, 3, dim=2, threshold=0.95)
+    spectrum = extract_spectrum(rho, cfg, 50, 3, dim=2, threshold=0.95)
     sigma = math.sqrt(0.25 / 50)
-    for entry in spectrum.entries:
-        assert abs(entry.frequency - 0.5) <= 3.0 * sigma
+    for frequency in spectrum.frequencies:
+        assert abs(frequency - 0.5) <= 3.0 * sigma
     assert sum(spectrum.histogram.values()) == 50
     assert spectrum.budget == 50
 
@@ -85,22 +81,19 @@ def test_extract_spectrum_rank_one_is_deterministic():
     model = svd_decompose(data, 0.95, 0)
     rho = RhoSpec.from_model(model)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    spectrum = extract_spectrum(
-        qram_store.prepare_data_state(build_tree(data)), rho, cfg, 50, 11, dim=1, threshold=0.95
-    )
-    assert spectrum.entries[0].label == 32  # half-phase encoding of eigenvalue 1
-    assert spectrum.entries[0].frequency == 1.0
+    spectrum = extract_spectrum(rho, cfg, 50, 11, dim=1, threshold=0.95)
+    assert spectrum.labels[0] == 32  # half-phase encoding of eigenvalue 1
+    assert spectrum.frequencies[0] == 1.0
 
 
 def test_extract_spectrum_budget_sweep():
     # 99 of 100 fixed seeds cover 95% of the variance within 200 draws.
     _, model, rho, tree = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    data_state = qram_store.prepare_data_state(tree)
     ok = 0
     for seed in range(100):
         try:
-            extract_spectrum(data_state, rho, cfg, 200, seed, dim=2, threshold=0.95)
+            extract_spectrum(rho, cfg, 200, seed, dim=2, threshold=0.95)
             ok += 1
         except UnderSampledError:
             pass
@@ -111,7 +104,7 @@ def test_extract_spectrum_undersampled_carries_partial():
     _, model, rho, tree = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(UnderSampledError) as info:
-        extract_spectrum(qram_store.prepare_data_state(tree), rho, cfg, 2, 0, dim=2, threshold=0.95)
+        extract_spectrum(rho, cfg, 2, 0, dim=2, threshold=0.95)
     partial = info.value.partial
     assert partial.dim == 2
     assert partial.histogram == {29: 2}  # second label never observed
@@ -120,11 +113,11 @@ def test_extract_spectrum_undersampled_carries_partial():
 
 @pytest.mark.parametrize(
     "run_mode, row_index, loads",
-    [(MODE_SAMPLED, None, 1), (MODE_SAMPLED, 3, 1), (MODE_IDEAL, None, 1), (MODE_IDEAL, 3, 0)],
+    [(MODE_SAMPLED, None, 1), (MODE_SAMPLED, 3, 0), (MODE_IDEAL, None, 1), (MODE_IDEAL, 3, 0)],
 )
 def test_run_compression_loads_the_data_state_at_most_once(monkeypatch, run_mode, row_index, loads):
-    # The sampled spectrum and a full-scope compress share one loaded state;
-    # an ideal single-row compress reads no data state at all.
+    # A full-scope compress loads the data state once; the sampled spectrum
+    # reads the eigenvalues, so a single-row compress loads none in any mode.
     calls = [0]
     original = qram_store.prepare_data_state
 
@@ -150,11 +143,10 @@ def test_extract_spectrum_full_coverage_meets_threshold_one():
 def test_extract_spectrum_rejects_a_kept_dimension_out_of_range():
     data = rank_k_dataset(16, 8, 8, 1)
     model = svd_decompose(data, 1.0, 0)
-    data_state = qram_store.prepare_data_state(build_tree(data))
     cfg = PhaseConfig(bits=10, label_mode=LABEL_MODE_QUANTIZED)
     for dim in (0, 9):
         with pytest.raises(OutOfRangeError):
-            extract_spectrum(data_state, RhoSpec.from_model(model), cfg, 400, 0, dim=dim, threshold=0.95)
+            extract_spectrum(RhoSpec.from_model(model), cfg, 400, 0, dim=dim, threshold=0.95)
 
 
 def test_default_sampling_budget():
@@ -309,10 +301,7 @@ def test_success_probability_identity_with_perturbed_estimates():
     profile = replace(
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
-    res = compress(
-        data, run.model, run.tree, run.rho, run.spectrum, profile, run.cfg,
-        data_state=qram_store.prepare_data_state(run.tree),
-    )
+    res = compress(data, run.model, run.tree, run.rho, run.spectrum, profile, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -326,9 +315,7 @@ def test_compress_full_scope_needs_the_data_state():
     data = rank_k_dataset(16, 8, 2, seed=18)
     run = run_compression(data, seed=3)
     args = (data, run.model, run.tree, run.rho, run.spectrum, run.profile, run.cfg)
-    with pytest.raises(InvalidInputError, match="loaded data state"):
-        compress(*args, data_state=None)
-    single = compress(*args, row_index=2, data_state=None)
+    single = compress(*args, row_index=2)
     assert single.report.scope == "single"
 
 
@@ -534,6 +521,13 @@ def test_perturb_beta_kinds():
     np.testing.assert_allclose(rel, [0.55, 0.55, 0.55], atol=1e-12)
     # Perturbations clip into the usable coefficient range.
     assert perturb_beta(np.array([0.9, 0.9]), 0.3, PERTURB_UNIFORM_RELATIVE).max() == 1.0
+    # A grid of magnitudes gives one row per magnitude, each the point's own.
+    grid = np.array([0.0, 0.1, 0.3])
+    for kind in (PERTURB_ALTERNATING, PERTURB_UNIFORM_RELATIVE):
+        rows = perturb_beta(beta, grid, kind)
+        assert rows.shape == (3, 3)
+        for k, eps in enumerate(grid):
+            assert np.array_equal(rows[k], perturb_beta(beta, float(eps), kind))
 
 
 def test_scaling_zero_perturbation_is_exact():

@@ -400,7 +400,7 @@ def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
     extra = anchor.append_register("index", 1)
     for bad in (wide, misnamed, extra):
         with pytest.raises(InvalidInputError):
-            project_anchor(rho, cfg, state, bad, [(1, 1)], distinct_top=1)
+            project_anchor(rho, cfg, state, bad, distinct_top=1)
 
 
 def test_project_anchor_keeps_the_anchor_outcome():
@@ -409,13 +409,12 @@ def test_project_anchor_keeps_the_anchor_outcome():
     # is orthogonal to the anchor and keeps none.
     rho, cfg, tree = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
     anchor = prepare_row_state(tree, 0)
-    labels = [(1, 1), (2, 2)]
-    kept, prob = project_anchor(rho, cfg, anchor, anchor, labels, distinct_top=2)
+    kept, prob = project_anchor(rho, cfg, anchor, anchor, distinct_top=2)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert kept.layout() == (("index", 2),)
     assert abs(kept.basis_amplitude({"index": 2})) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(VanishingSuccessError):
-        project_anchor(rho, cfg, prepare_row_state(tree, 1), anchor, labels, distinct_top=2)
+        project_anchor(rho, cfg, prepare_row_state(tree, 1), anchor, distinct_top=2)
 
 
 # -- swap test ----------------------------------------------------------------

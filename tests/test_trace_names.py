@@ -58,6 +58,19 @@ def test_traced_compress_reports_every_benchmark_per_layer_metric():
     assert metrics["pca_oracle.overlap_pairs"] == report["compression"]["overlap"]["n_pairs"]
 
 
+def test_traced_sampled_compress_rotates_no_data_state():
+    # The ``compress_sampled`` golden's flags. The sampled spectrum is read
+    # off the eigenvalues, so the one data-state load is compress's own and
+    # no stage rotates a loaded state into the eigenbasis.
+    config = cli.RunConfig(input_path=RANK3, mode="sampled", shots=20000, seed=3)
+    with _load_tracer().Tracer(0) as tracer:
+        cli.render_report(cli.run(config))
+    metrics = tracer.metrics()
+    assert metrics["qram_store.prepare_data_state.calls"] == 1
+    assert metrics["sv_engine.measure_register.calls"] == 1
+    assert metrics["statevector.apply_register_unitary.calls"] == 0
+
+
 def test_traced_qsvm_run_reports_the_qml_apps_metrics(tmp_path):
     # Only the qsvm task reaches qml_apps; the compress run above leaves its
     # names at zero calls.
