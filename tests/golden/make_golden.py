@@ -59,6 +59,8 @@ CASES = {
     "compress_sampled": ("rank3.csv", None, ["--mode", "sampled", "--shots", "20000", "--seed", "3"]),
     "compress_subset": ("rank3.csv", None, ["--subset", "0,3,5,9", "--seed", "3"]),
     "compress_fixed_anchor": ("rank3.csv", None, ["--mode", "quantized", "--anchor", "4"]),
+    # 300 rows: the overlap audit crosses several row blocks.
+    "compress_tall": ("tall.csv", None, ["--seed", "3"]),
     # Comment and blank lines, CRLF endings, padded fields, '+.5' / '3.' / '30E-1' tokens.
     "compress_decorated": ("decorated.csv", None, []),
     # Seed 0 draws the weak row (1, 1) first, so the report lists two anchors.
@@ -142,6 +144,7 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
         return os.path.join(directory, name)
 
     write_matrix_csv(path("rank3.csv"), rank_k_dataset(32, 8, 3, seed=5).values)
+    write_matrix_csv(path("tall.csv"), rank_k_dataset(300, 6, 3, seed=7).values)
     write_matrix_csv(path("tri.csv"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     write_matrix_csv(path("identity.csv"), np.eye(4))
     # The smallest kept label is 1; 400 draws miss it.
