@@ -381,6 +381,9 @@ B = OVERLAP_BLOCK_ROWS
         _signs(2 * B + 1, zero_rows=(2 * B - 1, 2 * B)),
         _signs(2 * B + 1, zero_rows=(B - 1, B)),
         _signs(B + 1, zero_rows=(B,)),
+        _signs(3, zero_rows=(0, 1, 2)),
+        _signs(4, zero_rows=(0, 2, 3)),
+        _signs(2 * B + 3, zero_rows=(1, 2, 3)),
     ],
     ids=[
         "1x3",
@@ -396,6 +399,9 @@ B = OVERLAP_BLOCK_ROWS
         "zero-rows-last-block",
         "zero-rows-on-block-boundary",
         "zero-row-alone-in-last-block",
+        "every-row-flagged",
+        "one-unflagged-row",
+        "flagged-rows-leave-two-whole-blocks",
     ],
 )
 def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
@@ -430,8 +436,11 @@ def test_pairwise_overlap_blocks_round_like_the_full_product(n_rows):
 
 
 def test_pairwise_overlap_memory_is_the_deviations_plus_one_block():
-    # 4096 rows: the deviations take 64 MiB and one block 4 MiB per array;
-    # the two full 4096 x 4096 Gram matrices alone would take 256 MiB.
+    # 4096 rows: the deviations take 64 MiB and one block x 4096 slab 4 MiB.
+    # The audit holds two slabs at a time (a product and the next one, or a
+    # slab and its gathered pairs); the bound allows a third for the unit
+    # rows, the triangle and the per-block count. The two full 4096 x 4096
+    # Gram matrices alone would take 256 MiB.
     data = rank_k_dataset(4096, 16, 4, 1)
     compressed = project(data, svd_decompose(data, 0.95, 0))
     tracemalloc.start()
@@ -441,4 +450,4 @@ def test_pairwise_overlap_memory_is_the_deviations_plus_one_block():
     finally:
         tracemalloc.stop()
     assert report.deviations.size == 4096 * 4095 // 2
-    assert peak < 96 * 2**20
+    assert peak < report.deviations.nbytes + 3 * B * 4096 * 8
