@@ -59,7 +59,8 @@ CASES = {
     "compress_sampled": ("rank3.csv", None, ["--mode", "sampled", "--shots", "20000", "--seed", "3"]),
     "compress_subset": ("rank3.csv", None, ["--subset", "0,3,5,9", "--seed", "3"]),
     "compress_fixed_anchor": ("rank3.csv", None, ["--mode", "quantized", "--anchor", "4"]),
-    # 300 rows: the overlap audit crosses several row blocks.
+    # 300 rows: the overlap audit crosses three 128-row blocks, and its fields
+    # pin the rounding of that block height.
     "compress_tall": ("tall.csv", None, ["--seed", "3"]),
     # Comment and blank lines, CRLF endings, padded fields, '+.5' / '3.' / '30E-1' tokens.
     "compress_decorated": ("decorated.csv", None, []),

@@ -415,6 +415,7 @@ def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
     assert np.array_equal(report.deviations, want["deviations"])
     for name in ("tolerance", "fraction_within", "max_deviation", "mean_deviation", "flagged_rows"):
         assert getattr(report, name) == want[name], name
+        assert type(getattr(report, name)) is type(want[name]), name
 
 
 @pytest.mark.parametrize("n_rows", [B + 1, 2 * B + 1, 3 * B + 5])
