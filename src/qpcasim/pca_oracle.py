@@ -101,14 +101,15 @@ class SpectralModel:
 
     singular_values has one entry per feature column (zero-padded past the
     rank), variance_proportions are their squares normalized to sum 1, and
-    right_vectors holds a full orthonormal basis whose first columns are the
-    principal directions with signs fixed against the anchor row.
+    right_vectors and left_vectors hold the principal directions alone, one
+    column per nonzero singular value, with signs fixed against the anchor
+    row.
     """
 
     singular_values: np.ndarray          # (D,), descending, zero-padded
     variance_proportions: np.ndarray     # (D,), sums to 1
-    right_vectors: np.ndarray            # (D, D), columns
-    left_vectors: np.ndarray             # (N, min(N, D)), columns
+    right_vectors: np.ndarray            # (D, rank), columns
+    left_vectors: np.ndarray             # (N, rank), columns
     threshold: float
     selected_dim: int
     anchor_index: int
@@ -119,7 +120,7 @@ class SpectralModel:
 
     @property
     def n_cols(self) -> int:
-        return self.right_vectors.shape[0]
+        return self.singular_values.size
 
     @property
     def rank(self) -> int:
@@ -143,11 +144,8 @@ class SpectralModel:
         identity intact. A direction orthogonal to the row keeps its sign."""
         if not 0 <= anchor_index < self.n_rows:
             raise OutOfRangeError(f"anchor index {anchor_index} out of range for {self.n_rows} rows")
-        signs = np.ones(self.n_cols)
-        overlaps = data.values[anchor_index] @ self.right_vectors[:, : self.rank]
-        signs[: self.rank] = np.where(overlaps < 0.0, -1.0, 1.0)
-        v = self.right_vectors * signs
-        u = self.left_vectors * signs[: self.left_vectors.shape[1]]
+        signs = np.where(data.values[anchor_index] @ self.right_vectors < 0.0, -1.0, 1.0)
+        v, u = self.right_vectors * signs, self.left_vectors * signs
         return replace(self, right_vectors=v, left_vectors=u, anchor_index=int(anchor_index))
 
 
@@ -182,15 +180,14 @@ class OverlapReport:
 
 
 def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int = 0) -> SpectralModel:
-    """Thin SVD with a deterministic basis completion and anchor-fixed signs.
+    """Thin SVD truncated at the rank, with anchor-fixed signs.
 
-    Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros.
-    The right-vector columns past the rank are the trailing columns of one QR
-    factorisation of [principal directions | identity], so the basis is
-    orthonormal and the same on every call. The selected dimension is the
-    smallest s whose leading variance fraction reaches ``threshold`` (an
-    exact >= on float64). The signs of the principal directions follow row
-    ``anchor_index`` (see ``SpectralModel.with_anchor``).
+    Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros,
+    and only the singular vectors of the nonzero ones are kept: no array is
+    D x D. The selected dimension is the smallest s whose leading variance
+    fraction reaches ``threshold`` (an exact >= on float64). The signs of
+    the principal directions follow row ``anchor_index`` (see
+    ``SpectralModel.with_anchor``).
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
@@ -208,17 +205,13 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
     sigma[sigma <= cutoff] = 0.0
     rank = int(np.count_nonzero(sigma))
 
-    v = np.empty((d, d))
-    v[:, :rank] = vt[:rank].T
-    v[:, rank:] = np.linalg.qr(np.hstack([v[:, :rank], np.eye(d)]))[0][:, rank:]
-
     cum = np.cumsum(sigma ** 2)
     selected = int(np.count_nonzero(cum / cum[-1] < threshold)) + 1
     return SpectralModel(
         singular_values=sigma,
         variance_proportions=sigma ** 2 / cum[-1],
-        right_vectors=v,
-        left_vectors=u,
+        right_vectors=vt[:rank].T,
+        left_vectors=u[:, :rank],
         threshold=float(threshold),
         selected_dim=selected,
         anchor_index=0,
@@ -228,8 +221,8 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
 def project(data: DataMatrix, model: SpectralModel, dim: int | None = None) -> CompressedMatrix:
     """Coordinates of every row in the leading principal directions."""
     d = model.selected_dim if dim is None else dim
-    if not 1 <= d <= model.n_cols:
-        raise OutOfRangeError(f"target dimension {d} out of range [1, {model.n_cols}]")
+    if not 1 <= d <= model.rank:
+        raise OutOfRangeError(f"target dimension {d} out of range [1, {model.rank}]")
     if data.n_cols != model.n_cols:
         raise InvalidInputError(
             f"data has {data.n_cols} columns but the model was built for {model.n_cols}"

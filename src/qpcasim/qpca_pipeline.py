@@ -175,8 +175,8 @@ def ledger_predict(
 def exact_spectrum(rho: RhoSpec, cfg: PhaseConfig, dim: int) -> SpectrumSample:
     """Leading spectrum taken straight from the oracle eigensystem, with the
     exact eigenvalues standing in for observed frequencies."""
-    if not 1 <= dim <= rho.dim:
-        raise OutOfRangeError(f"kept dimension {dim} out of range [1, {rho.dim}]")
+    if not 1 <= dim <= rho.eigenvectors.shape[1]:
+        raise OutOfRangeError(f"kept dimension {dim} out of range [1, {rho.eigenvectors.shape[1]}]")
     labels = sv_engine.check_label_distinctness(rho, cfg, dim)
     return SpectrumSample(labels=labels[:dim], frequencies=rho.eigenvalues[:dim], histogram=None, budget=None)
 

@@ -59,17 +59,19 @@ POSTSELECT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class RhoSpec:
-    """Eigensystem of X^T X / Tr(X^T X): proportions of captured variance
-    and the matching orthonormal directions (columns, sign-fixed)."""
+    """Eigensystem of X^T X / Tr(X^T X): proportions of captured variance,
+    and orthonormal directions (columns, sign-fixed) for the leading k."""
 
     eigenvalues: np.ndarray      # (D,), descending, sums to 1
-    eigenvectors: np.ndarray     # (D, D) columns
+    eigenvectors: np.ndarray     # (D, k) columns, k <= D
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
         vec = np.asarray(self.eigenvectors, dtype=np.float64)
-        if lam.ndim != 1 or vec.shape != (lam.size, lam.size):
-            raise InvalidInputError("eigenvalues must be (D,) and eigenvectors (D, D)")
+        if lam.ndim != 1 or vec.ndim != 2 or vec.shape[0] != lam.size or vec.shape[1] > lam.size:
+            raise InvalidInputError("eigenvalues must be (D,) and eigenvectors (D, k) with k <= D")
+        if np.any(lam[vec.shape[1] :]):
+            raise InvalidInputError("every eigenvalue past the last eigenvector must be zero")
         if np.any(lam < -1e-12) or abs(float(lam.sum()) - 1.0) > 1e-9:
             raise InvalidInputError("eigenvalues must be nonnegative and sum to 1")
         if np.any(np.diff(lam) > 1e-12):
@@ -152,8 +154,8 @@ def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.nda
                 f"eigenvalue labels collide at {cfg.bits} bits for component pairs {pairs}; "
                 f"raise the label width or lower the variance threshold"
             )
-        zero = [j for j in range(top) if head[j] == 0]
-        leaked = [k for k in range(top, rho.dim) if labels[k] in head]
+        zero = np.flatnonzero(head == 0).tolist()
+        leaked = (top + np.flatnonzero(np.isin(labels[top:], head))).tolist()
         if zero or leaked:
             mass = float(rho.eigenvalues[leaked].sum())
             faults = []
@@ -177,10 +179,14 @@ def _refuse_below_floor(prob: float) -> None:
 
 
 def _padded_eigenbasis(rho: RhoSpec, padded_dim: int) -> np.ndarray:
+    """The eigenvectors, completed by the trailing columns of one QR of
+    [eigenvectors | identity], then the identity past the eigensystem."""
     if padded_dim < rho.dim:
         raise InvalidInputError("feature register smaller than the eigensystem")
+    d, k = rho.eigenvectors.shape
     basis = np.eye(padded_dim)
-    basis[: rho.dim, : rho.dim] = rho.eigenvectors
+    basis[:d, :k] = rho.eigenvectors
+    basis[:d, k:d] = np.linalg.qr(np.hstack([rho.eigenvectors, np.eye(d)]))[0][:, k:]
     return basis
 
 
@@ -277,11 +283,11 @@ def project_anchor(
     of token j+1 on kept component j's label onto a fresh "index" register
     of ``token_qubits(distinct_top)`` qubits and ``inverse_phase_estimate``,
     then undoing the preparation of ``anchor`` (a state on the feature
-    register alone) and keeping feature |0>. Direction k of the padded
-    eigenbasis B gets token tok(k) = k+1 for k < ``distinct_top``, else 0;
-    the label checks, the explicit circuit's, refuse every spectrum where
-    the label write would map otherwise. The product is the feature axis
-    times G[j, t] = sum_{k: tok(k) = t} B[j, k] (B^T conj(anchor))[k].
+    register alone) and keeping feature |0>. Eigenvector k gets token k+1
+    for k < ``distinct_top`` and no other direction gets one; the label
+    checks, the explicit circuit's, refuse every spectrum where the label
+    write would map otherwise. With V those eigenvectors, the product is
+    the feature axis times G[j, k+1] = V[j, k] (V^T conj(anchor))[k].
     Returns the renormalised state, "index" in place of "feature", and the
     probability of the anchor outcome.
     """
@@ -291,13 +297,13 @@ def project_anchor(
         raise InvalidInputError(
             f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
         )
-    dim = 1 << width
+    if not 1 <= distinct_top <= rho.eigenvectors.shape[1]:
+        raise OutOfRangeError(f"kept dimension {distinct_top} out of range [1, {rho.eigenvectors.shape[1]}]")
     index_qubits = token_qubits(distinct_top)
-    basis = _padded_eigenbasis(rho, dim)
-    to_token = np.zeros((dim, 1 << index_qubits))
-    to_token[np.arange(distinct_top), np.arange(1, distinct_top + 1)] = 1.0
-    weights = basis.T @ anchor.amplitudes.conj()
-    block = np.tensordot(state.amplitudes, (basis * weights) @ to_token, axes=([state.axis("feature")], [0]))
+    v = rho.eigenvectors[:, :distinct_top]
+    g = np.zeros((1 << width, 1 << index_qubits), dtype=np.complex128)
+    g[: rho.dim, 1 : distinct_top + 1] = v * (v.T @ anchor.amplitudes[: rho.dim].conj())
+    block = np.tensordot(state.amplitudes, g, axes=([state.axis("feature")], [0]))
     prob = float(np.sum(np.abs(block) ** 2))
     _refuse_below_floor(prob)
     registers = tuple(r for r in state.registers if r.name != "feature") + (Register("index", index_qubits),)

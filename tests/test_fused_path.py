@@ -97,10 +97,15 @@ def _assert_matches_explicit(data, mode, seed, scope=SCOPE_FULL, rows=None):
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= TOL
 
 
+# Fewer rows than features and rank below both: production keeps three
+# eigenvectors of 32 features, and the reference completes them to a basis.
+WIDE_SHAPE = (8, 32, 3)
+
+
 @pytest.mark.parametrize("mode", [MODE_IDEAL, MODE_QUANTIZED])
-@pytest.mark.parametrize("k", range(len(EXACTNESS_SHAPES)))
+@pytest.mark.parametrize("k", range(len(EXACTNESS_SHAPES) + 1))
 def test_compress_matches_explicit_circuit(k, mode):
-    n_rows, n_cols, rank = EXACTNESS_SHAPES[k]
+    n_rows, n_cols, rank = (EXACTNESS_SHAPES + [WIDE_SHAPE])[k]
     _assert_matches_explicit(rank_k_dataset(n_rows, n_cols, rank, seed=40 + k), mode, k)
 
 

@@ -18,6 +18,8 @@ from qpcasim.pca_oracle import (
     project,
     svd_decompose,
 )
+from qpcasim.statevector import ceil_log2
+from qpcasim.sv_engine import RhoSpec, _padded_eigenbasis
 
 from oracles import jacobi_eigh
 
@@ -72,6 +74,10 @@ def test_two_identical_rows():
     np.testing.assert_allclose(model.right_vectors[:, 0], [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(model.variance_proportions, [1.0, 0.0], atol=1e-12)
     assert model.rank == 1
+    # Only the principal direction is kept, so it is all a projection can use.
+    assert model.right_vectors.shape == (2, 1)
+    with pytest.raises(OutOfRangeError, match=r"target dimension 2 out of range \[1, 1\]"):
+        project(DataMatrix(np.array([[1.0, 0.0], [1.0, 0.0]])), model, 2)
 
 
 def test_reconstruction_and_jacobi_cross_check_seed7():
@@ -139,26 +145,38 @@ def _random_and_rank_deficient_matrices():
 
 def test_model_invariants_random_matrices():
     for data, anchor_index in _random_and_rank_deficient_matrices():
-        d = data.n_cols
+        n, d = data.n_rows, data.n_cols
         model = svd_decompose(data, 0.95, anchor_index=anchor_index)
         sig = model.singular_values
+        assert sig.shape == (d,)
         assert np.all(np.diff(sig) <= 1e-12)
         assert abs(model.variance_proportions.sum() - 1.0) <= 1e-12
-        gram_v = model.right_vectors.T @ model.right_vectors
-        np.testing.assert_allclose(gram_v, np.eye(d), atol=1e-13)
-        gram_u = model.left_vectors.T @ model.left_vectors
-        np.testing.assert_allclose(gram_u, np.eye(model.left_vectors.shape[1]), atol=1e-10)
-        # The completion leaves the principal directions as the SVD gave
-        # them, up to the anchor signs, and is the same on every call.
-        vt = np.linalg.svd(data.values, full_matrices=False)[2]
+        # Only the principal directions are kept: one orthonormal column per
+        # nonzero singular value, no completion past the rank.
         rank = model.rank
-        assert np.array_equal(np.abs(model.right_vectors[:, :rank]), np.abs(vt[:rank].T))
+        assert model.right_vectors.shape == (d, rank)
+        assert model.left_vectors.shape == (n, rank)
+        np.testing.assert_allclose(model.right_vectors.T @ model.right_vectors, np.eye(rank), atol=1e-13)
+        np.testing.assert_allclose(model.left_vectors.T @ model.left_vectors, np.eye(rank), atol=1e-10)
+        # They are the SVD's own up to the anchor signs, and the same on
+        # every call.
+        vt = np.linalg.svd(data.values, full_matrices=False)[2]
+        assert np.array_equal(np.abs(model.right_vectors), np.abs(vt[:rank].T))
         again = svd_decompose(data, 0.95, anchor_index=anchor_index)
         assert np.array_equal(again.right_vectors, model.right_vectors)
         # Sign convention: nonnegative anchor overlap on every kept direction.
         anchor = data.values[model.anchor_index]
-        overlaps = model.right_vectors[:, :rank].T @ anchor
-        assert np.all(overlaps >= -1e-10)
+        assert np.all(model.right_vectors.T @ anchor >= -1e-10)
+        # The explicit-circuit reference completes the basis: orthogonal on
+        # the padded feature register, the eigenvectors first, the identity
+        # past the features, and the same on every call.
+        rho = RhoSpec.from_model(model)
+        padded = 1 << ceil_log2(d)
+        basis = _padded_eigenbasis(rho, padded)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(padded), atol=1e-13)
+        assert np.array_equal(basis[:d, :rank], model.right_vectors)
+        assert np.array_equal(basis[d:], np.eye(padded)[d:])
+        assert np.array_equal(_padded_eigenbasis(RhoSpec.from_model(again), padded), basis)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +212,22 @@ def test_tall_decomposition_builds_no_row_by_row_matrix():
     finally:
         tracemalloc.stop()
     assert model.left_vectors.shape == (4096, 8)
+    assert peak < 16 * 2**20
+
+
+def test_wide_decomposition_builds_no_feature_by_feature_matrix():
+    # Completing the principal directions of 64 x 4096 data to a 4096 x 4096
+    # basis takes 128 MiB per copy, and its QR several copies; the thin
+    # decomposition keeps every allocation near the size of the data.
+    data = rank_k_dataset(64, 4096, 4, seed=1)
+    tracemalloc.start()
+    try:
+        model = svd_decompose(data, 0.95, anchor_index=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.right_vectors.shape == (4096, 4)
+    assert model.left_vectors.shape == (64, 4)
     assert peak < 16 * 2**20
 
 

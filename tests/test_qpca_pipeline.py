@@ -61,6 +61,10 @@ def test_exact_spectrum_entries():
     np.testing.assert_allclose(spectrum.frequencies, [0.90, 0.08], atol=1e-12)
     with pytest.raises(OutOfRangeError):
         exact_spectrum(rho, cfg, 0)
+    # Past the principal directions there is no eigenvector to keep.
+    thin = RhoSpec(eigenvalues=np.array([0.75, 0.25, 0.0]), eigenvectors=np.eye(3)[:, :2])
+    with pytest.raises(OutOfRangeError, match=r"kept dimension 3 out of range \[1, 2\]"):
+        exact_spectrum(thin, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), 3)
 
 
 def test_extract_spectrum_balanced_pair():

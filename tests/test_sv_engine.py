@@ -11,6 +11,7 @@ from qpcasim.errors import (
     DegenerateSpectrumError,
     InvalidInputError,
     InvalidRotationError,
+    OutOfRangeError,
     VanishingSuccessError,
 )
 from qpcasim.pca_oracle import DataMatrix, svd_decompose
@@ -157,6 +158,37 @@ def test_label_zero_and_tail_collisions_detected():
     assert info.value.leaked_tail_mass == 0.0
     # Ideal labels are positional, never 0 and never shared.
     check_label_distinctness(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), top=1)
+
+
+def test_tail_leak_lists_every_tail_component_sharing_a_kept_label():
+    # 6-bit labels: 1/2 -> 16, 1/32 -> 1, 1/64 -> 1 and 1/256 -> 0. The twenty
+    # 1/64 components after the two kept ones all share the kept label 1; the
+    # forty 1/256 components hold label 0, which no kept component has.
+    lam = np.array([1 / 2, 1 / 32] + [1 / 64] * 20 + [1 / 256] * 40)
+    rho = RhoSpec(eigenvalues=lam, eigenvectors=np.eye(lam.size))
+    with pytest.raises(DegenerateSpectrumError) as info:
+        check_label_distinctness(rho, PhaseConfig(bits=6), top=2)
+    assert f"tail components {list(range(2, 22))} share a kept label" in str(info.value)
+    assert "label 0, the value" not in str(info.value)
+    assert info.value.leaked_tail_mass == 20 / 64
+
+
+def test_rhospec_takes_thin_eigenvectors_and_refuses_what_they_cannot_carry():
+    # Three features, two directions: the third eigenvalue must be zero.
+    thin = np.eye(3)[:, :2]
+    rho = RhoSpec(eigenvalues=np.array([0.75, 0.25, 0.0]), eigenvectors=thin)
+    assert rho.dim == 3 and rho.eigenvectors.shape == (3, 2)
+    with pytest.raises(InvalidInputError, match=r"eigenvectors \(D, k\) with k <= D"):
+        RhoSpec(eigenvalues=np.array([0.75, 0.25]), eigenvectors=np.eye(3)[:2])
+    with pytest.raises(InvalidInputError, match=r"eigenvectors \(D, k\) with k <= D"):
+        RhoSpec(eigenvalues=np.array([0.75, 0.25, 0.0]), eigenvectors=np.eye(2))
+    with pytest.raises(InvalidInputError, match="every eigenvalue past the last eigenvector must be zero"):
+        RhoSpec(eigenvalues=np.array([0.5, 0.25, 0.25]), eigenvectors=thin)
+    # Ideal labels pass the checks past k, but there is no eigenvector to give
+    # a token.
+    feature = StateVector.from_amplitudes([("feature", 2)], np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(OutOfRangeError, match=r"kept dimension 3 out of range \[1, 2\]"):
+        project_anchor(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), feature, feature, distinct_top=3)
 
 
 # -- label writing (phase estimation stand-in) -------------------------------
