@@ -310,17 +310,14 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     full = qml_apps.lssvm_train(dataset, data.values)
     comp = qml_apps.lssvm_train(dataset, compressed.values)
 
-    demo_seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=data.n_rows)
-    sampled = config.mode == MODE_SAMPLED
-    demos = qml_apps.qsvm_state_demo(
-        full,
-        data.values,
-        data.values,
-        shots=config.shots if sampled else None,
-        rng_seeds=[int(s) for s in demo_seeds] if sampled else None,
-    )
+    # Only a sampled demo reads the per-query seeds, so only it draws them.
+    shots = demo_seeds = None
+    if config.mode == MODE_SAMPLED:
+        shots = config.shots
+        demo_seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=data.n_rows).tolist()
+    demo = qml_apps.qsvm_state_demo(full, data.values, data.values, shots=shots, rng_seeds=demo_seeds)
     # The demo's queries are the training points: its classical values are the full decision values.
-    full_dec = np.array([demo.classical_value for demo in demos])
+    full_dec = demo.classical_value
     comp_dec = qml_apps.lssvm_decision_values(comp, compressed.values)
     full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == dataset.labels)) for v in (full_dec, comp_dec))
 
@@ -332,21 +329,21 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
                 "bias": float(full.bias),
                 "residual": float(full.residual),
                 "training_accuracy": full_acc,
-                "decision_values": [float(v) for v in full_dec],
+                "decision_values": full_dec.tolist(),
             },
             "compressed": {
                 "dim": int(compressed.selected_dim),
                 "bias": float(comp.bias),
                 "residual": float(comp.residual),
                 "training_accuracy": comp_acc,
-                "decision_values": [float(v) for v in comp_dec],
+                "decision_values": comp_dec.tolist(),
             },
             "accuracy_match": bool(full_acc == comp_acc),
             "demo": {
                 "queries": int(data.n_rows),
-                "sign_agreements": sum(int(demo.agrees) for demo in demos),
-                "inconclusive": sum(int(demo.inconclusive) for demo in demos),
-                "shots": config.shots if sampled else None,
+                "sign_agreements": int(np.count_nonzero(demo.agrees)),
+                "inconclusive": int(np.count_nonzero(demo.inconclusive)),
+                "shots": shots,
             },
         },
     }

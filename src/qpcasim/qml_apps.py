@@ -11,10 +11,11 @@ so no N x N kernel and no query x training-point kernel product is formed.
 The regression demo builds both of its states explicitly, from the caller's
 ``qlr_predict`` fit. The SVM demo builds the trained state explicitly, once,
 and reads every query's probe overlap with it in closed form, since a probe
-holds only a unit slot-0 branch and the query repeated over the slots. With
-shots the demos sample the signed overlap through the ancilla-interference
-form of the swap test (a plain swap test only yields the magnitude);
-shot-free they read the exact inner product.
+holds only a unit slot-0 branch and the query repeated over the slots; it
+returns one result whose fields are arrays over the queries. With shots the
+demos sample the signed overlap through the ancilla-interference form of
+the swap test (a plain swap test only yields the magnitude); shot-free they
+read the exact inner product.
 """
 
 from __future__ import annotations
@@ -89,8 +90,13 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
 
     ``residual`` is the relative residual |A x - b| / |b| of the full saddle
     system, formed with matrix-vector products (P (P^T coeffs) for the
-    kernel term). A result that is not finite, or whose residual is not at
-    most 1e-6, is refused with SingularSystemError.
+    kernel term). That residual cannot fall below eps |P P^T| |coeffs| / |b|,
+    which grows as the square of the data's scale, so the refusal reads the
+    normwise backward error |A x - b| / (|A|_F |x| + |b|) instead (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 7), which does not
+    depend on the scale. A result that is not finite, or whose backward
+    error is not at most 1e-6, is refused with SingularSystemError; the
+    message prints that backward error as the residual.
     """
     labels = dataset.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -135,16 +141,25 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
         d_bias, d_coefficients, _ = solve(correction[0], correction[1:])
         bias = float(bias + d_bias)
         coefficients = coefficients + d_coefficients
-        residual = float(
-            np.linalg.norm(saddle_residual(bias, coefficients)) / max(np.linalg.norm(labels), 1e-300)
+        residual_norm = np.linalg.norm(saddle_residual(bias, coefficients))
+        label_norm = np.linalg.norm(labels)
+        residual = float(residual_norm / max(label_norm, 1e-300))
+        # |A|_F without the N x N kernel: P P^T has the Frobenius norm of the
+        # smaller Gram matrix and the trace |P|_F^2, which is the Gram's too.
+        gram = points.T @ points if points.shape[1] <= n else points @ points.T
+        system_norm = math.sqrt(
+            2.0 * n + np.sum(gram * gram) + 2.0 * gamma * np.trace(gram) + n * gamma * gamma
+        )
+        backward_error = float(
+            residual_norm / (system_norm * math.hypot(bias, np.linalg.norm(coefficients)) + label_norm)
         )
     if not (np.isfinite(bias) and np.isfinite(weights).all() and np.isfinite(coefficients).all()):
         raise SingularSystemError(
             f"saddle solve is not finite (bias {bias}); a larger gamma regularizes it"
         )
-    if not residual <= 1e-6:
+    if not backward_error <= 1e-6:
         raise SingularSystemError(
-            f"saddle solve residual {residual:.3e} is not at most 1e-6; a larger gamma regularizes it"
+            f"saddle solve residual {backward_error:.3e} is not at most 1e-6; a larger gamma regularizes it"
         )
     return LssvmModel(
         bias=bias, coefficients=coefficients, weights=weights, gamma=gamma, residual=residual
@@ -180,23 +195,24 @@ def lssvm_classify(model: LssvmModel, query: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class OverlapDemoResult:
-    """Signed-overlap readout between two prepared states.
+    """Signed-overlap readouts between two prepared states, one entry per query.
 
-    ``value`` is the exact inner product scaled by the known positive state
-    norms; ``estimate`` is its sampled counterpart (None when shot-free).
-    The inconclusive flag trips when the estimate is within three standard
-    errors of zero.
+    ``value`` is each exact inner product scaled by the known positive state
+    norms; ``estimate`` is its sampled counterpart and ``standard_error`` the
+    estimate's (both None when shot-free, like ``shots``). ``sign`` reads the
+    estimate when there is one, else the value. A query is inconclusive when
+    its estimate is within three standard errors of zero; shot-free, none is.
     """
 
-    value: float
-    classical_value: float
-    sign: int
-    classical_sign: int
-    agrees: bool
-    estimate: float | None = None
-    standard_error: float | None = None
-    inconclusive: bool = False
-    shots: int | None = None
+    value: np.ndarray
+    classical_value: np.ndarray
+    sign: np.ndarray
+    classical_sign: np.ndarray
+    agrees: np.ndarray
+    estimate: np.ndarray | None
+    standard_error: np.ndarray | None
+    inconclusive: np.ndarray
+    shots: int | None
 
 
 def _sampled_signed_overlap(
@@ -227,7 +243,7 @@ def qsvm_state_demo(
     queries: np.ndarray,
     shots: int | None = None,
     rng_seeds: Sequence[int] | None = None,
-) -> list[OverlapDemoResult]:
+) -> OverlapDemoResult:
     """Read the SVM decision value of each query off two prepared states.
 
     The trained state superposes the bias on slot 0 with coefficient-weighted
@@ -239,7 +255,8 @@ def qsvm_state_demo(
     sqrt(1 + N |q_k|^2), and its overlap needs only the trained state's
     slot-0 amplitude and its feature columns summed over slots 1..N, so one
     product gives every query's overlap. With ``shots``, query k's readout is
-    sampled with ``rng_seeds[k]``. Returns one result per query, in order.
+    sampled with ``rng_seeds[k]``, in query order. Returns one result whose
+    fields are arrays over the queries, in order.
     """
     points = np.asarray(points, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -247,9 +264,7 @@ def qsvm_state_demo(
     classical_values = lssvm_decision_values(model, queries)
     if shots is not None and shots < 1:
         raise InvalidInputError("shots must be >= 1")
-    if rng_seeds is None:
-        rng_seeds = [None] * len(queries)
-    elif len(rng_seeds) != len(queries):
+    if rng_seeds is not None and len(rng_seeds) != len(queries):
         raise InvalidInputError(f"{len(rng_seeds)} seeds for {len(queries)} queries")
 
     slot_qubits = ceil_log2(n + 1)
@@ -273,26 +288,25 @@ def qsvm_state_demo(
     scaled = queries / probe_norms[:, None]
     values = a[0, 0] / probe_norms + scaled @ a[1 : n + 1, :n_features].sum(axis=0)
 
-    results = []
-    for value, classical, rng_seed in zip(values.tolist(), classical_values.tolist(), rng_seeds):
-        readout, estimate, stderr = value, None, None
-        if shots is not None:
-            estimate, stderr = _sampled_signed_overlap(value, shots, rng_seed)
-            readout = estimate
-        results.append(
-            OverlapDemoResult(
-                value=value,
-                classical_value=classical,
-                sign=1 if readout >= 0.0 else -1,
-                classical_sign=1 if classical >= 0.0 else -1,
-                agrees=(readout >= 0.0) == (classical >= 0.0),
-                estimate=estimate,
-                standard_error=stderr,
-                inconclusive=shots is not None and abs(estimate) < 3.0 * stderr,
-                shots=shots,
-            )
-        )
-    return results
+    estimate = stderr = None
+    readout, inconclusive = values, np.zeros(values.shape, dtype=bool)
+    if shots is not None:
+        seeds = [None] * len(queries) if rng_seeds is None else rng_seeds
+        draws = [_sampled_signed_overlap(value, shots, seed) for value, seed in zip(values.tolist(), seeds)]
+        estimate, stderr = np.array(draws).reshape(-1, 2).T
+        readout, inconclusive = estimate, np.abs(estimate) < 3.0 * stderr
+    positive, classical_positive = readout >= 0.0, classical_values >= 0.0
+    return OverlapDemoResult(
+        value=values,
+        classical_value=classical_values,
+        sign=np.where(positive, 1, -1),
+        classical_sign=np.where(classical_positive, 1, -1),
+        agrees=positive == classical_positive,
+        estimate=estimate,
+        standard_error=stderr,
+        inconclusive=inconclusive,
+        shots=shots,
+    )
 
 
 # -- linear regression by pseudoinverse ------------------------------------------

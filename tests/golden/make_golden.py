@@ -96,8 +96,8 @@ CASES = {
     "error_anchor_scaling": ("rank3.csv", None, ["--task", "scaling", "--anchor", "4"]),
     "error_anchor_qsvm": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--anchor", "5"]),
     "error_anchor_qlr": ("lin.csv", "lin.targets", ["--task", "qlr", "--anchor", "5"]),
-    # Kernel entries near 1e300 swamp gamma = 1: the saddle residual cannot
-    # be brought under the tolerance.
+    # Kernel entries near 1e300: the saddle residual and the system's norm
+    # overflow, so the backward error is NaN and never under the tolerance.
     "error_singular_qsvm": ("blobs_huge.csv", "blobs.labels", ["--task", "qsvm"]),
     # Only qsvm and qlr read --labels; the check runs before any file is read.
     "error_labels_compress": ("rank3.csv", "blobs.labels", []),

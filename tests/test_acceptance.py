@@ -305,13 +305,13 @@ def test_criterion_09_qsvm_adaptation():
         failures.append(f"training accuracy {acc_comp} != full-space {acc_full}")
 
     checked = 0
-    demos = qsvm_state_demo(full, data.values, data.values)
-    for query, demo in zip(data.values, demos):
+    demo = qsvm_state_demo(full, data.values, data.values)
+    for query, agrees in zip(data.values, demo.agrees):
         decision = lssvm_decision_value(full, query)
         if abs(decision) <= 1e-9:
             continue  # marginal query, sign undefined at working precision
         checked += 1
-        if not demo.agrees:
+        if not agrees:
             failures.append(f"demo sign disagrees at decision value {decision}")
     if checked == 0:
         failures.append("no non-marginal queries to check")

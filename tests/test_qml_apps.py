@@ -158,6 +158,23 @@ def test_lssvm_refuses_a_non_finite_solve():
         lssvm_train(LabeledDataset(data, labels), data.values * 1e154)
 
 
+@pytest.mark.parametrize("n_per_class, n_cols", [(5, 4), (20, 2), (200, 16)])
+def test_lssvm_trains_points_scaled_by_a_million(n_per_class, n_cols):
+    # Forming P (P^T coeffs) in double leaves a residual of order
+    # eps |P P^T| |coeffs|, so the relative residual of these well-posed
+    # problems grows with the square of the scale (1.3e-4, 7.7e-2 and 1.66
+    # here). The normwise backward error does not, and they train, with the
+    # signs of the dense reference solve.
+    data, labels = gaussian_class_pair(n_per_class=n_per_class, n_cols=n_cols, seed=1)
+    points = data.values * 1e6
+    model = lssvm_train(LabeledDataset(data, labels), points)
+    assert model.residual > 1e-6
+    bias, coefficients = dense_lssvm_solve(points, labels, 1.0)
+    want = dense_lssvm_decision_values(points, bias, coefficients, points)
+    assert np.all(want != 0.0)
+    np.testing.assert_array_equal(np.sign(lssvm_decision_values(model, points)), np.sign(want))
+
+
 def test_lssvm_builds_no_kernel_sized_array():
     # A 4000 x 4000 float64 kernel alone would be 122 MiB.
     data, labels = gaussian_class_pair(n_per_class=2000, n_cols=16, seed=3)
@@ -180,38 +197,38 @@ def test_qsvm_demo_shot_free_identity():
     model = lssvm_train(dataset, data.values)
     n = data.n_rows
     queries = data.values[[0, n - 1]]
-    for query, demo in zip(queries, qsvm_state_demo(model, data.values, queries)):
-        assert demo.agrees
-        assert demo.sign == demo.classical_sign
-        assert demo.estimate is None
+    demo = qsvm_state_demo(model, data.values, queries)
+    assert demo.agrees.tolist() == [True, True]
+    assert demo.sign.tolist() == demo.classical_sign.tolist()
+    assert demo.estimate is None
+    for query, value, classical in zip(queries, demo.value, demo.classical_value):
         # value = decision / (trained norm * probe norm), both norms known.
         trained_norm = np.sqrt(
             model.bias**2
             + np.sum(model.coefficients**2 * np.sum(data.values**2, axis=1))
         )
         probe_norm = np.sqrt(1.0 + n * float(query @ query))
-        assert demo.value * trained_norm * probe_norm == pytest.approx(
-            demo.classical_value, abs=1e-10
-        )
+        assert value * trained_norm * probe_norm == pytest.approx(classical, abs=1e-10)
 
 
 def test_qsvm_demo_sampled_far_from_margin():
     data, labels = gaussian_class_pair(seed=29)
     model = lssvm_train(LabeledDataset(data, labels), data.values)
-    [demo] = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
+    demo = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
     assert demo.shots == 1_000_000
-    assert abs(demo.estimate - demo.value) <= 3.0 * demo.standard_error
-    assert demo.agrees and not demo.inconclusive
+    [estimate], [value], [stderr] = demo.estimate, demo.value, demo.standard_error
+    assert abs(estimate - value) <= 3.0 * stderr
+    assert demo.agrees.tolist() == [True] and demo.inconclusive.tolist() == [False]
     # Same seed reproduces the draw.
-    [again] = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
-    assert again.estimate == demo.estimate
+    again = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
+    assert again.estimate.tolist() == [estimate]
 
 
 def test_qsvm_demo_midpoint_is_inconclusive():
     data, labels = gaussian_class_pair(seed=29)
     model = lssvm_train(LabeledDataset(data, labels), data.values)
-    [demo] = qsvm_state_demo(model, data.values, np.zeros((1, 2)), shots=100_000, rng_seeds=[5])
-    assert demo.inconclusive
+    demo = qsvm_state_demo(model, data.values, np.zeros((1, 2)), shots=100_000, rng_seeds=[5])
+    assert demo.inconclusive.tolist() == [True]
 
 
 # -- linear regression ----------------------------------------------------------------

@@ -1,16 +1,18 @@
 """The batched SVM state demo against its per-query reference.
 
-``qsvm_state_demo`` builds the trained state once per call and reads every
-probe's overlap with it in closed form, without building the probes.
-``reference_demo`` below is the per-query form it replaced, kept verbatim: it
-rebuilds the trained state for every query with a row loop, builds the probe
-state and takes the inner product. The closed form sums the same products in
-another order, so the overlap and the classical decision value agree to
+``qsvm_state_demo`` builds the trained state once per call, reads every
+probe's overlap with it in closed form, without building the probes, and
+returns one result of per-query arrays. ``reference_demo`` below is the
+per-query form it replaced: it rebuilds the trained state for every query
+with a row loop, builds the probe state, takes the inner product and returns
+that query's fields as plain scalars. The closed form sums the same products
+in another order, so the overlap and the classical decision value agree to
 1e-12 relative / 1e-15 absolute; every field derived from them (signs,
-sampled estimates, inconclusive flags) must be exactly equal.
+sampled estimates, inconclusive flags) must be exactly equal, entry by entry.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -38,13 +40,14 @@ def reference_demo(
     query: np.ndarray,
     shots: int | None = None,
     rng_seed: int | None = None,
-) -> OverlapDemoResult:
+) -> dict:
     """Read the SVM decision value off two prepared states.
 
     The trained state superposes the bias on slot 0 with coefficient-weighted
     training rows on slots 1..N; the query state superposes a unit slot-0
     branch with the query vector on every slot. Their inner product is the
     decision value divided by both state norms, so the sign is preserved.
+    Returns the query's ``OverlapDemoResult`` fields, by name.
     """
     points = np.asarray(points, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -73,21 +76,23 @@ def reference_demo(
     value = float(a.inner(b).real)
 
     classical = lssvm_decision_value(model, query)
-    result = OverlapDemoResult(
+    result = dict(
         value=value,
         classical_value=classical,
         sign=1 if value >= 0.0 else -1,
         classical_sign=1 if classical >= 0.0 else -1,
         agrees=(value >= 0.0) == (classical >= 0.0),
+        estimate=None,
+        standard_error=None,
+        inconclusive=False,
+        shots=None,
     )
     if shots is None:
         return result
     estimate, stderr = _sampled_signed_overlap(value, shots, rng_seed)
-    return OverlapDemoResult(
-        value=value,
-        classical_value=classical,
+    return dict(
+        result,
         sign=1 if estimate >= 0.0 else -1,
-        classical_sign=result.classical_sign,
         agrees=(estimate >= 0.0) == (classical >= 0.0),
         estimate=estimate,
         standard_error=stderr,
@@ -114,15 +119,23 @@ def _model(points, labels):
 
 def _assert_matches_reference(model, points, shots, seeds):
     batched = qsvm_state_demo(model, points, points, shots=shots, rng_seeds=seeds)
-    assert len(batched) == len(points)
-    for k, (query, got) in enumerate(zip(points, batched)):
+    assert isinstance(batched, OverlapDemoResult)
+    for field in (f.name for f in fields(batched) if f.name != "shots"):
+        got = getattr(batched, field)
+        if got is not None:
+            assert got.shape == (len(points),), field
+    assert batched.sign.dtype.kind == batched.classical_sign.dtype.kind == "i"
+    assert batched.agrees.dtype == batched.inconclusive.dtype == bool
+    for k, query in enumerate(points):
         want = reference_demo(
             model, points, query, shots=shots, rng_seed=None if seeds is None else seeds[k]
         )
+        assert batched.shots == want["shots"]
         for field in ("value", "classical_value"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=1e-15), (k, field)
-        for field in ("sign", "classical_sign", "agrees", "estimate", "standard_error", "inconclusive", "shots"):
-            assert getattr(got, field) == getattr(want, field), (k, field)
+            assert getattr(batched, field)[k] == pytest.approx(want[field], rel=1e-12, abs=1e-15), (k, field)
+        for field in ("sign", "classical_sign", "agrees", "estimate", "standard_error", "inconclusive"):
+            got = getattr(batched, field)
+            assert (None if got is None else got[k]) == want[field], (k, field)
 
 
 @pytest.mark.parametrize("shots, cli_seed", [(None, None), (20_000, 6), (100_000, 0)])
