@@ -94,9 +94,12 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
     which grows as the square of the data's scale, so the refusal reads the
     normwise backward error |A x - b| / (|A|_F |x| + |b|) instead (Higham,
     "Accuracy and Stability of Numerical Algorithms", ch. 7), which does not
-    depend on the scale. A result that is not finite, or whose backward
-    error is not at most 1e-6, is refused with SingularSystemError; the
-    message prints that backward error as the residual.
+    depend on the scale. |A|_F is bounded above by sqrt(2N) + |P|_F^2 +
+    gamma sqrt(N), since |P P^T|_F <= tr(P P^T). A result that is not
+    finite, or whose backward error is not at most 1e-6 (or cannot be
+    formed because that bound overflows), is refused with
+    SingularSystemError; the message prints the backward error as the
+    residual.
     """
     labels = dataset.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -144,15 +147,15 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
         residual_norm = np.linalg.norm(saddle_residual(bias, coefficients))
         label_norm = np.linalg.norm(labels)
         residual = float(residual_norm / max(label_norm, 1e-300))
-        # |A|_F without the N x N kernel: P P^T has the Frobenius norm of the
-        # smaller Gram matrix and the trace |P|_F^2, which is the Gram's too.
-        gram = points.T @ points if points.shape[1] <= n else points @ points.T
-        system_norm = math.sqrt(
-            2.0 * n + np.sum(gram * gram) + 2.0 * gamma * np.trace(gram) + n * gamma * gamma
-        )
-        backward_error = float(
-            residual_norm / (system_norm * math.hypot(bias, np.linalg.norm(coefficients)) + label_norm)
-        )
+        # An upper bound on |A|_F without the N x N kernel: P P^T is positive
+        # semidefinite, so |P P^T|_F <= tr(P P^T) = |P|_F^2.
+        system_norm = math.sqrt(2.0 * n) + float(np.vdot(points, points)) + gamma * math.sqrt(n)
+        scale = system_norm * math.hypot(bias, np.linalg.norm(coefficients)) + label_norm
+        backward_error = float(residual_norm / scale)
+        if not math.isfinite(scale) and not math.isnan(backward_error):
+            # An overflowed scale would read any finite residual as a zero
+            # backward error; count it as unbounded instead.
+            backward_error = math.inf
     if not (np.isfinite(bias) and np.isfinite(weights).all() and np.isfinite(coefficients).all()):
         raise SingularSystemError(
             f"saddle solve is not finite (bias {bias}); a larger gamma regularizes it"

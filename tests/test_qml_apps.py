@@ -158,6 +158,42 @@ def test_lssvm_refuses_a_non_finite_solve():
         lssvm_train(LabeledDataset(data, labels), data.values * 1e154)
 
 
+def _blobs():
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    points = np.loadtxt(inputs / "blobs.csv", delimiter=",")
+    return points, np.loadtxt(inputs / "blobs.labels").reshape(-1)
+
+
+def test_lssvm_refuses_a_finite_backward_error_above_the_bound():
+    # At 2^40 the solve stays finite, but the coefficients derived from the
+    # weights carry an error the refinement step does not remove: the
+    # backward error is of order 1e-3, well above 1e-6.
+    points, labels = _blobs()
+    with pytest.raises(SingularSystemError, match=r"residual [0-9.]+e-04 is not at most 1e-6"):
+        lssvm_train(LabeledDataset(DataMatrix(points), labels), points * 2.0**40)
+
+
+@pytest.mark.parametrize("scale", [2.0**40, 2.0**60, 1e100], ids=["2^40", "2^60", "1e100"])
+def test_lssvm_on_huge_points_refuses_or_classifies(scale):
+    # The exact solve (500-digit LU) classifies every blobs point correctly
+    # at these scales, so a model that is not refused must too.
+    points, labels = _blobs()
+    points = points * scale
+    try:
+        model = lssvm_train(LabeledDataset(DataMatrix(points), labels), points)
+    except SingularSystemError:
+        return
+    np.testing.assert_array_equal(np.where(lssvm_decision_values(model, points) >= 0.0, 1.0, -1.0), labels)
+
+
+def test_lssvm_refuses_when_the_norm_bound_overflows():
+    # gamma sqrt(N) overflows the bound on |A|_F. A finite residual over
+    # an infinite scale would read as a zero backward error; it is refused.
+    points, labels = _blobs()
+    with pytest.raises(SingularSystemError, match="residual inf is not at most 1e-6"):
+        lssvm_train(LabeledDataset(DataMatrix(points), labels, gamma=1e308), points)
+
+
 @pytest.mark.parametrize("n_per_class, n_cols", [(5, 4), (20, 2), (200, 16)])
 def test_lssvm_trains_points_scaled_by_a_million(n_per_class, n_cols):
     # Forming P (P^T coeffs) in double leaves a residual of order
