@@ -29,13 +29,15 @@ from .qpca_pipeline import (
     CompressionReport,
     ResourceLedger,
     RunResult,
+    ScalingResult,
     error_scaling_experiment,
+    exact_spectrum,
     ledger_predict,
     run_compression,
     select_anchor,
 )
 from .qram_store import build_tree
-from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig
+from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, RhoSpec
 
 TASKS = ("compress", "qsvm", "qlr", "scaling", "ledger")
 
@@ -223,7 +225,11 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
 
 # Report fields left out of a dataclass's JSON form, and derived values
 # (properties or zero-argument methods) added to it.
-_OMIT = {SpectralModel: ("right_vectors", "left_vectors"), CompressionReport: ("ledger",)}
+_OMIT = {
+    SpectralModel: ("right_vectors", "left_vectors"),
+    CompressionReport: ("ledger",),
+    ScalingResult: ("models",),
+}
 _DERIVED = {
     SpectralModel: ("n_rows", "n_cols", "rank", "cumulative_variance", "variance_captured"),
     ResourceLedger: ("amplified_cost",),
@@ -392,7 +398,6 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
 
 
 def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
-    model = svd_decompose(data, config.theta, 0)
     rng = np.random.default_rng(config.seed)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=SCALING_SEED_COUNT)]
     result = error_scaling_experiment(
@@ -403,19 +408,23 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
         perturbation=PERTURB_ALTERNATING,
         bits=config.bits,
     )
+    # The generator returns one dataset, so the sweep made one decomposition.
     return {
-        "spectrum": _plain(model),
+        "spectrum": _plain(result.models[0]),
         "scaling": _plain(result),
     }
 
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
+    model = svd_decompose(data, config.theta)
+    rho = RhoSpec.from_model(model)
     choice = select_anchor(
         data,
-        svd_decompose(data, config.theta),
+        model,
+        rho,
+        exact_spectrum(rho, cfg, model.selected_dim),
         build_tree(data),
-        cfg,
         np.random.default_rng(config.seed),
         eps_beta=config.eps_beta,
         anchor_index=config.anchor_index,

@@ -136,15 +136,21 @@ class SpectralModel:
     def variance_captured(self) -> float:
         return float(self.cumulative_variance()[self.selected_dim - 1])
 
-    def with_anchor(self, data: DataMatrix, anchor_index: int) -> "SpectralModel":
-        """The same decomposition with its signs fixed against row
-        ``anchor_index`` of ``data``: each principal direction (nonzero
-        singular value) whose overlap with that row is negative is flipped,
-        and its left vector flips in tandem, keeping the reconstruction
-        identity intact. A direction orthogonal to the row keeps its sign."""
+    def anchor_signs(self, data: DataMatrix, anchor_index: int) -> np.ndarray:
+        """-1 for each principal direction whose overlap with row
+        ``anchor_index`` of ``data`` is negative, +1 for the others (a
+        direction orthogonal to the row included), one per column of
+        ``right_vectors``."""
         if not 0 <= anchor_index < self.n_rows:
             raise OutOfRangeError(f"anchor index {anchor_index} out of range for {self.n_rows} rows")
-        signs = np.where(data.values[anchor_index] @ self.right_vectors < 0.0, -1.0, 1.0)
+        return np.where(data.values[anchor_index] @ self.right_vectors < 0.0, -1.0, 1.0)
+
+    def with_anchor(self, data: DataMatrix, anchor_index: int) -> "SpectralModel":
+        """The same decomposition with its signs fixed against row
+        ``anchor_index`` of ``data`` (``anchor_signs``): each flipped
+        principal direction's left vector flips in tandem, keeping the
+        reconstruction identity intact."""
+        signs = self.anchor_signs(data, anchor_index)
         v, u = self.right_vectors * signs, self.left_vectors * signs
         return replace(self, right_vectors=v, left_vectors=u, anchor_index=int(anchor_index))
 

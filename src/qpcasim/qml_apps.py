@@ -99,7 +99,7 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
     finite, or whose backward error is not at most 1e-6 (or cannot be
     formed because that bound overflows), is refused with
     SingularSystemError; the message prints the backward error as the
-    residual.
+    residual, and names the overflow when there is one.
     """
     labels = dataset.labels
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -149,10 +149,12 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
         residual = float(residual_norm / max(label_norm, 1e-300))
         # An upper bound on |A|_F without the N x N kernel: P P^T is positive
         # semidefinite, so |P P^T|_F <= tr(P P^T) = |P|_F^2.
-        system_norm = math.sqrt(2.0 * n) + float(np.vdot(points, points)) + gamma * math.sqrt(n)
+        points_sq = float(np.vdot(points, points))
+        system_norm = math.sqrt(2.0 * n) + points_sq + gamma * math.sqrt(n)
         scale = system_norm * math.hypot(bias, np.linalg.norm(coefficients)) + label_norm
         backward_error = float(residual_norm / scale)
-        if not math.isfinite(scale) and not math.isnan(backward_error):
+        overflowed = not math.isfinite(scale) and not math.isnan(backward_error)
+        if overflowed:
             # An overflowed scale would read any finite residual as a zero
             # backward error; count it as unbounded instead.
             backward_error = math.inf
@@ -161,9 +163,14 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
             f"saddle solve is not finite (bias {bias}); a larger gamma regularizes it"
         )
     if not backward_error <= 1e-6:
-        raise SingularSystemError(
-            f"saddle solve residual {backward_error:.3e} is not at most 1e-6; a larger gamma regularizes it"
+        advice = (
+            f"the bound on |A|_F overflows (|P|_F^2 {points_sq:.3e}, gamma sqrt(N) "
+            f"{gamma * math.sqrt(n):.3e}), so the backward error cannot be formed; "
+            "lower gamma or rescale the points"
+            if overflowed
+            else "a larger gamma regularizes it"
         )
+        raise SingularSystemError(f"saddle solve residual {backward_error:.3e} is not at most 1e-6; {advice}")
     return LssvmModel(
         bias=bias, coefficients=coefficients, weights=weights, gamma=gamma, residual=residual
     )

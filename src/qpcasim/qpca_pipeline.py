@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +50,13 @@ SCOPE_SINGLE = "single"
 BETA_FLOOR = 1e-3
 MAX_ANCHOR_ATTEMPTS = 8
 ANCHOR_SHOTS_CONSTANT = 4.0
+
+# Padded data rows times seeds that the scaling sweep projects and rotates in
+# one pass. A pass holds the kept branches of all its seeds over the whole
+# grid at once. Past about this size, stacking more seeds saved no time, and
+# with all 8 CLI seeds in one pass the peak memory of a 16384x16 scaling run
+# doubled.
+SWEEP_STACK_ROWS = 512
 
 
 def label_mode_for(run_mode: str) -> str:
@@ -321,11 +328,11 @@ def estimate_anchor(
 
 @dataclass(frozen=True)
 class AnchorChoice:
-    """The accepted anchor row and what was built around it."""
+    """The accepted anchor row and what was built around it: ``model`` and
+    ``rho`` carry that row's signs."""
 
     model: SpectralModel
     rho: RhoSpec
-    spectrum: SpectrumSample
     profile: AnchorProfile
     attempts: tuple[int, ...]
 
@@ -333,61 +340,45 @@ class AnchorChoice:
 def select_anchor(
     data: DataMatrix,
     model: SpectralModel,
+    rho: RhoSpec,
+    spectrum: SpectrumSample,
     tree: QramTree,
-    cfg: PhaseConfig,
     rng: np.random.Generator,
     *,
     eps_beta: float = 0.01,
     anchor_index: int | None = None,
-    sampled: tuple[int, int] | None = None,
+    beta_seed: int | None = None,
 ) -> AnchorChoice:
     """Choose the anchor row whose coefficients scale the rotation.
 
     Rows are drawn uniformly from ``rng`` until one has every kept
     coefficient at or above BETA_FLOOR, for at most MAX_ANCHOR_ATTEMPTS
     draws. A fixed ``anchor_index`` is the only candidate, and its
-    WeakAnchorError propagates unchanged. With ``sampled`` = (spectrum seed,
-    swap-test seed) the spectrum is sampled and the coefficients are
-    estimated by swap tests; without it both are exact. The spectrum is
-    built once from the caller's decomposition ``model``, before any anchor
-    is judged, since it does not depend on the anchor; each candidate only
-    fixes the eigenvector signs (``SpectralModel.with_anchor``).
+    WeakAnchorError propagates unchanged. With a ``beta_seed`` the
+    coefficients are estimated by swap tests seeded by it; without one they
+    are exact. ``rho`` and ``spectrum`` are the caller's, built from its
+    decomposition ``model`` (``RhoSpec.from_model``), since neither depends
+    on the anchor: a candidate is judged from its sign vector
+    (``SpectralModel.anchor_signs``) and its overlaps with the eigenvectors
+    those signs flip, and only the accepted row gets a signed model.
     """
-    # A fixed anchor fixes the signs here too, so a row out of range is
-    # reported before the spectrum is built.
-    if anchor_index is not None:
-        model = model.with_anchor(data, anchor_index)
-    d = model.selected_dim
-    if sampled is None:
-        spectrum = exact_spectrum(RhoSpec.from_model(model), cfg, d)
-    else:
-        spectrum_seed, beta_seed = sampled
-        spectrum = extract_spectrum(
-            RhoSpec.from_model(model),
-            cfg,
-            default_sampling_budget(d),
-            spectrum_seed,
-            dim=d,
-            threshold=model.threshold,
-        )
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
-        signed = model.with_anchor(data, anchor)
-        rho = RhoSpec.from_model(signed)
+        signed = rho.with_signs(model.anchor_signs(data, anchor))
         try:
-            if sampled is None:
-                profile = exact_anchor_profile(tree, rho, spectrum, anchor, eps_beta=eps_beta)
+            if beta_seed is None:
+                profile = exact_anchor_profile(tree, signed, spectrum, anchor, eps_beta=eps_beta)
             else:
-                profile = estimate_anchor(tree, rho, spectrum, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(tree, signed, spectrum, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise
             last_error = exc
             continue
-        return AnchorChoice(signed, rho, spectrum, profile, tuple(attempts))
+        return AnchorChoice(model.with_anchor(data, anchor), signed, profile, tuple(attempts))
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -518,12 +509,12 @@ def compress(
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
     anchor = qram_store.prepare_row_state(tree, profile.anchor_index)
-    projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchor, distinct_top=d)
+    [projected], p_anchor = sv_engine.project_anchor(rho, cfg, state, [anchor], distinct_top=d)
     # The rotated state is twice the projected one; no name keeps it alive
     # through the oracle comparison below, where a run's memory peaks.
     post = sv_engine.postselect(
         sv_engine.apply_cr_beta(projected, profile.beta_hat, profile.rotation_constant),
-        p_anchor,
+        float(p_anchor[0]),
         shots=postselect_shots,
         rng_seed=rng_seed,
     )
@@ -604,9 +595,11 @@ def run_compression(
     subset: Sequence[int] | None = None,
     row_index: int | None = None,
 ) -> RunResult:
-    """Whole pipeline: seeded anchor selection (see ``select_anchor``), then
-    compression, whose scope ``subset`` or ``row_index`` picks (see
-    ``compress``). A fixed ``anchor_index`` disables the weak-anchor redraw."""
+    """Whole pipeline: one decomposition and its spectrum, sampled in
+    sampled mode and exact otherwise, then seeded anchor selection (see
+    ``select_anchor``), then compression, whose scope ``subset`` or
+    ``row_index`` picks (see ``compress``). A fixed ``anchor_index``
+    disables the weak-anchor redraw."""
     cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (
@@ -614,22 +607,36 @@ def run_compression(
     )
     sampled = run_mode == MODE_SAMPLED
     tree = qram_store.build_tree(data)
+    model = pca_oracle.svd_decompose(data, threshold)
+    if anchor_index is not None:
+        # A fixed anchor fixes the signs first, so a row out of range is
+        # reported before the spectrum is built.
+        model = model.with_anchor(data, anchor_index)
+    rho = RhoSpec.from_model(model)
+    d = model.selected_dim
+    if sampled:
+        spectrum = extract_spectrum(
+            rho, cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=model.threshold
+        )
+    else:
+        spectrum = exact_spectrum(rho, cfg, d)
     choice = select_anchor(
         data,
-        pca_oracle.svd_decompose(data, threshold),
+        model,
+        rho,
+        spectrum,
         tree,
-        cfg,
         np.random.default_rng(anchor_seed),
         eps_beta=eps_beta,
         anchor_index=anchor_index,
-        sampled=(spectrum_seed, beta_seed) if sampled else None,
+        beta_seed=beta_seed if sampled else None,
     )
     result = compress(
         data,
         choice.model,
         tree,
         choice.rho,
-        choice.spectrum,
+        spectrum,
         choice.profile,
         cfg,
         run_mode=run_mode,
@@ -644,7 +651,7 @@ def run_compression(
         tree=tree,
         rho=choice.rho,
         cfg=cfg,
-        spectrum=choice.spectrum,
+        spectrum=spectrum,
         profile=choice.profile,
         result=result,
         anchor_attempts=choice.attempts,
@@ -661,11 +668,12 @@ PERTURB_UNIFORM_RELATIVE = "uniform-relative"
 
 def perturb_beta(beta: np.ndarray, eps: float | np.ndarray, kind: str) -> np.ndarray:
     """Controlled coefficient perturbations of magnitude ``eps``: one
-    magnitude gives (d,) coefficients, a grid (E,) gives one row per
-    magnitude, (E, d)."""
+    magnitude gives coefficients shaped like ``beta``, and a grid (E,)
+    gives one row per magnitude: (E, d) for one list (d,), (S, E, d) for a
+    stack of lists shaped (S, 1, d)."""
     eps = np.asarray(eps, dtype=np.float64)[..., None]
     if kind == PERTURB_ALTERNATING:
-        signs = np.where(np.arange(beta.size) % 2 == 0, 1.0, -1.0)
+        signs = np.where(np.arange(beta.shape[-1]) % 2 == 0, 1.0, -1.0)
         out = beta + signs * eps
     elif kind == PERTURB_UNIFORM_RELATIVE:
         out = beta * (1.0 + eps)
@@ -699,6 +707,66 @@ class ScalingResult:
     dims: tuple[int, ...]
     perturbation: str
     n_seeds: int
+    models: tuple[SpectralModel, ...]  # each dataset's decomposition, in sweep order (row-0 signs)
+
+
+def _dataset_stacks(
+    dataset_generator: Callable[[int], DataMatrix], seeds: Sequence[int]
+) -> Iterator[tuple[DataMatrix, list[int]]]:
+    """Runs of consecutive seeds for which the generator returns the same
+    ``DataMatrix`` object, each with that object."""
+    data, stack = None, []
+    for seed in seeds:
+        seed_data = dataset_generator(int(seed))
+        if stack and seed_data is not data:
+            yield data, stack
+            stack = []
+        data = seed_data
+        stack.append(int(seed))
+    yield data, stack
+
+
+def _sweep_dataset(
+    data: DataMatrix,
+    seeds: list[int],
+    grid: np.ndarray,
+    perturbation: str,
+    threshold: float,
+    cfg: PhaseConfig,
+) -> tuple[SpectralModel, np.ndarray, np.ndarray]:
+    """The scaling sweep's seeds that share ``data``: one spectrum and
+    reference for all of them, and their anchors projected and rotated in
+    passes of at most ``SWEEP_STACK_ROWS`` padded rows' worth of seeds.
+
+    Returns the decomposition and, per seed and grid point, (seeds, grid),
+    the infidelity and the deviation."""
+    tree = qram_store.build_tree(data)
+    model = pca_oracle.svd_decompose(data, threshold)
+    state = qram_store.prepare_data_state(tree)
+    rho = RhoSpec.from_model(model)
+    d = model.selected_dim
+    spectrum = exact_spectrum(rho, cfg, d)
+    choices = [select_anchor(data, model, rho, spectrum, tree, np.random.default_rng(seed)) for seed in seeds]
+    # Each seed's reference is the one reference state with that anchor's
+    # signs on tokens 1..d; negating a column of the projection is exact.
+    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model, d)).amplitudes
+    infid = np.empty((len(seeds), len(grid)))
+    dev = np.empty((len(seeds), len(grid)))
+    step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
+    for start in range(0, len(choices), step):
+        batch = choices[start : start + step]
+        anchors = [qram_store.prepare_row_state(tree, choice.profile.anchor_index) for choice in batch]
+        projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchors, distinct_top=d)
+        beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid, perturbation)
+        kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
+        for s, (choice, branches) in enumerate(zip(batch, kept), start):
+            flips = np.ones(reference.shape[-1])
+            flips[1 : d + 1] = model.anchor_signs(data, choice.profile.anchor_index)[:d]
+            psi = reference * flips
+            for k, phi in enumerate(branches):
+                infid[s, k] = max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
+                dev[s, k] = float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
+    return model, infid, dev
 
 
 def error_scaling_experiment(
@@ -715,14 +783,17 @@ def error_scaling_experiment(
     For each seed the generator supplies a dataset; the anchor is drawn with
     the usual seeded redraw; the coefficients are perturbed by each grid
     magnitude and the resulting final-state deviation is averaged per grid
-    point. The tree, decomposition and loaded data state are built once per
-    dataset, for as long as the generator returns the same ``DataMatrix``
-    object; per seed only the anchor draw, its projection and the reference
-    state are. The grid's perturbed estimates are then rotated and
-    post-selected as one (grid, rows, tokens) array
-    (``sv_engine.postselect_rotations``), with the refusals and the
-    amplitudes of ``apply_cr_beta`` then ``postselect`` at each point; the
-    fidelity and the deviation are taken per point.
+    point. Consecutive seeds for which the generator returns the same
+    ``DataMatrix`` object run as one stack: one tree, decomposition, data
+    state, spectrum and reference projection; one ``select_anchor`` per
+    seed against that spectrum; one ``project_anchor`` of all the seeds'
+    anchors; and one ``sv_engine.postselect_rotations`` of every (seed,
+    grid point) rotation, with the refusals and the amplitudes of
+    ``apply_cr_beta`` then ``postselect`` at each point. Past
+    ``SWEEP_STACK_ROWS`` padded rows times seeds, the projection and the
+    rotation take the seeds in several passes. The fidelity and the
+    deviation are taken per point, and each row sums them over the seeds in
+    order.
     """
     if not eps_grid:
         raise InvalidInputError("eps grid must be nonempty")
@@ -733,30 +804,16 @@ def error_scaling_experiment(
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")
 
     cfg = PhaseConfig(bits=bits, label_mode=sv_engine.LABEL_MODE_IDEAL)
-    dims = set()
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
-    data = None
-    for seed in seeds:
-        seed_data = dataset_generator(int(seed))
-        if seed_data is not data:
-            data = seed_data
-            tree = qram_store.build_tree(data)
-            model = pca_oracle.svd_decompose(data, threshold)
-            state = qram_store.prepare_data_state(tree)
-        choice = select_anchor(data, model, tree, cfg, np.random.default_rng(int(seed)))
-        d = choice.spectrum.dim
-        dims.add(d)
-        anchor = qram_store.prepare_row_state(tree, choice.profile.anchor_index)
-        projected, p_anchor = sv_engine.project_anchor(choice.rho, cfg, state, anchor, distinct_top=d)
-        reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, d))
-
-        beta_hat = perturb_beta(choice.profile.beta, np.array(grid), perturbation)
-        kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=1))
-        psi = reference.amplitudes
-        for k, phi in enumerate(kept):
-            infid[k] += max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
-            dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
+    models = []
+    for data, stack in _dataset_stacks(dataset_generator, seeds):
+        model, stack_infid, stack_dev = _sweep_dataset(data, stack, np.array(grid), perturbation, threshold, cfg)
+        models.append(model)
+        # Seed by seed, so each row sums in seed order.
+        for seed_infid, seed_dev in zip(stack_infid, stack_dev):
+            infid += seed_infid
+            dev += seed_dev
 
     infid /= len(seeds)
     dev /= len(seeds)
@@ -768,12 +825,13 @@ def error_scaling_experiment(
         slope = float(np.sum(e[nz] * dev[nz]) / np.sum(e[nz] ** 2))
     else:
         slope = 0.0
-    mean_dim = float(np.mean(sorted(dims))) if dims else 1.0
+    dims = sorted({model.selected_dim for model in models})
     return ScalingResult(
         rows=rows,
         slope=slope,
-        slope_scaled=slope * math.sqrt(mean_dim),
-        dims=tuple(sorted(dims)),
+        slope_scaled=slope * math.sqrt(float(np.mean(dims))),
+        dims=tuple(dims),
         perturbation=perturbation,
         n_seeds=len(seeds),
+        models=tuple(models),
     )

@@ -11,11 +11,12 @@ un-compute pass is the same unitary.
 The label write, token write and label un-compute leave the eigenvalue
 register in |0> again, and the ancilla rotation commutes with them, so
 compression runs all three and the anchor half of postselection first, as
-one features x tokens matrix (``project_anchor``); the rotation and the
-ancilla half (``postselect``) then act on rows x tokens x 2 amplitudes.
-A sweep over coefficient estimates forms only each rotation's kept branch,
-the whole grid as one array (``postselect_rotations``), from the sines that
-``apply_cr_beta`` uses (``rotation_sines``).
+one features x tokens matrix per anchor, any number of anchors in one
+product (``project_anchor``); the rotation and the ancilla half
+(``postselect``) then act on rows x tokens x 2 amplitudes. A sweep over
+coefficient estimates forms only each rotation's kept branch, the whole
+grid of every projected state as one array (``postselect_rotations``), from
+the sines that ``apply_cr_beta`` uses (``rotation_sines``).
 Kept component j gets token j+1 by position. Spectrum sampling reads the
 register's law off the eigenvalues binned by label, with no data state
 (``eigen_marginal_state``). ``phase_estimate``, ``apply_cu_lambda`` and
@@ -82,6 +83,15 @@ class RhoSpec:
     @classmethod
     def from_model(cls, model) -> "RhoSpec":
         return cls(eigenvalues=model.variance_proportions, eigenvectors=model.right_vectors)
+
+    def with_signs(self, signs: np.ndarray) -> "RhoSpec":
+        """The same eigensystem with eigenvector k times ``signs[k]``, each
+        +1 or -1. Negating a column keeps every property ``__post_init__``
+        checks, so the copy is not checked again."""
+        out = object.__new__(RhoSpec)
+        object.__setattr__(out, "eigenvalues", self.eigenvalues)
+        object.__setattr__(out, "eigenvectors", self.eigenvectors * signs)
+        return out
 
     @property
     def dim(self) -> int:
@@ -272,42 +282,53 @@ def project_anchor(
     rho: RhoSpec,
     cfg: PhaseConfig,
     state: StateVector,
-    anchor: StateVector,
+    anchors: Sequence[StateVector],
     *,
     distinct_top: int,
-) -> tuple[StateVector, float]:
+) -> tuple[list[StateVector], np.ndarray]:
     """Label write, token write, label un-compute and the anchor half of
-    postselection as one product on the "feature" register.
+    postselection as one product on the "feature" register, for every one
+    of ``anchors`` at once.
 
-    Equals ``phase_estimate`` (with ``distinct_top``), ``apply_cu_lambda``
-    of token j+1 on kept component j's label onto a fresh "index" register
-    of ``token_qubits(distinct_top)`` qubits and ``inverse_phase_estimate``,
-    then undoing the preparation of ``anchor`` (a state on the feature
-    register alone) and keeping feature |0>. Eigenvector k gets token k+1
-    for k < ``distinct_top`` and no other direction gets one; the label
-    checks, the explicit circuit's, refuse every spectrum where the label
-    write would map otherwise. With V those eigenvectors, the product is
-    the feature axis times G[j, k+1] = V[j, k] (V^T conj(anchor))[k].
-    Returns the renormalised state, "index" in place of "feature", and the
-    probability of the anchor outcome.
+    For each anchor this equals ``phase_estimate`` (with ``distinct_top``),
+    ``apply_cu_lambda`` of token j+1 on kept component j's label onto a
+    fresh "index" register of ``token_qubits(distinct_top)`` qubits and
+    ``inverse_phase_estimate``, then undoing the preparation of that anchor
+    (a state on the feature register alone) and keeping feature |0>.
+    Eigenvector k gets token k+1 for k < ``distinct_top`` and no other
+    direction gets one; the label checks, the explicit circuit's, refuse
+    every spectrum where the label write would map otherwise. With V those
+    eigenvectors, anchor s's product is the feature axis times
+    G_s[j, k+1] = V[j, k] (V^T conj(anchor_s))[k], which does not depend on
+    the eigenvectors' signs; the G_s are stacked (features, anchors,
+    tokens) and applied as one product. Returns one renormalised state per
+    anchor, "index" in place of "feature", and the probabilities of the
+    anchor outcomes, (anchors,).
     """
     check_label_distinctness(rho, cfg, distinct_top)
     width = state.register("feature").qubits
-    if anchor.layout() != (("feature", width),):
-        raise InvalidInputError(
-            f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
-        )
+    for anchor in anchors:
+        if anchor.layout() != (("feature", width),):
+            raise InvalidInputError(
+                f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
+            )
     if not 1 <= distinct_top <= rho.eigenvectors.shape[1]:
         raise OutOfRangeError(f"kept dimension {distinct_top} out of range [1, {rho.eigenvectors.shape[1]}]")
     index_qubits = token_qubits(distinct_top)
     v = rho.eigenvectors[:, :distinct_top]
-    g = np.zeros((1 << width, 1 << index_qubits), dtype=np.complex128)
-    g[: rho.dim, 1 : distinct_top + 1] = v * (v.T @ anchor.amplitudes[: rho.dim].conj())
+    coefficients = np.array([v.T @ anchor.amplitudes[: rho.dim].conj() for anchor in anchors])
+    g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=np.complex128)
+    g[: rho.dim, :, 1 : distinct_top + 1] = v[:, None, :] * coefficients
     block = np.tensordot(state.amplitudes, g, axes=([state.axis("feature")], [0]))
-    prob = float(np.sum(np.abs(block) ** 2))
-    _refuse_below_floor(prob)
+    # One contiguous block per anchor, so that each probability is summed
+    # as it would be for that anchor alone.
+    blocks = np.ascontiguousarray(np.moveaxis(block, -2, 0))
+    probs = _squared_norms(blocks, 1)
+    for prob in probs:
+        _refuse_below_floor(float(prob))
+    blocks /= np.sqrt(probs).reshape((-1,) + (1,) * (blocks.ndim - 1))
     registers = tuple(r for r in state.registers if r.name != "feature") + (Register("index", index_qubits),)
-    return StateVector(registers, block / np.sqrt(prob)), prob
+    return [StateVector(registers, b) for b in blocks], probs
 
 
 def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig) -> StateVector:
@@ -333,13 +354,13 @@ def rotation_sines(beta_hat: np.ndarray, rotation_constant: float | np.ndarray, 
     coefficients), 0 on index 0 and past the coefficient list.
 
     ``beta_hat`` is one coefficient list (d,) with one constant, giving
-    (index_dim,) sines, or a stack (E, d) with one constant per list,
-    giving (E, index_dim); each list is checked as ``apply_cr_beta`` checks
-    its own.
+    (index_dim,) sines, or a stack (..., d) with one constant per list,
+    giving (..., index_dim); each list is checked as ``apply_cr_beta``
+    checks its own, and the first refused in row-major order is reported.
     """
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     c = np.asarray(rotation_constant, dtype=np.float64)
-    if beta_hat.ndim not in (1, 2) or beta_hat.shape[-1] < 1 or c.shape != beta_hat.shape[:-1]:
+    if beta_hat.ndim < 1 or beta_hat.shape[-1] < 1 or c.shape != beta_hat.shape[:-1]:
         raise InvalidInputError("beta_hat must be a nonempty 1-D array, or a stack of them with one constant each")
     if np.any(beta_hat <= 0.0) or np.any(beta_hat > 1.0):
         raise InvalidInputError("estimated anchor coefficients must lie in (0, 1]")
@@ -429,34 +450,54 @@ def postselect(
     )
 
 
+def _squared_norms(stack: np.ndarray, lead: int) -> np.ndarray:
+    """Summed squared magnitudes of each state in a C-contiguous stack whose
+    first ``lead`` axes index the states, summed in the order that
+    ``StateVector.norm`` sums one state's."""
+    mass = np.abs(stack)
+    np.square(mass, out=mass)
+    return mass.reshape(stack.shape[:lead] + (-1,)).sum(axis=-1)
+
+
 def postselect_rotations(
-    state: StateVector, anchor_probability: float, beta_hat: np.ndarray, rotation_constants: np.ndarray
+    states: Sequence[StateVector],
+    anchor_probabilities: np.ndarray,
+    beta_hat: np.ndarray,
+    rotation_constants: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_cr_beta`` then ``postselect`` without shots, for every row of
-    a stack of coefficient estimates (E, d) with one rotation constant each,
-    as one array pass.
+    """``apply_cr_beta`` then ``postselect`` without shots, as one array
+    pass over S states that ``project_anchor`` kept with
+    ``anchor_probabilities`` (S,), each with its own stack of coefficient
+    estimates: ``beta_hat`` is (S, E, d), with one rotation constant per
+    row, (S, E).
 
     Only each rotation's ancilla-|1> branch is formed: the state's
     amplitudes times that rotation's ``rotation_sines`` along "index".
-    Returns the kept branches, renormalised, stacked on a leading axis
-    ahead of the state's own, and each one's probability of both outcomes
-    together. The per-point path's refusals hold: the rotated state's norm
-    (the state's own) and every kept branch's must be 1 within ``NORM_TOL``,
-    and a probability below ``POSTSELECT_FLOOR`` is refused.
+    Returns the kept branches, renormalised, (S, E, *state dims), and each
+    one's probability of both outcomes together, (S, E). The per-point
+    path's refusals hold: every state's norm (the rotated state's) and every
+    kept branch's must be 1 within ``NORM_TOL``, and a probability below
+    ``POSTSELECT_FLOOR`` is refused, the first in (state, row) order.
     """
-    if np.ndim(beta_hat) != 2:
-        raise InvalidInputError("postselect_rotations takes a stack (E, d) of coefficient lists")
-    sines = rotation_sines(beta_hat, rotation_constants, state.register("index").dim)
-    check_unit_norm(state.norm())
-    shape = [len(sines)] + [1] * state.amplitudes.ndim
-    shape[1 + state.axis("index")] = -1
-    blocks = state.amplitudes * sines.reshape(shape)
-    flagged = (np.abs(blocks) ** 2).reshape(len(sines), -1).sum(axis=1)
-    probs = anchor_probability * flagged
-    for prob in probs:
+    if np.ndim(beta_hat) != 3 or len(beta_hat) != len(states) or len(anchor_probabilities) != len(states):
+        raise InvalidInputError("postselect_rotations takes one stack (E, d) of coefficient lists per state")
+    layout = states[0].layout()
+    if any(state.layout() != layout for state in states):
+        raise InvalidInputError("the states must share one register layout")
+    sines = rotation_sines(beta_hat, rotation_constants, states[0].register("index").dim)
+    amps = np.stack([state.amplitudes for state in states])
+    for norm in np.sqrt(_squared_norms(amps, 1)):
+        check_unit_norm(float(norm))
+    trailing = (1,) * (amps.ndim - 1)
+    shape = list(sines.shape[:2] + trailing)
+    shape[2 + states[0].axis("index")] = -1
+    kept = amps[:, None] * sines.reshape(shape)
+    flagged = _squared_norms(kept, 2)
+    probs = np.asarray(anchor_probabilities)[:, None] * flagged
+    for prob in probs.flat:
         _refuse_below_floor(float(prob))
-    kept = blocks / np.sqrt(flagged).reshape([-1] + [1] * state.amplitudes.ndim)
-    for norm in np.sqrt((np.abs(kept) ** 2).reshape(len(sines), -1).sum(axis=1)):
+    kept /= np.sqrt(flagged).reshape(flagged.shape + trailing)
+    for norm in np.sqrt(_squared_norms(kept, 2)).flat:
         check_unit_norm(float(norm))
     return kept, probs
 

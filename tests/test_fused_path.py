@@ -121,7 +121,7 @@ def test_fused_map_keeps_the_explicit_circuit_checks():
     state = prepare_data_state(run.tree)
     anchor = prepare_row_state(run.tree, run.profile.anchor_index)
     with pytest.raises(DegenerateSpectrumError):
-        project_anchor(run.rho, PhaseConfig(bits=1), state, anchor, distinct_top=2)
+        project_anchor(run.rho, PhaseConfig(bits=1), state, [anchor], distinct_top=2)
 
 
 @pytest.mark.parametrize("shape", [(24, 12), (5, 3), (1, 4), (4, 1)])

@@ -189,9 +189,13 @@ def test_lssvm_on_huge_points_refuses_or_classifies(scale):
 def test_lssvm_refuses_when_the_norm_bound_overflows():
     # gamma sqrt(N) overflows the bound on |A|_F. A finite residual over
     # an infinite scale would read as a zero backward error; it is refused.
+    # The message names the overflow; a larger gamma would not help.
     points, labels = _blobs()
-    with pytest.raises(SingularSystemError, match="residual inf is not at most 1e-6"):
+    with pytest.raises(SingularSystemError, match="residual inf is not at most 1e-6") as info:
         lssvm_train(LabeledDataset(DataMatrix(points), labels, gamma=1e308), points)
+    assert "the bound on |A|_F overflows" in str(info.value)
+    assert "gamma sqrt(N) inf" in str(info.value)
+    assert "a larger gamma regularizes it" not in str(info.value)
 
 
 @pytest.mark.parametrize("n_per_class, n_cols", [(5, 4), (20, 2), (200, 16)])

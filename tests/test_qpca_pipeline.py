@@ -591,9 +591,9 @@ def _count_calls(monkeypatch, *targets):
 
 
 def test_scaling_builds_the_rotation_free_prefix_once_per_seed(monkeypatch):
-    # Only the coefficient rotation depends on eps: each seed projects onto
-    # the anchor once, and no grid point runs a whole compress or its
-    # pairwise-overlap audit.
+    # Only the coefficient rotation depends on eps: each seed's anchor is
+    # projected once, in one call per dataset (two here), and no grid point
+    # runs a whole compress or its pairwise-overlap audit.
     calls = _count_calls(
         monkeypatch,
         (sv_engine, "project_anchor"),
@@ -622,7 +622,13 @@ def test_scaling_builds_the_dataset_prefix_once_per_dataset_object(monkeypatch):
     assert calls == {"build_tree": 1, "svd_decompose": 1, "prepare_data_state": 1}
     copies = error_scaling_experiment(lambda s: DataMatrix(data.values), grid, seeds)
     assert calls == {"build_tree": 6, "svd_decompose": 6, "prepare_data_state": 6}
-    assert copies == same
+    assert _numbers(copies) == _numbers(same)
+    assert len(same.models) == 1 and len(copies.models) == 5
+
+
+def _numbers(result):
+    """What a scaling result reports, without its decompositions."""
+    return result.rows, result.slope, result.slope_scaled, result.dims, result.perturbation, result.n_seeds
 
 
 def _record_calls(monkeypatch, module, name):
@@ -651,11 +657,10 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source, perturbati
     grid = [0.0, 0.02, 0.04, 0.08, 0.3]
     choices = _record_calls(monkeypatch, qpca_pipeline, "select_anchor")
     batches = _record_calls(monkeypatch, sv_engine, "postselect_rotations")
-    references = _record_calls(monkeypatch, pca_oracle, "expected_compressed_state")
     result = error_scaling_experiment(lambda s: data, grid, [11], perturbation=perturbation)
     [(_, choice)] = choices
-    [((projected, p_anchor, beta_hat, _), (kept, probs))] = batches
-    [(_, reference)] = references
+    [(([projected], [p_anchor], [beta_hat], _), ([kept], [probs]))] = batches
+    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, choice.model.selected_dim))
     assert kept.shape == (len(grid),) + projected.amplitudes.shape
     for k, eps in enumerate(grid):
         want = perturb_beta(choice.profile.beta, eps, perturbation)
@@ -675,14 +680,102 @@ def test_scaling_grid_refuses_a_point_below_the_postselect_floor():
     amps = np.zeros((2, 4))
     amps[0, 0], amps[0, 1] = math.sqrt(1.0 - 1e-7), math.sqrt(1e-7)
     state = StateVector.from_amplitudes([("row", 1), ("index", 2)], amps)
-    beta_hat = np.array([[0.5, 0.5], [1.0, 1e-3]])
-    _, probs = sv_engine.postselect_rotations(state, 1.0, beta_hat[:1], beta_hat[:1].min(axis=1))
-    assert probs[0] == pytest.approx(1e-7) and probs[0] > POSTSELECT_FLOOR
+    beta_hat = np.array([[[0.5, 0.5], [1.0, 1e-3]]])
+    _, probs = sv_engine.postselect_rotations([state], [1.0], beta_hat[:, :1], beta_hat[:, :1].min(axis=-1))
+    assert probs[0, 0] == pytest.approx(1e-7) and probs[0, 0] > POSTSELECT_FLOOR
     with pytest.raises(VanishingSuccessError) as per_point:
-        sv_engine.postselect(sv_engine.apply_cr_beta(state, beta_hat[1], 1e-3), 1.0)
+        sv_engine.postselect(sv_engine.apply_cr_beta(state, beta_hat[0, 1], 1e-3), 1.0)
     with pytest.raises(VanishingSuccessError) as grid:
-        sv_engine.postselect_rotations(state, 1.0, beta_hat, beta_hat.min(axis=1))
+        sv_engine.postselect_rotations([state], [1.0], beta_hat, beta_hat.min(axis=-1))
     assert str(grid.value) == str(per_point.value)
+
+
+def _weak_row_dataset():
+    # Eight extra rows along the first principal direction of a rank-3
+    # dataset leave its principal directions in place, and have no overlap
+    # with the other two: a draw of one of them is weak.
+    x = rank_k_dataset(24, 8, 3, seed=5).values
+    v1 = np.linalg.svd(x)[2][0]
+    return DataMatrix(np.vstack([x, np.outer([0.3, -0.2, 0.25, -0.35, 0.15, 0.3, -0.1, 0.2], v1)]))
+
+
+def _per_seed_sweep(data, seed, grid, perturbation):
+    """One seed of the scaling sweep on its own: a spectrum and an anchor
+    of its own, a signed model and eigensystem, ``project_anchor`` of that
+    anchor alone, then ``apply_cr_beta`` and ``postselect`` per grid point.
+    Returns the anchor draws, the kept amplitudes, and the infidelity and
+    deviation per point."""
+    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
+    tree = build_tree(data)
+    model = svd_decompose(data, 0.95)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, cfg, model.selected_dim)
+    choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, tree, np.random.default_rng(seed))
+    d = spectrum.dim
+    signed = RhoSpec.from_model(choice.model)
+    anchor = qram_store.prepare_row_state(tree, choice.profile.anchor_index)
+    [projected], [p_anchor] = sv_engine.project_anchor(
+        signed, cfg, qram_store.prepare_data_state(tree), [anchor], distinct_top=d
+    )
+    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, d))
+    kept, infid, dev = [], [], []
+    for eps in grid:
+        beta_hat = perturb_beta(choice.profile.beta, eps, perturbation)
+        post = sv_engine.postselect(sv_engine.apply_cr_beta(projected, beta_hat, float(beta_hat.min())), p_anchor)
+        psi, phi = reference.amplitudes, post.state.amplitudes
+        kept.append(phi)
+        infid.append(max(1.0 - post.state.fidelity(reference), 0.0))
+        dev.append(float(np.linalg.norm(phi - np.vdot(psi, phi) * psi)))
+    return choice.attempts, kept, infid, dev
+
+
+@pytest.mark.parametrize("stack_rows, passes", [(qpca_pipeline.SWEEP_STACK_ROWS, 1), (64, 3)])
+@pytest.mark.parametrize("perturbation", [PERTURB_ALTERNATING, PERTURB_UNIFORM_RELATIVE])
+def test_stacked_seeds_match_the_per_seed_path(monkeypatch, perturbation, stack_rows, passes):
+    # The sweep runs the seeds of one dataset as one stack: one spectrum,
+    # one unsigned eigensystem and one reference for them all, and their
+    # anchors projected and rotated in one pass, or in passes of two seeds
+    # when a pass may hold 64 of these 32-row states. Seeds 0, 10 and 13
+    # draw a weak row first. Every (seed, eps) point must be the per-seed
+    # path's bit for bit, and each row the sum over the seeds, in order,
+    # over the seed count.
+    monkeypatch.setattr(qpca_pipeline, "SWEEP_STACK_ROWS", stack_rows)
+    data = _weak_row_dataset()
+    grid, seeds = [0.0, 0.02, 0.04, 0.08, 0.3], [0, 1, 10, 13, 5]
+    batches = _record_calls(monkeypatch, sv_engine, "postselect_rotations")
+    stacks = _record_calls(monkeypatch, qpca_pipeline, "_sweep_dataset")
+    result = error_scaling_experiment(lambda s: data, grid, seeds, perturbation=perturbation)
+    assert len(batches) == passes
+    kept = np.concatenate([branches for _, (branches, _) in batches])
+    [(_, (_, infid, dev))] = stacks
+    sum_infid, sum_dev = [0.0] * len(grid), [0.0] * len(grid)
+    for s, seed in enumerate(seeds):
+        attempts, want_kept, want_infid, want_dev = _per_seed_sweep(data, seed, grid, perturbation)
+        assert (len(attempts) > 1) == (seed in (0, 10, 13))
+        for k in range(len(grid)):
+            assert np.array_equal(kept[s, k], want_kept[k])
+            assert infid[s, k] == want_infid[k]
+            assert dev[s, k] == want_dev[k]
+            sum_infid[k] += want_infid[k]
+            sum_dev[k] += want_dev[k]
+    for k, row in enumerate(result.rows):
+        assert row.mean_infidelity == sum_infid[k] / len(seeds)
+        assert row.mean_deviation == sum_dev[k] / len(seeds)
+
+
+def test_stacks_follow_the_dataset_objects_the_generator_returns(monkeypatch):
+    # Seeds that get A, B, then A again make three stacks; fresh copies make
+    # one per seed. The rows are the same either way.
+    calls = _count_calls(monkeypatch, (qpca_pipeline, "_sweep_dataset"))
+    a, b = _weak_row_dataset(), rank_k_dataset(16, 8, 2, seed=300)
+    sources = {0: a, 1: a, 2: b, 3: a, 4: a}
+    grid, seeds = [0.0, 0.02, 0.08], list(sources)
+    same = error_scaling_experiment(lambda s: sources[s], grid, seeds)
+    assert calls == {"_sweep_dataset": 3}
+    copies = error_scaling_experiment(lambda s: DataMatrix(sources[s].values), grid, seeds)
+    assert calls == {"_sweep_dataset": 3 + len(seeds)}
+    assert _numbers(copies) == _numbers(same)
+    assert same.dims == (2, 3)
 
 
 def test_a_corrupted_projection_is_refused(monkeypatch):
@@ -692,8 +785,8 @@ def test_a_corrupted_projection_is_refused(monkeypatch):
     project = sv_engine.project_anchor
 
     def drifted(*args, **kwargs):
-        state, prob = project(*args, **kwargs)
-        return StateVector(state.registers, state.amplitudes * 1.01, _normalize_check=False), prob
+        states, probs = project(*args, **kwargs)
+        return [StateVector(s.registers, s.amplitudes * 1.01, _normalize_check=False) for s in states], probs
 
     monkeypatch.setattr(sv_engine, "project_anchor", drifted)
     data = rank_k_dataset(16, 8, 2, seed=300)

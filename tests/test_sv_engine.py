@@ -188,7 +188,7 @@ def test_rhospec_takes_thin_eigenvectors_and_refuses_what_they_cannot_carry():
     # a token.
     feature = StateVector.from_amplitudes([("feature", 2)], np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(OutOfRangeError, match=r"kept dimension 3 out of range \[1, 2\]"):
-        project_anchor(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), feature, feature, distinct_top=3)
+        project_anchor(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), feature, [feature], distinct_top=3)
 
 
 # -- label writing (phase estimation stand-in) -------------------------------
@@ -432,7 +432,7 @@ def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
     extra = anchor.append_register("index", 1)
     for bad in (wide, misnamed, extra):
         with pytest.raises(InvalidInputError):
-            project_anchor(rho, cfg, state, bad, distinct_top=1)
+            project_anchor(rho, cfg, state, [bad], distinct_top=1)
 
 
 def test_project_anchor_keeps_the_anchor_outcome():
@@ -441,12 +441,12 @@ def test_project_anchor_keeps_the_anchor_outcome():
     # is orthogonal to the anchor and keeps none.
     rho, cfg, tree = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
     anchor = prepare_row_state(tree, 0)
-    kept, prob = project_anchor(rho, cfg, anchor, anchor, distinct_top=2)
+    [kept], [prob] = project_anchor(rho, cfg, anchor, [anchor], distinct_top=2)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert kept.layout() == (("index", 2),)
     assert abs(kept.basis_amplitude({"index": 2})) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(VanishingSuccessError):
-        project_anchor(rho, cfg, prepare_row_state(tree, 1), anchor, distinct_top=2)
+        project_anchor(rho, cfg, prepare_row_state(tree, 1), [anchor], distinct_top=2)
 
 
 # -- swap test ----------------------------------------------------------------
