@@ -5,201 +5,129 @@ mirrors it in an explicit multi-register statevector simulation (tree-based
 amplitude encoding, eigenvalue labeling, conditional rotation, postselection),
 and layers small classifier and regression demos on top of the compressed
 representation.
+
+``import qpcasim`` loads no submodule. Each public name below resolves on
+first use (PEP 562 ``__getattr__``) by importing its home module, so a
+process pays only for the layers it touches: ``qpcasim.svd_decompose`` loads
+``pca_oracle`` and its imports, ``qpcasim.compress`` the whole compression
+stack. ``_HOMES`` is the one list of public names; ``__all__`` is its keys.
+
+The CLI follows the same rule: ``qpcasim.cli`` loads ``errors``, ``modes``,
+``statevector`` and ``pca_oracle``; compress, scaling and ledger add
+``qpca_pipeline``, ``sv_engine`` and ``qram_store`` when they run, qsvm and
+qlr add ``qml_apps``. Compiled from source, those three steps cost about
+39, 47 and 16 ms (README, Layout), where importing every module up front
+cost about 100 ms whatever the task.
 """
 
-from .errors import (
-    ContractViolationError,
-    DegenerateRegressionError,
-    DegenerateSpectrumError,
-    InvalidInputError,
-    InvalidRotationError,
-    NumericalFailureError,
-    OutOfRangeError,
-    ParseError,
-    QpcaError,
-    SingularSystemError,
-    UnderSampledError,
-    UnknownRegisterError,
-    VanishingSuccessError,
-    WeakAnchorError,
-)
-from .pca_oracle import (
-    CompressedMatrix,
-    DataMatrix,
-    OverlapReport,
-    SpectralModel,
-    expected_compressed_state,
-    expected_row_state,
-    pairwise_overlap_report,
-    project,
-    svd_decompose,
-)
-from .qram_store import (
-    QramTree,
-    apply_norm_prep,
-    apply_row_prep,
-    build_tree,
-    norm_prep_unitary,
-    prepare_data_state,
-    prepare_row_state,
-    row_prep_unitary,
-)
-from .statevector import Register, StateVector
-from .sv_engine import (
-    LABEL_MODE_IDEAL,
-    LABEL_MODE_QUANTIZED,
-    PHASE_SCALE,
-    PhaseConfig,
-    PostselectResult,
-    RegisterSample,
-    RhoSpec,
-    SwapTestResult,
-    amplification_repetitions,
-    apply_cr_beta,
-    apply_cu_lambda,
-    check_label_distinctness,
-    decode_label,
-    eigen_labels,
-    eigen_marginal_state,
-    inverse_phase_estimate,
-    measure_register,
-    phase_estimate,
-    postselect,
-    project_anchor,
-    swap_test,
-)
-from .qpca_pipeline import (
-    MODE_IDEAL,
-    MODE_QUANTIZED,
-    MODE_SAMPLED,
-    PERTURB_ALTERNATING,
-    PERTURB_UNIFORM_RELATIVE,
-    SCOPE_FULL,
-    SCOPE_SINGLE,
-    SCOPE_SUBSET,
-    AnchorProfile,
-    CompressResult,
-    CompressionReport,
-    ResourceLedger,
-    RunResult,
-    ScalingResult,
-    SpectrumSample,
-    compress,
-    error_scaling_experiment,
-    estimate_anchor,
-    exact_anchor_profile,
-    exact_spectrum,
-    extract_spectrum,
-    ledger_predict,
-    perturb_beta,
-    run_compression,
-    select_anchor,
-)
-from .qml_apps import (
-    LabeledDataset,
-    LssvmModel,
-    OverlapDemoResult,
-    QlrDemoResult,
-    QlrPrediction,
-    lssvm_classify,
-    lssvm_decision_value,
-    lssvm_decision_values,
-    lssvm_train,
-    qlr_predict,
-    qlr_state_demo,
-    qsvm_state_demo,
-)
+from importlib import import_module
 
-__all__ = [
-    "QpcaError",
-    "InvalidInputError",
-    "ParseError",
-    "OutOfRangeError",
-    "NumericalFailureError",
-    "ContractViolationError",
-    "UnknownRegisterError",
-    "DegenerateSpectrumError",
-    "InvalidRotationError",
-    "VanishingSuccessError",
-    "WeakAnchorError",
-    "UnderSampledError",
-    "SingularSystemError",
-    "DegenerateRegressionError",
-    "Register",
-    "StateVector",
-    "DataMatrix",
-    "SpectralModel",
-    "CompressedMatrix",
-    "OverlapReport",
-    "svd_decompose",
-    "project",
-    "expected_compressed_state",
-    "expected_row_state",
-    "pairwise_overlap_report",
-    "QramTree",
-    "build_tree",
-    "norm_prep_unitary",
-    "row_prep_unitary",
-    "apply_norm_prep",
-    "apply_row_prep",
-    "prepare_data_state",
-    "prepare_row_state",
-    "PHASE_SCALE",
-    "LABEL_MODE_IDEAL",
-    "LABEL_MODE_QUANTIZED",
-    "RhoSpec",
-    "PhaseConfig",
-    "eigen_labels",
-    "decode_label",
-    "check_label_distinctness",
-    "phase_estimate",
-    "inverse_phase_estimate",
-    "apply_cu_lambda",
-    "project_anchor",
-    "eigen_marginal_state",
-    "apply_cr_beta",
-    "PostselectResult",
-    "amplification_repetitions",
-    "postselect",
-    "SwapTestResult",
-    "swap_test",
-    "RegisterSample",
-    "measure_register",
-    "MODE_IDEAL",
-    "MODE_QUANTIZED",
-    "MODE_SAMPLED",
-    "SCOPE_FULL",
-    "SCOPE_SUBSET",
-    "SCOPE_SINGLE",
-    "PERTURB_ALTERNATING",
-    "PERTURB_UNIFORM_RELATIVE",
-    "SpectrumSample",
-    "AnchorProfile",
-    "ResourceLedger",
-    "ledger_predict",
-    "exact_spectrum",
-    "extract_spectrum",
-    "exact_anchor_profile",
-    "estimate_anchor",
-    "CompressionReport",
-    "CompressResult",
-    "RunResult",
-    "compress",
-    "run_compression",
-    "select_anchor",
-    "perturb_beta",
-    "ScalingResult",
-    "error_scaling_experiment",
-    "LabeledDataset",
-    "LssvmModel",
-    "lssvm_train",
-    "lssvm_decision_value",
-    "lssvm_decision_values",
-    "lssvm_classify",
-    "OverlapDemoResult",
-    "qsvm_state_demo",
-    "QlrPrediction",
-    "qlr_predict",
-    "QlrDemoResult",
-    "qlr_state_demo",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    "QpcaError": "errors",
+    "InvalidInputError": "errors",
+    "ParseError": "errors",
+    "OutOfRangeError": "errors",
+    "NumericalFailureError": "errors",
+    "ContractViolationError": "errors",
+    "UnknownRegisterError": "errors",
+    "DegenerateSpectrumError": "errors",
+    "InvalidRotationError": "errors",
+    "VanishingSuccessError": "errors",
+    "WeakAnchorError": "errors",
+    "UnderSampledError": "errors",
+    "SingularSystemError": "errors",
+    "DegenerateRegressionError": "errors",
+    "Register": "statevector",
+    "StateVector": "statevector",
+    "DataMatrix": "pca_oracle",
+    "SpectralModel": "pca_oracle",
+    "CompressedMatrix": "pca_oracle",
+    "OverlapReport": "pca_oracle",
+    "svd_decompose": "pca_oracle",
+    "project": "pca_oracle",
+    "expected_compressed_state": "pca_oracle",
+    "expected_row_state": "pca_oracle",
+    "pairwise_overlap_report": "pca_oracle",
+    "QramTree": "qram_store",
+    "build_tree": "qram_store",
+    "norm_prep_unitary": "qram_store",
+    "row_prep_unitary": "qram_store",
+    "apply_norm_prep": "qram_store",
+    "apply_row_prep": "qram_store",
+    "prepare_data_state": "qram_store",
+    "prepare_row_state": "qram_store",
+    "PHASE_SCALE": "sv_engine",
+    "LABEL_MODE_IDEAL": "sv_engine",
+    "LABEL_MODE_QUANTIZED": "sv_engine",
+    "RhoSpec": "sv_engine",
+    "PhaseConfig": "sv_engine",
+    "eigen_labels": "sv_engine",
+    "decode_label": "sv_engine",
+    "check_label_distinctness": "sv_engine",
+    "phase_estimate": "sv_engine",
+    "inverse_phase_estimate": "sv_engine",
+    "apply_cu_lambda": "sv_engine",
+    "project_anchor": "sv_engine",
+    "eigen_marginal_state": "sv_engine",
+    "apply_cr_beta": "sv_engine",
+    "PostselectResult": "sv_engine",
+    "amplification_repetitions": "sv_engine",
+    "postselect": "sv_engine",
+    "SwapTestResult": "sv_engine",
+    "swap_test": "sv_engine",
+    "RegisterSample": "sv_engine",
+    "measure_register": "sv_engine",
+    "MODE_IDEAL": "modes",
+    "MODE_QUANTIZED": "modes",
+    "MODE_SAMPLED": "modes",
+    "SCOPE_FULL": "qpca_pipeline",
+    "SCOPE_SUBSET": "qpca_pipeline",
+    "SCOPE_SINGLE": "qpca_pipeline",
+    "PERTURB_ALTERNATING": "qpca_pipeline",
+    "PERTURB_UNIFORM_RELATIVE": "qpca_pipeline",
+    "SpectrumSample": "qpca_pipeline",
+    "AnchorProfile": "qpca_pipeline",
+    "ResourceLedger": "qpca_pipeline",
+    "ledger_predict": "qpca_pipeline",
+    "exact_spectrum": "qpca_pipeline",
+    "extract_spectrum": "qpca_pipeline",
+    "exact_anchor_profile": "qpca_pipeline",
+    "estimate_anchor": "qpca_pipeline",
+    "CompressionReport": "qpca_pipeline",
+    "CompressResult": "qpca_pipeline",
+    "RunResult": "qpca_pipeline",
+    "compress": "qpca_pipeline",
+    "run_compression": "qpca_pipeline",
+    "select_anchor": "qpca_pipeline",
+    "perturb_beta": "qpca_pipeline",
+    "ScalingResult": "qpca_pipeline",
+    "error_scaling_experiment": "qpca_pipeline",
+    "LabeledDataset": "qml_apps",
+    "LssvmModel": "qml_apps",
+    "lssvm_train": "qml_apps",
+    "lssvm_decision_value": "qml_apps",
+    "lssvm_decision_values": "qml_apps",
+    "lssvm_classify": "qml_apps",
+    "OverlapDemoResult": "qml_apps",
+    "qsvm_state_demo": "qml_apps",
+    "QlrPrediction": "qml_apps",
+    "qlr_predict": "qml_apps",
+    "QlrDemoResult": "qml_apps",
+    "qlr_state_demo": "qml_apps",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

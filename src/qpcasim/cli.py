@@ -4,6 +4,13 @@ One process runs one task (compress, qsvm, qlr, scaling, or ledger) on one
 dataset and writes a single JSON report. Reports are byte-identical for
 identical config and seed: keys are sorted, values are plain Python types,
 and anything nondeterministic (wall-clock timings) goes to stderr instead.
+
+Importing this module loads only what every task needs: ``errors``,
+``modes``, ``statevector`` and ``pca_oracle``. A task imports the rest of
+its stack when it runs: compress, scaling and ledger the compression
+pipeline (``qpca_pipeline``, ``sv_engine``, ``qram_store``), qsvm and qlr
+``qml_apps``. The README's Layout section gives the measured cost of each
+import.
 """
 
 from __future__ import annotations
@@ -15,29 +22,16 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import qml_apps
 from .errors import InvalidInputError, OutOfRangeError, ParseError, QpcaError
-from .pca_oracle import DataMatrix, SpectralModel, norm_range_fault, project, svd_decompose
-from .qpca_pipeline import (
-    MODE_IDEAL,
-    MODE_SAMPLED,
-    PERTURB_ALTERNATING,
-    RUN_MODES,
-    CompressionReport,
-    ResourceLedger,
-    RunResult,
-    ScalingResult,
-    error_scaling_experiment,
-    exact_spectrum,
-    ledger_predict,
-    run_compression,
-    select_anchor,
-)
-from .qram_store import build_tree
-from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, RhoSpec
+from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES
+from .pca_oracle import DataMatrix, norm_range_fault, project, svd_decompose
+
+if TYPE_CHECKING:
+    from .qpca_pipeline import RunResult
 
 TASKS = ("compress", "qsvm", "qlr", "scaling", "ledger")
 
@@ -73,8 +67,8 @@ class RunConfig:
             raise OutOfRangeError(f"shots must be >= 1, got {self.shots}")
         if not 0.0 < self.eps_beta < 1.0:
             raise OutOfRangeError(f"eps-beta must lie in (0, 1), got {self.eps_beta}")
-        if self.gamma <= 0.0:
-            raise OutOfRangeError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise OutOfRangeError(f"gamma must be positive and finite, got {self.gamma}")
         if self.task not in TASKS:
             raise InvalidInputError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.mode not in RUN_MODES:
@@ -224,15 +218,17 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
 
 
 # Report fields left out of a dataclass's JSON form, and derived values
-# (properties or zero-argument methods) added to it.
+# (properties or zero-argument methods) added to it, keyed by class name so
+# that the encoder imports none of the classes. The package's class names
+# are unique.
 _OMIT = {
-    SpectralModel: ("right_vectors", "left_vectors"),
-    CompressionReport: ("ledger",),
-    ScalingResult: ("models",),
+    "SpectralModel": ("right_vectors", "left_vectors"),
+    "CompressionReport": ("ledger",),
+    "ScalingResult": ("models",),
 }
 _DERIVED = {
-    SpectralModel: ("n_rows", "n_cols", "rank", "cumulative_variance", "variance_captured"),
-    ResourceLedger: ("amplified_cost",),
+    "SpectralModel": ("n_rows", "n_cols", "rank", "cumulative_variance", "variance_captured"),
+    "ResourceLedger": ("amplified_cost",),
 }
 
 
@@ -241,12 +237,13 @@ def _plain(value):
     _DERIVED), numpy arrays and scalars become Python lists and numbers, and
     tuples become lists."""
     if is_dataclass(value):
+        kind = type(value).__name__
         out = {
             f.name: _plain(getattr(value, f.name))
             for f in fields(value)
-            if f.name not in _OMIT.get(type(value), ())
+            if f.name not in _OMIT.get(kind, ())
         }
-        for name in _DERIVED.get(type(value), ()):
+        for name in _DERIVED.get(kind, ()):
             derived = getattr(value, name)
             out[name] = _plain(derived() if callable(derived) else derived)
         return out
@@ -284,9 +281,13 @@ def _success_sweep(run: RunResult) -> list[dict]:
 
 
 # -- tasks -----------------------------------------------------------------------
+#
+# Each task imports the layers it runs when it runs (see the module docstring).
 
 
 def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
+    from .qpca_pipeline import run_compression
+
     run = run_compression(
         data,
         threshold=config.theta,
@@ -309,6 +310,8 @@ def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
 
 
 def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
+    from . import qml_apps
+
     dataset = qml_apps.LabeledDataset(data, labels, gamma=config.gamma)
     model = svd_decompose(data, config.theta, 0)
     compressed = project(data, model)
@@ -356,6 +359,8 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
 
 
 def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
+    from . import qml_apps
+
     model = svd_decompose(data, config.theta, 0)
     compressed = project(data, model)
 
@@ -398,6 +403,8 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
 
 
 def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
+    from .qpca_pipeline import PERTURB_ALTERNATING, error_scaling_experiment
+
     rng = np.random.default_rng(config.seed)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=SCALING_SEED_COUNT)]
     result = error_scaling_experiment(
@@ -416,6 +423,10 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
 
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
+    from .qpca_pipeline import exact_spectrum, ledger_predict, select_anchor
+    from .qram_store import build_tree
+    from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, RhoSpec
+
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
     model = svd_decompose(data, config.theta)
     rho = RhoSpec.from_model(model)

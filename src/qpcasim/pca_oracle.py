@@ -150,7 +150,11 @@ class SpectralModel:
         ``anchor_index`` of ``data`` (``anchor_signs``): each flipped
         principal direction's left vector flips in tandem, keeping the
         reconstruction identity intact."""
-        signs = self.anchor_signs(data, anchor_index)
+        return self.with_signs(self.anchor_signs(data, anchor_index), anchor_index)
+
+    def with_signs(self, signs: np.ndarray, anchor_index: int) -> "SpectralModel":
+        """``with_anchor`` for a row whose ``anchor_signs`` the caller
+        already holds."""
         v, u = self.right_vectors * signs, self.left_vectors * signs
         return replace(self, right_vectors=v, left_vectors=u, anchor_index=int(anchor_index))
 

@@ -33,15 +33,12 @@ from .errors import (
     UnderSampledError,
     WeakAnchorError,
 )
+# The run-mode names live in ``modes``; the pipeline re-exports all of them.
+from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
 from .qram_store import QramTree
 from .statevector import StateVector
 from .sv_engine import PhaseConfig, RhoSpec
-
-MODE_IDEAL = "ideal"
-MODE_QUANTIZED = "quantized"
-MODE_SAMPLED = "sampled"
-RUN_MODES = (MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED)
 
 SCOPE_FULL = "full"
 SCOPE_SUBSET = "subset"
@@ -245,14 +242,15 @@ def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
     return beta
 
 
-def _vector_state(vector: np.ndarray, padded_cols: int, feature_qubits: int) -> StateVector:
-    padded = np.zeros(padded_cols, dtype=np.complex128)
+def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
+    """``vector``, zero-padded, on the register layout of ``like``."""
+    padded = np.zeros(like.amplitudes.size, dtype=np.complex128)
     padded[: vector.size] = vector
-    return StateVector.from_amplitudes([("feature", feature_qubits)], padded)
+    return StateVector.from_amplitudes(like.layout(), padded)
 
 
 def exact_anchor_profile(
-    tree: QramTree,
+    anchor: StateVector,
     rho: RhoSpec,
     spectrum: SpectrumSample,
     anchor_index: int,
@@ -260,8 +258,9 @@ def exact_anchor_profile(
     eps_beta: float = 0.01,
 ) -> AnchorProfile:
     """Shot-free profile: the estimates equal the exact coefficients, the
-    anchor's overlaps with the eigenvectors of ``rho``."""
-    beta = _true_beta(rho, spectrum.dim, qram_store.prepare_row_state(tree, anchor_index))
+    overlaps of row ``anchor_index``'s state ``anchor``
+    (``qram_store.prepare_row_state``) with the eigenvectors of ``rho``."""
+    beta = _true_beta(rho, spectrum.dim, anchor)
     if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
         raise WeakAnchorError(
@@ -280,7 +279,7 @@ def exact_anchor_profile(
 
 
 def estimate_anchor(
-    tree: QramTree,
+    anchor: StateVector,
     rho: RhoSpec,
     spectrum: SpectrumSample,
     eps_beta: float,
@@ -288,9 +287,10 @@ def estimate_anchor(
     *,
     anchor_index: int,
 ) -> AnchorProfile:
-    """Estimate every anchor coefficient by a seeded swap test against the
-    corresponding eigenvector state of ``rho``, ceil(c / eps_beta^2) shots
-    each.
+    """Estimate every anchor coefficient by a seeded swap test of row
+    ``anchor_index``'s state ``anchor`` (``qram_store.prepare_row_state``)
+    against the corresponding eigenvector state of ``rho``,
+    ceil(c / eps_beta^2) shots each.
 
     Estimates are sqrt(max(0, 2 p0_hat - 1)). Any estimate below the floor
     raises WeakAnchorError so the caller can redraw the anchor row.
@@ -298,15 +298,14 @@ def estimate_anchor(
     if not 0.0 < eps_beta < 1.0:
         raise OutOfRangeError(f"eps_beta must lie in (0, 1), got {eps_beta}")
     shots = int(math.ceil(ANCHOR_SHOTS_CONSTANT / eps_beta**2))
-    anchor_state = qram_store.prepare_row_state(tree, anchor_index)
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(0, 2**63 - 1, size=spectrum.dim)
 
-    beta = _true_beta(rho, spectrum.dim, anchor_state)
+    beta = _true_beta(rho, spectrum.dim, anchor)
     beta_hat = np.empty(spectrum.dim)
     for k in range(spectrum.dim):
-        target = _vector_state(rho.eigenvectors[:, k], tree.padded_cols, tree.feature_qubits)
-        result = sv_engine.swap_test(anchor_state, target, shots, int(seeds[k]))
+        target = _vector_state(rho.eigenvectors[:, k], anchor)
+        result = sv_engine.swap_test(anchor, target, shots, int(seeds[k]))
         beta_hat[k] = math.sqrt(max(result.overlap_sq_raw, 0.0))
     if float(beta_hat.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta_hat))
@@ -329,12 +328,16 @@ def estimate_anchor(
 @dataclass(frozen=True)
 class AnchorChoice:
     """The accepted anchor row and what was built around it: ``model`` and
-    ``rho`` carry that row's signs."""
+    ``rho`` carry that row's signs, ``signs`` is its sign vector against
+    the caller's model (``SpectralModel.anchor_signs``), and
+    ``anchor_state`` its loaded state (``qram_store.prepare_row_state``)."""
 
     model: SpectralModel
     rho: RhoSpec
     profile: AnchorProfile
     attempts: tuple[int, ...]
+    signs: np.ndarray
+    anchor_state: StateVector
 
 
 def select_anchor(
@@ -367,18 +370,20 @@ def select_anchor(
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
-        signed = rho.with_signs(model.anchor_signs(data, anchor))
+        signs = model.anchor_signs(data, anchor)
+        signed = rho.with_signs(signs)
+        state = qram_store.prepare_row_state(tree, anchor)
         try:
             if beta_seed is None:
-                profile = exact_anchor_profile(tree, signed, spectrum, anchor, eps_beta=eps_beta)
+                profile = exact_anchor_profile(state, signed, spectrum, anchor, eps_beta=eps_beta)
             else:
-                profile = estimate_anchor(tree, signed, spectrum, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(state, signed, spectrum, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise
             last_error = exc
             continue
-        return AnchorChoice(model.with_anchor(data, anchor), signed, profile, tuple(attempts))
+        return AnchorChoice(model.with_signs(signs, anchor), signed, profile, tuple(attempts), signs, state)
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -755,13 +760,13 @@ def _sweep_dataset(
     step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
     for start in range(0, len(choices), step):
         batch = choices[start : start + step]
-        anchors = [qram_store.prepare_row_state(tree, choice.profile.anchor_index) for choice in batch]
+        anchors = [choice.anchor_state for choice in batch]
         projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchors, distinct_top=d)
         beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid, perturbation)
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
         for s, (choice, branches) in enumerate(zip(batch, kept), start):
             flips = np.ones(reference.shape[-1])
-            flips[1 : d + 1] = model.anchor_signs(data, choice.profile.anchor_index)[:d]
+            flips[1 : d + 1] = choice.signs[:d]
             psi = reference * flips
             for k, phi in enumerate(branches):
                 infid[s, k] = max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)

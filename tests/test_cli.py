@@ -414,6 +414,18 @@ def test_main_reports_out_of_range(capsys, rank2_csv):
     assert payload["code"] == "OUT_OF_RANGE"
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_gamma_is_out_of_range(capsys, blobs_files, gamma):
+    # Refused before the solve, whose SINGULAR_SYSTEM advice ("a larger
+    # gamma regularizes it") would be wrong for this input.
+    data_path, labels_path = blobs_files
+    payload = _error_payload(
+        capsys, ["--input", data_path, "--labels", labels_path, "--task", "qsvm", "--gamma", gamma]
+    )
+    assert payload["code"] == "OUT_OF_RANGE"
+    assert "gamma" in payload["message"]
+
+
 def test_main_reports_weak_anchor_on_identity(capsys, tmp_path):
     # Identity rows sit on single principal axes, so every anchor draw has a
     # vanishing coefficient and compression is honestly refused.

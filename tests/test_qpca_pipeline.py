@@ -19,7 +19,7 @@ from qpcasim.errors import (
     WeakAnchorError,
 )
 from qpcasim.pca_oracle import DataMatrix, expected_row_state, svd_decompose
-from qpcasim.qram_store import build_tree
+from qpcasim.qram_store import build_tree, prepare_row_state
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
     MODE_QUANTIZED,
@@ -168,7 +168,7 @@ def test_exact_anchor_profile_three_rows():
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
-    profile = exact_anchor_profile(tree, rho, spectrum, 0)
+    profile = exact_anchor_profile(prepare_row_state(tree, 0), rho, spectrum, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(profile.beta, [inv_sqrt2, inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(profile.beta_hat, profile.beta, atol=0.0)
@@ -186,7 +186,7 @@ def test_exact_anchor_profile_weak_anchor():
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
     with pytest.raises(WeakAnchorError) as info:
-        exact_anchor_profile(tree, rho, spectrum, 2)
+        exact_anchor_profile(prepare_row_state(tree, 2), rho, spectrum, 2)
     assert info.value.anchor_index == 2
 
 
@@ -197,16 +197,17 @@ def test_estimate_anchor_concentrates():
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
+    anchor = prepare_row_state(tree, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     hits = 0
     for seed in range(200):
-        profile = estimate_anchor(tree, rho, spectrum, 0.01, seed, anchor_index=0)
+        profile = estimate_anchor(anchor, rho, spectrum, 0.01, seed, anchor_index=0)
         assert profile.shots_per_coefficient == 40_000  # ceil(4 / 0.01^2)
         if np.all(np.abs(profile.beta_hat - inv_sqrt2) <= 0.05):
             hits += 1
     assert hits >= 198
     # Halving the target accuracy quadruples the per-coefficient shots.
-    finer = estimate_anchor(tree, rho, spectrum, 0.005, 0, anchor_index=0)
+    finer = estimate_anchor(anchor, rho, spectrum, 0.005, 0, anchor_index=0)
     assert finer.shots_per_coefficient == 160_000
 
 
@@ -217,8 +218,9 @@ def test_estimate_anchor_is_seeded():
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
-    a = estimate_anchor(tree, rho, spectrum, 0.02, 7, anchor_index=0)
-    b = estimate_anchor(tree, rho, spectrum, 0.02, 7, anchor_index=0)
+    anchor = prepare_row_state(tree, 0)
+    a = estimate_anchor(anchor, rho, spectrum, 0.02, 7, anchor_index=0)
+    b = estimate_anchor(anchor, rho, spectrum, 0.02, 7, anchor_index=0)
     np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
 
 
