@@ -10,7 +10,9 @@ ideal compressed statevector the quantum pipeline is supposed to reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -20,11 +22,12 @@ from .statevector import StateVector, ceil_log2, token_qubits
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_CUTOFF = 1e-12
 
-# Rows per block of the pairwise overlap audit: its working memory beyond the
-# deviations is two block x N slabs. BLAS rounds a Gram entry according to
-# where it falls in the product's tiles, so the block height decides the last
-# bit of some deviations: on the 300x6 `compress_tall` golden, with OpenBLAS
-# 0.3.31, every other multiple of 8 up to 296 rows moves its mean.
+# Rows per block of the pairwise overlap audit: its working memory is two
+# block x N slabs, each reduced where it stands. BLAS rounds a Gram entry
+# according to where it falls in the product's tiles, so the block height
+# decides the last bit of some deviations: on the 300x6 `compress_tall`
+# golden, with OpenBLAS 0.3.31, every other multiple of 8 up to 296 rows
+# moves its mean.
 OVERLAP_BLOCK_ROWS = 128
 
 
@@ -176,17 +179,32 @@ class CompressedMatrix:
 
 @dataclass(frozen=True)
 class OverlapReport:
-    """Pairwise-geometry check: how well unit-row overlaps survive compression."""
+    """Pairwise-geometry check: how well unit-row overlaps survive compression.
 
-    # (P,) |<y1|y2> - <x1|x2>| on unit rows, pairs i1 < i2 of unflagged rows in
-    # row-major order. Outside the tests only its size is read: the report's
-    # n_pairs and the benchmark tracer's pair count.
-    deviations: np.ndarray
+    The statistics run over the ``n_pairs`` pairs i1 < i2 of unflagged rows
+    (``pairwise_overlap_report``); no per-pair array is kept. ``unit_rows``
+    are the unflagged unit rows (x, y) before and after compression, from
+    which ``deviations`` is rebuilt on first read.
+    """
+
     tolerance: float
     fraction_within: float
     max_deviation: float
     mean_deviation: float
+    n_pairs: int
+    unit_rows: InitVar[tuple[np.ndarray, np.ndarray]]
     flagged_rows: tuple[int, ...] = field(default_factory=tuple)  # zero-norm compressed rows
+
+    def __post_init__(self, unit_rows):
+        object.__setattr__(self, "_unit_rows", unit_rows)
+
+    @cached_property
+    def deviations(self) -> np.ndarray:
+        """(n_pairs,) |<y1|y2> - <x1|x2>| in row-major pair order, the same
+        bits the statistics were taken from. Built on first read, at one
+        float per pair. No code under ``src/`` reads it; it stays because
+        the benchmark tracer counts the audit's pairs from its size."""
+        return _pair_deviations(*self._unit_rows)
 
 
 def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int = 0) -> SpectralModel:
@@ -275,29 +293,62 @@ def expected_row_state(compressed: CompressedMatrix, row_index: int) -> StateVec
     return StateVector.from_amplitudes([("index", index_qubits)], amps)
 
 
+def _overlap_slabs(x: np.ndarray, y: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The audit's blocks: for rows i0:i1 (OVERLAP_BLOCK_ROWS of them) of
+    the m unit rows, (i0, the block x (m - i0) slab |y y^T - x x^T| of those
+    rows against rows i0:). A slab's strict upper triangle holds its rows'
+    pairs. The last row pairs with no later row, so every slab has a pair.
+    Up to OVERLAP_BLOCK_ROWS rows the slab is one symmetric product,
+    y @ y.T; past it, BLAS may sum an entry in another order than the full
+    product would (a last-bit difference).
+
+    The two products are written into two buffers of the first slab's size,
+    allocated once: each slab is a view that the next one overwrites."""
+    m = x.shape[0]
+    size = min(OVERLAP_BLOCK_ROWS, m) * m
+    gram, temp = np.empty(size), np.empty(size)
+    for i0 in range(0, m - 1, OVERLAP_BLOCK_ROWS):
+        i1 = min(i0 + OVERLAP_BLOCK_ROWS, m)
+        shape = (i1 - i0, m - i0)
+        g = np.matmul(y[i0:i1], y[i0:].T, out=gram[: shape[0] * shape[1]].reshape(shape))
+        g -= np.matmul(x[i0:i1], x[i0:].T, out=temp[: shape[0] * shape[1]].reshape(shape))
+        np.abs(g, out=g)
+        yield i0, g
+
+
+def _pair_deviations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every slab's strict upper triangle gathered in row-major pair order:
+    the array ``OverlapReport.deviations`` builds on first read."""
+    m = x.shape[0]
+    devs = np.empty(m * (m - 1) // 2)
+    upper = np.triu(np.ones((OVERLAP_BLOCK_ROWS, m), dtype=bool), 1)
+    for i0, g in _overlap_slabs(x, y):
+        i1 = i0 + g.shape[0]
+        # The rows before row r have r * (2m - r - 1) / 2 pairs.
+        devs[i0 * (2 * m - i0 - 1) // 2 : i1 * (2 * m - i1 - 1) // 2] = g[upper[: i1 - i0, : m - i0]]
+    return devs
+
+
 def pairwise_overlap_report(
     data: DataMatrix, compressed: CompressedMatrix, tolerance: float = 1e-6
 ) -> OverlapReport:
     """Compare unit-row overlaps before and after compression, all pairs.
 
-    ``deviations`` lists |<y1|y2> - <x1|x2>| for every pair of rows i1 < i2
-    whose compressed rows are nonzero, in row-major order. The flagged rows
-    (zero compressed norm) are dropped first, so the m rows left pair with
-    each other only. The audit then runs block by block: rows i0:i1
-    (OVERLAP_BLOCK_ROWS of them) against rows i0: give a block x (m - i0)
-    slab whose strict upper triangle holds those rows' pairs, read row by
-    row through the one (OVERLAP_BLOCK_ROWS, m) triangle built up front. The
-    memory is the deviations plus two slabs, not two m x m Gram matrices. Up
-    to OVERLAP_BLOCK_ROWS rows that is one symmetric product, y @ y.T; past
-    it, BLAS may sum an entry in another order than the full product would
-    (a last-bit difference).
-
-    ``max_deviation`` and the within-tolerance count are taken per block,
-    while its deviations are in cache; ``mean_deviation`` is one mean over
-    the whole array.
+    The deviations are |<y1|y2> - <x1|x2>| for every pair of rows i1 < i2
+    whose compressed rows are nonzero. The flagged rows (zero compressed
+    norm) are dropped first, so the m rows left pair with each other only.
+    The audit then reduces one slab at a time (``_overlap_slabs``) where it
+    stands: the diagonal and lower triangle of the slab's leading square are
+    zeroed, and the slab adds its sum and its maximum; its entries above
+    ``tolerance`` are counted only when that maximum exceeds it. The memory
+    is two slabs, not the n_pairs deviations nor two m x m Gram matrices.
+    The mean is the sum of the slab sums over n_pairs, so it may differ in
+    its last bit from one mean over the gathered deviations.
     """
     if compressed.values.shape[0] != data.n_rows:
         raise InvalidInputError("compressed matrix row count does not match the data")
+    if not tolerance >= 0.0:
+        raise OutOfRangeError(f"overlap tolerance must be nonnegative, got {tolerance}")
     y_norms = compressed.row_norms
     flagged = tuple(np.flatnonzero(y_norms == 0.0).tolist())
     ok = y_norms > 0.0
@@ -306,26 +357,25 @@ def pairwise_overlap_report(
     y = compressed.values[ok] / y_norms[ok, None]
 
     m = x.shape[0]
-    devs = np.empty(m * (m - 1) // 2)
-    upper = np.triu(np.ones((OVERLAP_BLOCK_ROWS, m), dtype=bool), 1)
-    within = 0
+    n_pairs = m * (m - 1) // 2
+    lower = np.tril(np.ones((OVERLAP_BLOCK_ROWS, OVERLAP_BLOCK_ROWS), dtype=bool))
+    total = 0.0
     top = 0.0
-    # The last row pairs with no later row, so every block has a pair.
-    for i0 in range(0, m - 1, OVERLAP_BLOCK_ROWS):
-        i1 = min(i0 + OVERLAP_BLOCK_ROWS, m)
-        g = y[i0:i1] @ y[i0:].T
-        g -= x[i0:i1] @ x[i0:].T
-        np.abs(g, out=g)
-        # The rows before row r have r * (2m - r - 1) / 2 pairs.
-        block = devs[i0 * (2 * m - i0 - 1) // 2 : i1 * (2 * m - i1 - 1) // 2]
-        block[:] = g[upper[: i1 - i0, : m - i0]]
-        top = max(top, float(block.max()))
-        within += int(np.count_nonzero(block <= tolerance))
+    over = 0
+    for _, g in _overlap_slabs(x, y):
+        b = g.shape[0]
+        g[:, :b][lower[:b, :b]] = 0.0
+        total += float(g.sum())
+        block_top = float(g.max())
+        top = max(top, block_top)
+        if block_top > tolerance:
+            over += int(np.count_nonzero(g > tolerance))
     return OverlapReport(
-        deviations=devs,
         tolerance=float(tolerance),
-        fraction_within=within / devs.size if devs.size else 1.0,
+        fraction_within=(n_pairs - over) / n_pairs if n_pairs else 1.0,
         max_deviation=top,
-        mean_deviation=float(devs.mean()) if devs.size else 0.0,
+        mean_deviation=total / n_pairs if n_pairs else 0.0,
+        n_pairs=n_pairs,
+        unit_rows=(x, y),
         flagged_rows=flagged,
     )

@@ -232,14 +232,17 @@ def default_sampling_budget(dim: int) -> int:
 
 
 def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
-    """Overlaps of the prepared anchor state with the leading ``dim`` eigenvectors of ``rho``."""
+    """Overlaps of the prepared anchor state with the leading ``dim`` eigenvectors of ``rho``.
+
+    Both are unit vectors, so an overlap is at most 1; one that rounds above
+    it (a row on a principal direction, as in rank-1 data) is capped at 1."""
     amps = anchor.amplitudes.real
     beta = np.empty(dim)
     for k in range(dim):
         padded = np.zeros(amps.size)
         padded[: rho.dim] = rho.eigenvectors[:, k]
         beta[k] = float(padded @ amps)
-    return beta
+    return np.minimum(beta, 1.0, out=beta)
 
 
 def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
@@ -410,7 +413,7 @@ class OverlapSummary:
             mean_deviation=report.mean_deviation,
             fraction_within=report.fraction_within,
             tolerance=report.tolerance,
-            n_pairs=int(report.deviations.size),
+            n_pairs=report.n_pairs,
             flagged_rows=report.flagged_rows,
         )
 
@@ -466,6 +469,7 @@ def compress(
     rho: RhoSpec,
     spectrum: SpectrumSample,
     profile: AnchorProfile,
+    anchor: StateVector,
     cfg: PhaseConfig,
     *,
     run_mode: str = MODE_IDEAL,
@@ -482,7 +486,9 @@ def compress(
     feature register ('single'). Either way the output state carries
     component tokens 1..dim with label 0 unused, and the report compares it
     against the classical projection. A full or subset scope loads the data
-    state from ``tree``; a single scope reads only its row.
+    state from ``tree``; a single scope reads only its row. ``anchor`` is
+    the loaded state of the profile's anchor row
+    (``AnchorChoice.anchor_state``), which the projection undoes.
     """
     d = spectrum.dim
     if subset is not None and row_index is not None:
@@ -513,7 +519,6 @@ def compress(
         if scope == SCOPE_SUBSET:
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
-    anchor = qram_store.prepare_row_state(tree, profile.anchor_index)
     [projected], p_anchor = sv_engine.project_anchor(rho, cfg, state, [anchor], distinct_top=d)
     # The rotated state is twice the projected one; no name keeps it alive
     # through the oracle comparison below, where a run's memory peaks.
@@ -613,10 +618,10 @@ def run_compression(
     sampled = run_mode == MODE_SAMPLED
     tree = qram_store.build_tree(data)
     model = pca_oracle.svd_decompose(data, threshold)
-    if anchor_index is not None:
-        # A fixed anchor fixes the signs first, so a row out of range is
-        # reported before the spectrum is built.
-        model = model.with_anchor(data, anchor_index)
+    if anchor_index is not None and not 0 <= anchor_index < data.n_rows:
+        # Reported before the spectrum is built; ``select_anchor`` signs the
+        # model against the row.
+        raise OutOfRangeError(f"anchor index {anchor_index} out of range for {data.n_rows} rows")
     rho = RhoSpec.from_model(model)
     d = model.selected_dim
     if sampled:
@@ -643,6 +648,7 @@ def run_compression(
         choice.rho,
         spectrum,
         choice.profile,
+        choice.anchor_state,
         cfg,
         run_mode=run_mode,
         subset=subset,

@@ -20,7 +20,9 @@ committed files, run
 
     PYTHONPATH=src python3 tests/golden/make_golden.py --check [case ...]
 
-It regenerates the reports into a temporary directory from the committed
+It prints the OpenBLAS kernel numpy's BLAS ran under (``blas_kernel``;
+BLAS rounding, and so the last bits of some floats, depends on it), then
+regenerates the reports into a temporary directory from the committed
 inputs and prints, for each case, whether the bytes match the golden file
 and, when they do not, the largest relative change of any float; it exits 1
 when any case differs. ``test_golden.py`` compares live runs against these
@@ -30,6 +32,8 @@ files.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import io
 import json
 import math
@@ -216,9 +220,26 @@ def max_float_change(got, want) -> float | None:
     return None if None in changes else max(changes, default=0.0)
 
 
+def blas_kernel() -> str:
+    """The kernel (core type) of the OpenBLAS bundled with numpy, as its
+    ``scipy_openblas_get_corename64_`` names it (``OPENBLAS_CORETYPE``
+    selects it), or "unknown" when numpy's BLAS is not that OpenBLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for lib in sorted(glob.glob(libs)):
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def check(names: list[str]) -> int:
     """Regenerate the named cases (default: all) into a temporary directory
     and compare each with its golden file; returns the number that differ."""
+    print(f"BLAS kernel: {blas_kernel()}")
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or CASES:

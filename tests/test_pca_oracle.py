@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qpcasim import pca_oracle
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
 from qpcasim.errors import InvalidInputError, OutOfRangeError
 from qpcasim.pca_oracle import (
@@ -18,6 +19,7 @@ from qpcasim.pca_oracle import (
     project,
     svd_decompose,
 )
+from qpcasim.qpca_pipeline import run_compression
 from qpcasim.statevector import ceil_log2
 from qpcasim.sv_engine import RhoSpec, _padded_eigenbasis
 
@@ -345,7 +347,7 @@ def test_pairwise_overlap_noisy_data_recorded():
     residual = 1.0 - model.variance_captured
     assert report.max_deviation <= 10.0 * residual
     assert report.max_deviation <= 3.0e-4
-    assert report.deviations.size == 16 * 15 // 2
+    assert report.n_pairs == 16 * 15 // 2
 
 
 def test_pairwise_overlap_flags_zero_norm_rows():
@@ -368,6 +370,7 @@ def _triu_reference(data, compressed, tolerance):
     devs = np.abs((y @ y.T)[i1, i2] - (x @ x.T)[i1, i2])[ok[i1] & ok[i2]]
     return {
         "deviations": devs,
+        "n_pairs": devs.size,
         "tolerance": float(tolerance),
         "fraction_within": float(np.mean(devs <= tolerance)) if devs.size else 1.0,
         "max_deviation": float(devs.max()) if devs.size else 0.0,
@@ -439,17 +442,27 @@ B = OVERLAP_BLOCK_ROWS
     ],
 )
 def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
-    # The blocks read the upper triangle row by row, in the order i1 < i2
-    # that triu_indices gives, so every field agrees bit for bit. Up to
-    # OVERLAP_BLOCK_ROWS rows the audit is one block, the same products as
-    # the full Gram matrices.
+    # The lazily built deviations read the upper triangle row by row, in the
+    # order i1 < i2 that triu_indices gives, so they and every statistic but
+    # the mean agree bit for bit. Up to OVERLAP_BLOCK_ROWS rows the audit is
+    # one block, the same products as the full Gram matrices.
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
     want = _triu_reference(data, compressed, 1e-6)
     assert report.deviations.dtype == want["deviations"].dtype
     assert np.array_equal(report.deviations, want["deviations"])
-    for name in ("tolerance", "fraction_within", "max_deviation", "mean_deviation", "flagged_rows"):
+    for name in ("tolerance", "fraction_within", "max_deviation", "n_pairs", "flagged_rows"):
         assert getattr(report, name) == want[name], name
         assert type(getattr(report, name)) is type(want[name]), name
+    # The mean sums the same deviations slab by slab, the reference in one
+    # pass: two orders of a sum of nonnegative terms, seen at most 0.8 eps
+    # apart (relative) on 129 to 1024 x 16 and 256 x 64, held to 4 eps.
+    # When every deviation is a multiple of 1/16 (the +-1 cases), every
+    # partial sum is exact and the two agree bit for bit.
+    assert type(report.mean_deviation) is float
+    if np.array_equal(want["deviations"] * 16.0, np.round(want["deviations"] * 16.0)):
+        assert report.mean_deviation == want["mean_deviation"]
+    else:
+        assert abs(report.mean_deviation - want["mean_deviation"]) <= 4 * np.finfo(float).eps * want["mean_deviation"]
 
 
 @pytest.mark.parametrize("n_rows", [B + 1, 2 * B + 1, 3 * B + 5])
@@ -470,19 +483,37 @@ def test_pairwise_overlap_blocks_round_like_the_full_product(n_rows):
     assert abs(report.max_deviation - want["max_deviation"]) <= bound
 
 
-def test_pairwise_overlap_memory_is_the_deviations_plus_one_block():
-    # 4096 rows: the deviations take 64 MiB and one block x 4096 slab 4 MiB.
-    # The audit holds two slabs at a time (a product and the next one, or a
-    # slab and its gathered pairs); the bound allows a third for the unit
-    # rows, the triangle and the per-block count. The two full 4096 x 4096
-    # Gram matrices alone would take 256 MiB.
+def test_pairwise_overlap_memory_is_two_slabs_and_the_unit_rows():
+    # 4096 rows: one block x 4096 slab takes 4 MiB, and the audit holds two
+    # (the two products), reduced where they stand. Tolerance 0 counts the
+    # entries over it in every block, a bool slab more. The 8.4 million
+    # pairs' deviations (64 MiB) and the two full 4096 x 4096 Gram matrices
+    # (256 MiB) are never built.
     data = rank_k_dataset(4096, 16, 4, 1)
     compressed = project(data, svd_decompose(data, 0.95, 0))
-    tracemalloc.start()
-    try:
-        report = pairwise_overlap_report(data, compressed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.deviations.size == 4096 * 4095 // 2
-    assert peak < report.deviations.nbytes + 3 * B * 4096 * 8
+    unit_rows = data.values.nbytes + compressed.values.nbytes
+    for tolerance in (1e-6, 0.0):
+        tracemalloc.start()
+        try:
+            report = pairwise_overlap_report(data, compressed, tolerance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs == 4096 * 4095 // 2
+        assert (report.fraction_within < 1.0) is (tolerance == 0.0)
+        assert peak < 2.25 * B * 4096 * 8 + unit_rows, tolerance
+
+
+def test_pairwise_overlap_refuses_a_negative_tolerance():
+    data = rank_k_dataset(8, 4, 2, 1)
+    with pytest.raises(OutOfRangeError, match="nonnegative"):
+        pairwise_overlap_report(data, project(data, svd_decompose(data, 0.95, 0)), tolerance=-1e-6)
+
+
+def test_run_compression_never_builds_the_pair_array(monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("the per-pair deviations were built")
+
+    monkeypatch.setattr(pca_oracle, "_pair_deviations", refuse)
+    run = run_compression(rank_k_dataset(300, 6, 3, seed=7), seed=3)
+    assert run.result.report.overlap.n_pairs == 300 * 299 // 2

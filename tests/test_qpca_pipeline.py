@@ -18,7 +18,7 @@ from qpcasim.errors import (
     VanishingSuccessError,
     WeakAnchorError,
 )
-from qpcasim.pca_oracle import DataMatrix, expected_row_state, svd_decompose
+from qpcasim.pca_oracle import DataMatrix, SpectralModel, expected_row_state, svd_decompose
 from qpcasim.qram_store import build_tree, prepare_row_state
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
@@ -307,7 +307,8 @@ def test_success_probability_identity_with_perturbed_estimates():
     profile = replace(
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
-    res = compress(data, run.model, run.tree, run.rho, run.spectrum, profile, run.cfg)
+    anchor = prepare_row_state(run.tree, profile.anchor_index)
+    res = compress(data, run.model, run.tree, run.rho, run.spectrum, profile, anchor, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -320,7 +321,8 @@ def test_compress_full_scope_needs_the_data_state():
 
     data = rank_k_dataset(16, 8, 2, seed=18)
     run = run_compression(data, seed=3)
-    args = (data, run.model, run.tree, run.rho, run.spectrum, run.profile, run.cfg)
+    anchor = prepare_row_state(run.tree, run.profile.anchor_index)
+    args = (data, run.model, run.tree, run.rho, run.spectrum, run.profile, anchor, run.cfg)
     single = compress(*args, row_index=2)
     assert single.report.scope == "single"
 
@@ -344,6 +346,15 @@ def test_run_compression_is_deterministic():
     assert a.result.report == b.result.report
     np.testing.assert_array_equal(a.profile.beta_hat, b.profile.beta_hat)
     assert a.anchor_attempts == b.anchor_attempts
+
+
+def test_rank_one_data_compresses_in_ideal_mode():
+    # Every row lies on the one principal direction, so each exact
+    # coefficient is an overlap of two equal unit vectors. It rounded to
+    # 1.0000000000000002 here, above the (0, 1] the rotation accepts.
+    run = run_compression(DataMatrix(np.array([[3.0, 4.0], [6.0, 8.0], [9.0, 12.0]])), seed=0)
+    assert run.profile.beta.tolist() == run.profile.beta_hat.tolist() == [1.0]
+    assert run.result.report.fidelity >= 1.0 - 1e-12
 
 
 def test_weak_anchor_fixed_index_raises():
@@ -395,14 +406,25 @@ def test_anchor_selection_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sampled_fixed_anchor_loads_the_anchor_row_twice(monkeypatch):
-    # Once for the swap tests and the exact coefficients, once to undo the
-    # anchor in compress.
+def test_sampled_fixed_anchor_loads_the_anchor_row_once(monkeypatch):
+    # The state built for the swap tests is the one compress undoes.
     loaded = []
     prepare = qram_store.prepare_row_state
     monkeypatch.setattr(qram_store, "prepare_row_state", lambda tree, row: loaded.append(row) or prepare(tree, row))
     run_compression(rank_k_dataset(16, 8, 3, seed=1), run_mode=MODE_SAMPLED, anchor_index=5, seed=0)
-    assert loaded == [5, 5]
+    assert loaded == [5]
+
+
+@pytest.mark.parametrize("anchor_index, attempts", [(5, (5,)), (None, (13,))])
+def test_a_run_signs_the_decomposition_twice(monkeypatch, anchor_index, attempts):
+    # Once against row 0 in svd_decompose and once against the accepted
+    # anchor in select_anchor, whether the anchor is fixed or drawn.
+    signed = []
+    signs = SpectralModel.anchor_signs
+    monkeypatch.setattr(SpectralModel, "anchor_signs", lambda *a: signed.append(a[-1]) or signs(*a))
+    run = run_compression(rank_k_dataset(16, 8, 3, seed=1), anchor_index=anchor_index, seed=0)
+    assert run.anchor_attempts == attempts
+    assert signed == [0, attempts[0]]
 
 
 def test_under_sampled_is_raised_before_any_anchor_is_judged(monkeypatch):
