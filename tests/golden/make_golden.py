@@ -70,6 +70,9 @@ CASES = {
     "compress_decorated": ("decorated.csv", None, []),
     # Seed 0 draws the weak row (1, 1) first, so the report lists two anchors.
     "compress_sampled_redraw": ("tri.csv", None, ["--mode", "sampled", "--seed", "0"]),
+    # Every row lies on one direction, so the anchor's exact coefficient is 1;
+    # it rounds to just above 1 unless capped.
+    "compress_rank1": ("rank1.csv", None, ["--seed", "0"]),
     "qsvm_ideal": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--seed", "1"]),
     "qsvm_sampled": (
         "blobs.csv", "blobs.labels",
@@ -151,6 +154,7 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_matrix_csv(path("rank3.csv"), rank_k_dataset(32, 8, 3, seed=5).values)
     write_matrix_csv(path("tall.csv"), rank_k_dataset(300, 6, 3, seed=7).values)
     write_matrix_csv(path("tri.csv"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    write_matrix_csv(path("rank1.csv"), np.array([[3.0, 4.0], [6.0, 8.0], [9.0, 12.0]]))
     write_matrix_csv(path("identity.csv"), np.eye(4))
     # The smallest kept label is 1; 400 draws miss it.
     write_matrix_csv(
