@@ -309,9 +309,9 @@ def _overlap_slabs(x: np.ndarray, y: np.ndarray) -> Iterator[tuple[int, np.ndarr
     gram, temp = np.empty(size), np.empty(size)
     for i0 in range(0, m - 1, OVERLAP_BLOCK_ROWS):
         i1 = min(i0 + OVERLAP_BLOCK_ROWS, m)
-        shape = (i1 - i0, m - i0)
-        g = np.matmul(y[i0:i1], y[i0:].T, out=gram[: shape[0] * shape[1]].reshape(shape))
-        g -= np.matmul(x[i0:i1], x[i0:].T, out=temp[: shape[0] * shape[1]].reshape(shape))
+        b, w = i1 - i0, m - i0
+        g = np.matmul(y[i0:i1], y[i0:].T, out=gram[: b * w].reshape(b, w))
+        g -= np.matmul(x[i0:i1], x[i0:].T, out=temp[: b * w].reshape(b, w))
         np.abs(g, out=g)
         yield i0, g
 
