@@ -22,13 +22,14 @@ from .statevector import StateVector, ceil_log2, token_qubits
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_CUTOFF = 1e-12
 
-# Rows per block of the pairwise overlap audit: its working memory is two
-# block x N slabs, each reduced where it stands. BLAS rounds a Gram entry
+# Rows per block of the pairwise overlap audit: its working memory is one
+# block x N slab, reduced where it stands. 64 was the fastest of 32, 64 and
+# 128 at 256x64 and 1024x8 (one BLAS thread). BLAS rounds an entry
 # according to where it falls in the product's tiles, so the block height
 # decides the last bit of some deviations: on the 300x6 `compress_tall`
 # golden, with OpenBLAS 0.3.31, every other multiple of 8 up to 296 rows
 # moves its mean.
-OVERLAP_BLOCK_ROWS = 128
+OVERLAP_BLOCK_ROWS = 64
 
 
 def norm_range_fault(values: np.ndarray) -> tuple[int | None, str] | None:
@@ -183,8 +184,9 @@ class OverlapReport:
 
     The statistics run over the ``n_pairs`` pairs i1 < i2 of unflagged rows
     (``pairwise_overlap_report``); no per-pair array is kept. ``unit_rows``
-    are the unflagged unit rows (x, y) before and after compression, from
-    which ``deviations`` is rebuilt on first read.
+    holds the unflagged unit rows after and before compression, stacked as
+    [y | x], and y's width, from which ``deviations`` is rebuilt on first
+    read through the same slabs.
     """
 
     tolerance: float
@@ -192,7 +194,7 @@ class OverlapReport:
     max_deviation: float
     mean_deviation: float
     n_pairs: int
-    unit_rows: InitVar[tuple[np.ndarray, np.ndarray]]
+    unit_rows: InitVar[tuple[np.ndarray, int]]
     flagged_rows: tuple[int, ...] = field(default_factory=tuple)  # zero-norm compressed rows
 
     def __post_init__(self, unit_rows):
@@ -293,36 +295,41 @@ def expected_row_state(compressed: CompressedMatrix, row_index: int) -> StateVec
     return StateVector.from_amplitudes([("index", index_qubits)], amps)
 
 
-def _overlap_slabs(x: np.ndarray, y: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _overlap_slabs(rows: np.ndarray, d: int) -> Iterator[tuple[int, np.ndarray]]:
     """The audit's blocks: for rows i0:i1 (OVERLAP_BLOCK_ROWS of them) of
-    the m unit rows, (i0, the block x (m - i0) slab |y y^T - x x^T| of those
-    rows against rows i0:). A slab's strict upper triangle holds its rows'
+    the m unit rows, stacked as ``rows`` = [y | x] with y's ``d`` columns
+    first, (i0, the block x (m - i0) slab |y y^T - x x^T| of those rows
+    against rows i0:). A slab's strict upper triangle holds its rows'
     pairs. The last row pairs with no later row, so every slab has a pair.
-    Up to OVERLAP_BLOCK_ROWS rows the slab is one symmetric product,
-    y @ y.T; past it, BLAS may sum an entry in another order than the full
-    product would (a last-bit difference).
 
-    The two products are written into two buffers of the first slab's size,
-    allocated once: each slab is a view that the next one overwrites."""
-    m = x.shape[0]
-    size = min(OVERLAP_BLOCK_ROWS, m) * m
-    gram, temp = np.empty(size), np.empty(size)
+    Each slab is one product, [y | -x] of the block's rows times [y | x]^T
+    of rows i0:, written into one buffer of the first slab's size allocated
+    once (each slab is a view that the next one overwrites), then made
+    absolute in place. An entry is one dot product over d + D terms, so it
+    may differ in its last bit from the difference of the two Gram entries
+    y1.y2 - x1.x2, and BLAS may sum it in another order past the first
+    block than one product of all rows would."""
+    m, width = rows.shape
+    height = min(OVERLAP_BLOCK_ROWS, m)
+    slab = np.empty(height * m)
+    block = np.empty((height, width))
     for i0 in range(0, m - 1, OVERLAP_BLOCK_ROWS):
         i1 = min(i0 + OVERLAP_BLOCK_ROWS, m)
         b, w = i1 - i0, m - i0
-        g = np.matmul(y[i0:i1], y[i0:].T, out=gram[: b * w].reshape(b, w))
-        g -= np.matmul(x[i0:i1], x[i0:].T, out=temp[: b * w].reshape(b, w))
+        block[:b, :d] = rows[i0:i1, :d]
+        np.negative(rows[i0:i1, d:], out=block[:b, d:])
+        g = np.matmul(block[:b], rows[i0:].T, out=slab[: b * w].reshape(b, w))
         np.abs(g, out=g)
         yield i0, g
 
 
-def _pair_deviations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _pair_deviations(rows: np.ndarray, d: int) -> np.ndarray:
     """Every slab's strict upper triangle gathered in row-major pair order:
     the array ``OverlapReport.deviations`` builds on first read."""
-    m = x.shape[0]
+    m = rows.shape[0]
     devs = np.empty(m * (m - 1) // 2)
     upper = np.triu(np.ones((OVERLAP_BLOCK_ROWS, m), dtype=bool), 1)
-    for i0, g in _overlap_slabs(x, y):
+    for i0, g in _overlap_slabs(rows, d):
         i1 = i0 + g.shape[0]
         # The rows before row r have r * (2m - r - 1) / 2 pairs.
         devs[i0 * (2 * m - i0 - 1) // 2 : i1 * (2 * m - i1 - 1) // 2] = g[upper[: i1 - i0, : m - i0]]
@@ -337,13 +344,21 @@ def pairwise_overlap_report(
     The deviations are |<y1|y2> - <x1|x2>| for every pair of rows i1 < i2
     whose compressed rows are nonzero. The flagged rows (zero compressed
     norm) are dropped first, so the m rows left pair with each other only.
-    The audit then reduces one slab at a time (``_overlap_slabs``) where it
+    The unit rows are stacked once as [y | x], and the audit reduces one
+    slab of one stacked product at a time (``_overlap_slabs``) where it
     stands: the diagonal and lower triangle of the slab's leading square are
     zeroed, and the slab adds its sum and its maximum; its entries above
     ``tolerance`` are counted only when that maximum exceeds it. The memory
-    is two slabs, not the n_pairs deviations nor two m x m Gram matrices.
-    The mean is the sum of the slab sums over n_pairs, so it may differ in
-    its last bit from one mean over the gathered deviations.
+    is the stacked rows and one slab, not the n_pairs deviations nor two
+    m x m Gram matrices. The mean is the sum of the slab sums over n_pairs,
+    so it may differ in its last bit from one mean over the gathered
+    deviations.
+
+    A deviation is one dot product over d + D terms rather than the
+    difference of two Gram entries, and the blocks are OVERLAP_BLOCK_ROWS
+    = 64 rows rather than 128, so the maximum and mean moved in their last
+    bits (by at most 6e-17 on the golden reports) when the audit took this
+    form.
     """
     if compressed.values.shape[0] != data.n_rows:
         raise InvalidInputError("compressed matrix row count does not match the data")
@@ -352,17 +367,19 @@ def pairwise_overlap_report(
     y_norms = compressed.row_norms
     flagged = tuple(np.flatnonzero(y_norms == 0.0).tolist())
     ok = y_norms > 0.0
-    x = data.values[ok]
+    m, d = int(np.count_nonzero(ok)), compressed.values.shape[1]
+    rows = np.empty((m, d + data.n_cols))
+    y, x = rows[:, :d], rows[:, d:]
+    np.divide(compressed.values[ok], y_norms[ok, None], out=y)
+    x[...] = data.values[ok]
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    y = compressed.values[ok] / y_norms[ok, None]
 
-    m = x.shape[0]
     n_pairs = m * (m - 1) // 2
     lower = np.tril(np.ones((OVERLAP_BLOCK_ROWS, OVERLAP_BLOCK_ROWS), dtype=bool))
     total = 0.0
     top = 0.0
     over = 0
-    for _, g in _overlap_slabs(x, y):
+    for _, g in _overlap_slabs(rows, d):
         b = g.shape[0]
         g[:, :b][lower[:b, :b]] = 0.0
         total += float(g.sum())
@@ -376,6 +393,6 @@ def pairwise_overlap_report(
         max_deviation=top,
         mean_deviation=total / n_pairs if n_pairs else 0.0,
         n_pairs=n_pairs,
-        unit_rows=(x, y),
+        unit_rows=(rows, d),
         flagged_rows=flagged,
     )

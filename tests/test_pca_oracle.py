@@ -359,15 +359,25 @@ def test_pairwise_overlap_flags_zero_norm_rows():
     assert 2 in report.flagged_rows
 
 
-def _triu_reference(data, compressed, tolerance):
-    """The overlap report's fields as a gather over ``np.triu_indices``."""
+def _unit_rows(data, compressed):
+    """(x, y, ok): every data row and every compressed row at unit norm (a
+    zero compressed row stays zero), and which compressed rows are nonzero."""
     x = data.values / np.linalg.norm(data.values, axis=1, keepdims=True)
     y_norms = compressed.row_norms
     ok = y_norms > 0.0
     y = np.zeros_like(compressed.values)
     y[ok] = compressed.values[ok] / y_norms[ok, None]
+    return x, y, ok
+
+
+def _triu_reference(data, compressed, tolerance):
+    """The overlap report's fields as a gather over ``np.triu_indices`` of
+    one stacked product of all rows, [y | -x] [y | x]^T: the formula the
+    audit's slabs use."""
+    x, y, ok = _unit_rows(data, compressed)
     i1, i2 = np.triu_indices(data.n_rows, k=1)
-    devs = np.abs((y @ y.T)[i1, i2] - (x @ x.T)[i1, i2])[ok[i1] & ok[i2]]
+    gram = np.hstack([y, -x]) @ np.hstack([y, x]).T
+    devs = np.abs(gram[i1, i2])[ok[i1] & ok[i2]]
     return {
         "deviations": devs,
         "n_pairs": devs.size,
@@ -375,7 +385,7 @@ def _triu_reference(data, compressed, tolerance):
         "fraction_within": float(np.mean(devs <= tolerance)) if devs.size else 1.0,
         "max_deviation": float(devs.max()) if devs.size else 0.0,
         "mean_deviation": float(devs.mean()) if devs.size else 0.0,
-        "flagged_rows": tuple(int(i) for i in np.nonzero(y_norms == 0.0)[0]),
+        "flagged_rows": tuple(int(i) for i in np.nonzero(~ok)[0]),
     }
 
 
@@ -445,7 +455,7 @@ def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
     # The lazily built deviations read the upper triangle row by row, in the
     # order i1 < i2 that triu_indices gives, so they and every statistic but
     # the mean agree bit for bit. Up to OVERLAP_BLOCK_ROWS rows the audit is
-    # one block, the same products as the full Gram matrices.
+    # one block, the same product as the reference's.
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
     want = _triu_reference(data, compressed, 1e-6)
     assert report.deviations.dtype == want["deviations"].dtype
@@ -465,33 +475,37 @@ def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
         assert abs(report.mean_deviation - want["mean_deviation"]) <= 4 * np.finfo(float).eps * want["mean_deviation"]
 
 
-@pytest.mark.parametrize("n_rows", [B + 1, 2 * B + 1, 3 * B + 5])
-def test_pairwise_overlap_blocks_round_like_the_full_product(n_rows):
-    # Past one block, a block entry and the same entry of the full Gram
-    # matrix are one dot product, but BLAS may sum it in another order (its
-    # edge kernels for the trailing columns differ between the symmetric
-    # and the general product), so on general data they agree to the
-    # summation error of a unit-row dot product: d * eps per Gram entry.
+@pytest.mark.parametrize("n_rows", [B - 1, B + 1, 2 * B + 1, 3 * B + 5])
+def test_pairwise_overlap_stacked_product_rounds_like_two_products(n_rows):
+    # An independent reference: the difference of the two full Gram
+    # matrices, y y^T - x x^T. A slab entry sums the same d + D products as
+    # one dot product, in blocks that may round by tile position, so on
+    # general data the two agree to the summation error of unit-row dot
+    # products: (d + D) * eps per entry.
     data = DataMatrix(np.random.default_rng(n_rows).standard_normal((n_rows, 16)))
     compressed = project(data, svd_decompose(data, 1.0, 0), 4)
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
-    want = _triu_reference(data, compressed, 1e-6)
+    x, y, _ = _unit_rows(data, compressed)
+    i1, i2 = np.triu_indices(n_rows, k=1)
+    want = np.abs((y @ y.T)[i1, i2] - (x @ x.T)[i1, i2])
     bound = (16 + 4) * np.finfo(float).eps
-    assert report.deviations.size == want["deviations"].size == n_rows * (n_rows - 1) // 2
-    assert np.max(np.abs(report.deviations - want["deviations"])) <= bound
-    assert abs(report.mean_deviation - want["mean_deviation"]) <= bound
-    assert abs(report.max_deviation - want["max_deviation"]) <= bound
+    assert report.deviations.size == want.size == n_rows * (n_rows - 1) // 2
+    assert np.max(np.abs(report.deviations - want)) <= bound
+    assert abs(report.mean_deviation - float(want.mean())) <= bound
+    assert abs(report.max_deviation - float(want.max())) <= bound
 
 
-def test_pairwise_overlap_memory_is_two_slabs_and_the_unit_rows():
-    # 4096 rows: one block x 4096 slab takes 4 MiB, and the audit holds two
-    # (the two products), reduced where they stand. Tolerance 0 counts the
-    # entries over it in every block, a bool slab more. The 8.4 million
-    # pairs' deviations (64 MiB) and the two full 4096 x 4096 Gram matrices
-    # (256 MiB) are never built.
+def test_pairwise_overlap_memory_is_one_slab_and_the_stacked_unit_rows():
+    # 4096 rows: one block x 4096 slab takes 2 MiB, and the audit holds one
+    # (the stacked product), reduced where it stands. The stacked unit rows
+    # [y | x] take as much as the data and compressed rows together, and
+    # the block's [y | -x] copy is B of them. Tolerance 0 counts the
+    # entries over it in every block, an eighth of a slab more (a bool
+    # mask). The 8.4 million pairs' deviations (64 MiB) and the two full
+    # 4096 x 4096 Gram matrices (256 MiB) are never built.
     data = rank_k_dataset(4096, 16, 4, 1)
     compressed = project(data, svd_decompose(data, 0.95, 0))
-    unit_rows = data.values.nbytes + compressed.values.nbytes
+    stacked_rows = data.values.nbytes + compressed.values.nbytes
     for tolerance in (1e-6, 0.0):
         tracemalloc.start()
         try:
@@ -501,7 +515,7 @@ def test_pairwise_overlap_memory_is_two_slabs_and_the_unit_rows():
             tracemalloc.stop()
         assert report.n_pairs == 4096 * 4095 // 2
         assert (report.fraction_within < 1.0) is (tolerance == 0.0)
-        assert peak < 2.25 * B * 4096 * 8 + unit_rows, tolerance
+        assert peak < 1.25 * B * 4096 * 8 + stacked_rows, tolerance
 
 
 def test_pairwise_overlap_refuses_a_negative_tolerance():
