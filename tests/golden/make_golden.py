@@ -24,7 +24,8 @@ It prints the OpenBLAS kernel numpy's BLAS ran under (``blas_kernel``;
 BLAS rounding, and so the last bits of some floats, depends on it), then
 regenerates the reports into a temporary directory from the committed
 inputs and prints, for each case, whether the bytes match the golden file
-and, when they do not, the largest relative change of any float; it exits 1
+and, when they do not, the largest relative change of any float and the
+first few changed JSON paths with their old and new values; it exits 1
 when any case differs. ``test_golden.py`` compares live runs against these
 files.
 """
@@ -55,6 +56,8 @@ from qpcasim.datasets import (
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 INPUT_DIR = os.path.join(GOLDEN_DIR, "inputs")
+# Changed JSON paths that ``--check`` prints per differing case.
+SHOWN_FIELDS = 5
 
 # case name -> (input file, labels file or None, extra CLI arguments)
 CASES = {
@@ -202,26 +205,29 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, name + ".json")
 
 
+def changed_fields(got, want, path: str = "$") -> list[tuple[str, object, object]]:
+    """(JSON path, old value, new value) for every place where ``got``
+    differs from ``want``: a leaf value, or a whole object or list whose
+    keys or length differ."""
+    if isinstance(want, dict) and isinstance(got, dict) and set(got) == set(want):
+        return [c for key in want for c in changed_fields(got[key], want[key], f"{path}.{key}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [c for k, (g, w) in enumerate(zip(got, want)) for c in changed_fields(g, w, f"{path}[{k}]")]
+    if type(got) is type(want) and got == want:
+        return []
+    return [(path, want, got)]
+
+
 def max_float_change(got, want) -> float | None:
     """Largest relative change between matching floats of two JSON documents,
     or None when anything other than a float differs (keys, lengths, types,
     strings, integers)."""
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or set(got) != set(want):
+    changes = []
+    for _, old, new in changed_fields(got, want):
+        if not (isinstance(old, float) and isinstance(new, float)):
             return None
-        pairs = [(got[key], want[key]) for key in want]
-    elif isinstance(want, list):
-        if not isinstance(got, list) or len(got) != len(want):
-            return None
-        pairs = list(zip(got, want))
-    elif isinstance(want, float) and isinstance(got, float):
-        if got == want:
-            return 0.0
-        return abs(got - want) / abs(want) if want != 0.0 else math.inf
-    else:
-        return 0.0 if type(got) is type(want) and got == want else None
-    changes = [max_float_change(g, w) for g, w in pairs]
-    return None if None in changes else max(changes, default=0.0)
+        changes.append(abs(new - old) / abs(old) if old != 0.0 else math.inf)
+    return max(changes, default=0.0)
 
 
 def blas_kernel() -> str:
@@ -258,12 +264,24 @@ def check(names: list[str]) -> int:
                 print(f"{name}: identical")
                 continue
             differ += 1
-            change = max_float_change(json.loads(got), json.loads(want))
+            got, want = json.loads(got), json.loads(want)
+            change = max_float_change(got, want)
             if change is None:
                 print(f"{name}: DIFFERS beyond floats")
             else:
                 print(f"{name}: DIFFERS, largest relative float change {change:.3g}")
+            changed = changed_fields(got, want)
+            for path, old, new in changed[:SHOWN_FIELDS]:
+                print(f"  {path}: {_short(old)} -> {_short(new)}")
+            if len(changed) > SHOWN_FIELDS:
+                print(f"  ... and {len(changed) - SHOWN_FIELDS} more")
     return differ
+
+
+def _short(value, limit: int = 60) -> str:
+    """``value`` as JSON, cut to ``limit`` characters."""
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def main(names: list[str]) -> None:

@@ -17,22 +17,16 @@ REL_TOL = 1e-12
 ABS_TOL = 1e-15
 
 
-def _mismatches(got, want, path="$"):
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or set(got) != set(want):
-            keys = sorted(got) if isinstance(got, dict) else type(got).__name__
-            return [f"{path}: keys {keys} != {sorted(want)}"]
-        return [m for key in want for m in _mismatches(got[key], want[key], f"{path}.{key}")]
-    if isinstance(want, list):
-        if not isinstance(got, list) or len(got) != len(want):
-            return [f"{path}: {got!r} != {want!r}"]
-        return [m for k, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{path}[{k}]")]
-    if isinstance(want, float) and isinstance(got, float):
-        if math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-            return []
-    elif type(got) is type(want) and got == want:
-        return []
-    return [f"{path}: {got!r} != {want!r}"]
+def _mismatches(got, want):
+    return [
+        f"{path}: {new!r} != {old!r}"
+        for path, old, new in make_golden.changed_fields(got, want)
+        if not (
+            isinstance(old, float)
+            and isinstance(new, float)
+            and math.isclose(new, old, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        )
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(make_golden.CASES))
@@ -49,3 +43,14 @@ def test_comparison_is_strict():
     assert _mismatches({"a": 1}, {"a": 1.0}) != []
     assert _mismatches({"a": 1, "b": 2}, {"a": 1}) != []
     assert _mismatches([1, 2], [1, 2, 3]) != []
+
+
+def test_check_names_the_changed_fields():
+    want = {"a": {"b": 1.0, "c": [1, 2.0]}, "d": "x", "e": [1]}
+    got = {"a": {"b": 1.5, "c": [1, 2.0]}, "d": "x", "e": [1, 2]}
+    assert make_golden.changed_fields(got, want) == [("$.a.b", 1.0, 1.5), ("$.e", [1], [1, 2])]
+    assert make_golden.changed_fields(want, want) == []
+    assert make_golden.changed_fields({"a": 1}, {"a": 1.0}) == [("$.a", 1.0, 1)]
+    assert make_golden.max_float_change(got, want) is None
+    assert make_golden.max_float_change({"a": [2.0, 1.5]}, {"a": [2.0, 1.0]}) == 0.5
+    assert make_golden.max_float_change({"a": 1e-17}, {"a": 0.0}) == math.inf
