@@ -258,11 +258,13 @@ def _plain(value):
 
 def _success_sweep(run: RunResult) -> list[dict]:
     """Closed-form success probability versus kept dimension, exact
-    coefficients, for scree-style plots."""
+    coefficients, for scree-style plots. The coefficients are capped at 1
+    as the pipeline caps them (round-off lifts them above 1 on rank-1
+    data), so no probability exceeds 1 either."""
     model = run.model
     anchor_row = run.data.values[run.profile.anchor_index]
     unit = anchor_row / np.linalg.norm(anchor_row)
-    beta_all = model.right_vectors.T @ unit
+    beta_all = np.minimum(model.right_vectors.T @ unit, 1.0)
     cum = model.cumulative_variance()
     sweep = []
     for dim in range(1, model.rank + 1):

@@ -426,19 +426,20 @@ def postselect(
     and drop the ancilla.
 
     The returned probability is that of both outcomes together, the exact
-    squared norm of the kept branch of the whole circuit. When ``shots`` is
+    squared norm of the kept branch of the whole circuit, capped at 1 (on
+    rank-1 data it rounds just above). When ``shots`` is
     given, a seeded binomial draw simulates repeating the bare
     (unamplified) experiment that many times.
     """
     kept, flagged = state.project_and_remove({"ancilla": 1})
-    prob = anchor_probability * flagged
+    prob = min(anchor_probability * flagged, 1.0)
     _refuse_below_floor(prob)
     sampled = successes = None
     if shots is not None:
         if shots < 1:
             raise InvalidInputError("shots must be >= 1")
         rng = np.random.default_rng(rng_seed)
-        successes = int(rng.binomial(shots, min(prob, 1.0)))
+        successes = int(rng.binomial(shots, prob))
         sampled = successes / shots
     return PostselectResult(
         state=kept,
@@ -493,7 +494,7 @@ def postselect_rotations(
     shape[2 + states[0].axis("index")] = -1
     kept = amps[:, None] * sines.reshape(shape)
     flagged = _squared_norms(kept, 2)
-    probs = np.asarray(anchor_probabilities)[:, None] * flagged
+    probs = np.minimum(np.asarray(anchor_probabilities)[:, None] * flagged, 1.0)
     for prob in probs.flat:
         _refuse_below_floor(float(prob))
     kept /= np.sqrt(flagged).reshape(flagged.shape + trailing)

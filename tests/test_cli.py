@@ -256,6 +256,24 @@ def test_compress_report_contents(rank2_csv):
     assert report["config"]["input_path"] == rank2_csv
 
 
+def test_rank_one_success_probabilities_are_at_most_one(tmp_path):
+    # Every row lies on one direction, so each success probability is 1 in
+    # exact arithmetic; round-off lifted the postselection's, the closed
+    # form's and the sweep's (and the sweep's coefficient) just above it.
+    path = _write(tmp_path, "rank1.csv", "3,4\n6,8\n9,12\n")
+    report = cli.run(cli.RunConfig(input_path=path, seed=0))
+    compression, sweep = report["compression"], report["success_probability_sweep"]
+    values = {
+        "success_probability": compression["success_probability"],
+        "success_probability_identity": compression["success_probability_identity"],
+        "ledger": report["ledger"]["success_probability"],
+        "sweep": sweep[0]["success_probability"],
+        "sweep rotation_constant": sweep[0]["rotation_constant"],
+    }
+    for name, value in values.items():
+        assert 1.0 - 1e-12 <= value <= 1.0, name
+
+
 def test_compress_subset_report(rank2_csv):
     report = cli.run(cli.RunConfig(input_path=rank2_csv, subset=(0, 2, 5), seed=4))
     assert report["compression"]["scope"] == "subset"
