@@ -24,8 +24,8 @@ It prints the OpenBLAS kernel numpy's BLAS ran under (``blas_kernel``;
 BLAS rounding, and so the last bits of some floats, depends on it), then
 regenerates the reports into a temporary directory from the committed
 inputs and prints, for each case, whether the bytes match the golden file
-and, when they do not, the largest relative change of any float and the
-first few changed JSON paths with their old and new values; it exits 1
+and, when they do not, the largest relative and the largest absolute
+change of any float and the first few changed JSON paths with their old and new values; it exits 1
 when any case differs. ``test_golden.py`` compares live runs against these
 files.
 """
@@ -218,16 +218,36 @@ def changed_fields(got, want, path: str = "$") -> list[tuple[str, object, object
     return [(path, want, got)]
 
 
-def max_float_change(got, want) -> float | None:
-    """Largest relative change between matching floats of two JSON documents,
-    or None when anything other than a float differs (keys, lengths, types,
-    strings, integers)."""
-    changes = []
+def _float_changes(got, want) -> list[tuple[float, float]] | None:
+    """(old, new) for every changed float of two JSON documents, or None
+    when anything other than a float differs (keys, lengths, types, strings,
+    integers)."""
+    pairs = []
     for _, old, new in changed_fields(got, want):
         if not (isinstance(old, float) and isinstance(new, float)):
             return None
-        changes.append(abs(new - old) / abs(old) if old != 0.0 else math.inf)
-    return max(changes, default=0.0)
+        pairs.append((old, new))
+    return pairs
+
+
+def max_float_change(got, want) -> float | None:
+    """Largest relative change between matching floats of two JSON documents,
+    or None when anything other than a float differs."""
+    pairs = _float_changes(got, want)
+    if pairs is None:
+        return None
+    return max((abs(new - old) / abs(old) if old != 0.0 else math.inf for old, new in pairs), default=0.0)
+
+
+def max_float_abs_change(got, want) -> float | None:
+    """Largest absolute change between matching floats of two JSON
+    documents, or None when anything other than a float differs. A float
+    that moves off or onto 0.0 has an infinite relative change; its
+    absolute change shows whether the move is round-off."""
+    pairs = _float_changes(got, want)
+    if pairs is None:
+        return None
+    return max((abs(new - old) for old, new in pairs), default=0.0)
 
 
 def blas_kernel() -> str:
@@ -269,7 +289,10 @@ def check(names: list[str]) -> int:
             if change is None:
                 print(f"{name}: DIFFERS beyond floats")
             else:
-                print(f"{name}: DIFFERS, largest relative float change {change:.3g}")
+                print(
+                    f"{name}: DIFFERS, largest float change {change:.3g} relative, "
+                    f"{max_float_abs_change(got, want):.3g} absolute"
+                )
             changed = changed_fields(got, want)
             for path, old, new in changed[:SHOWN_FIELDS]:
                 print(f"  {path}: {_short(old)} -> {_short(new)}")

@@ -54,3 +54,7 @@ def test_check_names_the_changed_fields():
     assert make_golden.max_float_change(got, want) is None
     assert make_golden.max_float_change({"a": [2.0, 1.5]}, {"a": [2.0, 1.0]}) == 0.5
     assert make_golden.max_float_change({"a": 1e-17}, {"a": 0.0}) == math.inf
+    assert make_golden.max_float_abs_change(got, want) is None
+    assert make_golden.max_float_abs_change({"a": [2.0, 1.5, 1e-17]}, {"a": [2.0, 1.0, 0.0]}) == 0.5
+    assert make_golden.max_float_abs_change({"a": 1e-17}, {"a": 0.0}) == 1e-17
+    assert make_golden.max_float_abs_change(want, want) == 0.0
