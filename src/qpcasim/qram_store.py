@@ -32,8 +32,7 @@ def _build_levels(leaves: np.ndarray) -> list[np.ndarray]:
     Internal nodes are the exact float sum of their two children."""
     levels = [leaves]
     while levels[0].shape[-1] > 1:
-        up = levels[0].reshape(*levels[0].shape[:-1], -1, 2).sum(axis=-1)
-        levels.insert(0, up)
+        levels.insert(0, levels[0][..., 0::2] + levels[0][..., 1::2])
     return levels
 
 
@@ -147,24 +146,25 @@ def _cascade(levels: list[np.ndarray], signs: np.ndarray | None) -> np.ndarray:
     leaves' shape. Each node's amplitude a becomes (c a, s a) on its
     children, with the rotation, sign and zero-subtree rules of
     ``_prep_unitary`` and the same products, so the result is bit-identical
-    to that matrix's first column.
+    to that matrix's first column. A level's (c, s) pairs are one array,
+    sqrt(children / parent); the entries are sums of squares, so a parent
+    is 0 exactly when both its children are, and there the 0 / 0 is
+    replaced by the dead subtree's unsigned (1, 0).
     """
     depth = len(levels) - 1
     amps = np.ones(levels[0].shape)
     if depth == 0:
         return amps if signs is None else amps * signs
     for level in range(depth):
-        parent = levels[level]
-        children = levels[level + 1].reshape(*parent.shape, 2)
-        live = parent > 0.0
-        safe = np.where(live, parent, 1.0)
-        c = np.where(live, np.sqrt(np.maximum(children[..., 0], 0.0) / safe), 1.0)
-        s = np.where(live, np.sqrt(np.maximum(children[..., 1], 0.0) / safe), 0.0)
+        parent = levels[level][..., None]
+        with np.errstate(invalid="ignore"):
+            ratio = levels[level + 1].reshape(parent.shape[:-1] + (2,)) / parent
+        np.sqrt(ratio, out=ratio)
         if level == depth - 1 and signs is not None:
-            pair = signs.reshape(*parent.shape, 2)
-            c = np.where(live, pair[..., 0] * c, c)
-            s = np.where(live, pair[..., 1] * s, s)
-        amps = np.stack((c * amps, s * amps), axis=-1).reshape(*parent.shape[:-1], -1)
+            ratio *= signs.reshape(ratio.shape)
+        ratio[parent[..., 0] == 0.0] = (1.0, 0.0)
+        ratio *= amps[..., None]
+        amps = ratio.reshape(*parent.shape[:-2], -1)
     return amps
 
 

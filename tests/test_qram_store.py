@@ -209,3 +209,21 @@ def test_register_size_mismatch_rejected():
         apply_norm_prep(StateVector.zero([("row", 2)]), tree)
     with pytest.raises(InvalidInputError):
         apply_row_prep(StateVector.zero([("row", 1), ("feature", 2)]), tree)
+
+
+def test_cascade_is_column_zero_of_the_prep_matrices_bit_for_bit():
+    # Zero entries leave dead subtrees (a 0 / 0 node) on the row trees and
+    # zero-padded rows on the norm tree; their rotations are the identity.
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n, d = (int(k) for k in rng.integers(1, 12, size=2))
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-4, 5)
+        x[rng.random((n, d)) < 0.5] = 0.0
+        x[~x.any(axis=1), 0] = -1.0
+        tree = build_tree(DataMatrix(x))
+        for i in range(n):
+            assert np.array_equal(prepare_row_state(tree, i).amplitudes, row_prep_unitary(tree, i)[:, 0])
+        norms = norm_prep_unitary(tree)[:, 0]
+        want = np.zeros((tree.padded_rows, tree.padded_cols))
+        want[:n] = tree.row_amplitudes * norms[:n, None]
+        assert np.array_equal(prepare_data_state(tree).amplitudes, want)
