@@ -45,7 +45,7 @@ from .errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from .statevector import Register, StateVector, check_unit_norm, token_qubits
+from .statevector import NORM_TOL, Register, StateVector, check_unit_norm, token_qubits
 
 LABEL_MODE_IDEAL = "ideal"
 LABEL_MODE_QUANTIZED = "quantized"
@@ -183,9 +183,20 @@ def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.nda
     return labels
 
 
-def _refuse_below_floor(prob: float) -> None:
-    if prob < POSTSELECT_FLOOR:
+def _refuse_below_floor(probs: float | np.ndarray) -> None:
+    """Refuse a probability, or the first of an array in C order, below
+    ``POSTSELECT_FLOOR``."""
+    low = np.asarray(probs) < POSTSELECT_FLOOR
+    if low.any():
+        prob = float(np.ravel(probs)[np.argmax(low)])
         raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
+
+
+def _check_unit_norms(norms: np.ndarray) -> None:
+    """``check_unit_norm`` of the first norm in C order that it refuses."""
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if off.any():
+        check_unit_norm(float(norms.flat[np.argmax(off)]))
 
 
 def _padded_eigenbasis(rho: RhoSpec, padded_dim: int) -> np.ndarray:
@@ -324,8 +335,7 @@ def project_anchor(
     # as it would be for that anchor alone.
     blocks = np.ascontiguousarray(np.moveaxis(block, -2, 0))
     probs = _squared_norms(blocks, 1)
-    for prob in probs:
-        _refuse_below_floor(float(prob))
+    _refuse_below_floor(probs)
     blocks /= np.sqrt(probs).reshape((-1,) + (1,) * (blocks.ndim - 1))
     registers = tuple(r for r in state.registers if r.name != "feature") + (Register("index", index_qubits),)
     return [StateVector(registers, b) for b in blocks], probs
@@ -487,19 +497,16 @@ def postselect_rotations(
         raise InvalidInputError("the states must share one register layout")
     sines = rotation_sines(beta_hat, rotation_constants, states[0].register("index").dim)
     amps = np.stack([state.amplitudes for state in states])
-    for norm in np.sqrt(_squared_norms(amps, 1)):
-        check_unit_norm(float(norm))
+    _check_unit_norms(np.sqrt(_squared_norms(amps, 1)))
     trailing = (1,) * (amps.ndim - 1)
     shape = list(sines.shape[:2] + trailing)
     shape[2 + states[0].axis("index")] = -1
     kept = amps[:, None] * sines.reshape(shape)
     flagged = _squared_norms(kept, 2)
     probs = np.minimum(np.asarray(anchor_probabilities)[:, None] * flagged, 1.0)
-    for prob in probs.flat:
-        _refuse_below_floor(float(prob))
+    _refuse_below_floor(probs)
     kept /= np.sqrt(flagged).reshape(flagged.shape + trailing)
-    for norm in np.sqrt(_squared_norms(kept, 2)).flat:
-        check_unit_norm(float(norm))
+    _check_unit_norms(np.sqrt(_squared_norms(kept, 2)))
     return kept, probs
 
 

@@ -697,13 +697,17 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source, perturbati
         assert result.rows[k].mean_deviation == float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
 
 
+def _index_one_state(mass: float) -> StateVector:
+    amps = np.zeros((2, 4))
+    amps[0, 0], amps[0, 1] = math.sqrt(1.0 - mass), math.sqrt(mass)
+    return StateVector.from_amplitudes([("row", 1), ("index", 2)], amps)
+
+
 def test_scaling_grid_refuses_a_point_below_the_postselect_floor():
     # Index 1 holds mass 1e-7. The second point's sine there is 1e-3, so its
     # kept mass of 1e-13 falls below the floor: the grid refuses it as the
     # per-point path does, with the same message.
-    amps = np.zeros((2, 4))
-    amps[0, 0], amps[0, 1] = math.sqrt(1.0 - 1e-7), math.sqrt(1e-7)
-    state = StateVector.from_amplitudes([("row", 1), ("index", 2)], amps)
+    state = _index_one_state(1e-7)
     beta_hat = np.array([[[0.5, 0.5], [1.0, 1e-3]]])
     _, probs = sv_engine.postselect_rotations([state], [1.0], beta_hat[:, :1], beta_hat[:, :1].min(axis=-1))
     assert probs[0, 0] == pytest.approx(1e-7) and probs[0, 0] > POSTSELECT_FLOOR
@@ -711,6 +715,12 @@ def test_scaling_grid_refuses_a_point_below_the_postselect_floor():
         sv_engine.postselect(sv_engine.apply_cr_beta(state, beta_hat[0, 1], 1e-3), 1.0)
     with pytest.raises(VanishingSuccessError) as grid:
         sv_engine.postselect_rotations([state], [1.0], beta_hat, beta_hat.min(axis=-1))
+    assert str(grid.value) == str(per_point.value)
+    # Two offenders: (state 0, row 1) at 1e-13, then (state 1, row 0) at
+    # 1e-15. The first in (state, row) order is refused, not the smallest.
+    stack = np.array([[[0.5, 0.5], [1.0, 1e-3]], [[1.0, 1e-3], [0.5, 0.5]]])
+    with pytest.raises(VanishingSuccessError) as grid:
+        sv_engine.postselect_rotations([state, _index_one_state(1e-9)], [1.0, 1.0], stack, stack.min(axis=-1))
     assert str(grid.value) == str(per_point.value)
 
 
