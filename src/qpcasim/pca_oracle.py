@@ -41,6 +41,11 @@ def norm_range_fault(values: np.ndarray) -> tuple[int | None, str] | None:
     Returns (index of the first bad row, problem) for a row, and (None,
     problem) for the total.
     """
+    return _norms_and_fault(values)[1]
+
+
+def _norms_and_fault(values: np.ndarray) -> tuple[np.ndarray, tuple[int | None, str] | None]:
+    """The row norms of ``values``, and ``norm_range_fault`` of it."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(values, axis=1)
         total = np.linalg.norm(values)
@@ -48,13 +53,13 @@ def norm_range_fault(values: np.ndarray) -> tuple[int | None, str] | None:
     if bad.size:
         row = int(bad[0])
         if not values[row].any():
-            return row, "row is entirely zero"
+            return norms, (row, "row is entirely zero")
         if norms[row] == 0.0:
-            return row, "row's sum of squares underflows to zero; rescale the data"
-        return row, "row's sum of squares overflows; rescale the data"
+            return norms, (row, "row's sum of squares underflows to zero; rescale the data")
+        return norms, (row, "row's sum of squares overflows; rescale the data")
     if np.isinf(total):
-        return None, "the matrix's total sum of squares overflows; rescale the data"
-    return None
+        return norms, (None, "the matrix's total sum of squares overflows; rescale the data")
+    return norms, None
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,8 @@ class DataMatrix:
 
     Its norms must be in range (``norm_range_fault``): a bad row raises
     ``InvalidInputError`` naming it, an overflowing total
-    ``OutOfRangeError``.
+    ``OutOfRangeError``. The row norms that check takes are kept
+    (``row_norms``).
     """
 
     values: np.ndarray
@@ -77,14 +83,16 @@ class DataMatrix:
             raise InvalidInputError(f"matrix must be at least 1x1, got {n}x{d}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("matrix contains NaN or infinite entries")
-        fault = norm_range_fault(arr)
+        norms, fault = _norms_and_fault(arr)
         if fault is not None:
             row, problem = fault
             if row is None:
                 raise OutOfRangeError(problem)
             raise InvalidInputError(f"row {row}: {problem}")
         arr.flags.writeable = False
+        norms.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_row_norms", norms)
 
     @property
     def n_rows(self) -> int:
@@ -97,6 +105,12 @@ class DataMatrix:
     @property
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.values))
+
+    @property
+    def row_norms(self) -> np.ndarray:
+        """(N,) read-only: ``np.linalg.norm(values, axis=1)``, as the
+        construction check took it."""
+        return self._row_norms
 
 
 @dataclass(frozen=True)
@@ -349,8 +363,8 @@ def pairwise_overlap_report(
     stands: the diagonal and lower triangle of the slab's leading square are
     zeroed, and the slab adds its sum and its maximum; its entries above
     ``tolerance`` are counted only when that maximum exceeds it. The memory
-    is the stacked rows and one slab, not the n_pairs deviations nor two
-    m x m Gram matrices. The mean is the sum of the slab sums over n_pairs,
+    is the stacked rows, one block of them and one slab, not the n_pairs
+    deviations nor two m x m Gram matrices. The mean is the sum of the slab sums over n_pairs,
     so it may differ in its last bit from one mean over the gathered
     deviations.
 
@@ -366,13 +380,17 @@ def pairwise_overlap_report(
         raise OutOfRangeError(f"overlap tolerance must be nonnegative, got {tolerance}")
     y_norms = compressed.row_norms
     flagged = tuple(np.flatnonzero(y_norms == 0.0).tolist())
-    ok = y_norms > 0.0
-    m, d = int(np.count_nonzero(ok)), compressed.values.shape[1]
+    m, d = data.n_rows - len(flagged), compressed.values.shape[1]
     rows = np.empty((m, d + data.n_cols))
     y, x = rows[:, :d], rows[:, d:]
-    np.divide(compressed.values[ok], y_norms[ok, None], out=y)
-    x[...] = data.values[ok]
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # Each run of unflagged rows is divided by its norms straight into its
+    # place in the stacked rows, so no N x D temporary is made.
+    at = start = 0
+    for stop in flagged + (data.n_rows,):
+        k = stop - start
+        np.divide(compressed.values[start:stop], y_norms[start:stop, None], out=y[at : at + k])
+        np.divide(data.values[start:stop], data.row_norms[start:stop, None], out=x[at : at + k])
+        at, start = at + k, stop + 1
 
     n_pairs = m * (m - 1) // 2
     lower = np.tril(np.ones((OVERLAP_BLOCK_ROWS, OVERLAP_BLOCK_ROWS), dtype=bool))

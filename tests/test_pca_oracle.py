@@ -372,12 +372,19 @@ def _unit_rows(data, compressed):
 
 def _triu_reference(data, compressed, tolerance):
     """The overlap report's fields as a gather over ``np.triu_indices`` of
-    one stacked product of all rows, [y | -x] [y | x]^T: the formula the
-    audit's slabs use."""
+    the stacked product [y | -x] [y | x]^T of the unflagged rows: the
+    formula the audit's slabs use. BLAS rounds an entry by where it falls
+    in the product's tiles, so the product is formed as the audit forms
+    it, one block of ``OVERLAP_BLOCK_ROWS`` rows (read when called) against
+    itself and every later row at a time."""
     x, y, ok = _unit_rows(data, compressed)
-    i1, i2 = np.triu_indices(data.n_rows, k=1)
-    gram = np.hstack([y, -x]) @ np.hstack([y, x]).T
-    devs = np.abs(gram[i1, i2])[ok[i1] & ok[i2]]
+    left, right = np.hstack([y, -x])[ok], np.hstack([y, x])[ok]
+    m, height = left.shape[0], pca_oracle.OVERLAP_BLOCK_ROWS
+    gram = np.zeros((m, m))
+    for i0 in range(0, m, height):
+        gram[i0 : i0 + height, i0:] = left[i0 : i0 + height] @ right[i0:].T
+    i1, i2 = np.triu_indices(m, k=1)
+    devs = np.abs(gram[i1, i2])
     return {
         "deviations": devs,
         "n_pairs": devs.size,
@@ -454,8 +461,18 @@ B = OVERLAP_BLOCK_ROWS
 def test_pairwise_overlap_matches_the_triu_gather(data, compressed):
     # The lazily built deviations read the upper triangle row by row, in the
     # order i1 < i2 that triu_indices gives, so they and every statistic but
-    # the mean agree bit for bit. Up to OVERLAP_BLOCK_ROWS rows the audit is
-    # one block, the same product as the reference's.
+    # the mean agree bit for bit: the reference forms the audit's blocks.
+    _assert_matches_triu_gather(data, compressed)
+
+
+def test_pairwise_overlap_matches_the_triu_gather_at_another_block_height(monkeypatch):
+    # At height 56 BLAS rounds some of the 256 x 64 deviations otherwise
+    # than at 64; a reference that forms the same blocks still agrees.
+    monkeypatch.setattr(pca_oracle, "OVERLAP_BLOCK_ROWS", 56)
+    _assert_matches_triu_gather(*_projected(DataMatrix(np.random.default_rng(64).standard_normal((256, 64))), 0.5))
+
+
+def _assert_matches_triu_gather(data, compressed):
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
     want = _triu_reference(data, compressed, 1e-6)
     assert report.deviations.dtype == want["deviations"].dtype
@@ -503,19 +520,25 @@ def test_pairwise_overlap_memory_is_one_slab_and_the_stacked_unit_rows():
     # entries over it in every block, an eighth of a slab more (a bool
     # mask). The 8.4 million pairs' deviations (64 MiB) and the two full
     # 4096 x 4096 Gram matrices (256 MiB) are never built.
-    data = rank_k_dataset(4096, 16, 4, 1)
-    compressed = project(data, svd_decompose(data, 0.95, 0))
-    stacked_rows = data.values.nbytes + compressed.values.nbytes
-    for tolerance in (1e-6, 0.0):
-        tracemalloc.start()
-        try:
-            report = pairwise_overlap_report(data, compressed, tolerance)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.n_pairs == 4096 * 4095 // 2
-        assert (report.fraction_within < 1.0) is (tolerance == 0.0)
-        assert peak < 1.25 * B * 4096 * 8 + stacked_rows, tolerance
+    # Wide, 256 x 4096: the stacked rows (8 MiB) and the block's copy (B of
+    # its 256 rows) are most of it. The data rows are divided by their norms
+    # straight into the stacked rows, so no 256 x 4096 temporary (another
+    # 8 MiB) is made beside them.
+    for n_rows, n_cols in ((4096, 16), (256, 4096)):
+        data = rank_k_dataset(n_rows, n_cols, 4, 1)
+        compressed = project(data, svd_decompose(data, 0.95, 0))
+        stacked_rows = data.values.nbytes + compressed.values.nbytes
+        block = B * (n_cols + compressed.values.shape[1]) * 8
+        for tolerance in (1e-6, 0.0):
+            tracemalloc.start()
+            try:
+                report = pairwise_overlap_report(data, compressed, tolerance)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.n_pairs == n_rows * (n_rows - 1) // 2
+            assert (report.fraction_within < 1.0) is (tolerance == 0.0)
+            assert peak < 1.25 * B * n_rows * 8 + stacked_rows + block, (n_rows, n_cols, tolerance)
 
 
 def test_pairwise_overlap_refuses_a_negative_tolerance():
