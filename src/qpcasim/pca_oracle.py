@@ -289,7 +289,7 @@ def expected_compressed_state(compressed: CompressedMatrix, row_mask: np.ndarray
     n, d = y.shape
     row_qubits = ceil_log2(n)
     index_qubits = token_qubits(d)
-    amps = np.zeros((1 << row_qubits, 1 << index_qubits), dtype=np.complex128)
+    amps = np.zeros((1 << row_qubits, 1 << index_qubits))
     amps[:n, 1 : d + 1] = y / norm
     return StateVector.from_amplitudes([("row", row_qubits), ("index", index_qubits)], amps)
 
@@ -304,7 +304,7 @@ def expected_row_state(compressed: CompressedMatrix, row_index: int) -> StateVec
         raise InvalidInputError(f"row {row_index} compresses to the zero vector")
     d = y.size
     index_qubits = token_qubits(d)
-    amps = np.zeros(1 << index_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << index_qubits)
     amps[1 : d + 1] = y / norm
     return StateVector.from_amplitudes([("index", index_qubits)], amps)
 

@@ -236,7 +236,7 @@ def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
 
     Both are unit vectors, so an overlap is at most 1; one that rounds above
     it (a row on a principal direction, as in rank-1 data) is capped at 1."""
-    amps = anchor.amplitudes.real
+    amps = anchor.amplitudes
     beta = np.empty(dim)
     for k in range(dim):
         padded = np.zeros(amps.size)
@@ -246,8 +246,9 @@ def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
 
 
 def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
-    """``vector``, zero-padded, on the register layout of ``like``."""
-    padded = np.zeros(like.amplitudes.size, dtype=np.complex128)
+    """``vector``, zero-padded, on the register layout of ``like`` and with
+    its amplitude type."""
+    padded = np.zeros(like.amplitudes.size, dtype=like.amplitudes.dtype)
     padded[: vector.size] = vector
     return StateVector.from_amplitudes(like.layout(), padded)
 

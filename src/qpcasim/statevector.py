@@ -6,6 +6,13 @@ gates (X, multi-controlled X) are still available for building reference
 circuits; bits are indexed MSB-first within a register, matching the way a
 register value prints in binary.
 
+Amplitudes keep their type: float64 input stays float64, and anything else
+becomes complex128. Real data loads as a real state and every production
+stage is real, so the production path runs in float64 at one float per
+amplitude; the reference circuit's helpers (``zero``, ``append_register``,
+``apply_register_unitary``, ``apply_controlled_unitary``) build complex
+states, as a general circuit needs.
+
 All transformations return new StateVector instances; nothing is mutated in
 place, so callers can keep intermediate states around for comparison.
 """
@@ -45,6 +52,15 @@ def check_unit_norm(norm: float) -> None:
         raise NumericalFailureError(f"state norm drifted to {norm!r}")
 
 
+def _amplitude_array(amplitudes) -> np.ndarray:
+    """``amplitudes`` as an array: float64 as it is, anything else as
+    complex128 (without a copy when it already is)."""
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.dtype == np.float64:
+        return amplitudes
+    return amplitudes.astype(np.complex128, copy=False)
+
+
 @dataclass(frozen=True)
 class Register:
     name: str
@@ -64,7 +80,7 @@ class StateVector:
         if len(set(names)) != len(names):
             raise InvalidInputError(f"duplicate register names: {names}")
         expected = tuple(r.dim for r in self.registers)
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        amplitudes = _amplitude_array(amplitudes)
         if amplitudes.shape != expected:
             raise InvalidInputError(
                 f"amplitude tensor shape {amplitudes.shape} does not match register dims {expected}"
@@ -87,7 +103,7 @@ class StateVector:
     def from_amplitudes(cls, layout: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> "StateVector":
         regs = [Register(name, qubits) for name, qubits in layout]
         shape = tuple(r.dim for r in regs)
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(shape)
+        amps = _amplitude_array(amplitudes).reshape(shape)
         return cls(regs, amps)
 
     # -- bookkeeping -------------------------------------------------------
@@ -134,7 +150,7 @@ class StateVector:
         if c_ax == t_ax:
             raise InvalidInputError("control and target registers must differ")
         t_dim = self.registers[t_ax].dim
-        out = self.amplitudes.copy()
+        out = self.amplitudes.astype(np.complex128)
         view = np.moveaxis(out, (c_ax, t_ax), (0, 1))
         for value, matrix in unitaries.items():
             if not 0 <= value < self.registers[c_ax].dim:
@@ -249,7 +265,7 @@ class StateVector:
         prob = float(np.sum(np.abs(block) ** 2))
         regs = tuple(r for r in self.registers if r.name not in assignments)
         if prob <= 0.0:
-            return StateVector(regs, np.zeros([r.dim for r in regs]), _normalize_check=False), 0.0
+            return StateVector(regs, np.zeros_like(block), _normalize_check=False), 0.0
         return StateVector(regs, block / np.sqrt(prob)), prob
 
     def restrict_register(self, name: str, allowed: Iterable[int]) -> tuple["StateVector", float]:

@@ -312,9 +312,9 @@ def project_anchor(
     eigenvectors, anchor s's product is the feature axis times
     G_s[j, k+1] = V[j, k] (V^T conj(anchor_s))[k], which does not depend on
     the eigenvectors' signs; the G_s are stacked (features, anchors,
-    tokens) and applied as one product. Returns one renormalised state per
-    anchor, "index" in place of "feature", and the probabilities of the
-    anchor outcomes, (anchors,).
+    tokens) and applied as one product, real when the state and the anchors
+    are. Returns one renormalised state per anchor, "index" in place of
+    "feature", and the probabilities of the anchor outcomes, (anchors,).
     """
     check_label_distinctness(rho, cfg, distinct_top)
     width = state.register("feature").qubits
@@ -328,7 +328,7 @@ def project_anchor(
     index_qubits = token_qubits(distinct_top)
     v = rho.eigenvectors[:, :distinct_top]
     coefficients = np.array([v.T @ anchor.amplitudes[: rho.dim].conj() for anchor in anchors])
-    g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=np.complex128)
+    g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=np.result_type(coefficients, state.amplitudes))
     g[: rho.dim, :, 1 : distinct_top + 1] = v[:, None, :] * coefficients
     block = np.tensordot(state.amplitudes, g, axes=([state.axis("feature")], [0]))
     # One contiguous block per anchor, so that each probability is summed

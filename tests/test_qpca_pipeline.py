@@ -844,3 +844,56 @@ def test_each_tree_is_cascaded_once(monkeypatch, task):
     assert calls == {"_cascade": 0}
     with pytest.raises(ValueError):
         tree.row_amplitudes[0, 0] = 0.0
+
+
+def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch):
+    # Real data gives real amplitudes at every production stage, in every
+    # run mode and scope and in the scaling sweep: the data state (after a
+    # subset's restriction too), the anchor state, the projected, rotated
+    # and kept states, and the reference.
+    built = {}
+
+    def record(module, name, states):
+        seen = _record_calls(monkeypatch, module, name)
+        built[name] = lambda: [amps for args, result in seen for amps in states(args, result)]
+
+    record(qram_store, "prepare_data_state", lambda args, out: [out.amplitudes])
+    record(qram_store, "prepare_row_state", lambda args, out: [out.amplitudes])
+    record(
+        sv_engine,
+        "project_anchor",
+        lambda args, out: [args[2].amplitudes] + [s.amplitudes for s in args[3]] + [s.amplitudes for s in out[0]],
+    )
+    record(sv_engine, "apply_cr_beta", lambda args, out: [out.amplitudes])
+    record(sv_engine, "postselect", lambda args, out: [out.state.amplitudes])
+    record(sv_engine, "postselect_rotations", lambda args, out: [out[0]])
+    record(pca_oracle, "expected_compressed_state", lambda args, out: [out.amplitudes])
+    record(pca_oracle, "expected_row_state", lambda args, out: [out.amplitudes])
+    data = rank_k_dataset(16, 8, 3, seed=5)
+    for mode in (MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED):
+        run_compression(data, run_mode=mode, seed=3)
+    run = run_compression(data, subset=[0, 3, 5, 9], seed=3)
+    run_compression(data, row_index=2, seed=3)
+    error_scaling_experiment(lambda s: data, [0.0, 0.02], [0, 1])
+    for name, arrays in built.items():
+        assert arrays(), name
+        assert {a.dtype for a in arrays()} == {np.dtype(np.float64)}, name
+
+    # A complex data state stays complex through the same stages, and so do
+    # the reference circuit's helpers on a real state.
+    complex128 = np.dtype(np.complex128)
+    state = qram_store.prepare_data_state(run.tree)
+    promoted = StateVector.from_amplitudes(state.layout(), state.amplitudes.astype(complex))
+    anchor = prepare_row_state(run.tree, run.profile.anchor_index)
+    [projected], [p_anchor] = sv_engine.project_anchor(
+        run.rho, run.cfg, promoted, [anchor], distinct_top=run.spectrum.dim
+    )
+    rotated = sv_engine.apply_cr_beta(projected, run.profile.beta_hat, run.profile.rotation_constant)
+    kept = sv_engine.postselect(rotated, float(p_anchor)).state
+    assert promoted.amplitudes.dtype == projected.amplitudes.dtype == complex128
+    assert rotated.amplitudes.dtype == kept.amplitudes.dtype == complex128
+    assert StateVector.from_amplitudes([("q", 1)], [1, 0]).amplitudes.dtype == complex128
+    assert StateVector.zero([("q", 1)]).amplitudes.dtype == complex128
+    assert anchor.append_register("q", 1).amplitudes.dtype == complex128
+    feature_dim = anchor.register("feature").dim
+    assert anchor.apply_register_unitary("feature", np.eye(feature_dim)).amplitudes.dtype == complex128
