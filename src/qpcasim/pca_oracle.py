@@ -45,7 +45,8 @@ def norm_range_fault(values: np.ndarray) -> tuple[int | None, str] | None:
 
 
 def _norms_and_fault(values: np.ndarray) -> tuple[np.ndarray, tuple[int | None, str] | None]:
-    """The row norms of ``values``, and ``norm_range_fault`` of it."""
+    """The row norms of ``values``, and the fault ``norm_range_fault``
+    reports from them."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(values, axis=1)
         total = np.linalg.norm(values)
@@ -364,9 +365,9 @@ def pairwise_overlap_report(
     zeroed, and the slab adds its sum and its maximum; its entries above
     ``tolerance`` are counted only when that maximum exceeds it. The memory
     is the stacked rows, one block of them and one slab, not the n_pairs
-    deviations nor two m x m Gram matrices. The mean is the sum of the slab sums over n_pairs,
-    so it may differ in its last bit from one mean over the gathered
-    deviations.
+    deviations nor two m x m Gram matrices. The mean is the sum of the slab
+    sums over n_pairs, so it may differ in its last bit from one mean over
+    the gathered deviations.
 
     A deviation is one dot product over d + D terms rather than the
     difference of two Gram entries, and the blocks are OVERLAP_BLOCK_ROWS

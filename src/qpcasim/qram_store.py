@@ -156,15 +156,15 @@ def _cascade(levels: list[np.ndarray], signs: np.ndarray | None) -> np.ndarray:
     if depth == 0:
         return amps if signs is None else amps * signs
     for level in range(depth):
-        parent = levels[level][..., None]
+        parent = levels[level]
         with np.errstate(invalid="ignore"):
-            ratio = levels[level + 1].reshape(parent.shape[:-1] + (2,)) / parent
+            ratio = levels[level + 1].reshape(*parent.shape, 2) / parent[..., None]
         np.sqrt(ratio, out=ratio)
         if level == depth - 1 and signs is not None:
             ratio *= signs.reshape(ratio.shape)
-        ratio[parent[..., 0] == 0.0] = (1.0, 0.0)
+        ratio[parent == 0.0] = (1.0, 0.0)
         ratio *= amps[..., None]
-        amps = ratio.reshape(*parent.shape[:-2], -1)
+        amps = ratio.reshape(*parent.shape[:-1], -1)
     return amps
 
 

@@ -328,7 +328,8 @@ def project_anchor(
     index_qubits = token_qubits(distinct_top)
     v = rho.eigenvectors[:, :distinct_top]
     coefficients = np.array([v.T @ anchor.amplitudes[: rho.dim].conj() for anchor in anchors])
-    g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=np.result_type(coefficients, state.amplitudes))
+    dtype = np.result_type(coefficients, state.amplitudes)
+    g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=dtype)
     g[: rho.dim, :, 1 : distinct_top + 1] = v[:, None, :] * coefficients
     block = np.tensordot(state.amplitudes, g, axes=([state.axis("feature")], [0]))
     # One contiguous block per anchor, so that each probability is summed
