@@ -25,9 +25,9 @@ BLAS rounding, and so the last bits of some floats, depends on it), then
 regenerates the reports into a temporary directory from the committed
 inputs and prints, for each case, whether the bytes match the golden file
 and, when they do not, the largest relative and the largest absolute
-change of any float and the first few changed JSON paths with their old and new values; it exits 1
-when any case differs. ``test_golden.py`` compares live runs against these
-files.
+change of any float and the first few changed JSON paths with their old
+and new values; it exits 1 when any case differs. ``test_golden.py``
+compares live runs against these files.
 """
 
 from __future__ import annotations

@@ -698,6 +698,8 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source, perturbati
 
 
 def _index_one_state(mass: float) -> StateVector:
+    """Row 0 of a (row, index) state, with ``mass`` on index 1 and the rest
+    on index 0."""
     amps = np.zeros((2, 4))
     amps[0, 0], amps[0, 1] = math.sqrt(1.0 - mass), math.sqrt(mass)
     return StateVector.from_amplitudes([("row", 1), ("index", 2)], amps)
