@@ -286,7 +286,7 @@ def qsvm_state_demo(
     if trained_norm == 0.0:
         raise InvalidInputError("trained state has zero norm; the model is degenerate")
     layout = [("slot", slot_qubits), ("feature", int(math.log2(feat_dim)))]
-    a = StateVector.from_amplitudes(layout, trained / trained_norm).amplitudes.real
+    a = StateVector.from_amplitudes(layout, trained / trained_norm).amplitudes
 
     # Each probe has unit norm by construction unless its norm overflows; the
     # built probe would then be scaled to zero, which the StateVector norm

@@ -45,7 +45,7 @@ from .errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from .statevector import NORM_TOL, Register, StateVector, check_unit_norm, token_qubits
+from .statevector import Register, StateVector, check_unit_norm, token_qubits
 
 LABEL_MODE_IDEAL = "ideal"
 LABEL_MODE_QUANTIZED = "quantized"
@@ -190,13 +190,6 @@ def _refuse_below_floor(probs: float | np.ndarray) -> None:
     if low.any():
         prob = float(np.ravel(probs)[np.argmax(low)])
         raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
-
-
-def _check_unit_norms(norms: np.ndarray) -> None:
-    """``check_unit_norm`` of the first norm in C order that it refuses."""
-    off = np.abs(norms - 1.0) > NORM_TOL
-    if off.any():
-        check_unit_norm(float(norms.flat[np.argmax(off)]))
 
 
 def _padded_eigenbasis(rho: RhoSpec, padded_dim: int) -> np.ndarray:
@@ -498,7 +491,7 @@ def postselect_rotations(
         raise InvalidInputError("the states must share one register layout")
     sines = rotation_sines(beta_hat, rotation_constants, states[0].register("index").dim)
     amps = np.stack([state.amplitudes for state in states])
-    _check_unit_norms(np.sqrt(_squared_norms(amps, 1)))
+    check_unit_norm(np.sqrt(_squared_norms(amps, 1)))
     trailing = (1,) * (amps.ndim - 1)
     shape = list(sines.shape[:2] + trailing)
     shape[2 + states[0].axis("index")] = -1
@@ -507,7 +500,7 @@ def postselect_rotations(
     probs = np.minimum(np.asarray(anchor_probabilities)[:, None] * flagged, 1.0)
     _refuse_below_floor(probs)
     kept /= np.sqrt(flagged).reshape(flagged.shape + trailing)
-    _check_unit_norms(np.sqrt(_squared_norms(kept, 2)))
+    check_unit_norm(np.sqrt(_squared_norms(kept, 2)))
     return kept, probs
 
 
