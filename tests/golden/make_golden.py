@@ -76,6 +76,9 @@ CASES = {
     # Every row lies on one direction, so the anchor's exact coefficient is 1;
     # it rounds to just above 1 unless capped.
     "compress_rank1": ("rank1.csv", None, ["--seed", "0"]),
+    # Fewer rows than features (8x32, rank 3): both axes are padded, and the
+    # spectrum lists carry a zero tail past the rank.
+    "compress_wide": ("wide.csv", None, ["--seed", "3"]),
     "qsvm_ideal": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--seed", "1"]),
     "qsvm_sampled": (
         "blobs.csv", "blobs.labels",
@@ -156,6 +159,7 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
 
     write_matrix_csv(path("rank3.csv"), rank_k_dataset(32, 8, 3, seed=5).values)
     write_matrix_csv(path("tall.csv"), rank_k_dataset(300, 6, 3, seed=7).values)
+    write_matrix_csv(path("wide.csv"), rank_k_dataset(8, 32, 3, seed=1).values)
     write_matrix_csv(path("tri.csv"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     write_matrix_csv(path("rank1.csv"), np.array([[3.0, 4.0], [6.0, 8.0], [9.0, 12.0]]))
     write_matrix_csv(path("identity.csv"), np.eye(4))
