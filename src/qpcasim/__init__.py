@@ -1,8 +1,8 @@
 """Classical simulator for PCA-style quantum data compression.
 
 The package builds the classical singular-value analysis of a data matrix,
-mirrors it in an explicit multi-register statevector simulation (tree-based
-amplitude encoding, eigenvalue labeling, conditional rotation, postselection),
+mirrors it in an explicit multi-register statevector simulation (amplitude
+encoding, eigenvalue labeling, conditional rotation, postselection),
 and layers small classifier and regression demos on top of the compressed
 representation.
 

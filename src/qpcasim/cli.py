@@ -426,7 +426,6 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
     from .qpca_pipeline import exact_spectrum, ledger_predict, select_anchor
-    from .qram_store import build_tree
     from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, RhoSpec
 
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
@@ -437,7 +436,6 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
         model,
         rho,
         exact_spectrum(rho, cfg, model.selected_dim),
-        build_tree(data),
         np.random.default_rng(config.seed),
         eps_beta=config.eps_beta,
         anchor_index=config.anchor_index,

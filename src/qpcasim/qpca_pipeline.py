@@ -36,7 +36,6 @@ from .errors import (
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
 from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
-from .qram_store import QramTree
 from .statevector import StateVector
 from .sv_engine import PhaseConfig, RhoSpec
 
@@ -349,7 +348,6 @@ def select_anchor(
     model: SpectralModel,
     rho: RhoSpec,
     spectrum: SpectrumSample,
-    tree: QramTree,
     rng: np.random.Generator,
     *,
     eps_beta: float = 0.01,
@@ -376,7 +374,7 @@ def select_anchor(
         attempts.append(anchor)
         signs = model.anchor_signs(data, anchor)
         signed = rho.with_signs(signs)
-        state = qram_store.prepare_row_state(tree, anchor)
+        state = qram_store.prepare_row_state(data, anchor)
         try:
             if beta_seed is None:
                 profile = exact_anchor_profile(state, signed, spectrum, anchor, eps_beta=eps_beta)
@@ -467,7 +465,6 @@ def _identity_success_probability(
 def compress(
     data: DataMatrix,
     model: SpectralModel,
-    tree: QramTree,
     rho: RhoSpec,
     spectrum: SpectrumSample,
     profile: AnchorProfile,
@@ -488,7 +485,7 @@ def compress(
     feature register ('single'). Either way the output state carries
     component tokens 1..dim with label 0 unused, and the report compares it
     against the classical projection. A full or subset scope loads the data
-    state from ``tree``; a single scope reads only its row. ``anchor`` is
+    state from ``data``; a single scope loads only its row. ``anchor`` is
     the loaded state of the profile's anchor row
     (``AnchorChoice.anchor_state``), which the projection undoes.
     """
@@ -515,9 +512,9 @@ def compress(
 
     # State preparation for the requested scope.
     if scope == SCOPE_SINGLE:
-        state = qram_store.prepare_row_state(tree, int(row_index))
+        state = qram_store.prepare_row_state(data, int(row_index))
     else:
-        state = qram_store.prepare_data_state(tree)
+        state = qram_store.prepare_data_state(data)
         if scope == SCOPE_SUBSET:
             state, _ = state.restrict_register("row", [int(r) for r in rows])
 
@@ -584,7 +581,6 @@ def compress(
 class RunResult:
     data: DataMatrix
     model: SpectralModel
-    tree: QramTree
     rho: RhoSpec
     cfg: PhaseConfig
     spectrum: SpectrumSample
@@ -618,7 +614,6 @@ def run_compression(
         int(s) for s in rng.integers(0, 2**63 - 1, size=4)
     )
     sampled = run_mode == MODE_SAMPLED
-    tree = qram_store.build_tree(data)
     model = pca_oracle.svd_decompose(data, threshold)
     if anchor_index is not None and not 0 <= anchor_index < data.n_rows:
         # Reported before the spectrum is built; ``select_anchor`` signs the
@@ -637,7 +632,6 @@ def run_compression(
         model,
         rho,
         spectrum,
-        tree,
         np.random.default_rng(anchor_seed),
         eps_beta=eps_beta,
         anchor_index=anchor_index,
@@ -646,7 +640,6 @@ def run_compression(
     result = compress(
         data,
         choice.model,
-        tree,
         choice.rho,
         spectrum,
         choice.profile,
@@ -661,7 +654,6 @@ def run_compression(
     return RunResult(
         data=data,
         model=choice.model,
-        tree=tree,
         rho=choice.rho,
         cfg=cfg,
         spectrum=spectrum,
@@ -753,13 +745,12 @@ def _sweep_dataset(
 
     Returns the decomposition and, per seed and grid point, (seeds, grid),
     the infidelity and the deviation."""
-    tree = qram_store.build_tree(data)
     model = pca_oracle.svd_decompose(data, threshold)
-    state = qram_store.prepare_data_state(tree)
+    state = qram_store.prepare_data_state(data)
     rho = RhoSpec.from_model(model)
     d = model.selected_dim
     spectrum = exact_spectrum(rho, cfg, d)
-    choices = [select_anchor(data, model, rho, spectrum, tree, np.random.default_rng(seed)) for seed in seeds]
+    choices = [select_anchor(data, model, rho, spectrum, np.random.default_rng(seed)) for seed in seeds]
     # Each seed's reference is the one reference state with that anchor's
     # signs on tokens 1..d; negating a column of the projection is exact.
     reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model, d)).amplitudes
@@ -797,7 +788,7 @@ def error_scaling_experiment(
     the usual seeded redraw; the coefficients are perturbed by each grid
     magnitude and the resulting final-state deviation is averaged per grid
     point. Consecutive seeds for which the generator returns the same
-    ``DataMatrix`` object run as one stack: one tree, decomposition, data
+    ``DataMatrix`` object run as one stack: one decomposition, data
     state, spectrum and reference projection; one ``select_anchor`` per
     seed against that spectrum; one ``project_anchor`` of all the seeds'
     anchors; and one ``sv_engine.postselect_rotations`` of every (seed,

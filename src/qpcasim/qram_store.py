@@ -1,14 +1,17 @@
-"""Binary-tree amplitude encoding of a data matrix.
+"""Amplitude encoding of a data matrix.
 
-One tree per row stores partial sums of squared entries with signs kept at
-the leaves; one more tree stores the row norms. Walking a tree level by
-level yields the controlled-rotation cascade that prepares the encoded
-vector from |0...0>. ``build_tree`` runs that cascade once, on amplitude
-vectors for all rows at once in O(N*D), and keeps every row's unit vector
-on the tree; the data-state loader scales those by the norm tree's cascade,
-and a row state is a read of its row. The full cascade is also available as
-an exact orthogonal matrix, whose inverse is its transpose, with the
-register-level preparations built from it; the tests hold the loaders
+Production loads its states straight from the matrix: the data state is
+the padded X / |X|_F over (row, feature), and a row state the padded
+x_i / |x_i| on a feature register, divided by the norms ``DataMatrix``
+kept. These are the states the binary-tree QRAM of Kerenidis and Prakash
+(arXiv:1603.08675) prepares.
+
+The tree is the reference circuit's. One tree per row stores partial sums
+of squared entries with signs kept at the leaves; one more tree stores the
+row norms. Walking a tree level by level yields the controlled-rotation
+cascade that prepares the encoded vector from |0...0>. That cascade is
+built as an exact orthogonal matrix, whose inverse is its transpose, with
+the register-level preparations built from it; the tests hold the loaders
 against those. Rows and columns are zero-padded to powers of two; padded
 rows carry zero weight and are skipped.
 """
@@ -38,8 +41,7 @@ def _build_levels(leaves: np.ndarray) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class QramTree:
-    """Partial-sum trees for one data matrix, and the unit row vectors that
-    the row trees' cascade prepares."""
+    """Partial-sum trees for one data matrix."""
 
     n_rows: int
     n_cols: int
@@ -48,7 +50,6 @@ class QramTree:
     row_levels: list[np.ndarray]     # level l: (n_rows, 2**l), squared entries
     row_signs: np.ndarray            # (n_rows, padded_cols), +-1
     norm_levels: list[np.ndarray]    # level l: (2**l,), squared row norms
-    row_amplitudes: np.ndarray       # (n_rows, padded_cols), read-only: each row's unit vector
 
     @property
     def row_qubits(self) -> int:
@@ -82,9 +83,6 @@ def build_tree(data: DataMatrix) -> QramTree:
     norm_leaves[:n] = row_levels[0][:, 0]
     norm_levels = _build_levels(norm_leaves)
 
-    rows = _cascade(row_levels, signs)
-    rows.flags.writeable = False
-
     return QramTree(
         n_rows=n,
         n_cols=d,
@@ -93,7 +91,6 @@ def build_tree(data: DataMatrix) -> QramTree:
         row_levels=row_levels,
         row_signs=signs,
         norm_levels=norm_levels,
-        row_amplitudes=rows,
     )
 
 
@@ -138,36 +135,6 @@ def _prep_unitary(levels: list[np.ndarray], signs: np.ndarray | None) -> np.ndar
     return unitary
 
 
-def _cascade(levels: list[np.ndarray], signs: np.ndarray | None) -> np.ndarray:
-    """Column 0 of ``_prep_unitary`` for a batch of trees: the rotation
-    cascade run level by level on the amplitude vectors themselves.
-
-    ``levels[l]`` has shape (..., 2**l) and ``signs``, when given, the
-    leaves' shape. Each node's amplitude a becomes (c a, s a) on its
-    children, with the rotation, sign and zero-subtree rules of
-    ``_prep_unitary`` and the same products, so the result is bit-identical
-    to that matrix's first column. A level's (c, s) pairs are one array,
-    sqrt(children / parent); the entries are sums of squares, so a parent
-    is 0 exactly when both its children are, and there the 0 / 0 is
-    replaced by the dead subtree's unsigned (1, 0).
-    """
-    depth = len(levels) - 1
-    amps = np.ones(levels[0].shape)
-    if depth == 0:
-        return amps if signs is None else amps * signs
-    for level in range(depth):
-        parent = levels[level]
-        with np.errstate(invalid="ignore"):
-            ratio = levels[level + 1].reshape(*parent.shape, 2) / parent[..., None]
-        np.sqrt(ratio, out=ratio)
-        if level == depth - 1 and signs is not None:
-            ratio *= signs.reshape(ratio.shape)
-        ratio[parent == 0.0] = (1.0, 0.0)
-        ratio *= amps[..., None]
-        amps = ratio.reshape(*parent.shape[:-1], -1)
-    return amps
-
-
 def norm_prep_unitary(tree: QramTree) -> np.ndarray:
     """Prepares sum_i (|x_i| / |X|_F) |i> from |0> on the row register."""
     return _prep_unitary(tree.norm_levels, None)
@@ -209,21 +176,24 @@ def apply_row_prep(state: StateVector, tree: QramTree) -> StateVector:
     return state.apply_controlled_unitary("row", "feature", unitaries)
 
 
-def prepare_data_state(tree: QramTree) -> StateVector:
+def prepare_data_state(data: DataMatrix) -> StateVector:
     """Full encoded state: amplitudes X_ij / |X|_F over (row, feature).
 
-    Equals ``apply_norm_prep`` then ``apply_row_prep`` on |0>|0>, with the
-    cascades run on vectors instead of matrices: the tree's row vectors
-    times the norm cascade."""
-    norms = _cascade(tree.norm_levels, None)
-    amps = np.zeros((tree.padded_rows, tree.padded_cols))
-    amps[: tree.n_rows] = tree.row_amplitudes * norms[: tree.n_rows, None]
-    return StateVector.from_amplitudes([("row", tree.row_qubits), ("feature", tree.feature_qubits)], amps)
+    Column 0 of ``apply_norm_prep`` then ``apply_row_prep`` on |0>|0>, up
+    to round-off."""
+    n, d = data.values.shape
+    row_qubits, feature_qubits = ceil_log2(n), ceil_log2(d)
+    amps = np.zeros((1 << row_qubits, 1 << feature_qubits))
+    np.divide(data.values, data.frobenius_norm, out=amps[:n, :d])
+    return StateVector.from_amplitudes([("row", row_qubits), ("feature", feature_qubits)], amps)
 
 
-def prepare_row_state(tree: QramTree, row_index: int) -> StateVector:
-    """One row's unit vector on a lone feature register: column 0 of
-    ``row_prep_unitary``, read from the cascade ``build_tree`` ran."""
-    if not 0 <= row_index < tree.n_rows:
-        raise OutOfRangeError(f"row index {row_index} out of range for {tree.n_rows} rows")
-    return StateVector.from_amplitudes([("feature", tree.feature_qubits)], tree.row_amplitudes[row_index])
+def prepare_row_state(data: DataMatrix, row_index: int) -> StateVector:
+    """Row ``row_index``'s unit vector x_i / |x_i| on a lone feature
+    register: column 0 of ``row_prep_unitary``, up to round-off."""
+    if not 0 <= row_index < data.n_rows:
+        raise OutOfRangeError(f"row index {row_index} out of range for {data.n_rows} rows")
+    feature_qubits = ceil_log2(data.n_cols)
+    amps = np.zeros(1 << feature_qubits)
+    np.divide(data.values[row_index], data.row_norms[row_index], out=amps[: data.n_cols])
+    return StateVector.from_amplitudes([("feature", feature_qubits)], amps)

@@ -1,7 +1,7 @@
 """The production compression path against the explicit circuit.
 
-``compress`` loads the data state with vector cascades and then runs the
-label write, token write, label un-compute and the anchor half of
+``compress`` loads the data state straight from the matrix and then runs
+the label write, token write, label un-compute and the anchor half of
 postselection as one product (``project_anchor``): the feature register
 contracted with one features x tokens matrix, without an eigenvalue
 register. The coefficient rotation and the ancilla half of postselection
@@ -61,7 +61,7 @@ def _explicit_compress(run, scope, rows):
     """The compression circuit as the paper writes it: matrix state load,
     label write on an eigenvalue register, token write, label un-compute,
     and the anchor undone with its whole preparation matrix."""
-    tree, rho, cfg, spectrum, profile = run.tree, run.rho, run.cfg, run.spectrum, run.profile
+    tree, rho, cfg, spectrum, profile = build_tree(run.data), run.rho, run.cfg, run.spectrum, run.profile
     if scope == SCOPE_SINGLE:
         feature = StateVector.zero([("feature", tree.feature_qubits)])
         state = feature.apply_register_unitary("feature", row_prep_unitary(tree, rows[0]))
@@ -118,8 +118,8 @@ def test_compress_scopes_match_explicit_circuit(mode):
 
 def test_fused_map_keeps_the_explicit_circuit_checks():
     run = run_compression(rank_k_dataset(16, 8, 2, seed=4), run_mode=MODE_QUANTIZED, seed=0)
-    state = prepare_data_state(run.tree)
-    anchor = prepare_row_state(run.tree, run.profile.anchor_index)
+    state = prepare_data_state(run.data)
+    anchor = prepare_row_state(run.data, run.profile.anchor_index)
     with pytest.raises(DegenerateSpectrumError):
         project_anchor(run.rho, PhaseConfig(bits=1), state, [anchor], distinct_top=2)
 
@@ -129,14 +129,15 @@ def test_vector_load_matches_matrix_load(shape):
     # Shapes that need padding, with entries of both signs.
     x = np.random.default_rng(sum(shape)).standard_normal(shape)
     assert (x < 0.0).any() and (x > 0.0).any()
-    tree = build_tree(DataMatrix(x))
-    got = prepare_data_state(tree)
+    data = DataMatrix(x)
+    tree = build_tree(data)
+    got = prepare_data_state(data)
     want = _explicit_data_state(tree)
     assert got.layout() == want.layout()
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= TOL
     for i in range(shape[0]):
         column = row_prep_unitary(tree, i)[:, 0]
-        assert np.max(np.abs(prepare_row_state(tree, i).amplitudes - column)) <= TOL
+        assert np.max(np.abs(prepare_row_state(data, i).amplitudes - column)) <= TOL
 
 
 def test_eigen_marginal_matches_labelled_register():
@@ -179,7 +180,7 @@ def test_wide_ideal_run_fits_without_an_eigen_register(monkeypatch):
     peak = _record_peak_amplitudes(monkeypatch)
     run = run_compression(rank_k_dataset(512, 128, 4, seed=1), seed=0)
     assert run.result.report.fidelity >= 1.0 - 1e-9
-    assert 0 < peak[0] <= run.tree.padded_rows * run.tree.padded_cols
+    assert 0 < peak[0] <= 512 * 128
 
 
 def test_spectrum_sampling_builds_no_labelled_tensor(monkeypatch):

@@ -19,7 +19,7 @@ from qpcasim.errors import (
     WeakAnchorError,
 )
 from qpcasim.pca_oracle import DataMatrix, SpectralModel, expected_row_state, svd_decompose
-from qpcasim.qram_store import build_tree, prepare_row_state
+from qpcasim.qram_store import prepare_row_state
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
     MODE_QUANTIZED,
@@ -46,14 +46,14 @@ TRI_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 def _stated_spectrum_setup():
     data = dataset_from_spectrum([0.90, 0.08, 0.02], n_rows=12, seed=2)
     model = svd_decompose(data, 0.95, 0)
-    return data, model, RhoSpec.from_model(model), build_tree(data)
+    return data, model, RhoSpec.from_model(model)
 
 
 # -- spectrum discovery --------------------------------------------------------
 
 
 def test_exact_spectrum_entries():
-    _, model, rho, _ = _stated_spectrum_setup()
+    _, model, rho = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     spectrum = exact_spectrum(rho, cfg, 2)
     assert spectrum.dim == 2
@@ -92,7 +92,7 @@ def test_extract_spectrum_rank_one_is_deterministic():
 
 def test_extract_spectrum_budget_sweep():
     # 99 of 100 fixed seeds cover 95% of the variance within 200 draws.
-    _, model, rho, tree = _stated_spectrum_setup()
+    _, model, rho = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     ok = 0
     for seed in range(100):
@@ -105,7 +105,7 @@ def test_extract_spectrum_budget_sweep():
 
 
 def test_extract_spectrum_undersampled_carries_partial():
-    _, model, rho, tree = _stated_spectrum_setup()
+    _, model, rho = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(UnderSampledError) as info:
         extract_spectrum(rho, cfg, 2, 0, dim=2, threshold=0.95)
@@ -125,9 +125,9 @@ def test_run_compression_loads_the_data_state_at_most_once(monkeypatch, run_mode
     calls = [0]
     original = qram_store.prepare_data_state
 
-    def counting_load(tree):
+    def counting_load(data):
         calls[0] += 1
-        return original(tree)
+        return original(data)
 
     monkeypatch.setattr(qram_store, "prepare_data_state", counting_load)
     run = run_compression(rank_k_dataset(32, 8, 3, seed=4), run_mode=run_mode, row_index=row_index, seed=2)
@@ -164,11 +164,10 @@ def test_default_sampling_budget():
 def test_exact_anchor_profile_three_rows():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95, 0)
-    tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
-    profile = exact_anchor_profile(prepare_row_state(tree, 0), rho, spectrum, 0)
+    profile = exact_anchor_profile(prepare_row_state(data, 0), rho, spectrum, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(profile.beta, [inv_sqrt2, inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(profile.beta_hat, profile.beta, atol=0.0)
@@ -181,23 +180,21 @@ def test_exact_anchor_profile_weak_anchor():
     # coefficient vanishes.
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95, 2)
-    tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
     with pytest.raises(WeakAnchorError) as info:
-        exact_anchor_profile(prepare_row_state(tree, 2), rho, spectrum, 2)
+        exact_anchor_profile(prepare_row_state(data, 2), rho, spectrum, 2)
     assert info.value.anchor_index == 2
 
 
 def test_estimate_anchor_concentrates():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95, 0)
-    tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
-    anchor = prepare_row_state(tree, 0)
+    anchor = prepare_row_state(data, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     hits = 0
     for seed in range(200):
@@ -214,11 +211,10 @@ def test_estimate_anchor_concentrates():
 def test_estimate_anchor_is_seeded():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95, 0)
-    tree = build_tree(data)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
-    anchor = prepare_row_state(tree, 0)
+    anchor = prepare_row_state(data, 0)
     a = estimate_anchor(anchor, rho, spectrum, 0.02, 7, anchor_index=0)
     b = estimate_anchor(anchor, rho, spectrum, 0.02, 7, anchor_index=0)
     np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
@@ -307,8 +303,8 @@ def test_success_probability_identity_with_perturbed_estimates():
     profile = replace(
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
-    anchor = prepare_row_state(run.tree, profile.anchor_index)
-    res = compress(data, run.model, run.tree, run.rho, run.spectrum, profile, anchor, run.cfg)
+    anchor = prepare_row_state(data, profile.anchor_index)
+    res = compress(data, run.model, run.rho, run.spectrum, profile, anchor, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -321,8 +317,8 @@ def test_compress_full_scope_needs_the_data_state():
 
     data = rank_k_dataset(16, 8, 2, seed=18)
     run = run_compression(data, seed=3)
-    anchor = prepare_row_state(run.tree, run.profile.anchor_index)
-    args = (data, run.model, run.tree, run.rho, run.spectrum, run.profile, anchor, run.cfg)
+    anchor = prepare_row_state(data, run.profile.anchor_index)
+    args = (data, run.model, run.rho, run.spectrum, run.profile, anchor, run.cfg)
     single = compress(*args, row_index=2)
     assert single.report.scope == "single"
 
@@ -410,7 +406,7 @@ def test_sampled_fixed_anchor_loads_the_anchor_row_once(monkeypatch):
     # The state built for the swap tests is the one compress undoes.
     loaded = []
     prepare = qram_store.prepare_row_state
-    monkeypatch.setattr(qram_store, "prepare_row_state", lambda tree, row: loaded.append(row) or prepare(tree, row))
+    monkeypatch.setattr(qram_store, "prepare_row_state", lambda data, row: loaded.append(row) or prepare(data, row))
     run_compression(rank_k_dataset(16, 8, 3, seed=1), run_mode=MODE_SAMPLED, anchor_index=5, seed=0)
     assert loaded == [5]
 
@@ -631,21 +627,20 @@ def test_scaling_builds_the_rotation_free_prefix_once_per_seed(monkeypatch):
 
 
 def test_scaling_builds_the_dataset_prefix_once_per_dataset_object(monkeypatch):
-    # A generator that keeps returning one DataMatrix gets one tree, one
-    # decomposition and one data state; one that returns an equal copy per
-    # seed gets them per seed. The sweep's numbers are the same either way.
+    # A generator that keeps returning one DataMatrix gets one decomposition
+    # and one data state; one that returns an equal copy per seed gets them
+    # per seed. The sweep's numbers are the same either way.
     calls = _count_calls(
         monkeypatch,
-        (qram_store, "build_tree"),
         (pca_oracle, "svd_decompose"),
         (qram_store, "prepare_data_state"),
     )
     data = rank_k_dataset(16, 8, 2, seed=300)
     grid, seeds = [0.0, 0.02, 0.04, 0.08], list(range(5))
     same = error_scaling_experiment(lambda s: data, grid, seeds)
-    assert calls == {"build_tree": 1, "svd_decompose": 1, "prepare_data_state": 1}
+    assert calls == {"svd_decompose": 1, "prepare_data_state": 1}
     copies = error_scaling_experiment(lambda s: DataMatrix(data.values), grid, seeds)
-    assert calls == {"build_tree": 6, "svd_decompose": 6, "prepare_data_state": 6}
+    assert calls == {"svd_decompose": 6, "prepare_data_state": 6}
     assert _numbers(copies) == _numbers(same)
     assert len(same.models) == 1 and len(copies.models) == 5
 
@@ -742,16 +737,15 @@ def _per_seed_sweep(data, seed, grid, perturbation):
     Returns the anchor draws, the kept amplitudes, and the infidelity and
     deviation per point."""
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    tree = build_tree(data)
     model = svd_decompose(data, 0.95)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, model.selected_dim)
-    choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, tree, np.random.default_rng(seed))
+    choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(seed))
     d = spectrum.dim
     signed = RhoSpec.from_model(choice.model)
-    anchor = qram_store.prepare_row_state(tree, choice.profile.anchor_index)
+    anchor = qram_store.prepare_row_state(data, choice.profile.anchor_index)
     [projected], [p_anchor] = sv_engine.project_anchor(
-        signed, cfg, qram_store.prepare_data_state(tree), [anchor], distinct_top=d
+        signed, cfg, qram_store.prepare_data_state(data), [anchor], distinct_top=d
     )
     reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, d))
     kept, infid, dev = [], [], []
@@ -832,20 +826,13 @@ def test_a_corrupted_projection_is_refused(monkeypatch):
         run_compression(data, seed=0)
 
 
-@pytest.mark.parametrize("task", ["compress", "scaling"])
-def test_each_tree_is_cascaded_once(monkeypatch, task):
-    # build_tree runs the cascade over every row and prepare_data_state over
-    # the norms; a row state reads its row off the tree.
-    calls = _count_calls(monkeypatch, (qram_store, "_cascade"))
+@pytest.mark.parametrize("task", ["compress", "scaling", "ledger"])
+def test_no_task_builds_a_tree(monkeypatch, task):
+    # The states are loaded straight from the matrix; the tree belongs to
+    # the reference circuit alone.
+    calls = _count_calls(monkeypatch, (qram_store, "build_tree"), (qram_store, "prepare_data_state"))
     cli.run(cli.RunConfig(input_path=RANK3, task=task, seed=3))
-    assert calls == {"_cascade": 2}
-    tree = build_tree(cli.ingest_csv(RANK3))
-    calls["_cascade"] = 0
-    for row in range(tree.n_rows):
-        qram_store.prepare_row_state(tree, row)
-    assert calls == {"_cascade": 0}
-    with pytest.raises(ValueError):
-        tree.row_amplitudes[0, 0] = 0.0
+    assert calls == {"build_tree": 0, "prepare_data_state": 0 if task == "ledger" else 1}
 
 
 def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch):
@@ -884,9 +871,9 @@ def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch)
     # A complex data state stays complex through the same stages, and so do
     # the reference circuit's helpers on a real state.
     complex128 = np.dtype(np.complex128)
-    state = qram_store.prepare_data_state(run.tree)
+    state = qram_store.prepare_data_state(run.data)
     promoted = StateVector.from_amplitudes(state.layout(), state.amplitudes.astype(complex))
-    anchor = prepare_row_state(run.tree, run.profile.anchor_index)
+    anchor = prepare_row_state(run.data, run.profile.anchor_index)
     [projected], [p_anchor] = sv_engine.project_anchor(
         run.rho, run.cfg, promoted, [anchor], distinct_top=run.spectrum.dim
     )

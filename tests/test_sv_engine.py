@@ -15,7 +15,7 @@ from qpcasim.errors import (
     VanishingSuccessError,
 )
 from qpcasim.pca_oracle import DataMatrix, svd_decompose
-from qpcasim.qram_store import build_tree, prepare_data_state, prepare_row_state
+from qpcasim.qram_store import prepare_data_state, prepare_row_state
 from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
@@ -197,16 +197,15 @@ def test_rhospec_takes_thin_eigenvectors_and_refuses_what_they_cannot_carry():
 def _labeled_state(data, cfg):
     model = svd_decompose(data, 1.0, 0)
     rho = RhoSpec.from_model(model)
-    tree = build_tree(data)
-    state = prepare_data_state(tree).append_register("eigen", cfg.register_width(rho.dim))
-    return model, rho, tree, phase_estimate(rho, cfg, state)
+    state = prepare_data_state(data).append_register("eigen", cfg.register_width(rho.dim))
+    return model, rho, phase_estimate(rho, cfg, state)
 
 
 def test_phase_estimate_matches_schmidt_oracle():
     rng = np.random.default_rng(41)
     data = DataMatrix(rng.standard_normal((4, 4)))
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    model, rho, tree, state = _labeled_state(data, cfg)
+    model, rho, state = _labeled_state(data, cfg)
     labels = eigen_labels(rho, cfg)
     # Oracle: sum_j sqrt(lambda_j) |u_j>|v_j>|label_j>, built term by term.
     table = np.zeros((4, 4, 1 << cfg.bits))
@@ -224,7 +223,7 @@ def test_phase_estimate_eigen_marginal_is_spectrum():
     rng = np.random.default_rng(43)
     data = DataMatrix(rng.standard_normal((8, 4)))
     cfg = PhaseConfig(bits=8, label_mode=LABEL_MODE_QUANTIZED)
-    model, rho, tree, state = _labeled_state(data, cfg)
+    model, rho, state = _labeled_state(data, cfg)
     labels = eigen_labels(rho, cfg)
     marginal = state.probabilities("eigen")
     for j, lam in enumerate(rho.eigenvalues):
@@ -235,8 +234,8 @@ def test_phase_estimate_roundtrip_is_identity():
     rng = np.random.default_rng(47)
     data = DataMatrix(rng.standard_normal((4, 4)))
     cfg = PhaseConfig(bits=5, label_mode=LABEL_MODE_QUANTIZED)
-    model, rho, tree, labeled = _labeled_state(data, cfg)
-    original = prepare_data_state(build_tree(data)).append_register("eigen", cfg.bits)
+    model, rho, labeled = _labeled_state(data, cfg)
+    original = prepare_data_state(data).append_register("eigen", cfg.bits)
     undone = inverse_phase_estimate(rho, cfg, labeled)
     assert undone.fidelity(original) >= 1.0 - 1e-10
 
@@ -245,7 +244,7 @@ def test_phase_estimate_requires_clean_register():
     rng = np.random.default_rng(53)
     data = DataMatrix(rng.standard_normal((4, 4)))
     cfg = PhaseConfig(bits=5, label_mode=LABEL_MODE_QUANTIZED)
-    _, rho, _, labeled = _labeled_state(data, cfg)
+    _, rho, labeled = _labeled_state(data, cfg)
     with pytest.raises(ContractViolationError):
         phase_estimate(rho, cfg, labeled)
 
@@ -419,14 +418,13 @@ def test_postselect_zero_mass_branch():
 
 def _anchor_fixture(rows):
     data = DataMatrix(np.array(rows))
-    tree = build_tree(data)
     rho = RhoSpec.from_model(svd_decompose(data, 1.0, 0))
-    return rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), tree
+    return rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), data
 
 
 def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
-    rho, cfg, tree = _anchor_fixture([[3.0, 4.0]])
-    state = anchor = prepare_row_state(tree, 0)
+    rho, cfg, data = _anchor_fixture([[3.0, 4.0]])
+    state = anchor = prepare_row_state(data, 0)
     wide = StateVector.zero([("feature", 2)])
     misnamed = StateVector.from_amplitudes([("row", 1)], anchor.amplitudes)
     extra = anchor.append_register("index", 1)
@@ -439,14 +437,14 @@ def test_project_anchor_keeps_the_anchor_outcome():
     # Orthogonal rows of norms 5 and 10: row 0 is the second principal
     # direction, so against itself it keeps all its mass, on token 2. Row 1
     # is orthogonal to the anchor and keeps none.
-    rho, cfg, tree = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
-    anchor = prepare_row_state(tree, 0)
+    rho, cfg, data = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
+    anchor = prepare_row_state(data, 0)
     [kept], [prob] = project_anchor(rho, cfg, anchor, [anchor], distinct_top=2)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert kept.layout() == (("index", 2),)
     assert abs(kept.basis_amplitude({"index": 2})) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(VanishingSuccessError):
-        project_anchor(rho, cfg, prepare_row_state(tree, 1), [anchor], distinct_top=2)
+        project_anchor(rho, cfg, prepare_row_state(data, 1), [anchor], distinct_top=2)
 
 
 # -- swap test ----------------------------------------------------------------

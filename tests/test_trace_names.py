@@ -95,16 +95,16 @@ def test_traced_qsvm_run_reports_the_qml_apps_metrics(tmp_path):
 
 
 def test_traced_scaling_run_decomposes_and_loads_its_dataset_once():
-    # Every seed of the sweep reads the same dataset, so the tree, the data
-    # state, the decomposition (which the report's spectrum block reuses)
-    # and its spectrum are built once, and all the seeds' anchors are
-    # projected in one call.
+    # Every seed of the sweep reads the same dataset, so the data state, the
+    # decomposition (which the report's spectrum block reuses) and its
+    # spectrum are built once, and all the seeds' anchors are projected in
+    # one call. No tree is built: it belongs to the reference circuit.
     config = cli.RunConfig(input_path=RANK3, task="scaling", seed=3)
     with _load_tracer().Tracer(0) as tracer:
         cli.render_report(cli.run(config))
     metrics = tracer.metrics()
     assert metrics["pca_oracle.svd_decompose.calls"] == 1
-    assert metrics["qram_store.build_tree.calls"] == 1
+    assert metrics["qram_store.build_tree.calls"] == 0
     assert metrics["qram_store.prepare_data_state.calls"] == 1
     assert metrics["qpca_pipeline.exact_spectrum.calls"] == 1
     assert metrics["qpca_pipeline.select_anchor.calls"] == cli.SCALING_SEED_COUNT
