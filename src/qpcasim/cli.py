@@ -107,8 +107,10 @@ def ingest_csv(path: str) -> DataMatrix:
     refuses a token (``1_000``, non-ASCII digits, a ragged row) or reads a
     non-finite value, ``_parse_fields`` parses them again with ``float()``
     and either accepts them or raises the ``ParseError`` with the offending
-    1-based line and column. Both paths end in the row checks of
-    ``_check_rows``.
+    1-based line and column. Both paths end in ``DataMatrix``'s one norm
+    check; only when it refuses a row is that row found again
+    (``norm_range_fault``) and the refusal raised as a ``ParseError`` that
+    names its line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -132,8 +134,14 @@ def ingest_csv(path: str) -> DataMatrix:
         arr = None
     if arr is None or not np.isfinite(arr).all():
         arr = _parse_fields(kept, row_lines)
-    _check_rows(arr, row_lines)
-    return DataMatrix(arr)
+    try:
+        return DataMatrix(arr)
+    except InvalidInputError:
+        fault = norm_range_fault(arr)
+        if fault is None or fault[0] is None:
+            raise
+        line = row_lines[fault[0]]
+        raise ParseError(f"line {line}: {fault[1]}", line=line) from None
 
 
 def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
@@ -170,20 +178,6 @@ def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
             values.append(value)
         rows.append(values)
     return np.array(rows, dtype=np.float64)
-
-
-def _check_rows(arr: np.ndarray, row_lines: list[int]) -> None:
-    """Refuse what ``DataMatrix`` would (``norm_range_fault``), naming a bad
-    row by its line in a ``ParseError``; an overflowing total sum of squares
-    is an ``OutOfRangeError``."""
-    fault = norm_range_fault(arr)
-    if fault is None:
-        return
-    row, problem = fault
-    if row is None:
-        raise OutOfRangeError(problem)
-    line = row_lines[row]
-    raise ParseError(f"line {line}: {problem}", line=line)
 
 
 def read_values(path: str, expected_rows: int) -> np.ndarray:

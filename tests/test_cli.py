@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qpcasim import cli
+from qpcasim import cli, pca_oracle
 from qpcasim.datasets import (
     gaussian_class_pair,
     linear_trend_dataset,
@@ -112,6 +112,19 @@ def test_ingest_row_norm_range(tmp_path, body, error, line, message, fallback):
         cli.ingest_csv(path)
     assert str(info.value) == message
     assert getattr(info.value, "line", None) == line
+
+
+def test_ingest_takes_the_norms_once(tmp_path, monkeypatch):
+    # ``DataMatrix`` is the one check of a good file; a refused row's norms
+    # are taken a second time only to name its line.
+    taken = []
+    norms = pca_oracle._norms_and_fault
+    monkeypatch.setattr(pca_oracle, "_norms_and_fault", lambda values: taken.append(1) or norms(values))
+    cli.ingest_csv(_write(tmp_path, "good.csv", "1,2\n3,4\n"))
+    assert len(taken) == 1
+    with pytest.raises(ParseError):
+        cli.ingest_csv(_write(tmp_path, "zero.csv", "1,2\n0,0\n"))
+    assert len(taken) == 3
 
 
 def _per_field_ingest(path):
