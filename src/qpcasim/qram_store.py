@@ -179,8 +179,8 @@ def apply_row_prep(state: StateVector, tree: QramTree) -> StateVector:
 def prepare_data_state(data: DataMatrix) -> StateVector:
     """Full encoded state: amplitudes X_ij / |X|_F over (row, feature).
 
-    Column 0 of ``apply_norm_prep`` then ``apply_row_prep`` on |0>|0>, up
-    to round-off."""
+    The state ``apply_norm_prep`` then ``apply_row_prep`` prepare from
+    |0>|0>, up to round-off."""
     n, d = data.values.shape
     row_qubits, feature_qubits = ceil_log2(n), ceil_log2(d)
     amps = np.zeros((1 << row_qubits, 1 << feature_qubits))
