@@ -137,11 +137,10 @@ def ingest_csv(path: str) -> DataMatrix:
     try:
         return DataMatrix(arr)
     except InvalidInputError:
-        fault = norm_range_fault(arr)
-        if fault is None or fault[0] is None:
-            raise
-        line = row_lines[fault[0]]
-        raise ParseError(f"line {line}: {fault[1]}", line=line) from None
+        # Both parses rule out every other refusal, so this one names a row.
+        row, problem = norm_range_fault(arr)
+        line = row_lines[row]
+        raise ParseError(f"line {line}: {problem}", line=line) from None
 
 
 def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
