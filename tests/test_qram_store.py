@@ -134,11 +134,11 @@ def test_data_state_entries_random_shapes():
         x = rng.standard_normal((n, d))
         while np.any(np.linalg.norm(x, axis=1) < 1e-6):
             x = rng.standard_normal((n, d))
-        tree = build_tree(DataMatrix(x))
         state = prepare_data_state(DataMatrix(x))
-        table = direct_data_state(x, tree.padded_rows, tree.padded_cols)
-        for i in range(tree.padded_rows):
-            for j in range(tree.padded_cols):
+        padded_rows, padded_cols = state.amplitudes.shape
+        table = direct_data_state(x, padded_rows, padded_cols)
+        for i in range(padded_rows):
+            for j in range(padded_cols):
                 got = state.basis_amplitude({"row": i, "feature": j})
                 assert got == pytest.approx(table[i, j], abs=1e-10)
 
@@ -147,17 +147,16 @@ def test_data_state_equals_schmidt_form():
     # The encoded state is sum_j sqrt(lambda_j) |u_j>|v_j| up to padding.
     data = DataMatrix(np.random.default_rng(17).standard_normal((6, 4)))
     model = svd_decompose(data, 1.0, 0)
-    tree = build_tree(data)
     state = prepare_data_state(data)
-    table = np.zeros((tree.padded_rows, tree.padded_cols))
+    table = np.zeros(state.amplitudes.shape)
     for j in range(model.rank):
         amp = model.singular_values[j] / data.frobenius_norm
         table[: data.n_rows, : data.n_cols] += amp * np.outer(
             model.left_vectors[:, j], model.right_vectors[:, j]
         )
     overlap = 0.0
-    for i in range(tree.padded_rows):
-        for j in range(tree.padded_cols):
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
             overlap += table[i, j] * state.basis_amplitude({"row": i, "feature": j})
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
