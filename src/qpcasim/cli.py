@@ -308,7 +308,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     from . import qml_apps
 
     dataset = qml_apps.LabeledDataset(data, labels, gamma=config.gamma)
-    model = svd_decompose(data, config.theta, 0)
+    model = svd_decompose(data, config.theta)
     compressed = project(data, model)
 
     full = qml_apps.lssvm_train(dataset, data.values)
@@ -356,7 +356,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
 def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
     from . import qml_apps
 
-    model = svd_decompose(data, config.theta, 0)
+    model = svd_decompose(data, config.theta)
     compressed = project(data, model)
 
     fit = qml_apps.qlr_predict(data.values, targets, data.values)

@@ -224,15 +224,15 @@ class OverlapReport:
         return _pair_deviations(*self._unit_rows)
 
 
-def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int = 0) -> SpectralModel:
-    """Thin SVD truncated at the rank, with anchor-fixed signs.
+def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
+    """Thin SVD truncated at the rank, with signs fixed against row 0.
 
     Singular values below RANK_CUTOFF * sigma_max are stored as exact zeros,
     and only the singular vectors of the nonzero ones are kept: no array is
     D x D. The selected dimension is the smallest s whose leading variance
     fraction reaches ``threshold`` (an exact >= on float64). The signs of
-    the principal directions follow row ``anchor_index`` (see
-    ``SpectralModel.with_anchor``).
+    the principal directions follow row 0 (``SpectralModel.with_anchor``
+    re-signs them against another row).
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
@@ -260,7 +260,7 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95, anchor_index: int =
         threshold=float(threshold),
         selected_dim=selected,
         anchor_index=0,
-    ).with_anchor(data, anchor_index)
+    ).with_anchor(data, 0)
 
 
 def project(data: DataMatrix, model: SpectralModel, dim: int | None = None) -> CompressedMatrix:

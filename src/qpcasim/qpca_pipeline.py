@@ -231,17 +231,12 @@ def default_sampling_budget(dim: int) -> int:
 
 
 def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
-    """Overlaps of the prepared anchor state with the leading ``dim`` eigenvectors of ``rho``.
-
-    Both are unit vectors, so an overlap is at most 1; one that rounds above
-    it (a row on a principal direction, as in rank-1 data) is capped at 1."""
-    amps = anchor.amplitudes
-    beta = np.empty(dim)
-    for k in range(dim):
-        padded = np.zeros(amps.size)
-        padded[: rho.dim] = rho.eigenvectors[:, k]
-        beta[k] = float(padded @ amps)
-    return np.minimum(beta, 1.0, out=beta)
+    """|<v_j|anchor>| for the leading ``dim`` eigenvectors of ``rho``
+    (``RhoSpec.overlaps``): the magnitudes a swap test estimates, so the
+    eigenvectors' signs do not enter. Both are unit vectors, so a
+    magnitude is at most 1; one that rounds above it (a row on a principal
+    direction, as in rank-1 data) is capped at 1."""
+    return np.minimum(np.abs(rho.overlaps(anchor, dim)), 1.0)
 
 
 def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
@@ -330,13 +325,12 @@ def estimate_anchor(
 
 @dataclass(frozen=True)
 class AnchorChoice:
-    """The accepted anchor row and what was built around it: ``model`` and
-    ``rho`` carry that row's signs, ``signs`` is its sign vector against
-    the caller's model (``SpectralModel.anchor_signs``), and
-    ``anchor_state`` its loaded state (``qram_store.prepare_row_state``)."""
+    """The accepted anchor row and what was built around it: ``model``
+    carries that row's signs, ``signs`` is its sign vector against the
+    caller's model (``SpectralModel.anchor_signs``), and ``anchor_state``
+    its loaded state (``qram_store.prepare_row_state``)."""
 
     model: SpectralModel
-    rho: RhoSpec
     profile: AnchorProfile
     attempts: tuple[int, ...]
     signs: np.ndarray
@@ -363,29 +357,29 @@ def select_anchor(
     coefficients are estimated by swap tests seeded by it; without one they
     are exact. ``rho`` and ``spectrum`` are the caller's, built from its
     decomposition ``model`` (``RhoSpec.from_model``), since neither depends
-    on the anchor: a candidate is judged from its sign vector
-    (``SpectralModel.anchor_signs``) and its overlaps with the eigenvectors
-    those signs flip, and only the accepted row gets a signed model.
+    on the anchor. A candidate is judged from ``rho`` and its row state
+    alone: its coefficients are the magnitudes of its overlaps, which no
+    eigenvector sign changes. Only the accepted row is signed
+    (``SpectralModel.anchor_signs``) and gets a signed model.
     """
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
-        signs = model.anchor_signs(data, anchor)
-        signed = rho.with_signs(signs)
         state = qram_store.prepare_row_state(data, anchor)
         try:
             if beta_seed is None:
-                profile = exact_anchor_profile(state, signed, spectrum, anchor, eps_beta=eps_beta)
+                profile = exact_anchor_profile(state, rho, spectrum, anchor, eps_beta=eps_beta)
             else:
-                profile = estimate_anchor(state, signed, spectrum, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(state, rho, spectrum, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise
             last_error = exc
             continue
-        return AnchorChoice(model.with_signs(signs, anchor), signed, profile, tuple(attempts), signs, state)
+        signs = model.anchor_signs(data, anchor)
+        return AnchorChoice(model.with_signs(signs, anchor), profile, tuple(attempts), signs, state)
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -487,7 +481,11 @@ def compress(
     against the classical projection. A full or subset scope loads the data
     state from ``data``; a single scope loads only its row. ``anchor`` is
     the loaded state of the profile's anchor row
-    (``AnchorChoice.anchor_state``), which the projection undoes.
+    (``AnchorChoice.anchor_state``), which the projection undoes. The
+    projection reads no eigenvector sign, so ``rho`` may be the caller's
+    unsigned one; ``model`` carries the anchor row's signs
+    (``AnchorChoice.model``), because the classical reference is built
+    from it.
     """
     d = spectrum.dim
     if subset is not None and row_index is not None:
@@ -640,7 +638,7 @@ def run_compression(
     result = compress(
         data,
         choice.model,
-        choice.rho,
+        rho,
         spectrum,
         choice.profile,
         choice.anchor_state,
@@ -654,7 +652,7 @@ def run_compression(
     return RunResult(
         data=data,
         model=choice.model,
-        rho=choice.rho,
+        rho=rho,
         cfg=cfg,
         spectrum=spectrum,
         profile=choice.profile,

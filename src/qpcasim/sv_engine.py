@@ -61,7 +61,8 @@ POSTSELECT_FLOOR = 1e-12
 @dataclass(frozen=True)
 class RhoSpec:
     """Eigensystem of X^T X / Tr(X^T X): proportions of captured variance,
-    and orthonormal directions (columns, sign-fixed) for the leading k."""
+    and orthonormal directions (columns) for the leading k, with the signs
+    of the decomposition they came from."""
 
     eigenvalues: np.ndarray      # (D,), descending, sums to 1
     eigenvectors: np.ndarray     # (D, k) columns, k <= D
@@ -84,14 +85,11 @@ class RhoSpec:
     def from_model(cls, model) -> "RhoSpec":
         return cls(eigenvalues=model.variance_proportions, eigenvectors=model.right_vectors)
 
-    def with_signs(self, signs: np.ndarray) -> "RhoSpec":
-        """The same eigensystem with eigenvector k times ``signs[k]``, each
-        +1 or -1. Negating a column keeps every property ``__post_init__``
-        checks, so the copy is not checked again."""
-        out = object.__new__(RhoSpec)
-        object.__setattr__(out, "eigenvalues", self.eigenvalues)
-        object.__setattr__(out, "eigenvectors", self.eigenvectors * signs)
-        return out
+    def overlaps(self, state: StateVector, k: int) -> np.ndarray:
+        """(k,) overlaps <state|v_j> of a one-register ``state`` with the
+        leading ``k`` eigenvectors: V^T conj(a) over its first D amplitudes,
+        the rest being padding. Negating v_j negates its overlap exactly."""
+        return self.eigenvectors[:, :k].T @ state.amplitudes[: self.dim].conj()
 
     @property
     def dim(self) -> int:
@@ -303,10 +301,11 @@ def project_anchor(
     direction gets one; the label checks, the explicit circuit's, refuse
     every spectrum where the label write would map otherwise. With V those
     eigenvectors, anchor s's product is the feature axis times
-    G_s[j, k+1] = V[j, k] (V^T conj(anchor_s))[k], which does not depend on
-    the eigenvectors' signs; the G_s are stacked (features, anchors,
-    tokens) and applied as one product, real when the state and the anchors
-    are. Returns one renormalised state per anchor, "index" in place of
+    G_s[j, k+1] = V[j, k] c_s[k], with c_s = V^T conj(anchor_s) its
+    overlaps (``RhoSpec.overlaps``); negating v_k negates c_s[k] exactly,
+    so G_s does not depend on the eigenvectors' signs. The G_s are stacked
+    (features, anchors, tokens) and applied as one product, real when the
+    state and the anchors are. Returns one renormalised state per anchor, "index" in place of
     "feature", and the probabilities of the anchor outcomes, (anchors,).
     """
     check_label_distinctness(rho, cfg, distinct_top)
@@ -320,7 +319,7 @@ def project_anchor(
         raise OutOfRangeError(f"kept dimension {distinct_top} out of range [1, {rho.eigenvectors.shape[1]}]")
     index_qubits = token_qubits(distinct_top)
     v = rho.eigenvectors[:, :distinct_top]
-    coefficients = np.array([v.T @ anchor.amplitudes[: rho.dim].conj() for anchor in anchors])
+    coefficients = np.array([rho.overlaps(anchor, distinct_top) for anchor in anchors])
     dtype = np.result_type(coefficients, state.amplitudes)
     g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=dtype)
     g[: rho.dim, :, 1 : distinct_top + 1] = v[:, None, :] * coefficients

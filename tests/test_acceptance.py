@@ -111,7 +111,7 @@ def test_criterion_02_success_probability():
 def test_criterion_03_dimension_selection():
     failures = []
     data = dataset_from_spectrum([0.90, 0.08, 0.02], n_rows=12, seed=2)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     if model.selected_dim != 2:
         failures.append(f"stated spectrum selected {model.selected_dim}, wanted 2")
     for seed in range(100):
@@ -120,7 +120,7 @@ def test_criterion_03_dimension_selection():
         lam = np.sort(rng.dirichlet(np.ones(k)))[::-1]
         theta = float(rng.uniform(0.05, 1.0))
         spectra = dataset_from_spectrum(lam, n_rows=10, seed=seed, n_cols=max(k, 3))
-        m = svd_decompose(spectra, theta, 0)
+        m = svd_decompose(spectra, theta)
         cum = m.cumulative_variance()
         d = m.selected_dim
         if cum[d - 1] < theta - 1e-12:
@@ -265,7 +265,7 @@ def test_criterion_08_pairwise_overlap():
         if dev > 1e-9:
             failures.append(f"exact rank-3 seed {60 + seed}: max deviation {dev}")
     noisy = rank_k_plus_noise(16, 8, 2, seed=26, noise_fraction=0.01)
-    model = svd_decompose(noisy, 0.95, 0)
+    model = svd_decompose(noisy, 0.95)
     from qpcasim.pca_oracle import pairwise_overlap_report
 
     report = pairwise_overlap_report(noisy, project(noisy, model), tolerance=1e-3)
@@ -284,7 +284,7 @@ def test_criterion_09_qsvm_adaptation():
     failures = []
     data, labels = gaussian_class_pair(seed=29)
     dataset = LabeledDataset(data, labels)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     compressed = project(data, model)
 
     full = lssvm_train(dataset, data.values)
@@ -321,7 +321,7 @@ def test_criterion_09_qsvm_adaptation():
 def test_criterion_10_qlr_adaptation():
     failures = []
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     compressed = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
     pred = qlr_predict(data.values, targets, data.values)

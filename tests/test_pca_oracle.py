@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_data_matrix_norm_range(rows, error, message):
 
 
 def test_diagonal_matrix_decomposition():
-    model = svd_decompose(DataMatrix(np.diag([2.0, 1.0])), 0.95, anchor_index=0)
+    model = svd_decompose(DataMatrix(np.diag([2.0, 1.0])), 0.95)
     np.testing.assert_allclose(model.singular_values, [2.0, 1.0], atol=1e-12)
     # Anchor row (2, 0) fixes the first direction to +e1; the second has zero
     # anchor overlap so only its axis is determined.
@@ -71,7 +72,7 @@ def test_diagonal_matrix_decomposition():
 
 
 def test_two_identical_rows():
-    model = svd_decompose(DataMatrix(np.array([[1.0, 0.0], [1.0, 0.0]])), 0.95, 0)
+    model = svd_decompose(DataMatrix(np.array([[1.0, 0.0], [1.0, 0.0]])), 0.95)
     np.testing.assert_allclose(model.singular_values, [np.sqrt(2.0), 0.0], atol=1e-12)
     np.testing.assert_allclose(model.right_vectors[:, 0], [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(model.variance_proportions, [1.0, 0.0], atol=1e-12)
@@ -85,7 +86,7 @@ def test_two_identical_rows():
 def test_reconstruction_and_jacobi_cross_check_seed7():
     rng = np.random.default_rng(7)
     data = DataMatrix(rng.standard_normal((8, 8)))
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     recon = model.left_vectors @ np.diag(model.singular_values) @ model.right_vectors.T
     assert np.linalg.norm(data.values - recon) <= 1e-10 * data.frobenius_norm
 
@@ -99,21 +100,21 @@ def test_reconstruction_and_jacobi_cross_check_seed7():
 
 def test_dimension_selection_stated_spectrum():
     data = dataset_from_spectrum([0.90, 0.08, 0.02], n_rows=12, seed=2)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
-    assert svd_decompose(data, 0.90, 0).selected_dim == 1
-    assert svd_decompose(data, 0.99, 0).selected_dim == 3
+    assert svd_decompose(data, 0.90).selected_dim == 1
+    assert svd_decompose(data, 0.99).selected_dim == 3
     # Rank-1 spectrum selects 1 at any threshold.
-    rank1 = svd_decompose(DataMatrix(np.array([[1.0, 0.0], [2.0, 0.0]])), 0.95, 0)
+    rank1 = svd_decompose(DataMatrix(np.array([[1.0, 0.0], [2.0, 0.0]])), 0.95)
     assert rank1.selected_dim == 1
 
 
 def test_threshold_one_selects_rank():
     data = rank_k_dataset(16, 8, 2, seed=5)
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     assert model.selected_dim == 2 == model.rank
     noisy = rank_k_plus_noise(16, 8, 2, seed=5, noise_fraction=0.01)
-    noisy_model = svd_decompose(noisy, 1.0, 0)
+    noisy_model = svd_decompose(noisy, 1.0)
     assert noisy_model.selected_dim == noisy_model.rank == 8
 
 
@@ -124,14 +125,14 @@ def test_selection_properties_random_spectra():
         lam = np.sort(rng.dirichlet(np.ones(k)))[::-1]
         theta = float(rng.uniform(0.05, 1.0))
         data = dataset_from_spectrum(lam, n_rows=10, seed=seed, n_cols=max(k, 3))
-        model = svd_decompose(data, theta, 0)
+        model = svd_decompose(data, theta)
         cum = model.cumulative_variance()
         d = model.selected_dim
         assert cum[d - 1] >= theta
         if d > 1:
             assert cum[d - 2] < theta
         # Raising the threshold never shrinks the selection.
-        assert svd_decompose(data, min(1.0, theta + 0.04), 0).selected_dim >= d
+        assert svd_decompose(data, min(1.0, theta + 0.04)).selected_dim >= d
 
 
 def _random_and_rank_deficient_matrices():
@@ -148,7 +149,7 @@ def _random_and_rank_deficient_matrices():
 def test_model_invariants_random_matrices():
     for data, anchor_index in _random_and_rank_deficient_matrices():
         n, d = data.n_rows, data.n_cols
-        model = svd_decompose(data, 0.95, anchor_index=anchor_index)
+        model = svd_decompose(data, 0.95).with_anchor(data, anchor_index)
         sig = model.singular_values
         assert sig.shape == (d,)
         assert np.all(np.diff(sig) <= 1e-12)
@@ -164,7 +165,7 @@ def test_model_invariants_random_matrices():
         # every call.
         vt = np.linalg.svd(data.values, full_matrices=False)[2]
         assert np.array_equal(np.abs(model.right_vectors), np.abs(vt[:rank].T))
-        again = svd_decompose(data, 0.95, anchor_index=anchor_index)
+        again = svd_decompose(data, 0.95).with_anchor(data, anchor_index)
         assert np.array_equal(again.right_vectors, model.right_vectors)
         # Sign convention: nonnegative anchor overlap on every kept direction.
         anchor = data.values[model.anchor_index]
@@ -185,14 +186,18 @@ def test_model_invariants_random_matrices():
     "shape", [(256, 64), (1024, 8), (64, 16), (5, 12), (3, 9), (16, 8), (2048, 256)]
 )
 def test_with_anchor_matches_a_decomposition_anchored_there(shape):
-    # Re-signing one decomposition gives the same bits as decomposing
-    # with that anchor, for full-rank and rank-deficient data alike.
+    # Re-signing the row-0 decomposition against row k gives the same bits
+    # as signing the thin SVD's own vectors against row k, for full-rank
+    # and rank-deficient data alike.
     n, d = shape
     rng = np.random.default_rng(n + d)
     for data in (DataMatrix(rng.standard_normal(shape)), rank_k_dataset(n, d, min(3, n, d), seed=d)):
-        base = svd_decompose(data, 0.9, 0)
+        base = svd_decompose(data, 0.9)
+        u, _, vt = np.linalg.svd(data.values, full_matrices=False)
+        v, u = vt[: base.rank].T, u[:, : base.rank]
         for k in sorted({0, 1, n // 2, n - 1}):
-            want = svd_decompose(data, 0.9, k)
+            signs = np.where(data.values[k] @ v < 0.0, -1.0, 1.0)
+            want = replace(base, right_vectors=v * signs, left_vectors=u * signs)
             got = base.with_anchor(data, k)
             assert got.anchor_index == k
             assert np.array_equal(got.right_vectors, want.right_vectors)
@@ -209,7 +214,7 @@ def test_tall_decomposition_builds_no_row_by_row_matrix():
     data = DataMatrix(np.random.default_rng(5).standard_normal((4096, 8)))
     tracemalloc.start()
     try:
-        model = svd_decompose(data, 0.95, anchor_index=0)
+        model = svd_decompose(data, 0.95)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,7 +229,7 @@ def test_wide_decomposition_builds_no_feature_by_feature_matrix():
     data = rank_k_dataset(64, 4096, 4, seed=1)
     tracemalloc.start()
     try:
-        model = svd_decompose(data, 0.95, anchor_index=0)
+        model = svd_decompose(data, 0.95)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,7 +240,7 @@ def test_wide_decomposition_builds_no_feature_by_feature_matrix():
 
 def test_projection_diagonal_case():
     data = DataMatrix(np.diag([2.0, 1.0]))
-    model = svd_decompose(data, 0.5, 0)
+    model = svd_decompose(data, 0.5)
     assert model.selected_dim == 1
     y = project(data, model)
     np.testing.assert_allclose(y.values, [[2.0], [0.0]], atol=1e-12)
@@ -244,7 +249,7 @@ def test_projection_diagonal_case():
 def test_projection_rank2_product_seed3():
     rng = np.random.default_rng(3)
     data = DataMatrix(rng.standard_normal((16, 2)) @ rng.standard_normal((2, 8)))
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     y = project(data, model)
     assert abs(y.frobenius_norm - data.frobenius_norm) <= 1e-10
@@ -256,7 +261,7 @@ def test_projection_rank2_product_seed3():
 def test_projection_full_dimension_preserves_row_norms():
     rng = np.random.default_rng(21)
     data = DataMatrix(rng.standard_normal((6, 4)))
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     y = project(data, model, dim=4)
     np.testing.assert_allclose(
         np.linalg.norm(y.values, axis=1), np.linalg.norm(data.values, axis=1), atol=1e-10
@@ -266,7 +271,7 @@ def test_projection_full_dimension_preserves_row_norms():
 def test_projection_energy_identity():
     for seed in range(20):
         data = rank_k_dataset(12, 6, 3, seed=seed)
-        model = svd_decompose(data, 0.7, 0)
+        model = svd_decompose(data, 0.7)
         y = project(data, model)
         kept = np.sum(model.singular_values[: model.selected_dim] ** 2)
         assert abs(y.frobenius_norm**2 - kept) <= 1e-10 * max(kept, 1.0)
@@ -275,9 +280,9 @@ def test_projection_energy_identity():
 def test_projection_idempotence():
     for seed in range(20):
         data = rank_k_dataset(16, 8, 3, seed=seed)
-        model = svd_decompose(data, 0.95, 0)
+        model = svd_decompose(data, 0.95)
         y = project(data, model)
-        again = project(DataMatrix(y.values), svd_decompose(DataMatrix(y.values), 0.95, 0))
+        again = project(DataMatrix(y.values), svd_decompose(DataMatrix(y.values), 0.95))
         np.testing.assert_allclose(again.values, y.values, atol=1e-8)
 
 
@@ -299,7 +304,7 @@ def test_expected_state_identity_pair():
 
 def test_expected_state_normalization_rank2():
     data = rank_k_dataset(16, 8, 2, seed=9)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     y = project(data, model)
     state = expected_compressed_state(y)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
@@ -310,7 +315,7 @@ def test_expected_state_normalization_rank2():
 
 def test_expected_row_state_matches_row():
     data = rank_k_dataset(8, 4, 2, seed=4)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     y = project(data, model)
     row = 3
     state = expected_row_state(y, row)
@@ -321,7 +326,7 @@ def test_expected_row_state_matches_row():
 
 def test_pairwise_overlap_exact_rank_is_lossless():
     data = rank_k_dataset(12, 6, 2, seed=13)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     report = pairwise_overlap_report(data, project(data, model), tolerance=1e-9)
     assert report.max_deviation <= 1e-10
     assert report.fraction_within == 1.0
@@ -331,7 +336,7 @@ def test_pairwise_overlap_exact_rank_is_lossless():
 def test_pairwise_overlap_full_dimension_is_lossless():
     rng = np.random.default_rng(31)
     data = DataMatrix(rng.standard_normal((8, 4)))
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     report = pairwise_overlap_report(data, project(data, model), tolerance=1e-9)
     assert report.max_deviation <= 1e-10
 
@@ -341,7 +346,7 @@ def test_pairwise_overlap_noisy_data_recorded():
     # the 1% noise floor. Observed max deviation 2.25e-4 against residual
     # variance 5.1e-5; frozen with headroom as a regression threshold.
     data = rank_k_plus_noise(16, 8, 2, seed=26, noise_fraction=0.01)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     report = pairwise_overlap_report(data, project(data, model), tolerance=1e-3)
     residual = 1.0 - model.variance_captured
@@ -353,7 +358,7 @@ def test_pairwise_overlap_noisy_data_recorded():
 def test_pairwise_overlap_flags_zero_norm_rows():
     # Third row lives entirely outside the kept 2-dimensional span.
     data = DataMatrix(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0.1]]))
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     report = pairwise_overlap_report(data, project(data, model), tolerance=1e-6)
     assert 2 in report.flagged_rows
@@ -397,7 +402,7 @@ def _triu_reference(data, compressed, tolerance):
 
 
 def _projected(data, threshold):
-    return data, project(data, svd_decompose(data, threshold, 0))
+    return data, project(data, svd_decompose(data, threshold))
 
 
 def _signs(n_rows, zero_rows=()):
@@ -500,7 +505,7 @@ def test_pairwise_overlap_stacked_product_rounds_like_two_products(n_rows):
     # general data the two agree to the summation error of unit-row dot
     # products: (d + D) * eps per entry.
     data = DataMatrix(np.random.default_rng(n_rows).standard_normal((n_rows, 16)))
-    compressed = project(data, svd_decompose(data, 1.0, 0), 4)
+    compressed = project(data, svd_decompose(data, 1.0), 4)
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
     x, y, _ = _unit_rows(data, compressed)
     i1, i2 = np.triu_indices(n_rows, k=1)
@@ -527,7 +532,7 @@ def test_pairwise_overlap_memory_is_one_slab_and_the_stacked_unit_rows():
     # copy on top; the tall case keeps the bound it had before.
     for n_rows, n_cols, with_block in ((4096, 16, False), (256, 4096, True)):
         data = rank_k_dataset(n_rows, n_cols, 4, 1)
-        compressed = project(data, svd_decompose(data, 0.95, 0))
+        compressed = project(data, svd_decompose(data, 0.95))
         stacked_rows = data.values.nbytes + compressed.values.nbytes
         block = B * (n_cols + compressed.values.shape[1]) * 8 if with_block else 0
         for tolerance in (1e-6, 0.0):
@@ -545,7 +550,7 @@ def test_pairwise_overlap_memory_is_one_slab_and_the_stacked_unit_rows():
 def test_pairwise_overlap_refuses_a_negative_tolerance():
     data = rank_k_dataset(8, 4, 2, 1)
     with pytest.raises(OutOfRangeError, match="nonnegative"):
-        pairwise_overlap_report(data, project(data, svd_decompose(data, 0.95, 0)), tolerance=-1e-6)
+        pairwise_overlap_report(data, project(data, svd_decompose(data, 0.95)), tolerance=-1e-6)
 
 
 def test_run_compression_never_builds_the_pair_array(monkeypatch):

@@ -78,7 +78,7 @@ def test_lssvm_kernel_invariance_under_projection():
     data = rank_k_dataset(10, 6, 2, seed=15)
     rng = np.random.default_rng(15)
     labels = np.where(rng.standard_normal(10) >= 0.0, 1.0, -1.0)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     y = project(data, model)
 
     gram_gap = np.max(np.abs(y.values @ y.values.T - data.values @ data.values.T))
@@ -95,7 +95,7 @@ def test_lssvm_kernel_invariance_under_projection():
 def test_lssvm_separable_fixture_accuracies_match():
     data, labels = gaussian_class_pair(seed=29)
     dataset = LabeledDataset(data, labels)
-    spectral = svd_decompose(data, 0.95, 0)
+    spectral = svd_decompose(data, 0.95)
     y = project(data, spectral)
 
     full = lssvm_train(dataset, data.values)
@@ -112,7 +112,7 @@ def _lssvm_reference_cases():
     compressed projection, a tall 2000 x 16 pair, a wide 40 x 1024 pair, and
     rank-deficient points (one column duplicated)."""
     demo, demo_labels = gaussian_class_pair(n_per_class=200, n_cols=16, seed=7)
-    compressed = project(demo, svd_decompose(demo, 0.95, 0)).values
+    compressed = project(demo, svd_decompose(demo, 0.95)).values
     tall, tall_labels = gaussian_class_pair(n_per_class=1000, n_cols=16, seed=3)
     wide, wide_labels = gaussian_class_pair(n_per_class=20, n_cols=1024, seed=5)
     duplicated = np.hstack([demo.values, demo.values[:, :1]])
@@ -292,7 +292,7 @@ def test_qlr_exact_linear_data():
 
 def test_qlr_compressed_space_agrees():
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     y = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
@@ -321,7 +321,7 @@ def test_qlr_batched_predictions_equal_per_query_reference():
     # real work. The compressed space keeps the two directions.
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
     targets = targets + np.random.default_rng(5).normal(scale=0.3, size=targets.size)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     queries = np.vstack([data.values, np.random.default_rng(6).normal(size=(4, 6))])
     basis = model.right_vectors[:, : model.selected_dim]
     for points, space_queries in ((data.values, queries), (project(data, model).values, queries @ basis)):
@@ -367,7 +367,7 @@ def test_qlr_demo_matches_prediction():
 
 def test_qlr_demo_compressed_space():
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     y = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
     queries = data.values @ basis
@@ -450,7 +450,7 @@ def _qlr_demo_cases():
     full = rng.normal(size=(12, 6))
     data, targets, _ = linear_trend_dataset(12, 6, 2, seed=11)
     wide = rng.normal(size=(4, 8))
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     basis = model.right_vectors[:, : model.selected_dim]
     return [
         (full, rng.normal(size=12), full[5]),

@@ -45,7 +45,7 @@ TRI_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 def _stated_spectrum_setup():
     data = dataset_from_spectrum([0.90, 0.08, 0.02], n_rows=12, seed=2)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     return data, model, RhoSpec.from_model(model)
 
 
@@ -69,7 +69,7 @@ def test_exact_spectrum_entries():
 
 def test_extract_spectrum_balanced_pair():
     data = DataMatrix(np.eye(2))
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     rho = RhoSpec.from_model(model)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     spectrum = extract_spectrum(rho, cfg, 50, 3, dim=2, threshold=0.95)
@@ -82,7 +82,7 @@ def test_extract_spectrum_balanced_pair():
 
 def test_extract_spectrum_rank_one_is_deterministic():
     data = DataMatrix(np.array([[3.0, 4.0]]))
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     rho = RhoSpec.from_model(model)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     spectrum = extract_spectrum(rho, cfg, 50, 11, dim=1, threshold=0.95)
@@ -146,7 +146,7 @@ def test_extract_spectrum_full_coverage_meets_threshold_one():
 
 def test_extract_spectrum_rejects_a_kept_dimension_out_of_range():
     data = rank_k_dataset(16, 8, 8, 1)
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     cfg = PhaseConfig(bits=10, label_mode=LABEL_MODE_QUANTIZED)
     for dim in (0, 9):
         with pytest.raises(OutOfRangeError):
@@ -163,7 +163,7 @@ def test_default_sampling_budget():
 
 def test_exact_anchor_profile_three_rows():
     data = DataMatrix(TRI_ROWS)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
@@ -179,7 +179,7 @@ def test_exact_anchor_profile_weak_anchor():
     # Row 2 = (1, 1) lies entirely on the first component, so its second
     # coefficient vanishes.
     data = DataMatrix(TRI_ROWS)
-    model = svd_decompose(data, 0.95, 2)
+    model = svd_decompose(data, 0.95)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
@@ -190,7 +190,7 @@ def test_exact_anchor_profile_weak_anchor():
 
 def test_estimate_anchor_concentrates():
     data = DataMatrix(TRI_ROWS)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
@@ -210,7 +210,7 @@ def test_estimate_anchor_concentrates():
 
 def test_estimate_anchor_is_seeded():
     data = DataMatrix(TRI_ROWS)
-    model = svd_decompose(data, 0.95, 0)
+    model = svd_decompose(data, 0.95)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     rho = RhoSpec.from_model(model)
     spectrum = exact_spectrum(rho, cfg, 2)
@@ -370,7 +370,8 @@ def test_weak_anchor_redraw_succeeds():
 
 def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     # Three anchors are tried; the label histogram, which does not depend
-    # on the anchor, is drawn once and each candidate gets its own signs.
+    # on the anchor, is drawn once, and the accepted row's signs are the
+    # model's.
     calls = []
     measure = sv_engine.measure_register
     monkeypatch.setattr(sv_engine, "measure_register", lambda *a, **k: calls.append(a) or measure(*a, **k))
@@ -378,8 +379,8 @@ def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     run = run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=2)
     assert run.anchor_attempts == (13, 8, 6)
     assert len(calls) == 1
-    own = svd_decompose(data, 1.0, 6).right_vectors
-    np.testing.assert_array_equal(run.rho.eigenvectors, own)
+    own = svd_decompose(data, 1.0).with_anchor(data, 6).right_vectors
+    np.testing.assert_array_equal(run.model.right_vectors, own)
 
 
 def test_anchor_selection_decomposes_once(monkeypatch):
@@ -411,16 +412,75 @@ def test_sampled_fixed_anchor_loads_the_anchor_row_once(monkeypatch):
     assert loaded == [5]
 
 
-@pytest.mark.parametrize("anchor_index, attempts", [(5, (5,)), (None, (13,))])
+@pytest.mark.parametrize("anchor_index, attempts", [(5, (5,)), (None, (13,)), (None, (2, 1))])
 def test_a_run_signs_the_decomposition_twice(monkeypatch, anchor_index, attempts):
     # Once against row 0 in svd_decompose and once against the accepted
-    # anchor in select_anchor, whether the anchor is fixed or drawn.
+    # anchor in select_anchor, whether the anchor is fixed, drawn, or
+    # redrawn: a rejected candidate is judged without signs. The redraw
+    # case is the compress_sampled_redraw golden's input, whose first draw
+    # is weak.
     signed = []
     signs = SpectralModel.anchor_signs
     monkeypatch.setattr(SpectralModel, "anchor_signs", lambda *a: signed.append(a[-1]) or signs(*a))
-    run = run_compression(rank_k_dataset(16, 8, 3, seed=1), anchor_index=anchor_index, seed=0)
+    redraw = len(attempts) > 1
+    data = DataMatrix(TRI_ROWS) if redraw else rank_k_dataset(16, 8, 3, seed=1)
+    mode = MODE_SAMPLED if redraw else MODE_IDEAL
+    run = run_compression(data, run_mode=mode, anchor_index=anchor_index, seed=0)
     assert run.anchor_attempts == attempts
-    assert signed == [0, attempts[0]]
+    assert signed == [0, attempts[-1]]
+
+
+@pytest.mark.parametrize(
+    "source, run_mode, seeds",
+    [
+        ("rank3", MODE_IDEAL, [3, 4]),
+        ("rank3", MODE_QUANTIZED, [3]),
+        ("rank3", MODE_SAMPLED, [3, 5]),
+        # Seeds 0 and 10 draw a weak row first.
+        ("weak-rows", MODE_IDEAL, [0, 10, 1]),
+    ],
+)
+def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode, seeds):
+    # A swap test sees |<v_j|a>|^2 alone, and the projection uses each
+    # eigenvector twice, so negating any columns of rho's eigenvectors
+    # moves nothing: the same draws and choice, the same beta and beta_hat
+    # bits, and the same report and state from compress.
+    data = cli.ingest_csv(RANK3) if source == "rank3" else _weak_row_dataset()
+    model = svd_decompose(data, 0.95)
+    rho = RhoSpec.from_model(model)
+    cfg = PhaseConfig(label_mode=qpca_pipeline.label_mode_for(run_mode))
+    spectrum = exact_spectrum(rho, cfg, model.selected_dim)
+    sampled = run_mode == MODE_SAMPLED
+    columns = rho.eigenvectors.shape[1]
+    # Every nonempty set of columns to negate.
+    patterns = [np.array([-1.0 if (m >> j) & 1 else 1.0 for j in range(columns)]) for m in range(1, 1 << columns)]
+
+    def run(rho, seed):
+        choice = qpca_pipeline.select_anchor(
+            data, model, rho, spectrum, np.random.default_rng(seed), beta_seed=seed + 1 if sampled else None
+        )
+        result = qpca_pipeline.compress(
+            data, choice.model, rho, spectrum, choice.profile, choice.anchor_state, cfg,
+            run_mode=run_mode, postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
+        )
+        return choice, result
+
+    redrawn = []
+    for seed in seeds:
+        want_choice, want = run(rho, seed)
+        redrawn.append(len(want_choice.attempts) > 1)
+        for flips in patterns:
+            flipped = RhoSpec(eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors * flips)
+            choice, got = run(flipped, seed)
+            assert choice.attempts == want_choice.attempts
+            assert np.array_equal(choice.signs, want_choice.signs)
+            assert np.array_equal(choice.model.right_vectors, want_choice.model.right_vectors)
+            assert np.array_equal(choice.profile.beta, want_choice.profile.beta)
+            assert np.array_equal(choice.profile.beta_hat, want_choice.profile.beta_hat)
+            assert choice.profile.residual == want_choice.profile.residual
+            assert got.report == want.report
+            assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+    assert redrawn == [source == "weak-rows" and seed in (0, 10) for seed in seeds]
 
 
 def test_under_sampled_is_raised_before_any_anchor_is_judged(monkeypatch):

@@ -146,7 +146,7 @@ def test_data_state_entries_random_shapes():
 def test_data_state_equals_schmidt_form():
     # The encoded state is sum_j sqrt(lambda_j) |u_j>|v_j| up to padding.
     data = DataMatrix(np.random.default_rng(17).standard_normal((6, 4)))
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     state = prepare_data_state(data)
     table = np.zeros(state.amplitudes.shape)
     for j in range(model.rank):

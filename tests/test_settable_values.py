@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qpcasim"
 
-SETTABLE_VALUES = 79
+SETTABLE_VALUES = 78
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -195,7 +195,7 @@ def test_rhospec_takes_thin_eigenvectors_and_refuses_what_they_cannot_carry():
 
 
 def _labeled_state(data, cfg):
-    model = svd_decompose(data, 1.0, 0)
+    model = svd_decompose(data, 1.0)
     rho = RhoSpec.from_model(model)
     state = prepare_data_state(data).append_register("eigen", cfg.register_width(rho.dim))
     return model, rho, phase_estimate(rho, cfg, state)
@@ -418,7 +418,7 @@ def test_postselect_zero_mass_branch():
 
 def _anchor_fixture(rows):
     data = DataMatrix(np.array(rows))
-    rho = RhoSpec.from_model(svd_decompose(data, 1.0, 0))
+    rho = RhoSpec.from_model(svd_decompose(data, 1.0))
     return rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), data
 
 
