@@ -448,11 +448,12 @@ def _identity_success_probability(
     rows: np.ndarray,
 ) -> float:
     """Closed-form success probability: C^2 sum (y_ij beta_j / beta_hat_j)^2
-    over the in-scope rows, normalized by those rows' squared data norms,
-    capped at 1 (on rank-1 data it rounds just above)."""
+    over the in-scope rows, normalized by those rows' squared data norms
+    (``DataMatrix.row_norms``), capped at 1 (on rank-1 data it rounds just
+    above)."""
     ratio = profile.beta / profile.beta_hat
     y = compressed.values[rows] * ratio[None, :]
-    denom = float(np.sum(data.values[rows] ** 2))
+    denom = float(np.sum(data.row_norms[rows] ** 2))
     return min(float(profile.rotation_constant**2 * np.sum(y**2) / denom), 1.0)
 
 
