@@ -408,7 +408,6 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
         seeds,
         threshold=config.theta,
         perturbation=PERTURB_ALTERNATING,
-        bits=config.bits,
     )
     # The generator returns one dataset, so the sweep made one decomposition.
     return {
@@ -566,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="CSV data matrix, rows are points")
     parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr); others reject it")
     parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
-    parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width")
+    parser.add_argument("--bits", type=int, default=6,
+                        help="eigenvalue label register width, which also sets the ledger's "
+                        "eps_lambda (read by compress and ledger; ignored by the other tasks)")
     parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,
                         help="run mode (scaling and ledger: ideal only)")
     parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",

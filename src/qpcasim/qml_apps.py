@@ -21,7 +21,7 @@ read the exact inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -381,14 +381,22 @@ def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) ->
 
 @dataclass(frozen=True)
 class QlrDemoResult:
+    """Regression readout of one query as a state overlap.
+
+    ``estimate`` is the sampled prediction and ``standard_error`` its
+    standard error (both None when shot-free, like ``shots``). The readout
+    is inconclusive when the sampled overlap is within three standard
+    errors of zero; shot-free, it never is.
+    """
+
     prediction: float            # overlap rescaled back to data units
     classical_value: float
     overlap: float               # exact signed overlap between the two states
     rescale_factor: float
-    estimate: float | None = None
-    standard_error: float | None = None
-    inconclusive: bool = False
-    shots: int | None = None
+    estimate: float | None
+    standard_error: float | None
+    inconclusive: bool
+    shots: int | None
 
 
 def qlr_state_demo(
@@ -444,19 +452,19 @@ def qlr_state_demo(
     overlap = float(a.inner(b).real)
 
     rescale = inv_norm * target_norm * query_norm
-    result = QlrDemoResult(
+    estimate = stderr = None
+    inconclusive = False
+    if shots is not None:
+        overlap_hat, overlap_se = _sampled_signed_overlap(overlap, shots, rng_seed)
+        estimate, stderr = overlap_hat * rescale, overlap_se * rescale
+        inconclusive = abs(overlap_hat) < 3.0 * overlap_se
+    return QlrDemoResult(
         prediction=overlap * rescale,
         classical_value=float(fit.value[row]),
         overlap=overlap,
         rescale_factor=rescale,
-    )
-    if shots is None:
-        return result
-    estimate, stderr = _sampled_signed_overlap(overlap, shots, rng_seed)
-    return replace(
-        result,
-        estimate=estimate * rescale,
-        standard_error=stderr * rescale,
-        inconclusive=abs(estimate) < 3.0 * stderr,
+        estimate=estimate,
+        standard_error=stderr,
+        inconclusive=inconclusive,
         shots=shots,
     )

@@ -88,7 +88,7 @@ class AnchorProfile:
     rotation_constant: float  # C = min_j beta_hat_j
     residual: float           # 1 - sum beta_j^2 (anchor mass outside the kept span)
     eps_beta: float
-    shots_per_coefficient: int | None = None
+    shots_per_coefficient: int | None  # swap-test shots per coefficient; None when exact
 
 
 def _polylog(x: float) -> float:
@@ -273,6 +273,7 @@ def exact_anchor_profile(
         rotation_constant=float(beta.min()),
         residual=max(1.0 - float(np.sum(beta**2)), 0.0),
         eps_beta=eps_beta,
+        shots_per_coefficient=None,
     )
 
 
@@ -779,9 +780,9 @@ def error_scaling_experiment(
     *,
     threshold: float = 0.95,
     perturbation: str = PERTURB_ALTERNATING,
-    bits: int = 6,
 ) -> ScalingResult:
-    """Sweep coefficient perturbations across seeded datasets, ideal mode.
+    """Sweep coefficient perturbations across seeded datasets, ideal mode,
+    whose exact per-component tokens need no label width.
 
     For each seed the generator supplies a dataset; the anchor is drawn with
     the usual seeded redraw; the coefficients are perturbed by each grid
@@ -806,7 +807,7 @@ def error_scaling_experiment(
     if any(e < 0.0 for e in grid):
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")
 
-    cfg = PhaseConfig(bits=bits, label_mode=sv_engine.LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(label_mode=sv_engine.LABEL_MODE_IDEAL)
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
     models = []

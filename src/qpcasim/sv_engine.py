@@ -403,9 +403,9 @@ class PostselectResult:
     state: StateVector
     probability: float
     amplification_reps: int
-    sampled_probability: float | None = None
-    success_count: int | None = None
-    shots: int | None = None
+    sampled_probability: float | None  # the three are None without shots
+    success_count: int | None
+    shots: int | None
 
 
 def amplification_repetitions(probability: float) -> int:

@@ -1,7 +1,6 @@
 """Tests for the downstream learners (LS-SVM and linear regression)."""
 
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -425,20 +424,20 @@ def reference_qlr_state_demo(points, targets, query, shots=None, rng_seed=None):
     overlap = float(a.inner(b).real)
 
     rescale = inv_norm * target_norm * query_norm / data_norm
-    result = QlrDemoResult(
+    estimate = stderr = None
+    inconclusive = False
+    if shots is not None:
+        overlap_hat, overlap_se = _sampled_signed_overlap(overlap, shots, rng_seed)
+        estimate, stderr = overlap_hat * rescale, overlap_se * rescale
+        inconclusive = abs(overlap_hat) < 3.0 * overlap_se
+    return QlrDemoResult(
         prediction=overlap * rescale,
         classical_value=classical,
         overlap=overlap,
         rescale_factor=rescale,
-    )
-    if shots is None:
-        return result
-    estimate, stderr = _sampled_signed_overlap(overlap, shots, rng_seed)
-    return replace(
-        result,
-        estimate=estimate * rescale,
-        standard_error=stderr * rescale,
-        inconclusive=abs(estimate) < 3.0 * stderr,
+        estimate=estimate,
+        standard_error=stderr,
+        inconclusive=inconclusive,
         shots=shots,
     )
 
