@@ -65,8 +65,8 @@ def label_mode_for(run_mode: str) -> str:
 class SpectrumSample:
     """Leading spectrum as revealed by (or in lieu of) sampling, in spectral
     order: kept component j has label ``labels[j]`` on the eigenvalue
-    register and token j+1. None of it depends on the anchor row; the
-    eigenvector signs live in the ``RhoSpec``."""
+    register and token j+1. None of it depends on the anchor row or on
+    the eigenvectors' signs."""
 
     labels: np.ndarray        # (dim,) value written on the eigenvalue register
     frequencies: np.ndarray   # (dim,) observed sampling frequency, or the exact eigenvalue
@@ -83,7 +83,7 @@ class AnchorProfile:
     """Anchor overlap coefficients, true and estimated."""
 
     anchor_index: int
-    beta: np.ndarray         # exact <v_j | anchor>, j over the kept components
+    beta: np.ndarray         # exact |<v_j | anchor>|, j over the kept components
     beta_hat: np.ndarray     # estimates actually used by the rotation stage
     rotation_constant: float  # C = min_j beta_hat_j
     residual: float           # 1 - sum beta_j^2 (anchor mass outside the kept span)
@@ -256,8 +256,9 @@ def exact_anchor_profile(
     eps_beta: float = 0.01,
 ) -> AnchorProfile:
     """Shot-free profile: the estimates equal the exact coefficients, the
-    overlaps of row ``anchor_index``'s state ``anchor``
-    (``qram_store.prepare_row_state``) with the eigenvectors of ``rho``."""
+    overlap magnitudes of row ``anchor_index``'s state ``anchor``
+    (``qram_store.prepare_row_state``) with the eigenvectors of ``rho``
+    (``_true_beta``)."""
     beta = _true_beta(rho, spectrum.dim, anchor)
     if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
@@ -579,6 +580,10 @@ def compress(
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run: ``model`` carries the accepted anchor's signs, and ``rho``
+    is the eigensystem of the run's one decomposition, with the row-0 signs
+    ``svd_decompose`` gave it, which the run read sign-free throughout."""
+
     data: DataMatrix
     model: SpectralModel
     rho: RhoSpec
