@@ -381,21 +381,13 @@ def qlr_predict(points: np.ndarray, targets: np.ndarray, queries: np.ndarray) ->
 
 @dataclass(frozen=True)
 class QlrDemoResult:
-    """Regression readout of one query as a state overlap.
-
-    ``estimate`` is the sampled prediction and ``standard_error`` its
-    standard error (both None when shot-free, like ``shots``). The readout
-    is inconclusive when the sampled overlap is within three standard
-    errors of zero; shot-free, it never is.
-    """
-
     prediction: float            # overlap rescaled back to data units
     classical_value: float
     overlap: float               # exact signed overlap between the two states
     rescale_factor: float
-    estimate: float | None
+    estimate: float | None       # sampled prediction; None shot-free, like the next and shots
     standard_error: float | None
-    inconclusive: bool
+    inconclusive: bool           # sampled overlap within three standard errors of 0; never shot-free
     shots: int | None
 
 
@@ -452,19 +444,15 @@ def qlr_state_demo(
     overlap = float(a.inner(b).real)
 
     rescale = inv_norm * target_norm * query_norm
-    estimate = stderr = None
-    inconclusive = False
-    if shots is not None:
-        overlap_hat, overlap_se = _sampled_signed_overlap(overlap, shots, rng_seed)
-        estimate, stderr = overlap_hat * rescale, overlap_se * rescale
-        inconclusive = abs(overlap_hat) < 3.0 * overlap_se
+    # (estimate, standard error) of the overlap, when sampled.
+    sampled = None if shots is None else _sampled_signed_overlap(overlap, shots, rng_seed)
     return QlrDemoResult(
         prediction=overlap * rescale,
         classical_value=float(fit.value[row]),
         overlap=overlap,
         rescale_factor=rescale,
-        estimate=estimate,
-        standard_error=stderr,
-        inconclusive=inconclusive,
+        estimate=None if sampled is None else sampled[0] * rescale,
+        standard_error=None if sampled is None else sampled[1] * rescale,
+        inconclusive=sampled is not None and abs(sampled[0]) < 3.0 * sampled[1],
         shots=shots,
     )

@@ -484,11 +484,9 @@ def compress(
     against the classical projection. A full or subset scope loads the data
     state from ``data``; a single scope loads only its row. ``anchor`` is
     the loaded state of the profile's anchor row
-    (``AnchorChoice.anchor_state``), which the projection undoes. The
-    projection reads no eigenvector sign, so ``rho`` may be the caller's
-    unsigned one; ``model`` carries the anchor row's signs
-    (``AnchorChoice.model``), because the classical reference is built
-    from it.
+    (``AnchorChoice.anchor_state``), which the projection undoes. No
+    sign of ``rho`` is read; ``model`` carries the anchor row's signs
+    (``AnchorChoice.model``), for the classical reference.
     """
     d = spectrum.dim
     if subset is not None and row_index is not None:
@@ -580,9 +578,8 @@ def compress(
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run: ``model`` carries the accepted anchor's signs, and ``rho``
-    is the eigensystem of the run's one decomposition, with the row-0 signs
-    ``svd_decompose`` gave it, which the run read sign-free throughout."""
+    """``model`` carries the accepted anchor's signs; ``rho`` is the run's
+    own eigensystem, with the row-0 signs of ``svd_decompose``."""
 
     data: DataMatrix
     model: SpectralModel
