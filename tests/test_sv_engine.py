@@ -191,6 +191,30 @@ def test_rhospec_takes_thin_eigenvectors_and_refuses_what_they_cannot_carry():
         project_anchor(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), feature, [feature], distinct_top=3)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it(dtype):
+    # One product in place of one padded dot product per eigenvector: the
+    # sums run in another order, so they agree to D ulps of a unit overlap.
+    # Negating an eigenvector negates its overlap bit for bit.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((12, 6))
+    rho = RhoSpec.from_model(svd_decompose(DataMatrix(x), 1.0))
+    amps = np.zeros(8, dtype=dtype)
+    amps[:6] = x[4] + (1j * rng.standard_normal(6) if dtype == np.complex128 else 0.0)
+    state = StateVector.from_amplitudes([("feature", 3)], amps / np.linalg.norm(amps))
+    want = []
+    for k in range(4):
+        padded = np.zeros(8)
+        padded[:6] = rho.eigenvectors[:, k]
+        want.append(np.vdot(state.amplitudes, padded))
+    got = rho.overlaps(state, 4)
+    assert got.shape == (4,) and got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=6 * np.finfo(np.float64).eps)
+    flips = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+    flipped = RhoSpec(eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors * flips)
+    assert np.array_equal(flipped.overlaps(state, 4), got * flips[:4])
+
+
 # -- label writing (phase estimation stand-in) -------------------------------
 
 
