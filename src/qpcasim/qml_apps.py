@@ -385,7 +385,7 @@ class QlrDemoResult:
     classical_value: float
     overlap: float               # exact signed overlap between the two states
     rescale_factor: float
-    estimate: float | None       # sampled prediction; None shot-free, like the next and shots
+    estimate: float | None       # sampled prediction; None when shot-free, as are the next and shots
     standard_error: float | None
     inconclusive: bool           # sampled overlap within three standard errors of 0; never shot-free
     shots: int | None

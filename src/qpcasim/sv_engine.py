@@ -305,8 +305,9 @@ def project_anchor(
     overlaps (``RhoSpec.overlaps``); negating v_k negates c_s[k] exactly,
     so G_s does not depend on the eigenvectors' signs. The G_s are stacked
     (features, anchors, tokens) and applied as one product, real when the
-    state and the anchors are. Returns one renormalised state per anchor, "index" in place of
-    "feature", and the probabilities of the anchor outcomes, (anchors,).
+    state and the anchors are. Returns one renormalised state per anchor,
+    "index" in place of "feature", and the probabilities of the anchor
+    outcomes, (anchors,).
     """
     check_label_distinctness(rho, cfg, distinct_top)
     width = state.register("feature").qubits
