@@ -251,13 +251,13 @@ def _plain(value):
 
 def _success_sweep(run: RunResult) -> list[dict]:
     """Closed-form success probability versus kept dimension, exact
-    coefficients, for scree-style plots. The coefficients are capped at 1
-    as the pipeline caps them (round-off lifts them above 1 on rank-1
-    data), so no probability exceeds 1 either."""
+    coefficients, for scree-style plots. The coefficients are the anchor
+    state's overlap magnitudes with every principal direction
+    (``RhoSpec.overlaps``), capped at 1 as the pipeline caps them
+    (round-off lifts them above 1 on rank-1 data), so no probability
+    exceeds 1 either."""
     model = run.model
-    anchor_row = run.data.values[run.profile.anchor_index]
-    unit = anchor_row / np.linalg.norm(anchor_row)
-    beta_all = np.minimum(model.right_vectors.T @ unit, 1.0)
+    beta_all = np.minimum(np.abs(run.rho.overlaps(run.anchor_state, model.rank)), 1.0)
     cum = model.cumulative_variance()
     sweep = []
     for dim in range(1, model.rank + 1):
@@ -565,9 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="CSV data matrix, rows are points")
     parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr); others reject it")
     parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
-    parser.add_argument("--bits", type=int, default=6,
-                        help="eigenvalue label register width, which also sets the ledger's "
-                        "eps_lambda (read by compress and ledger; ignored by the other tasks)")
+    parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width, also setting "
+                        "the ledger's eps_lambda (read by compress and ledger; ignored by the other tasks)")
     parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,
                         help="run mode (scaling and ledger: ideal only)")
     parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",

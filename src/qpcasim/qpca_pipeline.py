@@ -578,15 +578,13 @@ def compress(
 
 @dataclass(frozen=True)
 class RunResult:
-    """``model`` carries the accepted anchor's signs; ``rho`` is the run's
-    own eigensystem, with the row-0 signs of ``svd_decompose``."""
-
     data: DataMatrix
-    model: SpectralModel
-    rho: RhoSpec
+    model: SpectralModel  # signed against the accepted anchor
+    rho: RhoSpec          # the run's own, with the row-0 signs of svd_decompose
     cfg: PhaseConfig
     spectrum: SpectrumSample
     profile: AnchorProfile
+    anchor_state: StateVector  # the accepted anchor's loaded state
     result: CompressResult
     anchor_attempts: tuple[int, ...]
     seed: int | None
@@ -660,6 +658,7 @@ def run_compression(
         cfg=cfg,
         spectrum=spectrum,
         profile=choice.profile,
+        anchor_state=choice.anchor_state,
         result=result,
         anchor_attempts=choice.attempts,
         seed=seed,
