@@ -47,7 +47,6 @@ _HOMES = {
     "svd_decompose": "pca_oracle",
     "project": "pca_oracle",
     "expected_compressed_state": "pca_oracle",
-    "expected_row_state": "pca_oracle",
     "pairwise_overlap_report": "pca_oracle",
     "QramTree": "qram_store",
     "build_tree": "qram_store",
@@ -63,7 +62,6 @@ _HOMES = {
     "RhoSpec": "sv_engine",
     "PhaseConfig": "sv_engine",
     "eigen_labels": "sv_engine",
-    "decode_label": "sv_engine",
     "check_label_distinctness": "sv_engine",
     "phase_estimate": "sv_engine",
     "inverse_phase_estimate": "sv_engine",
@@ -83,9 +81,7 @@ _HOMES = {
     "MODE_SAMPLED": "modes",
     "SCOPE_FULL": "qpca_pipeline",
     "SCOPE_SUBSET": "qpca_pipeline",
-    "SCOPE_SINGLE": "qpca_pipeline",
     "PERTURB_ALTERNATING": "qpca_pipeline",
-    "PERTURB_UNIFORM_RELATIVE": "qpca_pipeline",
     "SpectrumSample": "qpca_pipeline",
     "AnchorProfile": "qpca_pipeline",
     "ResourceLedger": "qpca_pipeline",
@@ -106,9 +102,7 @@ _HOMES = {
     "LabeledDataset": "qml_apps",
     "LssvmModel": "qml_apps",
     "lssvm_train": "qml_apps",
-    "lssvm_decision_value": "qml_apps",
     "lssvm_decision_values": "qml_apps",
-    "lssvm_classify": "qml_apps",
     "OverlapDemoResult": "qml_apps",
     "qsvm_state_demo": "qml_apps",
     "QlrPrediction": "qml_apps",

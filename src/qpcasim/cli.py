@@ -217,7 +217,7 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
 _OMIT = {
     "SpectralModel": ("right_vectors", "left_vectors"),
     "CompressionReport": ("ledger",),
-    "ScalingResult": ("models",),
+    "ScalingResult": ("model",),
 }
 _DERIVED = {
     "SpectralModel": ("n_rows", "n_cols", "rank", "cumulative_variance", "variance_captured"),
@@ -398,20 +398,14 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
 
 
 def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
-    from .qpca_pipeline import PERTURB_ALTERNATING, error_scaling_experiment
+    from .qpca_pipeline import error_scaling_experiment
 
     rng = np.random.default_rng(config.seed)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=SCALING_SEED_COUNT)]
-    result = error_scaling_experiment(
-        lambda _seed: data,
-        SCALING_EPS_GRID,
-        seeds,
-        threshold=config.theta,
-        perturbation=PERTURB_ALTERNATING,
-    )
-    # The generator returns one dataset, so the sweep made one decomposition.
+    result = error_scaling_experiment(data, SCALING_EPS_GRID, seeds, threshold=config.theta)
+    # The sweep's one decomposition is the report's spectrum block.
     return {
-        "spectrum": _plain(result.models[0]),
+        "spectrum": _plain(result.model),
         "scaling": _plain(result),
     }
 

@@ -185,10 +185,6 @@ class CompressedMatrix:
     selected_dim: int
 
     @property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    @property
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.values, axis=1)
 
@@ -293,21 +289,6 @@ def expected_compressed_state(compressed: CompressedMatrix, row_mask: np.ndarray
     amps = np.zeros((1 << row_qubits, 1 << index_qubits))
     amps[:n, 1 : d + 1] = y / norm
     return StateVector.from_amplitudes([("row", row_qubits), ("index", index_qubits)], amps)
-
-
-def expected_row_state(compressed: CompressedMatrix, row_index: int) -> StateVector:
-    """Single-row reference state on the component register alone."""
-    if not 0 <= row_index < compressed.values.shape[0]:
-        raise OutOfRangeError(f"row index {row_index} out of range")
-    y = compressed.values[row_index]
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        raise InvalidInputError(f"row {row_index} compresses to the zero vector")
-    d = y.size
-    index_qubits = token_qubits(d)
-    amps = np.zeros(1 << index_qubits)
-    amps[1 : d + 1] = y / norm
-    return StateVector.from_amplitudes([("index", index_qubits)], amps)
 
 
 def _overlap_slabs(rows: np.ndarray, d: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -190,16 +190,6 @@ def lssvm_decision_values(model: LssvmModel, queries: np.ndarray) -> np.ndarray:
     return queries @ model.weights + model.bias
 
 
-def lssvm_decision_value(model: LssvmModel, query: np.ndarray) -> float:
-    query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    return float(lssvm_decision_values(model, query)[0])
-
-
-def lssvm_classify(model: LssvmModel, query: np.ndarray) -> int:
-    """Sign of the decision value; an exact zero classifies as +1."""
-    return 1 if lssvm_decision_value(model, query) >= 0.0 else -1
-
-
 # -- swap-test classification demo ---------------------------------------------
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .sv_engine import PhaseConfig, RhoSpec
 
 SCOPE_FULL = "full"
 SCOPE_SUBSET = "subset"
-SCOPE_SINGLE = "single"
 
 BETA_FLOOR = 1e-3
 MAX_ANCHOR_ATTEMPTS = 8
@@ -432,7 +431,7 @@ class CompressionReport:
     eps_lambda: float
     sampled_success_probability: float | None
     postselect_shots: int | None
-    overlap: OverlapSummary | None
+    overlap: OverlapSummary
     ledger: ResourceLedger
 
 
@@ -470,7 +469,6 @@ def compress(
     *,
     run_mode: str = MODE_IDEAL,
     subset: Sequence[int] | None = None,
-    row_index: int | None = None,
     postselect_shots: int | None = None,
     rng_seed: int | None = None,
 ) -> CompressResult:
@@ -478,19 +476,15 @@ def compress(
 
     The inputs decide the scope: by default the whole dataset state is
     compressed ('full'); a ``subset`` of rows compresses its renormalized
-    restriction ('subset'); a ``row_index`` compresses that one row on a lone
-    feature register ('single'). Either way the output state carries
-    component tokens 1..dim with label 0 unused, and the report compares it
-    against the classical projection. A full or subset scope loads the data
-    state from ``data``; a single scope loads only its row. ``anchor`` is
-    the loaded state of the profile's anchor row
+    restriction ('subset'). Either way the output state carries component
+    tokens 1..dim with label 0 unused, and the report compares it against
+    the classical projection. The data state is loaded from ``data``.
+    ``anchor`` is the loaded state of the profile's anchor row
     (``AnchorChoice.anchor_state``), which the projection undoes. No
     sign of ``rho`` is read; ``model`` carries the anchor row's signs
     (``AnchorChoice.model``), for the classical reference.
     """
     d = spectrum.dim
-    if subset is not None and row_index is not None:
-        raise InvalidInputError("give a row subset or a single row index, not both")
     if profile.beta_hat.size != d:
         raise InvalidInputError("anchor profile and spectrum disagree on the kept dimension")
 
@@ -503,19 +497,10 @@ def compress(
         rows = np.unique(np.asarray(subset, dtype=int))
         if rows[0] < 0 or rows[-1] >= data.n_rows:
             raise OutOfRangeError(f"subset rows must lie in [0, {data.n_rows})")
-    if row_index is not None:
-        scope = SCOPE_SINGLE
-        if not 0 <= row_index < data.n_rows:
-            raise OutOfRangeError("single scope needs a valid row index")
-        rows = np.array([row_index])
 
-    # State preparation for the requested scope.
-    if scope == SCOPE_SINGLE:
-        state = qram_store.prepare_row_state(data, int(row_index))
-    else:
-        state = qram_store.prepare_data_state(data)
-        if scope == SCOPE_SUBSET:
-            state, _ = state.restrict_register("row", [int(r) for r in rows])
+    state = qram_store.prepare_data_state(data)
+    if scope == SCOPE_SUBSET:
+        state, _ = state.restrict_register("row", [int(r) for r in rows])
 
     [projected], p_anchor = sv_engine.project_anchor(rho, cfg, state, [anchor], distinct_top=d)
     # The rotated state is twice the projected one; no name keeps it alive
@@ -529,14 +514,10 @@ def compress(
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model, d)
-    if scope == SCOPE_SINGLE:
-        reference = pca_oracle.expected_row_state(compressed, int(row_index))
-        overlap = None
-    else:
-        mask = np.zeros(data.n_rows, dtype=bool)
-        mask[rows] = True
-        reference = pca_oracle.expected_compressed_state(compressed, row_mask=None if scope == SCOPE_FULL else mask)
-        overlap = OverlapSummary.from_report(pca_oracle.pairwise_overlap_report(data, compressed))
+    mask = np.zeros(data.n_rows, dtype=bool)
+    mask[rows] = True
+    reference = pca_oracle.expected_compressed_state(compressed, row_mask=None if scope == SCOPE_FULL else mask)
+    overlap = OverlapSummary.from_report(pca_oracle.pairwise_overlap_report(data, compressed))
 
     fidelity = post.state.fidelity(reference)
     identity_p = _identity_success_probability(compressed, profile, data, rows)
@@ -601,12 +582,11 @@ def run_compression(
     seed: int | None = 0,
     anchor_index: int | None = None,
     subset: Sequence[int] | None = None,
-    row_index: int | None = None,
 ) -> RunResult:
     """Whole pipeline: one decomposition and its spectrum, sampled in
     sampled mode and exact otherwise, then seeded anchor selection (see
-    ``select_anchor``), then compression, whose scope ``subset`` or
-    ``row_index`` picks (see ``compress``). A fixed ``anchor_index``
+    ``select_anchor``), then compression of the whole data state or of the
+    rows ``subset`` names (see ``compress``). A fixed ``anchor_index``
     disables the weak-anchor redraw."""
     cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
@@ -647,7 +627,6 @@ def run_compression(
         cfg,
         run_mode=run_mode,
         subset=subset,
-        row_index=row_index,
         postselect_shots=shots if sampled else None,
         rng_seed=post_seed,
     )
@@ -669,23 +648,17 @@ def run_compression(
 
 
 PERTURB_ALTERNATING = "alternating"
-PERTURB_UNIFORM_RELATIVE = "uniform-relative"
 
 
-def perturb_beta(beta: np.ndarray, eps: float | np.ndarray, kind: str) -> np.ndarray:
-    """Controlled coefficient perturbations of magnitude ``eps``: one
+def perturb_beta(beta: np.ndarray, eps: float | np.ndarray) -> np.ndarray:
+    """Alternating coefficient perturbations of magnitude ``eps``: +eps on
+    even components, -eps on odd ones, clipped to [BETA_FLOOR, 1]. One
     magnitude gives coefficients shaped like ``beta``, and a grid (E,)
     gives one row per magnitude: (E, d) for one list (d,), (S, E, d) for a
     stack of lists shaped (S, 1, d)."""
     eps = np.asarray(eps, dtype=np.float64)[..., None]
-    if kind == PERTURB_ALTERNATING:
-        signs = np.where(np.arange(beta.shape[-1]) % 2 == 0, 1.0, -1.0)
-        out = beta + signs * eps
-    elif kind == PERTURB_UNIFORM_RELATIVE:
-        out = beta * (1.0 + eps)
-    else:
-        raise InvalidInputError(f"unknown perturbation kind {kind!r}")
-    return np.clip(out, BETA_FLOOR, 1.0)
+    signs = np.where(np.arange(beta.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return np.clip(beta + signs * eps, BETA_FLOOR, 1.0)
 
 
 @dataclass(frozen=True)
@@ -710,91 +683,31 @@ class ScalingResult:
     rows: tuple[ScalingRow, ...]
     slope: float                 # least-squares slope of deviation vs eps, through the origin
     slope_scaled: float          # same fit against eps / sqrt(dim)
-    dims: tuple[int, ...]
+    dims: tuple[int, ...]        # (the kept dimension,)
     perturbation: str
     n_seeds: int
-    models: tuple[SpectralModel, ...]  # each dataset's decomposition, in sweep order (row-0 signs)
-
-
-def _dataset_stacks(
-    dataset_generator: Callable[[int], DataMatrix], seeds: Sequence[int]
-) -> Iterator[tuple[DataMatrix, list[int]]]:
-    """Runs of consecutive seeds for which the generator returns the same
-    ``DataMatrix`` object, each with that object."""
-    data, stack = None, []
-    for seed in seeds:
-        seed_data = dataset_generator(int(seed))
-        if stack and seed_data is not data:
-            yield data, stack
-            stack = []
-        data = seed_data
-        stack.append(int(seed))
-    yield data, stack
-
-
-def _sweep_dataset(
-    data: DataMatrix,
-    seeds: list[int],
-    grid: np.ndarray,
-    perturbation: str,
-    threshold: float,
-    cfg: PhaseConfig,
-) -> tuple[SpectralModel, np.ndarray, np.ndarray]:
-    """The scaling sweep's seeds that share ``data``: one spectrum and
-    reference for all of them, and their anchors projected and rotated in
-    passes of at most ``SWEEP_STACK_ROWS`` padded rows' worth of seeds.
-
-    Returns the decomposition and, per seed and grid point, (seeds, grid),
-    the infidelity and the deviation."""
-    model = pca_oracle.svd_decompose(data, threshold)
-    state = qram_store.prepare_data_state(data)
-    rho = RhoSpec.from_model(model)
-    d = model.selected_dim
-    spectrum = exact_spectrum(rho, cfg, d)
-    choices = [select_anchor(data, model, rho, spectrum, np.random.default_rng(seed)) for seed in seeds]
-    # Each seed's reference is the one reference state with that anchor's
-    # signs on tokens 1..d; negating a column of the projection is exact.
-    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model, d)).amplitudes
-    infid = np.empty((len(seeds), len(grid)))
-    dev = np.empty((len(seeds), len(grid)))
-    step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
-    for start in range(0, len(choices), step):
-        batch = choices[start : start + step]
-        anchors = [choice.anchor_state for choice in batch]
-        projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchors, distinct_top=d)
-        beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid, perturbation)
-        kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
-        for s, (choice, branches) in enumerate(zip(batch, kept), start):
-            flips = np.ones(reference.shape[-1])
-            flips[1 : d + 1] = choice.signs[:d]
-            psi = reference * flips
-            for k, phi in enumerate(branches):
-                infid[s, k] = max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
-                dev[s, k] = float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
-    return model, infid, dev
+    model: SpectralModel         # the dataset's decomposition (row-0 signs)
 
 
 def error_scaling_experiment(
-    dataset_generator: Callable[[int], DataMatrix],
+    data: DataMatrix,
     eps_grid: Sequence[float],
     seeds: Sequence[int],
     *,
     threshold: float = 0.95,
-    perturbation: str = PERTURB_ALTERNATING,
 ) -> ScalingResult:
-    """Sweep coefficient perturbations across seeded datasets, ideal mode,
-    whose exact per-component tokens need no label width.
+    """Sweep alternating coefficient perturbations (``perturb_beta``) over
+    seeded anchor draws on one dataset, ideal mode, whose exact
+    per-component tokens need no label width.
 
-    For each seed the generator supplies a dataset; the anchor is drawn with
-    the usual seeded redraw; the coefficients are perturbed by each grid
-    magnitude and the resulting final-state deviation is averaged per grid
-    point. Consecutive seeds for which the generator returns the same
-    ``DataMatrix`` object run as one stack: one decomposition, data
-    state, spectrum and reference projection; one ``select_anchor`` per
-    seed against that spectrum; one ``project_anchor`` of all the seeds'
-    anchors; and one ``sv_engine.postselect_rotations`` of every (seed,
-    grid point) rotation, with the refusals and the amplitudes of
-    ``apply_cr_beta`` then ``postselect`` at each point. Past
+    The dataset has one decomposition, data state, spectrum and reference
+    projection. Each seed draws its anchor with the usual seeded redraw
+    (``select_anchor``); its coefficients are perturbed by each grid
+    magnitude, and the final-state error is averaged over the seeds per grid
+    point. The seeds' anchors are projected in one ``project_anchor`` call,
+    and every (seed, grid point) rotation in one
+    ``sv_engine.postselect_rotations``, with the refusals and the amplitudes
+    of ``apply_cr_beta`` then ``postselect`` at each point. Past
     ``SWEEP_STACK_ROWS`` padded rows times seeds, the projection and the
     rotation take the seeds in several passes. The fidelity and the
     deviation are taken per point, and each row sums them over the seeds in
@@ -804,39 +717,53 @@ def error_scaling_experiment(
         raise InvalidInputError("eps grid must be nonempty")
     if not seeds:
         raise InvalidInputError("seed list must be nonempty")
-    grid = [float(e) for e in eps_grid]
-    if any(e < 0.0 for e in grid):
+    grid = np.array([float(e) for e in eps_grid])
+    if np.any(grid < 0.0):
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")
 
     cfg = PhaseConfig(label_mode=sv_engine.LABEL_MODE_IDEAL)
+    model = pca_oracle.svd_decompose(data, threshold)
+    state = qram_store.prepare_data_state(data)
+    rho = RhoSpec.from_model(model)
+    d = model.selected_dim
+    spectrum = exact_spectrum(rho, cfg, d)
+    choices = [select_anchor(data, model, rho, spectrum, np.random.default_rng(int(seed))) for seed in seeds]
+    # Each seed's reference is the one reference state with that anchor's
+    # signs on tokens 1..d; negating a column of the projection is exact.
+    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model, d)).amplitudes
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
-    models = []
-    for data, stack in _dataset_stacks(dataset_generator, seeds):
-        model, stack_infid, stack_dev = _sweep_dataset(data, stack, np.array(grid), perturbation, threshold, cfg)
-        models.append(model)
+    step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
+    for start in range(0, len(choices), step):
+        batch = choices[start : start + step]
+        anchors = [choice.anchor_state for choice in batch]
+        projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchors, distinct_top=d)
+        beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid)
+        kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
         # Seed by seed, so each row sums in seed order.
-        for seed_infid, seed_dev in zip(stack_infid, stack_dev):
-            infid += seed_infid
-            dev += seed_dev
+        for choice, branches in zip(batch, kept):
+            flips = np.ones(reference.shape[-1])
+            flips[1 : d + 1] = choice.signs[:d]
+            psi = reference * flips
+            for k, phi in enumerate(branches):
+                infid[k] += max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
+                dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))
 
     infid /= len(seeds)
     dev /= len(seeds)
-    rows = tuple(ScalingRow(grid[k], float(infid[k]), float(dev[k])) for k in range(len(grid)))
+    rows = tuple(ScalingRow(float(grid[k]), float(infid[k]), float(dev[k])) for k in range(len(grid)))
 
-    e = np.array(grid)
-    nz = e > 0.0
+    nz = grid > 0.0
     if np.any(nz):
-        slope = float(np.sum(e[nz] * dev[nz]) / np.sum(e[nz] ** 2))
+        slope = float(np.sum(grid[nz] * dev[nz]) / np.sum(grid[nz] ** 2))
     else:
         slope = 0.0
-    dims = sorted({model.selected_dim for model in models})
     return ScalingResult(
         rows=rows,
         slope=slope,
-        slope_scaled=slope * math.sqrt(float(np.mean(dims))),
-        dims=tuple(dims),
-        perturbation=perturbation,
+        slope_scaled=slope * math.sqrt(float(d)),
+        dims=(d,),
+        perturbation=PERTURB_ALTERNATING,
         n_seeds=len(seeds),
-        models=tuple(models),
+        model=model,
     )

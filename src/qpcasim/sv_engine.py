@@ -134,14 +134,6 @@ def eigen_labels(rho: RhoSpec, cfg: PhaseConfig) -> np.ndarray:
     return np.floor(PHASE_SCALE * rho.eigenvalues * scale + 0.5).astype(np.int64)
 
 
-def decode_label(label: int, cfg: PhaseConfig) -> float:
-    """Eigenvalue represented by a quantized label (doubling undoes the
-    half-phase encoding)."""
-    if cfg.label_mode != LABEL_MODE_QUANTIZED:
-        raise InvalidInputError("only quantized labels decode to eigenvalues")
-    return 2.0 * label / float(1 << cfg.bits)
-
-
 def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.ndarray:
     """Quantized labels for the leading ``top`` components must be pairwise
     distinct, otherwise the index write becomes ambiguous. They must also be
@@ -410,8 +402,12 @@ class PostselectResult:
 
 
 def amplification_repetitions(probability: float) -> int:
-    """Amplitude-amplification rounds needed to make the flagged branch
-    dominant: ceil(pi / (4 * asin(sqrt(p))))."""
+    """ceil(pi / (4 theta)) amplitude-amplification rounds, theta =
+    asin(sqrt(p)): the count the ledger charges. It does not make the
+    flagged branch dominant. k rounds leave sin^2((2k+1) theta), so
+    p = 0.25 gets 2 rounds and ends at 0.25, and every p between 1/2 and 1
+    gets 1 round, which lowers it. The floor of pi / (4 theta), which keeps
+    at least max(p, 1 - p), is ROADMAP item 3."""
     p = min(max(probability, 0.0), 1.0)
     if p <= 0.0:
         raise VanishingSuccessError("success probability is zero; cannot amplify")
@@ -519,10 +515,6 @@ class SwapTestResult:
     overlap_sq: float
     shots: int
 
-    @property
-    def standard_error(self) -> float:
-        return 2.0 * math.sqrt(max(self.p0_exact * (1.0 - self.p0_exact), 0.0) / self.shots)
-
 
 def swap_test(a: StateVector, b: StateVector, shots: int, rng_seed: int | None = None) -> SwapTestResult:
     """Estimate |<a|b>|^2 from the ancilla-0 frequency of the swap test.
@@ -552,9 +544,6 @@ class RegisterSample:
     counts: dict[int, int]
     marginal: np.ndarray
     shots: int
-
-    def frequency(self, value: int) -> float:
-        return self.counts.get(value, 0) / self.shots
 
 
 def measure_register(

@@ -20,6 +20,7 @@ from qpcasim.statevector import StateVector
 REFERENCE_ONLY = {
     "qram_store": (
         "build_tree",
+        "_build_levels",
         "_prep_unitary",
         "norm_prep_unitary",
         "row_prep_unitary",
@@ -42,6 +43,7 @@ STATEVECTOR_REFERENCE_ONLY = (
     "append_register",
     "remove_register",
     "basis_amplitude",
+    "apply_register_unitary",
     "apply_controlled_unitary",
     "apply_controlled_xor",
     "apply_mcx",

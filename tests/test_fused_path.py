@@ -21,7 +21,6 @@ from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
     MODE_QUANTIZED,
     SCOPE_FULL,
-    SCOPE_SINGLE,
     SCOPE_SUBSET,
     extract_spectrum,
     run_compression,
@@ -62,13 +61,9 @@ def _explicit_compress(run, scope, rows):
     label write on an eigenvalue register, token write, label un-compute,
     and the anchor undone with its whole preparation matrix."""
     tree, rho, cfg, spectrum, profile = build_tree(run.data), run.rho, run.cfg, run.spectrum, run.profile
-    if scope == SCOPE_SINGLE:
-        feature = StateVector.zero([("feature", tree.feature_qubits)])
-        state = feature.apply_register_unitary("feature", row_prep_unitary(tree, rows[0]))
-    else:
-        state = _explicit_data_state(tree)
-        if scope == SCOPE_SUBSET:
-            state, _ = state.restrict_register("row", rows)
+    state = _explicit_data_state(tree)
+    if scope == SCOPE_SUBSET:
+        state, _ = state.restrict_register("row", rows)
     state = state.append_register("eigen", cfg.register_width(rho.dim))
     state = phase_estimate(rho, cfg, state, distinct_top=spectrum.dim)
     state = state.append_register("index", token_qubits(spectrum.dim))
@@ -88,7 +83,6 @@ def _assert_matches_explicit(data, mode, seed, scope=SCOPE_FULL, rows=None):
         run_mode=mode,
         seed=seed,
         subset=rows if scope == SCOPE_SUBSET else None,
-        row_index=rows[0] if scope == SCOPE_SINGLE else None,
     )
     assert run.result.report.scope == scope
     want = _explicit_compress(run, scope, rows)
@@ -113,7 +107,8 @@ def test_compress_matches_explicit_circuit(k, mode):
 def test_compress_scopes_match_explicit_circuit(mode):
     data = rank_k_dataset(24, 12, 3, seed=46)
     _assert_matches_explicit(data, mode, 6, SCOPE_SUBSET, [0, 3, 5, 9, 17])
-    _assert_matches_explicit(data, mode, 6, SCOPE_SINGLE, [7])
+    # One row: its projection y / |y| alone, as the CLI's one-row --subset.
+    _assert_matches_explicit(data, mode, 6, SCOPE_SUBSET, [7])
 
 
 def test_fused_map_keeps_the_explicit_circuit_checks():

@@ -15,7 +15,6 @@ from qpcasim.pca_oracle import (
     CompressedMatrix,
     DataMatrix,
     expected_compressed_state,
-    expected_row_state,
     pairwise_overlap_report,
     project,
     svd_decompose,
@@ -252,7 +251,7 @@ def test_projection_rank2_product_seed3():
     model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     y = project(data, model)
-    assert abs(y.frobenius_norm - data.frobenius_norm) <= 1e-10
+    assert abs(np.linalg.norm(y.values) - data.frobenius_norm) <= 1e-10
     # Row i of Y equals V_d^T x_i.
     expected = data.values @ model.right_vectors[:, :2]
     np.testing.assert_allclose(y.values, expected, atol=1e-12)
@@ -274,7 +273,7 @@ def test_projection_energy_identity():
         model = svd_decompose(data, 0.7)
         y = project(data, model)
         kept = np.sum(model.singular_values[: model.selected_dim] ** 2)
-        assert abs(y.frobenius_norm**2 - kept) <= 1e-10 * max(kept, 1.0)
+        assert abs(np.linalg.norm(y.values) ** 2 - kept) <= 1e-10 * max(kept, 1.0)
 
 
 def test_projection_idempotence():
@@ -314,14 +313,17 @@ def test_expected_state_normalization_rank2():
 
 
 def test_expected_row_state_matches_row():
+    # A one-row mask, the reference of a one-row subset, holds that row's
+    # projection y / |y| on tokens 1..d and nothing else.
     data = rank_k_dataset(8, 4, 2, seed=4)
     model = svd_decompose(data, 0.95)
     y = project(data, model)
     row = 3
-    state = expected_row_state(y, row)
+    state = expected_compressed_state(y, row_mask=np.arange(data.n_rows) == row)
     want = y.values[row] / np.linalg.norm(y.values[row])
     for j, amp in enumerate(want, start=1):
-        assert state.basis_amplitude({"index": j}) == pytest.approx(amp, abs=1e-12)
+        assert state.basis_amplitude({"row": row, "index": j}) == pytest.approx(amp, abs=1e-12)
+    assert state.probabilities("row")[row] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_overlap_exact_rank_is_lossless():

@@ -16,8 +16,6 @@ from qpcasim.qml_apps import (
     QlrDemoResult,
     _pad,
     _sampled_signed_overlap,
-    lssvm_classify,
-    lssvm_decision_value,
     lssvm_decision_values,
     lssvm_train,
     qlr_predict,
@@ -30,8 +28,10 @@ from oracles import dense_lssvm_decision_values, dense_lssvm_solve, gauss_solve
 
 
 def _accuracy(model, queries, labels):
-    hits = [lssvm_classify(model, q) == l for q, l in zip(queries, labels)]
-    return float(np.mean(hits))
+    # A query classifies as the sign of its decision value; an exact zero
+    # classifies as +1.
+    signs = np.where(lssvm_decision_values(model, np.asarray(queries)) >= 0.0, 1, -1)
+    return float(np.mean(signs == labels))
 
 
 # -- LS-SVM ---------------------------------------------------------------------
@@ -54,10 +54,10 @@ def test_lssvm_two_point_line():
     np.testing.assert_allclose(model.coefficients, [1.0 / 3.0, -1.0 / 3.0], atol=1e-12)
     assert model.residual <= 1e-10
 
-    assert lssvm_decision_value(model, np.array([1.0])) == pytest.approx(2.0 / 3.0)
-    assert lssvm_decision_value(model, np.array([-1.0])) == pytest.approx(-2.0 / 3.0)
-    # Exact zero classifies as +1.
-    assert lssvm_classify(model, np.array([0.0])) == 1
+    values = lssvm_decision_values(model, np.array([[1.0], [-1.0], [0.0]]))
+    np.testing.assert_allclose(values[:2], [2.0 / 3.0, -2.0 / 3.0])
+    # The midpoint's decision value is the bias, zero up to round-off.
+    assert values[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lssvm_validation():

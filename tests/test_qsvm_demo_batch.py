@@ -26,7 +26,6 @@ from qpcasim.qml_apps import (
     LssvmModel,
     OverlapDemoResult,
     _sampled_signed_overlap,
-    lssvm_decision_value,
     lssvm_decision_values,
     lssvm_train,
     qsvm_state_demo,
@@ -75,7 +74,7 @@ def reference_demo(
     b = StateVector.from_amplitudes(layout, probe / probe_norm)
     value = float(a.inner(b).real)
 
-    classical = lssvm_decision_value(model, query)
+    classical = float(lssvm_decision_values(model, query[None, :])[0])
     result = dict(
         value=value,
         classical_value=classical,
@@ -251,7 +250,7 @@ def test_probe_whose_norm_overflows_is_refused():
 def test_batched_decision_values_equal_per_row_calls():
     model, points = _class_pair_model()
     queries = np.vstack([points, -points[::3] + 0.5])
-    want = [lssvm_decision_value(model, q) for q in queries]
+    want = [float(lssvm_decision_values(model, q[None, :])[0]) for q in queries]
     np.testing.assert_allclose(lssvm_decision_values(model, queries), want, rtol=1e-12, atol=1e-15)
     with pytest.raises(InvalidInputError, match="features"):
         lssvm_decision_values(model, np.ones((2, points.shape[1] + 1)))

@@ -58,16 +58,13 @@ SETTABLE_VALUES = (
     "qml_apps.py:qsvm_state_demo:shots",
     "qpca_pipeline.py:compress:postselect_shots",
     "qpca_pipeline.py:compress:rng_seed",
-    "qpca_pipeline.py:compress:row_index",
     "qpca_pipeline.py:compress:run_mode",
     "qpca_pipeline.py:compress:subset",
-    "qpca_pipeline.py:error_scaling_experiment:perturbation",
     "qpca_pipeline.py:error_scaling_experiment:threshold",
     "qpca_pipeline.py:exact_anchor_profile:eps_beta",
     "qpca_pipeline.py:run_compression:anchor_index",
     "qpca_pipeline.py:run_compression:bits",
     "qpca_pipeline.py:run_compression:eps_beta",
-    "qpca_pipeline.py:run_compression:row_index",
     "qpca_pipeline.py:run_compression:run_mode",
     "qpca_pipeline.py:run_compression:seed",
     "qpca_pipeline.py:run_compression:shots",
@@ -146,4 +143,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 69
+    assert len(SETTABLE_VALUES) == 66
