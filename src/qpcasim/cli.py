@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError, ParseError, QpcaError
 from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES
-from .pca_oracle import DataMatrix, norm_range_fault, project, svd_decompose
+from .pca_oracle import DataMatrix, SpectralModel, norm_range_fault, project, svd_decompose
 
 if TYPE_CHECKING:
     from .qpca_pipeline import RunResult
@@ -215,12 +215,12 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
 # that the encoder imports none of the classes. The package's class names
 # are unique.
 _OMIT = {
-    "SpectralModel": ("right_vectors", "left_vectors"),
+    "SpectralModel": ("right_vectors",),
     "CompressionReport": ("ledger",),
     "ScalingResult": ("model",),
 }
 _DERIVED = {
-    "SpectralModel": ("n_rows", "n_cols", "rank", "cumulative_variance", "variance_captured"),
+    "SpectralModel": ("n_cols", "rank", "cumulative_variance", "variance_captured"),
     "ResourceLedger": ("amplified_cost",),
 }
 
@@ -249,15 +249,20 @@ def _plain(value):
     return value
 
 
+def _spectrum(model: SpectralModel, anchor_index: int) -> dict:
+    """The report's spectrum block: ``model``, and the row whose signs the
+    task's output follows (the accepted anchor, or row 0 without one)."""
+    return {**_plain(model), "anchor_index": anchor_index}
+
+
 def _success_sweep(run: RunResult) -> list[dict]:
     """Closed-form success probability versus kept dimension, exact
     coefficients, for scree-style plots. The coefficients are the anchor
-    state's overlap magnitudes with every principal direction
-    (``RhoSpec.overlaps``), capped at 1 as the pipeline caps them
-    (round-off lifts them above 1 on rank-1 data), so no probability
+    state's capped overlap magnitudes with every principal direction
+    (``RhoSpec.coefficients``), as the pipeline's, so no probability
     exceeds 1 either."""
     model = run.model
-    beta_all = np.minimum(np.abs(run.rho.overlaps(run.anchor_state, model.rank)), 1.0)
+    beta_all = run.rho.coefficients(run.anchor_state, model.rank)
     cum = model.cumulative_variance()
     sweep = []
     for dim in range(1, model.rank + 1):
@@ -295,7 +300,7 @@ def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
         subset=config.subset,
     )
     return {
-        "spectrum": _plain(run.model),
+        "spectrum": _spectrum(run.model, run.profile.anchor_index),
         "anchor": _plain(run.profile),
         "compression": _plain(run.result.report),
         "ledger": _plain(run.result.report.ledger),
@@ -326,7 +331,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == dataset.labels)) for v in (full_dec, comp_dec))
 
     return {
-        "spectrum": _plain(model),
+        "spectrum": _spectrum(model, 0),
         "qsvm": {
             "gamma": float(config.gamma),
             "full": {
@@ -377,7 +382,7 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
     )
 
     return {
-        "spectrum": _plain(model),
+        "spectrum": _spectrum(model, 0),
         "qlr": {
             "predictions_original": [float(v) for v in preds_orig],
             "predictions_compressed": [float(v) for v in preds_comp],
@@ -405,7 +410,7 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
     result = error_scaling_experiment(data, SCALING_EPS_GRID, seeds, threshold=config.theta)
     # The sweep's one decomposition is the report's spectrum block.
     return {
-        "spectrum": _plain(result.model),
+        "spectrum": _spectrum(result.model, 0),
         "scaling": _plain(result),
     }
 
@@ -426,7 +431,7 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
         eps_beta=config.eps_beta,
         anchor_index=config.anchor_index,
     )
-    model, profile = choice.model, choice.profile
+    profile = choice.profile
     p = float(profile.rotation_constant**2 * model.variance_captured)
     ledger = ledger_predict(
         n_rows=data.n_rows,
@@ -436,7 +441,7 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
         eps_beta=config.eps_beta,
         success_probability=p,
     )
-    return {"spectrum": _plain(model), "anchor": _plain(profile), "ledger": _plain(ledger)}
+    return {"spectrum": _spectrum(model, profile.anchor_index), "anchor": _plain(profile), "ledger": _plain(ledger)}
 
 
 # -- output ----------------------------------------------------------------------

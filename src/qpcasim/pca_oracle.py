@@ -10,7 +10,7 @@ ideal compressed statevector the quantum pipeline is supposed to reproduce.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -120,22 +120,18 @@ class SpectralModel:
 
     singular_values has one entry per feature column (zero-padded past the
     rank), variance_proportions are their squares normalized to sum 1, and
-    right_vectors and left_vectors hold the principal directions alone, one
-    column per nonzero singular value, with signs fixed against the anchor
-    row.
+    right_vectors holds the principal directions alone, one column per
+    nonzero singular value, with signs fixed against row 0 of the data
+    (``svd_decompose``). An anchor row's signs are a vector beside the
+    model (``anchor_signs``), never a re-signed copy of it.
     """
 
     singular_values: np.ndarray          # (D,), descending, zero-padded
     variance_proportions: np.ndarray     # (D,), sums to 1
     right_vectors: np.ndarray            # (D, rank), columns
-    left_vectors: np.ndarray             # (N, rank), columns
+    n_rows: int
     threshold: float
     selected_dim: int
-    anchor_index: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.left_vectors.shape[0]
 
     @property
     def n_cols(self) -> int:
@@ -156,26 +152,16 @@ class SpectralModel:
         return float(self.cumulative_variance()[self.selected_dim - 1])
 
     def anchor_signs(self, data: DataMatrix, anchor_index: int) -> np.ndarray:
-        """-1 for each principal direction whose overlap with row
-        ``anchor_index`` of ``data`` is negative, +1 for the others (a
-        direction orthogonal to the row included), one per column of
-        ``right_vectors``."""
-        if not 0 <= anchor_index < self.n_rows:
-            raise OutOfRangeError(f"anchor index {anchor_index} out of range for {self.n_rows} rows")
-        return np.where(data.values[anchor_index] @ self.right_vectors < 0.0, -1.0, 1.0)
+        """``_overlap_signs`` of row ``anchor_index`` of ``data`` against
+        ``right_vectors``: the signs that turn the model's directions into
+        ones signed against that row. The caller checks the index."""
+        return _overlap_signs(data.values[anchor_index], self.right_vectors)
 
-    def with_anchor(self, data: DataMatrix, anchor_index: int) -> "SpectralModel":
-        """The same decomposition with its signs fixed against row
-        ``anchor_index`` of ``data`` (``anchor_signs``): each flipped
-        principal direction's left vector flips in tandem, keeping the
-        reconstruction identity intact."""
-        return self.with_signs(self.anchor_signs(data, anchor_index), anchor_index)
 
-    def with_signs(self, signs: np.ndarray, anchor_index: int) -> "SpectralModel":
-        """``with_anchor`` for a row whose ``anchor_signs`` the caller
-        already holds."""
-        v, u = self.right_vectors * signs, self.left_vectors * signs
-        return replace(self, right_vectors=v, left_vectors=u, anchor_index=int(anchor_index))
+def _overlap_signs(row: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """-1 for each column of ``vectors`` whose overlap with ``row`` is
+    negative, +1 for the others (a column orthogonal to the row included)."""
+    return np.where(row @ vectors < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -227,15 +213,15 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
     and only the singular vectors of the nonzero ones are kept: no array is
     D x D. The selected dimension is the smallest s whose leading variance
     fraction reaches ``threshold`` (an exact >= on float64). The signs of
-    the principal directions follow row 0 (``SpectralModel.with_anchor``
-    re-signs them against another row).
+    the principal directions follow row 0 (``_overlap_signs``); they are
+    signed here and nowhere else.
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
     n, d = data.n_rows, data.n_cols
 
     try:
-        u, s, vt = np.linalg.svd(data.values, full_matrices=False)
+        _, s, vt = np.linalg.svd(data.values, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
 
@@ -248,15 +234,15 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
 
     cum = np.cumsum(sigma ** 2)
     selected = int(np.count_nonzero(cum / cum[-1] < threshold)) + 1
+    v = vt[:rank].T
     return SpectralModel(
         singular_values=sigma,
         variance_proportions=sigma ** 2 / cum[-1],
-        right_vectors=vt[:rank].T,
-        left_vectors=u[:, :rank],
+        right_vectors=v * _overlap_signs(data.values[0], v),
+        n_rows=n,
         threshold=float(threshold),
         selected_dim=selected,
-        anchor_index=0,
-    ).with_anchor(data, 0)
+    )
 
 
 def project(data: DataMatrix, model: SpectralModel, dim: int | None = None) -> CompressedMatrix:

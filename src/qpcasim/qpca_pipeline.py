@@ -229,13 +229,20 @@ def default_sampling_budget(dim: int) -> int:
 # -- anchor estimation -------------------------------------------------------
 
 
-def _true_beta(rho: RhoSpec, dim: int, anchor: StateVector) -> np.ndarray:
-    """|<v_j|anchor>| for the leading ``dim`` eigenvectors of ``rho``
-    (``RhoSpec.overlaps``): the magnitudes a swap test estimates, so the
-    eigenvectors' signs do not enter. Both are unit vectors, so a
-    magnitude is at most 1; one that rounds above it (a row on a principal
-    direction, as in rank-1 data) is capped at 1."""
-    return np.minimum(np.abs(rho.overlaps(anchor, dim)), 1.0)
+def _anchor_profile(
+    anchor_index: int, beta: np.ndarray, beta_hat: np.ndarray, eps_beta: float, shots: int | None
+) -> AnchorProfile:
+    """The profile of exact coefficients ``beta`` and estimates ``beta_hat``:
+    C = min_j beta_hat_j, residual = max(1 - sum beta_j^2, 0)."""
+    return AnchorProfile(
+        anchor_index=anchor_index,
+        beta=beta,
+        beta_hat=beta_hat,
+        rotation_constant=float(beta_hat.min()),
+        residual=max(1.0 - float(np.sum(beta**2)), 0.0),
+        eps_beta=eps_beta,
+        shots_per_coefficient=shots,
+    )
 
 
 def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
@@ -257,8 +264,8 @@ def exact_anchor_profile(
     """Shot-free profile: the estimates equal the exact coefficients, the
     overlap magnitudes of row ``anchor_index``'s state ``anchor``
     (``qram_store.prepare_row_state``) with the eigenvectors of ``rho``
-    (``_true_beta``)."""
-    beta = _true_beta(rho, spectrum.dim, anchor)
+    (``RhoSpec.coefficients``)."""
+    beta = rho.coefficients(anchor, spectrum.dim)
     if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
         raise WeakAnchorError(
@@ -266,15 +273,7 @@ def exact_anchor_profile(
             f"below the floor {BETA_FLOOR}; redraw the anchor",
             anchor_index=anchor_index,
         )
-    return AnchorProfile(
-        anchor_index=anchor_index,
-        beta=beta,
-        beta_hat=beta.copy(),
-        rotation_constant=float(beta.min()),
-        residual=max(1.0 - float(np.sum(beta**2)), 0.0),
-        eps_beta=eps_beta,
-        shots_per_coefficient=None,
-    )
+    return _anchor_profile(anchor_index, beta, beta.copy(), eps_beta, None)
 
 
 def estimate_anchor(
@@ -300,7 +299,7 @@ def estimate_anchor(
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(0, 2**63 - 1, size=spectrum.dim)
 
-    beta = _true_beta(rho, spectrum.dim, anchor)
+    beta = rho.coefficients(anchor, spectrum.dim)
     beta_hat = np.empty(spectrum.dim)
     for k in range(spectrum.dim):
         target = _vector_state(rho.eigenvectors[:, k], anchor)
@@ -313,25 +312,21 @@ def estimate_anchor(
             f"{anchor_index} is below the floor {BETA_FLOOR}; redraw the anchor",
             anchor_index=anchor_index,
         )
-    return AnchorProfile(
-        anchor_index=anchor_index,
-        beta=beta,
-        beta_hat=beta_hat,
-        rotation_constant=float(beta_hat.min()),
-        residual=max(1.0 - float(np.sum(beta**2)), 0.0),
-        eps_beta=eps_beta,
-        shots_per_coefficient=shots,
-    )
+    return _anchor_profile(anchor_index, beta, beta_hat, eps_beta, shots)
+
+
+def _check_anchor_index(data: DataMatrix, anchor_index: int | None) -> None:
+    """Refuse a fixed anchor row that ``data`` does not have."""
+    if anchor_index is not None and not 0 <= anchor_index < data.n_rows:
+        raise OutOfRangeError(f"anchor index {anchor_index} out of range for {data.n_rows} rows")
 
 
 @dataclass(frozen=True)
 class AnchorChoice:
-    """The accepted anchor row and what was built around it: ``model``
-    carries that row's signs, ``signs`` is its sign vector against the
-    caller's model (``SpectralModel.anchor_signs``), and ``anchor_state``
-    its loaded state (``qram_store.prepare_row_state``)."""
+    """The accepted anchor row and what was built around it: ``signs``, its
+    sign vector against the caller's model (``SpectralModel.anchor_signs``),
+    and ``anchor_state``, its loaded state (``qram_store.prepare_row_state``)."""
 
-    model: SpectralModel
     profile: AnchorProfile
     attempts: tuple[int, ...]
     signs: np.ndarray
@@ -360,9 +355,11 @@ def select_anchor(
     decomposition ``model`` (``RhoSpec.from_model``), since neither depends
     on the anchor. A candidate is judged from ``rho`` and its row state
     alone: its coefficients are the magnitudes of its overlaps, which no
-    eigenvector sign changes. Only the accepted row is signed
-    (``SpectralModel.anchor_signs``) and gets a signed model.
+    eigenvector sign changes. Only the accepted row's signs are taken
+    (``SpectralModel.anchor_signs``); ``model`` is not copied. A fixed
+    ``anchor_index`` outside the data is refused before any row is loaded.
     """
+    _check_anchor_index(data, anchor_index)
     attempts: list[int] = []
     last_error: WeakAnchorError | None = None
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
@@ -379,8 +376,7 @@ def select_anchor(
                 raise
             last_error = exc
             continue
-        signs = model.anchor_signs(data, anchor)
-        return AnchorChoice(model.with_signs(signs, anchor), profile, tuple(attempts), signs, state)
+        return AnchorChoice(profile, tuple(attempts), model.anchor_signs(data, anchor), state)
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -465,6 +461,7 @@ def compress(
     spectrum: SpectrumSample,
     profile: AnchorProfile,
     anchor: StateVector,
+    signs: np.ndarray,
     cfg: PhaseConfig,
     *,
     run_mode: str = MODE_IDEAL,
@@ -481,8 +478,11 @@ def compress(
     the classical projection. The data state is loaded from ``data``.
     ``anchor`` is the loaded state of the profile's anchor row
     (``AnchorChoice.anchor_state``), which the projection undoes. No
-    sign of ``rho`` is read; ``model`` carries the anchor row's signs
-    (``AnchorChoice.model``), for the classical reference.
+    sign of ``rho`` is read. The circuit leaves token j+1 with the sign of
+    <v_j|anchor>, so the classical reference, ``CompressResult.compressed``,
+    is the projection onto ``model``'s directions with its columns flipped
+    by ``signs``, the anchor row's signs against ``model``
+    (``AnchorChoice.signs``). Negation is exact.
     """
     d = spectrum.dim
     if profile.beta_hat.size != d:
@@ -514,6 +514,7 @@ def compress(
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model, d)
+    np.multiply(compressed.values, signs[:d], out=compressed.values)
     mask = np.zeros(data.n_rows, dtype=bool)
     mask[rows] = True
     reference = pca_oracle.expected_compressed_state(compressed, row_mask=None if scope == SCOPE_FULL else mask)
@@ -559,9 +560,12 @@ def compress(
 
 @dataclass(frozen=True)
 class RunResult:
+    """What ``run_compression`` built; the accepted anchor's signs show only
+    in ``result.compressed``, the anchor-signed projection."""
+
     data: DataMatrix
-    model: SpectralModel  # signed against the accepted anchor
-    rho: RhoSpec          # the run's own, with the row-0 signs of svd_decompose
+    model: SpectralModel  # the run's one decomposition, with row-0 signs
+    rho: RhoSpec          # its eigensystem: the same right_vectors array
     cfg: PhaseConfig
     spectrum: SpectrumSample
     profile: AnchorProfile
@@ -595,10 +599,7 @@ def run_compression(
     )
     sampled = run_mode == MODE_SAMPLED
     model = pca_oracle.svd_decompose(data, threshold)
-    if anchor_index is not None and not 0 <= anchor_index < data.n_rows:
-        # Reported before the spectrum is built; ``select_anchor`` signs the
-        # model against the row.
-        raise OutOfRangeError(f"anchor index {anchor_index} out of range for {data.n_rows} rows")
+    _check_anchor_index(data, anchor_index)  # before the spectrum is sampled
     rho = RhoSpec.from_model(model)
     d = model.selected_dim
     if sampled:
@@ -619,11 +620,12 @@ def run_compression(
     )
     result = compress(
         data,
-        choice.model,
+        model,
         rho,
         spectrum,
         choice.profile,
         choice.anchor_state,
+        choice.signs,
         cfg,
         run_mode=run_mode,
         subset=subset,
@@ -632,7 +634,7 @@ def run_compression(
     )
     return RunResult(
         data=data,
-        model=choice.model,
+        model=model,
         rho=rho,
         cfg=cfg,
         spectrum=spectrum,
@@ -742,9 +744,8 @@ def error_scaling_experiment(
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
         # Seed by seed, so each row sums in seed order.
         for choice, branches in zip(batch, kept):
-            flips = np.ones(reference.shape[-1])
-            flips[1 : d + 1] = choice.signs[:d]
-            psi = reference * flips
+            psi = reference.copy()
+            psi[..., 1 : d + 1] *= choice.signs[:d]
             for k, phi in enumerate(branches):
                 infid[k] += max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
                 dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))

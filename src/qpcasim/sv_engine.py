@@ -91,6 +91,12 @@ class RhoSpec:
         the rest being padding. Negating v_j negates its overlap exactly."""
         return self.eigenvectors[:, :k].T @ state.amplitudes[: self.dim].conj()
 
+    def coefficients(self, state: StateVector, k: int) -> np.ndarray:
+        """(k,) |<v_j|state>|, what a swap test estimates, so no sign enters.
+        One that rounds above 1 (a row on a principal direction, as in
+        rank-1 data) is capped at 1."""
+        return np.minimum(np.abs(self.overlaps(state, k)), 1.0)
+
     @property
     def dim(self) -> int:
         return self.eigenvalues.size

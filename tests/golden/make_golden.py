@@ -109,6 +109,10 @@ CASES = {
     "error_anchor_scaling": ("rank3.csv", None, ["--task", "scaling", "--anchor", "4"]),
     "error_anchor_qsvm": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--anchor", "5"]),
     "error_anchor_qlr": ("lin.csv", "lin.targets", ["--task", "qlr", "--anchor", "5"]),
+    # A fixed anchor past the last row: compress and ledger refuse it in
+    # the same words, compress before it samples the spectrum.
+    "error_anchor_range_compress": ("rank3.csv", None, ["--anchor", "99"]),
+    "error_anchor_range_ledger": ("rank3.csv", None, ["--task", "ledger", "--anchor", "99"]),
     # Kernel entries near 1e300: the saddle residual and the system's norm
     # overflow, so the backward error is NaN and never under the tolerance.
     "error_singular_qsvm": ("blobs_huge.csv", "blobs.labels", ["--task", "qsvm"]),

@@ -4,8 +4,14 @@ Keys, strings, integers, booleans and nulls must match exactly; floats must
 agree to 1e-12 relative. Values that are zero up to round-off (an exact
 fidelity's infidelity, say) have no relative precision, so floats also pass
 within 1e-15 absolute.
+
+Every golden file was written under OpenBLAS's SkylakeX kernel, and BLAS
+rounding depends on the kernel. Under that kernel a live run must also
+reproduce its golden file byte for byte, which is what a behaviour-preserving
+refactor claims; under any other kernel that check is skipped.
 """
 
+import functools
 import json
 import math
 
@@ -15,6 +21,11 @@ import make_golden
 
 REL_TOL = 1e-12
 ABS_TOL = 1e-15
+# The OpenBLAS kernel the golden files were written under.
+GOLDEN_KERNEL = "SkylakeX"
+
+# Each case runs once, for both comparisons.
+_run_case = functools.lru_cache(maxsize=None)(make_golden.run_case)
 
 
 def _mismatches(got, want):
@@ -33,8 +44,18 @@ def _mismatches(got, want):
 def test_golden_report(case):
     with open(make_golden.golden_path(case), encoding="utf-8") as fh:
         want = json.load(fh)
-    got = json.loads(make_golden.run_case(case))
+    got = json.loads(_run_case(case))
     assert _mismatches(got, want) == []
+
+
+@pytest.mark.parametrize("case", sorted(make_golden.CASES))
+def test_golden_bytes(case):
+    kernel = make_golden.blas_kernel()
+    if kernel != GOLDEN_KERNEL:
+        pytest.skip(f"goldens were written under the {GOLDEN_KERNEL} kernel; this run uses {kernel}")
+    with open(make_golden.golden_path(case), "rb") as fh:
+        want = fh.read()
+    assert _run_case(case).encode("utf-8") == want
 
 
 def test_comparison_is_strict():

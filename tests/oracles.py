@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch so it shares no code
 path with the package: a cyclic Jacobi eigensolver, Gaussian elimination,
-direct summation helpers, a gate-by-gate simulation of the token-writing
+direct summation helpers, left singular vectors signed to match given
+principal directions, a gate-by-gate simulation of the token-writing
 circuit (wire flips plus multi-controlled NOTs), and the least-squares SVM
 solved densely through its N x N kernel.
 """
@@ -66,6 +67,16 @@ def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def signed_left_vectors(matrix: np.ndarray, right_vectors: np.ndarray) -> np.ndarray:
+    """numpy's thin-SVD left singular vectors of ``matrix``, one per column
+    of ``right_vectors`` (its leading principal directions, in order, with
+    any signs), each flipped as that column is against numpy's own right
+    vector, so sigma_j u_j v_j^T sums to ``matrix``."""
+    u, _, vt = np.linalg.svd(matrix, full_matrices=False)
+    k = right_vectors.shape[1]
+    return u[:, :k] * np.sign(np.sum(vt[:k].T * right_vectors, axis=0))
 
 
 def frobenius_sq_direct(matrix: np.ndarray) -> float:

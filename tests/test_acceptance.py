@@ -8,6 +8,7 @@ Each test collects its failures into a list and prints a single
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -203,6 +204,14 @@ def test_criterion_05_swap_test_calibration():
     _verdict(5, "swap test calibration", failures)
 
 
+def anchor_signed_projection(data, model, signs, d):
+    """The projection onto ``model``'s leading ``d`` directions with its
+    columns flipped by an anchor's ``signs`` against ``model``: the
+    classical reference for that anchor, as ``compress`` forms it."""
+    y = project(data, model, d)
+    return replace(y, values=y.values * signs[:d])
+
+
 def uniform_relative_infidelities(data, seed, eps_grid):
     """Infidelity against the classical reference when every exact anchor
     coefficient beta, from the scaling sweep's seeded anchor draw, is
@@ -219,10 +228,9 @@ def uniform_relative_infidelities(data, seed, eps_grid):
     if beta_hat.max() >= 1.0:
         return None
     d = spectrum.dim
-    signed = RhoSpec.from_model(choice.model)
-    [projected], p_anchor = project_anchor(signed, cfg, prepare_data_state(data), [choice.anchor_state], distinct_top=d)
+    [projected], p_anchor = project_anchor(rho, cfg, prepare_data_state(data), [choice.anchor_state], distinct_top=d)
     [kept], _ = postselect_rotations([projected], p_anchor, beta_hat[None], beta_hat.min(axis=-1)[None])
-    psi = expected_compressed_state(project(data, choice.model, d)).amplitudes
+    psi = expected_compressed_state(anchor_signed_projection(data, model, choice.signs, d)).amplitudes
     return [max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0) for phi in kept]
 
 

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from qpcasim.qpca_pipeline import run_compression
 from qpcasim.statevector import ceil_log2
 from qpcasim.sv_engine import RhoSpec, _padded_eigenbasis
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, signed_left_vectors
 
 
 def test_data_matrix_validation():
@@ -86,7 +85,8 @@ def test_reconstruction_and_jacobi_cross_check_seed7():
     rng = np.random.default_rng(7)
     data = DataMatrix(rng.standard_normal((8, 8)))
     model = svd_decompose(data, 1.0)
-    recon = model.left_vectors @ np.diag(model.singular_values) @ model.right_vectors.T
+    u = signed_left_vectors(data.values, model.right_vectors)
+    recon = u @ np.diag(model.singular_values) @ model.right_vectors.T
     assert np.linalg.norm(data.values - recon) <= 1e-10 * data.frobenius_norm
 
     # Independent eigensolver on the Gram matrix: eigenvalues must match the
@@ -148,7 +148,8 @@ def _random_and_rank_deficient_matrices():
 def test_model_invariants_random_matrices():
     for data, anchor_index in _random_and_rank_deficient_matrices():
         n, d = data.n_rows, data.n_cols
-        model = svd_decompose(data, 0.95).with_anchor(data, anchor_index)
+        model = svd_decompose(data, 0.95)
+        assert model.n_rows == n
         sig = model.singular_values
         assert sig.shape == (d,)
         assert np.all(np.diff(sig) <= 1e-12)
@@ -157,18 +158,18 @@ def test_model_invariants_random_matrices():
         # nonzero singular value, no completion past the rank.
         rank = model.rank
         assert model.right_vectors.shape == (d, rank)
-        assert model.left_vectors.shape == (n, rank)
         np.testing.assert_allclose(model.right_vectors.T @ model.right_vectors, np.eye(rank), atol=1e-13)
-        np.testing.assert_allclose(model.left_vectors.T @ model.left_vectors, np.eye(rank), atol=1e-10)
-        # They are the SVD's own up to the anchor signs, and the same on
-        # every call.
+        # They are the SVD's own up to signs, and the same on every call.
         vt = np.linalg.svd(data.values, full_matrices=False)[2]
         assert np.array_equal(np.abs(model.right_vectors), np.abs(vt[:rank].T))
-        again = svd_decompose(data, 0.95).with_anchor(data, anchor_index)
+        again = svd_decompose(data, 0.95)
         assert np.array_equal(again.right_vectors, model.right_vectors)
-        # Sign convention: nonnegative anchor overlap on every kept direction.
-        anchor = data.values[model.anchor_index]
-        assert np.all(model.right_vectors.T @ anchor >= -1e-10)
+        # Sign convention: nonnegative row-0 overlap on every kept direction,
+        # and the anchor's signs make its overlaps nonnegative too.
+        assert np.all(model.right_vectors.T @ data.values[0] >= -1e-10)
+        signs = model.anchor_signs(data, anchor_index)
+        assert set(signs.tolist()) <= {-1.0, 1.0}
+        assert np.all((model.right_vectors * signs).T @ data.values[anchor_index] >= -1e-10)
         # The explicit-circuit reference completes the basis: orthogonal on
         # the padded feature register, the eigenvectors first, the identity
         # past the features, and the same on every call.
@@ -185,26 +186,21 @@ def test_model_invariants_random_matrices():
     "shape", [(256, 64), (1024, 8), (64, 16), (5, 12), (3, 9), (16, 8), (2048, 256)]
 )
 def test_with_anchor_matches_a_decomposition_anchored_there(shape):
-    # Re-signing the row-0 decomposition against row k gives the same bits
+    # The row-0 decomposition with row k's anchor signs gives the same bits
     # as signing the thin SVD's own vectors against row k, for full-rank
-    # and rank-deficient data alike.
+    # and rank-deficient data alike; for k = 0 the signs are all +1.
     n, d = shape
     rng = np.random.default_rng(n + d)
     for data in (DataMatrix(rng.standard_normal(shape)), rank_k_dataset(n, d, min(3, n, d), seed=d)):
         base = svd_decompose(data, 0.9)
-        u, _, vt = np.linalg.svd(data.values, full_matrices=False)
-        v, u = vt[: base.rank].T, u[:, : base.rank]
+        v = np.linalg.svd(data.values, full_matrices=False)[2][: base.rank].T
         for k in sorted({0, 1, n // 2, n - 1}):
-            signs = np.where(data.values[k] @ v < 0.0, -1.0, 1.0)
-            want = replace(base, right_vectors=v * signs, left_vectors=u * signs)
-            got = base.with_anchor(data, k)
-            assert got.anchor_index == k
-            assert np.array_equal(got.right_vectors, want.right_vectors)
-            assert np.array_equal(got.left_vectors, want.left_vectors)
-            assert np.array_equal(got.singular_values, want.singular_values)
-            assert got.selected_dim == want.selected_dim
-    with pytest.raises(OutOfRangeError, match=f"anchor index {n} out of range for {n} rows"):
-        base.with_anchor(data, n)
+            want = v * np.where(data.values[k] @ v < 0.0, -1.0, 1.0)
+            signs = base.anchor_signs(data, k)
+            assert np.array_equal(base.right_vectors * signs, want)
+            if k == 0:
+                assert np.array_equal(base.right_vectors, want)
+                assert np.all(signs == 1.0)
 
 
 def test_tall_decomposition_builds_no_row_by_row_matrix():
@@ -217,7 +213,8 @@ def test_tall_decomposition_builds_no_row_by_row_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.left_vectors.shape == (4096, 8)
+    assert model.n_rows == 4096
+    assert model.right_vectors.shape == (8, 8)
     assert peak < 16 * 2**20
 
 
@@ -233,7 +230,7 @@ def test_wide_decomposition_builds_no_feature_by_feature_matrix():
     finally:
         tracemalloc.stop()
     assert model.right_vectors.shape == (4096, 4)
-    assert model.left_vectors.shape == (64, 4)
+    assert model.n_rows == 64
     assert peak < 16 * 2**20
 
 

@@ -1,6 +1,7 @@
 """Tests for the end-to-end compression pipeline."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from qpcasim.errors import (
     VanishingSuccessError,
     WeakAnchorError,
 )
-from qpcasim.pca_oracle import DataMatrix, SpectralModel, svd_decompose
+from qpcasim.pca_oracle import DataMatrix, svd_decompose
 from qpcasim.qram_store import prepare_row_state
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
@@ -36,7 +37,7 @@ from qpcasim.qpca_pipeline import (
 from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED, POSTSELECT_FLOOR, PhaseConfig, RhoSpec
 
-from test_acceptance import uniform_relative_infidelities
+from test_acceptance import anchor_signed_projection, uniform_relative_infidelities
 
 RANK3 = str(Path(__file__).resolve().parent / "golden" / "inputs" / "rank3.csv")
 TRI_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -299,7 +300,8 @@ def test_success_probability_identity_with_perturbed_estimates():
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
     anchor = prepare_row_state(data, profile.anchor_index)
-    res = compress(data, run.model, run.rho, run.spectrum, profile, anchor, run.cfg)
+    signs = run.model.anchor_signs(data, profile.anchor_index)
+    res = compress(data, run.model, run.rho, run.spectrum, profile, anchor, signs, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -354,8 +356,8 @@ def test_weak_anchor_redraw_succeeds():
 
 def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     # Three anchors are tried; the label histogram, which does not depend
-    # on the anchor, is drawn once, and the accepted row's signs are the
-    # model's.
+    # on the anchor, is drawn once. The model keeps the row-0 signs, and
+    # the classical reference takes the accepted row's.
     calls = []
     measure = sv_engine.measure_register
     monkeypatch.setattr(sv_engine, "measure_register", lambda *a, **k: calls.append(a) or measure(*a, **k))
@@ -363,8 +365,10 @@ def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     run = run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=2)
     assert run.anchor_attempts == (13, 8, 6)
     assert len(calls) == 1
-    own = svd_decompose(data, 1.0).with_anchor(data, 6).right_vectors
-    np.testing.assert_array_equal(run.model.right_vectors, own)
+    own = svd_decompose(data, 1.0)
+    np.testing.assert_array_equal(run.model.right_vectors, own.right_vectors)
+    want = anchor_signed_projection(data, own, own.anchor_signs(data, 6), run.spectrum.dim)
+    np.testing.assert_array_equal(run.result.compressed.values, want.values)
 
 
 def test_anchor_selection_decomposes_once(monkeypatch):
@@ -398,20 +402,69 @@ def test_sampled_fixed_anchor_loads_the_anchor_row_once(monkeypatch):
 
 @pytest.mark.parametrize("anchor_index, attempts", [(5, (5,)), (None, (13,)), (None, (2, 1))])
 def test_a_run_signs_the_decomposition_twice(monkeypatch, anchor_index, attempts):
-    # Once against row 0 in svd_decompose and once against the accepted
-    # anchor in select_anchor, whether the anchor is fixed, drawn, or
-    # redrawn: a rejected candidate is judged without signs. The redraw
-    # case is the compress_sampled_redraw golden's input, whose first draw
-    # is weak.
-    signed = []
-    signs = SpectralModel.anchor_signs
-    monkeypatch.setattr(SpectralModel, "anchor_signs", lambda *a: signed.append(a[-1]) or signs(*a))
+    # The sign rule runs twice: once in svd_decompose, the only place the
+    # decomposition is signed (against row 0), and once for the accepted
+    # anchor in select_anchor, which reads the decomposition's vectors
+    # without copying them, whether the anchor is fixed, drawn, or redrawn.
+    # A rejected candidate is judged without signs. The redraw case is the
+    # compress_sampled_redraw golden's input, whose first draw is weak.
+    rows, vectors = [], []
+    rule = pca_oracle._overlap_signs
+    monkeypatch.setattr(
+        pca_oracle, "_overlap_signs", lambda row, v: rows.append(row.tolist()) or vectors.append(v) or rule(row, v)
+    )
     redraw = len(attempts) > 1
     data = DataMatrix(TRI_ROWS) if redraw else rank_k_dataset(16, 8, 3, seed=1)
     mode = MODE_SAMPLED if redraw else MODE_IDEAL
     run = run_compression(data, run_mode=mode, anchor_index=anchor_index, seed=0)
     assert run.anchor_attempts == attempts
-    assert signed == [0, attempts[-1]]
+    assert rows == [data.values[0].tolist(), data.values[attempts[-1]].tolist()]
+    assert vectors[1] is run.model.right_vectors
+
+
+def test_a_run_keeps_one_decomposition():
+    # The run's model is the decomposition the spectrum and the projection
+    # read, not a copy signed for the anchor, while its reference follows
+    # the anchor's signs: the accepted anchor's coefficients are at least
+    # BETA_FLOOR, so its own compressed coordinates are all positive.
+    data = rank_k_dataset(16, 8, 3, seed=1)
+    run = run_compression(data, seed=0)
+    assert run.model.right_vectors is run.rho.eigenvectors
+    assert np.all(run.result.compressed.values[run.profile.anchor_index] > 0.0)
+
+
+def test_select_anchor_peaks_far_below_the_eigenvectors():
+    # Taking the accepted anchor's signs reads the 4096 x 256 eigenvectors
+    # (8 MiB) without copying them; a signed copy of the model would
+    # allocate at least that much.
+    data = rank_k_plus_noise(256, 4096, 4, seed=3, noise_fraction=0.05)
+    model = svd_decompose(data, 0.95)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, PhaseConfig(label_mode=LABEL_MODE_IDEAL), model.selected_dim)
+    assert model.right_vectors.nbytes == 8 * 2**20
+    tracemalloc.start()
+    try:
+        choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert choice.signs.shape == (256,)
+    assert peak < 2**20
+
+
+def test_an_out_of_range_anchor_is_refused_in_one_wording():
+    # Compress (in run_compression) and the ledger task (in select_anchor)
+    # refuse it through one check, in the same words.
+    data = rank_k_dataset(16, 8, 3, seed=1)
+    message = "anchor index 16 out of range for 16 rows"
+    with pytest.raises(OutOfRangeError, match=message):
+        run_compression(data, anchor_index=16, seed=0)
+    model = svd_decompose(data, 0.95)
+    rho = RhoSpec.from_model(model)
+    spectrum = exact_spectrum(rho, PhaseConfig(label_mode=LABEL_MODE_IDEAL), model.selected_dim)
+    for index in (-1, 16):
+        with pytest.raises(OutOfRangeError, match=f"anchor index {index} out of range for 16 rows"):
+            qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(0), anchor_index=index)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +497,7 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
             data, model, rho, spectrum, np.random.default_rng(seed), beta_seed=seed + 1 if sampled else None
         )
         result = qpca_pipeline.compress(
-            data, choice.model, rho, spectrum, choice.profile, choice.anchor_state, cfg,
+            data, model, rho, spectrum, choice.profile, choice.anchor_state, choice.signs, cfg,
             run_mode=run_mode, postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
         )
         return choice, result
@@ -458,7 +511,6 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
             choice, got = run(flipped, seed)
             assert choice.attempts == want_choice.attempts
             assert np.array_equal(choice.signs, want_choice.signs)
-            assert np.array_equal(choice.model.right_vectors, want_choice.model.right_vectors)
             assert np.array_equal(choice.profile.beta, want_choice.profile.beta)
             assert np.array_equal(choice.profile.beta_hat, want_choice.profile.beta_hat)
             assert choice.profile.residual == want_choice.profile.residual
@@ -706,9 +758,11 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source):
     choices = _record_calls(monkeypatch, qpca_pipeline, "select_anchor")
     batches = _record_calls(monkeypatch, sv_engine, "postselect_rotations")
     result = error_scaling_experiment(data, grid, [11])
-    [(_, choice)] = choices
+    [((_, model, *_), choice)] = choices
     [(([projected], [p_anchor], [beta_hat], _), ([kept], [probs]))] = batches
-    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, choice.model.selected_dim))
+    reference = pca_oracle.expected_compressed_state(
+        anchor_signed_projection(data, model, choice.signs, model.selected_dim)
+    )
     assert kept.shape == (len(grid),) + projected.amplitudes.shape
     for k, eps in enumerate(grid):
         want = perturb_beta(choice.profile.beta, eps)
@@ -761,8 +815,9 @@ def _weak_row_dataset():
 
 def _per_seed_sweep(data, seed, grid):
     """One seed of the scaling sweep on its own: a spectrum and an anchor
-    of its own, a signed model and eigensystem, ``project_anchor`` of that
-    anchor alone, then ``apply_cr_beta`` and ``postselect`` per grid point.
+    of its own, a reference signed for that anchor, ``project_anchor`` of
+    that anchor alone, then ``apply_cr_beta`` and ``postselect`` per grid
+    point.
     Returns the anchor draws, the kept amplitudes, and the infidelity and
     deviation per point."""
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
@@ -771,12 +826,11 @@ def _per_seed_sweep(data, seed, grid):
     spectrum = exact_spectrum(rho, cfg, model.selected_dim)
     choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(seed))
     d = spectrum.dim
-    signed = RhoSpec.from_model(choice.model)
     anchor = qram_store.prepare_row_state(data, choice.profile.anchor_index)
     [projected], [p_anchor] = sv_engine.project_anchor(
-        signed, cfg, qram_store.prepare_data_state(data), [anchor], distinct_top=d
+        rho, cfg, qram_store.prepare_data_state(data), [anchor], distinct_top=d
     )
-    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, choice.model, d))
+    reference = pca_oracle.expected_compressed_state(anchor_signed_projection(data, model, choice.signs, d))
     kept, infid, dev = [], [], []
     for eps in grid:
         beta_hat = perturb_beta(choice.profile.beta, eps)

@@ -17,7 +17,7 @@ from qpcasim.qram_store import (
 )
 from qpcasim.statevector import StateVector
 
-from oracles import direct_data_state, frobenius_sq_direct
+from oracles import direct_data_state, frobenius_sq_direct, signed_left_vectors
 
 
 def test_tree_partial_sums_single_row():
@@ -148,12 +148,11 @@ def test_data_state_equals_schmidt_form():
     data = DataMatrix(np.random.default_rng(17).standard_normal((6, 4)))
     model = svd_decompose(data, 1.0)
     state = prepare_data_state(data)
+    u = signed_left_vectors(data.values, model.right_vectors)
     table = np.zeros(state.amplitudes.shape)
     for j in range(model.rank):
         amp = model.singular_values[j] / data.frobenius_norm
-        table[: data.n_rows, : data.n_cols] += amp * np.outer(
-            model.left_vectors[:, j], model.right_vectors[:, j]
-        )
+        table[: data.n_rows, : data.n_cols] += amp * np.outer(u[:, j], model.right_vectors[:, j])
     overlap = 0.0
     for i in range(table.shape[0]):
         for j in range(table.shape[1]):

@@ -36,7 +36,7 @@ from qpcasim.sv_engine import (
     swap_test,
 )
 
-from oracles import reference_token_circuit
+from oracles import reference_token_circuit, signed_left_vectors
 
 
 def basis(layout, **values):
@@ -232,10 +232,11 @@ def test_phase_estimate_matches_schmidt_oracle():
     model, rho, state = _labeled_state(data, cfg)
     labels = eigen_labels(rho, cfg)
     # Oracle: sum_j sqrt(lambda_j) |u_j>|v_j>|label_j>, built term by term.
+    u = signed_left_vectors(data.values, model.right_vectors)
     table = np.zeros((4, 4, 1 << cfg.bits))
     for j in range(4):
         amp = model.singular_values[j] / data.frobenius_norm
-        table[:, :, labels[j]] += amp * np.outer(model.left_vectors[:, j], model.right_vectors[:, j])
+        table[:, :, labels[j]] += amp * np.outer(u[:, j], model.right_vectors[:, j])
     for i in range(4):
         for f in range(4):
             for e in np.unique(labels):
