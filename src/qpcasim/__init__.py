@@ -59,7 +59,6 @@ _HOMES = {
     "PHASE_SCALE": "sv_engine",
     "LABEL_MODE_IDEAL": "sv_engine",
     "LABEL_MODE_QUANTIZED": "sv_engine",
-    "RhoSpec": "sv_engine",
     "PhaseConfig": "sv_engine",
     "eigen_labels": "sv_engine",
     "check_label_distinctness": "sv_engine",

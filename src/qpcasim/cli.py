@@ -16,6 +16,7 @@ import.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -65,6 +66,8 @@ class RunConfig:
             raise OutOfRangeError(f"bits must be >= 1, got {self.bits}")
         if self.shots < 1:
             raise OutOfRangeError(f"shots must be >= 1, got {self.shots}")
+        if self.seed < 0:
+            raise OutOfRangeError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.eps_beta < 1.0:
             raise OutOfRangeError(f"eps-beta must lie in (0, 1), got {self.eps_beta}")
         if not 0.0 < self.gamma < math.inf:
@@ -259,10 +262,10 @@ def _success_sweep(run: RunResult) -> list[dict]:
     """Closed-form success probability versus kept dimension, exact
     coefficients, for scree-style plots. The coefficients are the anchor
     state's capped overlap magnitudes with every principal direction
-    (``RhoSpec.coefficients``), as the pipeline's, so no probability
+    (``SpectralModel.coefficients``), as the pipeline's, so no probability
     exceeds 1 either."""
     model = run.model
-    beta_all = run.rho.coefficients(run.anchor_state, model.rank)
+    beta_all = model.coefficients(run.anchor_state, model.rank)
     cum = model.cumulative_variance()
     sweep = []
     for dim in range(1, model.rank + 1):
@@ -417,16 +420,14 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
     from .qpca_pipeline import exact_spectrum, ledger_predict, select_anchor
-    from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, RhoSpec
+    from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig
 
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
     model = svd_decompose(data, config.theta)
-    rho = RhoSpec.from_model(model)
+    exact_spectrum(model, cfg)  # the spectrum stage's label checks, before any anchor is drawn
     choice = select_anchor(
         data,
         model,
-        rho,
-        exact_spectrum(rho, cfg, model.selected_dim),
         np.random.default_rng(config.seed),
         eps_beta=config.eps_beta,
         anchor_index=config.anchor_index,
@@ -453,17 +454,23 @@ def render_report(report: dict) -> str:
 
 def write_report(report: dict, output_path: str | None) -> None:
     """Serialize the report; file writes go through a temp-and-rename so a
-    failed run never leaves a partial report behind."""
+    failed run never leaves a partial report behind: the temp file this
+    call opened is removed when the write or the rename fails."""
     text = render_report(report)
     if output_path is None:
         sys.stdout.write(text)
         return
     tmp_path = output_path + ".tmp"
+    opened = False
     try:
         with open(tmp_path, "w", encoding="utf-8") as fh:
+            opened = True
             fh.write(text)
         os.replace(tmp_path, output_path)
     except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
         raise InvalidInputError(f"cannot write report to {output_path}: {exc}") from None
 
 
@@ -608,9 +615,11 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         report = run(config)
         elapsed = time.perf_counter() - started
-        write_report(report, config.output_path)
+        # The plot tables go first, so that a failure to write them prints
+        # only the error and leaves no report behind.
         if config.plot_dir is not None:
             emit_plot_data(report, config.plot_dir)
+        write_report(report, config.output_path)
         print(f"task {config.task} finished in {elapsed:.3f}s", file=sys.stderr)
         return 0
     except QpcaError as exc:

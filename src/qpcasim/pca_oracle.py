@@ -116,14 +116,17 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """SVD of a data matrix plus the variance-threshold selection.
+    """SVD of a data matrix plus the variance-threshold selection: the one
+    eigensystem of rho = X^T X / Tr(X^T X) that every stage reads.
 
     singular_values has one entry per feature column (zero-padded past the
-    rank), variance_proportions are their squares normalized to sum 1, and
-    right_vectors holds the principal directions alone, one column per
-    nonzero singular value, with signs fixed against row 0 of the data
-    (``svd_decompose``). An anchor row's signs are a vector beside the
-    model (``anchor_signs``), never a re-signed copy of it.
+    rank), variance_proportions are their squares normalized to sum 1 (the
+    eigenvalues of rho, descending), and right_vectors holds the principal
+    directions alone (the eigenvectors of rho), one column per nonzero
+    singular value, with signs fixed against row 0 of the data
+    (``svd_decompose``). selected_dim is the kept dimension the spectrum,
+    anchor and compression stages take. An anchor row's signs are a vector
+    beside the model (``anchor_signs``), never a re-signed copy of it.
     """
 
     singular_values: np.ndarray          # (D,), descending, zero-padded
@@ -156,6 +159,19 @@ class SpectralModel:
         ``right_vectors``: the signs that turn the model's directions into
         ones signed against that row. The caller checks the index."""
         return _overlap_signs(data.values[anchor_index], self.right_vectors)
+
+    def overlaps(self, state: StateVector, k: int) -> np.ndarray:
+        """(k,) overlaps <state|v_j> of a one-register ``state`` with the
+        leading ``k`` principal directions: V^T conj(a) over its first D
+        amplitudes, the rest being padding. Negating v_j negates its overlap
+        exactly."""
+        return self.right_vectors[:, :k].T @ state.amplitudes[: self.n_cols].conj()
+
+    def coefficients(self, state: StateVector, k: int) -> np.ndarray:
+        """(k,) |<v_j|state>|, what a swap test estimates, so no sign enters.
+        One that rounds above 1 (a row on a principal direction, as in
+        rank-1 data) is capped at 1."""
+        return np.minimum(np.abs(self.overlaps(state, k)), 1.0)
 
 
 def _overlap_signs(row: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -245,11 +261,10 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
     )
 
 
-def project(data: DataMatrix, model: SpectralModel, dim: int | None = None) -> CompressedMatrix:
-    """Coordinates of every row in the leading principal directions."""
-    d = model.selected_dim if dim is None else dim
-    if not 1 <= d <= model.rank:
-        raise OutOfRangeError(f"target dimension {d} out of range [1, {model.rank}]")
+def project(data: DataMatrix, model: SpectralModel) -> CompressedMatrix:
+    """Coordinates of every row in the model's ``selected_dim`` leading
+    principal directions."""
+    d = model.selected_dim
     if data.n_cols != model.n_cols:
         raise InvalidInputError(
             f"data has {data.n_cols} columns but the model was built for {model.n_cols}"

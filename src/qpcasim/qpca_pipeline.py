@@ -5,7 +5,9 @@ spectrum by sampling the eigenvalue register, estimate the anchor
 coefficients by swap tests, write component tokens, rotate them into an
 ancilla, and post-select on recovering the anchor. The register's law is the
 eigenvalues binned by label, so sampling it loads no data state; ``compress``
-loads the one state it compresses. Three run modes control where randomness
+loads the one state it compresses. Every stage reads one eigensystem, the
+``pca_oracle.SpectralModel`` its task decomposed once, with its kept
+dimension and variance threshold. Three run modes control where randomness
 enters:
 
   ideal      exact per-component tokens, exact coefficients, exact
@@ -37,7 +39,7 @@ from .errors import (
 from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
 from .statevector import StateVector
-from .sv_engine import PhaseConfig, RhoSpec
+from .sv_engine import PhaseConfig
 
 SCOPE_FULL = "full"
 SCOPE_SUBSET = "subset"
@@ -67,14 +69,10 @@ class SpectrumSample:
     register and token j+1. None of it depends on the anchor row or on
     the eigenvectors' signs."""
 
-    labels: np.ndarray        # (dim,) value written on the eigenvalue register
-    frequencies: np.ndarray   # (dim,) observed sampling frequency, or the exact eigenvalue
+    labels: np.ndarray        # (d,) value written on the eigenvalue register
+    frequencies: np.ndarray   # (d,) observed sampling frequency, or the exact eigenvalue
     histogram: dict[int, int] | None
     budget: int | None
-
-    @property
-    def dim(self) -> int:
-        return self.labels.size
 
 
 @dataclass(frozen=True)
@@ -174,49 +172,46 @@ def ledger_predict(
 # -- spectrum discovery ------------------------------------------------------
 
 
-def exact_spectrum(rho: RhoSpec, cfg: PhaseConfig, dim: int) -> SpectrumSample:
-    """Leading spectrum taken straight from the oracle eigensystem, with the
-    exact eigenvalues standing in for observed frequencies."""
-    if not 1 <= dim <= rho.eigenvectors.shape[1]:
-        raise OutOfRangeError(f"kept dimension {dim} out of range [1, {rho.eigenvectors.shape[1]}]")
-    labels = sv_engine.check_label_distinctness(rho, cfg, dim)
-    return SpectrumSample(labels=labels[:dim], frequencies=rho.eigenvalues[:dim], histogram=None, budget=None)
+def exact_spectrum(model: SpectralModel, cfg: PhaseConfig) -> SpectrumSample:
+    """The model's kept spectrum, with the exact eigenvalues standing in for
+    observed frequencies, once its labels pass the checks."""
+    d = model.selected_dim
+    labels = sv_engine.check_label_distinctness(model, cfg)
+    return SpectrumSample(labels=labels[:d], frequencies=model.variance_proportions[:d], histogram=None, budget=None)
 
 
 def extract_spectrum(
-    rho: RhoSpec,
+    model: SpectralModel,
     cfg: PhaseConfig,
     sampling_budget: int,
     rng_seed: int | None,
-    *,
-    dim: int,
-    threshold: float,
 ) -> SpectrumSample:
     """Discover the leading labels by repeatedly preparing the labeled state
     and measuring the eigenvalue register. The draws come from that
-    register's exact distribution, the eigenvalues of ``rho`` binned by
-    label (``sv_engine.eigen_marginal_state``), so neither the data state nor
-    the labelled state is built.
+    register's exact distribution, the model's eigenvalues binned by label
+    (``sv_engine.eigen_marginal_state``), so neither the data state nor the
+    labelled state is built.
 
-    Succeeds when every one of the leading ``dim`` labels was observed and
-    their cumulative empirical frequency reaches the variance threshold;
-    otherwise raises UnderSampledError carrying the partial sample. The
-    labels are ``exact_spectrum``'s, with the observed frequencies.
+    Succeeds when every one of the model's ``selected_dim`` kept labels was
+    observed and their cumulative empirical frequency reaches its variance
+    threshold; otherwise raises UnderSampledError carrying the partial
+    sample. The labels are ``exact_spectrum``'s, with the observed
+    frequencies.
     """
     if sampling_budget < 1:
         raise InvalidInputError("sampling budget must be >= 1")
-    exact = exact_spectrum(rho, cfg, dim)
-    sample = sv_engine.measure_register(sv_engine.eigen_marginal_state(rho, cfg), "eigen", sampling_budget, rng_seed)
+    exact = exact_spectrum(model, cfg)
+    sample = sv_engine.measure_register(sv_engine.eigen_marginal_state(model, cfg), "eigen", sampling_budget, rng_seed)
     # Coverage comes from the integer counts: a sum of per-label float
     # frequencies can round below 1.0 even when every draw hit a kept label.
     kept_counts = np.array([sample.counts.get(int(label), 0) for label in exact.labels])
     found = int(np.count_nonzero(kept_counts))
     covered = int(kept_counts.sum()) / sampling_budget
     result = replace(exact, frequencies=kept_counts / sampling_budget, histogram=sample.counts, budget=sampling_budget)
-    if found < dim or covered < threshold:
+    if found < model.selected_dim or covered < model.threshold:
         raise UnderSampledError(
-            f"budget {sampling_budget} found {found}/{dim} leading labels "
-            f"with cumulative frequency {covered:.4f} (threshold {threshold})",
+            f"budget {sampling_budget} found {found}/{model.selected_dim} leading labels "
+            f"with cumulative frequency {covered:.4f} (threshold {model.threshold})",
             partial=result,
         )
     return result
@@ -255,17 +250,16 @@ def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
 
 def exact_anchor_profile(
     anchor: StateVector,
-    rho: RhoSpec,
-    spectrum: SpectrumSample,
+    model: SpectralModel,
     anchor_index: int,
     *,
     eps_beta: float = 0.01,
 ) -> AnchorProfile:
     """Shot-free profile: the estimates equal the exact coefficients, the
     overlap magnitudes of row ``anchor_index``'s state ``anchor``
-    (``qram_store.prepare_row_state``) with the eigenvectors of ``rho``
-    (``RhoSpec.coefficients``)."""
-    beta = rho.coefficients(anchor, spectrum.dim)
+    (``qram_store.prepare_row_state``) with the model's kept directions
+    (``SpectralModel.coefficients``)."""
+    beta = model.coefficients(anchor, model.selected_dim)
     if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
         raise WeakAnchorError(
@@ -278,16 +272,15 @@ def exact_anchor_profile(
 
 def estimate_anchor(
     anchor: StateVector,
-    rho: RhoSpec,
-    spectrum: SpectrumSample,
+    model: SpectralModel,
     eps_beta: float,
     rng_seed: int | None,
     *,
     anchor_index: int,
 ) -> AnchorProfile:
-    """Estimate every anchor coefficient by a seeded swap test of row
+    """Estimate every kept anchor coefficient by a seeded swap test of row
     ``anchor_index``'s state ``anchor`` (``qram_store.prepare_row_state``)
-    against the corresponding eigenvector state of ``rho``,
+    against the state of the model's corresponding principal direction,
     ceil(c / eps_beta^2) shots each.
 
     Estimates are sqrt(max(0, 2 p0_hat - 1)). Any estimate below the floor
@@ -297,12 +290,13 @@ def estimate_anchor(
         raise OutOfRangeError(f"eps_beta must lie in (0, 1), got {eps_beta}")
     shots = int(math.ceil(ANCHOR_SHOTS_CONSTANT / eps_beta**2))
     rng = np.random.default_rng(rng_seed)
-    seeds = rng.integers(0, 2**63 - 1, size=spectrum.dim)
+    d = model.selected_dim
+    seeds = rng.integers(0, 2**63 - 1, size=d)
 
-    beta = rho.coefficients(anchor, spectrum.dim)
-    beta_hat = np.empty(spectrum.dim)
-    for k in range(spectrum.dim):
-        target = _vector_state(rho.eigenvectors[:, k], anchor)
+    beta = model.coefficients(anchor, d)
+    beta_hat = np.empty(d)
+    for k in range(d):
+        target = _vector_state(model.right_vectors[:, k], anchor)
         result = sv_engine.swap_test(anchor, target, shots, int(seeds[k]))
         beta_hat[k] = math.sqrt(max(result.overlap_sq_raw, 0.0))
     if float(beta_hat.min(initial=1.0)) < BETA_FLOOR:
@@ -336,8 +330,6 @@ class AnchorChoice:
 def select_anchor(
     data: DataMatrix,
     model: SpectralModel,
-    rho: RhoSpec,
-    spectrum: SpectrumSample,
     rng: np.random.Generator,
     *,
     eps_beta: float = 0.01,
@@ -351,9 +343,7 @@ def select_anchor(
     draws. A fixed ``anchor_index`` is the only candidate, and its
     WeakAnchorError propagates unchanged. With a ``beta_seed`` the
     coefficients are estimated by swap tests seeded by it; without one they
-    are exact. ``rho`` and ``spectrum`` are the caller's, built from its
-    decomposition ``model`` (``RhoSpec.from_model``), since neither depends
-    on the anchor. A candidate is judged from ``rho`` and its row state
+    are exact. A candidate is judged from ``model`` and its row state
     alone: its coefficients are the magnitudes of its overlaps, which no
     eigenvector sign changes. Only the accepted row's signs are taken
     (``SpectralModel.anchor_signs``); ``model`` is not copied. A fixed
@@ -368,9 +358,9 @@ def select_anchor(
         state = qram_store.prepare_row_state(data, anchor)
         try:
             if beta_seed is None:
-                profile = exact_anchor_profile(state, rho, spectrum, anchor, eps_beta=eps_beta)
+                profile = exact_anchor_profile(state, model, anchor, eps_beta=eps_beta)
             else:
-                profile = estimate_anchor(state, rho, spectrum, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(state, model, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise
@@ -457,8 +447,6 @@ def _identity_success_probability(
 def compress(
     data: DataMatrix,
     model: SpectralModel,
-    rho: RhoSpec,
-    spectrum: SpectrumSample,
     profile: AnchorProfile,
     anchor: StateVector,
     signs: np.ndarray,
@@ -477,16 +465,16 @@ def compress(
     tokens 1..dim with label 0 unused, and the report compares it against
     the classical projection. The data state is loaded from ``data``.
     ``anchor`` is the loaded state of the profile's anchor row
-    (``AnchorChoice.anchor_state``), which the projection undoes. No
-    sign of ``rho`` is read. The circuit leaves token j+1 with the sign of
-    <v_j|anchor>, so the classical reference, ``CompressResult.compressed``,
-    is the projection onto ``model``'s directions with its columns flipped
-    by ``signs``, the anchor row's signs against ``model``
-    (``AnchorChoice.signs``). Negation is exact.
+    (``AnchorChoice.anchor_state``), which the projection undoes. The
+    circuit reads no sign of ``model``'s directions: it leaves token j+1
+    with the sign of <v_j|anchor>, so the classical reference,
+    ``CompressResult.compressed``, is the projection onto ``model``'s
+    directions with its columns flipped by ``signs``, the anchor row's signs
+    against ``model`` (``AnchorChoice.signs``). Negation is exact.
     """
-    d = spectrum.dim
+    d = model.selected_dim
     if profile.beta_hat.size != d:
-        raise InvalidInputError("anchor profile and spectrum disagree on the kept dimension")
+        raise InvalidInputError("anchor profile and model disagree on the kept dimension")
 
     scope = SCOPE_FULL
     rows = np.arange(data.n_rows)
@@ -502,7 +490,7 @@ def compress(
     if scope == SCOPE_SUBSET:
         state, _ = state.restrict_register("row", [int(r) for r in rows])
 
-    [projected], p_anchor = sv_engine.project_anchor(rho, cfg, state, [anchor], distinct_top=d)
+    [projected], p_anchor = sv_engine.project_anchor(model, cfg, state, [anchor])
     # The rotated state is twice the projected one; no name keeps it alive
     # through the oracle comparison below, where a run's memory peaks.
     post = sv_engine.postselect(
@@ -513,7 +501,7 @@ def compress(
     )
 
     # Oracle comparison.
-    compressed = pca_oracle.project(data, model, d)
+    compressed = pca_oracle.project(data, model)
     np.multiply(compressed.values, signs[:d], out=compressed.values)
     mask = np.zeros(data.n_rows, dtype=bool)
     mask[rows] = True
@@ -565,7 +553,6 @@ class RunResult:
 
     data: DataMatrix
     model: SpectralModel  # the run's one decomposition, with row-0 signs
-    rho: RhoSpec          # its eigensystem: the same right_vectors array
     cfg: PhaseConfig
     spectrum: SpectrumSample
     profile: AnchorProfile
@@ -600,19 +587,13 @@ def run_compression(
     sampled = run_mode == MODE_SAMPLED
     model = pca_oracle.svd_decompose(data, threshold)
     _check_anchor_index(data, anchor_index)  # before the spectrum is sampled
-    rho = RhoSpec.from_model(model)
-    d = model.selected_dim
     if sampled:
-        spectrum = extract_spectrum(
-            rho, cfg, default_sampling_budget(d), spectrum_seed, dim=d, threshold=model.threshold
-        )
+        spectrum = extract_spectrum(model, cfg, default_sampling_budget(model.selected_dim), spectrum_seed)
     else:
-        spectrum = exact_spectrum(rho, cfg, d)
+        spectrum = exact_spectrum(model, cfg)
     choice = select_anchor(
         data,
         model,
-        rho,
-        spectrum,
         np.random.default_rng(anchor_seed),
         eps_beta=eps_beta,
         anchor_index=anchor_index,
@@ -621,8 +602,6 @@ def run_compression(
     result = compress(
         data,
         model,
-        rho,
-        spectrum,
         choice.profile,
         choice.anchor_state,
         choice.signs,
@@ -635,7 +614,6 @@ def run_compression(
     return RunResult(
         data=data,
         model=model,
-        rho=rho,
         cfg=cfg,
         spectrum=spectrum,
         profile=choice.profile,
@@ -726,20 +704,19 @@ def error_scaling_experiment(
     cfg = PhaseConfig(label_mode=sv_engine.LABEL_MODE_IDEAL)
     model = pca_oracle.svd_decompose(data, threshold)
     state = qram_store.prepare_data_state(data)
-    rho = RhoSpec.from_model(model)
     d = model.selected_dim
-    spectrum = exact_spectrum(rho, cfg, d)
-    choices = [select_anchor(data, model, rho, spectrum, np.random.default_rng(int(seed))) for seed in seeds]
+    exact_spectrum(model, cfg)  # the spectrum stage's label checks, before any anchor is drawn
+    choices = [select_anchor(data, model, np.random.default_rng(int(seed))) for seed in seeds]
     # Each seed's reference is the one reference state with that anchor's
     # signs on tokens 1..d; negating a column of the projection is exact.
-    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model, d)).amplitudes
+    reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model)).amplitudes
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
     step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
     for start in range(0, len(choices), step):
         batch = choices[start : start + step]
         anchors = [choice.anchor_state for choice in batch]
-        projected, p_anchor = sv_engine.project_anchor(rho, cfg, state, anchors, distinct_top=d)
+        projected, p_anchor = sv_engine.project_anchor(model, cfg, state, anchors)
         beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid)
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
         # Seed by seed, so each row sums in seed order.

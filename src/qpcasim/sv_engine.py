@@ -1,12 +1,16 @@
 """Quantum-side primitives, simulated exactly on dense statevectors.
 
 Phase estimation is modeled as an exact projection onto the eigenbasis of
-the (unnormalized-covariance) density operator: the engine changes basis,
+the density operator rho = X^T X / Tr(X^T X): the engine changes basis,
 XORs a per-eigenvector label into the eigenvalue register, and changes back.
-Labels are either exact per-component tokens (ideal mode) or the fixed-width
-rounding of half the eigenvalue (quantized mode; the half keeps the top of
-the spectrum from wrapping). The XOR makes the walk an involution, so the
-un-compute pass is the same unitary.
+Every stage reads that eigensystem, and the kept dimension, from the one
+``pca_oracle.SpectralModel``: its variance proportions are the eigenvalues,
+its right vectors the eigenvectors (signed against row 0), and its
+``selected_dim`` leading components are kept. Labels are either exact
+per-component tokens (ideal mode) or the fixed-width rounding of half the
+eigenvalue (quantized mode; the half keeps the top of the spectrum from
+wrapping). The XOR makes the walk an involution, so the un-compute pass is
+the same unitary.
 
 The label write, token write and label un-compute leave the eigenvalue
 register in |0> again, and the ancilla rotation commutes with them, so
@@ -45,6 +49,7 @@ from .errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
+from .pca_oracle import SpectralModel
 from .statevector import Register, StateVector, check_unit_norm, token_qubits
 
 LABEL_MODE_IDEAL = "ideal"
@@ -56,50 +61,6 @@ PHASE_SCALE = 0.5
 
 # Post-selection probability below which the kept branch counts as lost.
 POSTSELECT_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class RhoSpec:
-    """Eigensystem of X^T X / Tr(X^T X): proportions of captured variance,
-    and orthonormal directions (columns) for the leading k, with the signs
-    of the decomposition they came from."""
-
-    eigenvalues: np.ndarray      # (D,), descending, sums to 1
-    eigenvectors: np.ndarray     # (D, k) columns, k <= D
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        vec = np.asarray(self.eigenvectors, dtype=np.float64)
-        if lam.ndim != 1 or vec.ndim != 2 or vec.shape[0] != lam.size or vec.shape[1] > lam.size:
-            raise InvalidInputError("eigenvalues must be (D,) and eigenvectors (D, k) with k <= D")
-        if np.any(lam[vec.shape[1] :]):
-            raise InvalidInputError("every eigenvalue past the last eigenvector must be zero")
-        if np.any(lam < -1e-12) or abs(float(lam.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("eigenvalues must be nonnegative and sum to 1")
-        if np.any(np.diff(lam) > 1e-12):
-            raise InvalidInputError("eigenvalues must be sorted in descending order")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
-
-    @classmethod
-    def from_model(cls, model) -> "RhoSpec":
-        return cls(eigenvalues=model.variance_proportions, eigenvectors=model.right_vectors)
-
-    def overlaps(self, state: StateVector, k: int) -> np.ndarray:
-        """(k,) overlaps <state|v_j> of a one-register ``state`` with the
-        leading ``k`` eigenvectors: V^T conj(a) over its first D amplitudes,
-        the rest being padding. Negating v_j negates its overlap exactly."""
-        return self.eigenvectors[:, :k].T @ state.amplitudes[: self.dim].conj()
-
-    def coefficients(self, state: StateVector, k: int) -> np.ndarray:
-        """(k,) |<v_j|state>|, what a swap test estimates, so no sign enters.
-        One that rounds above 1 (a row on a principal direction, as in
-        rank-1 data) is capped at 1."""
-        return np.minimum(np.abs(self.overlaps(state, k)), 1.0)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -132,22 +93,24 @@ class PhaseConfig:
         return self.bits
 
 
-def eigen_labels(rho: RhoSpec, cfg: PhaseConfig) -> np.ndarray:
+def eigen_labels(model: SpectralModel, cfg: PhaseConfig) -> np.ndarray:
     """Label written for each eigen-component, in spectral order."""
     if cfg.label_mode == LABEL_MODE_IDEAL:
-        return np.arange(1, rho.dim + 1, dtype=np.int64)
+        return np.arange(1, model.n_cols + 1, dtype=np.int64)
     scale = float(1 << cfg.bits)
-    return np.floor(PHASE_SCALE * rho.eigenvalues * scale + 0.5).astype(np.int64)
+    return np.floor(PHASE_SCALE * model.variance_proportions * scale + 0.5).astype(np.int64)
 
 
-def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.ndarray:
-    """Quantized labels for the leading ``top`` components must be pairwise
-    distinct, otherwise the index write becomes ambiguous. They must also be
-    nonzero, because label 0 is what an unwritten register holds, and no tail
-    component may share one, because its variance would then receive that
-    kept component's token; that error carries the leaked tail mass."""
-    labels = eigen_labels(rho, cfg)
+def check_label_distinctness(model: SpectralModel, cfg: PhaseConfig) -> np.ndarray:
+    """Quantized labels for the model's kept components (the leading
+    ``selected_dim``) must be pairwise distinct, otherwise the index write
+    becomes ambiguous. They must also be nonzero, because label 0 is what an
+    unwritten register holds, and no tail component may share one, because
+    its variance would then receive that kept component's token; that error
+    carries the leaked tail mass. Returns every component's label."""
+    labels = eigen_labels(model, cfg)
     if cfg.label_mode == LABEL_MODE_QUANTIZED:
+        top = model.selected_dim
         head = labels[:top]
         if np.unique(head).size != head.size:
             pairs = [
@@ -163,7 +126,7 @@ def check_label_distinctness(rho: RhoSpec, cfg: PhaseConfig, top: int) -> np.nda
         zero = np.flatnonzero(head == 0).tolist()
         leaked = (top + np.flatnonzero(np.isin(labels[top:], head))).tolist()
         if zero or leaked:
-            mass = float(rho.eigenvalues[leaked].sum())
+            mass = float(model.variance_proportions[leaked].sum())
             faults = []
             if zero:
                 faults.append(f"kept components {zero} have label 0, the value of an unwritten register")
@@ -188,23 +151,24 @@ def _refuse_below_floor(probs: float | np.ndarray) -> None:
         raise VanishingSuccessError(f"post-selection probability {prob:.3e} below floor {POSTSELECT_FLOOR:.3e}")
 
 
-def _padded_eigenbasis(rho: RhoSpec, padded_dim: int) -> np.ndarray:
-    """The eigenvectors, completed by the trailing columns of one QR of
-    [eigenvectors | identity], then the identity past the eigensystem."""
-    if padded_dim < rho.dim:
+def _padded_eigenbasis(model: SpectralModel, padded_dim: int) -> np.ndarray:
+    """The principal directions, completed by the trailing columns of one QR
+    of [directions | identity], then the identity past the eigensystem."""
+    if padded_dim < model.n_cols:
         raise InvalidInputError("feature register smaller than the eigensystem")
-    d, k = rho.eigenvectors.shape
+    v = model.right_vectors
+    d, k = v.shape
     basis = np.eye(padded_dim)
-    basis[:d, :k] = rho.eigenvectors
-    basis[:d, k:d] = np.linalg.qr(np.hstack([rho.eigenvectors, np.eye(d)]))[0][:, k:]
+    basis[:d, :k] = v
+    basis[:d, k:d] = np.linalg.qr(np.hstack([v, np.eye(d)]))[0][:, k:]
     return basis
 
 
-def _padded_labels(rho: RhoSpec, cfg: PhaseConfig, padded_dim: int, register_dim: int) -> np.ndarray:
+def _padded_labels(model: SpectralModel, cfg: PhaseConfig, padded_dim: int, register_dim: int) -> np.ndarray:
     """Label of every padded eigenbasis direction (0 past the eigensystem),
     checked to fit an eigenvalue register of ``register_dim`` values."""
     labels = np.zeros(padded_dim, dtype=np.int64)
-    labels[: rho.dim] = eigen_labels(rho, cfg)
+    labels[: model.n_cols] = eigen_labels(model, cfg)
     if int(labels.max(initial=0)) >= register_dim:
         raise InvalidInputError(
             f"label {int(labels.max())} does not fit the eigenvalue register of dim {register_dim}"
@@ -212,10 +176,10 @@ def _padded_labels(rho: RhoSpec, cfg: PhaseConfig, padded_dim: int, register_dim
     return labels
 
 
-def _label_walk(state: StateVector, rho: RhoSpec, cfg: PhaseConfig) -> StateVector:
+def _label_walk(state: StateVector, model: SpectralModel, cfg: PhaseConfig) -> StateVector:
     dim = state.register("feature").dim
-    basis = _padded_eigenbasis(rho, dim)
-    labels = _padded_labels(rho, cfg, dim, state.register("eigen").dim)
+    basis = _padded_eigenbasis(model, dim)
+    labels = _padded_labels(model, cfg, dim, state.register("eigen").dim)
     out = state.apply_register_unitary("feature", basis.T)
     out = out.apply_controlled_xor("feature", "eigen", {j: int(label) for j, label in enumerate(labels) if label})
     return out.apply_register_unitary("feature", basis)
@@ -226,29 +190,22 @@ def _require_zero(state: StateVector, name: str, message: str) -> None:
         raise ContractViolationError(message)
 
 
-def phase_estimate(
-    rho: RhoSpec,
-    cfg: PhaseConfig,
-    state: StateVector,
-    *,
-    distinct_top: int | None = None,
-) -> StateVector:
+def phase_estimate(model: SpectralModel, cfg: PhaseConfig, state: StateVector) -> StateVector:
     """Write eigenvalue labels: each eigenbasis component of the "feature"
     register tags the "eigen" register with its label.
 
-    The eigenvalue register must be zeroed. ``distinct_top`` enables the
-    collision check over the leading components being targeted downstream.
+    The eigenvalue register must be zeroed. The labels are written as they
+    are, colliding or 0 included; a circuit that maps them to tokens checks
+    them first (``check_label_distinctness``), as ``project_anchor`` does.
     """
     _require_zero(state, "eigen", "eigenvalue register 'eigen' must be |0> before label writing")
-    if distinct_top is not None:
-        check_label_distinctness(rho, cfg, distinct_top)
-    return _label_walk(state, rho, cfg)
+    return _label_walk(state, model, cfg)
 
 
-def inverse_phase_estimate(rho: RhoSpec, cfg: PhaseConfig, state: StateVector) -> StateVector:
+def inverse_phase_estimate(model: SpectralModel, cfg: PhaseConfig, state: StateVector) -> StateVector:
     """Un-compute the labels. The XOR walk is an involution, so this is the
     same unitary as the forward pass without the zero-register precondition."""
-    return _label_walk(state, rho, cfg)
+    return _label_walk(state, model, cfg)
 
 
 def apply_cu_lambda(
@@ -279,49 +236,45 @@ def apply_cu_lambda(
 
 
 def project_anchor(
-    rho: RhoSpec,
+    model: SpectralModel,
     cfg: PhaseConfig,
     state: StateVector,
     anchors: Sequence[StateVector],
-    *,
-    distinct_top: int,
 ) -> tuple[list[StateVector], np.ndarray]:
     """Label write, token write, label un-compute and the anchor half of
     postselection as one product on the "feature" register, for every one
     of ``anchors`` at once.
 
-    For each anchor this equals ``phase_estimate`` (with ``distinct_top``),
-    ``apply_cu_lambda`` of token j+1 on kept component j's label onto a
-    fresh "index" register of ``token_qubits(distinct_top)`` qubits and
+    For each anchor this equals ``phase_estimate``, ``apply_cu_lambda`` of
+    token j+1 on kept component j's label onto a fresh "index" register of
+    ``token_qubits(d)`` qubits (d the model's ``selected_dim``) and
     ``inverse_phase_estimate``, then undoing the preparation of that anchor
     (a state on the feature register alone) and keeping feature |0>.
-    Eigenvector k gets token k+1 for k < ``distinct_top`` and no other
-    direction gets one; the label checks, the explicit circuit's, refuse
-    every spectrum where the label write would map otherwise. With V those
-    eigenvectors, anchor s's product is the feature axis times
-    G_s[j, k+1] = V[j, k] c_s[k], with c_s = V^T conj(anchor_s) its
-    overlaps (``RhoSpec.overlaps``); negating v_k negates c_s[k] exactly,
+    Eigenvector k gets token k+1 for k < d and no other direction gets one;
+    the label checks (``check_label_distinctness``, run first) refuse
+    every spectrum where the label write would map otherwise. With V those eigenvectors, anchor
+    s's product is the feature axis times G_s[j, k+1] = V[j, k] c_s[k], with
+    c_s = V^T conj(anchor_s) its overlaps (``SpectralModel.overlaps``);
+    negating v_k negates c_s[k] exactly,
     so G_s does not depend on the eigenvectors' signs. The G_s are stacked
     (features, anchors, tokens) and applied as one product, real when the
     state and the anchors are. Returns one renormalised state per anchor,
     "index" in place of "feature", and the probabilities of the anchor
     outcomes, (anchors,).
     """
-    check_label_distinctness(rho, cfg, distinct_top)
+    check_label_distinctness(model, cfg)
     width = state.register("feature").qubits
     for anchor in anchors:
         if anchor.layout() != (("feature", width),):
             raise InvalidInputError(
                 f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
             )
-    if not 1 <= distinct_top <= rho.eigenvectors.shape[1]:
-        raise OutOfRangeError(f"kept dimension {distinct_top} out of range [1, {rho.eigenvectors.shape[1]}]")
-    index_qubits = token_qubits(distinct_top)
-    v = rho.eigenvectors[:, :distinct_top]
-    coefficients = np.array([rho.overlaps(anchor, distinct_top) for anchor in anchors])
+    d = model.selected_dim
+    index_qubits = token_qubits(d)
+    coefficients = np.array([model.overlaps(anchor, d) for anchor in anchors])
     dtype = np.result_type(coefficients, state.amplitudes)
     g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=dtype)
-    g[: rho.dim, :, 1 : distinct_top + 1] = v[:, None, :] * coefficients
+    g[: model.n_cols, :, 1 : d + 1] = model.right_vectors[:, None, :d] * coefficients
     block = np.tensordot(state.amplitudes, g, axes=([state.axis("feature")], [0]))
     # One contiguous block per anchor, so that each probability is summed
     # as it would be for that anchor alone.
@@ -333,10 +286,10 @@ def project_anchor(
     return [StateVector(registers, b) for b in blocks], probs
 
 
-def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig) -> StateVector:
+def eigen_marginal_state(model: SpectralModel, cfg: PhaseConfig) -> StateVector:
     """The "eigen" register that ``phase_estimate`` would write from the
     "feature" register of the loaded data state onto a fresh register of
-    ``cfg.register_width(rho.dim)`` qubits, as a state of its own.
+    ``cfg.register_width(model.n_cols)`` qubits, as a state of its own.
 
     Distinct labels tag orthogonal eigenspaces, so that register's reduced
     state is diagonal: label L weighs the data state's feature marginal,
@@ -345,8 +298,8 @@ def eigen_marginal_state(rho: RhoSpec, cfg: PhaseConfig) -> StateVector:
     those weights, so measuring this state follows the same law as
     measuring the labelled register, and no state is rotated or labelled.
     """
-    width = cfg.register_width(rho.dim)
-    weights = np.bincount(eigen_labels(rho, cfg), weights=rho.eigenvalues, minlength=1 << width)
+    width = cfg.register_width(model.n_cols)
+    weights = np.bincount(eigen_labels(model, cfg), weights=model.variance_proportions, minlength=1 << width)
     return StateVector.from_amplitudes([("eigen", width)], np.sqrt(np.clip(weights, 0.0, None)))
 
 

@@ -94,6 +94,8 @@ CASES = {
     "error_huge_row": ("huge.csv", None, []),
     "error_invalid_input": ("rank3.csv", None, ["--task", "qsvm"]),
     "error_out_of_range": ("rank3.csv", None, ["--theta", "1.5"]),
+    # numpy refuses a negative seed; the config check refuses it first.
+    "error_negative_seed": ("rank3.csv", None, ["--seed", "-1"]),
     # Every identity row lies on one principal axis, so every draw is weak.
     "error_weak_anchor_compress": ("identity.csv", None, []),
     "error_weak_anchor_ledger": ("identity.csv", None, ["--task", "ledger"]),

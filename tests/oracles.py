@@ -5,12 +5,35 @@ path with the package: a cyclic Jacobi eigensolver, Gaussian elimination,
 direct summation helpers, left singular vectors signed to match given
 principal directions, a gate-by-gate simulation of the token-writing
 circuit (wire flips plus multi-controlled NOTs), and the least-squares SVM
-solved densely through its N x N kernel.
+solved densely through its N x N kernel. One builder, ``spectral_model``,
+makes the package's own eigensystem type from a stated spectrum, so tests
+can hand the pipeline spectra no data matrix is needed for.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qpcasim.pca_oracle import SpectralModel
+
+
+def spectral_model(eigenvalues, vectors, dim: int) -> SpectralModel:
+    """The ``SpectralModel`` of a stated eigensystem: ``eigenvalues`` (D,),
+    descending and summing to 1, are its variance proportions, the columns
+    of ``vectors`` (D, k) its principal directions, and ``dim`` of them are
+    kept. Its singular values are the eigenvalues' square roots, its
+    threshold the variance the kept components carry, and it has one row
+    per direction."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    return SpectralModel(
+        singular_values=np.sqrt(lam),
+        variance_proportions=lam,
+        right_vectors=vectors,
+        n_rows=vectors.shape[1],
+        threshold=float(lam[:dim].sum()),
+        selected_dim=dim,
+    )
 
 
 def jacobi_eigh(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-13):

@@ -34,7 +34,6 @@ from qpcasim.qml_apps import (
 from qpcasim.qpca_pipeline import (
     MODE_SAMPLED,
     error_scaling_experiment,
-    exact_spectrum,
     ledger_predict,
     run_compression,
     select_anchor,
@@ -44,7 +43,6 @@ from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
     PhaseConfig,
-    RhoSpec,
     apply_cu_lambda,
     postselect_rotations,
     project_anchor,
@@ -204,12 +202,12 @@ def test_criterion_05_swap_test_calibration():
     _verdict(5, "swap test calibration", failures)
 
 
-def anchor_signed_projection(data, model, signs, d):
-    """The projection onto ``model``'s leading ``d`` directions with its
-    columns flipped by an anchor's ``signs`` against ``model``: the
-    classical reference for that anchor, as ``compress`` forms it."""
-    y = project(data, model, d)
-    return replace(y, values=y.values * signs[:d])
+def anchor_signed_projection(data, model, signs):
+    """The projection onto ``model``'s kept directions with its columns
+    flipped by an anchor's ``signs`` against ``model``: the classical
+    reference for that anchor, as ``compress`` forms it."""
+    y = project(data, model)
+    return replace(y, values=y.values * signs[: model.selected_dim])
 
 
 def uniform_relative_infidelities(data, seed, eps_grid):
@@ -221,16 +219,13 @@ def uniform_relative_infidelities(data, seed, eps_grid):
     at 1."""
     cfg = PhaseConfig(label_mode=LABEL_MODE_IDEAL)
     model = svd_decompose(data, 0.95)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, cfg, model.selected_dim)
-    choice = select_anchor(data, model, rho, spectrum, np.random.default_rng(seed))
+    choice = select_anchor(data, model, np.random.default_rng(seed))
     beta_hat = np.array([choice.profile.beta * (1.0 + eps) for eps in eps_grid])
     if beta_hat.max() >= 1.0:
         return None
-    d = spectrum.dim
-    [projected], p_anchor = project_anchor(rho, cfg, prepare_data_state(data), [choice.anchor_state], distinct_top=d)
+    [projected], p_anchor = project_anchor(model, cfg, prepare_data_state(data), [choice.anchor_state])
     [kept], _ = postselect_rotations([projected], p_anchor, beta_hat[None], beta_hat.min(axis=-1)[None])
-    psi = expected_compressed_state(anchor_signed_projection(data, model, choice.signs, d)).amplitudes
+    psi = expected_compressed_state(anchor_signed_projection(data, model, choice.signs)).amplitudes
     return [max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0) for phi in kept]
 
 

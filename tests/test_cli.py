@@ -418,6 +418,32 @@ def test_plot_data_scaling_table(rank2_csv, tmp_path):
     assert table[0, 1] <= 1e-9
 
 
+@pytest.mark.parametrize("out", [None, "report.json"])
+def test_a_failing_plot_dir_prints_only_the_error(capsys, rank2_csv, tmp_path, out):
+    # The plot tables are written before the report, so a plot directory that
+    # cannot be made leaves exactly one JSON document on stdout (the error,
+    # which _error_payload parses whole) and no report file.
+    argv = ["--input", rank2_csv, "--plot-dir", _write(tmp_path, "taken", "a file\n")]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    payload = _error_payload(capsys, argv)
+    assert payload["code"] == "INVALID_INPUT"
+    assert payload["message"].startswith("cannot create plot directory")
+    if out is not None:
+        assert not os.path.exists(tmp_path / out) and not os.path.exists(tmp_path / (out + ".tmp"))
+
+
+def test_out_at_a_directory_leaves_no_temp_file(capsys, rank2_csv, tmp_path):
+    # The temp file is written, then cannot replace a directory; it is removed.
+    target = tmp_path / "outdir"
+    target.mkdir()
+    payload = _error_payload(capsys, ["--input", rank2_csv, "--out", str(target)])
+    assert payload["code"] == "INVALID_INPUT"
+    assert payload["message"].startswith(f"cannot write report to {target}")
+    assert not os.path.exists(str(target) + ".tmp")
+    assert target.is_dir() and not any(target.iterdir())
+
+
 # -- error reporting ----------------------------------------------------------------
 
 
@@ -443,6 +469,18 @@ def test_main_reports_missing_input(capsys, tmp_path):
 def test_main_reports_out_of_range(capsys, rank2_csv):
     payload = _error_payload(capsys, ["--input", rank2_csv, "--theta", "1.5"])
     assert payload["code"] == "OUT_OF_RANGE"
+
+
+@pytest.mark.parametrize("task", ["compress", "qsvm", "qlr"])
+def test_negative_seed_is_out_of_range(capsys, rank2_csv, blobs_files, linear_files, task):
+    # numpy refuses a negative seed with a traceback; every task refuses it
+    # first, qsvm and qlr in ideal mode too, though they draw nothing from it.
+    files = {"compress": (rank2_csv,), "qsvm": blobs_files, "qlr": linear_files}[task]
+    argv = ["--input", files[0], "--task", task, "--seed", "-1"]
+    if len(files) > 1:
+        argv += ["--labels", files[1]]
+    payload = _error_payload(capsys, argv)
+    assert payload == {"code": "OUT_OF_RANGE", "message": "seed must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf"])

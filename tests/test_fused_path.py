@@ -37,9 +37,9 @@ from qpcasim.statevector import StateVector, token_qubits
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
     PhaseConfig,
-    RhoSpec,
     apply_cr_beta,
     apply_cu_lambda,
+    check_label_distinctness,
     eigen_marginal_state,
     inverse_phase_estimate,
     phase_estimate,
@@ -60,15 +60,16 @@ def _explicit_compress(run, scope, rows):
     """The compression circuit as the paper writes it: matrix state load,
     label write on an eigenvalue register, token write, label un-compute,
     and the anchor undone with its whole preparation matrix."""
-    tree, rho, cfg, spectrum, profile = build_tree(run.data), run.rho, run.cfg, run.spectrum, run.profile
+    tree, model, cfg, profile = build_tree(run.data), run.model, run.cfg, run.profile
     state = _explicit_data_state(tree)
     if scope == SCOPE_SUBSET:
         state, _ = state.restrict_register("row", rows)
-    state = state.append_register("eigen", cfg.register_width(rho.dim))
-    state = phase_estimate(rho, cfg, state, distinct_top=spectrum.dim)
-    state = state.append_register("index", token_qubits(spectrum.dim))
-    state = apply_cu_lambda(state, [(int(label), j + 1) for j, label in enumerate(spectrum.labels)])
-    state = inverse_phase_estimate(rho, cfg, state)
+    labels = check_label_distinctness(model, cfg)[: model.selected_dim]
+    state = state.append_register("eigen", cfg.register_width(model.n_cols))
+    state = phase_estimate(model, cfg, state)
+    state = state.append_register("index", token_qubits(model.selected_dim))
+    state = apply_cu_lambda(state, [(int(label), j + 1) for j, label in enumerate(labels)])
+    state = inverse_phase_estimate(model, cfg, state)
     state = state.remove_register("eigen")
     state = apply_cr_beta(state, profile.beta_hat, profile.rotation_constant)
     state = state.apply_register_unitary("feature", row_prep_unitary(tree, profile.anchor_index).T)
@@ -116,7 +117,7 @@ def test_fused_map_keeps_the_explicit_circuit_checks():
     state = prepare_data_state(run.data)
     anchor = prepare_row_state(run.data, run.profile.anchor_index)
     with pytest.raises(DegenerateSpectrumError):
-        project_anchor(run.rho, PhaseConfig(bits=1), state, [anchor], distinct_top=2)
+        project_anchor(run.model, PhaseConfig(bits=1), state, [anchor])
 
 
 @pytest.mark.parametrize("shape", [(24, 12), (5, 3), (1, 4), (4, 1)])
@@ -147,11 +148,11 @@ def test_eigen_marginal_matches_labelled_register():
     ]
     for data in shapes:
         tree = build_tree(data)
-        rho = RhoSpec.from_model(svd_decompose(data, 0.95))
+        model = svd_decompose(data, 0.95)
         for cfg in (PhaseConfig(bits=6), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)):
-            width = cfg.register_width(rho.dim)
-            labelled = phase_estimate(rho, cfg, _explicit_data_state(tree).append_register("eigen", width))
-            marginal = eigen_marginal_state(rho, cfg)
+            width = cfg.register_width(model.n_cols)
+            labelled = phase_estimate(model, cfg, _explicit_data_state(tree).append_register("eigen", width))
+            marginal = eigen_marginal_state(model, cfg)
             assert marginal.layout() == (("eigen", width),)
             np.testing.assert_allclose(marginal.probabilities("eigen"), labelled.probabilities("eigen"), atol=TOL)
 
@@ -183,5 +184,5 @@ def test_spectrum_sampling_builds_no_labelled_tensor(monkeypatch):
     data = rank_k_dataset(64, 16, 4, seed=3)
     run = run_compression(data, run_mode=MODE_QUANTIZED, seed=0)
     peak = _record_peak_amplitudes(monkeypatch)
-    extract_spectrum(run.rho, run.cfg, 400, 5, dim=run.spectrum.dim, threshold=0.9)
-    assert 0 < peak[0] <= 1 << run.cfg.register_width(run.rho.dim)
+    extract_spectrum(run.model, run.cfg, 400, 5)
+    assert 0 < peak[0] <= 1 << run.cfg.register_width(run.model.n_cols)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qpcasim.pca_oracle import (
 )
 from qpcasim.qpca_pipeline import run_compression
 from qpcasim.statevector import ceil_log2
-from qpcasim.sv_engine import RhoSpec, _padded_eigenbasis
+from qpcasim.sv_engine import _padded_eigenbasis
 
 from oracles import jacobi_eigh, signed_left_vectors
 
@@ -77,8 +78,7 @@ def test_two_identical_rows():
     assert model.rank == 1
     # Only the principal direction is kept, so it is all a projection can use.
     assert model.right_vectors.shape == (2, 1)
-    with pytest.raises(OutOfRangeError, match=r"target dimension 2 out of range \[1, 1\]"):
-        project(DataMatrix(np.array([[1.0, 0.0], [1.0, 0.0]])), model, 2)
+    assert model.selected_dim == 1
 
 
 def test_reconstruction_and_jacobi_cross_check_seed7():
@@ -173,13 +173,12 @@ def test_model_invariants_random_matrices():
         # The explicit-circuit reference completes the basis: orthogonal on
         # the padded feature register, the eigenvectors first, the identity
         # past the features, and the same on every call.
-        rho = RhoSpec.from_model(model)
         padded = 1 << ceil_log2(d)
-        basis = _padded_eigenbasis(rho, padded)
+        basis = _padded_eigenbasis(model, padded)
         np.testing.assert_allclose(basis.T @ basis, np.eye(padded), atol=1e-13)
         assert np.array_equal(basis[:d, :rank], model.right_vectors)
         assert np.array_equal(basis[d:], np.eye(padded)[d:])
-        assert np.array_equal(_padded_eigenbasis(RhoSpec.from_model(again), padded), basis)
+        assert np.array_equal(_padded_eigenbasis(again, padded), basis)
 
 
 @pytest.mark.parametrize(
@@ -258,7 +257,8 @@ def test_projection_full_dimension_preserves_row_norms():
     rng = np.random.default_rng(21)
     data = DataMatrix(rng.standard_normal((6, 4)))
     model = svd_decompose(data, 1.0)
-    y = project(data, model, dim=4)
+    assert model.selected_dim == 4
+    y = project(data, model)
     np.testing.assert_allclose(
         np.linalg.norm(y.values, axis=1), np.linalg.norm(data.values, axis=1), atol=1e-10
     )
@@ -504,7 +504,7 @@ def test_pairwise_overlap_stacked_product_rounds_like_two_products(n_rows):
     # general data the two agree to the summation error of unit-row dot
     # products: (d + D) * eps per entry.
     data = DataMatrix(np.random.default_rng(n_rows).standard_normal((n_rows, 16)))
-    compressed = project(data, svd_decompose(data, 1.0), 4)
+    compressed = project(data, replace(svd_decompose(data, 1.0), selected_dim=4))
     report = pairwise_overlap_report(data, compressed, tolerance=1e-6)
     x, y, _ = _unit_rows(data, compressed)
     i1, i2 = np.triu_indices(n_rows, k=1)

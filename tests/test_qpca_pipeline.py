@@ -35,8 +35,9 @@ from qpcasim.qpca_pipeline import (
     run_compression,
 )
 from qpcasim.statevector import StateVector
-from qpcasim.sv_engine import LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED, POSTSELECT_FLOOR, PhaseConfig, RhoSpec
+from qpcasim.sv_engine import LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED, POSTSELECT_FLOOR, PhaseConfig
 
+from oracles import spectral_model
 from test_acceptance import anchor_signed_projection, uniform_relative_infidelities
 
 RANK3 = str(Path(__file__).resolve().parent / "golden" / "inputs" / "rank3.csv")
@@ -45,34 +46,33 @@ TRI_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 def _stated_spectrum_setup():
     data = dataset_from_spectrum([0.90, 0.08, 0.02], n_rows=12, seed=2)
-    model = svd_decompose(data, 0.95)
-    return data, model, RhoSpec.from_model(model)
+    return data, svd_decompose(data, 0.95)
 
 
 # -- spectrum discovery --------------------------------------------------------
 
 
 def test_exact_spectrum_entries():
-    _, model, rho = _stated_spectrum_setup()
+    _, model = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    spectrum = exact_spectrum(rho, cfg, 2)
-    assert spectrum.dim == 2
+    spectrum = exact_spectrum(model, cfg)
+    assert model.selected_dim == 2
     assert spectrum.labels.tolist() == [29, 3]
     np.testing.assert_allclose(spectrum.frequencies, [0.90, 0.08], atol=1e-12)
-    with pytest.raises(OutOfRangeError):
-        exact_spectrum(rho, cfg, 0)
-    # Past the principal directions there is no eigenvector to keep.
-    thin = RhoSpec(eigenvalues=np.array([0.75, 0.25, 0.0]), eigenvectors=np.eye(3)[:, :2])
-    with pytest.raises(OutOfRangeError, match=r"kept dimension 3 out of range \[1, 2\]"):
-        exact_spectrum(thin, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), 3)
+    # A thin eigensystem (two directions of three features) keeps its
+    # directions and nothing past them.
+    thin = spectral_model([0.75, 0.25, 0.0], np.eye(3)[:, :2], 2)
+    spectrum = exact_spectrum(thin, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL))
+    assert spectrum.labels.tolist() == [1, 2]
+    assert spectrum.frequencies.tolist() == [0.75, 0.25]
 
 
 def test_extract_spectrum_balanced_pair():
     data = DataMatrix(np.eye(2))
-    model = svd_decompose(data, 1.0)
-    rho = RhoSpec.from_model(model)
+    model = svd_decompose(data, 0.95)
+    assert model.selected_dim == 2
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = extract_spectrum(rho, cfg, 50, 3, dim=2, threshold=0.95)
+    spectrum = extract_spectrum(model, cfg, 50, 3)
     sigma = math.sqrt(0.25 / 50)
     for frequency in spectrum.frequencies:
         assert abs(frequency - 0.5) <= 3.0 * sigma
@@ -83,21 +83,20 @@ def test_extract_spectrum_balanced_pair():
 def test_extract_spectrum_rank_one_is_deterministic():
     data = DataMatrix(np.array([[3.0, 4.0]]))
     model = svd_decompose(data, 0.95)
-    rho = RhoSpec.from_model(model)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    spectrum = extract_spectrum(rho, cfg, 50, 11, dim=1, threshold=0.95)
+    spectrum = extract_spectrum(model, cfg, 50, 11)
     assert spectrum.labels[0] == 32  # half-phase encoding of eigenvalue 1
     assert spectrum.frequencies[0] == 1.0
 
 
 def test_extract_spectrum_budget_sweep():
     # 99 of 100 fixed seeds cover 95% of the variance within 200 draws.
-    _, model, rho = _stated_spectrum_setup()
+    _, model = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     ok = 0
     for seed in range(100):
         try:
-            extract_spectrum(rho, cfg, 200, seed, dim=2, threshold=0.95)
+            extract_spectrum(model, cfg, 200, seed)
             ok += 1
         except UnderSampledError:
             pass
@@ -105,12 +104,12 @@ def test_extract_spectrum_budget_sweep():
 
 
 def test_extract_spectrum_undersampled_carries_partial():
-    _, model, rho = _stated_spectrum_setup()
+    _, model = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(UnderSampledError) as info:
-        extract_spectrum(rho, cfg, 2, 0, dim=2, threshold=0.95)
+        extract_spectrum(model, cfg, 2, 0)
     partial = info.value.partial
-    assert partial.dim == 2
+    assert partial.labels.size == 2
     assert partial.histogram == {29: 2}  # second label never observed
     assert partial.budget == 2
 
@@ -141,17 +140,8 @@ def test_extract_spectrum_full_coverage_meets_threshold_one():
     # exactly 1; summed float frequencies used to round it below 1.0.
     data = rank_k_dataset(16, 8, 8, 1)
     run = run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=0)
-    assert run.spectrum.dim == 8
+    assert run.model.selected_dim == run.spectrum.labels.size == 8
     assert sum(run.spectrum.histogram.values()) == run.spectrum.budget
-
-
-def test_extract_spectrum_rejects_a_kept_dimension_out_of_range():
-    data = rank_k_dataset(16, 8, 8, 1)
-    model = svd_decompose(data, 1.0)
-    cfg = PhaseConfig(bits=10, label_mode=LABEL_MODE_QUANTIZED)
-    for dim in (0, 9):
-        with pytest.raises(OutOfRangeError):
-            extract_spectrum(RhoSpec.from_model(model), cfg, 400, 0, dim=dim, threshold=0.95)
 
 
 def test_default_sampling_budget():
@@ -165,10 +155,7 @@ def test_default_sampling_budget():
 def test_exact_anchor_profile_three_rows():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, cfg, 2)
-    profile = exact_anchor_profile(prepare_row_state(data, 0), rho, spectrum, 0)
+    profile = exact_anchor_profile(prepare_row_state(data, 0), model, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(profile.beta, [inv_sqrt2, inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(profile.beta_hat, profile.beta, atol=0.0)
@@ -181,43 +168,34 @@ def test_exact_anchor_profile_weak_anchor():
     # coefficient vanishes.
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, cfg, 2)
     with pytest.raises(WeakAnchorError) as info:
-        exact_anchor_profile(prepare_row_state(data, 2), rho, spectrum, 2)
+        exact_anchor_profile(prepare_row_state(data, 2), model, 2)
     assert info.value.anchor_index == 2
 
 
 def test_estimate_anchor_concentrates():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, cfg, 2)
     anchor = prepare_row_state(data, 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     hits = 0
     for seed in range(200):
-        profile = estimate_anchor(anchor, rho, spectrum, 0.01, seed, anchor_index=0)
+        profile = estimate_anchor(anchor, model, 0.01, seed, anchor_index=0)
         assert profile.shots_per_coefficient == 40_000  # ceil(4 / 0.01^2)
         if np.all(np.abs(profile.beta_hat - inv_sqrt2) <= 0.05):
             hits += 1
     assert hits >= 198
     # Halving the target accuracy quadruples the per-coefficient shots.
-    finer = estimate_anchor(anchor, rho, spectrum, 0.005, 0, anchor_index=0)
+    finer = estimate_anchor(anchor, model, 0.005, 0, anchor_index=0)
     assert finer.shots_per_coefficient == 160_000
 
 
 def test_estimate_anchor_is_seeded():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, cfg, 2)
     anchor = prepare_row_state(data, 0)
-    a = estimate_anchor(anchor, rho, spectrum, 0.02, 7, anchor_index=0)
-    b = estimate_anchor(anchor, rho, spectrum, 0.02, 7, anchor_index=0)
+    a = estimate_anchor(anchor, model, 0.02, 7, anchor_index=0)
+    b = estimate_anchor(anchor, model, 0.02, 7, anchor_index=0)
     np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
 
 
@@ -301,7 +279,7 @@ def test_success_probability_identity_with_perturbed_estimates():
     )
     anchor = prepare_row_state(data, profile.anchor_index)
     signs = run.model.anchor_signs(data, profile.anchor_index)
-    res = compress(data, run.model, run.rho, run.spectrum, profile, anchor, signs, run.cfg)
+    res = compress(data, run.model, profile, anchor, signs, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -335,6 +313,8 @@ def test_rank_one_data_compresses_in_ideal_mode():
     # coefficient is an overlap of two equal unit vectors. It rounded to
     # 1.0000000000000002 here, above the (0, 1] the rotation accepts.
     run = run_compression(DataMatrix(np.array([[3.0, 4.0], [6.0, 8.0], [9.0, 12.0]])), seed=0)
+    assert abs(run.model.overlaps(run.anchor_state, 1)[0]) > 1.0
+    assert run.model.coefficients(run.anchor_state, 1).tolist() == [1.0]
     assert run.profile.beta.tolist() == run.profile.beta_hat.tolist() == [1.0]
     assert run.result.report.fidelity >= 1.0 - 1e-12
 
@@ -367,7 +347,7 @@ def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     assert len(calls) == 1
     own = svd_decompose(data, 1.0)
     np.testing.assert_array_equal(run.model.right_vectors, own.right_vectors)
-    want = anchor_signed_projection(data, own, own.anchor_signs(data, 6), run.spectrum.dim)
+    want = anchor_signed_projection(data, own, own.anchor_signs(data, 6))
     np.testing.assert_array_equal(run.result.compressed.values, want.values)
 
 
@@ -422,14 +402,19 @@ def test_a_run_signs_the_decomposition_twice(monkeypatch, anchor_index, attempts
     assert vectors[1] is run.model.right_vectors
 
 
-def test_a_run_keeps_one_decomposition():
-    # The run's model is the decomposition the spectrum and the projection
-    # read, not a copy signed for the anchor, while its reference follows
-    # the anchor's signs: the accepted anchor's coefficients are at least
-    # BETA_FLOOR, so its own compressed coordinates are all positive.
-    data = rank_k_dataset(16, 8, 3, seed=1)
-    run = run_compression(data, seed=0)
-    assert run.model.right_vectors is run.rho.eigenvectors
+def test_a_run_keeps_one_decomposition(monkeypatch):
+    # The run's model is the decomposition every stage reads (the spectrum,
+    # the anchor, the circuit and the projection), not a copy signed for the
+    # anchor, while its reference follows the anchor's signs: the accepted
+    # anchor's coefficients are at least BETA_FLOOR, so its own compressed
+    # coordinates are all positive.
+    checks = _record_calls(monkeypatch, sv_engine, "check_label_distinctness")
+    circuits = _record_calls(monkeypatch, sv_engine, "project_anchor")
+    projections = _record_calls(monkeypatch, pca_oracle, "project")
+    run = run_compression(rank_k_dataset(16, 8, 3, seed=1), seed=0)
+    read = [args[0] for args, _ in checks + circuits] + [args[1] for args, _ in projections]
+    # The spectrum's checks and the circuit's, the circuit, the projection.
+    assert len(read) == 4 and all(model is run.model for model in read)
     assert np.all(run.result.compressed.values[run.profile.anchor_index] > 0.0)
 
 
@@ -439,12 +424,10 @@ def test_select_anchor_peaks_far_below_the_eigenvectors():
     # allocate at least that much.
     data = rank_k_plus_noise(256, 4096, 4, seed=3, noise_fraction=0.05)
     model = svd_decompose(data, 0.95)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, PhaseConfig(label_mode=LABEL_MODE_IDEAL), model.selected_dim)
     assert model.right_vectors.nbytes == 8 * 2**20
     tracemalloc.start()
     try:
-        choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(0))
+        choice = qpca_pipeline.select_anchor(data, model, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -460,11 +443,9 @@ def test_an_out_of_range_anchor_is_refused_in_one_wording():
     with pytest.raises(OutOfRangeError, match=message):
         run_compression(data, anchor_index=16, seed=0)
     model = svd_decompose(data, 0.95)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, PhaseConfig(label_mode=LABEL_MODE_IDEAL), model.selected_dim)
     for index in (-1, 16):
         with pytest.raises(OutOfRangeError, match=f"anchor index {index} out of range for 16 rows"):
-            qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(0), anchor_index=index)
+            qpca_pipeline.select_anchor(data, model, np.random.default_rng(0), anchor_index=index)
 
 
 @pytest.mark.parametrize(
@@ -478,43 +459,42 @@ def test_an_out_of_range_anchor_is_refused_in_one_wording():
     ],
 )
 def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode, seeds):
-    # A swap test sees |<v_j|a>|^2 alone, and the projection uses each
-    # eigenvector twice, so negating any columns of rho's eigenvectors
-    # moves nothing: the same draws and choice, the same beta and beta_hat
-    # bits, and the same report and state from compress.
+    # A swap test sees |<v_j|a>|^2 alone, and the circuit uses each
+    # eigenvector twice, so negating any columns of the model's eigenvectors
+    # moves nothing but the anchor's sign vector, which flips with them: the
+    # same draws and choice, the same beta and beta_hat bits, and the same
+    # report, reference and state from compress.
     data = cli.ingest_csv(RANK3) if source == "rank3" else _weak_row_dataset()
     model = svd_decompose(data, 0.95)
-    rho = RhoSpec.from_model(model)
     cfg = PhaseConfig(label_mode=qpca_pipeline.label_mode_for(run_mode))
-    spectrum = exact_spectrum(rho, cfg, model.selected_dim)
     sampled = run_mode == MODE_SAMPLED
-    columns = rho.eigenvectors.shape[1]
+    columns = model.right_vectors.shape[1]
     # Every nonempty set of columns to negate.
     patterns = [np.array([-1.0 if (m >> j) & 1 else 1.0 for j in range(columns)]) for m in range(1, 1 << columns)]
 
-    def run(rho, seed):
+    def run(model, seed):
         choice = qpca_pipeline.select_anchor(
-            data, model, rho, spectrum, np.random.default_rng(seed), beta_seed=seed + 1 if sampled else None
+            data, model, np.random.default_rng(seed), beta_seed=seed + 1 if sampled else None
         )
         result = qpca_pipeline.compress(
-            data, model, rho, spectrum, choice.profile, choice.anchor_state, choice.signs, cfg,
+            data, model, choice.profile, choice.anchor_state, choice.signs, cfg,
             run_mode=run_mode, postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
         )
         return choice, result
 
     redrawn = []
     for seed in seeds:
-        want_choice, want = run(rho, seed)
+        want_choice, want = run(model, seed)
         redrawn.append(len(want_choice.attempts) > 1)
         for flips in patterns:
-            flipped = RhoSpec(eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors * flips)
-            choice, got = run(flipped, seed)
+            choice, got = run(replace(model, right_vectors=model.right_vectors * flips), seed)
             assert choice.attempts == want_choice.attempts
-            assert np.array_equal(choice.signs, want_choice.signs)
+            assert np.array_equal(choice.signs, want_choice.signs * flips)
             assert np.array_equal(choice.profile.beta, want_choice.profile.beta)
             assert np.array_equal(choice.profile.beta_hat, want_choice.profile.beta_hat)
             assert choice.profile.residual == want_choice.profile.residual
             assert got.report == want.report
+            assert np.array_equal(got.compressed.values, want.compressed.values)
             assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
     assert redrawn == [source == "weak-rows" and seed in (0, 10) for seed in seeds]
 
@@ -761,7 +741,7 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source):
     [((_, model, *_), choice)] = choices
     [(([projected], [p_anchor], [beta_hat], _), ([kept], [probs]))] = batches
     reference = pca_oracle.expected_compressed_state(
-        anchor_signed_projection(data, model, choice.signs, model.selected_dim)
+        anchor_signed_projection(data, model, choice.signs)
     )
     assert kept.shape == (len(grid),) + projected.amplitudes.shape
     for k, eps in enumerate(grid):
@@ -814,23 +794,18 @@ def _weak_row_dataset():
 
 
 def _per_seed_sweep(data, seed, grid):
-    """One seed of the scaling sweep on its own: a spectrum and an anchor
-    of its own, a reference signed for that anchor, ``project_anchor`` of
+    """One seed of the scaling sweep on its own: a decomposition and an
+    anchor of its own, a reference signed for that anchor, ``project_anchor`` of
     that anchor alone, then ``apply_cr_beta`` and ``postselect`` per grid
     point.
     Returns the anchor draws, the kept amplitudes, and the infidelity and
     deviation per point."""
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     model = svd_decompose(data, 0.95)
-    rho = RhoSpec.from_model(model)
-    spectrum = exact_spectrum(rho, cfg, model.selected_dim)
-    choice = qpca_pipeline.select_anchor(data, model, rho, spectrum, np.random.default_rng(seed))
-    d = spectrum.dim
+    choice = qpca_pipeline.select_anchor(data, model, np.random.default_rng(seed))
     anchor = qram_store.prepare_row_state(data, choice.profile.anchor_index)
-    [projected], [p_anchor] = sv_engine.project_anchor(
-        rho, cfg, qram_store.prepare_data_state(data), [anchor], distinct_top=d
-    )
-    reference = pca_oracle.expected_compressed_state(anchor_signed_projection(data, model, choice.signs, d))
+    [projected], [p_anchor] = sv_engine.project_anchor(model, cfg, qram_store.prepare_data_state(data), [anchor])
+    reference = pca_oracle.expected_compressed_state(anchor_signed_projection(data, model, choice.signs))
     kept, infid, dev = [], [], []
     for eps in grid:
         beta_hat = perturb_beta(choice.profile.beta, eps)
@@ -844,8 +819,8 @@ def _per_seed_sweep(data, seed, grid):
 
 @pytest.mark.parametrize("stack_rows, passes", [(qpca_pipeline.SWEEP_STACK_ROWS, 1), (64, 3)])
 def test_stacked_seeds_match_the_per_seed_path(monkeypatch, stack_rows, passes):
-    # The sweep runs all its seeds as one stack: one spectrum, one unsigned
-    # eigensystem and one reference for them all, and their anchors
+    # The sweep runs all its seeds as one stack: one spectrum, one model
+    # and one reference for them all, and their anchors
     # projected and rotated in one pass, or in passes of two seeds when a
     # pass may hold 64 of these 32-row states. Seeds 0, 10 and 13 draw a
     # weak row first. Every (seed, eps) point must be the per-seed path's
@@ -938,9 +913,7 @@ def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch)
     state = qram_store.prepare_data_state(run.data)
     promoted = StateVector.from_amplitudes(state.layout(), state.amplitudes.astype(complex))
     anchor = prepare_row_state(run.data, run.profile.anchor_index)
-    [projected], [p_anchor] = sv_engine.project_anchor(
-        run.rho, run.cfg, promoted, [anchor], distinct_top=run.spectrum.dim
-    )
+    [projected], [p_anchor] = sv_engine.project_anchor(run.model, run.cfg, promoted, [anchor])
     rotated = sv_engine.apply_cr_beta(projected, run.profile.beta_hat, run.profile.rotation_constant)
     kept = sv_engine.postselect(rotated, float(p_anchor)).state
     assert promoted.amplitudes.dtype == projected.amplitudes.dtype == complex128

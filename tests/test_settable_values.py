@@ -49,7 +49,6 @@ SETTABLE_VALUES = (
     "pca_oracle.py:OverlapReport.flagged_rows",
     "pca_oracle.py:expected_compressed_state:row_mask",
     "pca_oracle.py:pairwise_overlap_report:tolerance",
-    "pca_oracle.py:project:dim",
     "pca_oracle.py:svd_decompose:threshold",
     "qml_apps.py:LabeledDataset.gamma",
     "qml_apps.py:qlr_state_demo:rng_seed",
@@ -78,7 +77,6 @@ SETTABLE_VALUES = (
     "sv_engine.py:PhaseConfig.label_mode",
     "sv_engine.py:apply_cu_lambda:strict",
     "sv_engine.py:measure_register:rng_seed",
-    "sv_engine.py:phase_estimate:distinct_top",
     "sv_engine.py:postselect:rng_seed",
     "sv_engine.py:postselect:shots",
     "sv_engine.py:swap_test:rng_seed",
@@ -143,4 +141,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 66
+    assert len(SETTABLE_VALUES) == 64

@@ -2,6 +2,7 @@
 post-selection, and sampling primitives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qpcasim.errors import (
     DegenerateSpectrumError,
     InvalidInputError,
     InvalidRotationError,
-    OutOfRangeError,
     VanishingSuccessError,
 )
 from qpcasim.pca_oracle import DataMatrix, svd_decompose
@@ -22,7 +22,6 @@ from qpcasim.sv_engine import (
     LABEL_MODE_QUANTIZED,
     PHASE_SCALE,
     PhaseConfig,
-    RhoSpec,
     amplification_repetitions,
     apply_cr_beta,
     apply_cu_lambda,
@@ -36,7 +35,14 @@ from qpcasim.sv_engine import (
     swap_test,
 )
 
-from oracles import reference_token_circuit, signed_left_vectors
+from oracles import reference_token_circuit, signed_left_vectors, spectral_model
+
+
+def stated(eigenvalues, dim=None):
+    """The model of a stated spectrum on the standard basis, keeping ``dim``
+    components (all of them by default)."""
+    lam = np.array(eigenvalues)
+    return spectral_model(lam, np.eye(lam.size), lam.size if dim is None else dim)
 
 
 def basis(layout, **values):
@@ -93,9 +99,8 @@ def test_statevector_remove_register_guard():
 
 
 def test_labels_dyadic_spectrum():
-    rho = RhoSpec(eigenvalues=np.array([0.75, 0.25]), eigenvectors=np.eye(2))
     cfg = PhaseConfig(bits=3, label_mode=LABEL_MODE_QUANTIZED)
-    np.testing.assert_array_equal(eigen_labels(rho, cfg), [3, 1])
+    np.testing.assert_array_equal(eigen_labels(stated([0.75, 0.25]), cfg), [3, 1])
     # Dyadic eigenvalues decode exactly: doubling a label over 2^bits undoes
     # the half-phase encoding.
     assert 2.0 * 3 / (1 << cfg.bits) == 0.75
@@ -103,38 +108,35 @@ def test_labels_dyadic_spectrum():
 
 
 def test_labels_rank_one_no_wraparound():
-    rho = RhoSpec(eigenvalues=np.array([1.0]), eigenvectors=np.eye(1))
     cfg = PhaseConfig(bits=1, label_mode=LABEL_MODE_QUANTIZED)
     # The half-phase encoding keeps eigenvalue 1 inside a 1-bit register.
-    np.testing.assert_array_equal(eigen_labels(rho, cfg), [1])
+    np.testing.assert_array_equal(eigen_labels(stated([1.0]), cfg), [1])
     assert PHASE_SCALE == 0.5
 
 
 def test_labels_ideal_mode_is_positional():
-    rho = RhoSpec(eigenvalues=np.array([0.6, 0.3, 0.1]), eigenvectors=np.eye(3))
     cfg = PhaseConfig(bits=2, label_mode=LABEL_MODE_IDEAL)
-    np.testing.assert_array_equal(eigen_labels(rho, cfg), [1, 2, 3])
+    np.testing.assert_array_equal(eigen_labels(stated([0.6, 0.3, 0.1]), cfg), [1, 2, 3])
     assert cfg.register_width(3) == 2
 
 
 def test_label_collision_detected():
-    rho = RhoSpec(eigenvalues=np.array([0.5, 0.5]), eigenvectors=np.eye(2))
     cfg = PhaseConfig(bits=2, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(DegenerateSpectrumError):
-        check_label_distinctness(rho, cfg, top=2)
+        check_label_distinctness(stated([0.5, 0.5]), cfg)
     # One component alone still shares its label with the tail component,
     # whose variance would receive its token.
     with pytest.raises(DegenerateSpectrumError) as info:
-        check_label_distinctness(rho, cfg, top=1)
+        check_label_distinctness(stated([0.5, 0.5], dim=1), cfg)
     assert info.value.leaked_tail_mass == pytest.approx(0.5)
     # A near-degenerate pair collides at coarse width and separates with
     # more bits; a truly degenerate pair never separates.
-    close = RhoSpec(eigenvalues=np.array([0.52, 0.48]), eigenvectors=np.eye(2))
+    close = stated([0.52, 0.48])
     with pytest.raises(DegenerateSpectrumError):
-        check_label_distinctness(close, cfg, top=2)
-    check_label_distinctness(close, PhaseConfig(bits=6), top=2)
+        check_label_distinctness(close, cfg)
+    check_label_distinctness(close, PhaseConfig(bits=6))
     with pytest.raises(DegenerateSpectrumError):
-        check_label_distinctness(rho, PhaseConfig(bits=12), top=2)
+        check_label_distinctness(stated([0.5, 0.5]), PhaseConfig(bits=12))
     assert PhaseConfig(bits=6).eigenvalue_resolution == pytest.approx(2.0 ** -5)
 
 
@@ -142,53 +144,32 @@ def test_label_zero_and_tail_collisions_detected():
     # The 6-bit labels of this spectrum are [31, 1, 0, 0]. Keeping three
     # components gives the third label 0, which an unwritten register also
     # holds, and the tail component shares it.
-    lam = np.array([0.97, 0.02, 0.008, 0.002])
-    rho = RhoSpec(eigenvalues=lam, eigenvectors=np.eye(4))
+    lam = [0.97, 0.02, 0.008, 0.002]
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    np.testing.assert_array_equal(eigen_labels(rho, cfg), [31, 1, 0, 0])
+    np.testing.assert_array_equal(eigen_labels(stated(lam), cfg), [31, 1, 0, 0])
     with pytest.raises(DegenerateSpectrumError) as info:
-        check_label_distinctness(rho, cfg, top=3)
+        check_label_distinctness(stated(lam, dim=3), cfg)
     assert info.value.leaked_tail_mass == pytest.approx(0.002)
     assert info.value.payload()["leaked_tail_mass"] == pytest.approx(0.002)
-    check_label_distinctness(rho, cfg, top=2)
+    check_label_distinctness(stated(lam, dim=2), cfg)
     # A kept label of 0 is refused even with no tail component to share it.
-    full = RhoSpec(eigenvalues=np.array([0.97, 0.02, 0.01]), eigenvectors=np.eye(3))
     with pytest.raises(DegenerateSpectrumError) as info:
-        check_label_distinctness(full, cfg, top=3)
+        check_label_distinctness(stated([0.97, 0.02, 0.01]), cfg)
     assert info.value.leaked_tail_mass == 0.0
     # Ideal labels are positional, never 0 and never shared.
-    check_label_distinctness(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), top=1)
+    check_label_distinctness(stated(lam, dim=1), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL))
 
 
 def test_tail_leak_lists_every_tail_component_sharing_a_kept_label():
     # 6-bit labels: 1/2 -> 16, 1/32 -> 1, 1/64 -> 1 and 1/256 -> 0. The twenty
     # 1/64 components after the two kept ones all share the kept label 1; the
     # forty 1/256 components hold label 0, which no kept component has.
-    lam = np.array([1 / 2, 1 / 32] + [1 / 64] * 20 + [1 / 256] * 40)
-    rho = RhoSpec(eigenvalues=lam, eigenvectors=np.eye(lam.size))
+    lam = [1 / 2, 1 / 32] + [1 / 64] * 20 + [1 / 256] * 40
     with pytest.raises(DegenerateSpectrumError) as info:
-        check_label_distinctness(rho, PhaseConfig(bits=6), top=2)
+        check_label_distinctness(stated(lam, dim=2), PhaseConfig(bits=6))
     assert f"tail components {list(range(2, 22))} share a kept label" in str(info.value)
     assert "label 0, the value" not in str(info.value)
     assert info.value.leaked_tail_mass == 20 / 64
-
-
-def test_rhospec_takes_thin_eigenvectors_and_refuses_what_they_cannot_carry():
-    # Three features, two directions: the third eigenvalue must be zero.
-    thin = np.eye(3)[:, :2]
-    rho = RhoSpec(eigenvalues=np.array([0.75, 0.25, 0.0]), eigenvectors=thin)
-    assert rho.dim == 3 and rho.eigenvectors.shape == (3, 2)
-    with pytest.raises(InvalidInputError, match=r"eigenvectors \(D, k\) with k <= D"):
-        RhoSpec(eigenvalues=np.array([0.75, 0.25]), eigenvectors=np.eye(3)[:2])
-    with pytest.raises(InvalidInputError, match=r"eigenvectors \(D, k\) with k <= D"):
-        RhoSpec(eigenvalues=np.array([0.75, 0.25, 0.0]), eigenvectors=np.eye(2))
-    with pytest.raises(InvalidInputError, match="every eigenvalue past the last eigenvector must be zero"):
-        RhoSpec(eigenvalues=np.array([0.5, 0.25, 0.25]), eigenvectors=thin)
-    # Ideal labels pass the checks past k, but there is no eigenvector to give
-    # a token.
-    feature = StateVector.from_amplitudes([("feature", 2)], np.array([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(OutOfRangeError, match=r"kept dimension 3 out of range \[1, 2\]"):
-        project_anchor(rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), feature, [feature], distinct_top=3)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -198,21 +179,23 @@ def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it(dtype):
     # Negating an eigenvector negates its overlap bit for bit.
     rng = np.random.default_rng(3)
     x = rng.standard_normal((12, 6))
-    rho = RhoSpec.from_model(svd_decompose(DataMatrix(x), 1.0))
+    model = svd_decompose(DataMatrix(x), 1.0)
     amps = np.zeros(8, dtype=dtype)
     amps[:6] = x[4] + (1j * rng.standard_normal(6) if dtype == np.complex128 else 0.0)
     state = StateVector.from_amplitudes([("feature", 3)], amps / np.linalg.norm(amps))
     want = []
     for k in range(4):
         padded = np.zeros(8)
-        padded[:6] = rho.eigenvectors[:, k]
+        padded[:6] = model.right_vectors[:, k]
         want.append(np.vdot(state.amplitudes, padded))
-    got = rho.overlaps(state, 4)
+    got = model.overlaps(state, 4)
     assert got.shape == (4,) and got.dtype == dtype
     np.testing.assert_allclose(got, want, rtol=0.0, atol=6 * np.finfo(np.float64).eps)
     flips = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
-    flipped = RhoSpec(eigenvalues=rho.eigenvalues, eigenvectors=rho.eigenvectors * flips)
+    flipped = replace(model, right_vectors=model.right_vectors * flips)
     assert np.array_equal(flipped.overlaps(state, 4), got * flips[:4])
+    # The swap-test magnitudes are the same bits under either sign.
+    assert np.array_equal(flipped.coefficients(state, 4), model.coefficients(state, 4))
 
 
 # -- label writing (phase estimation stand-in) -------------------------------
@@ -220,17 +203,16 @@ def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it(dtype):
 
 def _labeled_state(data, cfg):
     model = svd_decompose(data, 1.0)
-    rho = RhoSpec.from_model(model)
-    state = prepare_data_state(data).append_register("eigen", cfg.register_width(rho.dim))
-    return model, rho, phase_estimate(rho, cfg, state)
+    state = prepare_data_state(data).append_register("eigen", cfg.register_width(model.n_cols))
+    return model, phase_estimate(model, cfg, state)
 
 
 def test_phase_estimate_matches_schmidt_oracle():
     rng = np.random.default_rng(41)
     data = DataMatrix(rng.standard_normal((4, 4)))
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    model, rho, state = _labeled_state(data, cfg)
-    labels = eigen_labels(rho, cfg)
+    model, state = _labeled_state(data, cfg)
+    labels = eigen_labels(model, cfg)
     # Oracle: sum_j sqrt(lambda_j) |u_j>|v_j>|label_j>, built term by term.
     u = signed_left_vectors(data.values, model.right_vectors)
     table = np.zeros((4, 4, 1 << cfg.bits))
@@ -248,10 +230,10 @@ def test_phase_estimate_eigen_marginal_is_spectrum():
     rng = np.random.default_rng(43)
     data = DataMatrix(rng.standard_normal((8, 4)))
     cfg = PhaseConfig(bits=8, label_mode=LABEL_MODE_QUANTIZED)
-    model, rho, state = _labeled_state(data, cfg)
-    labels = eigen_labels(rho, cfg)
+    model, state = _labeled_state(data, cfg)
+    labels = eigen_labels(model, cfg)
     marginal = state.probabilities("eigen")
-    for j, lam in enumerate(rho.eigenvalues):
+    for j, lam in enumerate(model.variance_proportions):
         assert marginal[int(labels[j])] == pytest.approx(lam, abs=1e-10)
 
 
@@ -259,9 +241,9 @@ def test_phase_estimate_roundtrip_is_identity():
     rng = np.random.default_rng(47)
     data = DataMatrix(rng.standard_normal((4, 4)))
     cfg = PhaseConfig(bits=5, label_mode=LABEL_MODE_QUANTIZED)
-    model, rho, labeled = _labeled_state(data, cfg)
+    model, labeled = _labeled_state(data, cfg)
     original = prepare_data_state(data).append_register("eigen", cfg.bits)
-    undone = inverse_phase_estimate(rho, cfg, labeled)
+    undone = inverse_phase_estimate(model, cfg, labeled)
     assert undone.fidelity(original) >= 1.0 - 1e-10
 
 
@@ -269,17 +251,16 @@ def test_phase_estimate_requires_clean_register():
     rng = np.random.default_rng(53)
     data = DataMatrix(rng.standard_normal((4, 4)))
     cfg = PhaseConfig(bits=5, label_mode=LABEL_MODE_QUANTIZED)
-    _, rho, labeled = _labeled_state(data, cfg)
+    model, labeled = _labeled_state(data, cfg)
     with pytest.raises(ContractViolationError):
-        phase_estimate(rho, cfg, labeled)
+        phase_estimate(model, cfg, labeled)
 
 
 def test_phase_estimate_register_too_narrow():
-    rho = RhoSpec(eigenvalues=np.array([0.75, 0.25]), eigenvectors=np.eye(2))
     cfg = PhaseConfig(bits=3, label_mode=LABEL_MODE_QUANTIZED)
     state = StateVector.zero([("feature", 1), ("eigen", 1)])  # label 3 needs 2 bits
     with pytest.raises(InvalidInputError):
-        phase_estimate(rho, cfg, state)
+        phase_estimate(stated([0.75, 0.25]), cfg, state)
 
 
 # -- component token writes --------------------------------------------------
@@ -443,33 +424,32 @@ def test_postselect_zero_mass_branch():
 
 def _anchor_fixture(rows):
     data = DataMatrix(np.array(rows))
-    rho = RhoSpec.from_model(svd_decompose(data, 1.0))
-    return rho, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), data
+    return svd_decompose(data, 1.0), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), data
 
 
 def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
-    rho, cfg, data = _anchor_fixture([[3.0, 4.0]])
+    model, cfg, data = _anchor_fixture([[3.0, 4.0]])
     state = anchor = prepare_row_state(data, 0)
     wide = StateVector.zero([("feature", 2)])
     misnamed = StateVector.from_amplitudes([("row", 1)], anchor.amplitudes)
     extra = anchor.append_register("index", 1)
     for bad in (wide, misnamed, extra):
         with pytest.raises(InvalidInputError):
-            project_anchor(rho, cfg, state, [bad], distinct_top=1)
+            project_anchor(model, cfg, state, [bad])
 
 
 def test_project_anchor_keeps_the_anchor_outcome():
     # Orthogonal rows of norms 5 and 10: row 0 is the second principal
     # direction, so against itself it keeps all its mass, on token 2. Row 1
     # is orthogonal to the anchor and keeps none.
-    rho, cfg, data = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
+    model, cfg, data = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
     anchor = prepare_row_state(data, 0)
-    [kept], [prob] = project_anchor(rho, cfg, anchor, [anchor], distinct_top=2)
+    [kept], [prob] = project_anchor(model, cfg, anchor, [anchor])
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert kept.layout() == (("index", 2),)
     assert abs(kept.basis_amplitude({"index": 2})) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(VanishingSuccessError):
-        project_anchor(rho, cfg, prepare_row_state(data, 1), [anchor], distinct_top=2)
+        project_anchor(model, cfg, prepare_row_state(data, 1), [anchor])
 
 
 # -- swap test ----------------------------------------------------------------
