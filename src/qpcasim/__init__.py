@@ -81,11 +81,9 @@ _HOMES = {
     "SCOPE_FULL": "qpca_pipeline",
     "SCOPE_SUBSET": "qpca_pipeline",
     "PERTURB_ALTERNATING": "qpca_pipeline",
-    "SpectrumSample": "qpca_pipeline",
     "AnchorProfile": "qpca_pipeline",
     "ResourceLedger": "qpca_pipeline",
     "ledger_predict": "qpca_pipeline",
-    "exact_spectrum": "qpca_pipeline",
     "extract_spectrum": "qpca_pipeline",
     "exact_anchor_profile": "qpca_pipeline",
     "estimate_anchor": "qpca_pipeline",

@@ -419,12 +419,12 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
 
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
-    from .qpca_pipeline import exact_spectrum, ledger_predict, select_anchor
-    from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig
+    from .qpca_pipeline import ledger_predict, select_anchor
+    from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, check_label_distinctness
 
     cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
     model = svd_decompose(data, config.theta)
-    exact_spectrum(model, cfg)  # the spectrum stage's label checks, before any anchor is drawn
+    check_label_distinctness(model, cfg)  # the spectrum stage, before any anchor is drawn
     choice = select_anchor(
         data,
         model,
@@ -484,8 +484,9 @@ def _write_table(path: str, header: str, rows: list[tuple]) -> None:
         raise InvalidInputError(f"cannot write plot data to {path}: {exc}") from None
 
 
-def emit_plot_data(report: dict, output_dir: str) -> list[str]:
-    """Write whitespace-separated tables for whatever the report contains.
+def emit_plot_data(report: dict, output_dir: str) -> list[tuple[str, str, list[tuple]]]:
+    """The whitespace-separated tables for whatever the report contains, as
+    (path, header, rows), with the paths in ``output_dir``, which this makes.
 
     Up to three files: scree.dat (component, variance proportion),
     infidelity_vs_eps_beta.dat, and success_probability.dat. Values are
@@ -496,13 +497,12 @@ def emit_plot_data(report: dict, output_dir: str) -> list[str]:
     except OSError as exc:
         raise InvalidInputError(f"cannot create plot directory {output_dir}: {exc}") from None
 
-    written = []
+    tables = []
     spectrum = report.get("spectrum")
     if spectrum:
         path = os.path.join(output_dir, "scree.dat")
         rows = [(j + 1, lam) for j, lam in enumerate(spectrum["variance_proportions"])]
-        _write_table(path, "# component variance_proportion", rows)
-        written.append(path)
+        tables.append((path, "# component variance_proportion", rows))
 
     scaling = report.get("scaling")
     if scaling:
@@ -511,16 +511,38 @@ def emit_plot_data(report: dict, output_dir: str) -> list[str]:
             (r["eps_beta"], r["mean_infidelity"], r["mean_deviation"])
             for r in scaling["rows"]
         ]
-        _write_table(path, "# eps_beta mean_infidelity mean_deviation", rows)
-        written.append(path)
+        tables.append((path, "# eps_beta mean_infidelity mean_deviation", rows))
 
     sweep = report.get("success_probability_sweep")
     if sweep:
         path = os.path.join(output_dir, "success_probability.dat")
         rows = [(r["dim"], r["success_probability"]) for r in sweep]
-        _write_table(path, "# dim success_probability", rows)
-        written.append(path)
-    return written
+        tables.append((path, "# dim success_probability", rows))
+    return tables
+
+
+def _publish(report: dict, config: RunConfig) -> None:
+    """Write the plot tables and the report, leaving no table behind on
+    failure. The tables go first, each to its name plus ``.tmp``, so a
+    failure to write them prints only the error and writes no report; they
+    are renamed into place once the report is written, and every temp file
+    still there when this returns or raises is removed."""
+    tables = [] if config.plot_dir is None else emit_plot_data(report, config.plot_dir)
+    staged: list[str] = []
+    try:
+        for path, header, rows in tables:
+            staged.append(path + ".tmp")
+            _write_table(staged[-1], header, rows)
+        write_report(report, config.output_path)
+        for (path, _, _), tmp in zip(tables, staged):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise InvalidInputError(f"cannot write plot data to {path}: {exc}") from None
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # -- entry point -------------------------------------------------------------------
@@ -571,8 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="CSV data matrix, rows are points")
     parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr); others reject it")
     parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
-    parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width, also setting "
-                        "the ledger's eps_lambda (read by compress and ledger; ignored by the other tasks)")
+    parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width, at most 63 for "
+                        "quantized labels, also setting the ledger's eps_lambda (read by compress and ledger; "
+                        "ignored by the other tasks)")
     parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,
                         help="run mode (scaling and ledger: ideal only)")
     parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",
@@ -615,11 +638,7 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         report = run(config)
         elapsed = time.perf_counter() - started
-        # The plot tables go first, so that a failure to write them prints
-        # only the error and leaves no report behind.
-        if config.plot_dir is not None:
-            emit_plot_data(report, config.plot_dir)
-        write_report(report, config.output_path)
+        _publish(report, config)
         print(f"task {config.task} finished in {elapsed:.3f}s", file=sys.stderr)
         return 0
     except QpcaError as exc:

@@ -109,17 +109,14 @@ class UnderSampledError(QpcaError):
 
     code = "UNDER_SAMPLED"
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, histogram: dict[int, int], budget: int):
         super().__init__(message)
-        self.partial = partial
+        self.histogram = histogram
+        self.budget = budget
 
     def payload(self) -> dict:
-        """Adds the partial label histogram and the budget that produced it."""
-        out = super().payload()
-        if self.partial is not None:
-            out["histogram"] = dict(self.partial.histogram)
-            out["budget"] = self.partial.budget
-        return out
+        """Adds the label histogram drawn and the budget that drew it."""
+        return {**super().payload(), "histogram": dict(self.histogram), "budget": self.budget}
 
 
 class SingularSystemError(QpcaError):

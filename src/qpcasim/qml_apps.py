@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
 )
 from .pca_oracle import DataMatrix
-from .statevector import StateVector, ceil_log2
+from .statevector import StateVector, ceil_log2, check_shots, interference_probability, sample_outcome
 
 PINV_CUTOFF = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -220,12 +220,7 @@ def _sampled_signed_overlap(
 ) -> tuple[float, float]:
     """Sample the interference readout whose ancilla-0 probability is
     (1 + value) / 2; returns (estimate, standard error)."""
-    if shots < 1:
-        raise InvalidInputError("shots must be >= 1")
-    p0 = 0.5 * (1.0 + min(max(value, -1.0), 1.0))
-    rng = np.random.default_rng(rng_seed)
-    zeros = int(rng.binomial(shots, p0))
-    p0_hat = zeros / shots
+    p0_hat = sample_outcome(interference_probability(value), shots, rng_seed) / shots
     estimate = 2.0 * p0_hat - 1.0
     stderr = 2.0 * math.sqrt(max(p0_hat * (1.0 - p0_hat), 1.0 / shots) / shots)
     return estimate, stderr
@@ -262,8 +257,8 @@ def qsvm_state_demo(
     queries = np.asarray(queries, dtype=np.float64)
     n, n_features = points.shape
     classical_values = lssvm_decision_values(model, queries)
-    if shots is not None and shots < 1:
-        raise InvalidInputError("shots must be >= 1")
+    if shots is not None:
+        check_shots(shots)
     if rng_seeds is not None and len(rng_seeds) != len(queries):
         raise InvalidInputError(f"{len(rng_seeds)} seeds for {len(queries)} queries")
 

@@ -3,12 +3,12 @@
 The stages mirror the algorithm: encode the data, reveal the leading
 spectrum by sampling the eigenvalue register, estimate the anchor
 coefficients by swap tests, write component tokens, rotate them into an
-ancilla, and post-select on recovering the anchor. The register's law is the
-eigenvalues binned by label, so sampling it loads no data state; ``compress``
-loads the one state it compresses. Every stage reads one eigensystem, the
-``pca_oracle.SpectralModel`` its task decomposed once, with its kept
-dimension and variance threshold. Three run modes control where randomness
-enters:
+ancilla, and post-select on recovering the anchor. Every stage reads one
+eigensystem, the ``pca_oracle.SpectralModel`` its task decomposed once, with
+its kept dimension and variance threshold. Each sampled step is a seeded
+draw on numbers the model holds, the eigenvalues binned by label or one
+squared coefficient, so only ``compress`` loads a state. Three run modes
+control where randomness enters:
 
   ideal      exact per-component tokens, exact coefficients, exact
              post-selection probability (isolates coefficient-error studies)
@@ -23,7 +23,7 @@ pair pins the whole run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,19 +60,6 @@ def label_mode_for(run_mode: str) -> str:
     if run_mode not in RUN_MODES:
         raise InvalidInputError(f"unknown run mode {run_mode!r}; expected one of {RUN_MODES}")
     return sv_engine.LABEL_MODE_IDEAL if run_mode == MODE_IDEAL else sv_engine.LABEL_MODE_QUANTIZED
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Leading spectrum as revealed by (or in lieu of) sampling, in spectral
-    order: kept component j has label ``labels[j]`` on the eigenvalue
-    register and token j+1. None of it depends on the anchor row or on
-    the eigenvectors' signs."""
-
-    labels: np.ndarray        # (d,) value written on the eigenvalue register
-    frequencies: np.ndarray   # (d,) observed sampling frequency, or the exact eigenvalue
-    histogram: dict[int, int] | None
-    budget: int | None
 
 
 @dataclass(frozen=True)
@@ -172,49 +159,40 @@ def ledger_predict(
 # -- spectrum discovery ------------------------------------------------------
 
 
-def exact_spectrum(model: SpectralModel, cfg: PhaseConfig) -> SpectrumSample:
-    """The model's kept spectrum, with the exact eigenvalues standing in for
-    observed frequencies, once its labels pass the checks."""
-    d = model.selected_dim
-    labels = sv_engine.check_label_distinctness(model, cfg)
-    return SpectrumSample(labels=labels[:d], frequencies=model.variance_proportions[:d], histogram=None, budget=None)
-
-
 def extract_spectrum(
     model: SpectralModel,
     cfg: PhaseConfig,
     sampling_budget: int,
     rng_seed: int | None,
-) -> SpectrumSample:
-    """Discover the leading labels by repeatedly preparing the labeled state
-    and measuring the eigenvalue register. The draws come from that
-    register's exact distribution, the model's eigenvalues binned by label
-    (``sv_engine.eigen_marginal_state``), so neither the data state nor the
-    labelled state is built.
+) -> dict[int, int]:
+    """Check the model's labels (``sv_engine.check_label_distinctness``),
+    then discover the leading ones by measuring the eigenvalue register
+    ``sampling_budget`` times. The draws come from that register's exact
+    law, the eigenvalues binned by label (``sv_engine.eigen_marginal_state``),
+    so neither the data state nor the labelled state is built.
 
-    Succeeds when every one of the model's ``selected_dim`` kept labels was
-    observed and their cumulative empirical frequency reaches its variance
-    threshold; otherwise raises UnderSampledError carrying the partial
-    sample. The labels are ``exact_spectrum``'s, with the observed
-    frequencies.
+    Returns the label histogram, label -> count, once every one of the
+    model's ``selected_dim`` kept labels was drawn and their cumulative
+    frequency reaches its variance threshold; otherwise raises
+    UnderSampledError carrying the histogram and the budget.
     """
-    if sampling_budget < 1:
-        raise InvalidInputError("sampling budget must be >= 1")
-    exact = exact_spectrum(model, cfg)
-    sample = sv_engine.measure_register(sv_engine.eigen_marginal_state(model, cfg), "eigen", sampling_budget, rng_seed)
+    kept = sv_engine.check_label_distinctness(model, cfg)[: model.selected_dim]
+    labels, register = sv_engine.eigen_marginal_state(model, cfg)
+    sample = sv_engine.measure_register(register, "eigen", sampling_budget, rng_seed)
+    histogram = {int(labels[value]): count for value, count in sample.counts.items()}
     # Coverage comes from the integer counts: a sum of per-label float
     # frequencies can round below 1.0 even when every draw hit a kept label.
-    kept_counts = np.array([sample.counts.get(int(label), 0) for label in exact.labels])
-    found = int(np.count_nonzero(kept_counts))
-    covered = int(kept_counts.sum()) / sampling_budget
-    result = replace(exact, frequencies=kept_counts / sampling_budget, histogram=sample.counts, budget=sampling_budget)
+    kept_counts = [histogram.get(int(label), 0) for label in kept]
+    found = np.count_nonzero(kept_counts)
+    covered = sum(kept_counts) / sampling_budget
     if found < model.selected_dim or covered < model.threshold:
         raise UnderSampledError(
             f"budget {sampling_budget} found {found}/{model.selected_dim} leading labels "
             f"with cumulative frequency {covered:.4f} (threshold {model.threshold})",
-            partial=result,
+            histogram,
+            sampling_budget,
         )
-    return result
+    return histogram
 
 
 def default_sampling_budget(dim: int) -> int:
@@ -238,14 +216,6 @@ def _anchor_profile(
         eps_beta=eps_beta,
         shots_per_coefficient=shots,
     )
-
-
-def _vector_state(vector: np.ndarray, like: StateVector) -> StateVector:
-    """``vector``, zero-padded, on the register layout of ``like`` and with
-    its amplitude type."""
-    padded = np.zeros(like.amplitudes.size, dtype=like.amplitudes.dtype)
-    padded[: vector.size] = vector
-    return StateVector.from_amplitudes(like.layout(), padded)
 
 
 def exact_anchor_profile(
@@ -280,8 +250,10 @@ def estimate_anchor(
 ) -> AnchorProfile:
     """Estimate every kept anchor coefficient by a seeded swap test of row
     ``anchor_index``'s state ``anchor`` (``qram_store.prepare_row_state``)
-    against the state of the model's corresponding principal direction,
-    ceil(c / eps_beta^2) shots each.
+    against the model's corresponding principal direction,
+    ceil(c / eps_beta^2) shots each. A swap test reads only the squared
+    overlap, beta_k^2 (``SpectralModel.coefficients``), so no direction
+    state is built.
 
     Estimates are sqrt(max(0, 2 p0_hat - 1)). Any estimate below the floor
     raises WeakAnchorError so the caller can redraw the anchor row.
@@ -296,8 +268,7 @@ def estimate_anchor(
     beta = model.coefficients(anchor, d)
     beta_hat = np.empty(d)
     for k in range(d):
-        target = _vector_state(model.right_vectors[:, k], anchor)
-        result = sv_engine.swap_test(anchor, target, shots, int(seeds[k]))
+        result = sv_engine.swap_test(beta[k] ** 2, shots, int(seeds[k]))
         beta_hat[k] = math.sqrt(max(result.overlap_sq_raw, 0.0))
     if float(beta_hat.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta_hat))
@@ -554,12 +525,10 @@ class RunResult:
     data: DataMatrix
     model: SpectralModel  # the run's one decomposition, with row-0 signs
     cfg: PhaseConfig
-    spectrum: SpectrumSample
     profile: AnchorProfile
     anchor_state: StateVector  # the accepted anchor's loaded state
     result: CompressResult
     anchor_attempts: tuple[int, ...]
-    seed: int | None
 
 
 def run_compression(
@@ -574,11 +543,11 @@ def run_compression(
     anchor_index: int | None = None,
     subset: Sequence[int] | None = None,
 ) -> RunResult:
-    """Whole pipeline: one decomposition and its spectrum, sampled in
-    sampled mode and exact otherwise, then seeded anchor selection (see
-    ``select_anchor``), then compression of the whole data state or of the
-    rows ``subset`` names (see ``compress``). A fixed ``anchor_index``
-    disables the weak-anchor redraw."""
+    """Whole pipeline: one decomposition and its label check, with the
+    spectrum drawn in sampled mode (``extract_spectrum``), then seeded
+    anchor selection (see ``select_anchor``), then compression of the whole
+    data state or of the rows ``subset`` names (see ``compress``). A fixed
+    ``anchor_index`` disables the weak-anchor redraw."""
     cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (
@@ -588,9 +557,9 @@ def run_compression(
     model = pca_oracle.svd_decompose(data, threshold)
     _check_anchor_index(data, anchor_index)  # before the spectrum is sampled
     if sampled:
-        spectrum = extract_spectrum(model, cfg, default_sampling_budget(model.selected_dim), spectrum_seed)
+        extract_spectrum(model, cfg, default_sampling_budget(model.selected_dim), spectrum_seed)
     else:
-        spectrum = exact_spectrum(model, cfg)
+        sv_engine.check_label_distinctness(model, cfg)
     choice = select_anchor(
         data,
         model,
@@ -615,12 +584,10 @@ def run_compression(
         data=data,
         model=model,
         cfg=cfg,
-        spectrum=spectrum,
         profile=choice.profile,
         anchor_state=choice.anchor_state,
         result=result,
         anchor_attempts=choice.attempts,
-        seed=seed,
     )
 
 
@@ -680,8 +647,8 @@ def error_scaling_experiment(
     seeded anchor draws on one dataset, ideal mode, whose exact
     per-component tokens need no label width.
 
-    The dataset has one decomposition, data state, spectrum and reference
-    projection. Each seed draws its anchor with the usual seeded redraw
+    The dataset has one decomposition, data state, label check and
+    reference projection. Each seed draws its anchor with the usual seeded redraw
     (``select_anchor``); its coefficients are perturbed by each grid
     magnitude, and the final-state error is averaged over the seeds per grid
     point. The seeds' anchors are projected in one ``project_anchor`` call,
@@ -705,7 +672,7 @@ def error_scaling_experiment(
     model = pca_oracle.svd_decompose(data, threshold)
     state = qram_store.prepare_data_state(data)
     d = model.selected_dim
-    exact_spectrum(model, cfg)  # the spectrum stage's label checks, before any anchor is drawn
+    sv_engine.check_label_distinctness(model, cfg)  # the spectrum stage, before any anchor is drawn
     choices = [select_anchor(data, model, np.random.default_rng(int(seed))) for seed in seeds]
     # Each seed's reference is the one reference state with that anchor's
     # signs on tokens 1..d; negating a column of the projection is exact.

@@ -13,6 +13,9 @@ amplitude; the reference circuit's helpers (``zero``, ``append_register``,
 ``apply_register_unitary``, ``apply_controlled_unitary``) build complex
 states, as a general circuit needs.
 
+Every sampled readout is one seeded draw, ``sample_outcome``, behind one
+shot-count check; ``interference_probability`` is an interference test's P(0).
+
 All transformations return new StateVector instances; nothing is mutated in
 place, so callers can keep intermediate states around for comparison. A
 float64 or complex128 array given to the constructor or ``from_amplitudes``
@@ -32,10 +35,14 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     NumericalFailureError,
+    OutOfRangeError,
     UnknownRegisterError,
 )
 
 NORM_TOL = 1e-10
+
+# The most trials one of numpy's binomial or multinomial draws takes.
+MAX_SHOTS = 2**63 - 1
 
 
 def ceil_log2(n: int) -> int:
@@ -57,6 +64,27 @@ def check_unit_norm(norms: float | np.ndarray) -> None:
     if off.any() if isinstance(off, np.ndarray) else off:
         norm = float(np.ravel(norms)[np.argmax(off)])
         raise NumericalFailureError(f"state norm drifted to {norm!r}")
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a shot count below 1, or above ``MAX_SHOTS`` (``OUT_OF_RANGE``)."""
+    if shots < 1:
+        raise InvalidInputError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise OutOfRangeError(f"shots must be at most {MAX_SHOTS} (2^63 - 1) for one seeded draw, got {shots}")
+
+
+def sample_outcome(probability: float, shots: int, rng_seed: int | None) -> int:
+    """How often an outcome of ``probability`` occurs in ``shots`` seeded
+    repetitions: one binomial draw, the law of counting shot by shot."""
+    check_shots(shots)
+    return int(np.random.default_rng(rng_seed).binomial(shots, probability))
+
+
+def interference_probability(x: float) -> float:
+    """P(0) = (1 + x) / 2, x clipped to [-1, 1], of the ancilla that reads
+    x = |<a|b>|^2 in a swap test and x = Re <a|b> in a signed-overlap test."""
+    return 0.5 * (1.0 + min(max(x, -1.0), 1.0))
 
 
 def _amplitude_array(amplitudes) -> np.ndarray:

@@ -22,8 +22,9 @@ coefficient estimates forms only each rotation's kept branch, the whole
 grid of every projected state as one array (``postselect_rotations``), from
 the sines that ``apply_cr_beta`` uses (``rotation_sines``).
 Kept component j gets token j+1 by position. Spectrum sampling reads the
-register's law off the eigenvalues binned by label, with no data state
-(``eigen_marginal_state``). ``phase_estimate``, ``apply_cu_lambda`` and
+register's law off the eigenvalues binned by label, over the labels
+present, with no data state (``eigen_marginal_state``), and the swap test
+reads only the squared overlap. ``phase_estimate``, ``apply_cu_lambda`` and
 ``inverse_phase_estimate`` are the explicit circuit that the tests hold
 both against. Every stage acts on the fixed registers "row", "feature",
 "eigen", "index" and "ancilla".
@@ -50,7 +51,8 @@ from .errors import (
     VanishingSuccessError,
 )
 from .pca_oracle import SpectralModel
-from .statevector import Register, StateVector, check_unit_norm, token_qubits
+from .statevector import Register, StateVector, ceil_log2, check_shots, check_unit_norm, token_qubits
+from .statevector import interference_probability, sample_outcome
 
 LABEL_MODE_IDEAL = "ideal"
 LABEL_MODE_QUANTIZED = "quantized"
@@ -62,12 +64,15 @@ PHASE_SCALE = 0.5
 # Post-selection probability below which the kept branch counts as lost.
 POSTSELECT_FLOOR = 1e-12
 
+MAX_LABEL_BITS = 63  # quantized labels, at most 2^(bits - 1), fit int64
+
 
 @dataclass(frozen=True)
 class PhaseConfig:
     """How eigenvalue labels are written.
 
-    bits: width of the quantized eigenvalue register.
+    bits: width of the quantized eigenvalue register (at most
+        MAX_LABEL_BITS); ideal labels read it only as a resolution.
     label_mode: 'ideal' writes the per-component token j+1 on a register
         wide enough for all tokens; 'quantized' writes
         round(PHASE_SCALE * eigenvalue * 2**bits) on a bits-wide register.
@@ -81,16 +86,13 @@ class PhaseConfig:
             raise OutOfRangeError(f"label width must be >= 1 bit, got {self.bits}")
         if self.label_mode not in (LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED):
             raise InvalidInputError(f"unknown label mode {self.label_mode!r}")
+        if self.label_mode == LABEL_MODE_QUANTIZED and self.bits > MAX_LABEL_BITS:
+            raise OutOfRangeError(f"quantized label width must be at most {MAX_LABEL_BITS} bits, got {self.bits}")
 
     @property
     def eigenvalue_resolution(self) -> float:
         """Smallest eigenvalue gap the quantized labels can resolve."""
         return 2.0 ** (1 - self.bits)
-
-    def register_width(self, n_components: int) -> int:
-        if self.label_mode == LABEL_MODE_IDEAL:
-            return token_qubits(n_components)
-        return self.bits
 
 
 def eigen_labels(model: SpectralModel, cfg: PhaseConfig) -> np.ndarray:
@@ -286,21 +288,22 @@ def project_anchor(
     return [StateVector(registers, b) for b in blocks], probs
 
 
-def eigen_marginal_state(model: SpectralModel, cfg: PhaseConfig) -> StateVector:
+def eigen_marginal_state(model: SpectralModel, cfg: PhaseConfig) -> tuple[np.ndarray, StateVector]:
     """The "eigen" register that ``phase_estimate`` would write from the
-    "feature" register of the loaded data state onto a fresh register of
-    ``cfg.register_width(model.n_cols)`` qubits, as a state of its own.
+    "feature" register of the loaded data state, over the labels present:
+    the distinct labels, ascending, and a state whose value i is ``labels[i]``.
 
     Distinct labels tag orthogonal eigenspaces, so that register's reduced
     state is diagonal: label L weighs the data state's feature marginal,
     X^T X / ||X||_F^2, on the eigencomponents labelled L, which is the sum
-    of their eigenvalues. The returned amplitudes are the square roots of
-    those weights, so measuring this state follows the same law as
-    measuring the labelled register, and no state is rotated or labelled.
+    of their eigenvalues. The amplitudes are the square roots of those
+    weights, so measuring this state follows the same law as measuring the
+    labelled register, and no state is rotated or labelled.
     """
-    width = cfg.register_width(model.n_cols)
-    weights = np.bincount(eigen_labels(model, cfg), weights=model.variance_proportions, minlength=1 << width)
-    return StateVector.from_amplitudes([("eigen", width)], np.sqrt(np.clip(weights, 0.0, None)))
+    labels, which = np.unique(eigen_labels(model, cfg), return_inverse=True)
+    width = ceil_log2(labels.size)
+    weights = np.bincount(which, weights=model.variance_proportions, minlength=1 << width)
+    return labels, StateVector.from_amplitudes([("eigen", width)], np.sqrt(np.clip(weights, 0.0, None)))
 
 
 def rotation_sines(beta_hat: np.ndarray, rotation_constant: float | np.ndarray, index_dim: int) -> np.ndarray:
@@ -395,10 +398,7 @@ def postselect(
     _refuse_below_floor(prob)
     sampled = successes = None
     if shots is not None:
-        if shots < 1:
-            raise InvalidInputError("shots must be >= 1")
-        rng = np.random.default_rng(rng_seed)
-        successes = int(rng.binomial(shots, prob))
+        successes = sample_outcome(prob, shots, rng_seed)
         sampled = successes / shots
     return PostselectResult(
         state=kept,
@@ -475,19 +475,13 @@ class SwapTestResult:
     shots: int
 
 
-def swap_test(a: StateVector, b: StateVector, shots: int, rng_seed: int | None = None) -> SwapTestResult:
-    """Estimate |<a|b>|^2 from the ancilla-0 frequency of the swap test.
-
-    P(0) = (1 + |<a|b>|^2) / 2; the shot count is drawn from the exact
-    binomial law, which is distribution-identical to per-shot sampling.
-    """
-    if shots < 1:
-        raise InvalidInputError("shots must be >= 1")
-    overlap_sq = abs(a.inner(b)) ** 2
-    p0 = 0.5 * (1.0 + min(overlap_sq, 1.0))
-    rng = np.random.default_rng(rng_seed)
-    zeros = int(rng.binomial(shots, p0))
-    p0_hat = zeros / shots
+def swap_test(overlap_sq: float, shots: int, rng_seed: int | None = None) -> SwapTestResult:
+    """Estimate ``overlap_sq`` = |<a|b>|^2 from the ancilla-0 frequency of
+    the swap test of a and b, which reads only that number: P(0) =
+    (1 + |<a|b>|^2) / 2, drawn once from its binomial law
+    (``statevector.sample_outcome``)."""
+    p0 = interference_probability(overlap_sq)
+    p0_hat = sample_outcome(p0, shots, rng_seed) / shots
     raw = 2.0 * p0_hat - 1.0
     return SwapTestResult(
         p0_hat=p0_hat,
@@ -509,8 +503,7 @@ def measure_register(
     state: StateVector, name: str, shots: int, rng_seed: int | None = None
 ) -> RegisterSample:
     """Sample basis outcomes of one register from its exact marginal."""
-    if shots < 1:
-        raise InvalidInputError("shots must be >= 1")
+    check_shots(shots)
     marginal = state.probabilities(name)
     weights = np.clip(marginal, 0.0, None)
     weights = weights / weights.sum()

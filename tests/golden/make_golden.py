@@ -76,6 +76,11 @@ CASES = {
     # Every row lies on one direction, so the anchor's exact coefficient is 1;
     # it rounds to just above 1 unless capped.
     "compress_rank1": ("rank1.csv", None, ["--seed", "0"]),
+    # 40-bit labels: the sampled spectrum is drawn over the labels present,
+    # not over a register of 2^40 values.
+    "compress_sampled_wide_labels": (
+        "rank3.csv", None, ["--mode", "sampled", "--bits", "40", "--shots", "20000", "--seed", "3"],
+    ),
     # Fewer rows than features (8x32, rank 3): both axes are padded, and the
     # spectrum lists carry a zero tail past the rank.
     "compress_wide": ("wide.csv", None, ["--seed", "3"]),
@@ -120,6 +125,14 @@ CASES = {
     "error_singular_qsvm": ("blobs_huge.csv", "blobs.labels", ["--task", "qsvm"]),
     # Only qsvm and qlr read --labels; the check runs before any file is read.
     "error_labels_compress": ("rank3.csv", "blobs.labels", []),
+    # Shot counts past 2^63 - 1, which one seeded draw cannot take: the
+    # postselection readout's, and the swap tests' ceil(4 / eps_beta^2).
+    "error_shots_overflow": (
+        "rank3.csv", None, ["--mode", "sampled", "--shots", "100000000000000000000", "--seed", "3"],
+    ),
+    "error_swap_test_shots": ("rank3.csv", None, ["--mode", "sampled", "--eps-beta", "1e-10", "--seed", "3"]),
+    # Quantized labels up to 2^62 fit int64; a wider register is refused.
+    "error_quantized_bits": ("rank3.csv", None, ["--mode", "quantized", "--bits", "100"]),
 }
 
 

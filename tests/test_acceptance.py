@@ -184,7 +184,7 @@ def test_criterion_05_swap_test_calibration():
              ("overlap 1", zero, zero, 1.0)]
     for name, a, b, truth in cases:
         raws = np.array(
-            [swap_test(a, b, shots, seed).overlap_sq_raw for seed in range(200)]
+            [swap_test(abs(a.inner(b)) ** 2, shots, seed).overlap_sq_raw for seed in range(200)]
         )
         p0 = 0.5 * (1.0 + truth)
         stderr = 2.0 * math.sqrt(p0 * (1.0 - p0) / shots)

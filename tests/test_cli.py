@@ -444,6 +444,23 @@ def test_out_at_a_directory_leaves_no_temp_file(capsys, rank2_csv, tmp_path):
     assert target.is_dir() and not any(target.iterdir())
 
 
+def test_a_failing_report_leaves_no_plot_tables(capsys, rank2_csv, tmp_path):
+    # The tables are staged as temp files and renamed into place only once
+    # the report is written; a report that cannot be written removes them.
+    target = tmp_path / "outdir"
+    target.mkdir()
+    plot_dir = tmp_path / "plots"
+    argv = ["--input", rank2_csv, "--plot-dir", str(plot_dir), "--out", str(target)]
+    payload = _error_payload(capsys, argv)
+    assert payload["code"] == "INVALID_INPUT"
+    assert payload["message"].startswith(f"cannot write report to {target}")
+    assert list(plot_dir.iterdir()) == []
+    # A run that succeeds renames every table and leaves no temp file.
+    out = str(tmp_path / "report.json")
+    assert cli.main(["--input", rank2_csv, "--plot-dir", str(plot_dir), "--out", out]) == 0
+    assert sorted(os.listdir(plot_dir)) == ["scree.dat", "success_probability.dat"]
+
+
 # -- error reporting ----------------------------------------------------------------
 
 

@@ -33,19 +33,21 @@ from qpcasim.qram_store import (
     prepare_row_state,
     row_prep_unitary,
 )
-from qpcasim.statevector import StateVector, token_qubits
+from qpcasim.statevector import StateVector, ceil_log2, token_qubits
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
     PhaseConfig,
     apply_cr_beta,
     apply_cu_lambda,
     check_label_distinctness,
+    eigen_labels,
     eigen_marginal_state,
     inverse_phase_estimate,
     phase_estimate,
     project_anchor,
 )
 
+from oracles import eigen_register_width
 from test_acceptance import EXACTNESS_SHAPES
 
 TOL = 1e-12
@@ -65,7 +67,7 @@ def _explicit_compress(run, scope, rows):
     if scope == SCOPE_SUBSET:
         state, _ = state.restrict_register("row", rows)
     labels = check_label_distinctness(model, cfg)[: model.selected_dim]
-    state = state.append_register("eigen", cfg.register_width(model.n_cols))
+    state = state.append_register("eigen", eigen_register_width(cfg, model.n_cols))
     state = phase_estimate(model, cfg, state)
     state = state.append_register("index", token_qubits(model.selected_dim))
     state = apply_cu_lambda(state, [(int(label), j + 1) for j, label in enumerate(labels)])
@@ -137,8 +139,9 @@ def test_vector_load_matches_matrix_load(shape):
 
 
 def test_eigen_marginal_matches_labelled_register():
-    # The closed form (eigenvalues binned by label) against the register
-    # that phase estimation writes on the matrix-loaded data state.
+    # The closed form (eigenvalues binned by label, over the labels present)
+    # against the register that phase estimation writes on the
+    # matrix-loaded data state, which holds no mass on any other label.
     shapes = [
         rank_k_dataset(24, 12, 4, seed=8),
         # Three features padded to four, rank 2: one exactly-zero eigenvalue.
@@ -150,11 +153,16 @@ def test_eigen_marginal_matches_labelled_register():
         tree = build_tree(data)
         model = svd_decompose(data, 0.95)
         for cfg in (PhaseConfig(bits=6), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)):
-            width = cfg.register_width(model.n_cols)
+            width = eigen_register_width(cfg, model.n_cols)
             labelled = phase_estimate(model, cfg, _explicit_data_state(tree).append_register("eigen", width))
-            marginal = eigen_marginal_state(model, cfg)
-            assert marginal.layout() == (("eigen", width),)
-            np.testing.assert_allclose(marginal.probabilities("eigen"), labelled.probabilities("eigen"), atol=TOL)
+            labels, marginal = eigen_marginal_state(model, cfg)
+            np.testing.assert_array_equal(labels, np.unique(eigen_labels(model, cfg)))
+            assert marginal.layout() == (("eigen", ceil_log2(labels.size)),)
+            want = labelled.probabilities("eigen")
+            got = marginal.probabilities("eigen")
+            np.testing.assert_allclose(got[: labels.size], want[labels], atol=TOL)
+            assert np.all(got[labels.size :] == 0.0)
+            assert np.delete(want, labels).sum() <= TOL
 
 
 def _record_peak_amplitudes(monkeypatch):
@@ -185,4 +193,4 @@ def test_spectrum_sampling_builds_no_labelled_tensor(monkeypatch):
     run = run_compression(data, run_mode=MODE_QUANTIZED, seed=0)
     peak = _record_peak_amplitudes(monkeypatch)
     extract_spectrum(run.model, run.cfg, 400, 5)
-    assert 0 < peak[0] <= 1 << run.cfg.register_width(run.model.n_cols)
+    assert 0 < peak[0] <= 1 << eigen_register_width(run.cfg, run.model.n_cols)

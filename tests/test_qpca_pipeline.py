@@ -28,14 +28,19 @@ from qpcasim.qpca_pipeline import (
     error_scaling_experiment,
     estimate_anchor,
     exact_anchor_profile,
-    exact_spectrum,
     extract_spectrum,
     ledger_predict,
     perturb_beta,
     run_compression,
 )
 from qpcasim.statevector import StateVector
-from qpcasim.sv_engine import LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED, POSTSELECT_FLOOR, PhaseConfig
+from qpcasim.sv_engine import (
+    LABEL_MODE_IDEAL,
+    LABEL_MODE_QUANTIZED,
+    POSTSELECT_FLOOR,
+    PhaseConfig,
+    check_label_distinctness,
+)
 
 from oracles import spectral_model
 from test_acceptance import anchor_signed_projection, uniform_relative_infidelities
@@ -52,19 +57,18 @@ def _stated_spectrum_setup():
 # -- spectrum discovery --------------------------------------------------------
 
 
-def test_exact_spectrum_entries():
+def test_label_check_returns_the_kept_labels():
     _, model = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    spectrum = exact_spectrum(model, cfg)
+    labels = check_label_distinctness(model, cfg)
     assert model.selected_dim == 2
-    assert spectrum.labels.tolist() == [29, 3]
-    np.testing.assert_allclose(spectrum.frequencies, [0.90, 0.08], atol=1e-12)
+    assert labels[: model.selected_dim].tolist() == [29, 3]
+    np.testing.assert_allclose(model.variance_proportions[: model.selected_dim], [0.90, 0.08], atol=1e-12)
     # A thin eigensystem (two directions of three features) keeps its
     # directions and nothing past them.
     thin = spectral_model([0.75, 0.25, 0.0], np.eye(3)[:, :2], 2)
-    spectrum = exact_spectrum(thin, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL))
-    assert spectrum.labels.tolist() == [1, 2]
-    assert spectrum.frequencies.tolist() == [0.75, 0.25]
+    labels = check_label_distinctness(thin, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL))
+    assert labels[: thin.selected_dim].tolist() == [1, 2]
 
 
 def test_extract_spectrum_balanced_pair():
@@ -72,21 +76,20 @@ def test_extract_spectrum_balanced_pair():
     model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
-    spectrum = extract_spectrum(model, cfg, 50, 3)
+    histogram = extract_spectrum(model, cfg, 50, 3)
     sigma = math.sqrt(0.25 / 50)
-    for frequency in spectrum.frequencies:
-        assert abs(frequency - 0.5) <= 3.0 * sigma
-    assert sum(spectrum.histogram.values()) == 50
-    assert spectrum.budget == 50
+    assert sorted(histogram) == [1, 2]
+    for count in histogram.values():
+        assert abs(count / 50 - 0.5) <= 3.0 * sigma
+    assert sum(histogram.values()) == 50
 
 
 def test_extract_spectrum_rank_one_is_deterministic():
     data = DataMatrix(np.array([[3.0, 4.0]]))
     model = svd_decompose(data, 0.95)
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
-    spectrum = extract_spectrum(model, cfg, 50, 11)
-    assert spectrum.labels[0] == 32  # half-phase encoding of eigenvalue 1
-    assert spectrum.frequencies[0] == 1.0
+    # Half-phase encoding of eigenvalue 1; the tail's label 0 has no mass.
+    assert extract_spectrum(model, cfg, 50, 11) == {32: 50}
 
 
 def test_extract_spectrum_budget_sweep():
@@ -103,15 +106,15 @@ def test_extract_spectrum_budget_sweep():
     assert ok >= 99
 
 
-def test_extract_spectrum_undersampled_carries_partial():
+def test_extract_spectrum_undersampled_carries_the_histogram():
     _, model = _stated_spectrum_setup()
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
     with pytest.raises(UnderSampledError) as info:
         extract_spectrum(model, cfg, 2, 0)
-    partial = info.value.partial
-    assert partial.labels.size == 2
-    assert partial.histogram == {29: 2}  # second label never observed
-    assert partial.budget == 2
+    assert info.value.histogram == {29: 2}  # second label never observed
+    assert info.value.budget == 2
+    assert info.value.payload()["histogram"] == {29: 2}
+    assert info.value.payload()["budget"] == 2
 
 
 @pytest.mark.parametrize(
@@ -140,8 +143,10 @@ def test_extract_spectrum_full_coverage_meets_threshold_one():
     # exactly 1; summed float frequencies used to round it below 1.0.
     data = rank_k_dataset(16, 8, 8, 1)
     run = run_compression(data, run_mode=MODE_SAMPLED, threshold=1.0, bits=10, seed=0)
-    assert run.model.selected_dim == run.spectrum.labels.size == 8
-    assert sum(run.spectrum.histogram.values()) == run.spectrum.budget
+    assert run.model.selected_dim == 8
+    budget = qpca_pipeline.default_sampling_budget(8)
+    histogram = extract_spectrum(run.model, run.cfg, budget, 0)
+    assert len(histogram) == 8 and sum(histogram.values()) == budget
 
 
 def test_default_sampling_budget():

@@ -45,7 +45,6 @@ SETTABLE_VALUES = (
     "errors.py:__init__:column",
     "errors.py:__init__:leaked_tail_mass",
     "errors.py:__init__:line",
-    "errors.py:__init__:partial",
     "pca_oracle.py:OverlapReport.flagged_rows",
     "pca_oracle.py:expected_compressed_state:row_mask",
     "pca_oracle.py:pairwise_overlap_report:tolerance",
@@ -141,4 +140,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 64
+    assert len(SETTABLE_VALUES) == 63

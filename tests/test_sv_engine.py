@@ -12,11 +12,12 @@ from qpcasim.errors import (
     DegenerateSpectrumError,
     InvalidInputError,
     InvalidRotationError,
+    OutOfRangeError,
     VanishingSuccessError,
 )
 from qpcasim.pca_oracle import DataMatrix, svd_decompose
 from qpcasim.qram_store import prepare_data_state, prepare_row_state
-from qpcasim.statevector import StateVector
+from qpcasim.statevector import MAX_SHOTS, StateVector
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
     LABEL_MODE_QUANTIZED,
@@ -27,6 +28,7 @@ from qpcasim.sv_engine import (
     apply_cu_lambda,
     check_label_distinctness,
     eigen_labels,
+    eigen_marginal_state,
     inverse_phase_estimate,
     measure_register,
     phase_estimate,
@@ -35,7 +37,7 @@ from qpcasim.sv_engine import (
     swap_test,
 )
 
-from oracles import reference_token_circuit, signed_left_vectors, spectral_model
+from oracles import eigen_register_width, reference_token_circuit, signed_left_vectors, spectral_model
 
 
 def stated(eigenvalues, dim=None):
@@ -117,7 +119,29 @@ def test_labels_rank_one_no_wraparound():
 def test_labels_ideal_mode_is_positional():
     cfg = PhaseConfig(bits=2, label_mode=LABEL_MODE_IDEAL)
     np.testing.assert_array_equal(eigen_labels(stated([0.6, 0.3, 0.1]), cfg), [1, 2, 3])
-    assert cfg.register_width(3) == 2
+
+
+def test_quantized_labels_are_at_most_63_bits_wide():
+    # At 63 bits the largest label, 2^62, still fits int64; wider quantized
+    # registers are refused, and ideal mode's width only sets a resolution.
+    cfg = PhaseConfig(bits=63, label_mode=LABEL_MODE_QUANTIZED)
+    assert eigen_labels(stated([1.0]), cfg).tolist() == [2**62]
+    for bits in (64, 100):
+        with pytest.raises(OutOfRangeError):
+            PhaseConfig(bits=bits, label_mode=LABEL_MODE_QUANTIZED)
+    assert PhaseConfig(bits=2000, label_mode=LABEL_MODE_IDEAL).bits == 2000
+
+
+def test_eigen_marginal_state_holds_only_the_labels_present():
+    # Five components carry four labels at 40 bits (the two zero
+    # eigenvalues share label 0): the register holds four values, not 2^40.
+    model = stated([0.5, 0.3, 0.2, 0.0, 0.0])
+    cfg = PhaseConfig(bits=40, label_mode=LABEL_MODE_QUANTIZED)
+    labels, state = eigen_marginal_state(model, cfg)
+    assert labels.tolist() == sorted(set(eigen_labels(model, cfg).tolist()))
+    assert labels[0] == 0 and labels[-1] == 2**38 and labels.size == 4
+    assert state.layout() == (("eigen", 2),)
+    np.testing.assert_allclose(state.probabilities("eigen"), [0.0, 0.2, 0.3, 0.5], atol=1e-15)
 
 
 def test_label_collision_detected():
@@ -203,7 +227,7 @@ def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it(dtype):
 
 def _labeled_state(data, cfg):
     model = svd_decompose(data, 1.0)
-    state = prepare_data_state(data).append_register("eigen", cfg.register_width(model.n_cols))
+    state = prepare_data_state(data).append_register("eigen", eigen_register_width(cfg, model.n_cols))
     return model, phase_estimate(model, cfg, state)
 
 
@@ -457,7 +481,7 @@ def test_project_anchor_keeps_the_anchor_outcome():
 
 def test_swap_test_identical_states():
     a = StateVector.from_amplitudes([("q", 1)], np.array([0.6, 0.8]))
-    result = swap_test(a, a, shots=1000, rng_seed=1)
+    result = swap_test(abs(a.inner(a)) ** 2, shots=1000, rng_seed=1)
     assert result.p0_exact == pytest.approx(1.0)
     assert result.p0_hat == 1.0  # binomial at p=1 is deterministic
     assert result.overlap_sq == pytest.approx(1.0)
@@ -469,7 +493,7 @@ def test_swap_test_orthogonal_states_unbiased():
     shots = 1000
     raws = []
     for seed in range(50):
-        result = swap_test(a, b, shots=shots, rng_seed=seed)
+        result = swap_test(abs(a.inner(b)) ** 2, shots=shots, rng_seed=seed)
         assert result.p0_exact == pytest.approx(0.5)
         raws.append(result.overlap_sq_raw)
         assert result.overlap_sq >= 0.0
@@ -482,13 +506,25 @@ def test_swap_test_orthogonal_states_unbiased():
 def test_swap_test_quarter_overlap():
     a = StateVector.from_amplitudes([("q", 1)], np.array([1.0, 0.0]))
     b = StateVector.from_amplitudes([("q", 1)], np.array([0.5, math.sqrt(3.0) / 2.0]))
-    result = swap_test(a, b, shots=1_000_000, rng_seed=7)
+    result = swap_test(abs(a.inner(b)) ** 2, shots=1_000_000, rng_seed=7)
     assert result.p0_exact == pytest.approx(0.625, abs=1e-12)
     # The raw estimate 2 p0_hat - 1 has standard error 2 sqrt(p0 (1 - p0) / shots).
     stderr = 2.0 * math.sqrt(result.p0_exact * (1.0 - result.p0_exact) / result.shots)
     assert abs(result.overlap_sq_raw - 0.25) <= 3.0 * stderr
     with pytest.raises(InvalidInputError):
-        swap_test(a, b, shots=0)
+        swap_test(abs(a.inner(b)) ** 2, shots=0)
+
+
+def test_shot_counts_one_draw_cannot_take_are_refused():
+    # numpy's binomial draw takes at most 2^63 - 1 trials; the swap test and
+    # postselection share the one readout that refuses more.
+    assert MAX_SHOTS == 2**63 - 1
+    assert swap_test(1.0, MAX_SHOTS, rng_seed=0).p0_hat == 1.0
+    with pytest.raises(OutOfRangeError):
+        swap_test(1.0, MAX_SHOTS + 1)
+    state, anchor_probability = _postselect_fixture(0.25)
+    with pytest.raises(OutOfRangeError):
+        postselect(state, anchor_probability, shots=MAX_SHOTS + 1)
 
 
 # -- register sampling ---------------------------------------------------------

@@ -95,10 +95,11 @@ def test_traced_qsvm_run_reports_the_qml_apps_metrics(tmp_path):
 
 
 def test_traced_scaling_run_decomposes_and_loads_its_dataset_once():
-    # Every seed of the sweep reads the same dataset, so the data state, the
-    # decomposition (which the report's spectrum block reuses) and its
-    # spectrum are built once, and all the seeds' anchors are projected in
-    # one call. No tree is built: it belongs to the reference circuit.
+    # Every seed of the sweep reads the same dataset, so the data state and
+    # the decomposition (which the report's spectrum block reuses) are
+    # built once, its labels are checked before any anchor is drawn and in
+    # the one call that projects all the seeds' anchors. No tree is built:
+    # it belongs to the reference circuit.
     config = cli.RunConfig(input_path=RANK3, task="scaling", seed=3)
     with _load_tracer().Tracer(0) as tracer:
         cli.render_report(cli.run(config))
@@ -106,7 +107,7 @@ def test_traced_scaling_run_decomposes_and_loads_its_dataset_once():
     assert metrics["pca_oracle.svd_decompose.calls"] == 1
     assert metrics["qram_store.build_tree.calls"] == 0
     assert metrics["qram_store.prepare_data_state.calls"] == 1
-    assert metrics["qpca_pipeline.exact_spectrum.calls"] == 1
+    assert metrics["sv_engine.check_label_distinctness.calls"] == 2
     assert metrics["qpca_pipeline.select_anchor.calls"] == cli.SCALING_SEED_COUNT
     assert metrics["sv_engine.project_anchor.calls"] == 1
     assert metrics["sv_engine.postselect_rotations.calls"] == 1
