@@ -55,7 +55,6 @@ _HOMES = {
     "apply_norm_prep": "qram_store",
     "apply_row_prep": "qram_store",
     "prepare_data_state": "qram_store",
-    "prepare_row_state": "qram_store",
     "PHASE_SCALE": "sv_engine",
     "LABEL_MODE_IDEAL": "sv_engine",
     "LABEL_MODE_QUANTIZED": "sv_engine",

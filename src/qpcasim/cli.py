@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRangeError, ParseError, QpcaError
+from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError, QpcaError
 from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES
-from .pca_oracle import DataMatrix, SpectralModel, norm_range_fault, project, svd_decompose
+from .pca_oracle import DataMatrix, SpectralModel, coefficients, norm_range_fault, project, svd_decompose
 
 if TYPE_CHECKING:
     from .qpca_pipeline import RunResult
@@ -38,6 +38,13 @@ TASKS = ("compress", "qsvm", "qlr", "scaling", "ledger")
 
 SCALING_EPS_GRID = (0.0, 0.02, 0.04, 0.08)
 SCALING_SEED_COUNT = 8
+
+# The ledger prices the spectrum stage at dim log2(N D) / (eps_beta^2
+# eps_lambda^3), with eps_lambda = 2^(1 - bits), and sampled swap tests take
+# ceil(4 / eps_beta^2) shots. Keeping 1 / (eps_beta^2 eps_lambda^3) at most
+# 2^LEDGER_EXPONENT_LIMIT keeps every such number finite for any matrix
+# numpy can hold, where dim log2(N D) < 2^70.
+LEDGER_EXPONENT_LIMIT = 900
 
 
 @dataclass
@@ -90,6 +97,14 @@ class RunConfig:
             raise InvalidInputError(f"the {self.task!r} task runs in ideal mode only, not {self.mode!r}")
         if self.subset is not None and len(self.subset) == 0:
             raise InvalidInputError("subset, when given, must name at least one row")
+        # 3 (bits - 1) is -log2(eps_lambda^3); capping bits keeps it a float.
+        exponent = 3 * min(self.bits - 1, LEDGER_EXPONENT_LIMIT) - 2 * math.log2(self.eps_beta)
+        if self.task in ("compress", "ledger") and exponent > LEDGER_EXPONENT_LIMIT:
+            raise OutOfRangeError(
+                f"--eps-beta {self.eps_beta!r} with --bits {self.bits} puts 1 / (eps_beta^2 eps_lambda^3) "
+                f"above 2^{LEDGER_EXPONENT_LIMIT} (eps_lambda = 2^(1 - bits)), too large for the ledger's "
+                "costs; raise --eps-beta or lower --bits"
+            )
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -260,12 +275,12 @@ def _spectrum(model: SpectralModel, anchor_index: int) -> dict:
 
 def _success_sweep(run: RunResult) -> list[dict]:
     """Closed-form success probability versus kept dimension, exact
-    coefficients, for scree-style plots. The coefficients are the anchor
-    state's capped overlap magnitudes with every principal direction
-    (``SpectralModel.coefficients``), as the pipeline's, so no probability
-    exceeds 1 either."""
+    coefficients, for scree-style plots. The coefficients are the capped
+    magnitudes (``coefficients``) of the anchor row's overlaps with every
+    principal direction (``SpectralModel.overlaps`` at the rank), as the
+    pipeline's are of its kept ones, so no probability exceeds 1 either."""
     model = run.model
-    beta_all = model.coefficients(run.anchor_state, model.rank)
+    beta_all = coefficients(model.overlaps(run.data, run.profile.anchor_index, model.rank))
     cum = model.cumulative_variance()
     sweep = []
     for dim in range(1, model.rank + 1):
@@ -449,7 +464,12 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as sorted, indented JSON. A non-finite number, which JSON
+    cannot hold, is refused (``NUMERICAL_FAILURE``)."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailureError(f"the report cannot be written as JSON: {exc}") from None
 
 
 def write_report(report: dict, output_path: str | None) -> None:
@@ -590,27 +610,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulated spectral compression of a data matrix, with "
         "classifier and regression demos on the compressed representation.",
     )
-    parser.add_argument("--input", required=True, help="CSV data matrix, rows are points")
-    parser.add_argument("--labels", help="one value per line: +-1 labels (qsvm) or targets (qlr); others reject it")
-    parser.add_argument("--theta", type=float, default=0.95, help="variance threshold in (0, 1]")
-    parser.add_argument("--bits", type=int, default=6, help="eigenvalue label register width, at most 63 for "
-                        "quantized labels, also setting the ledger's eps_lambda (read by compress and ledger; "
-                        "ignored by the other tasks)")
-    parser.add_argument("--mode", choices=RUN_MODES, default=MODE_IDEAL,
+    parser.add_argument("--input", required=True, dest="input_path", metavar="INPUT",
+                        help="CSV data matrix, rows are points")
+    parser.add_argument("--labels", dest="labels_path", metavar="LABELS",
+                        help="one value per line: +-1 labels (qsvm) or targets (qlr); others reject it")
+    parser.add_argument("--theta", type=float, default=RunConfig.theta, help="variance threshold in (0, 1]")
+    parser.add_argument("--bits", type=int, default=RunConfig.bits,
+                        help="eigenvalue label register width, at most 63 for quantized labels, also setting "
+                        "the ledger's eps_lambda (read by compress and ledger; ignored by the other tasks)")
+    parser.add_argument("--mode", choices=RUN_MODES, default=RunConfig.mode,
                         help="run mode (scaling and ledger: ideal only)")
-    parser.add_argument("--eps-beta", type=float, default=0.01, dest="eps_beta",
+    parser.add_argument("--eps-beta", type=float, default=RunConfig.eps_beta, dest="eps_beta",
                         help="target accuracy for anchor coefficient estimates "
                         "(read by compress and ledger; ignored by the other tasks)")
-    parser.add_argument("--shots", type=int, default=100_000,
+    parser.add_argument("--shots", type=int, default=RunConfig.shots,
                         help="shots per sampled readout (read by compress, qsvm and qlr "
                         "in sampled mode; ignored otherwise)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--task", choices=TASKS, default="compress")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--task", choices=TASKS, default=RunConfig.task)
     parser.add_argument("--subset", help="comma-separated row indices (compress task only)")
     parser.add_argument("--anchor", type=int, dest="anchor_index",
                         help="fixed anchor row (default: seeded draw with redraw on weak "
                         "anchors; read by compress and ledger; qsvm, qlr and scaling reject it)")
-    parser.add_argument("--gamma", type=float, default=1.0, help="LS-SVM regularization weight")
+    parser.add_argument("--gamma", type=float, default=RunConfig.gamma, help="LS-SVM regularization weight")
     parser.add_argument("--out", dest="output_path", help="report file (default: stdout)")
     parser.add_argument("--plot-dir", dest="plot_dir", help="directory for tabular plot data")
     return parser
@@ -619,22 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            input_path=args.input,
-            labels_path=args.labels,
-            theta=args.theta,
-            bits=args.bits,
-            mode=args.mode,
-            eps_beta=args.eps_beta,
-            shots=args.shots,
-            seed=args.seed,
-            task=args.task,
-            subset=_parse_subset(args.subset) if args.subset is not None else None,
-            anchor_index=args.anchor_index,
-            gamma=args.gamma,
-            output_path=args.output_path,
-            plot_dir=args.plot_dir,
-        )
+        if args.subset is not None:
+            args.subset = _parse_subset(args.subset)
+        config = RunConfig(**vars(args))
         started = time.perf_counter()
         report = run(config)
         elapsed = time.perf_counter() - started

@@ -125,8 +125,9 @@ class SpectralModel:
     directions alone (the eigenvectors of rho), one column per nonzero
     singular value, with signs fixed against row 0 of the data
     (``svd_decompose``). selected_dim is the kept dimension the spectrum,
-    anchor and compression stages take. An anchor row's signs are a vector
-    beside the model (``anchor_signs``), never a re-signed copy of it.
+    anchor and compression stages take. An anchor is carried as its
+    overlaps with the model's directions (``overlaps``), which hold its
+    signs too; the model is never re-signed or copied for it.
     """
 
     singular_values: np.ndarray          # (D,), descending, zero-padded
@@ -154,30 +155,30 @@ class SpectralModel:
     def variance_captured(self) -> float:
         return float(self.cumulative_variance()[self.selected_dim - 1])
 
-    def anchor_signs(self, data: DataMatrix, anchor_index: int) -> np.ndarray:
-        """``_overlap_signs`` of row ``anchor_index`` of ``data`` against
-        ``right_vectors``: the signs that turn the model's directions into
-        ones signed against that row. The caller checks the index."""
-        return _overlap_signs(data.values[anchor_index], self.right_vectors)
-
-    def overlaps(self, state: StateVector, k: int) -> np.ndarray:
-        """(k,) overlaps <state|v_j> of a one-register ``state`` with the
-        leading ``k`` principal directions: V^T conj(a) over its first D
-        amplitudes, the rest being padding. Negating v_j negates its overlap
-        exactly."""
-        return self.right_vectors[:, :k].T @ state.amplitudes[: self.n_cols].conj()
-
-    def coefficients(self, state: StateVector, k: int) -> np.ndarray:
-        """(k,) |<v_j|state>|, what a swap test estimates, so no sign enters.
-        One that rounds above 1 (a row on a principal direction, as in
-        rank-1 data) is capped at 1."""
-        return np.minimum(np.abs(self.overlaps(state, k)), 1.0)
+    def overlaps(self, data: DataMatrix, row_index: int, k: int) -> np.ndarray:
+        """(k,) signed overlaps <v_j|x_i> / |x_i| of row ``row_index`` of
+        ``data`` with the leading ``k`` principal directions: V[:, :k]^T
+        times the unit row, divided by the norm ``DataMatrix`` kept. These
+        are the numbers the circuit reads the anchor through, as the
+        rotation's coefficients (their magnitudes, ``coefficients``), as
+        the reference's column signs (``_overlap_signs``) and as the anchor
+        half of postselection. Negating v_j negates its overlap exactly.
+        The caller checks the index."""
+        return self.right_vectors[:, :k].T @ (data.values[row_index] / data.row_norms[row_index])
 
 
-def _overlap_signs(row: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """-1 for each column of ``vectors`` whose overlap with ``row`` is
-    negative, +1 for the others (a column orthogonal to the row included)."""
-    return np.where(row @ vectors < 0.0, -1.0, 1.0)
+def coefficients(overlaps: np.ndarray) -> np.ndarray:
+    """|overlaps|, what a swap test estimates, so no sign enters. One that
+    rounds above 1 (a row on a principal direction, as in rank-1 data) is
+    capped at 1."""
+    return np.minimum(np.abs(overlaps), 1.0)
+
+
+def _overlap_signs(overlaps: np.ndarray) -> np.ndarray:
+    """-1 for each overlap that is negative, +1 for the others (an
+    orthogonal direction's included): the signs that turn the directions
+    into ones signed against the row the overlaps were taken with."""
+    return np.where(overlaps < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,8 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
     and only the singular vectors of the nonzero ones are kept: no array is
     D x D. The selected dimension is the smallest s whose leading variance
     fraction reaches ``threshold`` (an exact >= on float64). The signs of
-    the principal directions follow row 0 (``_overlap_signs``); they are
-    signed here and nowhere else.
+    the principal directions follow row 0 (``_overlap_signs`` of its
+    overlaps); they are signed here and nowhere else.
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
@@ -254,7 +255,7 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
     return SpectralModel(
         singular_values=sigma,
         variance_proportions=sigma ** 2 / cum[-1],
-        right_vectors=v * _overlap_signs(data.values[0], v),
+        right_vectors=v * _overlap_signs(data.values[0] @ v),
         n_rows=n,
         threshold=float(threshold),
         selected_dim=selected,

@@ -7,8 +7,10 @@ ancilla, and post-select on recovering the anchor. Every stage reads one
 eigensystem, the ``pca_oracle.SpectralModel`` its task decomposed once, with
 its kept dimension and variance threshold. Each sampled step is a seeded
 draw on numbers the model holds, the eigenvalues binned by label or one
-squared coefficient, so only ``compress`` loads a state. Three run modes
-control where randomness enters:
+squared coefficient, so only ``compress`` loads a state. An anchor is
+carried as its signed overlaps with the kept directions
+(``SpectralModel.overlaps``), formed once per draw; every stage reads the
+anchor through them. Three run modes control where randomness enters:
 
   ideal      exact per-component tokens, exact coefficients, exact
              post-selection probability (isolates coefficient-error studies)
@@ -219,17 +221,15 @@ def _anchor_profile(
 
 
 def exact_anchor_profile(
-    anchor: StateVector,
-    model: SpectralModel,
+    overlaps: np.ndarray,
     anchor_index: int,
     *,
     eps_beta: float = 0.01,
 ) -> AnchorProfile:
     """Shot-free profile: the estimates equal the exact coefficients, the
-    overlap magnitudes of row ``anchor_index``'s state ``anchor``
-    (``qram_store.prepare_row_state``) with the model's kept directions
-    (``SpectralModel.coefficients``)."""
-    beta = model.coefficients(anchor, model.selected_dim)
+    capped magnitudes (``pca_oracle.coefficients``) of row
+    ``anchor_index``'s kept ``overlaps`` (``SpectralModel.overlaps``)."""
+    beta = pca_oracle.coefficients(overlaps)
     if float(beta.min(initial=1.0)) < BETA_FLOOR:
         j = int(np.argmin(beta))
         raise WeakAnchorError(
@@ -241,19 +241,18 @@ def exact_anchor_profile(
 
 
 def estimate_anchor(
-    anchor: StateVector,
-    model: SpectralModel,
+    overlaps: np.ndarray,
     eps_beta: float,
     rng_seed: int | None,
     *,
     anchor_index: int,
 ) -> AnchorProfile:
     """Estimate every kept anchor coefficient by a seeded swap test of row
-    ``anchor_index``'s state ``anchor`` (``qram_store.prepare_row_state``)
-    against the model's corresponding principal direction,
+    ``anchor_index`` against the corresponding kept principal direction,
     ceil(c / eps_beta^2) shots each. A swap test reads only the squared
-    overlap, beta_k^2 (``SpectralModel.coefficients``), so no direction
-    state is built.
+    overlap, beta_k^2, with beta the capped magnitudes
+    (``pca_oracle.coefficients``) of the row's kept ``overlaps``
+    (``SpectralModel.overlaps``), so no state is built.
 
     Estimates are sqrt(max(0, 2 p0_hat - 1)). Any estimate below the floor
     raises WeakAnchorError so the caller can redraw the anchor row.
@@ -262,10 +261,10 @@ def estimate_anchor(
         raise OutOfRangeError(f"eps_beta must lie in (0, 1), got {eps_beta}")
     shots = int(math.ceil(ANCHOR_SHOTS_CONSTANT / eps_beta**2))
     rng = np.random.default_rng(rng_seed)
-    d = model.selected_dim
+    d = overlaps.size
     seeds = rng.integers(0, 2**63 - 1, size=d)
 
-    beta = model.coefficients(anchor, d)
+    beta = pca_oracle.coefficients(overlaps)
     beta_hat = np.empty(d)
     for k in range(d):
         result = sv_engine.swap_test(beta[k] ** 2, shots, int(seeds[k]))
@@ -288,14 +287,14 @@ def _check_anchor_index(data: DataMatrix, anchor_index: int | None) -> None:
 
 @dataclass(frozen=True)
 class AnchorChoice:
-    """The accepted anchor row and what was built around it: ``signs``, its
-    sign vector against the caller's model (``SpectralModel.anchor_signs``),
-    and ``anchor_state``, its loaded state (``qram_store.prepare_row_state``)."""
+    """The accepted anchor row: its profile, the rows drawn, and
+    ``overlaps``, its (d,) signed overlaps with the caller's model's kept
+    directions (``SpectralModel.overlaps``), from which the profile took
+    its coefficients and every later stage reads the anchor."""
 
     profile: AnchorProfile
     attempts: tuple[int, ...]
-    signs: np.ndarray
-    anchor_state: StateVector
+    overlaps: np.ndarray
 
 
 def select_anchor(
@@ -314,11 +313,12 @@ def select_anchor(
     draws. A fixed ``anchor_index`` is the only candidate, and its
     WeakAnchorError propagates unchanged. With a ``beta_seed`` the
     coefficients are estimated by swap tests seeded by it; without one they
-    are exact. A candidate is judged from ``model`` and its row state
-    alone: its coefficients are the magnitudes of its overlaps, which no
-    eigenvector sign changes. Only the accepted row's signs are taken
-    (``SpectralModel.anchor_signs``); ``model`` is not copied. A fixed
-    ``anchor_index`` outside the data is refused before any row is loaded.
+    are exact. Each draw forms its row's kept overlaps once
+    (``SpectralModel.overlaps``), and the candidate is judged from them
+    alone: its coefficients are their magnitudes, which no eigenvector sign
+    changes. The accepted row's overlaps are returned, signs and all;
+    ``model`` is not copied. A fixed ``anchor_index`` outside the data is
+    refused before any overlap is formed.
     """
     _check_anchor_index(data, anchor_index)
     attempts: list[int] = []
@@ -326,18 +326,18 @@ def select_anchor(
     for _ in range(1 if anchor_index is not None else MAX_ANCHOR_ATTEMPTS):
         anchor = anchor_index if anchor_index is not None else int(rng.integers(data.n_rows))
         attempts.append(anchor)
-        state = qram_store.prepare_row_state(data, anchor)
+        overlaps = model.overlaps(data, anchor, model.selected_dim)
         try:
             if beta_seed is None:
-                profile = exact_anchor_profile(state, model, anchor, eps_beta=eps_beta)
+                profile = exact_anchor_profile(overlaps, anchor, eps_beta=eps_beta)
             else:
-                profile = estimate_anchor(state, model, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(overlaps, eps_beta, beta_seed, anchor_index=anchor)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise
             last_error = exc
             continue
-        return AnchorChoice(profile, tuple(attempts), model.anchor_signs(data, anchor), state)
+        return AnchorChoice(profile, tuple(attempts), overlaps)
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -419,8 +419,7 @@ def compress(
     data: DataMatrix,
     model: SpectralModel,
     profile: AnchorProfile,
-    anchor: StateVector,
-    signs: np.ndarray,
+    overlaps: np.ndarray,
     cfg: PhaseConfig,
     *,
     run_mode: str = MODE_IDEAL,
@@ -435,13 +434,13 @@ def compress(
     restriction ('subset'). Either way the output state carries component
     tokens 1..dim with label 0 unused, and the report compares it against
     the classical projection. The data state is loaded from ``data``.
-    ``anchor`` is the loaded state of the profile's anchor row
-    (``AnchorChoice.anchor_state``), which the projection undoes. The
-    circuit reads no sign of ``model``'s directions: it leaves token j+1
-    with the sign of <v_j|anchor>, so the classical reference,
-    ``CompressResult.compressed``, is the projection onto ``model``'s
-    directions with its columns flipped by ``signs``, the anchor row's signs
-    against ``model`` (``AnchorChoice.signs``). Negation is exact.
+    ``overlaps`` are the profile's anchor row's (d,) kept overlaps with
+    ``model``'s directions (``AnchorChoice.overlaps``), the anchor as the
+    projection undoes it. The circuit reads no sign of ``model``'s
+    directions: it leaves token j+1 with the sign of <v_j|anchor>, so the
+    classical reference, ``CompressResult.compressed``, is the projection
+    onto ``model``'s directions with its columns flipped by the overlaps'
+    signs (``pca_oracle._overlap_signs``). Negation is exact.
     """
     d = model.selected_dim
     if profile.beta_hat.size != d:
@@ -461,7 +460,7 @@ def compress(
     if scope == SCOPE_SUBSET:
         state, _ = state.restrict_register("row", [int(r) for r in rows])
 
-    [projected], p_anchor = sv_engine.project_anchor(model, cfg, state, [anchor])
+    [projected], p_anchor = sv_engine.project_anchor(model, cfg, state, overlaps[None])
     # The rotated state is twice the projected one; no name keeps it alive
     # through the oracle comparison below, where a run's memory peaks.
     post = sv_engine.postselect(
@@ -473,7 +472,7 @@ def compress(
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model)
-    np.multiply(compressed.values, signs[:d], out=compressed.values)
+    np.multiply(compressed.values, pca_oracle._overlap_signs(overlaps), out=compressed.values)
     mask = np.zeros(data.n_rows, dtype=bool)
     mask[rows] = True
     reference = pca_oracle.expected_compressed_state(compressed, row_mask=None if scope == SCOPE_FULL else mask)
@@ -526,7 +525,6 @@ class RunResult:
     model: SpectralModel  # the run's one decomposition, with row-0 signs
     cfg: PhaseConfig
     profile: AnchorProfile
-    anchor_state: StateVector  # the accepted anchor's loaded state
     result: CompressResult
     anchor_attempts: tuple[int, ...]
 
@@ -572,8 +570,7 @@ def run_compression(
         data,
         model,
         choice.profile,
-        choice.anchor_state,
-        choice.signs,
+        choice.overlaps,
         cfg,
         run_mode=run_mode,
         subset=subset,
@@ -585,7 +582,6 @@ def run_compression(
         model=model,
         cfg=cfg,
         profile=choice.profile,
-        anchor_state=choice.anchor_state,
         result=result,
         anchor_attempts=choice.attempts,
     )
@@ -651,14 +647,14 @@ def error_scaling_experiment(
     reference projection. Each seed draws its anchor with the usual seeded redraw
     (``select_anchor``); its coefficients are perturbed by each grid
     magnitude, and the final-state error is averaged over the seeds per grid
-    point. The seeds' anchors are projected in one ``project_anchor`` call,
-    and every (seed, grid point) rotation in one
-    ``sv_engine.postselect_rotations``, with the refusals and the amplitudes
-    of ``apply_cr_beta`` then ``postselect`` at each point. Past
-    ``SWEEP_STACK_ROWS`` padded rows times seeds, the projection and the
-    rotation take the seeds in several passes. The fidelity and the
-    deviation are taken per point, and each row sums them over the seeds in
-    order.
+    point. The seeds' anchors, as their overlaps (``AnchorChoice.overlaps``),
+    are projected in one ``project_anchor`` call, and every (seed, grid
+    point) rotation in one ``sv_engine.postselect_rotations``, with the
+    refusals and the amplitudes of ``apply_cr_beta`` then ``postselect`` at
+    each point. Past ``SWEEP_STACK_ROWS`` padded rows times seeds, the
+    projection and the rotation take the seeds in several passes. The
+    fidelity and the deviation are taken per point, and each row sums them
+    over the seeds in order.
     """
     if not eps_grid:
         raise InvalidInputError("eps grid must be nonempty")
@@ -682,14 +678,14 @@ def error_scaling_experiment(
     step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
     for start in range(0, len(choices), step):
         batch = choices[start : start + step]
-        anchors = [choice.anchor_state for choice in batch]
-        projected, p_anchor = sv_engine.project_anchor(model, cfg, state, anchors)
+        overlaps = np.array([choice.overlaps for choice in batch])
+        projected, p_anchor = sv_engine.project_anchor(model, cfg, state, overlaps)
         beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid)
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
         # Seed by seed, so each row sums in seed order.
         for choice, branches in zip(batch, kept):
             psi = reference.copy()
-            psi[..., 1 : d + 1] *= choice.signs[:d]
+            psi[..., 1 : d + 1] *= pca_oracle._overlap_signs(choice.overlaps)
             for k, phi in enumerate(branches):
                 infid[k] += max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0)
                 dev[k] += float(np.linalg.norm(phi - np.vdot(psi, phi) * psi))

@@ -1,19 +1,21 @@
 """Amplitude encoding of a data matrix.
 
-Production loads its states straight from the matrix: the data state is
-the padded X / |X|_F over (row, feature), and a row state the padded
-x_i / |x_i| on a feature register, divided by the norms ``DataMatrix``
-kept. These are the states the binary-tree QRAM of Kerenidis and Prakash
-(arXiv:1603.08675) prepares.
+Production loads one state straight from the matrix: the data state, the
+padded X / |X|_F over (row, feature), divided by the norm ``DataMatrix``
+kept. That is the state the binary-tree QRAM of Kerenidis and Prakash
+(arXiv:1603.08675) prepares. The anchor row is never loaded as a state:
+the circuit reads it only through its overlaps with the kept principal
+directions (``SpectralModel.overlaps``), formed from the unit row
+x_i / |x_i|, the vector column 0 of ``row_prep_unitary`` prepares.
 
 The tree is the reference circuit's. One tree per row stores partial sums
 of squared entries with signs kept at the leaves; one more tree stores the
 row norms. Walking a tree level by level yields the controlled-rotation
 cascade that prepares the encoded vector from |0...0>. That cascade is
 built as an exact orthogonal matrix, whose inverse is its transpose, with
-the register-level preparations built from it; the tests hold the loaders
-against those. Rows and columns are zero-padded to powers of two; padded
-rows carry zero weight and are skipped.
+the register-level preparations built from it; the tests hold the data
+state and the unit rows against those. Rows and columns are zero-padded
+to powers of two; padded rows carry zero weight and are skipped.
 """
 
 from __future__ import annotations
@@ -186,14 +188,3 @@ def prepare_data_state(data: DataMatrix) -> StateVector:
     amps = np.zeros((1 << row_qubits, 1 << feature_qubits))
     np.divide(data.values, data.frobenius_norm, out=amps[:n, :d])
     return StateVector.from_amplitudes([("row", row_qubits), ("feature", feature_qubits)], amps)
-
-
-def prepare_row_state(data: DataMatrix, row_index: int) -> StateVector:
-    """Row ``row_index``'s unit vector x_i / |x_i| on a lone feature
-    register: column 0 of ``row_prep_unitary``, up to round-off."""
-    if not 0 <= row_index < data.n_rows:
-        raise OutOfRangeError(f"row index {row_index} out of range for {data.n_rows} rows")
-    feature_qubits = ceil_log2(data.n_cols)
-    amps = np.zeros(1 << feature_qubits)
-    np.divide(data.values[row_index], data.row_norms[row_index], out=amps[: data.n_cols])
-    return StateVector.from_amplitudes([("feature", feature_qubits)], amps)

@@ -159,7 +159,10 @@ class StateVector:
         return tuple((r.name, r.qubits) for r in self.registers)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        """sqrt(<a|a>), one dot product over the amplitudes in memory order:
+        no temporary of the state's size."""
+        flat = self.amplitudes.ravel(order="K")
+        return math.sqrt(np.vdot(flat, flat).real)
 
     def _assert_normalized(self) -> None:
         check_unit_norm(self.norm())

@@ -15,8 +15,9 @@ the same unitary.
 The label write, token write and label un-compute leave the eigenvalue
 register in |0> again, and the ancilla rotation commutes with them, so
 compression runs all three and the anchor half of postselection first, as
-one features x tokens matrix per anchor, any number of anchors in one
-product (``project_anchor``); the rotation and the ancilla half
+one features x tokens matrix per anchor, built from the anchor's overlaps
+with the kept directions, any number of anchors in one product
+(``project_anchor``); the rotation and the ancilla half
 (``postselect``) then act on rows x tokens x 2 amplitudes. A sweep over
 coefficient estimates forms only each rotation's kept branch, the whole
 grid of every projected state as one array (``postselect_rotations``), from
@@ -241,42 +242,38 @@ def project_anchor(
     model: SpectralModel,
     cfg: PhaseConfig,
     state: StateVector,
-    anchors: Sequence[StateVector],
+    overlaps: np.ndarray,
 ) -> tuple[list[StateVector], np.ndarray]:
     """Label write, token write, label un-compute and the anchor half of
-    postselection as one product on the "feature" register, for every one
-    of ``anchors`` at once.
+    postselection as one product on the "feature" register, for S anchors
+    at once, each given by its (d,) overlaps with the model's kept
+    directions: ``overlaps`` is (S, d), d the model's ``selected_dim``.
 
     For each anchor this equals ``phase_estimate``, ``apply_cu_lambda`` of
     token j+1 on kept component j's label onto a fresh "index" register of
-    ``token_qubits(d)`` qubits (d the model's ``selected_dim``) and
-    ``inverse_phase_estimate``, then undoing the preparation of that anchor
-    (a state on the feature register alone) and keeping feature |0>.
-    Eigenvector k gets token k+1 for k < d and no other direction gets one;
-    the label checks (``check_label_distinctness``, run first) refuse
-    every spectrum where the label write would map otherwise. With V those eigenvectors, anchor
-    s's product is the feature axis times G_s[j, k+1] = V[j, k] c_s[k], with
-    c_s = V^T conj(anchor_s) its overlaps (``SpectralModel.overlaps``);
-    negating v_k negates c_s[k] exactly,
+    ``token_qubits(d)`` qubits and ``inverse_phase_estimate``, then undoing
+    the preparation of that anchor (a unit vector on the feature register)
+    and keeping feature |0>. Eigenvector k gets token k+1 for k < d and no
+    other direction gets one; the label checks
+    (``check_label_distinctness``, run first) refuse every spectrum where
+    the label write would map otherwise. With V those eigenvectors, anchor
+    s's product is the feature axis times G_s[j, k+1] = V[j, k] c_s[k],
+    with c_s = V^T a_s its overlaps (``SpectralModel.overlaps``), so the
+    anchor enters through them alone; negating v_k negates c_s[k] exactly,
     so G_s does not depend on the eigenvectors' signs. The G_s are stacked
     (features, anchors, tokens) and applied as one product, real when the
-    state and the anchors are. Returns one renormalised state per anchor,
-    "index" in place of "feature", and the probabilities of the anchor
-    outcomes, (anchors,).
+    state is. Returns one renormalised state per anchor, "index" in place
+    of "feature", and the probabilities of the anchor outcomes, (S,).
     """
     check_label_distinctness(model, cfg)
-    width = state.register("feature").qubits
-    for anchor in anchors:
-        if anchor.layout() != (("feature", width),):
-            raise InvalidInputError(
-                f"anchor layout {anchor.layout()} must be the state's feature register alone ({width} qubits)"
-            )
     d = model.selected_dim
+    if np.ndim(overlaps) != 2 or np.shape(overlaps)[1] != d:
+        raise InvalidInputError(f"overlaps must be (anchors, {d}), got shape {np.shape(overlaps)}")
+    width = state.register("feature").qubits
     index_qubits = token_qubits(d)
-    coefficients = np.array([model.overlaps(anchor, d) for anchor in anchors])
-    dtype = np.result_type(coefficients, state.amplitudes)
-    g = np.zeros((1 << width, len(anchors), 1 << index_qubits), dtype=dtype)
-    g[: model.n_cols, :, 1 : d + 1] = model.right_vectors[:, None, :d] * coefficients
+    dtype = np.result_type(overlaps, state.amplitudes)
+    g = np.zeros((1 << width, len(overlaps), 1 << index_qubits), dtype=dtype)
+    g[: model.n_cols, :, 1 : d + 1] = model.right_vectors[:, None, :d] * overlaps
     block = np.tensordot(state.amplitudes, g, axes=([state.axis("feature")], [0]))
     # One contiguous block per anchor, so that each probability is summed
     # as it would be for that anchor alone.
@@ -412,8 +409,8 @@ def postselect(
 
 def _squared_norms(stack: np.ndarray, lead: int) -> np.ndarray:
     """Summed squared magnitudes of each state in a C-contiguous stack whose
-    first ``lead`` axes index the states, summed in the order that
-    ``StateVector.norm`` sums one state's."""
+    first ``lead`` axes index the states: one pairwise sum per state over
+    its squared magnitudes, in C order."""
     mass = np.abs(stack)
     np.square(mass, out=mass)
     return mass.reshape(stack.shape[:lead] + (-1,)).sum(axis=-1)

@@ -133,6 +133,16 @@ CASES = {
     "error_swap_test_shots": ("rank3.csv", None, ["--mode", "sampled", "--eps-beta", "1e-10", "--seed", "3"]),
     # Quantized labels up to 2^62 fit int64; a wider register is refused.
     "error_quantized_bits": ("rank3.csv", None, ["--mode", "quantized", "--bits", "100"]),
+    # Accuracies whose ledger costs, 1 / (eps_beta^2 eps_lambda^3) and its
+    # kin, leave the float range: eps_lambda^3 or eps_beta^2 underflows to
+    # 0, a cost overflows to infinity, or eps_lambda = 2^(1 - bits) is 0
+    # itself; in sampled mode the swap tests' ceil(4 / eps_beta^2) too.
+    "error_bits_cost_underflow": ("rank3.csv", None, ["--bits", "400"]),
+    "error_bits_resolution_zero": ("rank3.csv", None, ["--bits", "1100"]),
+    "error_eps_beta_underflow": ("rank3.csv", None, ["--eps-beta", "1e-200"]),
+    "error_eps_beta_underflow_sampled": ("rank3.csv", None, ["--mode", "sampled", "--eps-beta", "1e-200"]),
+    "error_eps_beta_overflow_compress": ("rank3.csv", None, ["--eps-beta", "1e-154"]),
+    "error_eps_beta_overflow_ledger": ("rank3.csv", None, ["--task", "ledger", "--eps-beta", "1e-154"]),
 }
 
 

@@ -7,7 +7,9 @@ principal directions, a gate-by-gate simulation of the token-writing
 circuit (wire flips plus multi-controlled NOTs), and the least-squares SVM
 solved densely through its N x N kernel. One builder, ``spectral_model``,
 makes the package's own eigensystem type from a stated spectrum, so tests
-can hand the pipeline spectra no data matrix is needed for.
+can hand the pipeline spectra no data matrix is needed for. Another,
+``anchor_state``, loads an anchor row as the padded state the explicit
+circuit prepares, which production never builds.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from qpcasim.pca_oracle import SpectralModel
+from qpcasim.statevector import StateVector
 
 
 def spectral_model(eigenvalues, vectors, dim: int) -> SpectralModel:
@@ -34,6 +37,17 @@ def spectral_model(eigenvalues, vectors, dim: int) -> SpectralModel:
         threshold=float(lam[:dim].sum()),
         selected_dim=dim,
     )
+
+
+def anchor_state(data, row_index: int) -> StateVector:
+    """Row ``row_index`` of ``data`` as the state the QRAM row loader
+    prepares: the unit row x_i / |x_i|, divided by the norm ``DataMatrix``
+    kept, zero-padded on a lone "feature" register of ceil(log2 D) qubits.
+    Column 0 of ``row_prep_unitary`` is this state up to round-off."""
+    qubits = (data.n_cols - 1).bit_length()
+    amps = np.zeros(1 << qubits)
+    amps[: data.n_cols] = data.values[row_index] / data.row_norms[row_index]
+    return StateVector.from_amplitudes([("feature", qubits)], amps)
 
 
 def eigen_register_width(cfg, n_components: int) -> int:

@@ -202,12 +202,13 @@ def test_criterion_05_swap_test_calibration():
     _verdict(5, "swap test calibration", failures)
 
 
-def anchor_signed_projection(data, model, signs):
-    """The projection onto ``model``'s kept directions with its columns
-    flipped by an anchor's ``signs`` against ``model``: the classical
-    reference for that anchor, as ``compress`` forms it."""
+def anchor_signed_projection(data, model, overlaps):
+    """The projection onto ``model``'s kept directions with each column
+    negated where the anchor's kept ``overlaps`` with ``model`` are
+    negative: the classical reference for that anchor, as ``compress``
+    forms it."""
     y = project(data, model)
-    return replace(y, values=y.values * signs[: model.selected_dim])
+    return replace(y, values=y.values * np.where(overlaps < 0.0, -1.0, 1.0))
 
 
 def uniform_relative_infidelities(data, seed, eps_grid):
@@ -223,9 +224,9 @@ def uniform_relative_infidelities(data, seed, eps_grid):
     beta_hat = np.array([choice.profile.beta * (1.0 + eps) for eps in eps_grid])
     if beta_hat.max() >= 1.0:
         return None
-    [projected], p_anchor = project_anchor(model, cfg, prepare_data_state(data), [choice.anchor_state])
+    [projected], p_anchor = project_anchor(model, cfg, prepare_data_state(data), choice.overlaps[None])
     [kept], _ = postselect_rotations([projected], p_anchor, beta_hat[None], beta_hat.min(axis=-1)[None])
-    psi = expected_compressed_state(anchor_signed_projection(data, model, choice.signs)).amplitudes
+    psi = expected_compressed_state(anchor_signed_projection(data, model, choice.overlaps)).amplitudes
     return [max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0) for phi in kept]
 
 

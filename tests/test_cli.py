@@ -15,7 +15,8 @@ from qpcasim.datasets import (
     write_matrix_csv,
     write_values_file,
 )
-from qpcasim.errors import InvalidInputError, OutOfRangeError, ParseError
+from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError
+from qpcasim.qpca_pipeline import ledger_predict
 
 
 @pytest.fixture
@@ -239,6 +240,46 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         cli.RunConfig(input_path="x", subset=()).validate()
     cli.RunConfig(input_path="x").validate()
+
+
+def test_accuracies_whose_ledger_leaves_the_float_range_are_refused():
+    # Where the parent run divided by an eps_beta^2 or eps_lambda^3 that
+    # underflowed to 0, or printed an infinite cost, compress and ledger
+    # refuse the flags by name. The tasks that read neither flag do not.
+    for flags in ({"bits": 400}, {"bits": 1100}, {"eps_beta": 1e-200}, {"eps_beta": 1e-154}, {"bits": 10**400}):
+        for task in ("compress", "ledger"):
+            with pytest.raises(OutOfRangeError, match="raise --eps-beta or lower --bits"):
+                cli.RunConfig(input_path="x", task=task, **flags).validate()
+        cli.RunConfig(input_path="x", task="scaling", **flags).validate()
+    # The last accepted exponent keeps every ledger cost finite even at
+    # dimensions past any matrix numpy can hold.
+    bits, eps_beta = 300, 0.5  # 3 * 299 + 2 = 899
+    cli.RunConfig(input_path="x", bits=bits, eps_beta=eps_beta).validate()
+    with pytest.raises(OutOfRangeError):
+        cli.RunConfig(input_path="x", bits=bits + 1, eps_beta=eps_beta).validate()
+    ledger = ledger_predict(2**62, 2**62, 2**62, 2.0 ** (1 - bits), eps_beta, 0.5)
+    costs = [getattr(ledger, name) for name in ("spectrum_copies", "anchor_swap_tests", "label_write_cost")]
+    assert all(math.isfinite(cost) for cost in costs)
+    assert math.isfinite(math.ceil(4.0 / eps_beta**2))
+
+
+def test_a_report_with_a_non_finite_number_is_refused():
+    with pytest.raises(NumericalFailureError, match="cannot be written as JSON"):
+        cli.render_report({"ledger": {"spectrum_copies": math.inf}})
+
+
+def test_main_defaults_are_the_config_defaults(monkeypatch):
+    # The parser reads every default from RunConfig, so ``--input`` alone
+    # gives the config that names only the input.
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        raise InvalidInputError("stop")
+
+    monkeypatch.setattr(cli, "run", record)
+    assert cli.main(["--input", "X"]) == 1
+    assert seen == [cli.RunConfig(input_path="X")]
 
 
 def test_parse_subset():

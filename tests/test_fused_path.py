@@ -30,7 +30,6 @@ from qpcasim.qram_store import (
     apply_row_prep,
     build_tree,
     prepare_data_state,
-    prepare_row_state,
     row_prep_unitary,
 )
 from qpcasim.statevector import StateVector, ceil_log2, token_qubits
@@ -47,7 +46,7 @@ from qpcasim.sv_engine import (
     project_anchor,
 )
 
-from oracles import eigen_register_width
+from oracles import anchor_state, eigen_register_width
 from test_acceptance import EXACTNESS_SHAPES
 
 TOL = 1e-12
@@ -117,9 +116,9 @@ def test_compress_scopes_match_explicit_circuit(mode):
 def test_fused_map_keeps_the_explicit_circuit_checks():
     run = run_compression(rank_k_dataset(16, 8, 2, seed=4), run_mode=MODE_QUANTIZED, seed=0)
     state = prepare_data_state(run.data)
-    anchor = prepare_row_state(run.data, run.profile.anchor_index)
+    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
     with pytest.raises(DegenerateSpectrumError):
-        project_anchor(run.model, PhaseConfig(bits=1), state, [anchor])
+        project_anchor(run.model, PhaseConfig(bits=1), state, overlaps[None])
 
 
 @pytest.mark.parametrize("shape", [(24, 12), (5, 3), (1, 4), (4, 1)])
@@ -133,9 +132,11 @@ def test_vector_load_matches_matrix_load(shape):
     want = _explicit_data_state(tree)
     assert got.layout() == want.layout()
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= TOL
+    # The anchor's preparation, which the explicit circuit undoes, prepares
+    # the unit row that production's overlaps read.
     for i in range(shape[0]):
         column = row_prep_unitary(tree, i)[:, 0]
-        assert np.max(np.abs(prepare_row_state(data, i).amplitudes - column)) <= TOL
+        assert np.max(np.abs(anchor_state(data, i).amplitudes - column)) <= TOL
 
 
 def test_eigen_marginal_matches_labelled_register():

@@ -3,13 +3,14 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpcasim import pca_oracle
+from qpcasim import cli, pca_oracle
 from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_noise
-from qpcasim.errors import InvalidInputError, OutOfRangeError
+from qpcasim.errors import InvalidInputError, OutOfRangeError, QpcaError
 from qpcasim.pca_oracle import (
     OVERLAP_BLOCK_ROWS,
     CompressedMatrix,
@@ -23,7 +24,7 @@ from qpcasim.qpca_pipeline import run_compression
 from qpcasim.statevector import ceil_log2
 from qpcasim.sv_engine import _padded_eigenbasis
 
-from oracles import jacobi_eigh, signed_left_vectors
+from oracles import anchor_state, jacobi_eigh, signed_left_vectors
 
 
 def test_data_matrix_validation():
@@ -165,9 +166,9 @@ def test_model_invariants_random_matrices():
         again = svd_decompose(data, 0.95)
         assert np.array_equal(again.right_vectors, model.right_vectors)
         # Sign convention: nonnegative row-0 overlap on every kept direction,
-        # and the anchor's signs make its overlaps nonnegative too.
+        # and the signs of the anchor's overlaps make them nonnegative too.
         assert np.all(model.right_vectors.T @ data.values[0] >= -1e-10)
-        signs = model.anchor_signs(data, anchor_index)
+        signs = pca_oracle._overlap_signs(model.overlaps(data, anchor_index, rank))
         assert set(signs.tolist()) <= {-1.0, 1.0}
         assert np.all((model.right_vectors * signs).T @ data.values[anchor_index] >= -1e-10)
         # The explicit-circuit reference completes the basis: orthogonal on
@@ -185,9 +186,10 @@ def test_model_invariants_random_matrices():
     "shape", [(256, 64), (1024, 8), (64, 16), (5, 12), (3, 9), (16, 8), (2048, 256)]
 )
 def test_with_anchor_matches_a_decomposition_anchored_there(shape):
-    # The row-0 decomposition with row k's anchor signs gives the same bits
-    # as signing the thin SVD's own vectors against row k, for full-rank
-    # and rank-deficient data alike; for k = 0 the signs are all +1.
+    # The row-0 decomposition flipped by the signs of row k's overlaps gives
+    # the same bits as signing the thin SVD's own vectors against row k, for
+    # full-rank and rank-deficient data alike; for k = 0 the signs are all
+    # +1.
     n, d = shape
     rng = np.random.default_rng(n + d)
     for data in (DataMatrix(rng.standard_normal(shape)), rank_k_dataset(n, d, min(3, n, d), seed=d)):
@@ -195,11 +197,34 @@ def test_with_anchor_matches_a_decomposition_anchored_there(shape):
         v = np.linalg.svd(data.values, full_matrices=False)[2][: base.rank].T
         for k in sorted({0, 1, n // 2, n - 1}):
             want = v * np.where(data.values[k] @ v < 0.0, -1.0, 1.0)
-            signs = base.anchor_signs(data, k)
+            signs = pca_oracle._overlap_signs(base.overlaps(data, k, base.rank))
             assert np.array_equal(base.right_vectors * signs, want)
             if k == 0:
                 assert np.array_equal(base.right_vectors, want)
                 assert np.all(signs == 1.0)
+
+
+GOLDEN_INPUTS = sorted((Path(__file__).resolve().parent / "golden" / "inputs").glob("*.csv"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda path: path.name)
+def test_overlaps_are_the_padded_row_state_product_bit_for_bit(path):
+    # Every row of every golden input that loads, at three thresholds, at
+    # the kept width and at the rank: the overlaps formed from the row and
+    # its kept norm are the bits of V^T times the padded row state, the
+    # product the explicit circuit's anchor state gives.
+    try:
+        data = cli.ingest_csv(str(path))
+    except QpcaError:
+        return
+    for theta in (0.9, 0.95, 1.0):
+        model = svd_decompose(data, theta)
+        for k in sorted({model.selected_dim, model.rank}):
+            vectors = model.right_vectors[:, :k].T
+            for i in range(data.n_rows):
+                state = anchor_state(data, i)
+                want = vectors @ state.amplitudes[: data.n_cols]
+                assert np.array_equal(model.overlaps(data, i, k), want), (theta, k, i)
 
 
 def test_tall_decomposition_builds_no_row_by_row_matrix():

@@ -18,8 +18,7 @@ from qpcasim.errors import (
     VanishingSuccessError,
     WeakAnchorError,
 )
-from qpcasim.pca_oracle import DataMatrix, svd_decompose
-from qpcasim.qram_store import prepare_row_state
+from qpcasim.pca_oracle import DataMatrix, SpectralModel, coefficients, svd_decompose
 from qpcasim.qpca_pipeline import (
     MODE_IDEAL,
     MODE_QUANTIZED,
@@ -160,7 +159,7 @@ def test_default_sampling_budget():
 def test_exact_anchor_profile_three_rows():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    profile = exact_anchor_profile(prepare_row_state(data, 0), model, 0)
+    profile = exact_anchor_profile(model.overlaps(data, 0, model.selected_dim), 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(profile.beta, [inv_sqrt2, inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(profile.beta_hat, profile.beta, atol=0.0)
@@ -174,33 +173,33 @@ def test_exact_anchor_profile_weak_anchor():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
     with pytest.raises(WeakAnchorError) as info:
-        exact_anchor_profile(prepare_row_state(data, 2), model, 2)
+        exact_anchor_profile(model.overlaps(data, 2, model.selected_dim), 2)
     assert info.value.anchor_index == 2
 
 
 def test_estimate_anchor_concentrates():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    anchor = prepare_row_state(data, 0)
+    anchor = model.overlaps(data, 0, model.selected_dim)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     hits = 0
     for seed in range(200):
-        profile = estimate_anchor(anchor, model, 0.01, seed, anchor_index=0)
+        profile = estimate_anchor(anchor, 0.01, seed, anchor_index=0)
         assert profile.shots_per_coefficient == 40_000  # ceil(4 / 0.01^2)
         if np.all(np.abs(profile.beta_hat - inv_sqrt2) <= 0.05):
             hits += 1
     assert hits >= 198
     # Halving the target accuracy quadruples the per-coefficient shots.
-    finer = estimate_anchor(anchor, model, 0.005, 0, anchor_index=0)
+    finer = estimate_anchor(anchor, 0.005, 0, anchor_index=0)
     assert finer.shots_per_coefficient == 160_000
 
 
 def test_estimate_anchor_is_seeded():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    anchor = prepare_row_state(data, 0)
-    a = estimate_anchor(anchor, model, 0.02, 7, anchor_index=0)
-    b = estimate_anchor(anchor, model, 0.02, 7, anchor_index=0)
+    anchor = model.overlaps(data, 0, model.selected_dim)
+    a = estimate_anchor(anchor, 0.02, 7, anchor_index=0)
+    b = estimate_anchor(anchor, 0.02, 7, anchor_index=0)
     np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
 
 
@@ -282,9 +281,8 @@ def test_success_probability_identity_with_perturbed_estimates():
     profile = replace(
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
-    anchor = prepare_row_state(data, profile.anchor_index)
-    signs = run.model.anchor_signs(data, profile.anchor_index)
-    res = compress(data, run.model, profile, anchor, signs, run.cfg)
+    overlaps = run.model.overlaps(data, profile.anchor_index, run.model.selected_dim)
+    res = compress(data, run.model, profile, overlaps, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -318,8 +316,9 @@ def test_rank_one_data_compresses_in_ideal_mode():
     # coefficient is an overlap of two equal unit vectors. It rounded to
     # 1.0000000000000002 here, above the (0, 1] the rotation accepts.
     run = run_compression(DataMatrix(np.array([[3.0, 4.0], [6.0, 8.0], [9.0, 12.0]])), seed=0)
-    assert abs(run.model.overlaps(run.anchor_state, 1)[0]) > 1.0
-    assert run.model.coefficients(run.anchor_state, 1).tolist() == [1.0]
+    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, 1)
+    assert abs(overlaps[0]) > 1.0
+    assert coefficients(overlaps).tolist() == [1.0]
     assert run.profile.beta.tolist() == run.profile.beta_hat.tolist() == [1.0]
     assert run.result.report.fidelity >= 1.0 - 1e-12
 
@@ -352,7 +351,7 @@ def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     assert len(calls) == 1
     own = svd_decompose(data, 1.0)
     np.testing.assert_array_equal(run.model.right_vectors, own.right_vectors)
-    want = anchor_signed_projection(data, own, own.anchor_signs(data, 6))
+    want = anchor_signed_projection(data, own, own.overlaps(data, 6, own.selected_dim))
     np.testing.assert_array_equal(run.result.compressed.values, want.values)
 
 
@@ -377,34 +376,89 @@ def test_anchor_selection_decomposes_once(monkeypatch):
 
 
 def test_sampled_fixed_anchor_loads_the_anchor_row_once(monkeypatch):
-    # The state built for the swap tests is the one compress undoes.
-    loaded = []
-    prepare = qram_store.prepare_row_state
-    monkeypatch.setattr(qram_store, "prepare_row_state", lambda data, row: loaded.append(row) or prepare(data, row))
-    run_compression(rank_k_dataset(16, 8, 3, seed=1), run_mode=MODE_SAMPLED, anchor_index=5, seed=0)
-    assert loaded == [5]
+    # The anchor row is read once, as its kept overlaps, and the swap tests
+    # and compress read that one vector.
+    formed = _record_calls(monkeypatch, SpectralModel, "overlaps")
+    judged = _record_calls(monkeypatch, qpca_pipeline, "estimate_anchor")
+    projected = _record_calls(monkeypatch, sv_engine, "project_anchor")
+    run = run_compression(rank_k_dataset(16, 8, 3, seed=1), run_mode=MODE_SAMPLED, anchor_index=5, seed=0)
+    [((_, data, row, k), overlaps)] = formed
+    assert (row, k) == (5, run.model.selected_dim) and data is run.data
+    [((judged_overlaps, *_), _)] = judged
+    assert judged_overlaps is overlaps
+    [((*_, stack), _)] = projected
+    assert stack.base is overlaps
 
 
 @pytest.mark.parametrize("anchor_index, attempts", [(5, (5,)), (None, (13,)), (None, (2, 1))])
 def test_a_run_signs_the_decomposition_twice(monkeypatch, anchor_index, attempts):
     # The sign rule runs twice: once in svd_decompose, the only place the
-    # decomposition is signed (against row 0), and once for the accepted
-    # anchor in select_anchor, which reads the decomposition's vectors
-    # without copying them, whether the anchor is fixed, drawn, or redrawn.
-    # A rejected candidate is judged without signs. The redraw case is the
-    # compress_sampled_redraw golden's input, whose first draw is weak.
-    rows, vectors = [], []
-    rule = pca_oracle._overlap_signs
-    monkeypatch.setattr(
-        pca_oracle, "_overlap_signs", lambda row, v: rows.append(row.tolist()) or vectors.append(v) or rule(row, v)
-    )
+    # decomposition is signed (against row 0's overlaps), and once in
+    # compress, on the accepted anchor's overlaps, whether the anchor is
+    # fixed, drawn, or redrawn. A rejected candidate is judged without
+    # signs. The redraw case is the compress_sampled_redraw golden's input,
+    # whose first draw is weak.
+    signed = _record_calls(monkeypatch, pca_oracle, "_overlap_signs")
+    formed = _record_calls(monkeypatch, SpectralModel, "overlaps")
     redraw = len(attempts) > 1
     data = DataMatrix(TRI_ROWS) if redraw else rank_k_dataset(16, 8, 3, seed=1)
     mode = MODE_SAMPLED if redraw else MODE_IDEAL
     run = run_compression(data, run_mode=mode, anchor_index=anchor_index, seed=0)
     assert run.anchor_attempts == attempts
-    assert rows == [data.values[0].tolist(), data.values[attempts[-1]].tolist()]
-    assert vectors[1] is run.model.right_vectors
+    [((row_zero,), _), ((anchor,), _)] = signed
+    v = np.linalg.svd(data.values, full_matrices=False)[2][: run.model.rank].T
+    assert np.array_equal(row_zero, data.values[0] @ v)
+    assert anchor is formed[-1][1]
+
+
+@pytest.mark.parametrize(
+    "source, run_mode, anchor_index, seed, attempts",
+    [
+        ("rank3", MODE_IDEAL, None, 3, (23,)),
+        ("rank3", MODE_QUANTIZED, 4, 0, (4,)),
+        ("rank3", MODE_SAMPLED, None, 3, (23,)),
+        # The compress_sampled_redraw golden: the weak row 2, then row 1.
+        ("tri", MODE_SAMPLED, None, 0, (2, 1)),
+    ],
+)
+def test_each_draw_forms_its_overlaps_once_and_every_stage_reads_them(
+    monkeypatch, source, run_mode, anchor_index, seed, attempts
+):
+    # The compress goldens' runs. One product per drawn row, at the kept
+    # width, and nothing else forms one during the run: the profile takes
+    # its coefficients from that vector, the reference its column signs,
+    # project_anchor its matrix, and the report's anchor block the profile.
+    # The CLI's success sweep then forms the accepted row's overlaps once
+    # more, at the rank.
+    formed = _record_calls(monkeypatch, SpectralModel, "overlaps")
+    judged = []
+    name = "estimate_anchor" if run_mode == MODE_SAMPLED else "exact_anchor_profile"
+    judge = getattr(qpca_pipeline, name)
+    monkeypatch.setattr(
+        qpca_pipeline, name, lambda overlaps, *a, **k: judged.append(overlaps) or judge(overlaps, *a, **k)
+    )
+    signed = _record_calls(monkeypatch, pca_oracle, "_overlap_signs")
+    projected = _record_calls(monkeypatch, sv_engine, "project_anchor")
+    path = RANK3 if source == "rank3" else str(Path(RANK3).with_name("tri.csv"))
+    report = cli.run(cli.RunConfig(input_path=path, mode=run_mode, anchor_index=anchor_index, seed=seed))
+    d = len(report["anchor"]["beta"])
+    assert report["anchor_attempts"] == list(attempts)
+    assert [(args[2], args[3]) for args, _ in formed] == [(row, d) for row in attempts] + [
+        (attempts[-1], report["spectrum"]["rank"])
+    ]
+    # Each candidate is judged from its own vector.
+    vectors = [out for _, out in formed[: len(attempts)]]
+    assert len(judged) == len(vectors) and all(a is b for a, b in zip(judged, vectors))
+    overlaps = vectors[-1]
+    assert report["anchor"]["beta"] == coefficients(overlaps).tolist()
+    # svd_decompose signs against row 0; compress against the anchor.
+    assert signed[-1][0][0] is overlaps and len(signed) == 2
+    [((*_, stack), _)] = projected
+    assert stack.shape == (1, d) and stack.base is overlaps
+    # The sweep's first d coefficients are the anchor's, to round-off: a
+    # rank-width product may round its kept entries in another last bit.
+    sweep = formed[-1][1]
+    np.testing.assert_allclose(np.abs(sweep[:d]), np.abs(overlaps), rtol=0.0, atol=1e-15)
 
 
 def test_a_run_keeps_one_decomposition(monkeypatch):
@@ -424,7 +478,7 @@ def test_a_run_keeps_one_decomposition(monkeypatch):
 
 
 def test_select_anchor_peaks_far_below_the_eigenvectors():
-    # Taking the accepted anchor's signs reads the 4096 x 256 eigenvectors
+    # Forming each drawn row's overlaps reads the 4096 x 256 eigenvectors
     # (8 MiB) without copying them; a signed copy of the model would
     # allocate at least that much.
     data = rank_k_plus_noise(256, 4096, 4, seed=3, noise_fraction=0.05)
@@ -436,7 +490,7 @@ def test_select_anchor_peaks_far_below_the_eigenvectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert choice.signs.shape == (256,)
+    assert choice.overlaps.shape == (model.selected_dim,)
     assert peak < 2**20
 
 
@@ -466,9 +520,9 @@ def test_an_out_of_range_anchor_is_refused_in_one_wording():
 def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode, seeds):
     # A swap test sees |<v_j|a>|^2 alone, and the circuit uses each
     # eigenvector twice, so negating any columns of the model's eigenvectors
-    # moves nothing but the anchor's sign vector, which flips with them: the
-    # same draws and choice, the same beta and beta_hat bits, and the same
-    # report, reference and state from compress.
+    # moves nothing but the signs of the anchor's overlaps, which flip with
+    # them: the same draws and choice, the same beta and beta_hat bits, and
+    # the same report, reference and state from compress.
     data = cli.ingest_csv(RANK3) if source == "rank3" else _weak_row_dataset()
     model = svd_decompose(data, 0.95)
     cfg = PhaseConfig(label_mode=qpca_pipeline.label_mode_for(run_mode))
@@ -482,7 +536,7 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
             data, model, np.random.default_rng(seed), beta_seed=seed + 1 if sampled else None
         )
         result = qpca_pipeline.compress(
-            data, model, choice.profile, choice.anchor_state, choice.signs, cfg,
+            data, model, choice.profile, choice.overlaps, cfg,
             run_mode=run_mode, postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
         )
         return choice, result
@@ -494,7 +548,7 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
         for flips in patterns:
             choice, got = run(replace(model, right_vectors=model.right_vectors * flips), seed)
             assert choice.attempts == want_choice.attempts
-            assert np.array_equal(choice.signs, want_choice.signs * flips)
+            assert np.array_equal(choice.overlaps, want_choice.overlaps * flips[: model.selected_dim])
             assert np.array_equal(choice.profile.beta, want_choice.profile.beta)
             assert np.array_equal(choice.profile.beta_hat, want_choice.profile.beta_hat)
             assert choice.profile.residual == want_choice.profile.residual
@@ -746,7 +800,7 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source):
     [((_, model, *_), choice)] = choices
     [(([projected], [p_anchor], [beta_hat], _), ([kept], [probs]))] = batches
     reference = pca_oracle.expected_compressed_state(
-        anchor_signed_projection(data, model, choice.signs)
+        anchor_signed_projection(data, model, choice.overlaps)
     )
     assert kept.shape == (len(grid),) + projected.amplitudes.shape
     for k, eps in enumerate(grid):
@@ -808,9 +862,9 @@ def _per_seed_sweep(data, seed, grid):
     cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
     model = svd_decompose(data, 0.95)
     choice = qpca_pipeline.select_anchor(data, model, np.random.default_rng(seed))
-    anchor = qram_store.prepare_row_state(data, choice.profile.anchor_index)
-    [projected], [p_anchor] = sv_engine.project_anchor(model, cfg, qram_store.prepare_data_state(data), [anchor])
-    reference = pca_oracle.expected_compressed_state(anchor_signed_projection(data, model, choice.signs))
+    overlaps = model.overlaps(data, choice.profile.anchor_index, model.selected_dim)
+    [projected], [p_anchor] = sv_engine.project_anchor(model, cfg, qram_store.prepare_data_state(data), overlaps[None])
+    reference = pca_oracle.expected_compressed_state(anchor_signed_projection(data, model, overlaps))
     kept, infid, dev = [], [], []
     for eps in grid:
         beta_hat = perturb_beta(choice.profile.beta, eps)
@@ -884,7 +938,7 @@ def test_no_task_builds_a_tree(monkeypatch, task):
 def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch):
     # Real data gives real amplitudes at every production stage, in every
     # run mode and scope and in the scaling sweep: the data state (after a
-    # subset's restriction too), the anchor state, the projected, rotated
+    # subset's restriction too), the anchor overlaps, the projected, rotated
     # and kept states, and the reference.
     built = {}
 
@@ -893,11 +947,10 @@ def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch)
         built[name] = lambda: [amps for args, result in seen for amps in states(args, result)]
 
     record(qram_store, "prepare_data_state", lambda args, out: [out.amplitudes])
-    record(qram_store, "prepare_row_state", lambda args, out: [out.amplitudes])
     record(
         sv_engine,
         "project_anchor",
-        lambda args, out: [args[2].amplitudes] + [s.amplitudes for s in args[3]] + [s.amplitudes for s in out[0]],
+        lambda args, out: [args[2].amplitudes, args[3]] + [s.amplitudes for s in out[0]],
     )
     record(sv_engine, "apply_cr_beta", lambda args, out: [out.amplitudes])
     record(sv_engine, "postselect", lambda args, out: [out.state.amplitudes])
@@ -917,14 +970,14 @@ def test_production_states_are_real_and_complex_input_stays_complex(monkeypatch)
     complex128 = np.dtype(np.complex128)
     state = qram_store.prepare_data_state(run.data)
     promoted = StateVector.from_amplitudes(state.layout(), state.amplitudes.astype(complex))
-    anchor = prepare_row_state(run.data, run.profile.anchor_index)
-    [projected], [p_anchor] = sv_engine.project_anchor(run.model, run.cfg, promoted, [anchor])
+    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
+    [projected], [p_anchor] = sv_engine.project_anchor(run.model, run.cfg, promoted, overlaps[None])
     rotated = sv_engine.apply_cr_beta(projected, run.profile.beta_hat, run.profile.rotation_constant)
     kept = sv_engine.postselect(rotated, float(p_anchor)).state
     assert promoted.amplitudes.dtype == projected.amplitudes.dtype == complex128
     assert rotated.amplitudes.dtype == kept.amplitudes.dtype == complex128
     assert StateVector.from_amplitudes([("q", 1)], [1, 0]).amplitudes.dtype == complex128
     assert StateVector.zero([("q", 1)]).amplitudes.dtype == complex128
-    assert anchor.append_register("q", 1).amplitudes.dtype == complex128
-    feature_dim = anchor.register("feature").dim
-    assert anchor.apply_register_unitary("feature", np.eye(feature_dim)).amplitudes.dtype == complex128
+    assert state.append_register("q", 1).amplitudes.dtype == complex128
+    feature_dim = state.register("feature").dim
+    assert state.apply_register_unitary("feature", np.eye(feature_dim)).amplitudes.dtype == complex128

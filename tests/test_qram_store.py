@@ -1,5 +1,6 @@
-"""Tests for the amplitude encoding: the loaders that production runs, and
-the binary-tree preparation circuit that the tests hold them against."""
+"""Tests for the amplitude encoding: the data-state loader that production
+runs, the unit rows its anchor overlaps read, and the binary-tree
+preparation circuit that the tests hold both against."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qpcasim.qram_store import (
     build_tree,
     norm_prep_unitary,
     prepare_data_state,
-    prepare_row_state,
     row_prep_unitary,
 )
 from qpcasim.statevector import StateVector
@@ -81,22 +81,20 @@ def test_norm_prep_marginal_matches_row_norms():
     np.testing.assert_allclose(state.probabilities("row"), want, atol=1e-10)
 
 
+def _prepared_row(data, row_index):
+    """Column 0 of row ``row_index``'s preparation matrix: the state it
+    prepares from |0> on the feature register."""
+    return row_prep_unitary(build_tree(data), row_index)[:, 0]
+
+
 def test_row_prep_single_row():
-    state = prepare_row_state(DataMatrix(np.array([[3.0, 4.0]])), 0)
-    np.testing.assert_allclose(
-        [state.basis_amplitude({"feature": 0}), state.basis_amplitude({"feature": 1})],
-        [0.6, 0.8],
-        atol=1e-12,
-    )
+    np.testing.assert_allclose(_prepared_row(DataMatrix(np.array([[3.0, 4.0]])), 0), [0.6, 0.8], atol=1e-12)
 
 
 def test_row_prep_keeps_signs():
-    state = prepare_row_state(DataMatrix(np.array([[1.0, -1.0]])), 0)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(
-        [state.basis_amplitude({"feature": 0}), state.basis_amplitude({"feature": 1})],
-        [inv_sqrt2, -inv_sqrt2],
-        atol=1e-12,
+        _prepared_row(DataMatrix(np.array([[1.0, -1.0]])), 0), [inv_sqrt2, -inv_sqrt2], atol=1e-12
     )
 
 
@@ -173,19 +171,14 @@ def test_prep_matrices_are_orthogonal():
 def test_anchor_preparation_and_inverse():
     data = DataMatrix(np.array([[0.0, 1.0], [3.0, 4.0]]))
     tree = build_tree(data)
-    first = prepare_row_state(data, 0)
-    assert first.basis_amplitude({"feature": 1}) == pytest.approx(1.0)
-    second = prepare_row_state(data, 1)
-    np.testing.assert_allclose(
-        [second.basis_amplitude({"feature": 0}), second.basis_amplitude({"feature": 1})],
-        [0.6, 0.8],
-        atol=1e-12,
-    )
+    assert _prepared_row(data, 0)[1] == pytest.approx(1.0)
+    second = StateVector.from_amplitudes([("feature", 1)], _prepared_row(data, 1))
+    np.testing.assert_allclose(second.amplitudes, [0.6, 0.8], atol=1e-12)
     # The transpose of the preparation matrix returns the state to |0>.
     undone = second.apply_register_unitary("feature", row_prep_unitary(tree, 1).T)
     assert undone.basis_amplitude({"feature": 0}) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(OutOfRangeError):
-        prepare_row_state(data, 2)
+        row_prep_unitary(tree, 2)
 
 
 def test_strict_mode_rejects_dirty_registers():
@@ -206,13 +199,16 @@ def test_register_size_mismatch_rejected():
         apply_row_prep(StateVector.zero([("row", 1), ("feature", 2)]), tree)
 
 
-# The loaders divide by the norms in one step, and the preparation matrices
-# take square roots of partial-sum ratios level by level, so the two agree
-# to round-off: at most 2.3e-16 on the inputs below.
+# The loader and the unit rows divide by the norms in one step, and the
+# preparation matrices take square roots of partial-sum ratios level by
+# level, so the two agree to round-off: at most 2.3e-16 on the inputs below.
 LOADER_TOL = 1e-15
 
 
 def test_loaders_are_column_zero_of_the_prep_matrices():
+    # The unit rows are what the anchor overlaps read
+    # (``SpectralModel.overlaps``), so each row's preparation matrix, which
+    # the explicit circuit undoes, has a production counterpart.
     # Zero entries leave dead subtrees (a 0 / 0 node) on the row trees and
     # zero-padded rows on the norm tree; their rotations are the identity.
     rng = np.random.default_rng(29)
@@ -225,7 +221,8 @@ def test_loaders_are_column_zero_of_the_prep_matrices():
         tree = build_tree(data)
         rows = np.array([row_prep_unitary(tree, i)[:, 0] for i in range(n)])
         for i in range(n):
-            assert np.max(np.abs(prepare_row_state(data, i).amplitudes - rows[i])) <= LOADER_TOL
+            assert np.max(np.abs(data.values[i] / data.row_norms[i] - rows[i, :d])) <= LOADER_TOL
+            assert not rows[i, d:].any()
         norms = norm_prep_unitary(tree)[:, 0]
         want = np.zeros((tree.padded_rows, tree.padded_cols))
         want[:n] = rows * norms[:n, None]

@@ -2,6 +2,7 @@
 post-selection, and sampling primitives."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,8 @@ from qpcasim.errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from qpcasim.pca_oracle import DataMatrix, svd_decompose
-from qpcasim.qram_store import prepare_data_state, prepare_row_state
+from qpcasim.pca_oracle import DataMatrix, coefficients, svd_decompose
+from qpcasim.qram_store import prepare_data_state
 from qpcasim.statevector import MAX_SHOTS, StateVector
 from qpcasim.sv_engine import (
     LABEL_MODE_IDEAL,
@@ -37,7 +38,7 @@ from qpcasim.sv_engine import (
     swap_test,
 )
 
-from oracles import eigen_register_width, reference_token_circuit, signed_left_vectors, spectral_model
+from oracles import anchor_state, eigen_register_width, reference_token_circuit, signed_left_vectors, spectral_model
 
 
 def stated(eigenvalues, dim=None):
@@ -67,6 +68,26 @@ def test_statevector_basics():
     assert flipped.basis_amplitude({"a": 2, "b": 0}) == pytest.approx(1.0)
     flipped = state.apply_x("a", 1)
     assert flipped.basis_amplitude({"a": 1, "b": 0}) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_state_norm_makes_no_temporary_of_the_state_size(dtype):
+    # An 8 MiB float64 state (16 MiB complex), and the same amplitudes seen
+    # through swapped axes: the norm is one dot product over the memory
+    # the state already holds, so it allocates next to nothing.
+    amps = np.random.default_rng(7).standard_normal(1 << 20).astype(dtype)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+    state = StateVector.from_amplitudes([("a", 10), ("b", 10)], amps)
+    swapped = StateVector(state.registers[::-1], state.amplitudes.T)
+    for s in (state, swapped):
+        tracemalloc.start()
+        try:
+            norm = s.norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert peak < 2**16
 
 
 def test_statevector_mcx_truth_table():
@@ -196,30 +217,28 @@ def test_tail_leak_lists_every_tail_component_sharing_a_kept_label():
     assert info.value.leaked_tail_mass == 20 / 64
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it(dtype):
-    # One product in place of one padded dot product per eigenvector: the
-    # sums run in another order, so they agree to D ulps of a unit overlap.
-    # Negating an eigenvector negates its overlap bit for bit.
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((12, 6))
-    model = svd_decompose(DataMatrix(x), 1.0)
-    amps = np.zeros(8, dtype=dtype)
-    amps[:6] = x[4] + (1j * rng.standard_normal(6) if dtype == np.complex128 else 0.0)
-    state = StateVector.from_amplitudes([("feature", 3)], amps / np.linalg.norm(amps))
+def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it():
+    # One product in place of one padded dot product of the anchor state
+    # per eigenvector: the sums run in another order, so they agree to D
+    # ulps of a unit overlap. Negating an eigenvector negates its overlap
+    # bit for bit.
+    x = np.random.default_rng(3).standard_normal((12, 6))
+    data = DataMatrix(x)
+    model = svd_decompose(data, 1.0)
+    state = anchor_state(data, 4)
     want = []
     for k in range(4):
         padded = np.zeros(8)
         padded[:6] = model.right_vectors[:, k]
         want.append(np.vdot(state.amplitudes, padded))
-    got = model.overlaps(state, 4)
-    assert got.shape == (4,) and got.dtype == dtype
+    got = model.overlaps(data, 4, 4)
+    assert got.shape == (4,) and got.dtype == np.float64
     np.testing.assert_allclose(got, want, rtol=0.0, atol=6 * np.finfo(np.float64).eps)
     flips = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
     flipped = replace(model, right_vectors=model.right_vectors * flips)
-    assert np.array_equal(flipped.overlaps(state, 4), got * flips[:4])
+    assert np.array_equal(flipped.overlaps(data, 4, 4), got * flips[:4])
     # The swap-test magnitudes are the same bits under either sign.
-    assert np.array_equal(flipped.coefficients(state, 4), model.coefficients(state, 4))
+    assert np.array_equal(coefficients(flipped.overlaps(data, 4, 4)), coefficients(got))
 
 
 # -- label writing (phase estimation stand-in) -------------------------------
@@ -451,15 +470,17 @@ def _anchor_fixture(rows):
     return svd_decompose(data, 1.0), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), data
 
 
-def test_postselect_rejects_an_anchor_that_does_not_fit_the_feature_register():
-    model, cfg, data = _anchor_fixture([[3.0, 4.0]])
-    state = anchor = prepare_row_state(data, 0)
-    wide = StateVector.zero([("feature", 2)])
-    misnamed = StateVector.from_amplitudes([("row", 1)], anchor.amplitudes)
-    extra = anchor.append_register("index", 1)
-    for bad in (wide, misnamed, extra):
-        with pytest.raises(InvalidInputError):
-            project_anchor(model, cfg, state, [bad])
+def test_project_anchor_takes_one_overlap_list_per_anchor():
+    # The anchors are an (anchors, d) stack of kept overlaps; a list of
+    # another width, or one list not stacked, is refused.
+    model, cfg, data = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
+    state = prepare_data_state(data)
+    overlaps = model.overlaps(data, 0, 2)
+    for bad in (overlaps, overlaps[None, :1], np.zeros((1, 3))):
+        with pytest.raises(InvalidInputError, match="overlaps must be"):
+            project_anchor(model, cfg, state, bad)
+    kept, probs = project_anchor(model, cfg, state, np.stack([overlaps, model.overlaps(data, 1, 2)]))
+    assert len(kept) == 2 and probs.shape == (2,)
 
 
 def test_project_anchor_keeps_the_anchor_outcome():
@@ -467,13 +488,13 @@ def test_project_anchor_keeps_the_anchor_outcome():
     # direction, so against itself it keeps all its mass, on token 2. Row 1
     # is orthogonal to the anchor and keeps none.
     model, cfg, data = _anchor_fixture([[3.0, 4.0], [-8.0, 6.0]])
-    anchor = prepare_row_state(data, 0)
-    [kept], [prob] = project_anchor(model, cfg, anchor, [anchor])
+    overlaps = model.overlaps(data, 0, model.selected_dim)[None]
+    [kept], [prob] = project_anchor(model, cfg, anchor_state(data, 0), overlaps)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert kept.layout() == (("index", 2),)
     assert abs(kept.basis_amplitude({"index": 2})) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(VanishingSuccessError):
-        project_anchor(model, cfg, prepare_row_state(data, 1), [anchor])
+        project_anchor(model, cfg, anchor_state(data, 1), overlaps)
 
 
 # -- swap test ----------------------------------------------------------------
