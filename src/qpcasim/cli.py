@@ -115,6 +115,24 @@ class RunConfig:
 # -- ingestion -------------------------------------------------------------------
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``. A file that cannot be
+    read is refused as ``INVALID_INPUT``, and a byte that is not UTF-8 as a
+    ``ParseError`` naming the 1-based line that holds it."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; it ends their last line, or
+        # starts a new one after a line break.
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=line) from None
+
+
 def ingest_csv(path: str) -> DataMatrix:
     """Read a comma-separated numeric matrix.
 
@@ -130,12 +148,7 @@ def ingest_csv(path: str) -> DataMatrix:
     (``norm_range_fault``) and the refusal raised as a ``ParseError`` that
     names its line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from None
-
+    lines = _read_lines(path)
     kept: list[str] = []
     row_lines: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -199,13 +212,8 @@ def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
 
 def read_values(path: str, expected_rows: int) -> np.ndarray:
     """Read one number per line (labels or regression targets)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from None
     values = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -217,6 +217,28 @@ def test_ingest_missing_file(tmp_path):
         cli.ingest_csv(str(tmp_path / "nope.csv"))
 
 
+@pytest.mark.parametrize(
+    "body, line, byte",
+    [
+        (b"1.0,2.0\n\xff\xfe,3.0\n", 2, 0xFF),
+        # CRLF, comment and blank lines count; a truncated sequence ends the line.
+        (b"# c\r\n\r\n1,2\r\n3,\xc3\n", 4, 0xC3),
+        (b"\xff", 1, 0xFF),
+        # A bad byte right after a line break starts the next line.
+        (b"1,2\n\x801,2\n", 2, 0x80),
+    ],
+    ids=["second-line", "crlf-truncated", "first-byte", "line-start"],
+)
+def test_non_utf8_input_is_a_parse_error_naming_its_line(tmp_path, body, line, byte):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(body)
+    message = f"line {line}: byte 0x{byte:02x} is not UTF-8 text"
+    for read in (cli.ingest_csv, lambda p: cli.read_values(p, 2)):
+        with pytest.raises(ParseError) as info:
+            read(str(path))
+        assert (str(info.value), info.value.line, info.value.column) == (message, line, None)
+
+
 def test_read_values(tmp_path):
     path = _write(tmp_path, "vals.txt", "# targets\n1.5\n-2\n")
     np.testing.assert_allclose(cli.read_values(path, 2), [1.5, -2.0])
@@ -517,6 +539,14 @@ def test_main_reports_parse_errors(capsys, tmp_path):
     assert payload["code"] == "PARSE_ERROR"
     assert payload["line"] == 1
     assert payload["column"] == 2
+
+
+def test_main_reports_non_utf8_labels(capsys, tmp_path):
+    data = _write(tmp_path, "pts.csv", "1,0\n0,1\n")
+    labels = tmp_path / "pts.labels"
+    labels.write_bytes(b"1\n-\xff1\n")
+    payload = _error_payload(capsys, ["--input", data, "--labels", str(labels), "--task", "qsvm"])
+    assert payload == {"code": "PARSE_ERROR", "line": 2, "message": "line 2: byte 0xff is not UTF-8 text"}
 
 
 def test_main_reports_missing_input(capsys, tmp_path):
