@@ -94,6 +94,10 @@ CASES = {
     "scaling": ("rank3.csv", None, ["--task", "scaling", "--seed", "3"]),
     "ledger": ("rank3.csv", None, ["--task", "ledger", "--seed", "2"]),
     "error_parse": ("bad.csv", None, []),
+    # A byte that is not UTF-8 (Latin-1 text, say), in the matrix and in a
+    # labels file: each is refused naming its line.
+    "error_not_utf8": ("latin1.csv", None, []),
+    "error_not_utf8_labels": ("blobs.csv", "latin1.labels", ["--task", "qsvm"]),
     # Nonzero rows whose sums of squares underflow to 0 and overflow.
     "error_tiny_row": ("tiny.csv", None, []),
     "error_huge_row": ("huge.csv", None, []),
@@ -208,6 +212,10 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_values_file(path("lin.targets"), targets)
     with open(path("bad.csv"), "w", encoding="utf-8") as fh:
         fh.write("1,2\n3,x\n")
+    with open(path("latin1.csv"), "wb") as fh:
+        fh.write(b"1.0,2.0\n\xff\xfe,3.0\n")
+    with open(path("latin1.labels"), "wb") as fh:
+        fh.write(b"# labels\n1\n-1\n\xb11\n")
     with open(path("tiny.csv"), "w", encoding="utf-8") as fh:
         fh.write("1,2\n1e-170,1e-170\n3,1\n")
     with open(path("huge.csv"), "w", encoding="utf-8") as fh:
