@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError, QpcaError
-from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES
+from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES, check_ledger_accuracy
 from .pca_oracle import DataMatrix, SpectralModel, coefficients, norm_range_fault, project, svd_decompose
 
 if TYPE_CHECKING:
@@ -38,13 +38,6 @@ TASKS = ("compress", "qsvm", "qlr", "scaling", "ledger")
 
 SCALING_EPS_GRID = (0.0, 0.02, 0.04, 0.08)
 SCALING_SEED_COUNT = 8
-
-# The ledger prices the spectrum stage at dim log2(N D) / (eps_beta^2
-# eps_lambda^3), with eps_lambda = 2^(1 - bits), and sampled swap tests take
-# ceil(4 / eps_beta^2) shots. Keeping 1 / (eps_beta^2 eps_lambda^3) at most
-# 2^LEDGER_EXPONENT_LIMIT keeps every such number finite for any matrix
-# numpy can hold, where dim log2(N D) < 2^70.
-LEDGER_EXPONENT_LIMIT = 900
 
 
 @dataclass
@@ -97,14 +90,8 @@ class RunConfig:
             raise InvalidInputError(f"the {self.task!r} task runs in ideal mode only, not {self.mode!r}")
         if self.subset is not None and len(self.subset) == 0:
             raise InvalidInputError("subset, when given, must name at least one row")
-        # 3 (bits - 1) is -log2(eps_lambda^3); capping bits keeps it a float.
-        exponent = 3 * min(self.bits - 1, LEDGER_EXPONENT_LIMIT) - 2 * math.log2(self.eps_beta)
-        if self.task in ("compress", "ledger") and exponent > LEDGER_EXPONENT_LIMIT:
-            raise OutOfRangeError(
-                f"--eps-beta {self.eps_beta!r} with --bits {self.bits} puts 1 / (eps_beta^2 eps_lambda^3) "
-                f"above 2^{LEDGER_EXPONENT_LIMIT} (eps_lambda = 2^(1 - bits)), too large for the ledger's "
-                "costs; raise --eps-beta or lower --bits"
-            )
+        if self.task in ("compress", "ledger"):
+            check_ledger_accuracy(self.eps_beta, self.bits)
 
     def echo(self) -> dict:
         out = asdict(self)

@@ -38,7 +38,7 @@ from .errors import (
     WeakAnchorError,
 )
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
-from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES
+from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, check_ledger_accuracy
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
 from .statevector import StateVector
 from .sv_engine import PhaseConfig
@@ -135,8 +135,10 @@ def ledger_predict(
     """
     if dim < 1 or n_rows < 1 or n_cols < 1:
         raise OutOfRangeError("dimensions must be >= 1")
-    if not 0.0 < eps_lambda < 1.0 or not 0.0 < eps_beta < 1.0:
-        raise OutOfRangeError("accuracy parameters must lie in (0, 1)")
+    if not 0.0 < eps_lambda < 1.0:
+        raise OutOfRangeError(f"eps_lambda must lie in (0, 1), got {eps_lambda}")
+    bits = 1.0 - math.log2(eps_lambda)
+    check_ledger_accuracy(eps_beta, int(bits) if bits.is_integer() else bits)
     poly_nd = _polylog(float(n_rows) * float(n_cols))
     poly_d = _polylog(float(n_cols))
     reg_factor = math.log2(dim + 1.0)
@@ -545,7 +547,10 @@ def run_compression(
     spectrum drawn in sampled mode (``extract_spectrum``), then seeded
     anchor selection (see ``select_anchor``), then compression of the whole
     data state or of the rows ``subset`` names (see ``compress``). A fixed
-    ``anchor_index`` disables the weak-anchor redraw."""
+    ``anchor_index`` disables the weak-anchor redraw. An ``eps_beta`` and
+    ``bits`` that the ledger could not price are refused first, as the CLI
+    refuses them (``modes.check_ledger_accuracy``)."""
+    check_ledger_accuracy(eps_beta, bits)
     cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (

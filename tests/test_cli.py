@@ -285,6 +285,41 @@ def test_accuracies_whose_ledger_leaves_the_float_range_are_refused():
     assert math.isfinite(math.ceil(4.0 / eps_beta**2))
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+# Golden case -> (eps_beta, bits, mode) of the CLI run it records.
+LEDGER_RANGE_GOLDENS = {
+    "error_eps_beta_underflow": (1e-200, 6, "ideal"),
+    "error_eps_beta_underflow_sampled": (1e-200, 6, "sampled"),
+    "error_eps_beta_overflow_compress": (1e-154, 6, "ideal"),
+    "error_eps_beta_overflow_ledger": (1e-154, 6, "ideal"),
+    "error_bits_cost_underflow": (0.01, 400, "ideal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEDGER_RANGE_GOLDENS))
+def test_library_entry_points_refuse_what_the_cli_refuses(case):
+    # The parent library divided by an eps_beta^2 that underflowed to 0
+    # (ZeroDivisionError) where the CLI refused the flags. Every entry point
+    # now refuses through one check, with the CLI golden's payload.
+    from qpcasim.qpca_pipeline import run_compression
+
+    eps_beta, bits, mode = LEDGER_RANGE_GOLDENS[case]
+    with open(os.path.join(GOLDEN_DIR, case + ".json"), encoding="utf-8") as fh:
+        want = json.load(fh)["error"]
+    data = cli.ingest_csv(os.path.join(GOLDEN_DIR, "inputs", "rank3.csv"))
+    entry_points = {
+        "RunConfig.validate": lambda: cli.RunConfig(input_path="x", bits=bits, mode=mode, eps_beta=eps_beta).validate(),
+        "run_compression": lambda: run_compression(data, run_mode=mode, bits=bits, eps_beta=eps_beta),
+        "ledger_predict": lambda: ledger_predict(32, 8, 3, 2.0 ** (1 - bits), eps_beta, 0.5),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(OutOfRangeError) as info:
+            call()
+        assert info.value.payload() == want, name
+
+
 def test_a_report_with_a_non_finite_number_is_refused():
     with pytest.raises(NumericalFailureError, match="cannot be written as JSON"):
         cli.render_report({"ledger": {"spectrum_copies": math.inf}})
