@@ -454,7 +454,9 @@ def compress(
         scope = SCOPE_SUBSET
         if len(subset) == 0:
             raise InvalidInputError("subset scope needs a nonempty row subset")
-        rows = np.unique(np.asarray(subset, dtype=int))
+        # Distinct and ascending; np.unique would import numpy.ma.
+        rows = np.sort(np.asarray(subset, dtype=int))
+        rows = rows[np.append(True, rows[1:] != rows[:-1])]
         if rows[0] < 0 or rows[-1] >= data.n_rows:
             raise OutOfRangeError(f"subset rows must lie in [0, {data.n_rows})")
 

@@ -110,12 +110,17 @@ def check_label_distinctness(model: SpectralModel, cfg: PhaseConfig) -> np.ndarr
     becomes ambiguous. They must also be nonzero, because label 0 is what an
     unwritten register holds, and no tail component may share one, because
     its variance would then receive that kept component's token; that error
-    carries the leaked tail mass. Returns every component's label."""
+    carries the leaked tail mass. Returns every component's label.
+
+    Quantized labels are nonincreasing in spectral order, so equal kept
+    labels are adjacent, and a tail label can equal a kept one only by
+    equalling the last. Two comparisons check both, without ``np.unique``,
+    which imports ``numpy.ma``."""
     labels = eigen_labels(model, cfg)
     if cfg.label_mode == LABEL_MODE_QUANTIZED:
         top = model.selected_dim
         head = labels[:top]
-        if np.unique(head).size != head.size:
+        if np.any(head[1:] == head[:-1]):
             pairs = [
                 (j, k)
                 for j in range(top)
@@ -127,7 +132,7 @@ def check_label_distinctness(model: SpectralModel, cfg: PhaseConfig) -> np.ndarr
                 f"raise the label width or lower the variance threshold"
             )
         zero = np.flatnonzero(head == 0).tolist()
-        leaked = (top + np.flatnonzero(np.isin(labels[top:], head))).tolist()
+        leaked = (top + np.flatnonzero(labels[top:] == head[-1])).tolist()
         if zero or leaked:
             mass = float(model.variance_proportions[leaked].sum())
             faults = []

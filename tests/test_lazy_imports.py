@@ -27,7 +27,7 @@ LEARNERS = {"qpcasim.qml_apps"}
 
 # Prints the qpcasim modules loaded after ``import qpcasim``, after
 # ``from qpcasim import cli``, and after one ``cli.run`` of the config given
-# as JSON in argv[1].
+# as JSON in argv[1], then whether that run loaded ``numpy.ma``.
 SCRIPT = """
 import json, sys
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("qpcasim."))
@@ -38,16 +38,21 @@ steps.append(loaded())
 cli.render_report(cli.run(cli.RunConfig(**json.loads(sys.argv[1]))))
 steps.append(loaded())
 print(json.dumps(steps))
+print(json.dumps("numpy.ma" in sys.modules))
 """
 
 
-def _loaded_modules(config: dict) -> list[set[str]]:
+def _run_script(config: dict) -> list:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-B", "-c", SCRIPT, json.dumps(config)],
         env=env, stdout=subprocess.PIPE, text=True, check=True,
     ).stdout
-    return [set(step) for step in json.loads(out.splitlines()[-1])]
+    return [json.loads(line) for line in out.splitlines()[-2:]]
+
+
+def _loaded_modules(config: dict) -> list[set[str]]:
+    return [set(step) for step in _run_script(config)[0]]
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,31 @@ def test_each_task_loads_only_its_own_stack(labelled_files, task, stack):
     assert package == set()
     assert cli == CLI_MODULES
     assert ran == CLI_MODULES | stack
+
+
+@pytest.mark.parametrize(
+    "task,flags",
+    [
+        ("compress", {}),
+        ("compress", {"mode": "quantized"}),
+        ("compress", {"mode": "sampled", "shots": 2000}),
+        ("compress", {"subset": [3, 0, 3, 5]}),
+        ("scaling", {}),
+        ("ledger", {}),
+        ("qsvm", {"mode": "sampled", "shots": 200}),
+        ("qlr", {"mode": "sampled", "shots": 200}),
+    ],
+)
+def test_no_task_loads_numpy_ma(labelled_files, task, flags):
+    # np.unique of a plain array imports numpy.ma (numpy 2.4, through
+    # np.ma.is_masked): about 1.2 MiB and 10 ms on the first run that
+    # reached it, paid by every quantized and sampled run.
+    if task in ("qsvm", "qlr"):
+        data_path, labels_path = labelled_files
+        config = {"input_path": data_path, "labels_path": labels_path, "task": task, **flags}
+    else:
+        config = {"input_path": RANK3, "task": task, "seed": 3, **flags}
+    assert _run_script(config)[1] is False
 
 
 def test_every_public_name_is_its_home_module_object():

@@ -217,6 +217,38 @@ def test_tail_leak_lists_every_tail_component_sharing_a_kept_label():
     assert info.value.leaked_tail_mass == 20 / 64
 
 
+def test_label_check_agrees_with_the_set_based_reference():
+    # The check compares adjacent kept labels and the tail with the last
+    # kept label; the reference takes np.unique and np.isin over all of
+    # them. Over random spectra with ties, zero labels and tail leaks, both
+    # refuse the same models with the same leaked components.
+    rng = np.random.default_rng(31)
+    refused = leaked_seen = 0
+    for _ in range(400):
+        size = int(rng.integers(1, 9))
+        lam = np.sort(rng.choice([0.0, 1.0, 2.0, 3.0, 5.0, 8.0], size=size) + rng.uniform(0, 0.4, size))[::-1]
+        lam = lam / lam.sum()
+        dim = int(rng.integers(1, size + 1))
+        cfg = PhaseConfig(bits=int(rng.integers(1, 7)), label_mode=LABEL_MODE_QUANTIZED)
+        model = stated(lam, dim=dim)
+        labels = eigen_labels(model, cfg)
+        head = labels[:dim]
+        leaked = (dim + np.flatnonzero(np.isin(labels[dim:], head))).tolist()
+        faulty = np.unique(head).size != dim or 0 in head or bool(leaked)
+        try:
+            check_label_distinctness(model, cfg)
+        except DegenerateSpectrumError as exc:
+            assert faulty
+            refused += 1
+            if exc.leaked_tail_mass is not None and np.unique(head).size == dim:
+                assert exc.leaked_tail_mass == float(lam[leaked].sum())
+                assert (f"tail components {leaked} share" in str(exc)) == bool(leaked)
+                leaked_seen += bool(leaked)
+        else:
+            assert not faulty
+    assert 0 < refused < 400 and leaked_seen > 0
+
+
 def test_overlaps_match_the_per_eigenvector_loop_and_negate_with_it():
     # One product in place of one padded dot product of the anchor state
     # per eigenvector: the sums run in another order, so they agree to D
