@@ -84,6 +84,10 @@ CASES = {
     # Fewer rows than features (8x32, rank 3): both axes are padded, and the
     # spectrum lists carry a zero tail past the rank.
     "compress_wide": ("wide.csv", None, ["--seed", "3"]),
+    # 64x48 rank 3: the smaller side holds LOW_RANK_BLOCK four times over,
+    # so the decomposition is tried from the certified sketch first.
+    "compress_lowrank": ("lowrank.csv", None, ["--seed", "5"]),
+    "compress_lowrank_quantized": ("lowrank.csv", None, ["--mode", "quantized", "--seed", "5"]),
     "qsvm_ideal": ("blobs.csv", "blobs.labels", ["--task", "qsvm", "--seed", "1"]),
     "qsvm_sampled": (
         "blobs.csv", "blobs.labels",
@@ -193,6 +197,7 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_matrix_csv(path("rank3.csv"), rank_k_dataset(32, 8, 3, seed=5).values)
     write_matrix_csv(path("tall.csv"), rank_k_dataset(300, 6, 3, seed=7).values)
     write_matrix_csv(path("wide.csv"), rank_k_dataset(8, 32, 3, seed=1).values)
+    write_matrix_csv(path("lowrank.csv"), rank_k_dataset(64, 48, 3, seed=4).values)
     write_matrix_csv(path("tri.csv"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     write_matrix_csv(path("rank1.csv"), np.array([[3.0, 4.0], [6.0, 8.0], [9.0, 12.0]]))
     write_matrix_csv(path("identity.csv"), np.eye(4))
