@@ -22,6 +22,16 @@ from .statevector import StateVector, ceil_log2, token_qubits
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_CUTOFF = 1e-12
 
+# Columns of the Gaussian sketch that ``svd_decompose`` tries before a full
+# SVD, on data at least 4 times as long on each side: a rank below it is
+# found from the sketch alone (``_certified_leading_svd``). The sketch is
+# drawn from a fixed seed, so a model never depends on a run's --seed.
+LOW_RANK_BLOCK = 8
+_LOW_RANK_SEED = 20090929
+# Rows per block of the certificate's residual, sized to keep its one
+# temporary near 2^18 floats (2 MiB) at any width.
+_RESIDUAL_BLOCK_FLOATS = 1 << 18
+
 # Rows per block of the pairwise overlap audit: its working memory is one
 # block x N slab, reduced where it stands. 64 was the fastest of 32, 64 and
 # 128 at 256x64 and 1024x8 (one BLAS thread). BLAS rounds an entry
@@ -232,19 +242,37 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
     fraction reaches ``threshold`` (an exact >= on float64). The signs of
     the principal directions follow row 0 (``_overlap_signs`` of its
     overlaps); they are signed here and nowhere else.
+
+    Data at least 4 * LOW_RANK_BLOCK long on each side is first tried from
+    a fixed-seed Gaussian sketch of LOW_RANK_BLOCK columns
+    (``_certified_leading_svd``). Its values and directions are taken only
+    when a residual certificate shows the rank is below the block, bounds
+    every value the sketch did not find by the cutoff (which zeroes them
+    here anyway) and fixes each kept direction by its gap. The rank, the
+    selected dimension and the signs are then the full SVD's, and the
+    values and directions agree with it to round-off (within 1e-12 of
+    sigma_max, overlaps above 1 - 1e-12). Any other data, noisy, of rank
+    at or above the block, with a near-degenerate kept pair or too small,
+    takes LAPACK's thin SVD, as before; a rejected sketch costs two thin
+    N x D x 8 products. With one BLAS thread, the certified path takes
+    9.6 ms at 256x4096 rank 4, where the full path took 242 ms, and a
+    256x65536 rank-4 ``run_compression`` takes 0.6 s, where it took 10.0 s.
     """
     if not 0.0 < threshold <= 1.0:
         raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
     n, d = data.n_rows, data.n_cols
 
-    try:
-        _, s, vt = np.linalg.svd(data.values, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+    leading = _certified_leading_svd(data.values) if LOW_RANK_BLOCK <= min(n, d) // 4 else None
+    if leading is not None:
+        s, vt = leading
+    else:
+        try:
+            _, s, vt = np.linalg.svd(data.values, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
 
-    p = min(n, d)
     sigma = np.zeros(d)
-    sigma[:p] = s
+    sigma[: s.size] = s
     cutoff = sigma[0] * RANK_CUTOFF
     sigma[sigma <= cutoff] = 0.0
     rank = int(np.count_nonzero(sigma))
@@ -260,6 +288,63 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
         threshold=float(threshold),
         selected_dim=selected,
     )
+
+
+def _certified_leading_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Singular values and right vectors (as rows) of ``x`` from a Gaussian
+    sketch of LOW_RANK_BLOCK columns, or None unless a certificate shows
+    they are the full SVD's up to round-off.
+
+    Q = orth(x G), with G drawn from _LOW_RANK_SEED and no power step, and
+    B = Q^T x = U S V^T, one small thin SVD. With the cutoff RANK_CUTOFF
+    times s_max, the r values above it are accepted only when
+      (1) the block's smallest value is at or below the cutoff, so the
+          sketch saw past the rank (checked first: noisy data stops here,
+          after two thin products and one k x D SVD);
+      (2) every kept value, and every gap between two kept values, exceeds
+          sqrt(RANK_CUTOFF) s_max;
+      (3) ||x - (Q U_r S_r) V_r^T||_F <= cutoff, summed over row blocks of
+          _RESIDUAL_BLOCK_FLOATS floats, so no N x D temporary is made.
+    Q U_r S_r V_r^T is a rank-r matrix whose SVD is (Q U_r, S_r, V_r), so
+    by Weyl's inequality (3) puts every kept value within the cutoff of
+    x's own, and every value the block did not find at or below it, where
+    the full path zeroes it too. By Wedin's theorem a kept direction then
+    leans at most cutoff / gap <= 1e-6 rad from x's, a cosine above
+    1 - 1e-12, and the full SVD's own direction is fixed to round-off by the
+    same gap. Residual (3) is ||x - x V_r V_r^T||_F^2 plus ||(I - QQ^T) x
+    V_r||_F^2, two parts in orthogonal row spaces, so it is the stricter
+    residual, and forming it needs no N x D x r product x V_r.
+    """
+    n, d = x.shape
+    sketch = np.random.default_rng(_LOW_RANK_SEED).standard_normal((d, LOW_RANK_BLOCK))
+    q = np.linalg.qr(x @ sketch)[0]
+    try:
+        u, s, vt = np.linalg.svd(q.T @ x, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    cutoff = s[0] * RANK_CUTOFF
+    if s[-1] > cutoff:
+        return None
+    r = int(np.count_nonzero(s > cutoff))
+    if np.any(s[:r] - np.append(s[1:r], 0.0) <= np.sqrt(RANK_CUTOFF) * s[0]):
+        return None
+    # Each residual block is scaled by 1 / s_max before it is squared, so
+    # that neither tiny nor huge data underflows or overflows the sum.
+    c = q @ (u[:, :r] * s[:r])
+    v = vt[:r]
+    step = max(1, _RESIDUAL_BLOCK_FLOATS // d)
+    block = np.empty(min(step, n) * d)
+    total = 0.0
+    for i0 in range(0, n, step):
+        rows = x[i0 : i0 + step]
+        flat = block[: rows.size]
+        res = np.matmul(c[i0 : i0 + step], v, out=flat.reshape(rows.shape))
+        res -= rows
+        res *= 1.0 / s[0]
+        total += float(flat @ flat)
+    if total > RANK_CUTOFF**2:
+        return None
+    return s, vt
 
 
 def project(data: DataMatrix, model: SpectralModel) -> CompressedMatrix:

@@ -2,7 +2,7 @@
 
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +146,41 @@ def _random_and_rank_deficient_matrices():
     yield DataMatrix(np.ones((3, 5))), 1
 
 
+def _unsigned_decomposition(data):
+    """(singular values, right vectors as rows, certified) that
+    ``svd_decompose`` starts from: the certified sketch's when it is tried
+    and accepted, else LAPACK's thin SVD."""
+    if pca_oracle.LOW_RANK_BLOCK <= min(data.n_rows, data.n_cols) // 4:
+        leading = pca_oracle._certified_leading_svd(data.values)
+        if leading is not None:
+            return (*leading, True)
+    _, s, vt = np.linalg.svd(data.values, full_matrices=False)
+    return s, vt, False
+
+
+def _full_svd_model(data, threshold, monkeypatch):
+    """The model ``svd_decompose`` builds with the sketch never tried: the
+    full thin SVD's, as before the certified path existed."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pca_oracle, "LOW_RANK_BLOCK", 1 << 62)
+        return svd_decompose(data, threshold)
+
+
+# Certified singular values lie within this fraction of sigma_max of
+# LAPACK's, and each certified direction's overlap with LAPACK's is at
+# least 1 minus it (the certificate's own bounds, see
+# ``pca_oracle._certified_leading_svd``).
+CERTIFIED_TOL = 1e-12
+
+
+def _assert_certified_matches_lapack(data, model):
+    s, vt = np.linalg.svd(data.values, full_matrices=False)[1:]
+    rank = model.rank
+    assert np.max(np.abs(model.singular_values[: s.size] - s)) <= CERTIFIED_TOL * s[0]
+    overlaps = np.abs(np.sum(model.right_vectors * vt[:rank].T, axis=0))
+    assert np.all(overlaps >= 1.0 - CERTIFIED_TOL), overlaps
+
+
 def test_model_invariants_random_matrices():
     for data, anchor_index in _random_and_rank_deficient_matrices():
         n, d = data.n_rows, data.n_cols
@@ -160,9 +195,13 @@ def test_model_invariants_random_matrices():
         rank = model.rank
         assert model.right_vectors.shape == (d, rank)
         np.testing.assert_allclose(model.right_vectors.T @ model.right_vectors, np.eye(rank), atol=1e-13)
-        # They are the SVD's own up to signs, and the same on every call.
-        vt = np.linalg.svd(data.values, full_matrices=False)[2]
+        # They are the decomposition's own up to signs, and the same on
+        # every call: LAPACK's bits on the full-SVD path, and within the
+        # certificate's bound of them on the certified one.
+        vt, certified = _unsigned_decomposition(data)[1:]
         assert np.array_equal(np.abs(model.right_vectors), np.abs(vt[:rank].T))
+        if certified:
+            _assert_certified_matches_lapack(data, model)
         again = svd_decompose(data, 0.95)
         assert np.array_equal(again.right_vectors, model.right_vectors)
         # Sign convention: nonnegative row-0 overlap on every kept direction,
@@ -187,14 +226,20 @@ def test_model_invariants_random_matrices():
 )
 def test_with_anchor_matches_a_decomposition_anchored_there(shape):
     # The row-0 decomposition flipped by the signs of row k's overlaps gives
-    # the same bits as signing the thin SVD's own vectors against row k, for
-    # full-rank and rank-deficient data alike; for k = 0 the signs are all
-    # +1.
+    # the same bits as signing the decomposition's own vectors against row
+    # k, for full-rank and rank-deficient data alike; for k = 0 the signs
+    # are all +1. Those vectors are LAPACK's thin SVD's, or, for the
+    # rank-3 data at 256x64 and 2048x256, the certified sketch's, which lie
+    # within CERTIFIED_TOL of LAPACK's.
     n, d = shape
     rng = np.random.default_rng(n + d)
     for data in (DataMatrix(rng.standard_normal(shape)), rank_k_dataset(n, d, min(3, n, d), seed=d)):
         base = svd_decompose(data, 0.9)
-        v = np.linalg.svd(data.values, full_matrices=False)[2][: base.rank].T
+        vt, certified = _unsigned_decomposition(data)[1:]
+        assert certified == (min(shape) >= 32 and base.rank == 3)
+        if certified:
+            _assert_certified_matches_lapack(data, base)
+        v = vt[: base.rank].T
         for k in sorted({0, 1, n // 2, n - 1}):
             want = v * np.where(data.values[k] @ v < 0.0, -1.0, 1.0)
             signs = pca_oracle._overlap_signs(base.overlaps(data, k, base.rank))
@@ -256,6 +301,87 @@ def test_wide_decomposition_builds_no_feature_by_feature_matrix():
     assert model.right_vectors.shape == (4096, 4)
     assert model.n_rows == 64
     assert peak < 16 * 2**20
+
+
+def _stated_singular_values(n, d, sigma, seed):
+    """An n x d DataMatrix whose singular values are ``sigma``, between
+    random orthonormal bases."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, len(sigma))))[0]
+    v = np.linalg.qr(rng.standard_normal((d, len(sigma))))[0]
+    return DataMatrix((u * np.asarray(sigma)) @ v.T)
+
+
+def _certified_cases():
+    """Seeded rank-r data, r from 1 to 7, with min(N, D) >= 32, fewer rows
+    than columns and more, integer data among it."""
+    shapes = [(32, 200), (200, 32), (64, 48), (48, 64), (256, 64), (40, 1000), (1000, 40), (128, 128)]
+    for seed, (n, d) in enumerate(shapes):
+        rank = 1 + seed % 7
+        yield f"rank{rank}-{n}x{d}", rank_k_dataset(n, d, rank, seed=seed)
+    rng = np.random.default_rng(17)
+    for rank, (n, d) in zip((2, 5, 7), [(96, 33), (33, 96), (64, 64)]):
+        ints = rng.integers(-9, 10, (n, rank)) @ rng.integers(-9, 10, (rank, d))
+        yield f"integer-rank{rank}-{n}x{d}", DataMatrix(ints.astype(np.float64))
+
+
+@pytest.mark.parametrize("data", [c[1] for c in _certified_cases()], ids=[c[0] for c in _certified_cases()])
+def test_certified_spectrum_matches_the_full_svd(data, monkeypatch):
+    # The sketch's model has the full SVD's rank, kept dimension and signs;
+    # its values and directions agree to the certificate's bound.
+    assert _unsigned_decomposition(data)[2]
+    for theta in (0.9, 1.0):
+        model = svd_decompose(data, theta)
+        full = _full_svd_model(data, theta, monkeypatch)
+        assert (model.rank, model.selected_dim) == (full.rank, full.selected_dim)
+        _assert_certified_matches_lapack(data, model)
+        # Both are signed against row 0, so matching directions overlap by +1.
+        assert np.all(np.sum(model.right_vectors * full.right_vectors, axis=0) >= 1.0 - CERTIFIED_TOL)
+        assert np.max(np.abs(model.variance_proportions - full.variance_proportions)) <= CERTIFIED_TOL
+
+
+def _fallback_cases():
+    yield "noisy", rank_k_plus_noise(64, 48, 3, seed=3, noise_fraction=0.05)
+    yield "rank-at-block", rank_k_dataset(64, 48, pca_oracle.LOW_RANK_BLOCK, seed=3)
+    # A relative gap of 3e-9 leaves the pair's directions unfixed.
+    yield "near-degenerate-pair", _stated_singular_values(64, 48, [3.0, 2.0, 2.0 - 1e-8, 1.0], seed=3)
+    # Forty values at half the cutoff: the full SVD zeroes each, but their
+    # residual, over 3 cutoffs, is more than the certificate accepts.
+    yield "sub-cutoff-tail", _stated_singular_values(64, 48, [3.0, 2.0, 1.0] + [1.5e-12] * 40, seed=3)
+
+
+@pytest.mark.parametrize("data", [c[1] for c in _fallback_cases()], ids=[c[0] for c in _fallback_cases()])
+def test_uncertified_data_takes_the_full_svd_bit_for_bit(data, monkeypatch):
+    assert pca_oracle._certified_leading_svd(data.values) is None
+    model = svd_decompose(data, 0.95)
+    full = _full_svd_model(data, 0.95, monkeypatch)
+    for f in fields(model):
+        assert np.array_equal(getattr(model, f.name), getattr(full, f.name)), f.name
+
+
+@pytest.mark.parametrize("shape", [(31, 1000), (1000, 31), (8, 4096)])
+def test_data_under_four_blocks_on_a_side_never_tries_the_sketch(shape, monkeypatch):
+    def refuse(x):
+        raise AssertionError("the sketch was tried")
+
+    monkeypatch.setattr(pca_oracle, "_certified_leading_svd", refuse)
+    model = svd_decompose(rank_k_dataset(*shape, 3, seed=2), 0.95)
+    assert model.rank == 3
+
+
+def test_certified_decomposition_stays_near_the_size_of_the_data():
+    # 256 x 16384 rank-4 data is 32 MiB. LAPACK's thin SVD allocates a
+    # 256 x 16384 V^T and its workspace (a 33 MiB traced peak); the sketch
+    # allocates D x 8 blocks and one 2 MiB residual block (4 MiB).
+    data = rank_k_dataset(256, 16384, 4, seed=1)
+    tracemalloc.start()
+    try:
+        model = svd_decompose(data, 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.rank == 4
+    assert peak < data.values.nbytes / 4
 
 
 def test_projection_diagonal_case():
