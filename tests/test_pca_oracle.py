@@ -325,7 +325,7 @@ def _certified_cases():
         yield f"integer-rank{rank}-{n}x{d}", DataMatrix(ints.astype(np.float64))
 
 
-@pytest.mark.parametrize("data", [c[1] for c in _certified_cases()], ids=[c[0] for c in _certified_cases()])
+@pytest.mark.parametrize("data", [pytest.param(data, id=name) for name, data in _certified_cases()])
 def test_certified_spectrum_matches_the_full_svd(data, monkeypatch):
     # The sketch's model has the full SVD's rank, kept dimension and signs;
     # its values and directions agree to the certificate's bound.
@@ -350,7 +350,7 @@ def _fallback_cases():
     yield "sub-cutoff-tail", _stated_singular_values(64, 48, [3.0, 2.0, 1.0] + [1.5e-12] * 40, seed=3)
 
 
-@pytest.mark.parametrize("data", [c[1] for c in _fallback_cases()], ids=[c[0] for c in _fallback_cases()])
+@pytest.mark.parametrize("data", [pytest.param(data, id=name) for name, data in _fallback_cases()])
 def test_uncertified_data_takes_the_full_svd_bit_for_bit(data, monkeypatch):
     assert pca_oracle._certified_leading_svd(data.values) is None
     model = svd_decompose(data, 0.95)
