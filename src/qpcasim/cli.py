@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,7 +94,7 @@ class RunConfig:
             check_ledger_accuracy(self.eps_beta, self.bits)
 
     def echo(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["subset"] = list(self.subset) if self.subset is not None else None
         return out
 

@@ -51,12 +51,12 @@ def norm_range_fault(values: np.ndarray) -> tuple[int | None, str] | None:
     Returns (index of the first bad row, problem) for a row, and (None,
     problem) for the total.
     """
-    return _norms_and_fault(values)[1]
+    return _norms_and_fault(values)[2]
 
 
-def _norms_and_fault(values: np.ndarray) -> tuple[np.ndarray, tuple[int | None, str] | None]:
-    """The row norms of ``values``, and the fault ``norm_range_fault``
-    reports from them."""
+def _norms_and_fault(values: np.ndarray) -> tuple[np.ndarray, float, tuple[int | None, str] | None]:
+    """The row norms of ``values``, its Frobenius norm, and the fault
+    ``norm_range_fault`` reports from them."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(values, axis=1)
         total = np.linalg.norm(values)
@@ -64,13 +64,13 @@ def _norms_and_fault(values: np.ndarray) -> tuple[np.ndarray, tuple[int | None, 
     if bad.size:
         row = int(bad[0])
         if not values[row].any():
-            return norms, (row, "row is entirely zero")
+            return norms, total, (row, "row is entirely zero")
         if norms[row] == 0.0:
-            return norms, (row, "row's sum of squares underflows to zero; rescale the data")
-        return norms, (row, "row's sum of squares overflows; rescale the data")
+            return norms, total, (row, "row's sum of squares underflows to zero; rescale the data")
+        return norms, total, (row, "row's sum of squares overflows; rescale the data")
     if np.isinf(total):
-        return norms, (None, "the matrix's total sum of squares overflows; rescale the data")
-    return norms, None
+        return norms, total, (None, "the matrix's total sum of squares overflows; rescale the data")
+    return norms, total, None
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class DataMatrix:
 
     Its norms must be in range (``norm_range_fault``): a bad row raises
     ``InvalidInputError`` naming it, an overflowing total
-    ``OutOfRangeError``. The row norms that check takes are kept
-    (``row_norms``).
+    ``OutOfRangeError``. The row norms and the Frobenius norm that check
+    takes are kept (``row_norms``, ``frobenius_norm``).
     """
 
     values: np.ndarray
@@ -94,7 +94,7 @@ class DataMatrix:
             raise InvalidInputError(f"matrix must be at least 1x1, got {n}x{d}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("matrix contains NaN or infinite entries")
-        norms, fault = _norms_and_fault(arr)
+        norms, total, fault = _norms_and_fault(arr)
         if fault is not None:
             row, problem = fault
             if row is None:
@@ -104,6 +104,7 @@ class DataMatrix:
         norms.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_row_norms", norms)
+        object.__setattr__(self, "_frobenius_norm", float(total))
 
     @property
     def n_rows(self) -> int:
@@ -115,7 +116,8 @@ class DataMatrix:
 
     @property
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        """``np.linalg.norm(values)``, as the construction check took it."""
+        return self._frobenius_norm
 
     @property
     def row_norms(self) -> np.ndarray:

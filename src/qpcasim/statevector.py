@@ -69,7 +69,7 @@ def check_unit_norm(norms: float | np.ndarray) -> None:
 def check_shots(shots: int) -> None:
     """Refuse a shot count below 1, or above ``MAX_SHOTS`` (``OUT_OF_RANGE``)."""
     if shots < 1:
-        raise InvalidInputError("shots must be >= 1")
+        raise OutOfRangeError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise OutOfRangeError(f"shots must be at most {MAX_SHOTS} (2^63 - 1) for one seeded draw, got {shots}")
 

@@ -16,7 +16,9 @@ from qpcasim.datasets import (
     write_values_file,
 )
 from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError
+from qpcasim.qml_apps import LabeledDataset, lssvm_train, qsvm_state_demo
 from qpcasim.qpca_pipeline import ledger_predict
+from qpcasim.statevector import check_shots
 
 
 @pytest.fixture
@@ -592,6 +594,19 @@ def test_main_reports_missing_input(capsys, tmp_path):
 def test_main_reports_out_of_range(capsys, rank2_csv):
     payload = _error_payload(capsys, ["--input", rank2_csv, "--theta", "1.5"])
     assert payload["code"] == "OUT_OF_RANGE"
+
+
+def test_shots_below_one_is_out_of_range_everywhere(capsys, rank2_csv):
+    # The shared readout check, a sampled QSVM demo and the CLI refuse a
+    # shot count below 1 with one code.
+    with pytest.raises(OutOfRangeError, match="shots must be >= 1, got 0"):
+        check_shots(0)
+    data, labels = gaussian_class_pair(seed=29)
+    model = lssvm_train(LabeledDataset(data, labels), data.values)
+    with pytest.raises(OutOfRangeError, match="shots must be >= 1, got 0"):
+        qsvm_state_demo(model, data.values, data.values, shots=0, rng_seeds=list(range(data.n_rows)))
+    payload = _error_payload(capsys, ["--input", rank2_csv, "--mode", "sampled", "--shots", "0"])
+    assert payload == {"code": "OUT_OF_RANGE", "message": "shots must be >= 1, got 0"}
 
 
 @pytest.mark.parametrize("task", ["compress", "qsvm", "qlr"])

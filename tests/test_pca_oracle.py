@@ -39,6 +39,21 @@ def test_data_matrix_validation():
     assert m.n_rows == 1 and m.n_cols == 2
 
 
+@pytest.mark.parametrize(
+    "values",
+    [rank_k_dataset(64, 16, 4, seed=1).values, rank_k_plus_noise(37, 5, 2, seed=3).values, [[3.0, 4.0]]],
+    ids=["64x16", "37x5-noisy", "1x2"],
+)
+def test_frobenius_norm_is_the_construction_total(monkeypatch, values):
+    # The construction check's total is kept: bit for bit
+    # ``np.linalg.norm(values)``, and a read takes no norm.
+    data = DataMatrix(values)
+    want = float(np.linalg.norm(data.values))
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: pytest.fail("frobenius_norm took a norm"))
+    assert data.frobenius_norm == want
+    assert type(data.frobenius_norm) is float
+
+
 # The matrix's norms must stay in float64's range, as the CLI's ingest
 # requires: a row of 1e-300 entries is not all-zero, and a row of 1e200
 # entries is refused without a numpy warning escaping.

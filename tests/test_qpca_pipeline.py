@@ -1,7 +1,9 @@
 """Tests for the end-to-end compression pipeline."""
 
 import math
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -769,6 +771,38 @@ def test_scaling_builds_the_rotation_free_prefix_once_per_seed(monkeypatch):
         "compress": 0,
         "pairwise_overlap_report": 0,
     }
+
+
+def test_scaling_scores_its_grid_without_per_point_calls(monkeypatch):
+    # Each pass's (seed, eps) stack is scored in array passes. np.vdot and
+    # np.linalg.norm are counted by the module that calls them: the sweep's
+    # own code makes as many calls for 5 seeds x 5 points as for one point,
+    # and the whole run makes as many for 5 points as for one.
+    calls = Counter()
+    for module, name in ((np, "vdot"), (np.linalg, "norm")):
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    data = rank_k_dataset(16, 8, 2, seed=300)
+    seen = {}
+    for key, seeds, grid in (
+        ("1x1", [0], [0.0]),
+        ("5x1", [0, 1, 2, 3, 4], [0.02]),
+        ("5x5", [0, 1, 2, 3, 4], [0.0, 0.02, 0.04, 0.08, 0.3]),
+    ):
+        calls.clear()
+        error_scaling_experiment(data, grid, seeds)
+        seen[key] = dict(calls)
+
+    def own(counts):
+        return {key: n for key, n in counts.items() if key[1] == qpca_pipeline.__name__}
+
+    assert own(seen["1x1"]) == own(seen["5x5"])
+    assert seen["5x1"] == seen["5x5"]
 
 
 def _record_calls(monkeypatch, module, name):

@@ -19,7 +19,7 @@ import pytest
 
 from qpcasim import cli, qml_apps
 from qpcasim.datasets import gaussian_class_pair, write_matrix_csv, write_values_file
-from qpcasim.errors import InvalidInputError, NumericalFailureError
+from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError
 from qpcasim.pca_oracle import DataMatrix
 from qpcasim.qml_apps import (
     LabeledDataset,
@@ -213,7 +213,7 @@ def test_query_width_mismatch_is_refused(constructions):
 
 def test_shots_below_one_is_refused(constructions):
     model, points = _class_pair_model()
-    with pytest.raises(InvalidInputError, match="shots"):
+    with pytest.raises(OutOfRangeError, match="shots"):
         qsvm_state_demo(model, points, points, shots=0, rng_seeds=list(range(len(points))))
     assert constructions[0] == 0
 

@@ -564,7 +564,7 @@ def test_swap_test_quarter_overlap():
     # The raw estimate 2 p0_hat - 1 has standard error 2 sqrt(p0 (1 - p0) / shots).
     stderr = 2.0 * math.sqrt(result.p0_exact * (1.0 - result.p0_exact) / result.shots)
     assert abs(result.overlap_sq_raw - 0.25) <= 3.0 * stderr
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(OutOfRangeError, match="shots must be >= 1"):
         swap_test(abs(a.inner(b)) ** 2, shots=0)
 
 
