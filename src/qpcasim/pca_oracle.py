@@ -5,7 +5,8 @@ whose row norms and Frobenius norm the pipeline divides by and so must be
 nonzero and finite (``norm_range_fault``), the singular value
 decomposition with a deterministic sign convention, the variance-threshold
 rule that picks the compressed dimension, the projected data matrix, and the
-ideal compressed statevector the quantum pipeline is supposed to reproduce.
+ideal compressed statevector the quantum pipeline is supposed to reproduce,
+and how far a produced state lies from it.
 """
 
 from __future__ import annotations
@@ -378,6 +379,38 @@ def expected_compressed_state(compressed: CompressedMatrix, row_mask: np.ndarray
     amps = np.zeros((1 << row_qubits, 1 << index_qubits))
     amps[:n, 1 : d + 1] = y / norm
     return StateVector.from_amplitudes([("row", row_qubits), ("index", index_qubits)], amps)
+
+
+def _reference_errors(
+    kept: np.ndarray, reference: np.ndarray, overlaps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The infidelity and the deviation, each (S, E), of the scaling sweep's
+    kept branches ``kept`` (S, E, *state dims) against the reference state's
+    amplitudes ``reference`` signed for each seed's anchor ``overlaps``
+    (S, d) (``_overlap_signs``).
+
+    The S signed references are one stack, and every overlap is a
+    ``np.vecdot`` over the flattened state: the same BLAS dot, with the same
+    conjugated first argument, as ``np.vdot`` of one point, and the residual
+    norm the same sqrt of a dot as ``np.linalg.norm`` of a real vector. So
+    each entry is the per-point value bit for bit. The residual
+    phi - <psi|phi> psi is formed one grid point at a time into one buffer;
+    the references and that buffer die with the call.
+    """
+    n_seeds, n_points = kept.shape[:2]
+    d = overlaps.shape[1]
+    psi = np.repeat(reference[None], n_seeds, axis=0)
+    psi[..., 1 : d + 1] *= _overlap_signs(overlaps)[:, None, :]
+    psi = psi.reshape(n_seeds, -1)
+    phi = kept.reshape(n_seeds, n_points, -1)
+    infid = np.maximum(1.0 - np.minimum(np.abs(np.vecdot(phi, psi[:, None])), 1.0), 0.0)
+    dev = np.empty((n_seeds, n_points))
+    residual = np.empty_like(psi)
+    for k in range(n_points):
+        np.multiply(np.vecdot(psi, phi[:, k])[:, None], psi, out=residual)
+        np.subtract(phi[:, k], residual, out=residual)
+        dev[:, k] = np.sqrt(np.vecdot(residual, residual))
+    return infid, dev
 
 
 def _overlap_slabs(rows: np.ndarray, d: int) -> Iterator[tuple[int, np.ndarray]]:

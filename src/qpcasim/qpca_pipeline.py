@@ -639,37 +639,6 @@ class ScalingResult:
     model: SpectralModel         # the dataset's decomposition (row-0 signs)
 
 
-def _score_branches(
-    kept: np.ndarray, reference: np.ndarray, overlaps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The infidelity and the deviation, each (S, E), of one sweep pass's
-    kept branches ``kept`` (S, E, *state dims) against the reference signed
-    for each seed's anchor ``overlaps`` (S, d).
-
-    The S signed references are one stack, and every overlap is a
-    ``np.vecdot`` over the flattened state: the same BLAS dot, with the same
-    conjugated first argument, as ``np.vdot`` of one point, and the residual
-    norm the same sqrt of a dot as ``np.linalg.norm`` of a real vector. So
-    each entry is the per-point value bit for bit. The residual
-    phi - <psi|phi> psi is formed one grid point at a time into one buffer;
-    the references and that buffer die with the call.
-    """
-    n_seeds, n_points = kept.shape[:2]
-    d = overlaps.shape[1]
-    psi = np.repeat(reference[None], n_seeds, axis=0)
-    psi[..., 1 : d + 1] *= pca_oracle._overlap_signs(overlaps)[:, None, :]
-    psi = psi.reshape(n_seeds, -1)
-    phi = kept.reshape(n_seeds, n_points, -1)
-    infid = np.maximum(1.0 - np.minimum(np.abs(np.vecdot(phi, psi[:, None])), 1.0), 0.0)
-    dev = np.empty((n_seeds, n_points))
-    residual = np.empty_like(psi)
-    for k in range(n_points):
-        np.multiply(np.vecdot(psi, phi[:, k])[:, None], psi, out=residual)
-        np.subtract(phi[:, k], residual, out=residual)
-        dev[:, k] = np.sqrt(np.vecdot(residual, residual))
-    return infid, dev
-
-
 def error_scaling_experiment(
     data: DataMatrix,
     eps_grid: Sequence[float],
@@ -692,7 +661,7 @@ def error_scaling_experiment(
     each point. Past ``SWEEP_STACK_ROWS`` padded rows times seeds, the
     projection and the rotation take the seeds in several passes. Each
     pass's (seed, grid point) stack is scored in array passes
-    (``_score_branches``), bit for bit the per-point fidelity and
+    (``pca_oracle._reference_errors``), bit for bit the per-point fidelity and
     deviation, and each row sums them over the seeds in order.
     """
     if not eps_grid:
@@ -721,7 +690,7 @@ def error_scaling_experiment(
         projected, p_anchor = sv_engine.project_anchor(model, cfg, state, overlaps)
         beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid)
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
-        pass_infid, pass_dev = _score_branches(kept, reference, overlaps)
+        pass_infid, pass_dev = pca_oracle._reference_errors(kept, reference, overlaps)
         # Seed by seed, so each row sums in seed order.
         for seed_infid, seed_dev in zip(pass_infid, pass_dev):
             infid += seed_infid
