@@ -695,7 +695,6 @@ def error_scaling_experiment(
         for seed_infid, seed_dev in zip(pass_infid, pass_dev):
             infid += seed_infid
             dev += seed_dev
-        del kept, projected  # before the next pass builds its own
 
     infid /= len(seeds)
     dev /= len(seeds)

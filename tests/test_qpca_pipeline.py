@@ -806,21 +806,6 @@ def test_scaling_scores_its_grid_without_per_point_calls(monkeypatch):
     assert seen["5x1"] == seen["5x5"]
 
 
-def test_a_sweep_pass_holds_one_stack_of_kept_branches():
-    # At 4096 rows each seed is a pass of its own, whose kept branches are
-    # 4 grid points x 4096 rows x 8 index amplitudes (1 MiB). A pass frees
-    # the last pass's branches and projected states before it builds its
-    # own: the peak was 4.27 stacks while both were held, and is 3.27.
-    data = rank_k_dataset(4096, 16, 4, seed=1)
-    tracemalloc.start()
-    try:
-        error_scaling_experiment(data, cli.SCALING_EPS_GRID, [0, 1, 2])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.6 * (4 * 4096 * 8 * 8)
-
-
 def _record_calls(monkeypatch, module, name):
     """Wrap module.name so that each call's positional arguments and result
     are appended, as a pair, to the returned list."""
