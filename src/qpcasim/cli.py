@@ -27,9 +27,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError, QpcaError
-from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES, check_ledger_accuracy
+from .errors import InvalidInputError, NumericalFailureError, ParseError, QpcaError
+from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES, anchor_shots, check_eps_beta, check_gamma, check_label_bits
+from .modes import check_ledger_accuracy, check_run_mode, check_seed, check_theta
 from .pca_oracle import DataMatrix, SpectralModel, coefficients, norm_range_fault, project, svd_decompose
+from .statevector import check_shots
 
 if TYPE_CHECKING:
     from .qpca_pipeline import RunResult
@@ -60,22 +62,15 @@ class RunConfig:
     plot_dir: str | None = None
 
     def validate(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise OutOfRangeError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.bits < 1:
-            raise OutOfRangeError(f"bits must be >= 1, got {self.bits}")
-        if self.shots < 1:
-            raise OutOfRangeError(f"shots must be >= 1, got {self.shots}")
-        if self.seed < 0:
-            raise OutOfRangeError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.eps_beta < 1.0:
-            raise OutOfRangeError(f"eps-beta must lie in (0, 1), got {self.eps_beta}")
-        if not 0.0 < self.gamma < math.inf:
-            raise OutOfRangeError(f"gamma must be positive and finite, got {self.gamma}")
+        check_theta(self.theta)
+        check_label_bits(self.bits, self.mode)
+        check_shots(self.shots)
+        check_seed(self.seed)
+        check_eps_beta(self.eps_beta)
+        check_gamma(self.gamma)
         if self.task not in TASKS:
             raise InvalidInputError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.mode not in RUN_MODES:
-            raise InvalidInputError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
+        check_run_mode(self.mode)
         if self.labels_path is not None and self.task not in ("qsvm", "qlr"):
             raise InvalidInputError(f"labels apply to the qsvm and qlr tasks only, not {self.task!r}")
         if self.subset is not None and self.task != "compress":
@@ -92,6 +87,8 @@ class RunConfig:
             raise InvalidInputError("subset, when given, must name at least one row")
         if self.task in ("compress", "ledger"):
             check_ledger_accuracy(self.eps_beta, self.bits)
+        if self.task == "compress" and self.mode == MODE_SAMPLED:
+            anchor_shots(self.eps_beta)  # the swap tests' shot count
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -172,29 +169,21 @@ def _parse_fields(kept: list[str], row_lines: list[int]) -> np.ndarray:
         if width is None:
             width = len(fields)
         elif len(fields) != width:
-            raise ParseError(
-                f"line {lineno}: expected {width} fields, found {len(fields)}",
-                line=lineno,
-            )
-        values = []
-        for col, token in enumerate(fields, start=1):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}, column {col}: not a number: {token!r}",
-                    line=lineno,
-                    column=col,
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"line {lineno}, column {col}: non-finite value {token!r}",
-                    line=lineno,
-                    column=col,
-                )
-            values.append(value)
-        rows.append(values)
+            raise ParseError(f"line {lineno}: expected {width} fields, found {len(fields)}", line=lineno)
+        rows.append([_parse_number(token, lineno, col) for col, token in enumerate(fields, start=1)])
     return np.array(rows, dtype=np.float64)
+
+
+def _parse_number(token: str, line: int, column: int) -> float:
+    """``float(token)``, or a ``ParseError`` at (line, column) for a token
+    that is not a number or not finite."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"line {line}, column {column}: not a number: {token!r}", line=line, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {line}, column {column}: non-finite value {token!r}", line=line, column=column)
+    return value
 
 
 def read_values(path: str, expected_rows: int) -> np.ndarray:
@@ -204,19 +193,9 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            value = float(stripped)
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: not a number: {stripped!r}", line=lineno, column=1
-            ) from None
-        if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite value", line=lineno, column=1)
-        values.append(value)
+        values.append(_parse_number(stripped, lineno, 1))
     if len(values) != expected_rows:
-        raise ParseError(
-            f"{path}: expected {expected_rows} values, found {len(values)}"
-        )
+        raise ParseError(f"{path}: expected {expected_rows} values, found {len(values)}")
     return np.array(values, dtype=np.float64)
 
 

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 
 class QpcaError(Exception):
-    """Base error. ``code`` is stable across releases."""
+    """Base error. ``code`` is stable across releases. The payload adds each
+    attribute named in ``details`` that is not None."""
 
     code = "ERROR"
+    details: tuple[str, ...] = ()
 
     def payload(self) -> dict:
-        return {"code": self.code, "message": str(self)}
+        out = {"code": self.code, "message": str(self)}
+        return out | {name: value for name in self.details if (value := getattr(self, name)) is not None}
 
 
 class InvalidInputError(QpcaError):
@@ -22,19 +25,12 @@ class InvalidInputError(QpcaError):
 
 class ParseError(QpcaError):
     code = "PARSE_ERROR"
+    details = ("line", "column")
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         super().__init__(message)
         self.line = line
         self.column = column
-
-    def payload(self) -> dict:
-        out = super().payload()
-        if self.line is not None:
-            out["line"] = self.line
-        if self.column is not None:
-            out["column"] = self.column
-        return out
 
 
 class OutOfRangeError(QpcaError):
@@ -61,16 +57,11 @@ class DegenerateSpectrumError(QpcaError):
     known, is the variance of the tail components that share a kept label."""
 
     code = "DEGENERATE_SPECTRUM"
+    details = ("leaked_tail_mass",)
 
     def __init__(self, message: str, leaked_tail_mass: float | None = None):
         super().__init__(message)
         self.leaked_tail_mass = leaked_tail_mass
-
-    def payload(self) -> dict:
-        out = super().payload()
-        if self.leaked_tail_mass is not None:
-            out["leaked_tail_mass"] = self.leaked_tail_mass
-        return out
 
 
 class InvalidRotationError(QpcaError):
@@ -89,34 +80,24 @@ class WeakAnchorError(QpcaError):
     """An anchor coefficient estimate fell below the usability floor."""
 
     code = "WEAK_ANCHOR"
+    details = ("anchors_tried",)
 
-    def __init__(
-        self, message: str, anchor_index: int | None = None, anchors_tried: list[int] | None = None
-    ):
+    def __init__(self, message: str, anchor_index: int | None = None, anchors_tried: list[int] | None = None):
         super().__init__(message)
         self.anchor_index = anchor_index
         self.anchors_tried = anchors_tried
-
-    def payload(self) -> dict:
-        out = super().payload()
-        if self.anchors_tried is not None:
-            out["anchors_tried"] = list(self.anchors_tried)
-        return out
 
 
 class UnderSampledError(QpcaError):
     """Spectrum sampling budget ran out before the target was covered."""
 
     code = "UNDER_SAMPLED"
+    details = ("histogram", "budget")  # the label histogram drawn and the budget that drew it
 
     def __init__(self, message: str, histogram: dict[int, int], budget: int):
         super().__init__(message)
         self.histogram = histogram
         self.budget = budget
-
-    def payload(self) -> dict:
-        """Adds the label histogram drawn and the budget that drew it."""
-        return {**super().payload(), "histogram": dict(self.histogram), "budget": self.budget}
 
 
 class SingularSystemError(QpcaError):

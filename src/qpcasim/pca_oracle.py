@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, OutOfRangeError
+from .modes import check_theta
 from .statevector import StateVector, ceil_log2, token_qubits
 
 # Relative cutoff below which a singular value is treated as exactly zero.
@@ -261,8 +262,7 @@ def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
     9.6 ms at 256x4096 rank 4, where the full path took 242 ms, and a
     256x65536 rank-4 ``run_compression`` takes 0.6 s, where it took 10.0 s.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise OutOfRangeError(f"variance threshold must be in (0, 1], got {threshold}")
+    check_theta(threshold)
     n, d = data.n_rows, data.n_cols
 
     leading = _certified_leading_svd(data.values) if LOW_RANK_BLOCK <= min(n, d) // 4 else None

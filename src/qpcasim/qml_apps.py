@@ -32,6 +32,7 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
+from .modes import check_gamma
 from .pca_oracle import DataMatrix
 from .statevector import StateVector, ceil_log2, check_shots, interference_probability, sample_outcome
 
@@ -53,8 +54,7 @@ class LabeledDataset:
             )
         if not np.all(np.isfinite(labels)):
             raise InvalidInputError("labels contain NaN or infinite entries")
-        if self.gamma <= 0.0:
-            raise InvalidInputError(f"regularization gamma must be positive, got {self.gamma}")
+        check_gamma(self.gamma)
         object.__setattr__(self, "labels", labels)
 
 

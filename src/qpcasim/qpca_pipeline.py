@@ -38,7 +38,8 @@ from .errors import (
     WeakAnchorError,
 )
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
-from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, check_ledger_accuracy
+from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, anchor_shots, check_ledger_accuracy
+from .modes import check_run_mode, check_seed
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
 from .statevector import StateVector
 from .sv_engine import PhaseConfig
@@ -48,7 +49,6 @@ SCOPE_SUBSET = "subset"
 
 BETA_FLOOR = 1e-3
 MAX_ANCHOR_ATTEMPTS = 8
-ANCHOR_SHOTS_CONSTANT = 4.0
 
 # Padded data rows times seeds that the scaling sweep projects and rotates in
 # one pass. A pass holds the kept branches of all its seeds over the whole
@@ -59,8 +59,7 @@ SWEEP_STACK_ROWS = 512
 
 
 def label_mode_for(run_mode: str) -> str:
-    if run_mode not in RUN_MODES:
-        raise InvalidInputError(f"unknown run mode {run_mode!r}; expected one of {RUN_MODES}")
+    check_run_mode(run_mode)
     return sv_engine.LABEL_MODE_IDEAL if run_mode == MODE_IDEAL else sv_engine.LABEL_MODE_QUANTIZED
 
 
@@ -251,17 +250,15 @@ def estimate_anchor(
 ) -> AnchorProfile:
     """Estimate every kept anchor coefficient by a seeded swap test of row
     ``anchor_index`` against the corresponding kept principal direction,
-    ceil(c / eps_beta^2) shots each. A swap test reads only the squared
-    overlap, beta_k^2, with beta the capped magnitudes
+    ``modes.anchor_shots(eps_beta)`` shots each. A swap test reads only the
+    squared overlap, beta_k^2, with beta the capped magnitudes
     (``pca_oracle.coefficients``) of the row's kept ``overlaps``
     (``SpectralModel.overlaps``), so no state is built.
 
     Estimates are sqrt(max(0, 2 p0_hat - 1)). Any estimate below the floor
     raises WeakAnchorError so the caller can redraw the anchor row.
     """
-    if not 0.0 < eps_beta < 1.0:
-        raise OutOfRangeError(f"eps_beta must lie in (0, 1), got {eps_beta}")
-    shots = int(math.ceil(ANCHOR_SHOTS_CONSTANT / eps_beta**2))
+    shots = anchor_shots(eps_beta)
     rng = np.random.default_rng(rng_seed)
     d = overlaps.size
     seeds = rng.integers(0, 2**63 - 1, size=d)
@@ -549,10 +546,10 @@ def run_compression(
     spectrum drawn in sampled mode (``extract_spectrum``), then seeded
     anchor selection (see ``select_anchor``), then compression of the whole
     data state or of the rows ``subset`` names (see ``compress``). A fixed
-    ``anchor_index`` disables the weak-anchor redraw. An ``eps_beta`` and
-    ``bits`` that the ledger could not price are refused first, as the CLI
-    refuses them (``modes.check_ledger_accuracy``)."""
+    ``anchor_index`` disables the weak-anchor redraw. Each setting is
+    refused as the CLI refuses it, by its check in ``modes``."""
     check_ledger_accuracy(eps_beta, bits)
+    check_seed(seed)
     cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (
@@ -668,6 +665,8 @@ def error_scaling_experiment(
         raise InvalidInputError("eps grid must be nonempty")
     if not seeds:
         raise InvalidInputError("seed list must be nonempty")
+    for seed in seeds:
+        check_seed(seed)
     grid = np.array([float(e) for e in eps_grid])
     if np.any(grid < 0.0):
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")

@@ -38,11 +38,9 @@ from .errors import (
     OutOfRangeError,
     UnknownRegisterError,
 )
+from .modes import MAX_SHOTS
 
 NORM_TOL = 1e-10
-
-# The most trials one of numpy's binomial or multinomial draws takes.
-MAX_SHOTS = 2**63 - 1
 
 
 def ceil_log2(n: int) -> int:

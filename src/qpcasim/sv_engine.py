@@ -48,15 +48,15 @@ from .errors import (
     DegenerateSpectrumError,
     InvalidInputError,
     InvalidRotationError,
-    OutOfRangeError,
     VanishingSuccessError,
 )
+from .modes import MODE_IDEAL, MODE_QUANTIZED, check_label_bits
 from .pca_oracle import SpectralModel
 from .statevector import Register, StateVector, ceil_log2, check_shots, check_unit_norm, token_qubits
 from .statevector import interference_probability, sample_outcome
 
-LABEL_MODE_IDEAL = "ideal"
-LABEL_MODE_QUANTIZED = "quantized"
+LABEL_MODE_IDEAL = MODE_IDEAL
+LABEL_MODE_QUANTIZED = MODE_QUANTIZED
 
 # Written phases encode eigenvalue/2 so that an eigenvalue of 1 does not
 # wrap around the fixed-width register.
@@ -65,15 +65,13 @@ PHASE_SCALE = 0.5
 # Post-selection probability below which the kept branch counts as lost.
 POSTSELECT_FLOOR = 1e-12
 
-MAX_LABEL_BITS = 63  # quantized labels, at most 2^(bits - 1), fit int64
-
 
 @dataclass(frozen=True)
 class PhaseConfig:
     """How eigenvalue labels are written.
 
     bits: width of the quantized eigenvalue register (at most
-        MAX_LABEL_BITS); ideal labels read it only as a resolution.
+        ``modes.MAX_LABEL_BITS``); ideal labels read it only as a resolution.
     label_mode: 'ideal' writes the per-component token j+1 on a register
         wide enough for all tokens; 'quantized' writes
         round(PHASE_SCALE * eigenvalue * 2**bits) on a bits-wide register.
@@ -83,12 +81,9 @@ class PhaseConfig:
     label_mode: str = LABEL_MODE_QUANTIZED
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise OutOfRangeError(f"label width must be >= 1 bit, got {self.bits}")
         if self.label_mode not in (LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED):
             raise InvalidInputError(f"unknown label mode {self.label_mode!r}")
-        if self.label_mode == LABEL_MODE_QUANTIZED and self.bits > MAX_LABEL_BITS:
-            raise OutOfRangeError(f"quantized label width must be at most {MAX_LABEL_BITS} bits, got {self.bits}")
+        check_label_bits(self.bits, self.label_mode)
 
     @property
     def eigenvalue_resolution(self) -> float:

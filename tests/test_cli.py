@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from qpcasim.datasets import (
 )
 from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError
 from qpcasim.qml_apps import LabeledDataset, lssvm_train, qsvm_state_demo
-from qpcasim.qpca_pipeline import ledger_predict
-from qpcasim.statevector import check_shots
+from qpcasim.qpca_pipeline import error_scaling_experiment, estimate_anchor, ledger_predict, run_compression
+from qpcasim.statevector import check_shots, sample_outcome
+from qpcasim.sv_engine import PhaseConfig
 
 
 @pytest.fixture
@@ -288,38 +290,100 @@ def test_accuracies_whose_ledger_leaves_the_float_range_are_refused():
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = Path(__file__).resolve().parent.parent / "src" / "qpcasim"
 
 
-# Golden case -> (eps_beta, bits, mode) of the CLI run it records.
-LEDGER_RANGE_GOLDENS = {
-    "error_eps_beta_underflow": (1e-200, 6, "ideal"),
-    "error_eps_beta_underflow_sampled": (1e-200, 6, "sampled"),
-    "error_eps_beta_overflow_compress": (1e-154, 6, "ideal"),
-    "error_eps_beta_overflow_ledger": (1e-154, 6, "ideal"),
-    "error_bits_cost_underflow": (0.01, 400, "ideal"),
+# Golden case -> the flags of the CLI run it records, as RunConfig fields.
+RANGE_GOLDENS = {
+    "error_eps_beta_underflow": {"eps_beta": 1e-200},
+    "error_eps_beta_underflow_sampled": {"eps_beta": 1e-200, "mode": "sampled"},
+    "error_eps_beta_overflow_compress": {"eps_beta": 1e-154},
+    "error_eps_beta_overflow_ledger": {"eps_beta": 1e-154},
+    "error_bits_cost_underflow": {"bits": 400},
+    "error_out_of_range": {"theta": 1.5},
+    "error_negative_seed": {"seed": -1},
+    "error_shots_overflow": {"mode": "sampled", "shots": 10**20, "seed": 3},
+    "error_swap_test_shots": {"mode": "sampled", "eps_beta": 1e-10, "seed": 3},
+    "error_quantized_bits": {"mode": "quantized", "bits": 100},
 }
 
+# RunConfig field -> the run_compression parameter that takes it.
+LIBRARY_NAMES = {"theta": "threshold", "mode": "run_mode"}
 
-@pytest.mark.parametrize("case", sorted(LEDGER_RANGE_GOLDENS))
+
+def _library_entry_points(case: str, data) -> dict:
+    """Name -> call of each library entry point that takes the case's flags."""
+    flags = RANGE_GOLDENS[case]
+    calls = {"run_compression": lambda: run_compression(data, **{LIBRARY_NAMES.get(k, k): v for k, v in flags.items()})}
+    if case.startswith(("error_eps_beta_", "error_bits_")):
+        eps_lambda, eps_beta = 2.0 ** (1 - flags.get("bits", 6)), flags.get("eps_beta", 0.01)
+        calls["ledger_predict"] = lambda: ledger_predict(32, 8, 3, eps_lambda, eps_beta, 0.5)
+    elif case == "error_out_of_range":
+        calls["svd_decompose"] = lambda: pca_oracle.svd_decompose(data, 1.5)
+    elif case == "error_negative_seed":
+        calls["error_scaling_experiment"] = lambda: error_scaling_experiment(data, [0.0], [-1])
+    elif case == "error_shots_overflow":
+        calls["sample_outcome"] = lambda: sample_outcome(0.5, 10**20, 3)
+    elif case == "error_swap_test_shots":
+        calls["estimate_anchor"] = lambda: estimate_anchor(np.array([0.6, 0.8]), 1e-10, 3, anchor_index=0)
+    else:
+        calls["PhaseConfig"] = lambda: PhaseConfig(bits=100, label_mode="quantized")
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_GOLDENS))
 def test_library_entry_points_refuse_what_the_cli_refuses(case):
     # The parent library divided by an eps_beta^2 that underflowed to 0
-    # (ZeroDivisionError) where the CLI refused the flags. Every entry point
-    # now refuses through one check, with the CLI golden's payload.
-    from qpcasim.qpca_pipeline import run_compression
-
-    eps_beta, bits, mode = LEDGER_RANGE_GOLDENS[case]
+    # (ZeroDivisionError) where the CLI refused the flags, passed a negative
+    # seed to numpy (ValueError), and worded theta and the label width its
+    # own way. Every entry point now refuses through one check, with the CLI
+    # golden's payload.
     with open(os.path.join(GOLDEN_DIR, case + ".json"), encoding="utf-8") as fh:
         want = json.load(fh)["error"]
     data = cli.ingest_csv(os.path.join(GOLDEN_DIR, "inputs", "rank3.csv"))
     entry_points = {
-        "RunConfig.validate": lambda: cli.RunConfig(input_path="x", bits=bits, mode=mode, eps_beta=eps_beta).validate(),
-        "run_compression": lambda: run_compression(data, run_mode=mode, bits=bits, eps_beta=eps_beta),
-        "ledger_predict": lambda: ledger_predict(32, 8, 3, 2.0 ** (1 - bits), eps_beta, 0.5),
+        "RunConfig.validate": lambda: cli.RunConfig(input_path="x", **RANGE_GOLDENS[case]).validate(),
+        **_library_entry_points(case, data),
     }
     for name, call in entry_points.items():
         with pytest.raises(OutOfRangeError) as info:
             call()
         assert info.value.payload() == want, name
+
+
+# The fixed text of every setting refusal, which its one check writes.
+REFUSAL_TEXTS = (
+    "theta must lie in (0, 1], got ",
+    "bits must be >= 1, got ",
+    "quantized label width must be at most ",
+    "shots must be >= 1, got ",
+    "shots must be at most ",
+    "seed must be >= 0, got ",
+    "eps-beta must lie in (0, 1), got ",
+    " / eps_beta^2) swap-test shots per ",
+    "gamma must be positive and finite, got ",
+    "unknown mode ",
+    "), too large for the ledger's ",
+)
+
+
+def test_each_setting_refusal_is_written_once():
+    sources = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
+    for text in REFUSAL_TEXTS:
+        assert sum(source.count(text) for source in sources) == 1, text
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_GOLDENS))
+def test_settings_are_refused_before_the_input_is_read(capsys, tmp_path, case):
+    # The parent read and decomposed the input before it refused
+    # --mode quantized --bits 100 (in PhaseConfig), and its shot counts
+    # only at their draws.
+    argv = ["--input", str(tmp_path / "absent.csv")]
+    for field, value in RANGE_GOLDENS[case].items():
+        argv += ["--" + field.replace("_", "-"), str(value)]
+    with open(os.path.join(GOLDEN_DIR, case + ".json"), encoding="utf-8") as fh:
+        want = json.load(fh)["error"]
+    assert _error_payload(capsys, argv) == want
 
 
 def test_a_report_with_a_non_finite_number_is_refused():

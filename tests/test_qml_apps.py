@@ -1,5 +1,6 @@
 """Tests for the downstream learners (LS-SVM and linear regression)."""
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from qpcasim import cli
 from qpcasim.datasets import gaussian_class_pair, linear_trend_dataset, rank_k_dataset
-from qpcasim.errors import DegenerateRegressionError, InvalidInputError, SingularSystemError
+from qpcasim.errors import DegenerateRegressionError, InvalidInputError, OutOfRangeError, SingularSystemError
 from qpcasim.pca_oracle import DataMatrix, project, svd_decompose
 from qpcasim.qml_apps import (
     PINV_CUTOFF,
@@ -64,11 +65,23 @@ def test_lssvm_validation():
     points = np.array([[1.0], [-1.0]])
     with pytest.raises(InvalidInputError):
         LabeledDataset(DataMatrix(points), np.array([1.0]))  # label count
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(OutOfRangeError):
         LabeledDataset(DataMatrix(points), np.array([1.0, -1.0]), gamma=0.0)
     bad = LabeledDataset(DataMatrix(points), np.array([1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         lssvm_train(bad, points)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+def test_gamma_is_refused_as_the_cli_refuses_it(gamma):
+    # The parent accepted an infinite or NaN gamma and refused 0 as
+    # INVALID_INPUT, where the CLI said OUT_OF_RANGE for all three.
+    points = DataMatrix(np.array([[1.0], [-1.0]]))
+    with pytest.raises(OutOfRangeError) as cli_refusal:
+        cli.RunConfig(input_path="x", gamma=gamma).validate()
+    with pytest.raises(OutOfRangeError) as info:
+        LabeledDataset(points, np.array([1.0, -1.0]), gamma=gamma)
+    assert info.value.payload() == cli_refusal.value.payload()
 
 
 def test_lssvm_kernel_invariance_under_projection():

@@ -510,6 +510,21 @@ def test_an_out_of_range_anchor_is_refused_in_one_wording():
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        lambda data: run_compression(data, seed=-1),
+        lambda data: error_scaling_experiment(data, [0.0, 0.02], [3, -1]),
+    ],
+    ids=["run_compression", "error_scaling_experiment"],
+)
+def test_a_negative_seed_is_refused_as_the_cli_refuses_it(entry):
+    # The parent handed the seed to numpy, which raised a bare ValueError.
+    with pytest.raises(OutOfRangeError) as info:
+        entry(cli.ingest_csv(RANK3))
+    assert info.value.payload() == {"code": "OUT_OF_RANGE", "message": "seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize(
     "source, run_mode, seeds",
     [
         ("rank3", MODE_IDEAL, [3, 4]),
