@@ -307,6 +307,11 @@ RANGE_GOLDENS = {
     "error_quantized_bits": {"mode": "quantized", "bits": 100},
 }
 
+def _golden_error(case: str) -> dict:
+    with open(os.path.join(GOLDEN_DIR, case + ".json"), encoding="utf-8") as fh:
+        return json.load(fh)["error"]
+
+
 # RunConfig field -> the run_compression parameter that takes it.
 LIBRARY_NAMES = {"theta": "threshold", "mode": "run_mode"}
 
@@ -338,8 +343,7 @@ def test_library_entry_points_refuse_what_the_cli_refuses(case):
     # seed to numpy (ValueError), and worded theta and the label width its
     # own way. Every entry point now refuses through one check, with the CLI
     # golden's payload.
-    with open(os.path.join(GOLDEN_DIR, case + ".json"), encoding="utf-8") as fh:
-        want = json.load(fh)["error"]
+    want = _golden_error(case)
     data = cli.ingest_csv(os.path.join(GOLDEN_DIR, "inputs", "rank3.csv"))
     entry_points = {
         "RunConfig.validate": lambda: cli.RunConfig(input_path="x", **RANGE_GOLDENS[case]).validate(),
@@ -381,9 +385,7 @@ def test_settings_are_refused_before_the_input_is_read(capsys, tmp_path, case):
     argv = ["--input", str(tmp_path / "absent.csv")]
     for field, value in RANGE_GOLDENS[case].items():
         argv += ["--" + field.replace("_", "-"), str(value)]
-    with open(os.path.join(GOLDEN_DIR, case + ".json"), encoding="utf-8") as fh:
-        want = json.load(fh)["error"]
-    assert _error_payload(capsys, argv) == want
+    assert _error_payload(capsys, argv) == _golden_error(case)
 
 
 def test_a_report_with_a_non_finite_number_is_refused():
