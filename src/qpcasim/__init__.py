@@ -56,8 +56,6 @@ _HOMES = {
     "apply_row_prep": "qram_store",
     "prepare_data_state": "qram_store",
     "PHASE_SCALE": "sv_engine",
-    "LABEL_MODE_IDEAL": "sv_engine",
-    "LABEL_MODE_QUANTIZED": "sv_engine",
     "PhaseConfig": "sv_engine",
     "eigen_labels": "sv_engine",
     "check_label_distinctness": "sv_engine",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, ParseError, QpcaError
 from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES, anchor_shots, check_eps_beta, check_gamma, check_label_bits
-from .modes import check_ledger_accuracy, check_run_mode, check_seed, check_theta
+from .modes import check_ledger_accuracy, check_run_mode, check_seed, check_subset, check_theta
 from .pca_oracle import DataMatrix, SpectralModel, coefficients, norm_range_fault, project, svd_decompose
 from .statevector import check_shots
 
@@ -83,8 +83,7 @@ class RunConfig:
             )
         if self.mode != MODE_IDEAL and self.task in ("scaling", "ledger"):
             raise InvalidInputError(f"the {self.task!r} task runs in ideal mode only, not {self.mode!r}")
-        if self.subset is not None and len(self.subset) == 0:
-            raise InvalidInputError("subset, when given, must name at least one row")
+        check_subset(self.subset)
         if self.task in ("compress", "ledger"):
             check_ledger_accuracy(self.eps_beta, self.bits)
         if self.task == "compress" and self.mode == MODE_SAMPLED:
@@ -409,9 +408,9 @@ def _task_scaling(config: RunConfig, data: DataMatrix) -> dict:
 
 def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
     from .qpca_pipeline import ledger_predict, select_anchor
-    from .sv_engine import LABEL_MODE_IDEAL, PhaseConfig, check_label_distinctness
+    from .sv_engine import PhaseConfig, check_label_distinctness
 
-    cfg = PhaseConfig(bits=config.bits, label_mode=LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(MODE_IDEAL, config.bits)
     model = svd_decompose(data, config.theta)
     check_label_distinctness(model, cfg)  # the spectrum stage, before any anchor is drawn
     choice = select_anchor(

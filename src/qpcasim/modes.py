@@ -40,7 +40,7 @@ def check_theta(theta: float) -> None:
 
 
 def check_label_bits(bits: int, mode: str) -> None:
-    """Labels are quantized in every run (or label) mode but ideal."""
+    """Labels are quantized in every run mode but ideal."""
     if bits < 1:
         raise OutOfRangeError(f"bits must be >= 1, got {bits}")
     if mode != MODE_IDEAL and bits > MAX_LABEL_BITS:
@@ -50,6 +50,11 @@ def check_label_bits(bits: int, mode: str) -> None:
 def check_seed(seed: int | None) -> None:
     if seed is not None and seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, got {seed}")
+
+
+def check_subset(subset) -> None:
+    if subset is not None and len(subset) == 0:
+        raise InvalidInputError("subset, when given, must name at least one row")
 
 
 def check_eps_beta(eps_beta: float) -> None:

@@ -39,7 +39,7 @@ from .errors import (
 )
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
 from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, anchor_shots, check_ledger_accuracy
-from .modes import check_run_mode, check_seed
+from .modes import check_seed, check_subset
 from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
 from .statevector import StateVector
 from .sv_engine import PhaseConfig
@@ -56,11 +56,6 @@ MAX_ANCHOR_ATTEMPTS = 8
 # with all 8 CLI seeds in one pass the peak memory of a 16384x16 scaling run
 # doubled.
 SWEEP_STACK_ROWS = 512
-
-
-def label_mode_for(run_mode: str) -> str:
-    check_run_mode(run_mode)
-    return sv_engine.LABEL_MODE_IDEAL if run_mode == MODE_IDEAL else sv_engine.LABEL_MODE_QUANTIZED
 
 
 @dataclass(frozen=True)
@@ -421,7 +416,6 @@ def compress(
     overlaps: np.ndarray,
     cfg: PhaseConfig,
     *,
-    run_mode: str = MODE_IDEAL,
     subset: Sequence[int] | None = None,
     postselect_shots: int | None = None,
     rng_seed: int | None = None,
@@ -445,12 +439,11 @@ def compress(
     if profile.beta_hat.size != d:
         raise InvalidInputError("anchor profile and model disagree on the kept dimension")
 
+    check_subset(subset)
     scope = SCOPE_FULL
     rows = np.arange(data.n_rows)
     if subset is not None:
         scope = SCOPE_SUBSET
-        if len(subset) == 0:
-            raise InvalidInputError("subset scope needs a nonempty row subset")
         # Distinct and ascending; np.unique would import numpy.ma.
         rows = np.sort(np.asarray(subset, dtype=int))
         rows = rows[np.append(True, rows[1:] != rows[:-1])]
@@ -492,7 +485,7 @@ def compress(
     )
     report = CompressionReport(
         scope=scope,
-        run_mode=run_mode,
+        run_mode=cfg.mode,
         n_rows=data.n_rows,
         n_cols=data.n_cols,
         selected_dim=d,
@@ -501,7 +494,7 @@ def compress(
         fidelity=fidelity,
         success_probability=post.probability,
         success_probability_identity=identity_p,
-        amplification_reps=post.amplification_reps,
+        amplification_reps=ledger.amplification_reps,
         rotation_constant=profile.rotation_constant,
         anchor_index=profile.anchor_index,
         eps_beta=profile.eps_beta,
@@ -550,12 +543,15 @@ def run_compression(
     refused as the CLI refuses it, by its check in ``modes``."""
     check_ledger_accuracy(eps_beta, bits)
     check_seed(seed)
-    cfg = PhaseConfig(bits=bits, label_mode=label_mode_for(run_mode))
+    check_subset(subset)
+    cfg = PhaseConfig(run_mode, bits)
+    sampled = run_mode == MODE_SAMPLED
+    if sampled:
+        anchor_shots(eps_beta)  # the swap tests' shot count, before the decomposition
     rng = np.random.default_rng(seed)
     anchor_seed, spectrum_seed, beta_seed, post_seed = (
         int(s) for s in rng.integers(0, 2**63 - 1, size=4)
     )
-    sampled = run_mode == MODE_SAMPLED
     model = pca_oracle.svd_decompose(data, threshold)
     _check_anchor_index(data, anchor_index)  # before the spectrum is sampled
     if sampled:
@@ -576,7 +572,6 @@ def run_compression(
         choice.profile,
         choice.overlaps,
         cfg,
-        run_mode=run_mode,
         subset=subset,
         postselect_shots=shots if sampled else None,
         rng_seed=post_seed,
@@ -671,7 +666,7 @@ def error_scaling_experiment(
     if np.any(grid < 0.0):
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")
 
-    cfg = PhaseConfig(label_mode=sv_engine.LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(MODE_IDEAL)
     model = pca_oracle.svd_decompose(data, threshold)
     state = qram_store.prepare_data_state(data)
     d = model.selected_dim

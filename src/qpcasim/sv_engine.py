@@ -6,11 +6,11 @@ XORs a per-eigenvector label into the eigenvalue register, and changes back.
 Every stage reads that eigensystem, and the kept dimension, from the one
 ``pca_oracle.SpectralModel``: its variance proportions are the eigenvalues,
 its right vectors the eigenvectors (signed against row 0), and its
-``selected_dim`` leading components are kept. Labels are either exact
-per-component tokens (ideal mode) or the fixed-width rounding of half the
-eigenvalue (quantized mode; the half keeps the top of the spectrum from
-wrapping). The XOR makes the walk an involution, so the un-compute pass is
-the same unitary.
+``selected_dim`` leading components are kept. The run mode
+(``PhaseConfig.mode``) picks the labels: exact per-component tokens in ideal
+mode, the fixed-width rounding of half the eigenvalue in every other (the
+half keeps the top of the spectrum from wrapping). The XOR makes the walk an
+involution, so the un-compute pass is the same unitary.
 
 The label write, token write and label un-compute leave the eigenvalue
 register in |0> again, and the ancilla rotation commutes with them, so
@@ -50,13 +50,10 @@ from .errors import (
     InvalidRotationError,
     VanishingSuccessError,
 )
-from .modes import MODE_IDEAL, MODE_QUANTIZED, check_label_bits
+from .modes import MODE_IDEAL, check_label_bits, check_run_mode
 from .pca_oracle import SpectralModel
 from .statevector import Register, StateVector, ceil_log2, check_shots, check_unit_norm, token_qubits
 from .statevector import interference_probability, sample_outcome
-
-LABEL_MODE_IDEAL = MODE_IDEAL
-LABEL_MODE_QUANTIZED = MODE_QUANTIZED
 
 # Written phases encode eigenvalue/2 so that an eigenvalue of 1 does not
 # wrap around the fixed-width register.
@@ -68,22 +65,22 @@ POSTSELECT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """How eigenvalue labels are written.
+    """How eigenvalue labels are written, which the run mode decides.
 
+    mode: the run mode (``modes.RUN_MODES``). Ideal writes the per-component
+        token j+1 on a register wide enough for all tokens; every other mode
+        writes round(PHASE_SCALE * eigenvalue * 2**bits) on a bits-wide
+        register.
     bits: width of the quantized eigenvalue register (at most
         ``modes.MAX_LABEL_BITS``); ideal labels read it only as a resolution.
-    label_mode: 'ideal' writes the per-component token j+1 on a register
-        wide enough for all tokens; 'quantized' writes
-        round(PHASE_SCALE * eigenvalue * 2**bits) on a bits-wide register.
     """
 
+    mode: str
     bits: int = 6
-    label_mode: str = LABEL_MODE_QUANTIZED
 
     def __post_init__(self):
-        if self.label_mode not in (LABEL_MODE_IDEAL, LABEL_MODE_QUANTIZED):
-            raise InvalidInputError(f"unknown label mode {self.label_mode!r}")
-        check_label_bits(self.bits, self.label_mode)
+        check_run_mode(self.mode)
+        check_label_bits(self.bits, self.mode)
 
     @property
     def eigenvalue_resolution(self) -> float:
@@ -93,7 +90,7 @@ class PhaseConfig:
 
 def eigen_labels(model: SpectralModel, cfg: PhaseConfig) -> np.ndarray:
     """Label written for each eigen-component, in spectral order."""
-    if cfg.label_mode == LABEL_MODE_IDEAL:
+    if cfg.mode == MODE_IDEAL:
         return np.arange(1, model.n_cols + 1, dtype=np.int64)
     scale = float(1 << cfg.bits)
     return np.floor(PHASE_SCALE * model.variance_proportions * scale + 0.5).astype(np.int64)
@@ -112,7 +109,7 @@ def check_label_distinctness(model: SpectralModel, cfg: PhaseConfig) -> np.ndarr
     equalling the last. Two comparisons check both, without ``np.unique``,
     which imports ``numpy.ma``."""
     labels = eigen_labels(model, cfg)
-    if cfg.label_mode == LABEL_MODE_QUANTIZED:
+    if cfg.mode != MODE_IDEAL:
         top = model.selected_dim
         head = labels[:top]
         if np.any(head[1:] == head[:-1]):
@@ -354,7 +351,6 @@ def apply_cr_beta(state: StateVector, beta_hat: np.ndarray, rotation_constant: f
 class PostselectResult:
     state: StateVector
     probability: float
-    amplification_reps: int
     sampled_probability: float | None  # the three are None without shots
     success_count: int | None
     shots: int | None
@@ -400,7 +396,6 @@ def postselect(
     return PostselectResult(
         state=kept,
         probability=prob,
-        amplification_reps=amplification_repetitions(prob),
         sampled_probability=sampled,
         success_count=successes,
         shots=shots,

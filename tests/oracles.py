@@ -54,7 +54,7 @@ def eigen_register_width(cfg, n_components: int) -> int:
     """Qubits of the eigenvalue register that the explicit label write
     appends: enough for the tokens 1..n_components in ideal mode, the label
     width ``cfg.bits`` when labels are quantized."""
-    return n_components.bit_length() if cfg.label_mode == "ideal" else cfg.bits
+    return n_components.bit_length() if cfg.mode == "ideal" else cfg.bits
 
 
 def jacobi_eigh(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-13):

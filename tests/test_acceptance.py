@@ -32,6 +32,7 @@ from qpcasim.qml_apps import (
     qsvm_state_demo,
 )
 from qpcasim.qpca_pipeline import (
+    MODE_IDEAL,
     MODE_SAMPLED,
     error_scaling_experiment,
     ledger_predict,
@@ -41,7 +42,6 @@ from qpcasim.qpca_pipeline import (
 from qpcasim.qram_store import prepare_data_state
 from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import (
-    LABEL_MODE_IDEAL,
     PhaseConfig,
     apply_cu_lambda,
     postselect_rotations,
@@ -218,7 +218,7 @@ def uniform_relative_infidelities(data, seed, eps_grid):
     ``postselect_rotations`` stack of beta (1 + eps) against the projection
     that beta's own anchor left. Returns None if a coefficient would clip
     at 1."""
-    cfg = PhaseConfig(label_mode=LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(MODE_IDEAL)
     model = svd_decompose(data, 0.95)
     choice = select_anchor(data, model, np.random.default_rng(seed))
     beta_hat = np.array([choice.profile.beta * (1.0 + eps) for eps in eps_grid])

@@ -17,8 +17,9 @@ from qpcasim.datasets import (
     write_values_file,
 )
 from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError
+from qpcasim.modes import MODE_QUANTIZED, RUN_MODES, check_run_mode
 from qpcasim.qml_apps import LabeledDataset, lssvm_train, qsvm_state_demo
-from qpcasim.qpca_pipeline import error_scaling_experiment, estimate_anchor, ledger_predict, run_compression
+from qpcasim.qpca_pipeline import compress, error_scaling_experiment, estimate_anchor, ledger_predict, run_compression
 from qpcasim.statevector import check_shots, sample_outcome
 from qpcasim.sv_engine import PhaseConfig
 
@@ -291,6 +292,7 @@ def test_accuracies_whose_ledger_leaves_the_float_range_are_refused():
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = Path(__file__).resolve().parent.parent / "src" / "qpcasim"
+RANK3 = os.path.join(GOLDEN_DIR, "inputs", "rank3.csv")
 
 
 # Golden case -> the flags of the CLI run it records, as RunConfig fields.
@@ -332,7 +334,7 @@ def _library_entry_points(case: str, data) -> dict:
     elif case == "error_swap_test_shots":
         calls["estimate_anchor"] = lambda: estimate_anchor(np.array([0.6, 0.8]), 1e-10, 3, anchor_index=0)
     else:
-        calls["PhaseConfig"] = lambda: PhaseConfig(bits=100, label_mode="quantized")
+        calls["PhaseConfig"] = lambda: PhaseConfig(MODE_QUANTIZED, bits=100)
     return calls
 
 
@@ -368,6 +370,7 @@ REFUSAL_TEXTS = (
     "gamma must be positive and finite, got ",
     "unknown mode ",
     "), too large for the ledger's ",
+    "subset, when given, must name at least one row",
 )
 
 
@@ -375,6 +378,52 @@ def test_each_setting_refusal_is_written_once():
     sources = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     for text in REFUSAL_TEXTS:
         assert sum(source.count(text) for source in sources) == 1, text
+
+
+def _refusal(call) -> dict:
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    return info.value.payload()
+
+
+def test_an_empty_subset_gets_one_refusal():
+    # The CLI and compress refused an empty subset with two wordings; every
+    # entry point now refuses it through one check.
+    run = run_compression(cli.ingest_csv(RANK3), seed=0)
+    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
+    payloads = [
+        _refusal(lambda: cli.RunConfig(input_path="x", subset=()).validate()),
+        _refusal(lambda: run_compression(run.data, subset=[])),
+        _refusal(lambda: compress(run.data, run.model, run.profile, overlaps, run.cfg, subset=[])),
+    ]
+    assert payloads[0]["message"] == "subset, when given, must name at least one row"
+    assert payloads[1:] == payloads[:1] * 2
+
+
+def test_one_run_mode_from_the_cli_to_the_labels():
+    # The run mode is checked once, wherever it enters, and the report names
+    # the mode its labels were written in.
+    data = cli.ingest_csv(RANK3)
+    want = _refusal(lambda: check_run_mode("bogus"))
+    assert _refusal(lambda: PhaseConfig("bogus")) == want
+    assert _refusal(lambda: run_compression(data, run_mode="bogus")) == want
+    assert _refusal(lambda: cli.RunConfig(input_path="x", mode="bogus").validate()) == want
+    for mode in RUN_MODES:
+        run = run_compression(data, run_mode=mode, seed=0)
+        assert run.result.report.run_mode == run.cfg.mode == mode
+
+
+def test_a_sampled_eps_beta_is_refused_before_the_decomposition(monkeypatch):
+    # The parent decomposed the input before the swap tests refused a shot
+    # count past one seeded draw.
+    calls = []
+    decompose = pca_oracle.svd_decompose
+    monkeypatch.setattr(pca_oracle, "svd_decompose", lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    data = cli.ingest_csv(RANK3)
+    with pytest.raises(OutOfRangeError) as info:
+        run_compression(data, **{LIBRARY_NAMES.get(k, k): v for k, v in RANGE_GOLDENS["error_swap_test_shots"].items()})
+    assert calls == []
+    assert info.value.payload() == _golden_error("error_swap_test_shots")
 
 
 @pytest.mark.parametrize("case", sorted(RANGE_GOLDENS))

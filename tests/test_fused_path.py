@@ -34,7 +34,6 @@ from qpcasim.qram_store import (
 )
 from qpcasim.statevector import StateVector, ceil_log2, token_qubits
 from qpcasim.sv_engine import (
-    LABEL_MODE_IDEAL,
     PhaseConfig,
     apply_cr_beta,
     apply_cu_lambda,
@@ -118,7 +117,7 @@ def test_fused_map_keeps_the_explicit_circuit_checks():
     state = prepare_data_state(run.data)
     overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
     with pytest.raises(DegenerateSpectrumError):
-        project_anchor(run.model, PhaseConfig(bits=1), state, overlaps[None])
+        project_anchor(run.model, PhaseConfig(MODE_QUANTIZED, 1), state, overlaps[None])
 
 
 @pytest.mark.parametrize("shape", [(24, 12), (5, 3), (1, 4), (4, 1)])
@@ -153,7 +152,7 @@ def test_eigen_marginal_matches_labelled_register():
     for data in shapes:
         tree = build_tree(data)
         model = svd_decompose(data, 0.95)
-        for cfg in (PhaseConfig(bits=6), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)):
+        for cfg in (PhaseConfig(MODE_QUANTIZED, 6), PhaseConfig(MODE_IDEAL, 6)):
             width = eigen_register_width(cfg, model.n_cols)
             labelled = phase_estimate(model, cfg, _explicit_data_state(tree).append_register("eigen", width))
             labels, marginal = eigen_marginal_state(model, cfg)

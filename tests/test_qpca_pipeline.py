@@ -36,8 +36,6 @@ from qpcasim.qpca_pipeline import (
 )
 from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import (
-    LABEL_MODE_IDEAL,
-    LABEL_MODE_QUANTIZED,
     POSTSELECT_FLOOR,
     PhaseConfig,
     check_label_distinctness,
@@ -60,7 +58,7 @@ def _stated_spectrum_setup():
 
 def test_label_check_returns_the_kept_labels():
     _, model = _stated_spectrum_setup()
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 6)
     labels = check_label_distinctness(model, cfg)
     assert model.selected_dim == 2
     assert labels[: model.selected_dim].tolist() == [29, 3]
@@ -68,7 +66,7 @@ def test_label_check_returns_the_kept_labels():
     # A thin eigensystem (two directions of three features) keeps its
     # directions and nothing past them.
     thin = spectral_model([0.75, 0.25, 0.0], np.eye(3)[:, :2], 2)
-    labels = check_label_distinctness(thin, PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL))
+    labels = check_label_distinctness(thin, PhaseConfig(MODE_IDEAL, 6))
     assert labels[: thin.selected_dim].tolist() == [1, 2]
 
 
@@ -76,7 +74,7 @@ def test_extract_spectrum_balanced_pair():
     data = DataMatrix(np.eye(2))
     model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(MODE_IDEAL, 6)
     histogram = extract_spectrum(model, cfg, 50, 3)
     sigma = math.sqrt(0.25 / 50)
     assert sorted(histogram) == [1, 2]
@@ -88,7 +86,7 @@ def test_extract_spectrum_balanced_pair():
 def test_extract_spectrum_rank_one_is_deterministic():
     data = DataMatrix(np.array([[3.0, 4.0]]))
     model = svd_decompose(data, 0.95)
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 6)
     # Half-phase encoding of eigenvalue 1; the tail's label 0 has no mass.
     assert extract_spectrum(model, cfg, 50, 11) == {32: 50}
 
@@ -96,7 +94,7 @@ def test_extract_spectrum_rank_one_is_deterministic():
 def test_extract_spectrum_budget_sweep():
     # 99 of 100 fixed seeds cover 95% of the variance within 200 draws.
     _, model = _stated_spectrum_setup()
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 6)
     ok = 0
     for seed in range(100):
         try:
@@ -109,7 +107,7 @@ def test_extract_spectrum_budget_sweep():
 
 def test_extract_spectrum_undersampled_carries_the_histogram():
     _, model = _stated_spectrum_setup()
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 6)
     with pytest.raises(UnderSampledError) as info:
         extract_spectrum(model, cfg, 2, 0)
     assert info.value.histogram == {29: 2}  # second label never observed
@@ -542,7 +540,7 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
     # the same report, reference and state from compress.
     data = cli.ingest_csv(RANK3) if source == "rank3" else _weak_row_dataset()
     model = svd_decompose(data, 0.95)
-    cfg = PhaseConfig(label_mode=qpca_pipeline.label_mode_for(run_mode))
+    cfg = PhaseConfig(run_mode)
     sampled = run_mode == MODE_SAMPLED
     columns = model.right_vectors.shape[1]
     # Every nonempty set of columns to negate.
@@ -554,7 +552,7 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
         )
         result = qpca_pipeline.compress(
             data, model, choice.profile, choice.overlaps, cfg,
-            run_mode=run_mode, postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
+            postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
         )
         return choice, result
 
@@ -909,7 +907,7 @@ def _per_seed_sweep(data, seed, grid):
     point.
     Returns the anchor draws, the kept amplitudes, and the infidelity and
     deviation per point."""
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(MODE_IDEAL, 6)
     model = svd_decompose(data, 0.95)
     choice = qpca_pipeline.select_anchor(data, model, np.random.default_rng(seed))
     overlaps = model.overlaps(data, choice.profile.anchor_index, model.selected_dim)

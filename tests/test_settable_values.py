@@ -56,7 +56,6 @@ SETTABLE_VALUES = (
     "qml_apps.py:qsvm_state_demo:shots",
     "qpca_pipeline.py:compress:postselect_shots",
     "qpca_pipeline.py:compress:rng_seed",
-    "qpca_pipeline.py:compress:run_mode",
     "qpca_pipeline.py:compress:subset",
     "qpca_pipeline.py:error_scaling_experiment:threshold",
     "qpca_pipeline.py:exact_anchor_profile:eps_beta",
@@ -73,7 +72,6 @@ SETTABLE_VALUES = (
     "qpca_pipeline.py:select_anchor:eps_beta",
     "statevector.py:__init__:_normalize_check",
     "sv_engine.py:PhaseConfig.bits",
-    "sv_engine.py:PhaseConfig.label_mode",
     "sv_engine.py:apply_cu_lambda:strict",
     "sv_engine.py:measure_register:rng_seed",
     "sv_engine.py:postselect:rng_seed",
@@ -140,4 +138,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 63
+    assert len(SETTABLE_VALUES) == 61

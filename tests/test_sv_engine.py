@@ -16,12 +16,11 @@ from qpcasim.errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
+from qpcasim.modes import MODE_IDEAL, MODE_QUANTIZED
 from qpcasim.pca_oracle import DataMatrix, coefficients, svd_decompose
 from qpcasim.qram_store import prepare_data_state
 from qpcasim.statevector import MAX_SHOTS, StateVector
 from qpcasim.sv_engine import (
-    LABEL_MODE_IDEAL,
-    LABEL_MODE_QUANTIZED,
     PHASE_SCALE,
     PhaseConfig,
     amplification_repetitions,
@@ -122,7 +121,7 @@ def test_statevector_remove_register_guard():
 
 
 def test_labels_dyadic_spectrum():
-    cfg = PhaseConfig(bits=3, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 3)
     np.testing.assert_array_equal(eigen_labels(stated([0.75, 0.25]), cfg), [3, 1])
     # Dyadic eigenvalues decode exactly: doubling a label over 2^bits undoes
     # the half-phase encoding.
@@ -131,33 +130,33 @@ def test_labels_dyadic_spectrum():
 
 
 def test_labels_rank_one_no_wraparound():
-    cfg = PhaseConfig(bits=1, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 1)
     # The half-phase encoding keeps eigenvalue 1 inside a 1-bit register.
     np.testing.assert_array_equal(eigen_labels(stated([1.0]), cfg), [1])
     assert PHASE_SCALE == 0.5
 
 
 def test_labels_ideal_mode_is_positional():
-    cfg = PhaseConfig(bits=2, label_mode=LABEL_MODE_IDEAL)
+    cfg = PhaseConfig(MODE_IDEAL, 2)
     np.testing.assert_array_equal(eigen_labels(stated([0.6, 0.3, 0.1]), cfg), [1, 2, 3])
 
 
 def test_quantized_labels_are_at_most_63_bits_wide():
     # At 63 bits the largest label, 2^62, still fits int64; wider quantized
     # registers are refused, and ideal mode's width only sets a resolution.
-    cfg = PhaseConfig(bits=63, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 63)
     assert eigen_labels(stated([1.0]), cfg).tolist() == [2**62]
     for bits in (64, 100):
         with pytest.raises(OutOfRangeError):
-            PhaseConfig(bits=bits, label_mode=LABEL_MODE_QUANTIZED)
-    assert PhaseConfig(bits=2000, label_mode=LABEL_MODE_IDEAL).bits == 2000
+            PhaseConfig(MODE_QUANTIZED, bits)
+    assert PhaseConfig(MODE_IDEAL, 2000).bits == 2000
 
 
 def test_eigen_marginal_state_holds_only_the_labels_present():
     # Five components carry four labels at 40 bits (the two zero
     # eigenvalues share label 0): the register holds four values, not 2^40.
     model = stated([0.5, 0.3, 0.2, 0.0, 0.0])
-    cfg = PhaseConfig(bits=40, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 40)
     labels, state = eigen_marginal_state(model, cfg)
     assert labels.tolist() == sorted(set(eigen_labels(model, cfg).tolist()))
     assert labels[0] == 0 and labels[-1] == 2**38 and labels.size == 4
@@ -166,7 +165,7 @@ def test_eigen_marginal_state_holds_only_the_labels_present():
 
 
 def test_label_collision_detected():
-    cfg = PhaseConfig(bits=2, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 2)
     with pytest.raises(DegenerateSpectrumError):
         check_label_distinctness(stated([0.5, 0.5]), cfg)
     # One component alone still shares its label with the tail component,
@@ -179,10 +178,10 @@ def test_label_collision_detected():
     close = stated([0.52, 0.48])
     with pytest.raises(DegenerateSpectrumError):
         check_label_distinctness(close, cfg)
-    check_label_distinctness(close, PhaseConfig(bits=6))
+    check_label_distinctness(close, PhaseConfig(MODE_QUANTIZED, 6))
     with pytest.raises(DegenerateSpectrumError):
-        check_label_distinctness(stated([0.5, 0.5]), PhaseConfig(bits=12))
-    assert PhaseConfig(bits=6).eigenvalue_resolution == pytest.approx(2.0 ** -5)
+        check_label_distinctness(stated([0.5, 0.5]), PhaseConfig(MODE_QUANTIZED, 12))
+    assert PhaseConfig(MODE_QUANTIZED, 6).eigenvalue_resolution == pytest.approx(2.0 ** -5)
 
 
 def test_label_zero_and_tail_collisions_detected():
@@ -190,7 +189,7 @@ def test_label_zero_and_tail_collisions_detected():
     # components gives the third label 0, which an unwritten register also
     # holds, and the tail component shares it.
     lam = [0.97, 0.02, 0.008, 0.002]
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 6)
     np.testing.assert_array_equal(eigen_labels(stated(lam), cfg), [31, 1, 0, 0])
     with pytest.raises(DegenerateSpectrumError) as info:
         check_label_distinctness(stated(lam, dim=3), cfg)
@@ -202,7 +201,7 @@ def test_label_zero_and_tail_collisions_detected():
         check_label_distinctness(stated([0.97, 0.02, 0.01]), cfg)
     assert info.value.leaked_tail_mass == 0.0
     # Ideal labels are positional, never 0 and never shared.
-    check_label_distinctness(stated(lam, dim=1), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL))
+    check_label_distinctness(stated(lam, dim=1), PhaseConfig(MODE_IDEAL, 6))
 
 
 def test_tail_leak_lists_every_tail_component_sharing_a_kept_label():
@@ -211,7 +210,7 @@ def test_tail_leak_lists_every_tail_component_sharing_a_kept_label():
     # forty 1/256 components hold label 0, which no kept component has.
     lam = [1 / 2, 1 / 32] + [1 / 64] * 20 + [1 / 256] * 40
     with pytest.raises(DegenerateSpectrumError) as info:
-        check_label_distinctness(stated(lam, dim=2), PhaseConfig(bits=6))
+        check_label_distinctness(stated(lam, dim=2), PhaseConfig(MODE_QUANTIZED, 6))
     assert f"tail components {list(range(2, 22))} share a kept label" in str(info.value)
     assert "label 0, the value" not in str(info.value)
     assert info.value.leaked_tail_mass == 20 / 64
@@ -229,7 +228,7 @@ def test_label_check_agrees_with_the_set_based_reference():
         lam = np.sort(rng.choice([0.0, 1.0, 2.0, 3.0, 5.0, 8.0], size=size) + rng.uniform(0, 0.4, size))[::-1]
         lam = lam / lam.sum()
         dim = int(rng.integers(1, size + 1))
-        cfg = PhaseConfig(bits=int(rng.integers(1, 7)), label_mode=LABEL_MODE_QUANTIZED)
+        cfg = PhaseConfig(MODE_QUANTIZED, int(rng.integers(1, 7)))
         model = stated(lam, dim=dim)
         labels = eigen_labels(model, cfg)
         head = labels[:dim]
@@ -285,7 +284,7 @@ def _labeled_state(data, cfg):
 def test_phase_estimate_matches_schmidt_oracle():
     rng = np.random.default_rng(41)
     data = DataMatrix(rng.standard_normal((4, 4)))
-    cfg = PhaseConfig(bits=6, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 6)
     model, state = _labeled_state(data, cfg)
     labels = eigen_labels(model, cfg)
     # Oracle: sum_j sqrt(lambda_j) |u_j>|v_j>|label_j>, built term by term.
@@ -304,7 +303,7 @@ def test_phase_estimate_matches_schmidt_oracle():
 def test_phase_estimate_eigen_marginal_is_spectrum():
     rng = np.random.default_rng(43)
     data = DataMatrix(rng.standard_normal((8, 4)))
-    cfg = PhaseConfig(bits=8, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 8)
     model, state = _labeled_state(data, cfg)
     labels = eigen_labels(model, cfg)
     marginal = state.probabilities("eigen")
@@ -315,7 +314,7 @@ def test_phase_estimate_eigen_marginal_is_spectrum():
 def test_phase_estimate_roundtrip_is_identity():
     rng = np.random.default_rng(47)
     data = DataMatrix(rng.standard_normal((4, 4)))
-    cfg = PhaseConfig(bits=5, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 5)
     model, labeled = _labeled_state(data, cfg)
     original = prepare_data_state(data).append_register("eigen", cfg.bits)
     undone = inverse_phase_estimate(model, cfg, labeled)
@@ -325,14 +324,14 @@ def test_phase_estimate_roundtrip_is_identity():
 def test_phase_estimate_requires_clean_register():
     rng = np.random.default_rng(53)
     data = DataMatrix(rng.standard_normal((4, 4)))
-    cfg = PhaseConfig(bits=5, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 5)
     model, labeled = _labeled_state(data, cfg)
     with pytest.raises(ContractViolationError):
         phase_estimate(model, cfg, labeled)
 
 
 def test_phase_estimate_register_too_narrow():
-    cfg = PhaseConfig(bits=3, label_mode=LABEL_MODE_QUANTIZED)
+    cfg = PhaseConfig(MODE_QUANTIZED, 3)
     state = StateVector.zero([("feature", 1), ("eigen", 1)])  # label 3 needs 2 bits
     with pytest.raises(InvalidInputError):
         phase_estimate(stated([0.75, 0.25]), cfg, state)
@@ -474,7 +473,7 @@ def test_postselect_keeps_flagged_branch():
     state, anchor_probability = _postselect_fixture(0.25)
     result = postselect(state, anchor_probability)
     assert result.probability == pytest.approx(0.25, abs=1e-12)
-    assert result.amplification_reps == 2
+    assert amplification_repetitions(result.probability) == 2
     assert result.state.layout() == (("index", 1),)
     assert result.state.basis_amplitude({"index": 1}) == pytest.approx(1.0, abs=1e-12)
     assert result.sampled_probability is None
@@ -499,7 +498,7 @@ def test_postselect_zero_mass_branch():
 
 def _anchor_fixture(rows):
     data = DataMatrix(np.array(rows))
-    return svd_decompose(data, 1.0), PhaseConfig(bits=6, label_mode=LABEL_MODE_IDEAL), data
+    return svd_decompose(data, 1.0), PhaseConfig(MODE_IDEAL, 6), data
 
 
 def test_project_anchor_takes_one_overlap_list_per_anchor():
