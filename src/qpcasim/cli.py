@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -186,16 +187,28 @@ def _parse_number(token: str, line: int, column: int) -> float:
 
 
 def read_values(path: str, expected_rows: int) -> np.ndarray:
-    """Read one number per line (labels or regression targets)."""
-    values = []
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        values.append(_parse_number(stripped, lineno, 1))
+    """Read one number per line (labels or regression targets).
+
+    Blank lines and lines starting with '#' are skipped; every other line
+    must hold one finite number that ``float()`` reads. A file of numbers
+    alone is parsed in one ``float()`` pass. Any other file is read again
+    line by line, which skips the blank and comment lines and raises the
+    ``ParseError`` of the first bad line."""
+    lines = _read_lines(path)
+    try:
+        values = np.array([float(line) for line in lines], dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = []
+        for lineno, raw in enumerate(lines, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            values.append(_parse_number(stripped, lineno, 1))
     if len(values) != expected_rows:
         raise ParseError(f"{path}: expected {expected_rows} values, found {len(values)}")
-    return np.array(values, dtype=np.float64)
+    return np.asarray(values, dtype=np.float64)
 
 
 # -- report assembly ---------------------------------------------------------------
@@ -436,11 +449,62 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
 # -- output ----------------------------------------------------------------------
 
 
+def _float_json(value: float) -> str:
+    text = float.__repr__(value)
+    if "n" in text:  # inf, -inf or nan
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+def _json(value, pad: str) -> str:
+    """``value`` written exactly as ``json.dumps(value, sort_keys=True,
+    indent=2, allow_nan=False)`` writes it at indent ``pad``. With an indent
+    Python 3.11's json runs its pure-Python encoder; this writer skips its
+    per-item generators and joins a list of floats in one pass."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            body = sep.join(map(float.__repr__, value))
+            if "n" in body:
+                list(map(_float_json, value))  # raises at the first non-finite item
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in sorted(value.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            key = encode_basestring_ascii(key if isinstance(key, str) else _json(key, ""))
+            items.append(key + ": " + _json(v, inner))
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_report(report: dict) -> str:
-    """The report as sorted, indented JSON. A non-finite number, which JSON
-    cannot hold, is refused (``NUMERICAL_FAILURE``)."""
+    """The report as sorted, indented JSON, byte for byte as ``json.dumps``
+    with ``sort_keys=True, indent=2`` writes it (see ``_json``). A
+    non-finite number, which JSON cannot hold, is refused
+    (``NUMERICAL_FAILURE``)."""
     try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json(report, "") + "\n"
     except ValueError as exc:
         raise NumericalFailureError(f"the report cannot be written as JSON: {exc}") from None
 

@@ -279,6 +279,21 @@ def _check_anchor_index(data: DataMatrix, anchor_index: int | None) -> None:
         raise OutOfRangeError(f"anchor index {anchor_index} out of range for {data.n_rows} rows")
 
 
+def _subset_rows(data: DataMatrix, subset: Sequence[int] | None) -> np.ndarray:
+    """The distinct rows ``subset`` names, ascending, or every row without
+    one. An empty subset, and a row that ``data`` does not have, are
+    refused."""
+    check_subset(subset)
+    if subset is None:
+        return np.arange(data.n_rows)
+    # Distinct and ascending; np.unique would import numpy.ma.
+    rows = np.sort(np.asarray(subset, dtype=int))
+    rows = rows[np.append(True, rows[1:] != rows[:-1])]
+    if rows[0] < 0 or rows[-1] >= data.n_rows:
+        raise OutOfRangeError(f"subset rows must lie in [0, {data.n_rows})")
+    return rows
+
+
 @dataclass(frozen=True)
 class AnchorChoice:
     """The accepted anchor row: its profile, the rows drawn, and
@@ -439,16 +454,8 @@ def compress(
     if profile.beta_hat.size != d:
         raise InvalidInputError("anchor profile and model disagree on the kept dimension")
 
-    check_subset(subset)
-    scope = SCOPE_FULL
-    rows = np.arange(data.n_rows)
-    if subset is not None:
-        scope = SCOPE_SUBSET
-        # Distinct and ascending; np.unique would import numpy.ma.
-        rows = np.sort(np.asarray(subset, dtype=int))
-        rows = rows[np.append(True, rows[1:] != rows[:-1])]
-        if rows[0] < 0 or rows[-1] >= data.n_rows:
-            raise OutOfRangeError(f"subset rows must lie in [0, {data.n_rows})")
+    scope = SCOPE_FULL if subset is None else SCOPE_SUBSET
+    rows = _subset_rows(data, subset)
 
     state = qram_store.prepare_data_state(data)
     if scope == SCOPE_SUBSET:
@@ -543,7 +550,8 @@ def run_compression(
     refused as the CLI refuses it, by its check in ``modes``."""
     check_ledger_accuracy(eps_beta, bits)
     check_seed(seed)
-    check_subset(subset)
+    _subset_rows(data, subset)
+    _check_anchor_index(data, anchor_index)
     cfg = PhaseConfig(run_mode, bits)
     sampled = run_mode == MODE_SAMPLED
     if sampled:
@@ -553,7 +561,6 @@ def run_compression(
         int(s) for s in rng.integers(0, 2**63 - 1, size=4)
     )
     model = pca_oracle.svd_decompose(data, threshold)
-    _check_anchor_index(data, anchor_index)  # before the spectrum is sampled
     if sampled:
         extract_spectrum(model, cfg, default_sampling_budget(model.selected_dim), spectrum_seed)
     else:
