@@ -228,15 +228,22 @@ def write_inputs(directory: str = INPUT_DIR) -> None:
     write_decorated_csv(path("decorated.csv"))
 
 
-def run_case(name: str) -> str:
-    """Run one case through ``cli.main`` and return its normalized stdout."""
+def case_argv(name: str) -> list[str]:
+    """The case's ``qpcasim`` command line, with its inputs under ``INPUT_DIR``."""
     input_name, labels_name, extra = CASES[name]
     argv = ["--input", os.path.join(INPUT_DIR, input_name)]
     if labels_name is not None:
         argv += ["--labels", os.path.join(INPUT_DIR, labels_name)]
+    return argv + extra
+
+
+def run_case(name: str) -> str:
+    """Run one case through ``cli.main`` and return its normalized stdout:
+    an error payload as printed, a report rendered again by
+    ``cli.render_report`` once its paths are cut to base names."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cli.main(argv + extra)
+        cli.main(case_argv(name))
     doc = json.loads(out.getvalue())
     config = doc.get("config")
     if config is None:
@@ -244,7 +251,7 @@ def run_case(name: str) -> str:
     for key in ("input_path", "labels_path"):
         if config[key] is not None:
             config[key] = os.path.basename(config[key])
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return cli.render_report(doc)
 
 
 def golden_path(name: str) -> str:

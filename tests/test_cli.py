@@ -255,6 +255,63 @@ def test_read_values(tmp_path):
     assert info.value.line == 2
 
 
+def _per_line_values(path, expected_rows):
+    """``read_values`` before the one-pass parse: ``float(line.strip())`` on
+    every line that is not blank or a comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            value = float(stripped)
+        except ValueError:
+            raise ParseError(f"line {lineno}, column 1: not a number: {stripped!r}", line=lineno, column=1) from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}, column 1: non-finite value {stripped!r}", line=lineno, column=1)
+        values.append(value)
+    if len(values) != expected_rows:
+        raise ParseError(f"{path}: expected {expected_rows} values, found {len(values)}")
+    return np.array(values, dtype=np.float64)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1\n\n-1\n",
+        "# labels\n1\n-1\n",
+        " +1 \n-1\n",
+        "1_000\n-1\n",
+        "1\nnan\n",
+        "x\n-1\n",
+        "1\n-1\ninf\n",
+        "1\r\n-1\r\n",
+        "\t1\n\xa0-1\n",
+        "1\n-1\n1\n",
+        "1\n",
+    ],
+)
+def test_read_values_matches_the_per_line_parse(tmp_path, body):
+    path = tmp_path / "values.txt"
+    path.write_bytes(body.encode("utf-8"))
+    read = lambda p: cli.read_values(p, 2)  # noqa: E731
+    assert _outcome(read, str(path)) == _outcome(lambda p: _per_line_values(p, 2), str(path))
+
+
+def test_clean_values_skip_the_per_line_loop(tmp_path, monkeypatch):
+    _, labels = gaussian_class_pair(seed=3)
+    path = tmp_path / "clean.labels"
+    write_values_file(path, labels)
+
+    def refuse(*args):
+        raise AssertionError("a clean values file entered the per-line loop")
+
+    monkeypatch.setattr(cli, "_parse_number", refuse)
+    np.testing.assert_array_equal(cli.read_values(str(path), labels.size), labels)
+
+
 def test_config_validation():
     with pytest.raises(OutOfRangeError):
         cli.RunConfig(input_path="x", theta=0.0).validate()
@@ -371,6 +428,8 @@ REFUSAL_TEXTS = (
     "unknown mode ",
     "), too large for the ledger's ",
     "subset, when given, must name at least one row",
+    "subset rows must lie in [0, ",
+    "anchor index ",
 )
 
 
@@ -424,6 +483,27 @@ def test_a_sampled_eps_beta_is_refused_before_the_decomposition(monkeypatch):
         run_compression(data, **{LIBRARY_NAMES.get(k, k): v for k, v in RANGE_GOLDENS["error_swap_test_shots"].items()})
     assert calls == []
     assert info.value.payload() == _golden_error("error_swap_test_shots")
+
+
+def test_row_ranges_are_refused_before_the_decomposition(monkeypatch):
+    # The parent decomposed the input before it refused a fixed anchor past
+    # the last row, and a subset row only inside compress.
+    calls = []
+    decompose = pca_oracle.svd_decompose
+    monkeypatch.setattr(pca_oracle, "svd_decompose", lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    data = cli.ingest_csv(RANK3)
+    with pytest.raises(OutOfRangeError) as anchor:
+        run_compression(data, anchor_index=99)
+    with pytest.raises(OutOfRangeError) as subset:
+        run_compression(data, subset=[0, 10**6])
+    assert calls == []
+    assert anchor.value.payload() == _golden_error("error_anchor_range_compress")
+    assert subset.value.payload() == {"code": "OUT_OF_RANGE", "message": "subset rows must lie in [0, 32)"}
+    run = run_compression(data, seed=0)
+    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
+    with pytest.raises(OutOfRangeError) as inside:
+        compress(run.data, run.model, run.profile, overlaps, run.cfg, subset=[-1, 3])
+    assert inside.value.payload() == subset.value.payload()
 
 
 @pytest.mark.parametrize("case", sorted(RANGE_GOLDENS))
