@@ -296,8 +296,7 @@ def _per_line_values(path, expected_rows):
 def test_read_values_matches_the_per_line_parse(tmp_path, body):
     path = tmp_path / "values.txt"
     path.write_bytes(body.encode("utf-8"))
-    read = lambda p: cli.read_values(p, 2)  # noqa: E731
-    assert _outcome(read, str(path)) == _outcome(lambda p: _per_line_values(p, 2), str(path))
+    assert _outcome(lambda p: cli.read_values(p, 2), str(path)) == _outcome(lambda p: _per_line_values(p, 2), str(path))
 
 
 def test_clean_values_skip_the_per_line_loop(tmp_path, monkeypatch):
