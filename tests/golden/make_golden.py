@@ -258,12 +258,25 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, name + ".json")
 
 
+class _Missing:
+    """The side of a changed field on which its key is absent."""
+
+    def __repr__(self) -> str:
+        return "<missing>"
+
+
+MISSING = _Missing()
+
+
 def changed_fields(got, want, path: str = "$") -> list[tuple[str, object, object]]:
     """(JSON path, old value, new value) for every place where ``got``
-    differs from ``want``: a leaf value, or a whole object or list whose
-    keys or length differ."""
-    if isinstance(want, dict) and isinstance(got, dict) and set(got) == set(want):
-        return [c for key in want for c in changed_fields(got[key], want[key], f"{path}.{key}")]
+    differs from ``want``: a leaf value, a whole list whose length differs,
+    or a key that one side lacks, with ``MISSING`` for the lacking side."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        keys = list(want) + [key for key in got if key not in want]
+        return [
+            c for key in keys for c in changed_fields(got.get(key, MISSING), want.get(key, MISSING), f"{path}.{key}")
+        ]
     if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         return [c for k, (g, w) in enumerate(zip(got, want)) for c in changed_fields(g, w, f"{path}[{k}]")]
     if type(got) is type(want) and got == want:
@@ -356,7 +369,7 @@ def check(names: list[str]) -> int:
 
 def _short(value, limit: int = 60) -> str:
     """``value`` as JSON, cut to ``limit`` characters."""
-    text = json.dumps(value, sort_keys=True)
+    text = repr(value) if value is MISSING else json.dumps(value, sort_keys=True)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

@@ -63,6 +63,7 @@ def test_comparison_is_strict():
     assert _mismatches({"a": 1.0}, {"a": 1.0 + 1e-9}) != []
     assert _mismatches({"a": 1}, {"a": 1.0}) != []
     assert _mismatches({"a": 1, "b": 2}, {"a": 1}) != []
+    assert _mismatches({"a": 1}, {"a": 1, "b": 2}) != []
     assert _mismatches([1, 2], [1, 2, 3]) != []
 
 
@@ -72,6 +73,15 @@ def test_check_names_the_changed_fields():
     assert make_golden.changed_fields(got, want) == [("$.a.b", 1.0, 1.5), ("$.e", [1], [1, 2])]
     assert make_golden.changed_fields(want, want) == []
     assert make_golden.changed_fields({"a": 1}, {"a": 1.0}) == [("$.a", 1.0, 1)]
+    # A key one side lacks is named by its own path; the shared keys are
+    # still compared one by one.
+    before = {"c": {"k": 1, "out": None, "z": 2.0}}
+    after = {"c": {"k": 1, "z": 2.5, "new": [1]}}
+    missing = make_golden.MISSING
+    assert make_golden.changed_fields(after, before) == [
+        ("$.c.out", None, missing), ("$.c.z", 2.0, 2.5), ("$.c.new", missing, [1])
+    ]
+    assert make_golden.max_float_change(after, before) is None
     assert make_golden.max_float_change(got, want) is None
     assert make_golden.max_float_change({"a": [2.0, 1.5]}, {"a": [2.0, 1.0]}) == 0.5
     assert make_golden.max_float_change({"a": 1e-17}, {"a": 0.0}) == math.inf
