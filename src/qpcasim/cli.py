@@ -60,7 +60,6 @@ class RunConfig:
     anchor_index: int | None = None
     gamma: float = 1.0
     output_path: str | None = None
-    plot_dir: str | None = None
 
     def validate(self) -> None:
         check_theta(self.theta)
@@ -531,77 +530,6 @@ def write_report(report: dict, output_path: str | None) -> None:
         raise InvalidInputError(f"cannot write report to {output_path}: {exc}") from None
 
 
-def _write_table(path: str, header: str, rows: list[tuple]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(" ".join("%.17g" % float(v) for v in row) + "\n")
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write plot data to {path}: {exc}") from None
-
-
-def emit_plot_data(report: dict, output_dir: str) -> list[tuple[str, str, list[tuple]]]:
-    """The whitespace-separated tables for whatever the report contains, as
-    (path, header, rows), with the paths in ``output_dir``, which this makes.
-
-    Up to three files: scree.dat (component, variance proportion),
-    infidelity_vs_eps_beta.dat, and success_probability.dat. Values are
-    printed with %.17g so they re-parse to the report's floats exactly.
-    """
-    try:
-        os.makedirs(output_dir, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot create plot directory {output_dir}: {exc}") from None
-
-    tables = []
-    spectrum = report.get("spectrum")
-    if spectrum:
-        path = os.path.join(output_dir, "scree.dat")
-        rows = [(j + 1, lam) for j, lam in enumerate(spectrum["variance_proportions"])]
-        tables.append((path, "# component variance_proportion", rows))
-
-    scaling = report.get("scaling")
-    if scaling:
-        path = os.path.join(output_dir, "infidelity_vs_eps_beta.dat")
-        rows = [
-            (r["eps_beta"], r["mean_infidelity"], r["mean_deviation"])
-            for r in scaling["rows"]
-        ]
-        tables.append((path, "# eps_beta mean_infidelity mean_deviation", rows))
-
-    sweep = report.get("success_probability_sweep")
-    if sweep:
-        path = os.path.join(output_dir, "success_probability.dat")
-        rows = [(r["dim"], r["success_probability"]) for r in sweep]
-        tables.append((path, "# dim success_probability", rows))
-    return tables
-
-
-def _publish(report: dict, config: RunConfig) -> None:
-    """Write the plot tables and the report, leaving no table behind on
-    failure. The tables go first, each to its name plus ``.tmp``, so a
-    failure to write them prints only the error and writes no report; they
-    are renamed into place once the report is written, and every temp file
-    still there when this returns or raises is removed."""
-    tables = [] if config.plot_dir is None else emit_plot_data(report, config.plot_dir)
-    staged: list[str] = []
-    try:
-        for path, header, rows in tables:
-            staged.append(path + ".tmp")
-            _write_table(staged[-1], header, rows)
-        write_report(report, config.output_path)
-        for (path, _, _), tmp in zip(tables, staged):
-            try:
-                os.replace(tmp, path)
-            except OSError as exc:
-                raise InvalidInputError(f"cannot write plot data to {path}: {exc}") from None
-    finally:
-        for tmp in staged:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
 # -- entry point -------------------------------------------------------------------
 
 
@@ -671,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "anchors; read by compress and ledger; qsvm, qlr and scaling reject it)")
     parser.add_argument("--gamma", type=float, default=RunConfig.gamma, help="LS-SVM regularization weight")
     parser.add_argument("--out", dest="output_path", help="report file (default: stdout)")
-    parser.add_argument("--plot-dir", dest="plot_dir", help="directory for tabular plot data")
     return parser
 
 
@@ -684,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         report = run(config)
         elapsed = time.perf_counter() - started
-        _publish(report, config)
+        write_report(report, config.output_path)
         print(f"task {config.task} finished in {elapsed:.3f}s", file=sys.stderr)
         return 0
     except QpcaError as exc:

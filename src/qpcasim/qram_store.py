@@ -49,29 +49,20 @@ class QramTree:
     n_cols: int
     padded_rows: int
     padded_cols: int
+    row_qubits: int
+    feature_qubits: int
     row_levels: list[np.ndarray]     # level l: (n_rows, 2**l), squared entries
     row_signs: np.ndarray            # (n_rows, padded_cols), +-1
     norm_levels: list[np.ndarray]    # level l: (2**l,), squared row norms
-
-    @property
-    def row_qubits(self) -> int:
-        return int(math.log2(self.padded_rows)) if self.padded_rows > 1 else 0
-
-    @property
-    def feature_qubits(self) -> int:
-        return int(math.log2(self.padded_cols)) if self.padded_cols > 1 else 0
-
-    @property
-    def frobenius_sq(self) -> float:
-        return float(self.norm_levels[0][0])
+    frobenius_sq: float              # the norm tree's root
 
 
 def build_tree(data: DataMatrix) -> QramTree:
     """Build the per-row and norm trees, padded to the next powers of two."""
     x = data.values
     n, d = x.shape
-    padded_rows = 1 << ceil_log2(n)
-    padded_cols = 1 << ceil_log2(d)
+    row_qubits, feature_qubits = ceil_log2(n), ceil_log2(d)
+    padded_rows, padded_cols = 1 << row_qubits, 1 << feature_qubits
 
     leaves = np.zeros((n, padded_cols))
     leaves[:, :d] = x ** 2
@@ -90,9 +81,12 @@ def build_tree(data: DataMatrix) -> QramTree:
         n_cols=d,
         padded_rows=padded_rows,
         padded_cols=padded_cols,
+        row_qubits=row_qubits,
+        feature_qubits=feature_qubits,
         row_levels=row_levels,
         row_signs=signs,
         norm_levels=norm_levels,
+        frobenius_sq=float(norm_levels[0][0]),
     )
 
 

@@ -669,64 +669,6 @@ def test_qsvm_reports_byte_identical(blobs_files, tmp_path):
     assert _main_bytes(argv, out) == _main_bytes(argv, out)
 
 
-# -- plot data ---------------------------------------------------------------------
-
-
-def test_plot_data_round_trip(rank2_csv, tmp_path):
-    out = str(tmp_path / "report.json")
-    plot_dir = str(tmp_path / "plots")
-    code = cli.main(["--input", rank2_csv, "--seed", "4", "--out", out, "--plot-dir", plot_dir])
-    assert code == 0
-    with open(out, encoding="utf-8") as fh:
-        report = json.load(fh)
-
-    scree = np.loadtxt(os.path.join(plot_dir, "scree.dat"))
-    assert scree.shape == (8, 2)
-    np.testing.assert_array_equal(
-        scree[:, 1], np.array(report["spectrum"]["variance_proportions"])
-    )
-
-    sweep = np.loadtxt(os.path.join(plot_dir, "success_probability.dat"))
-    sweep = np.atleast_2d(sweep)
-    want = [r["success_probability"] for r in report["success_probability_sweep"]]
-    np.testing.assert_array_equal(sweep[:, 1], np.array(want))
-
-
-def test_plot_data_scaling_table(rank2_csv, tmp_path):
-    out = str(tmp_path / "report.json")
-    plot_dir = str(tmp_path / "plots")
-    code = cli.main(
-        ["--input", rank2_csv, "--task", "scaling", "--seed", "3", "--out", out,
-         "--plot-dir", plot_dir]
-    )
-    assert code == 0
-    with open(out, encoding="utf-8") as fh:
-        report = json.load(fh)
-    table = np.loadtxt(os.path.join(plot_dir, "infidelity_vs_eps_beta.dat"))
-    assert table.shape == (4, 3)
-    # %.17g output re-parses to the report's floats exactly.
-    for row, rep in zip(table, report["scaling"]["rows"]):
-        assert row[0] == rep["eps_beta"]
-        assert row[1] == rep["mean_infidelity"]
-        assert row[2] == rep["mean_deviation"]
-    assert table[0, 1] <= 1e-9
-
-
-@pytest.mark.parametrize("out", [None, "report.json"])
-def test_a_failing_plot_dir_prints_only_the_error(capsys, rank2_csv, tmp_path, out):
-    # The plot tables are written before the report, so a plot directory that
-    # cannot be made leaves exactly one JSON document on stdout (the error,
-    # which _error_payload parses whole) and no report file.
-    argv = ["--input", rank2_csv, "--plot-dir", _write(tmp_path, "taken", "a file\n")]
-    if out is not None:
-        argv += ["--out", str(tmp_path / out)]
-    payload = _error_payload(capsys, argv)
-    assert payload["code"] == "INVALID_INPUT"
-    assert payload["message"].startswith("cannot create plot directory")
-    if out is not None:
-        assert not os.path.exists(tmp_path / out) and not os.path.exists(tmp_path / (out + ".tmp"))
-
-
 def test_out_at_a_directory_leaves_no_temp_file(capsys, rank2_csv, tmp_path):
     # The temp file is written, then cannot replace a directory; it is removed.
     target = tmp_path / "outdir"
@@ -736,23 +678,6 @@ def test_out_at_a_directory_leaves_no_temp_file(capsys, rank2_csv, tmp_path):
     assert payload["message"].startswith(f"cannot write report to {target}")
     assert not os.path.exists(str(target) + ".tmp")
     assert target.is_dir() and not any(target.iterdir())
-
-
-def test_a_failing_report_leaves_no_plot_tables(capsys, rank2_csv, tmp_path):
-    # The tables are staged as temp files and renamed into place only once
-    # the report is written; a report that cannot be written removes them.
-    target = tmp_path / "outdir"
-    target.mkdir()
-    plot_dir = tmp_path / "plots"
-    argv = ["--input", rank2_csv, "--plot-dir", str(plot_dir), "--out", str(target)]
-    payload = _error_payload(capsys, argv)
-    assert payload["code"] == "INVALID_INPUT"
-    assert payload["message"].startswith(f"cannot write report to {target}")
-    assert list(plot_dir.iterdir()) == []
-    # A run that succeeds renames every table and leaves no temp file.
-    out = str(tmp_path / "report.json")
-    assert cli.main(["--input", rank2_csv, "--plot-dir", str(plot_dir), "--out", out]) == 0
-    assert sorted(os.listdir(plot_dir)) == ["scree.dat", "success_probability.dat"]
 
 
 # -- error reporting ----------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""What ``import qpcasim`` and each CLI task load, and the lazy package names.
+"""What ``import qpcasim`` and each CLI task load.
 
-``qpcasim`` resolves its public names on first use, and the CLI imports a
-task's layers when the task runs. The load checks run in a fresh
+``import qpcasim`` loads no submodule and binds no public name, and the CLI
+imports a task's layers when the task runs. The load checks run in a fresh
 interpreter, since this test process has already imported every module.
 """
 
-import importlib
 import json
 import os
 import subprocess
@@ -104,24 +103,6 @@ def test_no_task_loads_numpy_ma(labelled_files, task, flags):
     else:
         config = {"input_path": RANK3, "task": task, "seed": 3, **flags}
     assert _run_script(config)[1] is False
-
-
-def test_every_public_name_is_its_home_module_object():
-    assert qpcasim.__all__ == list(qpcasim._HOMES)
-    for name, home in qpcasim._HOMES.items():
-        module = importlib.import_module(f"qpcasim.{home}")
-        assert getattr(qpcasim, name) is getattr(module, name), name
-
-
-def test_dir_lists_every_public_name():
-    assert set(qpcasim.__all__) <= set(dir(qpcasim))
-
-
-def test_star_import_binds_every_public_name():
-    namespace: dict = {}
-    exec("from qpcasim import *", namespace)
-    for name in qpcasim.__all__:
-        assert namespace[name] is getattr(qpcasim, name), name
 
 
 def test_unknown_name_is_an_attribute_error():

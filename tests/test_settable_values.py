@@ -23,7 +23,6 @@ SETTABLE_VALUES = (
     "cli.py:RunConfig.labels_path",
     "cli.py:RunConfig.mode",
     "cli.py:RunConfig.output_path",
-    "cli.py:RunConfig.plot_dir",
     "cli.py:RunConfig.seed",
     "cli.py:RunConfig.shots",
     "cli.py:RunConfig.subset",
@@ -138,4 +137,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 61
+    assert len(SETTABLE_VALUES) == 60
