@@ -16,6 +16,7 @@ import.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import json
 import math
@@ -99,21 +100,29 @@ class RunConfig:
 
 
 def _read_lines(path: str) -> list[str]:
-    """The lines of the UTF-8 text file at ``path``. A file that cannot be
-    read is refused as ``INVALID_INPUT``, and a byte that is not UTF-8 as a
-    ``ParseError`` naming the 1-based line that holds it."""
+    """The lines of the UTF-8 text file at ``path``, with a byte-order mark
+    at its start dropped. Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line,
+    not the other Unicode line boundaries (form feed, U+2028 and the like).
+    A file that cannot be read is refused as ``INVALID_INPUT``, and a byte
+    that is not UTF-8 as a ``ParseError`` naming the 1-based line that
+    holds it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
-        return raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; it ends their last line, or
-        # starts a new one after a line break.
-        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        # The bad byte ends the last line of the bytes before it, or starts
+        # a new one after a line break (bytes break only at the three ends).
+        line = len((raw[: exc.start] + b"x").splitlines())
         raise ParseError(f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=line) from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line starts no line
+    return lines
 
 
 def ingest_csv(path: str) -> DataMatrix:

@@ -133,11 +133,17 @@ def test_ingest_takes_the_norms_once(tmp_path, monkeypatch):
     assert len(taken) == 3
 
 
+def _text_lines(path):
+    """The file's lines as the CLI reads them: universal newlines end a line
+    only at \\n, \\r\\n and \\r, and utf-8-sig drops a leading BOM."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return fh.read().split("\n")
+
+
 def _per_field_ingest(path):
     """The ingest before the one-pass parse: ``float(token.strip())`` on every
     field of every kept line, then the zero-row check."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _text_lines(path)
     rows, row_lines, width = [], [], None
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -231,8 +237,10 @@ def test_ingest_missing_file(tmp_path):
         (b"\xff", 1, 0xFF),
         # A bad byte right after a line break starts the next line.
         (b"1,2\n\x801,2\n", 2, 0x80),
+        # A lone CR ends a line, a form feed does not; a leading BOM is no line.
+        (b"\xef\xbb\xbf1,2\r3,4\x0c\xff\n", 2, 0xFF),
     ],
-    ids=["second-line", "crlf-truncated", "first-byte", "line-start"],
+    ids=["second-line", "crlf-truncated", "first-byte", "line-start", "cr-form-feed-bom"],
 )
 def test_non_utf8_input_is_a_parse_error_naming_its_line(tmp_path, body, line, byte):
     path = tmp_path / "bytes.csv"
@@ -242,6 +250,60 @@ def test_non_utf8_input_is_a_parse_error_naming_its_line(tmp_path, body, line, b
         with pytest.raises(ParseError) as info:
             read(str(path))
         assert (str(info.value), info.value.line, info.value.column) == (message, line, None)
+
+
+@pytest.mark.parametrize(
+    "body, outcome",
+    [
+        # A comment that holds U+2028 is one line, and so is a row that holds a form feed.
+        ("# note\u2028more text\n1,2\n3,4\n", ("ok", np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes())),
+        ("# note\u2028more text\n1,2\n3,x\n", ("error", "line 3, column 2: not a number: 'x'", 3, 2)),
+        ("1,2\n3,4\f5,6\n7,8\n", ("error", "line 2: expected 2 fields, found 3", 2, None)),
+    ],
+    ids=["u2028-comment", "u2028-comment-then-bad-token", "form-feed-row"],
+)
+def test_only_newline_characters_end_a_csv_line(tmp_path, body, outcome):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(body.encode("utf-8"))
+    assert _outcome(lambda p: cli.ingest_csv(p).values, str(path)) == outcome
+
+
+def test_only_newline_characters_end_a_values_line(tmp_path):
+    # U+0085 (NEL) ends no line: "-1\x851" is one token, and not a number.
+    path = _write(tmp_path, "nel.labels", "1\n-1\x851\n")
+    with pytest.raises(ParseError) as info:
+        cli.read_values(path, 2)
+    assert (str(info.value), info.value.line) == ("line 2, column 1: not a number: '-1\\x851'", 2)
+
+
+def test_a_byte_order_mark_is_dropped_at_the_start_only(tmp_path):
+    bom = "\ufeff"
+    path = _write(tmp_path, "bom.csv", bom + "1,2\r\n3,4\r\n")
+    np.testing.assert_array_equal(cli.ingest_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(cli.read_values(_write(tmp_path, "bom.labels", bom + "1\n-1\n"), 2), [1.0, -1.0])
+    refused = [
+        (cli.ingest_csv, "1,2\n" + bom + "3,4\n", "line 2, column 1: not a number: '\\ufeff3'"),
+        (cli.ingest_csv, bom + bom + "1,2\n", "line 1, column 1: not a number: '\\ufeff1'"),
+        (lambda p: cli.read_values(p, 2), "1\n" + bom + "-1\n", "line 2, column 1: not a number: '\\ufeff-1'"),
+    ]
+    for read, body, message in refused:
+        with pytest.raises(ParseError) as info:
+            read(_write(tmp_path, "late_bom.txt", body))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_values_of_every_line_end_take_the_one_pass_parse(tmp_path, monkeypatch, end, bom):
+    # The end of the last line starts no empty line that would fail float().
+    values = [1.0, -1.0, 0.25]
+    path = _write(tmp_path, "vals.txt", bom + end.join(map(repr, values)) + end)
+
+    def refuse(*args):
+        raise AssertionError("a clean values file entered the per-line loop")
+
+    monkeypatch.setattr(cli, "_parse_number", refuse)
+    np.testing.assert_array_equal(cli.read_values(path, 3), values)
 
 
 def test_read_values(tmp_path):
@@ -258,8 +320,7 @@ def test_read_values(tmp_path):
 def _per_line_values(path, expected_rows):
     """``read_values`` before the one-pass parse: ``float(line.strip())`` on
     every line that is not blank or a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _text_lines(path)
     values = []
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
