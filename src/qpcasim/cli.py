@@ -116,10 +116,13 @@ def _read_lines(path: str) -> list[str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bad byte ends the last line of the bytes before it, or starts
-        # a new one after a line break (bytes break only at the three ends).
+        # a new one after a line break; bytes.splitlines breaks at the same
+        # three line ends as the split below.
         line = len((raw[: exc.start] + b"x").splitlines())
         raise ParseError(f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=line) from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:  # a scan for "\r\n" costs more than the split itself
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the end of the last line starts no line
     return lines

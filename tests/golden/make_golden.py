@@ -26,7 +26,8 @@ regenerates the reports into a temporary directory from the committed
 inputs and prints, for each case, whether the bytes match the golden file
 and, when they do not, the largest relative and the largest absolute
 change of any float and the first few changed JSON paths with their old
-and new values; it exits 1 when any case differs. ``test_golden.py``
+and new values (``<missing>`` on the side that lacks a key); it exits 1
+when any case differs. ``test_golden.py``
 compares live runs against these files.
 """
 
