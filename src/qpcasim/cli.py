@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import contextlib
-import json
 import math
 import os
 import sys
@@ -327,12 +326,11 @@ def _task_compress(config: RunConfig, data: DataMatrix) -> dict:
 def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     from . import qml_apps
 
-    dataset = qml_apps.LabeledDataset(data, labels, gamma=config.gamma)
     model = svd_decompose(data, config.theta)
     compressed = project(data, model)
 
-    full = qml_apps.lssvm_train(dataset, data.values)
-    comp = qml_apps.lssvm_train(dataset, compressed.values)
+    full = qml_apps.lssvm_train(data.values, labels, config.gamma)
+    comp = qml_apps.lssvm_train(compressed.values, labels, config.gamma)
 
     # Only a sampled demo reads the per-query seeds, so only it draws them.
     shots = demo_seeds = None
@@ -343,7 +341,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     # The demo's queries are the training points: its classical values are the full decision values.
     full_dec = demo.classical_value
     comp_dec = qml_apps.lssvm_decision_values(comp, compressed.values)
-    full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == dataset.labels)) for v in (full_dec, comp_dec))
+    full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == labels)) for v in (full_dec, comp_dec))
 
     return {
         "spectrum": _spectrum(model, 0),
@@ -627,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"task {config.task} finished in {elapsed:.3f}s", file=sys.stderr)
         return 0
     except QpcaError as exc:
-        sys.stdout.write(json.dumps({"error": exc.payload()}, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render_report({"error": exc.payload()}))
         return 1
 
 

@@ -362,14 +362,14 @@ def project(data: DataMatrix, model: SpectralModel) -> CompressedMatrix:
     return CompressedMatrix(values=y, source_shape=(data.n_rows, data.n_cols), selected_dim=d)
 
 
-def expected_compressed_state(compressed: CompressedMatrix, row_mask: np.ndarray | None = None) -> StateVector:
+def expected_compressed_state(compressed: CompressedMatrix) -> StateVector:
     """Ideal output state: row i, component register holding label j+1 with
     amplitude y_ij, normalized by the Frobenius norm. Label 0 stays empty.
 
-    ``row_mask`` restricts to a subset of rows (subset-mode reference)."""
+    A subset's reference is this state restricted as the data state is,
+    with ``StateVector.restrict_register`` on "row": restricting rows has
+    that one home."""
     y = compressed.values
-    if row_mask is not None:
-        y = np.where(np.asarray(row_mask, dtype=bool)[:, None], y, 0.0)
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise InvalidInputError("compressed matrix has zero Frobenius norm; nothing to encode")

@@ -33,29 +33,10 @@ from .errors import (
     SingularSystemError,
 )
 from .modes import check_gamma
-from .pca_oracle import DataMatrix
 from .statevector import StateVector, ceil_log2, check_shots, interference_probability, sample_outcome
 
 PINV_CUTOFF = 1e-10
 RESIDUAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    points: DataMatrix
-    labels: np.ndarray
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
-        if labels.size != self.points.n_rows:
-            raise InvalidInputError(
-                f"{labels.size} labels for {self.points.n_rows} points"
-            )
-        if not np.all(np.isfinite(labels)):
-            raise InvalidInputError("labels contain NaN or infinite entries")
-        check_gamma(self.gamma)
-        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -67,11 +48,13 @@ class LssvmModel:
     residual: float             # relative residual of the saddle system, |A x - b| / |b|
 
 
-def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
+def lssvm_train(points: np.ndarray, labels: np.ndarray, gamma: float) -> LssvmModel:
     """Solve the least-squares SVM saddle system on the given coordinates.
 
     ``points`` (P, N x D) selects the space: pass the original rows or their
-    compressed projections. Labels must be +-1. The linear-kernel system
+    compressed projections. This is the one check of the learner's inputs:
+    ``gamma`` first, as the CLI refuses it (``modes.check_gamma``), then one
+    label per row, each exactly +1 or -1 (so finite). The linear-kernel system
 
         [[0, 1^T], [1, P P^T + gamma * I]] (bias; coeffs) = (0; labels)
 
@@ -101,14 +84,14 @@ def lssvm_train(dataset: LabeledDataset, points: np.ndarray) -> LssvmModel:
     SingularSystemError; the message prints the backward error as the
     residual, and names the overflow when there is one.
     """
-    labels = dataset.labels
+    check_gamma(gamma)
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise InvalidInputError("classification labels must be exactly +1 or -1")
     points = np.asarray(points, dtype=np.float64)
     n = labels.size
     if points.shape[0] != n:
         raise InvalidInputError("points and labels disagree on the number of rows")
-    gamma = dataset.gamma
 
     # Huge points overflow in here; the checks below refuse what comes out,
     # so the overflow is not also raised as a warning.
@@ -217,19 +200,14 @@ class OverlapDemoResult:
 
 def _sampled_signed_overlap(
     value: float, shots: int, rng_seed: int | None
-) -> tuple[float, float]:
+) -> tuple[float, float, bool]:
     """Sample the interference readout whose ancilla-0 probability is
-    (1 + value) / 2; returns (estimate, standard error)."""
+    (1 + value) / 2; returns (estimate, standard error, inconclusive), the
+    last true when the estimate is within three standard errors of zero."""
     p0_hat = sample_outcome(interference_probability(value), shots, rng_seed) / shots
     estimate = 2.0 * p0_hat - 1.0
     stderr = 2.0 * math.sqrt(max(p0_hat * (1.0 - p0_hat), 1.0 / shots) / shots)
-    return estimate, stderr
-
-
-def _pad(vec: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    out[: vec.size] = vec
-    return out
+    return estimate, stderr, abs(estimate) < 3.0 * stderr
 
 
 def qsvm_state_demo(
@@ -288,8 +266,8 @@ def qsvm_state_demo(
     if shots is not None:
         seeds = [None] * len(queries) if rng_seeds is None else rng_seeds
         draws = [_sampled_signed_overlap(value, shots, seed) for value, seed in zip(values.tolist(), seeds)]
-        estimate, stderr = np.array(draws).reshape(-1, 2).T
-        readout, inconclusive = estimate, np.abs(estimate) < 3.0 * stderr
+        estimate, stderr, inconclusive = np.array(draws).reshape(-1, 3).T
+        readout, inconclusive = estimate, inconclusive.astype(bool)
     positive, classical_positive = readout >= 0.0, classical_values >= 0.0
     return OverlapDemoResult(
         value=values,
@@ -419,9 +397,8 @@ def qlr_state_demo(
     inverse_state = np.zeros((feat_dim, row_dim))
     inverse_state[:n_features, :n] = fit.pinv / inv_norm
 
-    product_state = np.outer(
-        _pad(query / query_norm, feat_dim), _pad(targets / target_norm, row_dim)
-    )
+    product_state = np.zeros((feat_dim, row_dim))
+    product_state[:n_features, :n] = np.outer(query / query_norm, targets / target_norm)
 
     layout = [("feature", feat_qubits), ("row", row_qubits)]
     a = StateVector.from_amplitudes(layout, inverse_state)
@@ -429,15 +406,18 @@ def qlr_state_demo(
     overlap = float(a.inner(b).real)
 
     rescale = inv_norm * target_norm * query_norm
-    # (estimate, standard error) of the overlap, when sampled.
-    sampled = None if shots is None else _sampled_signed_overlap(overlap, shots, rng_seed)
+    estimate = stderr = None
+    inconclusive = False
+    if shots is not None:
+        estimate, stderr, inconclusive = _sampled_signed_overlap(overlap, shots, rng_seed)
+        estimate, stderr = estimate * rescale, stderr * rescale
     return QlrDemoResult(
         prediction=overlap * rescale,
         classical_value=float(fit.value[row]),
         overlap=overlap,
         rescale_factor=rescale,
-        estimate=None if sampled is None else sampled[0] * rescale,
-        standard_error=None if sampled is None else sampled[1] * rescale,
-        inconclusive=sampled is not None and abs(sampled[0]) < 3.0 * sampled[1],
+        estimate=estimate,
+        standard_error=stderr,
+        inconclusive=inconclusive,
         shots=shots,
     )

@@ -441,7 +441,9 @@ def compress(
     compressed ('full'); a ``subset`` of rows compresses its renormalized
     restriction ('subset'). Either way the output state carries component
     tokens 1..dim with label 0 unused, and the report compares it against
-    the classical projection. The data state is loaded from ``data``.
+    the classical projection; in subset scope both are restricted to the
+    subset's rows by the same ``restrict_register`` call. The data state is loaded
+    from ``data``.
     ``overlaps`` are the profile's anchor row's (d,) kept overlaps with
     ``model``'s directions (``AnchorChoice.overlaps``), the anchor as the
     projection undoes it. The circuit reads no sign of ``model``'s
@@ -459,7 +461,7 @@ def compress(
 
     state = qram_store.prepare_data_state(data)
     if scope == SCOPE_SUBSET:
-        state, _ = state.restrict_register("row", [int(r) for r in rows])
+        state, _ = state.restrict_register("row", rows)
 
     [projected], p_anchor = sv_engine.project_anchor(model, cfg, state, overlaps[None])
     # The rotated state is twice the projected one; no name keeps it alive
@@ -474,9 +476,9 @@ def compress(
     # Oracle comparison.
     compressed = pca_oracle.project(data, model)
     np.multiply(compressed.values, pca_oracle._overlap_signs(overlaps), out=compressed.values)
-    mask = np.zeros(data.n_rows, dtype=bool)
-    mask[rows] = True
-    reference = pca_oracle.expected_compressed_state(compressed, row_mask=None if scope == SCOPE_FULL else mask)
+    reference = pca_oracle.expected_compressed_state(compressed)
+    if scope == SCOPE_SUBSET:
+        reference, _ = reference.restrict_register("row", rows)
     overlap = OverlapSummary.from_report(pca_oracle.pairwise_overlap_report(data, compressed))
 
     fidelity = post.state.fidelity(reference)

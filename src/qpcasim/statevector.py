@@ -26,6 +26,7 @@ caller must not mutate it afterwards.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -107,10 +108,15 @@ class Register:
 class StateVector:
     """Pure state on an ordered tuple of named registers.
 
+    Every state is norm-checked exactly once, when it is built: the
+    constructor refuses amplitudes whose norm is off 1 by more than
+    ``NORM_TOL`` (``check_unit_norm``), and no state is built without that
+    check, so no stage checks again a state it is handed.
+
     The amplitudes are the caller's array when it is already float64 or
     complex128, not a copy: do not mutate it after building the state."""
 
-    def __init__(self, registers: Sequence[Register], amplitudes: np.ndarray, *, _normalize_check: bool = True):
+    def __init__(self, registers: Sequence[Register], amplitudes: np.ndarray):
         self.registers = tuple(registers)
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
@@ -122,8 +128,7 @@ class StateVector:
                 f"amplitude tensor shape {amplitudes.shape} does not match register dims {expected}"
             )
         self.amplitudes = amplitudes
-        if _normalize_check:
-            self._assert_normalized()
+        self._assert_normalized()
 
     # -- construction -----------------------------------------------------
 
@@ -293,7 +298,9 @@ class StateVector:
 
     def project_and_remove(self, assignments: Mapping[str, int]) -> tuple["StateVector", float]:
         """Project the named registers onto fixed basis values, renormalize,
-        and drop those registers. Returns (state, probability)."""
+        and drop those registers. Returns (state, probability). A projection
+        of zero mass is refused, as ``restrict_register`` refuses one: there
+        is no state to renormalize, and every state is built checked."""
         indexer: list = [slice(None)] * self.amplitudes.ndim
         for name, value in assignments.items():
             ax = self.axis(name)
@@ -304,24 +311,27 @@ class StateVector:
         prob = float(np.sum(np.abs(block) ** 2))
         regs = tuple(r for r in self.registers if r.name not in assignments)
         if prob <= 0.0:
-            return StateVector(regs, np.zeros_like(block), _normalize_check=False), 0.0
+            raise InvalidInputError(f"projection onto {dict(assignments)} has zero mass")
         return StateVector(regs, block / np.sqrt(prob)), prob
 
     def restrict_register(self, name: str, allowed: Iterable[int]) -> tuple["StateVector", float]:
         """Project one register onto a subset of basis values and renormalize,
-        keeping the register in place. Returns (state, probability)."""
+        keeping the register in place. Returns (state, probability). A
+        projection of zero mass is refused."""
         ax = self.axis(name)
         dim = self.registers[ax].dim
+        values = np.fromiter(map(operator.index, allowed), dtype=np.intp)  # a float is no basis value
+        outside = (values < 0) | (values >= dim)
+        if outside.any():
+            raise InvalidInputError(f"basis value {values[outside.argmax()]} out of range for register {name!r}")
         keep = np.zeros(dim, dtype=bool)
-        for value in allowed:
-            if not 0 <= value < dim:
-                raise InvalidInputError(f"basis value {value} out of range for register {name!r}")
-            keep[value] = True
+        keep[values] = True
         moved = np.moveaxis(self.amplitudes.copy(), ax, 0)
         moved[~keep] = 0.0
         prob = float(np.sum(np.abs(moved) ** 2))
         if prob <= 0.0:
-            raise InvalidInputError(f"projection of register {name!r} onto {sorted(set(allowed))} has zero mass")
+            kept = np.flatnonzero(keep).tolist()
+            raise InvalidInputError(f"projection of register {name!r} onto {kept} has zero mass")
         out = np.moveaxis(moved, 0, ax) / np.sqrt(prob)
         return StateVector(self.registers, out), prob
 

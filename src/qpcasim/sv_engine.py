@@ -384,9 +384,14 @@ def postselect(
     squared norm of the kept branch of the whole circuit, capped at 1 (on
     rank-1 data it rounds just above). When ``shots`` is
     given, a seeded binomial draw simulates repeating the bare
-    (unamplified) experiment that many times.
+    (unamplified) experiment that many times. A probability below
+    ``POSTSELECT_FLOOR``, a kept branch of zero mass included, is refused.
     """
-    kept, flagged = state.project_and_remove({"ancilla": 1})
+    try:
+        kept, flagged = state.project_and_remove({"ancilla": 1})
+    except InvalidInputError:
+        _refuse_below_floor(0.0)  # the kept branch has zero mass: always refused
+        raise
     prob = min(anchor_probability * flagged, 1.0)
     _refuse_below_floor(prob)
     sampled = successes = None
@@ -427,9 +432,11 @@ def postselect_rotations(
     amplitudes times that rotation's ``rotation_sines`` along "index".
     Returns the kept branches, renormalised, (S, E, *state dims), and each
     one's probability of both outcomes together, (S, E). The per-point
-    path's refusals hold: every state's norm (the rotated state's) and every
-    kept branch's must be 1 within ``NORM_TOL``, and a probability below
-    ``POSTSELECT_FLOOR`` is refused, the first in (state, row) order.
+    path's refusals hold: a probability below ``POSTSELECT_FLOOR`` is
+    refused, the first in (state, row) order, and every kept branch's norm
+    must be 1 within ``NORM_TOL``. The kept branches are the one new state
+    this forms, so they are checked once; the input states were checked
+    when they were built, and the rotation keeps their norm.
     """
     if np.ndim(beta_hat) != 3 or len(beta_hat) != len(states) or len(anchor_probabilities) != len(states):
         raise InvalidInputError("postselect_rotations takes one stack (E, d) of coefficient lists per state")
@@ -438,7 +445,6 @@ def postselect_rotations(
         raise InvalidInputError("the states must share one register layout")
     sines = rotation_sines(beta_hat, rotation_constants, states[0].register("index").dim)
     amps = np.stack([state.amplitudes for state in states])
-    check_unit_norm(np.sqrt(_squared_norms(amps, 1)))
     trailing = (1,) * (amps.ndim - 1)
     shape = list(sines.shape[:2] + trailing)
     shape[2 + states[0].axis("index")] = -1

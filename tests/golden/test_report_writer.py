@@ -3,7 +3,8 @@ sort_keys=True, indent=2, allow_nan=False) + "\\n"``.
 
 Both writers are run on the same report, so this holds under every BLAS
 kernel: on every golden case's report, as ``cli.run`` builds it from the
-case's command line, and on the edge structures below.
+case's command line, on every error case's payload, as ``cli.main`` prints
+it, and on the edge structures below.
 """
 
 import json
@@ -14,9 +15,10 @@ import pytest
 
 import make_golden
 from qpcasim import cli
-from qpcasim.errors import NumericalFailureError
+from qpcasim.errors import NumericalFailureError, QpcaError
 
 REPORT_CASES = sorted(name for name in make_golden.CASES if not name.startswith("error_"))
+ERROR_CASES = sorted(name for name in make_golden.CASES if name.startswith("error_"))
 
 
 def _json_dumps(value) -> str:
@@ -30,10 +32,32 @@ def _case_report(name: str) -> dict:
     return cli.run(cli.RunConfig(**vars(args)))
 
 
+def _error_payload(name: str) -> dict:
+    """What ``cli.main`` prints for an error case, before it is written."""
+    with pytest.raises(QpcaError) as info:
+        _case_report(name)
+    return {"error": info.value.payload()}
+
+
 @pytest.mark.parametrize("case", REPORT_CASES)
 def test_golden_reports_render_as_json_dumps(case):
     report = _case_report(case)
     assert cli.render_report(report) == _json_dumps(report)
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_error_payloads_render_as_json_dumps(case):
+    payload = _error_payload(case)
+    assert cli.render_report(payload) == _json_dumps(payload)
+
+
+def test_the_under_sampled_histogram_keeps_int_keys():
+    # Its keys are ints, which both writers sort as numbers before they
+    # write them as strings; sorted as strings they would come out in
+    # another order.
+    histogram = _error_payload("error_under_sampled")["error"]["histogram"]
+    assert histogram and all(type(key) is int for key in histogram)
+    assert [str(key) for key in sorted(histogram)] != sorted(map(str, histogram))
 
 
 EDGE_STRUCTURES = {

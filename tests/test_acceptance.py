@@ -24,7 +24,6 @@ from qpcasim.datasets import (
 )
 from qpcasim.pca_oracle import expected_compressed_state, project, svd_decompose
 from qpcasim.qml_apps import (
-    LabeledDataset,
     lssvm_decision_values,
     lssvm_train,
     qlr_predict,
@@ -319,12 +318,11 @@ def test_criterion_08_pairwise_overlap():
 def test_criterion_09_qsvm_adaptation():
     failures = []
     data, labels = gaussian_class_pair(seed=29)
-    dataset = LabeledDataset(data, labels)
     model = svd_decompose(data, 0.95)
     compressed = project(data, model)
 
-    full = lssvm_train(dataset, data.values)
-    comp = lssvm_train(dataset, compressed.values)
+    full = lssvm_train(data.values, labels, 1.0)
+    comp = lssvm_train(compressed.values, labels, 1.0)
     if full.residual > 1e-8 or comp.residual > 1e-8:
         failures.append(f"saddle residuals {full.residual}, {comp.residual}")
 

@@ -18,7 +18,7 @@ from qpcasim.datasets import (
 )
 from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError
 from qpcasim.modes import MODE_QUANTIZED, RUN_MODES, check_run_mode
-from qpcasim.qml_apps import LabeledDataset, lssvm_train, qsvm_state_demo
+from qpcasim.qml_apps import lssvm_train, qsvm_state_demo
 from qpcasim.qpca_pipeline import compress, error_scaling_experiment, estimate_anchor, ledger_predict, run_compression
 from qpcasim.statevector import check_shots, sample_outcome
 from qpcasim.sv_engine import PhaseConfig
@@ -782,7 +782,7 @@ def test_shots_below_one_is_out_of_range_everywhere(capsys, rank2_csv):
     with pytest.raises(OutOfRangeError, match="shots must be >= 1, got 0"):
         check_shots(0)
     data, labels = gaussian_class_pair(seed=29)
-    model = lssvm_train(LabeledDataset(data, labels), data.values)
+    model = lssvm_train(data.values, labels, 1.0)
     with pytest.raises(OutOfRangeError, match="shots must be >= 1, got 0"):
         qsvm_state_demo(model, data.values, data.values, shots=0, rng_seeds=list(range(data.n_rows)))
     payload = _error_payload(capsys, ["--input", rank2_csv, "--mode", "sampled", "--shots", "0"])

@@ -476,13 +476,14 @@ def test_expected_state_normalization_rank2():
 
 
 def test_expected_row_state_matches_row():
-    # A one-row mask, the reference of a one-row subset, holds that row's
-    # projection y / |y| on tokens 1..d and nothing else.
+    # The reference restricted to one row, as compress restricts it for a
+    # one-row subset, holds that row's projection y / |y| on tokens 1..d and
+    # nothing else.
     data = rank_k_dataset(8, 4, 2, seed=4)
     model = svd_decompose(data, 0.95)
     y = project(data, model)
     row = 3
-    state = expected_compressed_state(y, row_mask=np.arange(data.n_rows) == row)
+    state, _ = expected_compressed_state(y).restrict_register("row", [row])
     want = y.values[row] / np.linalg.norm(y.values[row])
     for j, amp in enumerate(want, start=1):
         assert state.basis_amplitude({"row": row, "index": j}) == pytest.approx(amp, abs=1e-12)

@@ -10,12 +10,10 @@ import pytest
 from qpcasim import cli
 from qpcasim.datasets import gaussian_class_pair, linear_trend_dataset, rank_k_dataset
 from qpcasim.errors import DegenerateRegressionError, InvalidInputError, OutOfRangeError, SingularSystemError
-from qpcasim.pca_oracle import DataMatrix, project, svd_decompose
+from qpcasim.pca_oracle import project, svd_decompose
 from qpcasim.qml_apps import (
     PINV_CUTOFF,
-    LabeledDataset,
     QlrDemoResult,
-    _pad,
     _sampled_signed_overlap,
     lssvm_decision_values,
     lssvm_train,
@@ -42,8 +40,7 @@ def test_lssvm_two_point_line():
     # One point per class on the line: the saddle system is small enough to
     # solve by hand-rolled elimination and compare term by term.
     points = np.array([[1.0], [-1.0]])
-    dataset = LabeledDataset(DataMatrix(points), np.array([1.0, -1.0]), gamma=1.0)
-    model = lssvm_train(dataset, points)
+    model = lssvm_train(points, np.array([1.0, -1.0]), 1.0)
 
     system = np.array([[0.0, 1.0, 1.0], [1.0, 2.0, -1.0], [1.0, -1.0, 2.0]])
     rhs = np.array([0.0, 1.0, -1.0])
@@ -64,23 +61,24 @@ def test_lssvm_two_point_line():
 def test_lssvm_validation():
     points = np.array([[1.0], [-1.0]])
     with pytest.raises(InvalidInputError):
-        LabeledDataset(DataMatrix(points), np.array([1.0]))  # label count
+        lssvm_train(points, np.array([1.0]), 1.0)  # label count
     with pytest.raises(OutOfRangeError):
-        LabeledDataset(DataMatrix(points), np.array([1.0, -1.0]), gamma=0.0)
-    bad = LabeledDataset(DataMatrix(points), np.array([1.0, 2.0]))
+        lssvm_train(points, np.array([1.0, -1.0]), 0.0)
     with pytest.raises(InvalidInputError):
-        lssvm_train(bad, points)
+        lssvm_train(points, np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(InvalidInputError):
+        lssvm_train(points, np.array([1.0, np.nan]), 1.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
 def test_gamma_is_refused_as_the_cli_refuses_it(gamma):
     # The parent accepted an infinite or NaN gamma and refused 0 as
     # INVALID_INPUT, where the CLI said OUT_OF_RANGE for all three.
-    points = DataMatrix(np.array([[1.0], [-1.0]]))
+    points = np.array([[1.0], [-1.0]])
     with pytest.raises(OutOfRangeError) as cli_refusal:
         cli.RunConfig(input_path="x", gamma=gamma).validate()
     with pytest.raises(OutOfRangeError) as info:
-        LabeledDataset(points, np.array([1.0, -1.0]), gamma=gamma)
+        lssvm_train(points, np.array([1.0, -1.0]), gamma)
     assert info.value.payload() == cli_refusal.value.payload()
 
 
@@ -96,9 +94,8 @@ def test_lssvm_kernel_invariance_under_projection():
     gram_gap = np.max(np.abs(y.values @ y.values.T - data.values @ data.values.T))
     assert gram_gap <= 1e-9
 
-    dataset = LabeledDataset(data, labels)
-    full = lssvm_train(dataset, data.values)
-    compressed = lssvm_train(dataset, y.values)
+    full = lssvm_train(data.values, labels, 1.0)
+    compressed = lssvm_train(y.values, labels, 1.0)
     assert full.bias == pytest.approx(compressed.bias, abs=1e-8)
     np.testing.assert_allclose(full.coefficients, compressed.coefficients, atol=1e-8)
     assert full.residual <= 1e-8 and compressed.residual <= 1e-8
@@ -106,12 +103,11 @@ def test_lssvm_kernel_invariance_under_projection():
 
 def test_lssvm_separable_fixture_accuracies_match():
     data, labels = gaussian_class_pair(seed=29)
-    dataset = LabeledDataset(data, labels)
     spectral = svd_decompose(data, 0.95)
     y = project(data, spectral)
 
-    full = lssvm_train(dataset, data.values)
-    compressed = lssvm_train(dataset, y.values)
+    full = lssvm_train(data.values, labels, 1.0)
+    compressed = lssvm_train(y.values, labels, 1.0)
     acc_full = _accuracy(full, data.values, labels.astype(int))
     acc_comp = _accuracy(compressed, y.values, labels.astype(int))
     assert acc_full == 1.0
@@ -148,7 +144,7 @@ def test_lssvm_matches_dense_reference(case, gamma):
     # The feature-space solve against the dense (N+1)^2 saddle solve, on the
     # training points and on 20 fresh queries.
     points, labels, queries = _lssvm_reference_cases()[case]
-    model = lssvm_train(LabeledDataset(DataMatrix(points), labels, gamma=gamma), points)
+    model = lssvm_train(points, labels, gamma)
     bias, coefficients = dense_lssvm_solve(points, labels, gamma)
     assert model.bias == pytest.approx(bias, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(model.coefficients, coefficients, rtol=1e-12, atol=1e-12)
@@ -167,7 +163,7 @@ def test_lssvm_refuses_a_non_finite_solve():
     # and the overflow raises no warning.
     data, labels = gaussian_class_pair(n_per_class=5, n_cols=4, seed=1)
     with pytest.raises(SingularSystemError):
-        lssvm_train(LabeledDataset(data, labels), data.values * 1e154)
+        lssvm_train(data.values * 1e154, labels, 1.0)
 
 
 def _blobs():
@@ -182,7 +178,7 @@ def test_lssvm_refuses_a_finite_backward_error_above_the_bound():
     # backward error is of order 1e-3, well above 1e-6.
     points, labels = _blobs()
     with pytest.raises(SingularSystemError, match=r"residual [0-9.]+e-04 is not at most 1e-6"):
-        lssvm_train(LabeledDataset(DataMatrix(points), labels), points * 2.0**40)
+        lssvm_train(points * 2.0**40, labels, 1.0)
 
 
 @pytest.mark.parametrize("scale", [2.0**40, 2.0**60, 1e100], ids=["2^40", "2^60", "1e100"])
@@ -192,7 +188,7 @@ def test_lssvm_on_huge_points_refuses_or_classifies(scale):
     points, labels = _blobs()
     points = points * scale
     try:
-        model = lssvm_train(LabeledDataset(DataMatrix(points), labels), points)
+        model = lssvm_train(points, labels, 1.0)
     except SingularSystemError:
         return
     np.testing.assert_array_equal(np.where(lssvm_decision_values(model, points) >= 0.0, 1.0, -1.0), labels)
@@ -204,7 +200,7 @@ def test_lssvm_refuses_when_the_norm_bound_overflows():
     # The message names the overflow; a larger gamma would not help.
     points, labels = _blobs()
     with pytest.raises(SingularSystemError, match="residual inf is not at most 1e-6") as info:
-        lssvm_train(LabeledDataset(DataMatrix(points), labels, gamma=1e308), points)
+        lssvm_train(points, labels, 1e308)
     assert "the bound on |A|_F overflows" in str(info.value)
     assert "gamma sqrt(N) inf" in str(info.value)
     assert "a larger gamma regularizes it" not in str(info.value)
@@ -219,7 +215,7 @@ def test_lssvm_trains_points_scaled_by_a_million(n_per_class, n_cols):
     # signs of the dense reference solve.
     data, labels = gaussian_class_pair(n_per_class=n_per_class, n_cols=n_cols, seed=1)
     points = data.values * 1e6
-    model = lssvm_train(LabeledDataset(data, labels), points)
+    model = lssvm_train(points, labels, 1.0)
     assert model.residual > 1e-6
     bias, coefficients = dense_lssvm_solve(points, labels, 1.0)
     want = dense_lssvm_decision_values(points, bias, coefficients, points)
@@ -230,10 +226,9 @@ def test_lssvm_trains_points_scaled_by_a_million(n_per_class, n_cols):
 def test_lssvm_builds_no_kernel_sized_array():
     # A 4000 x 4000 float64 kernel alone would be 122 MiB.
     data, labels = gaussian_class_pair(n_per_class=2000, n_cols=16, seed=3)
-    dataset = LabeledDataset(data, labels)
     tracemalloc.start()
     try:
-        lssvm_train(dataset, data.values)
+        lssvm_train(data.values, labels, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -245,8 +240,7 @@ def test_lssvm_builds_no_kernel_sized_array():
 
 def test_qsvm_demo_shot_free_identity():
     data, labels = gaussian_class_pair(seed=29)
-    dataset = LabeledDataset(data, labels)
-    model = lssvm_train(dataset, data.values)
+    model = lssvm_train(data.values, labels, 1.0)
     n = data.n_rows
     queries = data.values[[0, n - 1]]
     demo = qsvm_state_demo(model, data.values, queries)
@@ -265,7 +259,7 @@ def test_qsvm_demo_shot_free_identity():
 
 def test_qsvm_demo_sampled_far_from_margin():
     data, labels = gaussian_class_pair(seed=29)
-    model = lssvm_train(LabeledDataset(data, labels), data.values)
+    model = lssvm_train(data.values, labels, 1.0)
     demo = qsvm_state_demo(model, data.values, data.values[:1], shots=1_000_000, rng_seeds=[31])
     assert demo.shots == 1_000_000
     [estimate], [value], [stderr] = demo.estimate, demo.value, demo.standard_error
@@ -278,7 +272,7 @@ def test_qsvm_demo_sampled_far_from_margin():
 
 def test_qsvm_demo_midpoint_is_inconclusive():
     data, labels = gaussian_class_pair(seed=29)
-    model = lssvm_train(LabeledDataset(data, labels), data.values)
+    model = lssvm_train(data.values, labels, 1.0)
     demo = qsvm_state_demo(model, data.values, np.zeros((1, 2)), shots=100_000, rng_seeds=[5])
     assert demo.inconclusive.tolist() == [True]
 
@@ -427,8 +421,9 @@ def reference_qlr_state_demo(points, targets, query, shots=None, rng_seed=None):
     inverse_state = np.zeros((feat_dim, row_dim))
     inverse_state[:n_features, :n] = (vt.T * inv_s) @ u.T / inv_norm
 
+    query_unit, target_unit = query / query_norm, targets / target_norm
     product_state = np.outer(
-        _pad(query / query_norm, feat_dim), _pad(targets / target_norm, row_dim)
+        np.pad(query_unit, (0, feat_dim - query_unit.size)), np.pad(target_unit, (0, row_dim - target_unit.size))
     )
 
     layout = [("feature", feat_qubits), ("row", row_qubits)]
@@ -440,7 +435,7 @@ def reference_qlr_state_demo(points, targets, query, shots=None, rng_seed=None):
     estimate = stderr = None
     inconclusive = False
     if shots is not None:
-        overlap_hat, overlap_se = _sampled_signed_overlap(overlap, shots, rng_seed)
+        overlap_hat, overlap_se, _ = _sampled_signed_overlap(overlap, shots, rng_seed)
         estimate, stderr = overlap_hat * rescale, overlap_se * rescale
         inconclusive = abs(overlap_hat) < 3.0 * overlap_se
     return QlrDemoResult(

@@ -870,6 +870,23 @@ def _index_one_state(mass: float) -> StateVector:
     return StateVector.from_amplitudes([("row", 1), ("index", 2)], amps)
 
 
+def test_the_scaling_grid_norm_checks_only_the_kept_branches(monkeypatch):
+    # The projected states were checked when they were built, so the grid
+    # checks one stack: the kept branches it forms, (states, points).
+    checked = []
+    check = sv_engine.check_unit_norm
+
+    def record(norms):
+        checked.append(np.shape(norms))
+        check(norms)
+
+    monkeypatch.setattr(sv_engine, "check_unit_norm", record)
+    states = [_index_one_state(0.5), _index_one_state(0.25)]
+    beta_hat = np.array([[[0.5, 0.5], [1.0, 0.5], [0.5, 1.0]]] * 2)
+    sv_engine.postselect_rotations(states, [1.0, 1.0], beta_hat, beta_hat.min(axis=-1))
+    assert checked == [(2, 3)]
+
+
 def test_scaling_grid_refuses_a_point_below_the_postselect_floor():
     # Index 1 holds mass 1e-7. The second point's sine there is 1e-3, so its
     # kept mass of 1e-13 falls below the floor: the grid refuses it as the
@@ -957,14 +974,15 @@ def test_stacked_seeds_match_the_per_seed_path(monkeypatch, stack_rows, passes):
 
 
 def test_a_corrupted_projection_is_refused(monkeypatch):
-    # A stage output whose norm drifted must still raise: the sweep checks
-    # the rotated state's norm before it renormalises each kept branch,
-    # which would hide the drift.
+    # A stage output whose norm drifted must still raise, before the sweep
+    # renormalises each kept branch, which would hide the drift: every state
+    # is norm-checked when it is built, so the drifted states are refused
+    # there.
     project = sv_engine.project_anchor
 
     def drifted(*args, **kwargs):
         states, probs = project(*args, **kwargs)
-        return [StateVector(s.registers, s.amplitudes * 1.01, _normalize_check=False) for s in states], probs
+        return [StateVector(s.registers, s.amplitudes * 1.01) for s in states], probs
 
     monkeypatch.setattr(sv_engine, "project_anchor", drifted)
     data = rank_k_dataset(16, 8, 2, seed=300)

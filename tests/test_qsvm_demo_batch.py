@@ -20,9 +20,7 @@ import pytest
 from qpcasim import cli, qml_apps
 from qpcasim.datasets import gaussian_class_pair, write_matrix_csv, write_values_file
 from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError
-from qpcasim.pca_oracle import DataMatrix
 from qpcasim.qml_apps import (
-    LabeledDataset,
     LssvmModel,
     OverlapDemoResult,
     _sampled_signed_overlap,
@@ -88,7 +86,7 @@ def reference_demo(
     )
     if shots is None:
         return result
-    estimate, stderr = _sampled_signed_overlap(value, shots, rng_seed)
+    estimate, stderr, _ = _sampled_signed_overlap(value, shots, rng_seed)
     return dict(
         result,
         sign=1 if estimate >= 0.0 else -1,
@@ -113,7 +111,7 @@ def _interleaved_pair(n_rows: int):
 
 
 def _model(points, labels):
-    return lssvm_train(LabeledDataset(DataMatrix(points), labels), points)
+    return lssvm_train(points, labels, 1.0)
 
 
 def _assert_matches_reference(model, points, shots, seeds):

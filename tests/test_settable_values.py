@@ -45,10 +45,8 @@ SETTABLE_VALUES = (
     "errors.py:__init__:leaked_tail_mass",
     "errors.py:__init__:line",
     "pca_oracle.py:OverlapReport.flagged_rows",
-    "pca_oracle.py:expected_compressed_state:row_mask",
     "pca_oracle.py:pairwise_overlap_report:tolerance",
     "pca_oracle.py:svd_decompose:threshold",
-    "qml_apps.py:LabeledDataset.gamma",
     "qml_apps.py:qlr_state_demo:rng_seed",
     "qml_apps.py:qlr_state_demo:shots",
     "qml_apps.py:qsvm_state_demo:rng_seeds",
@@ -69,7 +67,6 @@ SETTABLE_VALUES = (
     "qpca_pipeline.py:select_anchor:anchor_index",
     "qpca_pipeline.py:select_anchor:beta_seed",
     "qpca_pipeline.py:select_anchor:eps_beta",
-    "statevector.py:__init__:_normalize_check",
     "sv_engine.py:PhaseConfig.bits",
     "sv_engine.py:apply_cu_lambda:strict",
     "sv_engine.py:measure_register:rng_seed",
@@ -137,4 +134,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 60
+    assert len(SETTABLE_VALUES) == 57

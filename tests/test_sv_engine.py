@@ -107,6 +107,29 @@ def test_statevector_project_and_remove():
     assert kept.basis_amplitude({"a": 1}) == pytest.approx(1.0)
 
 
+def test_statevector_project_and_remove_refuses_zero_mass():
+    # No state of zero norm is built: a zero-mass projection is refused, as
+    # restrict_register refuses one.
+    state = StateVector.from_amplitudes([("a", 1), ("b", 1)], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidInputError, match=r"projection onto \{'b': 1\} has zero mass"):
+        state.project_and_remove({"b": 1})
+
+
+def test_statevector_restrict_register_reads_a_generator_once():
+    # The allowed values are read once, so a generator restricts, and is
+    # named in a refusal, as a list is.
+    state = StateVector.from_amplitudes([("a", 2)], np.array([0.6, 0.0, 0.0, 0.8]))
+    kept, prob = state.restrict_register("a", (v for v in (3, 1)))
+    assert prob == pytest.approx(0.64, abs=1e-12)
+    assert kept.basis_amplitude({"a": 3}) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InvalidInputError, match=r"projection of register 'a' onto \[1, 2\] has zero mass"):
+        state.restrict_register("a", (v for v in (2, 1, 2)))
+    with pytest.raises(InvalidInputError, match="basis value 4 out of range for register 'a'"):
+        state.restrict_register("a", (v for v in (1, 4, -1)))
+    with pytest.raises(TypeError):
+        state.restrict_register("a", [1.0])
+
+
 def test_statevector_remove_register_guard():
     layout = [("a", 1), ("b", 1)]
     amps = np.array([[0.6, 0.0], [0.0, 0.8]])
