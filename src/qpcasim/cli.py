@@ -330,7 +330,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     compressed = project(data, model)
 
     full = qml_apps.lssvm_train(data.values, labels, config.gamma)
-    comp = qml_apps.lssvm_train(compressed.values, labels, config.gamma)
+    comp = qml_apps.lssvm_train(compressed, labels, config.gamma)
 
     # Only a sampled demo reads the per-query seeds, so only it draws them.
     shots = demo_seeds = None
@@ -340,7 +340,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
     demo = qml_apps.qsvm_state_demo(full, data.values, data.values, shots=shots, rng_seeds=demo_seeds)
     # The demo's queries are the training points: its classical values are the full decision values.
     full_dec = demo.classical_value
-    comp_dec = qml_apps.lssvm_decision_values(comp, compressed.values)
+    comp_dec = qml_apps.lssvm_decision_values(comp, compressed)
     full_acc, comp_acc = (float(np.mean(np.where(v >= 0.0, 1, -1) == labels)) for v in (full_dec, comp_dec))
 
     return {
@@ -354,7 +354,7 @@ def _task_qsvm(config: RunConfig, data: DataMatrix, labels: np.ndarray) -> dict:
                 "decision_values": full_dec.tolist(),
             },
             "compressed": {
-                "dim": int(compressed.selected_dim),
+                "dim": compressed.shape[1],
                 "bias": float(comp.bias),
                 "residual": float(comp.residual),
                 "training_accuracy": comp_acc,
@@ -379,7 +379,7 @@ def _task_qlr(config: RunConfig, data: DataMatrix, targets: np.ndarray) -> dict:
 
     fit = qml_apps.qlr_predict(data.values, targets, data.values)
     preds_orig = fit.value
-    preds_comp = qml_apps.qlr_predict(compressed.values, targets, compressed.values).value
+    preds_comp = qml_apps.qlr_predict(compressed, targets, compressed).value
     err_orig = float(np.max(np.abs(preds_orig - targets)))
     err_comp = float(np.max(np.abs(preds_comp - targets)))
     gap = float(np.max(np.abs(preds_orig - preds_comp)))

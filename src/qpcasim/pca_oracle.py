@@ -196,25 +196,14 @@ def _overlap_signs(overlaps: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CompressedMatrix:
-    values: np.ndarray      # (N, d)
-    source_shape: tuple[int, int]
-    selected_dim: int
-
-    @property
-    def row_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
-
-
-@dataclass(frozen=True)
 class OverlapReport:
     """Pairwise-geometry check: how well unit-row overlaps survive compression.
 
     The statistics run over the ``n_pairs`` pairs i1 < i2 of unflagged rows
-    (``pairwise_overlap_report``); no per-pair array is kept. ``unit_rows``
-    holds the unflagged unit rows after and before compression, stacked as
-    [y | x], and y's width, from which ``deviations`` is rebuilt on first
-    read through the same slabs.
+    (``pairwise_overlap_report``); no per-pair array is kept. ``audited``
+    is the (data, y) the audit read, kept by reference, from which
+    ``deviations`` is rebuilt on first read through the same unit rows
+    (``_unit_rows``) and slabs.
     """
 
     tolerance: float
@@ -222,19 +211,22 @@ class OverlapReport:
     max_deviation: float
     mean_deviation: float
     n_pairs: int
-    unit_rows: InitVar[tuple[np.ndarray, int]]
+    audited: InitVar[tuple[DataMatrix, np.ndarray]]
     flagged_rows: tuple[int, ...] = field(default_factory=tuple)  # zero-norm compressed rows
 
-    def __post_init__(self, unit_rows):
-        object.__setattr__(self, "_unit_rows", unit_rows)
+    def __post_init__(self, audited):
+        object.__setattr__(self, "_audited", audited)
 
     @cached_property
     def deviations(self) -> np.ndarray:
         """(n_pairs,) |<y1|y2> - <x1|x2>| in row-major pair order, the same
-        bits the statistics were taken from. Built on first read, at one
-        float per pair. No code under ``src/`` reads it; it stays because
-        the benchmark tracer counts the audit's pairs from its size."""
-        return _pair_deviations(*self._unit_rows)
+        bits the statistics were taken from, as long as y was not changed
+        since (``compress`` makes its projection read-only). Built on first
+        read, at one float per pair. No code under ``src/`` reads it; it
+        stays because the benchmark tracer counts the audit's pairs from its
+        size."""
+        data, y = self._audited
+        return _pair_deviations(_unit_rows(data, y)[0], y.shape[1])
 
 
 def svd_decompose(data: DataMatrix, threshold: float = 0.95) -> SpectralModel:
@@ -350,26 +342,24 @@ def _certified_leading_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | Non
     return s, vt
 
 
-def project(data: DataMatrix, model: SpectralModel) -> CompressedMatrix:
-    """Coordinates of every row in the model's ``selected_dim`` leading
-    principal directions."""
-    d = model.selected_dim
+def project(data: DataMatrix, model: SpectralModel) -> np.ndarray:
+    """(N, d): the coordinates of every row in the model's ``selected_dim``
+    leading principal directions."""
     if data.n_cols != model.n_cols:
         raise InvalidInputError(
             f"data has {data.n_cols} columns but the model was built for {model.n_cols}"
         )
-    y = data.values @ model.right_vectors[:, :d]
-    return CompressedMatrix(values=y, source_shape=(data.n_rows, data.n_cols), selected_dim=d)
+    return data.values @ model.right_vectors[:, : model.selected_dim]
 
 
-def expected_compressed_state(compressed: CompressedMatrix) -> StateVector:
-    """Ideal output state: row i, component register holding label j+1 with
-    amplitude y_ij, normalized by the Frobenius norm. Label 0 stays empty.
+def expected_compressed_state(y: np.ndarray) -> StateVector:
+    """Ideal output state of the (N, d) projection ``y``: row i, component
+    register holding label j+1 with amplitude y_ij, normalized by the
+    Frobenius norm. Label 0 stays empty.
 
     A subset's reference is this state restricted as the data state is,
     with ``StateVector.restrict_register`` on "row": restricting rows has
     that one home."""
-    y = compressed.values
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         raise InvalidInputError("compressed matrix has zero Frobenius norm; nothing to encode")
@@ -441,6 +431,25 @@ def _overlap_slabs(rows: np.ndarray, d: int) -> Iterator[tuple[int, np.ndarray]]
         yield i0, g
 
 
+def _unit_rows(data: DataMatrix, y: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(rows, flagged): the unit rows of the projection ``y`` and of
+    ``data``, stacked as [y | x] with y's columns first, and the rows
+    whose projection is zero (flagged), which are left out. Each run of
+    unflagged rows is divided by its norms straight into its place in the
+    stacked rows, so no N x D temporary is made."""
+    y_norms = np.linalg.norm(y, axis=1)
+    flagged = tuple(np.flatnonzero(y_norms == 0.0).tolist())
+    d = y.shape[1]
+    rows = np.empty((data.n_rows - len(flagged), d + data.n_cols))
+    at = start = 0
+    for stop in flagged + (data.n_rows,):
+        k = stop - start
+        np.divide(y[start:stop], y_norms[start:stop, None], out=rows[at : at + k, :d])
+        np.divide(data.values[start:stop], data.row_norms[start:stop, None], out=rows[at : at + k, d:])
+        at, start = at + k, stop + 1
+    return rows, flagged
+
+
 def _pair_deviations(rows: np.ndarray, d: int) -> np.ndarray:
     """Every slab's strict upper triangle gathered in row-major pair order:
     the array ``OverlapReport.deviations`` builds on first read."""
@@ -454,15 +463,15 @@ def _pair_deviations(rows: np.ndarray, d: int) -> np.ndarray:
     return devs
 
 
-def pairwise_overlap_report(
-    data: DataMatrix, compressed: CompressedMatrix, tolerance: float = 1e-6
-) -> OverlapReport:
-    """Compare unit-row overlaps before and after compression, all pairs.
+def pairwise_overlap_report(data: DataMatrix, y: np.ndarray, tolerance: float = 1e-6) -> OverlapReport:
+    """Compare unit-row overlaps before and after compression, all pairs,
+    of ``data`` and its (N, d) projection ``y``.
 
     The deviations are |<y1|y2> - <x1|x2>| for every pair of rows i1 < i2
     whose compressed rows are nonzero. The flagged rows (zero compressed
     norm) are dropped first, so the m rows left pair with each other only.
-    The unit rows are stacked once as [y | x], and the audit reduces one
+    The unit rows are stacked once as [y | x] (``_unit_rows``), and the
+    audit reduces one
     slab of one stacked product at a time (``_overlap_slabs``) where it
     stands: the diagonal and lower triangle of the slab's leading square are
     zeroed, and the slab adds its sum and its maximum; its entries above
@@ -478,30 +487,18 @@ def pairwise_overlap_report(
     bits (by at most 6e-17 on the golden reports) when the audit took this
     form.
     """
-    if compressed.values.shape[0] != data.n_rows:
+    if y.shape[0] != data.n_rows:
         raise InvalidInputError("compressed matrix row count does not match the data")
     if not tolerance >= 0.0:
         raise OutOfRangeError(f"overlap tolerance must be nonnegative, got {tolerance}")
-    y_norms = compressed.row_norms
-    flagged = tuple(np.flatnonzero(y_norms == 0.0).tolist())
-    m, d = data.n_rows - len(flagged), compressed.values.shape[1]
-    rows = np.empty((m, d + data.n_cols))
-    y, x = rows[:, :d], rows[:, d:]
-    # Each run of unflagged rows is divided by its norms straight into its
-    # place in the stacked rows, so no N x D temporary is made.
-    at = start = 0
-    for stop in flagged + (data.n_rows,):
-        k = stop - start
-        np.divide(compressed.values[start:stop], y_norms[start:stop, None], out=y[at : at + k])
-        np.divide(data.values[start:stop], data.row_norms[start:stop, None], out=x[at : at + k])
-        at, start = at + k, stop + 1
-
+    rows, flagged = _unit_rows(data, y)
+    m = rows.shape[0]
     n_pairs = m * (m - 1) // 2
     lower = np.tril(np.ones((OVERLAP_BLOCK_ROWS, OVERLAP_BLOCK_ROWS), dtype=bool))
     total = 0.0
     top = 0.0
     over = 0
-    for _, g in _overlap_slabs(rows, d):
+    for _, g in _overlap_slabs(rows, y.shape[1]):
         b = g.shape[0]
         g[:, :b][lower[:b, :b]] = 0.0
         total += float(g.sum())
@@ -515,6 +512,6 @@ def pairwise_overlap_report(
         max_deviation=top,
         mean_deviation=total / n_pairs if n_pairs else 0.0,
         n_pairs=n_pairs,
-        unit_rows=(rows, d),
+        audited=(data, y),
         flagged_rows=flagged,
     )

@@ -40,7 +40,7 @@ from .errors import (
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
 from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, anchor_shots, check_ledger_accuracy
 from .modes import check_seed, check_subset
-from .pca_oracle import CompressedMatrix, DataMatrix, SpectralModel
+from .pca_oracle import DataMatrix, OverlapReport, SpectralModel
 from .statevector import StateVector
 from .sv_engine import PhaseConfig
 
@@ -358,27 +358,6 @@ def select_anchor(
 
 
 @dataclass(frozen=True)
-class OverlapSummary:
-    max_deviation: float
-    mean_deviation: float
-    fraction_within: float
-    tolerance: float
-    n_pairs: int
-    flagged_rows: tuple[int, ...]
-
-    @classmethod
-    def from_report(cls, report: pca_oracle.OverlapReport) -> "OverlapSummary":
-        return cls(
-            max_deviation=report.max_deviation,
-            mean_deviation=report.mean_deviation,
-            fraction_within=report.fraction_within,
-            tolerance=report.tolerance,
-            n_pairs=report.n_pairs,
-            flagged_rows=report.flagged_rows,
-        )
-
-
-@dataclass(frozen=True)
 class CompressionReport:
     scope: str
     run_mode: str
@@ -397,7 +376,7 @@ class CompressionReport:
     eps_lambda: float
     sampled_success_probability: float | None
     postselect_shots: int | None
-    overlap: OverlapSummary
+    overlap: OverlapReport
     ledger: ResourceLedger
 
 
@@ -405,11 +384,11 @@ class CompressionReport:
 class CompressResult:
     state: StateVector
     report: CompressionReport
-    compressed: CompressedMatrix
+    compressed: np.ndarray  # (N, d), read-only: the anchor-signed projection
 
 
 def _identity_success_probability(
-    compressed: CompressedMatrix,
+    compressed: np.ndarray,
     profile: AnchorProfile,
     data: DataMatrix,
     rows: np.ndarray,
@@ -419,7 +398,7 @@ def _identity_success_probability(
     (``DataMatrix.row_norms``), capped at 1 (on rank-1 data it rounds just
     above)."""
     ratio = profile.beta / profile.beta_hat
-    y = compressed.values[rows] * ratio[None, :]
+    y = compressed[rows] * ratio[None, :]
     denom = float(np.sum(data.row_norms[rows] ** 2))
     return min(float(profile.rotation_constant**2 * np.sum(y**2) / denom), 1.0)
 
@@ -450,7 +429,10 @@ def compress(
     directions: it leaves token j+1 with the sign of <v_j|anchor>, so the
     classical reference, ``CompressResult.compressed``, is the projection
     onto ``model``'s directions with its columns flipped by the overlaps'
-    signs (``pca_oracle._overlap_signs``). Negation is exact.
+    signs (``pca_oracle._overlap_signs``). Negation is exact. It is made
+    read-only after the flip, so the report's overlap audit
+    (``pca_oracle.OverlapReport``), which keeps it, always rebuilds its
+    deviations from the bits its statistics came from.
     """
     d = model.selected_dim
     if profile.beta_hat.size != d:
@@ -475,11 +457,12 @@ def compress(
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model)
-    np.multiply(compressed.values, pca_oracle._overlap_signs(overlaps), out=compressed.values)
+    compressed *= pca_oracle._overlap_signs(overlaps)
+    compressed.flags.writeable = False
     reference = pca_oracle.expected_compressed_state(compressed)
     if scope == SCOPE_SUBSET:
         reference, _ = reference.restrict_register("row", rows)
-    overlap = OverlapSummary.from_report(pca_oracle.pairwise_overlap_report(data, compressed))
+    overlap = pca_oracle.pairwise_overlap_report(data, compressed)
 
     fidelity = post.state.fidelity(reference)
     identity_p = _identity_success_probability(compressed, profile, data, rows)

@@ -8,7 +8,6 @@ Each test collects its failures into a list and prints a single
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def test_criterion_02_success_probability():
         report = run.result.report
         y = run.result.compressed
         closed_form = (
-            report.rotation_constant**2 * np.linalg.norm(y.values) ** 2 / data.frobenius_norm**2
+            report.rotation_constant**2 * np.linalg.norm(y) ** 2 / data.frobenius_norm**2
         )
         if abs(report.success_probability - closed_form) > 1e-12:
             failures.append(
@@ -206,8 +205,7 @@ def anchor_signed_projection(data, model, overlaps):
     negated where the anchor's kept ``overlaps`` with ``model`` are
     negative: the classical reference for that anchor, as ``compress``
     forms it."""
-    y = project(data, model)
-    return replace(y, values=y.values * np.where(overlaps < 0.0, -1.0, 1.0))
+    return project(data, model) * np.where(overlaps < 0.0, -1.0, 1.0)
 
 
 def uniform_relative_infidelities(data, seed, eps_grid):
@@ -322,7 +320,7 @@ def test_criterion_09_qsvm_adaptation():
     compressed = project(data, model)
 
     full = lssvm_train(data.values, labels, 1.0)
-    comp = lssvm_train(compressed.values, labels, 1.0)
+    comp = lssvm_train(compressed, labels, 1.0)
     if full.residual > 1e-8 or comp.residual > 1e-8:
         failures.append(f"saddle residuals {full.residual}, {comp.residual}")
 
@@ -330,7 +328,7 @@ def test_criterion_09_qsvm_adaptation():
     # classifies as +1.
     decisions = lssvm_decision_values(full, data.values)
     acc_full = np.mean(np.where(decisions >= 0.0, 1, -1) == labels)
-    acc_comp = np.mean(np.where(lssvm_decision_values(comp, compressed.values) >= 0.0, 1, -1) == labels)
+    acc_comp = np.mean(np.where(lssvm_decision_values(comp, compressed) >= 0.0, 1, -1) == labels)
     if acc_full != acc_comp:
         failures.append(f"training accuracy {acc_comp} != full-space {acc_full}")
 
@@ -354,7 +352,7 @@ def test_criterion_10_qlr_adaptation():
     compressed = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
     pred = qlr_predict(data.values, targets, data.values)
-    comp = qlr_predict(compressed.values, targets, data.values @ basis)
+    comp = qlr_predict(compressed, targets, data.values @ basis)
     for i in range(data.n_rows):
         if abs(pred.value[i] - targets[i]) > 1e-8:
             failures.append(f"row {i}: original-space prediction off by "

@@ -13,7 +13,6 @@ from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_
 from qpcasim.errors import InvalidInputError, OutOfRangeError, QpcaError
 from qpcasim.pca_oracle import (
     OVERLAP_BLOCK_ROWS,
-    CompressedMatrix,
     DataMatrix,
     expected_compressed_state,
     pairwise_overlap_report,
@@ -404,7 +403,7 @@ def test_projection_diagonal_case():
     model = svd_decompose(data, 0.5)
     assert model.selected_dim == 1
     y = project(data, model)
-    np.testing.assert_allclose(y.values, [[2.0], [0.0]], atol=1e-12)
+    np.testing.assert_allclose(y, [[2.0], [0.0]], atol=1e-12)
 
 
 def test_projection_rank2_product_seed3():
@@ -413,10 +412,10 @@ def test_projection_rank2_product_seed3():
     model = svd_decompose(data, 0.95)
     assert model.selected_dim == 2
     y = project(data, model)
-    assert abs(np.linalg.norm(y.values) - data.frobenius_norm) <= 1e-10
+    assert abs(np.linalg.norm(y) - data.frobenius_norm) <= 1e-10
     # Row i of Y equals V_d^T x_i.
     expected = data.values @ model.right_vectors[:, :2]
-    np.testing.assert_allclose(y.values, expected, atol=1e-12)
+    np.testing.assert_allclose(y, expected, atol=1e-12)
 
 
 def test_projection_full_dimension_preserves_row_norms():
@@ -426,7 +425,7 @@ def test_projection_full_dimension_preserves_row_norms():
     assert model.selected_dim == 4
     y = project(data, model)
     np.testing.assert_allclose(
-        np.linalg.norm(y.values, axis=1), np.linalg.norm(data.values, axis=1), atol=1e-10
+        np.linalg.norm(y, axis=1), np.linalg.norm(data.values, axis=1), atol=1e-10
     )
 
 
@@ -436,7 +435,7 @@ def test_projection_energy_identity():
         model = svd_decompose(data, 0.7)
         y = project(data, model)
         kept = np.sum(model.singular_values[: model.selected_dim] ** 2)
-        assert abs(np.linalg.norm(y.values) ** 2 - kept) <= 1e-10 * max(kept, 1.0)
+        assert abs(np.linalg.norm(y) ** 2 - kept) <= 1e-10 * max(kept, 1.0)
 
 
 def test_projection_idempotence():
@@ -444,18 +443,18 @@ def test_projection_idempotence():
         data = rank_k_dataset(16, 8, 3, seed=seed)
         model = svd_decompose(data, 0.95)
         y = project(data, model)
-        again = project(DataMatrix(y.values), svd_decompose(DataMatrix(y.values), 0.95))
-        np.testing.assert_allclose(again.values, y.values, atol=1e-8)
+        again = project(DataMatrix(y), svd_decompose(DataMatrix(y), 0.95))
+        np.testing.assert_allclose(again, y, atol=1e-8)
 
 
 def test_expected_state_single_entry():
-    y = CompressedMatrix(values=np.array([[1.0]]), source_shape=(1, 1), selected_dim=1)
+    y = np.array([[1.0]])
     state = expected_compressed_state(y)
     assert state.basis_amplitude({"row": 0, "index": 1}) == pytest.approx(1.0)
 
 
 def test_expected_state_identity_pair():
-    y = CompressedMatrix(values=np.eye(2), source_shape=(2, 2), selected_dim=2)
+    y = np.eye(2)
     state = expected_compressed_state(y)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     assert state.basis_amplitude({"row": 0, "index": 1}) == pytest.approx(inv_sqrt2)
@@ -484,7 +483,7 @@ def test_expected_row_state_matches_row():
     y = project(data, model)
     row = 3
     state, _ = expected_compressed_state(y).restrict_register("row", [row])
-    want = y.values[row] / np.linalg.norm(y.values[row])
+    want = y[row] / np.linalg.norm(y[row])
     for j, amp in enumerate(want, start=1):
         assert state.basis_amplitude({"row": row, "index": j}) == pytest.approx(amp, abs=1e-12)
     assert state.probabilities("row")[row] == pytest.approx(1.0, abs=1e-12)
@@ -534,10 +533,10 @@ def _unit_rows(data, compressed):
     """(x, y, ok): every data row and every compressed row at unit norm (a
     zero compressed row stays zero), and which compressed rows are nonzero."""
     x = data.values / np.linalg.norm(data.values, axis=1, keepdims=True)
-    y_norms = compressed.row_norms
+    y_norms = np.linalg.norm(compressed, axis=1)
     ok = y_norms > 0.0
-    y = np.zeros_like(compressed.values)
-    y[ok] = compressed.values[ok] / y_norms[ok, None]
+    y = np.zeros_like(compressed)
+    y[ok] = compressed[ok] / y_norms[ok, None]
     return x, y, ok
 
 
@@ -582,7 +581,7 @@ def _signs(n_rows, zero_rows=()):
     data = DataMatrix(rng.choice([-1.0, 1.0], size=(n_rows, 16)))
     values = rng.choice([-1.0, 1.0], size=(n_rows, 4))
     values[list(zero_rows)] = 0.0
-    return data, CompressedMatrix(values, (n_rows, 16), 4)
+    return data, values
 
 
 B = OVERLAP_BLOCK_ROWS
@@ -699,8 +698,8 @@ def test_pairwise_overlap_memory_is_one_slab_and_the_stacked_unit_rows():
     for n_rows, n_cols, with_block in ((4096, 16, False), (256, 4096, True)):
         data = rank_k_dataset(n_rows, n_cols, 4, 1)
         compressed = project(data, svd_decompose(data, 0.95))
-        stacked_rows = data.values.nbytes + compressed.values.nbytes
-        block = B * (n_cols + compressed.values.shape[1]) * 8 if with_block else 0
+        stacked_rows = data.values.nbytes + compressed.nbytes
+        block = B * (n_cols + compressed.shape[1]) * 8 if with_block else 0
         for tolerance in (1e-6, 0.0):
             tracemalloc.start()
             try:

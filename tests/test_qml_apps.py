@@ -91,11 +91,11 @@ def test_lssvm_kernel_invariance_under_projection():
     model = svd_decompose(data, 0.95)
     y = project(data, model)
 
-    gram_gap = np.max(np.abs(y.values @ y.values.T - data.values @ data.values.T))
+    gram_gap = np.max(np.abs(y @ y.T - data.values @ data.values.T))
     assert gram_gap <= 1e-9
 
     full = lssvm_train(data.values, labels, 1.0)
-    compressed = lssvm_train(y.values, labels, 1.0)
+    compressed = lssvm_train(y, labels, 1.0)
     assert full.bias == pytest.approx(compressed.bias, abs=1e-8)
     np.testing.assert_allclose(full.coefficients, compressed.coefficients, atol=1e-8)
     assert full.residual <= 1e-8 and compressed.residual <= 1e-8
@@ -107,9 +107,9 @@ def test_lssvm_separable_fixture_accuracies_match():
     y = project(data, spectral)
 
     full = lssvm_train(data.values, labels, 1.0)
-    compressed = lssvm_train(y.values, labels, 1.0)
+    compressed = lssvm_train(y, labels, 1.0)
     acc_full = _accuracy(full, data.values, labels.astype(int))
-    acc_comp = _accuracy(compressed, y.values, labels.astype(int))
+    acc_comp = _accuracy(compressed, y, labels.astype(int))
     assert acc_full == 1.0
     assert acc_comp == acc_full
     assert full.residual <= 1e-8 and compressed.residual <= 1e-8
@@ -120,7 +120,7 @@ def _lssvm_reference_cases():
     compressed projection, a tall 2000 x 16 pair, a wide 40 x 1024 pair, and
     rank-deficient points (one column duplicated)."""
     demo, demo_labels = gaussian_class_pair(n_per_class=200, n_cols=16, seed=7)
-    compressed = project(demo, svd_decompose(demo, 0.95)).values
+    compressed = project(demo, svd_decompose(demo, 0.95))
     tall, tall_labels = gaussian_class_pair(n_per_class=1000, n_cols=16, seed=3)
     wide, wide_labels = gaussian_class_pair(n_per_class=20, n_cols=1024, seed=5)
     duplicated = np.hstack([demo.values, demo.values[:, :1]])
@@ -303,7 +303,7 @@ def test_qlr_compressed_space_agrees():
     y = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
     original = qlr_predict(data.values, targets, data.values).value
-    compressed = qlr_predict(y.values, targets, data.values @ basis).value
+    compressed = qlr_predict(y, targets, data.values @ basis).value
     np.testing.assert_allclose(compressed, original, rtol=0.0, atol=1e-8)
 
 
@@ -330,7 +330,7 @@ def test_qlr_batched_predictions_equal_per_query_reference():
     model = svd_decompose(data, 0.95)
     queries = np.vstack([data.values, np.random.default_rng(6).normal(size=(4, 6))])
     basis = model.right_vectors[:, : model.selected_dim]
-    for points, space_queries in ((data.values, queries), (project(data, model).values, queries @ basis)):
+    for points, space_queries in ((data.values, queries), (project(data, model), queries @ basis)):
         got = qlr_predict(points, targets, space_queries)
         want = np.array([reference_qlr_predict(points, targets, q) for q in space_queries])
         np.testing.assert_allclose(got.value, want[:, 0], rtol=1e-12, atol=1e-15)
@@ -377,7 +377,7 @@ def test_qlr_demo_compressed_space():
     y = project(data, model)
     basis = model.right_vectors[:, : model.selected_dim]
     queries = data.values @ basis
-    demo = qlr_state_demo(qlr_predict(y.values, targets, queries), targets, queries, 3)
+    demo = qlr_state_demo(qlr_predict(y, targets, queries), targets, queries, 3)
     assert demo.prediction == pytest.approx(targets[3], abs=1e-6)
 
 
@@ -463,7 +463,7 @@ def _qlr_demo_cases():
         (full, rng.normal(size=12), full[5]),
         (data.values, targets, data.values[3]),
         (wide, rng.normal(size=4), rng.normal(size=8)),
-        (project(data, model).values, targets, data.values[3] @ basis),
+        (project(data, model), targets, data.values[3] @ basis),
     ]
 
 

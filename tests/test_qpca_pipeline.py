@@ -246,6 +246,32 @@ def test_compress_sampled_mode_statistics():
     assert report.fidelity >= 0.999
 
 
+def test_the_compress_report_holds_the_audit_itself():
+    # The report's overlap block is the audit's own record, which rebuilds
+    # its deviations from the data and the projection it read: the pairs it
+    # counted, with the maximum it reported, bit for bit. 150 noisy rows
+    # take three audit blocks.
+    data = rank_k_plus_noise(150, 8, 3, seed=4, noise_fraction=0.01)
+    run = run_compression(data, seed=1)
+    overlap = run.result.report.overlap
+    assert type(overlap) is pca_oracle.OverlapReport
+    assert overlap.n_pairs == 150 * 149 // 2
+    assert overlap.deviations.size == overlap.n_pairs
+    assert overlap.max_deviation > 0.0
+    assert float(overlap.deviations.max()) == overlap.max_deviation
+
+
+def test_the_compressed_projection_is_read_only():
+    # The overlap audit keeps the projection; nothing may change the bits
+    # its statistics came from.
+    run = run_compression(rank_k_dataset(16, 8, 3, seed=1), seed=0)
+    compressed = run.result.compressed
+    assert isinstance(compressed, np.ndarray) and compressed.shape == (16, 3)
+    assert not compressed.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        compressed[0, 0] = 1.0
+
+
 def test_compress_single_row_state():
     # A one-row subset compresses that row alone: the kept row holds its
     # projection y / |y| on tokens 1..d, and every other row holds nothing.
@@ -256,7 +282,7 @@ def test_compress_single_row_state():
     assert report.fidelity >= 1.0 - 1e-9
     amps = run.result.state.amplitudes
     assert run.result.state.layout() == (("row", 3), ("index", 2))
-    y = run.result.compressed.values[3]
+    y = run.result.compressed[3]
     np.testing.assert_allclose(amps[3, 1:3], y / np.linalg.norm(y), atol=1e-9)
     assert amps[3, 0] == 0.0 and not np.any(np.delete(amps, 3, axis=0))
 
@@ -352,7 +378,7 @@ def test_sampled_redraw_samples_the_spectrum_once(monkeypatch):
     own = svd_decompose(data, 1.0)
     np.testing.assert_array_equal(run.model.right_vectors, own.right_vectors)
     want = anchor_signed_projection(data, own, own.overlaps(data, 6, own.selected_dim))
-    np.testing.assert_array_equal(run.result.compressed.values, want.values)
+    np.testing.assert_array_equal(run.result.compressed, want)
 
 
 def test_anchor_selection_decomposes_once(monkeypatch):
@@ -474,7 +500,7 @@ def test_a_run_keeps_one_decomposition(monkeypatch):
     read = [args[0] for args, _ in checks + circuits] + [args[1] for args, _ in projections]
     # The spectrum's checks and the circuit's, the circuit, the projection.
     assert len(read) == 4 and all(model is run.model for model in read)
-    assert np.all(run.result.compressed.values[run.profile.anchor_index] > 0.0)
+    assert np.all(run.result.compressed[run.profile.anchor_index] > 0.0)
 
 
 def test_select_anchor_peaks_far_below_the_eigenvectors():
@@ -568,7 +594,7 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
             assert np.array_equal(choice.profile.beta_hat, want_choice.profile.beta_hat)
             assert choice.profile.residual == want_choice.profile.residual
             assert got.report == want.report
-            assert np.array_equal(got.compressed.values, want.compressed.values)
+            assert np.array_equal(got.compressed, want.compressed)
             assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
     assert redrawn == [source == "weak-rows" and seed in (0, 10) for seed in seeds]
 
