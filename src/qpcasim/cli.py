@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, ParseError, QpcaError
 from .modes import MODE_IDEAL, MODE_SAMPLED, RUN_MODES, anchor_shots, check_eps_beta, check_gamma, check_label_bits
-from .modes import check_ledger_accuracy, check_run_mode, check_seed, check_subset, check_theta
+from .modes import check_ledger_accuracy, check_run_mode, check_seed, check_shots, check_subset, check_theta
 from .pca_oracle import DataMatrix, SpectralModel, coefficients, norm_range_fault, project, svd_decompose
-from .statevector import check_shots
 
 if TYPE_CHECKING:
     from .qpca_pipeline import RunResult
@@ -88,6 +87,10 @@ class RunConfig:
             check_ledger_accuracy(self.eps_beta, self.bits)
         if self.task == "compress" and self.mode == MODE_SAMPLED:
             anchor_shots(self.eps_beta)  # the swap tests' shot count
+        if self.labels_path is None and self.task == "qsvm":
+            raise InvalidInputError("task qsvm needs --labels with one +-1 label per row")
+        if self.labels_path is None and self.task == "qlr":
+            raise InvalidInputError("task qlr needs --labels with one target value per row")
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -555,12 +558,8 @@ def run(config: RunConfig) -> dict:
     if config.task == "compress":
         body = _task_compress(config, data)
     elif config.task == "qsvm":
-        if labels is None:
-            raise InvalidInputError("task qsvm needs --labels with one +-1 label per row")
         body = _task_qsvm(config, data, labels)
     elif config.task == "qlr":
-        if labels is None:
-            raise InvalidInputError("task qlr needs --labels with one target value per row")
         body = _task_qlr(config, data, labels)
     elif config.task == "scaling":
         body = _task_scaling(config, data)

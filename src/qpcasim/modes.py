@@ -3,13 +3,16 @@ and the CLI share.
 
 Each setting has one check here, with one code and one message, and every
 entry point refuses through it: the CLI's ``RunConfig.validate`` before any
-input is read, the library where the setting is used. Shot counts are
-checked by ``statevector.check_shots``. The module imports only ``math`` and
-``errors``, so the CLI validates its flags without loading the pipeline.
+input is read, the library where the setting is used. An integer setting (a
+seed, an anchor row, a subset row) is read by ``read_integer``, which
+refuses a bool or a non-integer. The module imports only ``math``,
+``operator`` and ``errors``, so the CLI validates its flags without loading
+the pipeline.
 ``qpca_pipeline`` describes what each mode does.
 """
 
 import math
+import operator
 
 from .errors import InvalidInputError, OutOfRangeError
 
@@ -47,8 +50,19 @@ def check_label_bits(bits: int, mode: str) -> None:
         raise OutOfRangeError(f"quantized label width must be at most {MAX_LABEL_BITS} bits, got {bits}")
 
 
+def read_integer(value, name: str) -> int:
+    """``value`` as an int (``operator.index``): a bool, a float or any other
+    value that is not an integer is refused (``INVALID_INPUT``)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
+    if seed is not None and read_integer(seed, "seed") < 0:
         raise OutOfRangeError(f"seed must be >= 0, got {seed}")
 
 
@@ -65,6 +79,14 @@ def check_eps_beta(eps_beta: float) -> None:
 def check_gamma(gamma: float) -> None:
     if not 0.0 < gamma < math.inf:
         raise OutOfRangeError(f"gamma must be positive and finite, got {gamma}")
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a shot count below 1, or above ``MAX_SHOTS`` (``OUT_OF_RANGE``)."""
+    if shots < 1:
+        raise OutOfRangeError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise OutOfRangeError(f"shots must be at most {MAX_SHOTS} (2^63 - 1) for one seeded draw, got {shots}")
 
 
 def anchor_shots(eps_beta: float) -> int:

@@ -471,15 +471,14 @@ def pairwise_overlap_report(data: DataMatrix, y: np.ndarray, tolerance: float = 
     whose compressed rows are nonzero. The flagged rows (zero compressed
     norm) are dropped first, so the m rows left pair with each other only.
     The unit rows are stacked once as [y | x] (``_unit_rows``), and the
-    audit reduces one
-    slab of one stacked product at a time (``_overlap_slabs``) where it
-    stands: the diagonal and lower triangle of the slab's leading square are
-    zeroed, and the slab adds its sum and its maximum; its entries above
-    ``tolerance`` are counted only when that maximum exceeds it. The memory
-    is the stacked rows, one block of them and one slab, not the n_pairs
-    deviations nor two m x m Gram matrices. The mean is the sum of the slab
-    sums over n_pairs, so it may differ in its last bit from one mean over
-    the gathered deviations.
+    audit reduces one slab of one stacked product at a time
+    (``_overlap_slabs``) where it stands: the diagonal and lower triangle of
+    the slab's leading square are zeroed, and the slab adds its sum and its
+    maximum; its entries above ``tolerance`` are counted only when that
+    maximum exceeds it. The memory is the stacked rows, one block of them
+    and one slab, not the n_pairs deviations nor two m x m Gram matrices.
+    The mean is the sum of the slab sums over n_pairs, so it may differ in
+    its last bit from one mean over the gathered deviations.
 
     A deviation is one dot product over d + D terms rather than the
     difference of two Gram entries, and the blocks are OVERLAP_BLOCK_ROWS

@@ -32,8 +32,8 @@ from .errors import (
     NumericalFailureError,
     SingularSystemError,
 )
-from .modes import check_gamma
-from .statevector import StateVector, ceil_log2, check_shots, interference_probability, sample_outcome
+from .modes import check_gamma, check_shots
+from .statevector import StateVector, ceil_log2, interference_probability, sample_outcome
 
 PINV_CUTOFF = 1e-10
 RESIDUAL_TOL = 1e-8

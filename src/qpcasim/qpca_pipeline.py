@@ -39,7 +39,7 @@ from .errors import (
 )
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
 from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, anchor_shots, check_ledger_accuracy
-from .modes import check_seed, check_subset
+from .modes import check_seed, check_subset, read_integer
 from .pca_oracle import DataMatrix, OverlapReport, SpectralModel
 from .statevector import StateVector
 from .sv_engine import PhaseConfig
@@ -274,20 +274,21 @@ def estimate_anchor(
 
 
 def _check_anchor_index(data: DataMatrix, anchor_index: int | None) -> None:
-    """Refuse a fixed anchor row that ``data`` does not have."""
-    if anchor_index is not None and not 0 <= anchor_index < data.n_rows:
+    """Refuse a fixed anchor row that is not an integer (``read_integer``)
+    or that ``data`` does not have."""
+    if anchor_index is not None and not 0 <= read_integer(anchor_index, "anchor index") < data.n_rows:
         raise OutOfRangeError(f"anchor index {anchor_index} out of range for {data.n_rows} rows")
 
 
 def _subset_rows(data: DataMatrix, subset: Sequence[int] | None) -> np.ndarray:
     """The distinct rows ``subset`` names, ascending, or every row without
-    one. An empty subset, and a row that ``data`` does not have, are
-    refused."""
+    one. An empty subset, a row that is not an integer (``read_integer``)
+    and a row that ``data`` does not have are refused."""
     check_subset(subset)
     if subset is None:
         return np.arange(data.n_rows)
     # Distinct and ascending; np.unique would import numpy.ma.
-    rows = np.sort(np.asarray(subset, dtype=int))
+    rows = np.sort([read_integer(row, "subset row") for row in subset])
     rows = rows[np.append(True, rows[1:] != rows[:-1])]
     if rows[0] < 0 or rows[-1] >= data.n_rows:
         raise OutOfRangeError(f"subset rows must lie in [0, {data.n_rows})")
@@ -657,6 +658,8 @@ def error_scaling_experiment(
     grid = np.array([float(e) for e in eps_grid])
     if np.any(grid < 0.0):
         raise OutOfRangeError("perturbation magnitudes must be nonnegative")
+    if not np.all(np.isfinite(grid)):
+        raise OutOfRangeError(f"perturbation magnitudes must be finite, got {grid.tolist()}")
 
     cfg = PhaseConfig(MODE_IDEAL)
     model = pca_oracle.svd_decompose(data, threshold)

@@ -14,7 +14,7 @@ amplitude; the reference circuit's helpers (``zero``, ``append_register``,
 states, as a general circuit needs.
 
 Every sampled readout is one seeded draw, ``sample_outcome``, behind one
-shot-count check; ``interference_probability`` is an interference test's P(0).
+shot-count check (``modes.check_shots``); ``interference_probability`` is an interference test's P(0).
 
 All transformations return new StateVector instances; nothing is mutated in
 place, so callers can keep intermediate states around for comparison. A
@@ -36,10 +36,9 @@ from .errors import (
     ContractViolationError,
     InvalidInputError,
     NumericalFailureError,
-    OutOfRangeError,
     UnknownRegisterError,
 )
-from .modes import MAX_SHOTS
+from .modes import check_shots
 
 NORM_TOL = 1e-10
 
@@ -63,14 +62,6 @@ def check_unit_norm(norms: float | np.ndarray) -> None:
     if off.any() if isinstance(off, np.ndarray) else off:
         norm = float(np.ravel(norms)[np.argmax(off)])
         raise NumericalFailureError(f"state norm drifted to {norm!r}")
-
-
-def check_shots(shots: int) -> None:
-    """Refuse a shot count below 1, or above ``MAX_SHOTS`` (``OUT_OF_RANGE``)."""
-    if shots < 1:
-        raise OutOfRangeError(f"shots must be >= 1, got {shots}")
-    if shots > MAX_SHOTS:
-        raise OutOfRangeError(f"shots must be at most {MAX_SHOTS} (2^63 - 1) for one seeded draw, got {shots}")
 
 
 def sample_outcome(probability: float, shots: int, rng_seed: int | None) -> int:

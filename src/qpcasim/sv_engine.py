@@ -50,9 +50,9 @@ from .errors import (
     InvalidRotationError,
     VanishingSuccessError,
 )
-from .modes import MODE_IDEAL, check_label_bits, check_run_mode
+from .modes import MODE_IDEAL, check_label_bits, check_run_mode, check_shots
 from .pca_oracle import SpectralModel
-from .statevector import Register, StateVector, ceil_log2, check_shots, check_unit_norm, token_qubits
+from .statevector import Register, StateVector, ceil_log2, check_unit_norm, token_qubits
 from .statevector import interference_probability, sample_outcome
 
 # Written phases encode eigenvalue/2 so that an eigenvalue of 1 does not

@@ -17,10 +17,10 @@ from qpcasim.datasets import (
     write_values_file,
 )
 from qpcasim.errors import InvalidInputError, NumericalFailureError, OutOfRangeError, ParseError
-from qpcasim.modes import MODE_QUANTIZED, RUN_MODES, check_run_mode
+from qpcasim.modes import MODE_QUANTIZED, RUN_MODES, check_run_mode, check_shots
 from qpcasim.qml_apps import lssvm_train, qsvm_state_demo
 from qpcasim.qpca_pipeline import compress, error_scaling_experiment, estimate_anchor, ledger_predict, run_compression
-from qpcasim.statevector import check_shots, sample_outcome
+from qpcasim.statevector import sample_outcome
 from qpcasim.sv_engine import PhaseConfig
 
 
@@ -667,6 +667,23 @@ def test_qsvm_report(blobs_files):
 def test_qsvm_needs_labels(rank2_csv):
     with pytest.raises(InvalidInputError):
         cli.run(cli.RunConfig(input_path=rank2_csv, task="qsvm"))
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ("qsvm", "task qsvm needs --labels with one +-1 label per row"),
+        ("qlr", "task qlr needs --labels with one target value per row"),
+    ],
+    ids=["qsvm", "qlr"],
+)
+@pytest.mark.parametrize("source", ["missing", "bad.csv"])
+def test_a_missing_labels_file_is_refused_before_the_input_is_read(capsys, tmp_path, task, message, source):
+    # The parent read the input first, so it answered with the input's
+    # refusal ("cannot read", or a PARSE_ERROR).
+    path = str(tmp_path / "nope.csv") if source == "missing" else os.path.join(GOLDEN_DIR, "inputs", source)
+    payload = _error_payload(capsys, ["--input", path, "--task", task])
+    assert payload == {"code": "INVALID_INPUT", "message": message}
 
 
 def test_qlr_report(linear_files):

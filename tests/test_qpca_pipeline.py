@@ -14,6 +14,7 @@ from qpcasim.datasets import dataset_from_spectrum, rank_k_dataset, rank_k_plus_
 from qpcasim import cli, pca_oracle, qpca_pipeline, qram_store, sv_engine
 from qpcasim.errors import (
     DegenerateSpectrumError,
+    InvalidInputError,
     NumericalFailureError,
     OutOfRangeError,
     UnderSampledError,
@@ -546,6 +547,38 @@ def test_a_negative_seed_is_refused_as_the_cli_refuses_it(entry):
     with pytest.raises(OutOfRangeError) as info:
         entry(cli.ingest_csv(RANK3))
     assert info.value.payload() == {"code": "OUT_OF_RANGE", "message": "seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [
+        (lambda data: run_compression(data, subset=[1.7, 3]), "subset row", 1.7),
+        (lambda data: run_compression(data, subset=[True, 3]), "subset row", True),
+        (lambda data: run_compression(data, anchor_index=1.5), "anchor index", 1.5),
+        (lambda data: run_compression(data, anchor_index=True), "anchor index", True),
+        (lambda data: run_compression(data, seed=1.5), "seed", 1.5),
+        (lambda data: error_scaling_experiment(data, [0.0], [1.5]), "seed", 1.5),
+    ],
+    ids=["subset-float", "subset-bool", "anchor-float", "anchor-bool", "seed", "sweep-seed"],
+)
+def test_an_integer_setting_refuses_a_bool_or_a_non_integer(entry, name, value):
+    # The parent cast a subset to int (rows 1 and 3 ran), let numpy refuse
+    # an anchor or a seed with its own error, and truncated a sweep seed.
+    with pytest.raises(InvalidInputError) as info:
+        entry(rank_k_dataset(16, 8, 3, seed=1))
+    assert info.value.payload() == {"code": "INVALID_INPUT", "message": f"{name} must be an integer, got {value!r}"}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_the_sweep_refuses_a_non_finite_magnitude(bad):
+    # The parent swept inf into a NaN slope with a RuntimeWarning, and
+    # refused nan as a rotation constant.
+    with pytest.raises(OutOfRangeError) as info:
+        error_scaling_experiment(rank_k_dataset(16, 8, 3, seed=1), [0.0, bad], [1])
+    assert info.value.payload() == {
+        "code": "OUT_OF_RANGE",
+        "message": f"perturbation magnitudes must be finite, got [0.0, {bad}]",
+    }
 
 
 @pytest.mark.parametrize(

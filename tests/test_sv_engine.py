@@ -16,10 +16,10 @@ from qpcasim.errors import (
     OutOfRangeError,
     VanishingSuccessError,
 )
-from qpcasim.modes import MODE_IDEAL, MODE_QUANTIZED
+from qpcasim.modes import MAX_SHOTS, MODE_IDEAL, MODE_QUANTIZED
 from qpcasim.pca_oracle import DataMatrix, coefficients, svd_decompose
 from qpcasim.qram_store import prepare_data_state
-from qpcasim.statevector import MAX_SHOTS, StateVector
+from qpcasim.statevector import StateVector
 from qpcasim.sv_engine import (
     PHASE_SCALE,
     PhaseConfig,
