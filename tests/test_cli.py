@@ -678,7 +678,7 @@ def test_qsvm_needs_labels(rank2_csv):
     ids=["qsvm", "qlr"],
 )
 @pytest.mark.parametrize("source", ["missing", "bad.csv"])
-def test_a_missing_labels_file_is_refused_before_the_input_is_read(capsys, tmp_path, task, message, source):
+def test_a_missing_labels_flag_is_refused_before_the_input_is_read(capsys, tmp_path, task, message, source):
     # The parent read the input first, so it answered with the input's
     # refusal ("cannot read", or a PARSE_ERROR).
     path = str(tmp_path / "nope.csv") if source == "missing" else os.path.join(GOLDEN_DIR, "inputs", source)
