@@ -233,6 +233,7 @@ def read_values(path: str, expected_rows: int) -> np.ndarray:
 # are unique.
 _OMIT = {
     "SpectralModel": ("right_vectors",),
+    "AnchorProfile": ("overlaps",),
     "CompressionReport": ("ledger",),
     "ScalingResult": ("model",),
 }
@@ -438,14 +439,13 @@ def _task_ledger(config: RunConfig, data: DataMatrix) -> dict:
     cfg = PhaseConfig(MODE_IDEAL, config.bits)
     model = svd_decompose(data, config.theta)
     check_label_distinctness(model, cfg)  # the spectrum stage, before any anchor is drawn
-    choice = select_anchor(
+    profile, _ = select_anchor(
         data,
         model,
         np.random.default_rng(config.seed),
         eps_beta=config.eps_beta,
         anchor_index=config.anchor_index,
     )
-    profile = choice.profile
     p = float(profile.rotation_constant**2 * model.variance_captured)
     ledger = ledger_predict(
         n_rows=data.n_rows,

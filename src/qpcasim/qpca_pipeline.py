@@ -7,10 +7,10 @@ ancilla, and post-select on recovering the anchor. Every stage reads one
 eigensystem, the ``pca_oracle.SpectralModel`` its task decomposed once, with
 its kept dimension and variance threshold. Each sampled step is a seeded
 draw on numbers the model holds, the eigenvalues binned by label or one
-squared coefficient, so only ``compress`` loads a state. An anchor is
-carried as its signed overlaps with the kept directions
-(``SpectralModel.overlaps``), formed once per draw; every stage reads the
-anchor through them. Three run modes control where randomness enters:
+squared coefficient, so only ``compress`` loads a state. An anchor is one
+record, its ``AnchorProfile``, which keeps its signed overlaps with the kept
+directions (``SpectralModel.overlaps``), formed once per draw; every stage
+reads the anchor through them. Three run modes control where randomness enters:
 
   ideal      exact per-component tokens, exact coefficients, exact
              post-selection probability (isolates coefficient-error studies)
@@ -60,10 +60,13 @@ SWEEP_STACK_ROWS = 512
 
 @dataclass(frozen=True)
 class AnchorProfile:
-    """Anchor overlap coefficients, true and estimated."""
+    """The accepted anchor row: its (d,) signed ``overlaps`` with the kept
+    directions (``SpectralModel.overlaps``), from which every later stage
+    reads the anchor, and its coefficients, true and estimated."""
 
     anchor_index: int
-    beta: np.ndarray         # exact |<v_j | anchor>|, j over the kept components
+    overlaps: np.ndarray     # <v_j | anchor>, signs and all, j over the kept components
+    beta: np.ndarray         # exact |<v_j | anchor>|, the capped magnitudes of ``overlaps``
     beta_hat: np.ndarray     # estimates actually used by the rotation stage
     rotation_constant: float  # C = min_j beta_hat_j
     residual: float           # 1 - sum beta_j^2 (anchor mass outside the kept span)
@@ -201,12 +204,13 @@ def default_sampling_budget(dim: int) -> int:
 
 
 def _anchor_profile(
-    anchor_index: int, beta: np.ndarray, beta_hat: np.ndarray, eps_beta: float, shots: int | None
+    overlaps: np.ndarray, anchor_index: int, beta: np.ndarray, beta_hat: np.ndarray, eps_beta: float, shots: int | None
 ) -> AnchorProfile:
     """The profile of exact coefficients ``beta`` and estimates ``beta_hat``:
     C = min_j beta_hat_j, residual = max(1 - sum beta_j^2, 0)."""
     return AnchorProfile(
         anchor_index=anchor_index,
+        overlaps=overlaps,
         beta=beta,
         beta_hat=beta_hat,
         rotation_constant=float(beta_hat.min()),
@@ -216,12 +220,7 @@ def _anchor_profile(
     )
 
 
-def exact_anchor_profile(
-    overlaps: np.ndarray,
-    anchor_index: int,
-    *,
-    eps_beta: float = 0.01,
-) -> AnchorProfile:
+def exact_anchor_profile(overlaps: np.ndarray, anchor_index: int, eps_beta: float) -> AnchorProfile:
     """Shot-free profile: the estimates equal the exact coefficients, the
     capped magnitudes (``pca_oracle.coefficients``) of row
     ``anchor_index``'s kept ``overlaps`` (``SpectralModel.overlaps``)."""
@@ -233,15 +232,11 @@ def exact_anchor_profile(
             f"below the floor {BETA_FLOOR}; redraw the anchor",
             anchor_index=anchor_index,
         )
-    return _anchor_profile(anchor_index, beta, beta.copy(), eps_beta, None)
+    return _anchor_profile(overlaps, anchor_index, beta, beta.copy(), eps_beta, None)
 
 
 def estimate_anchor(
-    overlaps: np.ndarray,
-    eps_beta: float,
-    rng_seed: int | None,
-    *,
-    anchor_index: int,
+    overlaps: np.ndarray, anchor_index: int, eps_beta: float, rng_seed: int | None
 ) -> AnchorProfile:
     """Estimate every kept anchor coefficient by a seeded swap test of row
     ``anchor_index`` against the corresponding kept principal direction,
@@ -270,7 +265,7 @@ def estimate_anchor(
             f"{anchor_index} is below the floor {BETA_FLOOR}; redraw the anchor",
             anchor_index=anchor_index,
         )
-    return _anchor_profile(anchor_index, beta, beta_hat, eps_beta, shots)
+    return _anchor_profile(overlaps, anchor_index, beta, beta_hat, eps_beta, shots)
 
 
 def _check_anchor_index(data: DataMatrix, anchor_index: int | None) -> None:
@@ -295,18 +290,6 @@ def _subset_rows(data: DataMatrix, subset: Sequence[int] | None) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class AnchorChoice:
-    """The accepted anchor row: its profile, the rows drawn, and
-    ``overlaps``, its (d,) signed overlaps with the caller's model's kept
-    directions (``SpectralModel.overlaps``), from which the profile took
-    its coefficients and every later stage reads the anchor."""
-
-    profile: AnchorProfile
-    attempts: tuple[int, ...]
-    overlaps: np.ndarray
-
-
 def select_anchor(
     data: DataMatrix,
     model: SpectralModel,
@@ -315,7 +298,7 @@ def select_anchor(
     eps_beta: float = 0.01,
     anchor_index: int | None = None,
     beta_seed: int | None = None,
-) -> AnchorChoice:
+) -> tuple[AnchorProfile, tuple[int, ...]]:
     """Choose the anchor row whose coefficients scale the rotation.
 
     Rows are drawn uniformly from ``rng`` until one has every kept
@@ -326,9 +309,10 @@ def select_anchor(
     are exact. Each draw forms its row's kept overlaps once
     (``SpectralModel.overlaps``), and the candidate is judged from them
     alone: its coefficients are their magnitudes, which no eigenvector sign
-    changes. The accepted row's overlaps are returned, signs and all;
-    ``model`` is not copied. A fixed ``anchor_index`` outside the data is
-    refused before any overlap is formed.
+    changes. Returns the accepted row's profile, which keeps its overlaps,
+    signs and all, and the rows drawn; ``model`` is not copied. A fixed
+    ``anchor_index`` outside the data is refused before any overlap is
+    formed.
     """
     _check_anchor_index(data, anchor_index)
     attempts: list[int] = []
@@ -339,15 +323,15 @@ def select_anchor(
         overlaps = model.overlaps(data, anchor, model.selected_dim)
         try:
             if beta_seed is None:
-                profile = exact_anchor_profile(overlaps, anchor, eps_beta=eps_beta)
+                profile = exact_anchor_profile(overlaps, anchor, eps_beta)
             else:
-                profile = estimate_anchor(overlaps, eps_beta, beta_seed, anchor_index=anchor)
+                profile = estimate_anchor(overlaps, anchor, eps_beta, beta_seed)
         except WeakAnchorError as exc:
             if anchor_index is not None:
                 raise
             last_error = exc
             continue
-        return AnchorChoice(profile, tuple(attempts), overlaps)
+        return profile, tuple(attempts)
     raise WeakAnchorError(
         f"no usable anchor after {len(attempts)} draw(s) {attempts}: {last_error}",
         anchor_index=attempts[-1],
@@ -408,7 +392,6 @@ def compress(
     data: DataMatrix,
     model: SpectralModel,
     profile: AnchorProfile,
-    overlaps: np.ndarray,
     cfg: PhaseConfig,
     *,
     subset: Sequence[int] | None = None,
@@ -424,9 +407,9 @@ def compress(
     the classical projection; in subset scope both are restricted to the
     subset's rows by the same ``restrict_register`` call. The data state is loaded
     from ``data``.
-    ``overlaps`` are the profile's anchor row's (d,) kept overlaps with
-    ``model``'s directions (``AnchorChoice.overlaps``), the anchor as the
-    projection undoes it. The circuit reads no sign of ``model``'s
+    The anchor enters as the profile's (d,) kept overlaps with ``model``'s
+    directions (``AnchorProfile.overlaps``), the anchor as the projection
+    undoes it. The circuit reads no sign of ``model``'s
     directions: it leaves token j+1 with the sign of <v_j|anchor>, so the
     classical reference, ``CompressResult.compressed``, is the projection
     onto ``model``'s directions with its columns flipped by the overlaps'
@@ -436,7 +419,7 @@ def compress(
     deviations from the bits its statistics came from.
     """
     d = model.selected_dim
-    if profile.beta_hat.size != d:
+    if profile.overlaps.size != d:
         raise InvalidInputError("anchor profile and model disagree on the kept dimension")
 
     scope = SCOPE_FULL if subset is None else SCOPE_SUBSET
@@ -446,7 +429,7 @@ def compress(
     if scope == SCOPE_SUBSET:
         state, _ = state.restrict_register("row", rows)
 
-    [projected], p_anchor = sv_engine.project_anchor(model, cfg, state, overlaps[None])
+    [projected], p_anchor = sv_engine.project_anchor(model, cfg, state, profile.overlaps[None])
     # The rotated state is twice the projected one; no name keeps it alive
     # through the oracle comparison below, where a run's memory peaks.
     post = sv_engine.postselect(
@@ -458,7 +441,7 @@ def compress(
 
     # Oracle comparison.
     compressed = pca_oracle.project(data, model)
-    compressed *= pca_oracle._overlap_signs(overlaps)
+    compressed *= pca_oracle._overlap_signs(profile.overlaps)
     compressed.flags.writeable = False
     reference = pca_oracle.expected_compressed_state(compressed)
     if scope == SCOPE_SUBSET:
@@ -551,7 +534,7 @@ def run_compression(
         extract_spectrum(model, cfg, default_sampling_budget(model.selected_dim), spectrum_seed)
     else:
         sv_engine.check_label_distinctness(model, cfg)
-    choice = select_anchor(
+    profile, attempts = select_anchor(
         data,
         model,
         np.random.default_rng(anchor_seed),
@@ -562,8 +545,7 @@ def run_compression(
     result = compress(
         data,
         model,
-        choice.profile,
-        choice.overlaps,
+        profile,
         cfg,
         subset=subset,
         postselect_shots=shots if sampled else None,
@@ -573,9 +555,9 @@ def run_compression(
         data=data,
         model=model,
         cfg=cfg,
-        profile=choice.profile,
+        profile=profile,
         result=result,
-        anchor_attempts=choice.attempts,
+        anchor_attempts=attempts,
     )
 
 
@@ -639,7 +621,7 @@ def error_scaling_experiment(
     reference projection. Each seed draws its anchor with the usual seeded redraw
     (``select_anchor``); its coefficients are perturbed by each grid
     magnitude, and the final-state error is averaged over the seeds per grid
-    point. The seeds' anchors, as their overlaps (``AnchorChoice.overlaps``),
+    point. The seeds' anchors, as their overlaps (``AnchorProfile.overlaps``),
     are projected in one ``project_anchor`` call, and every (seed, grid
     point) rotation in one ``sv_engine.postselect_rotations``, with the
     refusals and the amplitudes of ``apply_cr_beta`` then ``postselect`` at
@@ -666,18 +648,18 @@ def error_scaling_experiment(
     state = qram_store.prepare_data_state(data)
     d = model.selected_dim
     sv_engine.check_label_distinctness(model, cfg)  # the spectrum stage, before any anchor is drawn
-    choices = [select_anchor(data, model, np.random.default_rng(int(seed))) for seed in seeds]
+    profiles = [select_anchor(data, model, np.random.default_rng(int(seed)))[0] for seed in seeds]
     # Each seed's reference is the one reference state with that anchor's
     # signs on tokens 1..d; negating a column of the projection is exact.
     reference = pca_oracle.expected_compressed_state(pca_oracle.project(data, model)).amplitudes
     infid = np.zeros(len(grid))
     dev = np.zeros(len(grid))
     step = max(1, SWEEP_STACK_ROWS // state.register("row").dim)
-    for start in range(0, len(choices), step):
-        batch = choices[start : start + step]
-        overlaps = np.array([choice.overlaps for choice in batch])
+    for start in range(0, len(profiles), step):
+        batch = profiles[start : start + step]
+        overlaps = np.array([profile.overlaps for profile in batch])
         projected, p_anchor = sv_engine.project_anchor(model, cfg, state, overlaps)
-        beta_hat = perturb_beta(np.array([choice.profile.beta for choice in batch])[:, None, :], grid)
+        beta_hat = perturb_beta(np.array([profile.beta for profile in batch])[:, None, :], grid)
         kept, _ = sv_engine.postselect_rotations(projected, p_anchor, beta_hat, beta_hat.min(axis=-1))
         pass_infid, pass_dev = pca_oracle._reference_errors(kept, reference, overlaps)
         # Seed by seed, so each row sums in seed order.

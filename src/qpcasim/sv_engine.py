@@ -21,7 +21,8 @@ with the kept directions, any number of anchors in one product
 (``postselect``) then act on rows x tokens x 2 amplitudes. A sweep over
 coefficient estimates forms only each rotation's kept branch, the whole
 grid of every projected state as one array (``postselect_rotations``), from
-the sines that ``apply_cr_beta`` uses (``rotation_sines``).
+the sines that ``apply_cr_beta`` uses (``rotation_sines``). Both keep their
+flagged branches through one rule (``_keep_flagged``).
 Kept component j gets token j+1 by position. Spectrum sampling reads the
 register's law off the eigenvalues binned by label, over the labels
 present, with no data state (``eigen_marginal_state``), and the swap test
@@ -380,26 +381,20 @@ def postselect(
     already projected onto the anchor outcome with ``anchor_probability``,
     and drop the ancilla.
 
-    The returned probability is that of both outcomes together, the exact
-    squared norm of the kept branch of the whole circuit, capped at 1 (on
-    rank-1 data it rounds just above). When ``shots`` is
+    The kept branch, its probability and the floor's refusal, a kept branch
+    of zero mass included, are ``_keep_flagged``'s. When ``shots`` is
     given, a seeded binomial draw simulates repeating the bare
-    (unamplified) experiment that many times. A probability below
-    ``POSTSELECT_FLOOR``, a kept branch of zero mass included, is refused.
+    (unamplified) experiment that many times.
     """
-    try:
-        kept, flagged = state.project_and_remove({"ancilla": 1})
-    except InvalidInputError:
-        _refuse_below_floor(0.0)  # the kept branch has zero mass: always refused
-        raise
-    prob = min(anchor_probability * flagged, 1.0)
-    _refuse_below_floor(prob)
+    ancilla = state.axis("ancilla")
+    kept = np.take(state.amplitudes, 1, axis=ancilla)
+    prob = float(_keep_flagged(kept, anchor_probability, 0))
     sampled = successes = None
     if shots is not None:
         successes = sample_outcome(prob, shots, rng_seed)
         sampled = successes / shots
     return PostselectResult(
-        state=kept,
+        state=StateVector(state.registers[:ancilla] + state.registers[ancilla + 1 :], kept),
         probability=prob,
         sampled_probability=sampled,
         success_count=successes,
@@ -414,6 +409,23 @@ def _squared_norms(stack: np.ndarray, lead: int) -> np.ndarray:
     mass = np.abs(stack)
     np.square(mass, out=mass)
     return mass.reshape(stack.shape[:lead] + (-1,)).sum(axis=-1)
+
+
+def _keep_flagged(branches: np.ndarray, anchor_probabilities: float | np.ndarray, lead: int) -> np.ndarray:
+    """The one postselection rule: keep the ancilla-|1> ``branches``, a
+    C-contiguous stack whose first ``lead`` axes index them, of states that
+    ``project_anchor`` kept with ``anchor_probabilities`` (broadcast over
+    those axes). Each branch's probability of both outcomes together, the
+    exact squared norm of the kept branch of the whole circuit, is
+    min(p_anchor * its squared mass, 1) (on rank-1 data it rounds just
+    above 1). Any probability below ``POSTSELECT_FLOOR`` is refused, the
+    first in C order, before anything is divided; the branches are then
+    renormalised in place. Returns the probabilities."""
+    mass = _squared_norms(branches, lead)
+    probs = np.minimum(anchor_probabilities * mass, 1.0)
+    _refuse_below_floor(probs)
+    branches /= np.sqrt(mass).reshape(mass.shape + (1,) * (branches.ndim - lead))
+    return probs
 
 
 def postselect_rotations(
@@ -449,10 +461,7 @@ def postselect_rotations(
     shape = list(sines.shape[:2] + trailing)
     shape[2 + states[0].axis("index")] = -1
     kept = amps[:, None] * sines.reshape(shape)
-    flagged = _squared_norms(kept, 2)
-    probs = np.minimum(np.asarray(anchor_probabilities)[:, None] * flagged, 1.0)
-    _refuse_below_floor(probs)
-    kept /= np.sqrt(flagged).reshape(flagged.shape + trailing)
+    probs = _keep_flagged(kept, np.asarray(anchor_probabilities)[:, None], 2)
     check_unit_norm(np.sqrt(_squared_norms(kept, 2)))
     return kept, probs
 

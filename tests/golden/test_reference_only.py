@@ -49,6 +49,7 @@ STATEVECTOR_REFERENCE_ONLY = (
     "apply_mcx",
     "apply_x",
     "_bit_shift",
+    "project_and_remove",
 )
 
 

@@ -217,13 +217,13 @@ def uniform_relative_infidelities(data, seed, eps_grid):
     at 1."""
     cfg = PhaseConfig(MODE_IDEAL)
     model = svd_decompose(data, 0.95)
-    choice = select_anchor(data, model, np.random.default_rng(seed))
-    beta_hat = np.array([choice.profile.beta * (1.0 + eps) for eps in eps_grid])
+    profile, _ = select_anchor(data, model, np.random.default_rng(seed))
+    beta_hat = np.array([profile.beta * (1.0 + eps) for eps in eps_grid])
     if beta_hat.max() >= 1.0:
         return None
-    [projected], p_anchor = project_anchor(model, cfg, prepare_data_state(data), choice.overlaps[None])
+    [projected], p_anchor = project_anchor(model, cfg, prepare_data_state(data), profile.overlaps[None])
     [kept], _ = postselect_rotations([projected], p_anchor, beta_hat[None], beta_hat.min(axis=-1)[None])
-    psi = expected_compressed_state(anchor_signed_projection(data, model, choice.overlaps)).amplitudes
+    psi = expected_compressed_state(anchor_signed_projection(data, model, profile.overlaps)).amplitudes
     return [max(1.0 - min(abs(complex(np.vdot(phi, psi))), 1.0), 0.0) for phi in kept]
 
 

@@ -449,7 +449,7 @@ def _library_entry_points(case: str, data) -> dict:
     elif case == "error_shots_overflow":
         calls["sample_outcome"] = lambda: sample_outcome(0.5, 10**20, 3)
     elif case == "error_swap_test_shots":
-        calls["estimate_anchor"] = lambda: estimate_anchor(np.array([0.6, 0.8]), 1e-10, 3, anchor_index=0)
+        calls["estimate_anchor"] = lambda: estimate_anchor(np.array([0.6, 0.8]), 0, 1e-10, 3)
     else:
         calls["PhaseConfig"] = lambda: PhaseConfig(MODE_QUANTIZED, bits=100)
     return calls
@@ -509,11 +509,10 @@ def test_an_empty_subset_gets_one_refusal():
     # The CLI and compress refused an empty subset with two wordings; every
     # entry point now refuses it through one check.
     run = run_compression(cli.ingest_csv(RANK3), seed=0)
-    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
     payloads = [
         _refusal(lambda: cli.RunConfig(input_path="x", subset=()).validate()),
         _refusal(lambda: run_compression(run.data, subset=[])),
-        _refusal(lambda: compress(run.data, run.model, run.profile, overlaps, run.cfg, subset=[])),
+        _refusal(lambda: compress(run.data, run.model, run.profile, run.cfg, subset=[])),
     ]
     assert payloads[0]["message"] == "subset, when given, must name at least one row"
     assert payloads[1:] == payloads[:1] * 2
@@ -560,9 +559,8 @@ def test_row_ranges_are_refused_before_the_decomposition(monkeypatch):
     assert anchor.value.payload() == _golden_error("error_anchor_range_compress")
     assert subset.value.payload() == {"code": "OUT_OF_RANGE", "message": "subset rows must lie in [0, 32)"}
     run = run_compression(data, seed=0)
-    overlaps = run.model.overlaps(run.data, run.profile.anchor_index, run.model.selected_dim)
     with pytest.raises(OutOfRangeError) as inside:
-        compress(run.data, run.model, run.profile, overlaps, run.cfg, subset=[-1, 3])
+        compress(run.data, run.model, run.profile, run.cfg, subset=[-1, 3])
     assert inside.value.payload() == subset.value.payload()
 
 

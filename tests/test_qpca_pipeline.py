@@ -160,7 +160,7 @@ def test_default_sampling_budget():
 def test_exact_anchor_profile_three_rows():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
-    profile = exact_anchor_profile(model.overlaps(data, 0, model.selected_dim), 0)
+    profile = exact_anchor_profile(model.overlaps(data, 0, model.selected_dim), 0, 0.01)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(profile.beta, [inv_sqrt2, inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(profile.beta_hat, profile.beta, atol=0.0)
@@ -174,7 +174,7 @@ def test_exact_anchor_profile_weak_anchor():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
     with pytest.raises(WeakAnchorError) as info:
-        exact_anchor_profile(model.overlaps(data, 2, model.selected_dim), 2)
+        exact_anchor_profile(model.overlaps(data, 2, model.selected_dim), 2, 0.01)
     assert info.value.anchor_index == 2
 
 
@@ -185,13 +185,13 @@ def test_estimate_anchor_concentrates():
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     hits = 0
     for seed in range(200):
-        profile = estimate_anchor(anchor, 0.01, seed, anchor_index=0)
+        profile = estimate_anchor(anchor, 0, 0.01, seed)
         assert profile.shots_per_coefficient == 40_000  # ceil(4 / 0.01^2)
         if np.all(np.abs(profile.beta_hat - inv_sqrt2) <= 0.05):
             hits += 1
     assert hits >= 198
     # Halving the target accuracy quadruples the per-coefficient shots.
-    finer = estimate_anchor(anchor, 0.005, 0, anchor_index=0)
+    finer = estimate_anchor(anchor, 0, 0.005, 0)
     assert finer.shots_per_coefficient == 160_000
 
 
@@ -199,8 +199,8 @@ def test_estimate_anchor_is_seeded():
     data = DataMatrix(TRI_ROWS)
     model = svd_decompose(data, 0.95)
     anchor = model.overlaps(data, 0, model.selected_dim)
-    a = estimate_anchor(anchor, 0.02, 7, anchor_index=0)
-    b = estimate_anchor(anchor, 0.02, 7, anchor_index=0)
+    a = estimate_anchor(anchor, 0, 0.02, 7)
+    b = estimate_anchor(anchor, 0, 0.02, 7)
     np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
 
 
@@ -308,8 +308,7 @@ def test_success_probability_identity_with_perturbed_estimates():
     profile = replace(
         run.profile, beta_hat=beta_hat, rotation_constant=float(beta_hat.min())
     )
-    overlaps = run.model.overlaps(data, profile.anchor_index, run.model.selected_dim)
-    res = compress(data, run.model, profile, overlaps, run.cfg)
+    res = compress(data, run.model, profile, run.cfg)
     report = res.report
     assert report.fidelity < 1.0 - 1e-6  # perturbation visibly moves the state
     assert report.success_probability == pytest.approx(
@@ -513,12 +512,33 @@ def test_select_anchor_peaks_far_below_the_eigenvectors():
     assert model.right_vectors.nbytes == 8 * 2**20
     tracemalloc.start()
     try:
-        choice = qpca_pipeline.select_anchor(data, model, np.random.default_rng(0))
+        profile, _ = qpca_pipeline.select_anchor(data, model, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert choice.overlaps.shape == (model.selected_dim,)
+    assert profile.overlaps.shape == (model.selected_dim,)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("beta_seed", [None, 4])
+def test_the_anchor_profile_keeps_the_accepted_rows_overlaps(beta_seed):
+    # Seed 0 draws a weak row first. The accepted row's profile carries the
+    # overlaps its coefficients were taken from, bit for bit those the model
+    # forms for that row, exact or estimated.
+    data = _weak_row_dataset()
+    model = svd_decompose(data, 0.95)
+    profile, attempts = qpca_pipeline.select_anchor(data, model, np.random.default_rng(0), beta_seed=beta_seed)
+    assert len(attempts) > 1 and attempts[-1] == profile.anchor_index
+    want = model.overlaps(data, profile.anchor_index, model.selected_dim)
+    assert np.array_equal(profile.overlaps, want)
+    assert np.array_equal(profile.beta, coefficients(want))
+
+
+def test_compress_refuses_overlaps_of_another_kept_dimension():
+    run = run_compression(rank_k_dataset(16, 8, 3, seed=1), seed=0)
+    profile = replace(run.profile, overlaps=run.profile.overlaps[:-1])
+    with pytest.raises(InvalidInputError, match="anchor profile and model disagree on the kept dimension"):
+        qpca_pipeline.compress(run.data, run.model, profile, run.cfg)
 
 
 def test_an_out_of_range_anchor_is_refused_in_one_wording():
@@ -606,26 +626,25 @@ def test_anchor_choice_and_compression_ignore_eigenvector_signs(source, run_mode
     patterns = [np.array([-1.0 if (m >> j) & 1 else 1.0 for j in range(columns)]) for m in range(1, 1 << columns)]
 
     def run(model, seed):
-        choice = qpca_pipeline.select_anchor(
+        profile, attempts = qpca_pipeline.select_anchor(
             data, model, np.random.default_rng(seed), beta_seed=seed + 1 if sampled else None
         )
         result = qpca_pipeline.compress(
-            data, model, choice.profile, choice.overlaps, cfg,
-            postselect_shots=20_000 if sampled else None, rng_seed=seed + 2,
+            data, model, profile, cfg, postselect_shots=20_000 if sampled else None, rng_seed=seed + 2
         )
-        return choice, result
+        return profile, attempts, result
 
     redrawn = []
     for seed in seeds:
-        want_choice, want = run(model, seed)
-        redrawn.append(len(want_choice.attempts) > 1)
+        want_profile, want_attempts, want = run(model, seed)
+        redrawn.append(len(want_attempts) > 1)
         for flips in patterns:
-            choice, got = run(replace(model, right_vectors=model.right_vectors * flips), seed)
-            assert choice.attempts == want_choice.attempts
-            assert np.array_equal(choice.overlaps, want_choice.overlaps * flips[: model.selected_dim])
-            assert np.array_equal(choice.profile.beta, want_choice.profile.beta)
-            assert np.array_equal(choice.profile.beta_hat, want_choice.profile.beta_hat)
-            assert choice.profile.residual == want_choice.profile.residual
+            profile, attempts, got = run(replace(model, right_vectors=model.right_vectors * flips), seed)
+            assert attempts == want_attempts
+            assert np.array_equal(profile.overlaps, want_profile.overlaps * flips[: model.selected_dim])
+            assert np.array_equal(profile.beta, want_profile.beta)
+            assert np.array_equal(profile.beta_hat, want_profile.beta_hat)
+            assert profile.residual == want_profile.residual
             assert got.report == want.report
             assert np.array_equal(got.compressed, want.compressed)
             assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
@@ -904,14 +923,14 @@ def test_scaling_grid_matches_the_per_point_path(monkeypatch, source):
     choices = _record_calls(monkeypatch, qpca_pipeline, "select_anchor")
     batches = _record_calls(monkeypatch, sv_engine, "postselect_rotations")
     result = error_scaling_experiment(data, grid, [11])
-    [((_, model, *_), choice)] = choices
+    [((_, model, *_), (profile, _))] = choices
     [(([projected], [p_anchor], [beta_hat], _), ([kept], [probs]))] = batches
     reference = pca_oracle.expected_compressed_state(
-        anchor_signed_projection(data, model, choice.overlaps)
+        anchor_signed_projection(data, model, profile.overlaps)
     )
     assert kept.shape == (len(grid),) + projected.amplitudes.shape
     for k, eps in enumerate(grid):
-        want = perturb_beta(choice.profile.beta, eps)
+        want = perturb_beta(profile.beta, eps)
         assert np.array_equal(beta_hat[k], want)
         post = sv_engine.postselect(sv_engine.apply_cr_beta(projected, want, float(want.min())), p_anchor)
         assert np.array_equal(kept[k], post.state.amplitudes)
@@ -985,19 +1004,19 @@ def _per_seed_sweep(data, seed, grid):
     deviation per point."""
     cfg = PhaseConfig(MODE_IDEAL, 6)
     model = svd_decompose(data, 0.95)
-    choice = qpca_pipeline.select_anchor(data, model, np.random.default_rng(seed))
-    overlaps = model.overlaps(data, choice.profile.anchor_index, model.selected_dim)
+    profile, attempts = qpca_pipeline.select_anchor(data, model, np.random.default_rng(seed))
+    overlaps = model.overlaps(data, profile.anchor_index, model.selected_dim)
     [projected], [p_anchor] = sv_engine.project_anchor(model, cfg, qram_store.prepare_data_state(data), overlaps[None])
     reference = pca_oracle.expected_compressed_state(anchor_signed_projection(data, model, overlaps))
     kept, infid, dev = [], [], []
     for eps in grid:
-        beta_hat = perturb_beta(choice.profile.beta, eps)
+        beta_hat = perturb_beta(profile.beta, eps)
         post = sv_engine.postselect(sv_engine.apply_cr_beta(projected, beta_hat, float(beta_hat.min())), p_anchor)
         psi, phi = reference.amplitudes, post.state.amplitudes
         kept.append(phi)
         infid.append(max(1.0 - post.state.fidelity(reference), 0.0))
         dev.append(float(np.linalg.norm(phi - np.vdot(psi, phi) * psi)))
-    return choice.attempts, kept, infid, dev
+    return attempts, kept, infid, dev
 
 
 @pytest.mark.parametrize("stack_rows, passes", [(qpca_pipeline.SWEEP_STACK_ROWS, 1), (64, 3)])

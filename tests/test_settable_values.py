@@ -55,7 +55,6 @@ SETTABLE_VALUES = (
     "qpca_pipeline.py:compress:rng_seed",
     "qpca_pipeline.py:compress:subset",
     "qpca_pipeline.py:error_scaling_experiment:threshold",
-    "qpca_pipeline.py:exact_anchor_profile:eps_beta",
     "qpca_pipeline.py:run_compression:anchor_index",
     "qpca_pipeline.py:run_compression:bits",
     "qpca_pipeline.py:run_compression:eps_beta",
@@ -134,4 +133,4 @@ def test_settable_value_count_is_pinned():
     added = sorted(set(found) - set(SETTABLE_VALUES))
     removed = sorted(set(SETTABLE_VALUES) - set(found))
     assert found == list(SETTABLE_VALUES), f"added {added}, removed {removed}"
-    assert len(SETTABLE_VALUES) == 57
+    assert len(SETTABLE_VALUES) == 56

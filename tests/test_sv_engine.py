@@ -515,7 +515,7 @@ def test_postselect_sampled_probability():
 
 def test_postselect_zero_mass_branch():
     state, anchor_probability = _postselect_fixture(0.0)
-    with pytest.raises(VanishingSuccessError):
+    with pytest.raises(VanishingSuccessError, match="post-selection probability 0.000e[+]00 below floor"):
         postselect(state, anchor_probability)
 
 
