@@ -578,8 +578,17 @@ def _parse_subset(text: str) -> tuple[int, ...]:
         raise InvalidInputError(f"subset must be comma-separated integers, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error (an unknown flag, a value its type refuses) as
+    ``INVALID_INPUT``, which ``main`` prints as a JSON payload with exit
+    code 1, as it prints every other failure."""
+
+    def error(self, message: str):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpcasim",
         description="Simulated spectral compression of a data matrix, with "
         "classifier and regression demos on the compressed representation.",
@@ -592,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bits", type=int, default=RunConfig.bits,
                         help="eigenvalue label register width, at most 63 for quantized labels, also setting "
                         "the ledger's eps_lambda (read by compress and ledger; ignored by the other tasks)")
-    parser.add_argument("--mode", choices=RUN_MODES, default=RunConfig.mode,
-                        help="run mode (scaling and ledger: ideal only)")
+    parser.add_argument("--mode", default=RunConfig.mode,
+                        help=f"run mode, one of {', '.join(RUN_MODES)} (scaling and ledger: ideal only)")
     parser.add_argument("--eps-beta", type=float, default=RunConfig.eps_beta, dest="eps_beta",
                         help="target accuracy for anchor coefficient estimates "
                         "(read by compress and ledger; ignored by the other tasks)")
@@ -601,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shots per sampled readout (read by compress, qsvm and qlr "
                         "in sampled mode; ignored otherwise)")
     parser.add_argument("--seed", type=int, default=RunConfig.seed)
-    parser.add_argument("--task", choices=TASKS, default=RunConfig.task)
+    parser.add_argument("--task", default=RunConfig.task, help=f"one of {', '.join(TASKS)}")
     parser.add_argument("--subset", help="comma-separated row indices (compress task only)")
     parser.add_argument("--anchor", type=int, dest="anchor_index",
                         help="fixed anchor row (default: seeded draw with redraw on weak "
@@ -612,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.subset is not None:
             args.subset = _parse_subset(args.subset)
         config = RunConfig(**vars(args))

@@ -4,8 +4,8 @@ and the CLI share.
 Each setting has one check here, with one code and one message, and every
 entry point refuses through it: the CLI's ``RunConfig.validate`` before any
 input is read, the library where the setting is used. An integer setting (a
-seed, an anchor row, a subset row) is read by ``read_integer``, which
-refuses a bool or a non-integer. The module imports only ``math``,
+seed, a shot count, a label width, an anchor row, a subset row) is read by
+``read_integer``, which refuses a bool or a non-integer. The module imports only ``math``,
 ``operator`` and ``errors``, so the CLI validates its flags without loading
 the pipeline.
 ``qpca_pipeline`` describes what each mode does.
@@ -44,7 +44,7 @@ def check_theta(theta: float) -> None:
 
 def check_label_bits(bits: int, mode: str) -> None:
     """Labels are quantized in every run mode but ideal."""
-    if bits < 1:
+    if read_integer(bits, "bits") < 1:
         raise OutOfRangeError(f"bits must be >= 1, got {bits}")
     if mode != MODE_IDEAL and bits > MAX_LABEL_BITS:
         raise OutOfRangeError(f"quantized label width must be at most {MAX_LABEL_BITS} bits, got {bits}")
@@ -82,8 +82,9 @@ def check_gamma(gamma: float) -> None:
 
 
 def check_shots(shots: int) -> None:
-    """Refuse a shot count below 1, or above ``MAX_SHOTS`` (``OUT_OF_RANGE``)."""
-    if shots < 1:
+    """Refuse a shot count that is not an integer (``read_integer``), one
+    below 1, or one above ``MAX_SHOTS`` (``OUT_OF_RANGE``)."""
+    if read_integer(shots, "shots") < 1:
         raise OutOfRangeError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise OutOfRangeError(f"shots must be at most {MAX_SHOTS} (2^63 - 1) for one seeded draw, got {shots}")

@@ -39,7 +39,7 @@ from .errors import (
 )
 # The run-mode names live in ``modes``; the pipeline re-exports all of them.
 from .modes import MODE_IDEAL, MODE_QUANTIZED, MODE_SAMPLED, RUN_MODES, anchor_shots, check_ledger_accuracy
-from .modes import check_seed, check_subset, read_integer
+from .modes import check_seed, check_shots, check_subset, read_integer
 from .pca_oracle import DataMatrix, OverlapReport, SpectralModel
 from .statevector import StateVector
 from .sv_engine import PhaseConfig
@@ -519,6 +519,7 @@ def run_compression(
     refused as the CLI refuses it, by its check in ``modes``."""
     check_ledger_accuracy(eps_beta, bits)
     check_seed(seed)
+    check_shots(shots)
     _subset_rows(data, subset)
     _check_anchor_index(data, anchor_index)
     cfg = PhaseConfig(run_mode, bits)

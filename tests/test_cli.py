@@ -888,3 +888,30 @@ def test_main_success_exit_code(rank2_csv, tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert cli.main(["--input", rank2_csv, "--out", out]) == 0
     assert os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mode", "bogus"], "unknown mode 'bogus'; expected one of ('ideal', 'quantized', 'sampled')"),
+        (["--task", "bogus"], "unknown task 'bogus'; expected one of ('compress', 'qsvm', 'qlr', 'scaling', 'ledger')"),
+        (["--bits", "6.5"], "argument --bits: invalid int value: '6.5'"),
+        (["--theta", "abc"], "argument --theta: invalid float value: 'abc'"),
+        (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ],
+)
+def test_usage_errors_are_json_payloads(capsys, rank2_csv, flags, message):
+    # The parent let argparse print its usage on stderr and exit 2, with
+    # nothing on stdout. An unknown mode or task now gets the library's
+    # words, from the one check each vocabulary has.
+    payload = _error_payload(capsys, ["--input", rank2_csv] + flags)
+    assert payload == {"code": "INVALID_INPUT", "message": message}
+    assert capsys.readouterr().err == ""
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qpcasim") and "one of ideal, quantized, sampled" in out

@@ -589,6 +589,41 @@ def test_an_integer_setting_refuses_a_bool_or_a_non_integer(entry, name, value):
     assert info.value.payload() == {"code": "INVALID_INPUT", "message": f"{name} must be an integer, got {value!r}"}
 
 
+@pytest.mark.parametrize(
+    "settings, name, value",
+    [
+        ({"run_mode": MODE_SAMPLED, "shots": 1000.5}, "shots", 1000.5),
+        ({"run_mode": MODE_SAMPLED, "shots": True}, "shots", True),
+        ({"run_mode": MODE_QUANTIZED, "bits": 6.5}, "bits", 6.5),
+        ({"run_mode": MODE_IDEAL, "bits": 6.5}, "bits", 6.5),
+        ({"run_mode": MODE_QUANTIZED, "bits": True}, "bits", True),
+    ],
+    ids=["shots-float", "shots-bool", "bits-float-quantized", "bits-float-ideal", "bits-bool-quantized"],
+)
+def test_shot_counts_and_label_widths_are_read_as_integers(settings, name, value):
+    # The parent ran 1000.5 shots and reported them, ran True as one shot,
+    # raised a bare TypeError from a 6.5-bit label shift, ran 6.5 bits in
+    # ideal mode, and refused True bits as a degenerate spectrum.
+    with pytest.raises(InvalidInputError) as info:
+        run_compression(rank_k_dataset(16, 8, 3, seed=1), **settings)
+    assert info.value.payload() == {"code": "INVALID_INPUT", "message": f"{name} must be an integer, got {value!r}"}
+
+
+@pytest.mark.parametrize("run_mode", [MODE_IDEAL, MODE_SAMPLED])
+@pytest.mark.parametrize("shots", [0, -5])
+def test_a_shot_count_is_refused_before_the_decomposition(monkeypatch, run_mode, shots):
+    # The parent ran shots=0 and shots=-5 in ideal mode, which the CLI
+    # refuses in every mode, and refused them in sampled mode only inside
+    # postselect, after the decomposition, the anchor draw and the circuit.
+    calls = []
+    decompose = pca_oracle.svd_decompose
+    monkeypatch.setattr(pca_oracle, "svd_decompose", lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    with pytest.raises(OutOfRangeError) as info:
+        run_compression(rank_k_dataset(16, 8, 3, seed=1), run_mode=run_mode, shots=shots)
+    assert calls == []
+    assert info.value.payload() == {"code": "OUT_OF_RANGE", "message": f"shots must be >= 1, got {shots}"}
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_the_sweep_refuses_a_non_finite_magnitude(bad):
     # The parent swept inf into a NaN slope with a RuntimeWarning, and
