@@ -152,6 +152,10 @@ CASES = {
     "error_eps_beta_underflow_sampled": ("rank3.csv", None, ["--mode", "sampled", "--eps-beta", "1e-200"]),
     "error_eps_beta_overflow_compress": ("rank3.csv", None, ["--eps-beta", "1e-154"]),
     "error_eps_beta_overflow_ledger": ("rank3.csv", None, ["--task", "ledger", "--eps-beta", "1e-154"]),
+    # Usage errors are payloads too: an unknown mode gets the library's
+    # words, a value its flag's type refuses argparse's.
+    "error_unknown_mode": ("rank3.csv", None, ["--mode", "bogus"]),
+    "error_bits_not_integer": ("rank3.csv", None, ["--bits", "6.5"]),
 }
 
 
