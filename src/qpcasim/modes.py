@@ -5,9 +5,9 @@ Each setting has one check here, with one code and one message, and every
 entry point refuses through it: the CLI's ``RunConfig.validate`` before any
 input is read, the library where the setting is used. An integer setting (a
 seed, a shot count, a label width, an anchor row, a subset row) is read by
-``read_integer``, which refuses a bool or a non-integer. The module imports only ``math``,
-``operator`` and ``errors``, so the CLI validates its flags without loading
-the pipeline.
+``read_integer``, which refuses a bool or a non-integer. The module imports
+only ``math``, ``operator`` and ``errors``, so the CLI validates its flags
+without loading the pipeline.
 ``qpca_pipeline`` describes what each mode does.
 """
 

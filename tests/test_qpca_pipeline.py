@@ -578,34 +578,25 @@ def test_a_negative_seed_is_refused_as_the_cli_refuses_it(entry):
         (lambda data: run_compression(data, anchor_index=True), "anchor index", True),
         (lambda data: run_compression(data, seed=1.5), "seed", 1.5),
         (lambda data: error_scaling_experiment(data, [0.0], [1.5]), "seed", 1.5),
+        (lambda data: run_compression(data, run_mode=MODE_SAMPLED, shots=1000.5), "shots", 1000.5),
+        (lambda data: run_compression(data, run_mode=MODE_SAMPLED, shots=True), "shots", True),
+        (lambda data: run_compression(data, run_mode=MODE_QUANTIZED, bits=6.5), "bits", 6.5),
+        (lambda data: run_compression(data, run_mode=MODE_IDEAL, bits=6.5), "bits", 6.5),
+        (lambda data: run_compression(data, run_mode=MODE_QUANTIZED, bits=True), "bits", True),
     ],
-    ids=["subset-float", "subset-bool", "anchor-float", "anchor-bool", "seed", "sweep-seed"],
+    ids=[
+        "subset-float", "subset-bool", "anchor-float", "anchor-bool", "seed", "sweep-seed",
+        "shots-float", "shots-bool", "bits-float-quantized", "bits-float-ideal", "bits-bool-quantized",
+    ],
 )
 def test_an_integer_setting_refuses_a_bool_or_a_non_integer(entry, name, value):
     # The parent cast a subset to int (rows 1 and 3 ran), let numpy refuse
     # an anchor or a seed with its own error, and truncated a sweep seed.
+    # It ran 1000.5 shots and reported them, ran True as one shot, raised a
+    # bare TypeError from a 6.5-bit label shift, ran 6.5 bits in ideal
+    # mode, and refused True bits as a degenerate spectrum.
     with pytest.raises(InvalidInputError) as info:
         entry(rank_k_dataset(16, 8, 3, seed=1))
-    assert info.value.payload() == {"code": "INVALID_INPUT", "message": f"{name} must be an integer, got {value!r}"}
-
-
-@pytest.mark.parametrize(
-    "settings, name, value",
-    [
-        ({"run_mode": MODE_SAMPLED, "shots": 1000.5}, "shots", 1000.5),
-        ({"run_mode": MODE_SAMPLED, "shots": True}, "shots", True),
-        ({"run_mode": MODE_QUANTIZED, "bits": 6.5}, "bits", 6.5),
-        ({"run_mode": MODE_IDEAL, "bits": 6.5}, "bits", 6.5),
-        ({"run_mode": MODE_QUANTIZED, "bits": True}, "bits", True),
-    ],
-    ids=["shots-float", "shots-bool", "bits-float-quantized", "bits-float-ideal", "bits-bool-quantized"],
-)
-def test_shot_counts_and_label_widths_are_read_as_integers(settings, name, value):
-    # The parent ran 1000.5 shots and reported them, ran True as one shot,
-    # raised a bare TypeError from a 6.5-bit label shift, ran 6.5 bits in
-    # ideal mode, and refused True bits as a degenerate spectrum.
-    with pytest.raises(InvalidInputError) as info:
-        run_compression(rank_k_dataset(16, 8, 3, seed=1), **settings)
     assert info.value.payload() == {"code": "INVALID_INPUT", "message": f"{name} must be an integer, got {value!r}"}
 
 
