@@ -61,15 +61,16 @@ class RunConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
+        # The task and the mode first: the other checks read them.
+        if self.task not in TASKS:
+            raise InvalidInputError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        check_run_mode(self.mode)
         check_theta(self.theta)
         check_label_bits(self.bits, self.mode)
         check_shots(self.shots)
         check_seed(self.seed)
         check_eps_beta(self.eps_beta)
         check_gamma(self.gamma)
-        if self.task not in TASKS:
-            raise InvalidInputError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        check_run_mode(self.mode)
         if self.labels_path is not None and self.task not in ("qsvm", "qlr"):
             raise InvalidInputError(f"labels apply to the qsvm and qlr tasks only, not {self.task!r}")
         if self.subset is not None and self.task != "compress":

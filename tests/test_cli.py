@@ -890,10 +890,15 @@ def test_main_success_exit_code(rank2_csv, tmp_path, capsys):
     assert os.path.exists(out)
 
 
+UNKNOWN_MODE = "unknown mode 'bogus'; expected one of ('ideal', 'quantized', 'sampled')"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--mode", "bogus"], "unknown mode 'bogus'; expected one of ('ideal', 'quantized', 'sampled')"),
+        (["--mode", "bogus"], UNKNOWN_MODE),
+        # The mode is refused before the label width it would quantize.
+        (["--mode", "bogus", "--bits", "100"], UNKNOWN_MODE),
         (["--task", "bogus"], "unknown task 'bogus'; expected one of ('compress', 'qsvm', 'qlr', 'scaling', 'ledger')"),
         (["--bits", "6.5"], "argument --bits: invalid int value: '6.5'"),
         (["--theta", "abc"], "argument --theta: invalid float value: 'abc'"),
